@@ -43,29 +43,44 @@ class Record:
 
 
 class _Partition:
+    """Retained records of one partition.
+
+    `_log[_head:]` holds the retained records in offset order.  Eviction
+    releases the oldest record and advances `_head`; the emptied prefix is
+    dropped once it reaches a sixteenth of the retention, which keeps
+    appends O(1) amortized, and a read copies only the records it returns.
+    """
+
     def __init__(self, retention: int):
         self.retention = retention
-        self.records: deque[Record] = deque()
+        self._log: list[Record | None] = []
+        self._head = 0
         self.next_offset = 0
 
     @property
     def first_offset(self) -> int:
-        return self.next_offset - len(self.records)
+        return self.next_offset - (len(self._log) - self._head)
+
+    def retained(self) -> list[Record]:
+        return self._log[self._head:]
 
     def append(self, key, size_bytes, produce_time_ps, producer) -> int:
         off = self.next_offset
-        self.records.append(Record(key, size_bytes, produce_time_ps, producer, off))
+        self._log.append(Record(key, size_bytes, produce_time_ps, producer, off))
         self.next_offset += 1
-        if len(self.records) > self.retention:
-            self.records.popleft()
+        if len(self._log) - self._head > self.retention:
+            self._log[self._head] = None
+            self._head += 1
+            if self._head * 16 >= self.retention:
+                del self._log[:self._head]
+                self._head = 0
         return off
 
     def read_from(self, offset: int, max_records: int) -> tuple[list[Record], bool]:
-        gap = offset < self.first_offset
-        start = max(offset, self.first_offset)
-        i = start - self.first_offset
-        out = list(self.records)[i:i + max_records] if i < len(self.records) else []
-        return out, gap
+        first = self.first_offset
+        gap = offset < first
+        i = self._head + max(offset, first) - first
+        return self._log[i:i + max_records], gap
 
 
 class Topic:
@@ -115,7 +130,7 @@ class Broker:
         t = self.topics[name]
         lines = []
         for p, part in enumerate(t.partitions):
-            for r in part.records:
+            for r in part.retained():
                 lines.append(json.dumps(
                     {"partition": p, "offset": r.offset, "key": r.key,
                      "size_bytes": r.size_bytes, "produce_time_ps": r.produce_time_ps,
@@ -241,15 +256,19 @@ def commit(group: ConsumerGroup, topic: str, partition: int, offset: int) -> Non
 
 
 class LinkLoadTracker:
-    """Sliding-window byte accounting per link."""
+    """Sliding-window byte accounting per link.  Each link keeps the byte
+    sum of its window next to the window's records, so a rate lookup costs
+    only the evictions it makes."""
 
     def __init__(self, window_ps: SimTime):
         self.window_ps = window_ps
         self._events: dict[str, deque[tuple[SimTime, int]]] = {}
+        self._window_bytes: dict[str, int] = {}
         self.total_bytes: dict[str, int] = {}
 
     def record(self, link_id: str, t: SimTime, nbytes: int) -> None:
         self._events.setdefault(link_id, deque()).append((t, nbytes))
+        self._window_bytes[link_id] = self._window_bytes.get(link_id, 0) + nbytes
         self.total_bytes[link_id] = self.total_bytes.get(link_id, 0) + nbytes
 
     def bits_per_second(self, link_id: str, now: SimTime,
@@ -258,9 +277,11 @@ class LinkLoadTracker:
         q = self._events.get(link_id)
         if not q:
             return 0.0
+        in_window = self._window_bytes[link_id]
         while q and q[0][0] <= now - w:
-            q.popleft()
-        return sum(n for _, n in q) * 8 * PS_PER_S / w
+            in_window -= q.popleft()[1]
+        self._window_bytes[link_id] = in_window
+        return in_window * 8 * PS_PER_S / w
 
     def utilization(self, link_id: str, now: SimTime, bandwidth_bps: float) -> float:
         return min(1.0, self.bits_per_second(link_id, now) / bandwidth_bps)

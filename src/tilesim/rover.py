@@ -2,6 +2,12 @@
 Gauss-Newton position solves, a gated constant-velocity Kalman tracker,
 serpentine coverage planning, obstacle ranging, lift metrology and a
 battery-aware mission loop.
+
+The three kernels the mission loop runs every beacon period (ranging,
+trilateration and the Kalman step) are closed-form scalar arithmetic: the
+2x2 Gauss-Newton normal equations are solved by their determinant, and the
+4-state constant-velocity filter is written out entry by entry, keeping the
+Joseph-form update and the positive-semidefinite covariance check.
 """
 
 from __future__ import annotations
@@ -60,15 +66,16 @@ def default_beacons(room: Room, **kw) -> BeaconSet:
 def measure_ranges(pose_xyz, beacons: BeaconSet, rng: RngStream) -> np.ndarray:
     """One round of beacon distances with gaussian noise and, if configured,
     occasional positive outliers of up to a metre (multipath-like)."""
-    p = np.asarray(pose_xyz, dtype=float)
-    out = np.empty(len(beacons.anchors))
-    for i, a in enumerate(beacons.anchors):
-        d = float(np.linalg.norm(p - np.asarray(a)))
-        d += rng.normal(beacons.range_sigma_m)
-        if beacons.outlier_prob > 0 and rng.uniform() < beacons.outlier_prob:
+    px, py, pz = pose_xyz
+    sigma, outlier_prob = beacons.range_sigma_m, beacons.outlier_prob
+    out = []
+    for ax, ay, az in beacons.anchors:
+        dx, dy, dz = px - ax, py - ay, pz - az
+        d = math.sqrt(dx * dx + dy * dy + dz * dz) + rng.normal(sigma)
+        if outlier_prob > 0 and rng.uniform() < outlier_prob:
             d += rng.uniform(0.0, 1.0)
-        out[i] = d
-    return out
+        out.append(d)
+    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -78,36 +85,68 @@ class TrilaterationResult:
     iterations: int
 
 
+# the normal matrix [[a, b], [b, c]] counts as singular when its determinant
+# is below this fraction of a*c: the range gradients are then within about
+# 1e-6 rad of parallel, and a*c - b*b is mostly cancellation error
+_SINGULAR_RATIO = 1e-12
+
+
 def trilaterate(ranges, beacons: BeaconSet, mobile_z: float,
                 initial=None, max_iterations: int = 50,
                 tolerance_m: float = 1e-6) -> TrilaterationResult:
     """Gauss-Newton least-squares for the (x, y) of a transponder at known
-    height.  Converges when the step shrinks below the tolerance; raises
-    with the last iterate attached when the iteration budget runs out."""
-    anchors = np.asarray(beacons.anchors, dtype=float)
-    d = np.asarray(ranges, dtype=float)
-    if len(d) != len(anchors):
+    height.  Each step solves the 2x2 normal equations J'J s = -J'r in
+    closed form.  Converges when the step shrinks below the tolerance;
+    raises with the last iterate attached when the iteration budget runs
+    out, when a range is not finite, or when the normal matrix is singular
+    or not finite."""
+    d = np.asarray(ranges, dtype=float).tolist()
+    if len(d) != len(beacons.anchors):
         raise ConfigurationError("one range per beacon required")
     if len(d) < 3:
         raise ConfigurationError("at least three usable ranges required")
-    p = np.array(initial if initial is not None
-                 else anchors[:, :2].mean(axis=0), dtype=float)
+    z = float(mobile_z)
+    # (x, y, squared height difference) per beacon; the height is fixed
+    anchors = [(float(ax), float(ay), (z - az) * (z - az))
+               for ax, ay, az in beacons.anchors]
+    if initial is not None:
+        px, py = float(initial[0]), float(initial[1])
+    else:
+        px = sum(a[0] for a in anchors) / len(anchors)
+        py = sum(a[1] for a in anchors) / len(anchors)
+    if not all(math.isfinite(v) for v in d):
+        raise TrilaterationError("non-finite range", last_iterate=(px, py))
     for it in range(1, max_iterations + 1):
-        pos3 = np.array([p[0], p[1], mobile_z])
-        diff = pos3 - anchors
-        dist = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
-        r = dist - d
-        J = diff[:, :2] / dist[:, None]
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        p = p + step
-        if float(np.linalg.norm(step)) < tolerance_m:
-            pos3 = np.array([p[0], p[1], mobile_z])
-            res = np.linalg.norm(pos3 - anchors, axis=1) - d
-            return TrilaterationResult((float(p[0]), float(p[1])),
-                                       float(np.sqrt(np.mean(res ** 2))), it)
+        a = b = c = gx = gy = 0.0
+        for (ax, ay, dz2), di in zip(anchors, d):
+            dx, dy = px - ax, py - ay
+            dist = math.sqrt(dx * dx + dy * dy + dz2)
+            if dist < 1e-12:
+                dist = 1e-12
+            jx, jy, r = dx / dist, dy / dist, dist - di
+            a += jx * jx
+            b += jx * jy
+            c += jy * jy
+            gx -= jx * r
+            gy -= jy * r
+        det = a * c - b * b
+        if not det > _SINGULAR_RATIO * a * c:
+            raise TrilaterationError("singular or non-finite normal matrix",
+                                     last_iterate=(px, py))
+        sx = (c * gx - b * gy) / det
+        sy = (a * gy - b * gx) / det
+        px += sx
+        py += sy
+        if math.sqrt(sx * sx + sy * sy) < tolerance_m:
+            ss = 0.0
+            for (ax, ay, dz2), di in zip(anchors, d):
+                dx, dy = px - ax, py - ay
+                res = math.sqrt(dx * dx + dy * dy + dz2) - di
+                ss += res * res
+            return TrilaterationResult((px, py), math.sqrt(ss / len(d)), it)
     raise TrilaterationError(
         f"no convergence in {max_iterations} iterations",
-        last_iterate=(float(p[0]), float(p[1])))
+        last_iterate=(px, py))
 
 
 # --- tracking ---------------------------------------------------------------
@@ -125,7 +164,31 @@ class KalmanState:
                    np.diag([pos_var, pos_var, vel_var, vel_var]).astype(float))
 
 
-_H = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+# the covariance check tolerates eigenvalues down to -_PSD_SLACK
+_PSD_SLACK = 1e-12
+
+
+def _psd_within_slack(a00, a01, a02, a03, a11, a12, a13, a22, a23,
+                      a33) -> bool:
+    """Square-root-free Cholesky (L D L') of the symmetric matrix plus
+    _PSD_SLACK * I.  Every pivot is positive and finite exactly when the
+    matrix is finite with no eigenvalue below -_PSD_SLACK."""
+    d0 = a00 + _PSD_SLACK
+    if not 0.0 < d0 < math.inf:
+        return False
+    l10, l20, l30 = a01 / d0, a02 / d0, a03 / d0
+    d1 = a11 + _PSD_SLACK - l10 * a01
+    if not 0.0 < d1 < math.inf:
+        return False
+    w21 = a12 - l20 * a01
+    w31 = a13 - l30 * a01
+    l21, l31 = w21 / d1, w31 / d1
+    d2 = a22 + _PSD_SLACK - l20 * a02 - l21 * w21
+    if not 0.0 < d2 < math.inf:
+        return False
+    w32 = a23 - l30 * a02 - l31 * w21
+    d3 = a33 + _PSD_SLACK - l30 * a03 - l31 * w31 - (w32 / d2) * w32
+    return 0.0 < d3 < math.inf
 
 
 def kalman_step(state: KalmanState, dt_s: float, measurement=None,
@@ -134,37 +197,112 @@ def kalman_step(state: KalmanState, dt_s: float, measurement=None,
     """Predict one interval and, when a position fix is supplied, gate it by
     Mahalanobis distance and fold it in with the Joseph-form update.
 
-    Returns the new state and whether the measurement was accepted.  The
-    incoming covariance must be symmetric positive semidefinite.
+    Returns the new state and whether the measurement was accepted; a
+    non-finite fix is never accepted.  The incoming covariance must be
+    finite and its symmetric part positive semidefinite.
+
+    The matrices are written out entry by entry for F = I + dt (e02 + e13),
+    H = [I 0] (the position) and R = meas_var * I.
     """
-    P = state.P
-    if np.min(np.linalg.eigvalsh((P + P.T) / 2)) < -1e-12:
+    x0, x1, x2, x3 = state.x.tolist()
+    (p00, p01, p02, p03), (p10, p11, p12, p13), \
+        (p20, p21, p22, p23), (p30, p31, p32, p33) = state.P.tolist()
+    p01, p02, p03 = (p01 + p10) / 2, (p02 + p20) / 2, (p03 + p30) / 2
+    p12, p13, p23 = (p12 + p21) / 2, (p13 + p31) / 2, (p23 + p32) / 2
+    if not _psd_within_slack(p00, p01, p02, p03, p11, p12, p13, p22, p23, p33):
         raise RoverError("covariance lost positive semidefiniteness")
-    F = np.eye(4)
-    F[0, 2] = F[1, 3] = dt_s
+
+    # predict: x = F x and P = sym(F P F' + Q), with f_ij = (F P)_ij.  For
+    # a symmetric P only entry (0, 1) rounds differently from its mirror,
+    # so it is the only one the symmetrization changes
+    t = dt_s
     q2 = accel_sigma * accel_sigma
-    a, b, c = dt_s ** 4 / 4, dt_s ** 3 / 2, dt_s ** 2
-    Q = q2 * np.array([[a, 0, b, 0],
-                       [0, a, 0, b],
-                       [b, 0, c, 0],
-                       [0, b, 0, c]])
-    x = F @ state.x
-    P = F @ P @ F.T + Q
-    P = (P + P.T) / 2
+    qa, qb, qc = q2 * (t ** 4 / 4), q2 * (t ** 3 / 2), q2 * (t ** 2)
+    x0 += t * x2
+    x1 += t * x3
+    f02, f03, f12, f13 = p02 + t * p22, p03 + t * p23, p12 + t * p23, p13 + t * p33
+    m00 = (p00 + t * p02) + t * f02 + qa
+    m11 = (p11 + t * p13) + t * f13 + qa
+    m01 = (((p01 + t * p12) + t * f03) + ((p01 + t * p03) + t * f12)) / 2
+    m02, m03, m12, m13 = f02 + qb, f03, f12, f13 + qb
+    m22, m23, m33 = p22 + qc, p23, p33 + qc
+    predicted = (x0, x1, x2, x3), (m00, m01, m02, m03, m11, m12, m13, m22, m23, m33)
     if measurement is None:
-        return KalmanState(x, P), False
-    z = np.asarray(measurement, dtype=float)
-    R = np.eye(2) * meas_var
-    y = z - _H @ x
-    S = _H @ P @ _H.T + R
-    d2 = float(y @ np.linalg.solve(S, y))
+        return _kalman_state(*predicted), False
+    z0, z1 = measurement
+    y0, y1 = float(z0) - x0, float(z1) - x1
+    if not (math.isfinite(y0) and math.isfinite(y1)):
+        return _kalman_state(*predicted), False
+
+    # gate: d2 = y' S^-1 y with S = H P H' + R and its closed-form inverse
+    r = meas_var
+    s00, s11 = m00 + r, m11 + r
+    det = s00 * s11 - m01 * m01
+    if not det > 0.0:
+        raise RoverError("innovation covariance is singular")
+    i00, i01, i11 = s11 / det, -m01 / det, s00 / det
+    d2 = y0 * (i00 * y0 + i01 * y1) + y1 * (i01 * y0 + i11 * y1)
     if math.sqrt(max(d2, 0.0)) > gate:
-        return KalmanState(x, P), False
-    K = P @ _H.T @ np.linalg.inv(S)
-    x = x + K @ y
-    IKH = np.eye(4) - K @ _H
-    P = IKH @ P @ IKH.T + K @ R @ K.T
-    return KalmanState(x, (P + P.T) / 2), True
+        return _kalman_state(*predicted), False
+
+    # gain K = P H' S^-1 and state x + K y
+    k00, k01 = m00 * i00 + m01 * i01, m00 * i01 + m01 * i11
+    k10, k11 = m01 * i00 + m11 * i01, m01 * i01 + m11 * i11
+    k20, k21 = m02 * i00 + m12 * i01, m02 * i01 + m12 * i11
+    k30, k31 = m03 * i00 + m13 * i01, m03 * i01 + m13 * i11
+    x = (x0 + (k00 * y0 + k01 * y1), x1 + (k10 * y0 + k11 * y1),
+         x2 + (k20 * y0 + k21 * y1), x3 + (k30 * y0 + k31 * y1))
+    # Joseph form: B = (I - K H) P has rows P[i] - k_i0 P[0] - k_i1 P[1],
+    # then C = B (I - K H)' + K R K' has C[i][j] = B[i][j] - B[i][0] k_j0
+    # - B[i][1] k_j1 + r (k_i0 k_j0 + k_i1 k_j1), and P = sym(C)
+    b00 = m00 - k00 * m00 - k01 * m01
+    b01 = m01 - k00 * m01 - k01 * m11
+    b02 = m02 - k00 * m02 - k01 * m12
+    b03 = m03 - k00 * m03 - k01 * m13
+    b10 = m01 - k10 * m00 - k11 * m01
+    b11 = m11 - k10 * m01 - k11 * m11
+    b12 = m12 - k10 * m02 - k11 * m12
+    b13 = m13 - k10 * m03 - k11 * m13
+    b20 = m02 - k20 * m00 - k21 * m01
+    b21 = m12 - k20 * m01 - k21 * m11
+    b22 = m22 - k20 * m02 - k21 * m12
+    b23 = m23 - k20 * m03 - k21 * m13
+    b30 = m03 - k30 * m00 - k31 * m01
+    b31 = m13 - k30 * m01 - k31 * m11
+    b32 = m23 - k30 * m02 - k31 * m12
+    b33 = m33 - k30 * m03 - k31 * m13
+    kk01 = r * (k00 * k10 + k01 * k11)
+    kk02 = r * (k00 * k20 + k01 * k21)
+    kk03 = r * (k00 * k30 + k01 * k31)
+    kk12 = r * (k10 * k20 + k11 * k21)
+    kk13 = r * (k10 * k30 + k11 * k31)
+    kk23 = r * (k20 * k30 + k21 * k31)
+    c00 = b00 - b00 * k00 - b01 * k01 + r * (k00 * k00 + k01 * k01)
+    c11 = b11 - b10 * k10 - b11 * k11 + r * (k10 * k10 + k11 * k11)
+    c22 = b22 - b20 * k20 - b21 * k21 + r * (k20 * k20 + k21 * k21)
+    c33 = b33 - b30 * k30 - b31 * k31 + r * (k30 * k30 + k31 * k31)
+    c01 = ((b01 - b00 * k10 - b01 * k11 + kk01)
+           + (b10 - b10 * k00 - b11 * k01 + kk01)) / 2
+    c02 = ((b02 - b00 * k20 - b01 * k21 + kk02)
+           + (b20 - b20 * k00 - b21 * k01 + kk02)) / 2
+    c03 = ((b03 - b00 * k30 - b01 * k31 + kk03)
+           + (b30 - b30 * k00 - b31 * k01 + kk03)) / 2
+    c12 = ((b12 - b10 * k20 - b11 * k21 + kk12)
+           + (b21 - b20 * k10 - b21 * k11 + kk12)) / 2
+    c13 = ((b13 - b10 * k30 - b11 * k31 + kk13)
+           + (b31 - b30 * k10 - b31 * k11 + kk13)) / 2
+    c23 = ((b23 - b20 * k30 - b21 * k31 + kk23)
+           + (b32 - b30 * k20 - b31 * k21 + kk23)) / 2
+    return _kalman_state(x, (c00, c01, c02, c03, c11, c12, c13, c22, c23,
+                             c33)), True
+
+
+def _kalman_state(x, upper) -> KalmanState:
+    """A state from [x, y, vx, vy] and the upper triangle of P, row-major."""
+    a00, a01, a02, a03, a11, a12, a13, a22, a23, a33 = upper
+    P = np.array((a00, a01, a02, a03, a01, a11, a12, a13,
+                  a02, a12, a22, a23, a03, a13, a23, a33), dtype=float)
+    return KalmanState(np.array(x, dtype=float), P.reshape(4, 4))
 
 
 # --- coverage planning ------------------------------------------------------

@@ -281,3 +281,64 @@ def test_utilization_saturates_at_one():
 def test_unknown_link_is_idle():
     tr = LinkLoadTracker(window_ps=PS_PER_MS)
     assert link_load(tr, "never", 0) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(retention=st.integers(1, 40),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 80),
+                              st.integers(0, 12)), max_size=150))
+def test_partition_reads_match_a_whole_log_model(retention, ops):
+    # the model keeps every record and slices the retained tail
+    b = broker_with(partitions=1, retention=retention)
+    part = b.topics["samples"].partitions[0]
+    log = []
+    for is_append, offset, max_records in ops:
+        if is_append:
+            publish(b, "samples", f"k{len(log)}", 10, len(log), "p")
+            log.append(len(log))
+            continue
+        first = max(0, len(log) - retention)
+        recs, gap = part.read_from(offset, max_records)
+        start = max(offset, first)
+        assert [r.offset for r in recs] == log[start:start + max_records]
+        assert gap == (offset < first)
+        assert part.first_offset == first
+    assert [r.offset for r in part.retained()] == \
+        log[max(0, len(log) - retention):]
+
+
+def test_reads_across_evictions_and_compactions():
+    b = broker_with(partitions=1, retention=64)
+    part = b.topics["samples"].partitions[0]
+    for n in range(1, 1000):
+        publish(b, "samples", f"k{n}", 10, n, "p")
+        first = max(0, n - 64)
+        assert [r.offset for r in part.retained()] == list(range(first, n))
+        recs, gap = part.read_from(n - 3, 10)
+        assert [r.offset for r in recs] == list(range(max(first, n - 3), n))
+        recs, gap = part.read_from(0, 2)
+        assert gap == (first > 0)
+        assert [r.offset for r in recs] == [first, first + 1][:n]
+        # the evicted prefix still held is under a sixteenth of retention
+        assert len(part._log) - len(part.retained()) < 64 // 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["l1", "l2"]), st.integers(0, 50),
+                          st.integers(1, 10_000),
+                          st.sampled_from([None, 5, 20])),
+                min_size=1, max_size=100))
+def test_windowed_rate_matches_a_full_rescan(ops):
+    # records arrive in time order; each lookup may pass its own window,
+    # which evicts for good, exactly like rescanning the kept records
+    tr = LinkLoadTracker(window_ps=10)
+    kept: dict[str, list[tuple[int, int]]] = {}
+    now = 0
+    for link, dt, nbytes, window in ops:
+        now += dt
+        tr.record(link, now, nbytes)
+        kept.setdefault(link, []).append((now, nbytes))
+        w = window or 10
+        kept[link] = [(t, n) for t, n in kept[link] if t > now - w]
+        want = sum(n for _, n in kept[link]) * 8 * PS_PER_S / w
+        assert tr.bits_per_second(link, now, window) == want

@@ -5,19 +5,100 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tilesim import rover
 from tilesim.core import RngStream
 from tilesim.fabric import ConfigurationError, Room
 from tilesim.rover import (Battery, BeaconSet, KalmanState, LIFT_MAX_M,
                            LIFT_MIN_M, LIFT_NOISE_M, MissionConfig,
                            MissionRunner, OBSTACLE_MAX_M, OBSTACLE_MIN_M,
                            PowerDrawError, RoverError, RoverState, SamplePlan,
-                           TrilaterationError, default_beacons, kalman_step,
-                           lift_height_measure, measure_ranges, mission_step,
-                           plan_sampling, reserve_wh, sense_obstacles,
-                           trilaterate)
+                           TrilaterationError, TrilaterationResult,
+                           default_beacons, kalman_step, lift_height_measure,
+                           measure_ranges, mission_step, plan_sampling,
+                           reserve_wh, sense_obstacles, trilaterate)
 
 ROOM = Room(8.0, 4.0, 2.4)
+
+
+# --- numpy reference kernels --------------------------------------------------
+# The matrix formulation the closed-form kernels replaced, kept verbatim as
+# the oracle of the equivalence tests below.
+
+def numpy_trilaterate(ranges, beacons: BeaconSet, mobile_z: float,
+                      initial=None, max_iterations: int = 50,
+                      tolerance_m: float = 1e-6) -> TrilaterationResult:
+    """Gauss-Newton least-squares for the (x, y) of a transponder at known
+    height.  Converges when the step shrinks below the tolerance; raises
+    with the last iterate attached when the iteration budget runs out."""
+    anchors = np.asarray(beacons.anchors, dtype=float)
+    d = np.asarray(ranges, dtype=float)
+    if len(d) != len(anchors):
+        raise ConfigurationError("one range per beacon required")
+    if len(d) < 3:
+        raise ConfigurationError("at least three usable ranges required")
+    p = np.array(initial if initial is not None
+                 else anchors[:, :2].mean(axis=0), dtype=float)
+    for it in range(1, max_iterations + 1):
+        pos3 = np.array([p[0], p[1], mobile_z])
+        diff = pos3 - anchors
+        dist = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
+        r = dist - d
+        J = diff[:, :2] / dist[:, None]
+        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        p = p + step
+        if float(np.linalg.norm(step)) < tolerance_m:
+            pos3 = np.array([p[0], p[1], mobile_z])
+            res = np.linalg.norm(pos3 - anchors, axis=1) - d
+            return TrilaterationResult((float(p[0]), float(p[1])),
+                                       float(np.sqrt(np.mean(res ** 2))), it)
+    raise TrilaterationError(
+        f"no convergence in {max_iterations} iterations",
+        last_iterate=(float(p[0]), float(p[1])))
+
+
+_H = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+
+
+def numpy_kalman_step(state: KalmanState, dt_s: float, measurement=None,
+                      accel_sigma: float = 0.1, meas_var: float = 1e-4,
+                      gate: float = 3.0) -> tuple[KalmanState, bool]:
+    """Predict one interval and, when a position fix is supplied, gate it by
+    Mahalanobis distance and fold it in with the Joseph-form update.
+
+    Returns the new state and whether the measurement was accepted.  The
+    incoming covariance must be symmetric positive semidefinite.
+    """
+    P = state.P
+    if np.min(np.linalg.eigvalsh((P + P.T) / 2)) < -1e-12:
+        raise RoverError("covariance lost positive semidefiniteness")
+    F = np.eye(4)
+    F[0, 2] = F[1, 3] = dt_s
+    q2 = accel_sigma * accel_sigma
+    a, b, c = dt_s ** 4 / 4, dt_s ** 3 / 2, dt_s ** 2
+    Q = q2 * np.array([[a, 0, b, 0],
+                       [0, a, 0, b],
+                       [b, 0, c, 0],
+                       [0, b, 0, c]])
+    x = F @ state.x
+    P = F @ P @ F.T + Q
+    P = (P + P.T) / 2
+    if measurement is None:
+        return KalmanState(x, P), False
+    z = np.asarray(measurement, dtype=float)
+    R = np.eye(2) * meas_var
+    y = z - _H @ x
+    S = _H @ P @ _H.T + R
+    d2 = float(y @ np.linalg.solve(S, y))
+    if math.sqrt(max(d2, 0.0)) > gate:
+        return KalmanState(x, P), False
+    K = P @ _H.T @ np.linalg.inv(S)
+    x = x + K @ y
+    IKH = np.eye(4) - K @ _H
+    P = IKH @ P @ IKH.T + K @ R @ K.T
+    return KalmanState(x, (P + P.T) / 2), True
 
 
 def exact_ranges(pose, beacons):
@@ -131,6 +212,73 @@ def test_warm_start_converges_faster():
     assert warm.iterations <= cold.iterations
 
 
+@settings(max_examples=150, deadline=None)
+@given(x=st.floats(0.3, 7.7), y=st.floats(0.3, 3.7), z=st.floats(0.0, 1.5),
+       sigma=st.floats(0.0, 0.05), outlier_prob=st.sampled_from([0.0, 0.3]),
+       warm=st.one_of(st.none(), st.tuples(st.floats(-0.5, 0.5),
+                                           st.floats(-0.5, 0.5))),
+       seed=st.integers(0, 2**32 - 1))
+def test_trilaterate_matches_numpy_reference(x, y, z, sigma, outlier_prob,
+                                             warm, seed):
+    b = default_beacons(ROOM, range_sigma_m=sigma, outlier_prob=outlier_prob)
+    ranges = measure_ranges((x, y, z), b, RngStream(seed, "ranges"))
+    initial = None if warm is None else (x + warm[0], y + warm[1])
+    got = trilaterate(ranges, b, z, initial=initial)
+    want = numpy_trilaterate(ranges, b, z, initial=initial)
+    assert got.iterations == want.iterations
+    assert math.dist(got.position, want.position) <= 1e-9
+    assert got.rms_residual_m == pytest.approx(want.rms_residual_m,
+                                               rel=1e-9, abs=1e-12)
+
+
+def test_measure_ranges_draw_order_is_unchanged():
+    # per beacon: one normal, one uniform outlier test, and one uniform
+    # outlier size when the test fires
+    b = default_beacons(ROOM, range_sigma_m=0.01, outlier_prob=0.5)
+    pose = (2.5, 1.5, 0.2)
+    got = measure_ranges(pose, b, RngStream(21, "draws"))
+    rng = RngStream(21, "draws")
+    want = []
+    for a in b.anchors:
+        d = float(np.linalg.norm(np.asarray(pose) - np.asarray(a)))
+        d += rng.normal(0.01)
+        if rng.uniform() < 0.5:
+            d += rng.uniform(0.0, 1.0)
+        want.append(d)
+    assert isinstance(got, np.ndarray)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_range_raises_trilateration_error(bad, capfd):
+    b = quiet_beacons()
+    ranges = exact_ranges((3.0, 1.5, 0.2), b)
+    ranges[2] = bad
+    with pytest.raises(TrilaterationError) as ei:
+        trilaterate(ranges, b, 0.2, initial=(3.0, 1.5))
+    assert ei.value.last_iterate == (3.0, 1.5)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("initial", [(math.nan, 1.0), (1e200, 1e200)])
+def test_non_finite_normal_matrix_raises_trilateration_error(initial):
+    b = quiet_beacons()
+    with pytest.raises(TrilaterationError, match="normal matrix") as ei:
+        trilaterate(exact_ranges((3.0, 1.5, 0.2), b), b, 0.2, initial=initial)
+    assert len(ei.value.last_iterate) == 2
+
+
+def test_mission_skips_fixes_with_non_finite_ranges(monkeypatch):
+    # every ranging round is garbage: the tracker coasts on predictions and
+    # the mission still completes on its true pose
+    monkeypatch.setattr(rover, "measure_ranges",
+                        lambda pose, beacons, rng: np.full(4, math.nan))
+    run = small_mission()
+    s = run.run(max_duration_s=600)
+    assert s["visited"] == s["waypoints"]
+    assert s["raw_fixes"] == 0
+
+
 # --- tracking ---------------------------------------------------------------
 
 def test_static_filter_reproduces_scalar_table():
@@ -174,6 +322,88 @@ def test_gate_rejects_wild_fix_but_state_still_predicts():
     assert st2.x[0] == pytest.approx(0.0)
     st3, ok = kalman_step(st2, 0.1, (0.001, -0.001), meas_var=1e-4, gate=3.0)
     assert ok
+
+
+def assert_states_close(got: KalmanState, want: KalmanState, seen):
+    """x and P agree to 1e-12 of the largest magnitude among the states in
+    `seen` and the two results.  `seen` holds the step's input and its
+    prediction: the Joseph update cancels the predicted covariance, so that
+    is the scale its rounding lives on."""
+    for name in ("x", "P"):
+        a, b = getattr(got, name), getattr(want, name)
+        scale = max(np.abs(v).max() for v in
+                    [a, b] + [np.asarray(getattr(s, name)) for s in seen])
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.floats(-10, 10), y=st.floats(-10, 10),
+       pos_var=st.floats(1e-4, 10.0), vel_var=st.floats(1e-4, 10.0),
+       seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 30))
+def test_kalman_step_matches_numpy_reference(x, y, pos_var, vel_var, seed,
+                                             steps):
+    # a reference track over random intervals, process and measurement
+    # noise, gates and fixes (some wild, some missing); both kernels take
+    # every step from the same reference state
+    gen = np.random.default_rng(seed)
+    state = KalmanState.at(x, y, pos_var, vel_var)
+    for _ in range(steps):
+        dt = float(gen.uniform(0.01, 1.0))
+        kw = dict(accel_sigma=float(gen.uniform(0.0, 3.0)),
+                  meas_var=float(10 ** gen.uniform(-6, 0)),
+                  gate=float(gen.uniform(0.5, 10.0)))
+        meas = None
+        if gen.random() < 0.8:
+            spread = math.sqrt(kw["meas_var"] + state.P[0, 0]) * gen.uniform(0, 6)
+            meas = tuple(float(v) for v in state.x[:2] + gen.normal(0, spread, 2))
+        predicted, _ = numpy_kalman_step(state, dt, None, **kw)
+        got, ok = kalman_step(state, dt, meas, **kw)
+        want, want_ok = numpy_kalman_step(state, dt, meas, **kw)
+        assert ok == want_ok
+        assert_states_close(got, want, [state, predicted])
+        state = want
+
+
+def psd_with_min_eigenvalue(lam: float) -> np.ndarray:
+    q, _ = np.linalg.qr(np.arange(1.0, 17.0).reshape(4, 4) ** 0.5)
+    return q @ np.diag([2.0, 1.0, 0.5, lam]) @ q.T
+
+
+def test_psd_check_boundary():
+    for impl in (kalman_step, numpy_kalman_step):
+        ok = KalmanState(np.zeros(4), psd_with_min_eigenvalue(-1e-13))
+        impl(ok, 0.1, None)
+        bad = KalmanState(np.zeros(4), psd_with_min_eigenvalue(-1e-10))
+        with pytest.raises(RoverError, match="semidefinite"):
+            impl(bad, 0.1, None)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_covariance_is_rejected(bad):
+    for i, j in ((0, 0), (3, 3), (2, 1)):
+        st_ = KalmanState.at(0.0, 0.0)
+        st_.P[i, j] = bad
+        with pytest.raises(RoverError, match="semidefinite"):
+            kalman_step(st_, 0.1, None)
+
+
+@pytest.mark.parametrize("fix", [(math.nan, 0.0), (0.0, math.inf),
+                                 (-math.inf, math.nan)])
+def test_non_finite_fix_is_rejected_by_the_gate(fix):
+    st_ = KalmanState.at(1.0, 2.0, pos_var=0.01, vel_var=0.01)
+    predicted, _ = kalman_step(st_, 0.1, None)
+    got, ok = kalman_step(st_, 0.1, fix, gate=1e300)
+    assert not ok
+    np.testing.assert_array_equal(got.x, predicted.x)
+    np.testing.assert_array_equal(got.P, predicted.P)
+    assert np.all(np.isfinite(got.P))
+
+
+def test_singular_innovation_covariance_is_rejected():
+    # zero position variance, no process noise and an exact sensor
+    st_ = KalmanState.at(0.0, 0.0, pos_var=0.0, vel_var=0.0)
+    with pytest.raises(RoverError, match="singular"):
+        kalman_step(st_, 0.1, (0.0, 0.0), accel_sigma=0.0, meas_var=0.0)
 
 
 def test_prediction_spreads_covariance():
