@@ -42,17 +42,6 @@ class SimulationError(RuntimeError):
     """Engine misuse (scheduling into the past, time overflow, ...)."""
 
 
-@dataclass(slots=True)
-class Event:
-    fire_at: SimTime
-    seq: int            # insertion order, breaks ties FIFO
-    module: str
-    target: str
-    action: str
-    fn: Callable[[Any], None]
-    arg: Any = None
-
-
 @dataclass
 class RunStats:
     processed: int = 0
@@ -66,10 +55,14 @@ class EventLoop:
     Handlers may schedule further events at or after the current time.
     When a trace sink is given, one JSON line per processed event is
     written; identical runs produce identical trace bytes.
+
+    Each queued event is a plain tuple (fire_at, seq, fn, arg, module,
+    target, action); seq is unique, so heap comparisons never reach fn or
+    arg and those may be anything.
     """
 
     def __init__(self, trace: IO[str] | None = None):
-        self._heap: list[tuple[SimTime, int, Event]] = []
+        self._heap: list[tuple] = []
         self._seq = 0
         self._now: SimTime = 0
         self._trace = trace
@@ -79,35 +72,36 @@ class EventLoop:
         return self._now
 
     def schedule(self, fire_at: SimTime, module: str, target: str, action: str,
-                 fn: Callable[[Any], None], arg: Any = None) -> Event:
-        if not (0 <= fire_at <= MAX_SIM_TIME):
-            raise SimulationError(f"fire_at {fire_at} outside the 64-bit time range")
-        if fire_at < self._now:
+                 fn: Callable[[Any], None], arg: Any = None) -> None:
+        if not self._now <= fire_at <= MAX_SIM_TIME:
+            if not 0 <= fire_at <= MAX_SIM_TIME:
+                raise SimulationError(f"fire_at {fire_at} outside the 64-bit time range")
             raise SimulationError(
                 f"event {action!r} scheduled at {fire_at} ps, before now={self._now} ps")
-        ev = Event(fire_at, self._seq, module, target, action, fn, arg)
-        self._seq += 1
-        heapq.heappush(self._heap, (fire_at, ev.seq, ev))
-        return ev
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (fire_at, seq, fn, arg, module, target, action))
 
     def run_until(self, t_end: SimTime) -> RunStats:
         """Process every event with fire_at <= t_end, then advance now to t_end."""
         if t_end < self._now:
             raise SimulationError(
                 f"run_until({t_end}) would move time backwards from {self._now}")
-        stats = RunStats()
         heap = self._heap
         trace = self._trace
+        pop = heapq.heappop
+        by_module: dict[str, int] = {}
+        count = by_module.get
         while heap and heap[0][0] <= t_end:
-            fire_at, _, ev = heapq.heappop(heap)
+            fire_at, _, fn, arg, module, target, action = pop(heap)
             self._now = fire_at
             if trace is not None:
                 trace.write('{"t":%d,"module":"%s","target":"%s","action":"%s"}\n'
-                            % (fire_at, ev.module, ev.target, ev.action))
-            ev.fn(ev.arg)
-            stats.processed += 1
-            stats.by_module[ev.module] = stats.by_module.get(ev.module, 0) + 1
-            stats.last_fire_at = fire_at
+                            % (fire_at, module, target, action))
+            fn(arg)
+            by_module[module] = count(module, 0) + 1
+        processed = sum(by_module.values())
+        stats = RunStats(processed, by_module, self._now if processed else 0)
         if t_end > self._now:
             self._now = t_end
         return stats

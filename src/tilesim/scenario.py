@@ -8,12 +8,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 
 import yaml
 
 from .coherent import CARRIER_MAX_HZ, CARRIER_MIN_HZ, MAX_TX_POWER_DBM
+from .core import from_seconds
 from .fabric import ConfigurationError, FabricConfig
 from .timesync import TimesyncConfig
 
@@ -162,6 +164,13 @@ def scenario_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(resolved_json(cfg).encode()).hexdigest()
 
 
+def _check_period(problems: list[str], name: str, seconds: float) -> None:
+    """A self-rescheduling period must round, as the scheduler rounds it, to
+    at least 1 ps; a zero period would fire forever at one instant."""
+    if not (math.isfinite(seconds) and from_seconds(seconds) >= 1):
+        problems.append(f"{name} must be at least 1 ps (got {seconds:g} s)")
+
+
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """Cross-field checks that a single dataclass cannot express.  Returns a
     list of human-readable problems; empty means the scenario is runnable."""
@@ -199,6 +208,10 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             problems.append("dataplane.producer_tiles must be non-negative")
         if d.consumer_groups < 0 or (d.consumer_groups and d.consumers_per_group < 1):
             problems.append("dataplane consumer topology is malformed")
+        _check_period(problems, "dataplane.produce_interval_ms",
+                      d.produce_interval_ms / 1e3)
+        _check_period(problems, "dataplane.poll_interval_ms",
+                      d.poll_interval_ms / 1e3)
     if cfg.rover.enabled:
         r = cfg.rover
         if r.area is not None:
@@ -211,10 +224,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             problems.append("rover tick and speed must be positive")
     if cfg.timesync.enabled:
         t = cfg.timesync
-        if t.sync_interval_s <= 0:
-            problems.append("timesync.sync_interval_s must be positive")
-        if t.sample_interval_s <= 0:
-            problems.append("timesync.sample_interval_s must be positive")
+        _check_period(problems, "timesync.sync_interval_s", t.sync_interval_s)
+        _check_period(problems, "timesync.sample_interval_s", t.sample_interval_s)
         for sw in t.boundary_switches:
             if not isinstance(sw, str):
                 problems.append("timesync.boundary_switches must be switch ids")

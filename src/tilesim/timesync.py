@@ -22,6 +22,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -116,7 +117,7 @@ def two_step_offset(t1: int, t2: int, t3: int, t4: int,
 
 @dataclass
 class PtpMessage:
-    kind: str                 # Sync | FollowUp | DelayReq | DelayResp
+    """A timestamped message (Sync or DelayReq) crossing the relays."""
     seq: int
     origin_timestamp_ps: int = 0
     correction_ps: int = 0
@@ -237,8 +238,12 @@ class SyncReport:
         self._finalized = False
 
     def add_sample(self, node: str, t: SimTime, residual_ps: float) -> None:
-        self._times.setdefault(node, []).append(t)
-        self._resid.setdefault(node, []).append(residual_ps)
+        times = self._times.get(node)
+        if times is None:
+            times = self._times[node] = []
+            self._resid[node] = []
+        times.append(t)
+        self._resid[node].append(residual_ps)
 
     def finalize(self) -> None:
         for node, r in self._resid.items():
@@ -302,13 +307,25 @@ class SyncReport:
         }
 
     def to_csv(self, path) -> None:
+        """One row per sample, residuals rounded half to even.  Each node's
+        rows are written as one block, laid out exactly as `csv.writer`
+        would write them."""
         with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["true_time_ps", "node", "residual_ps"])
+            csv.writer(f).writerow(["true_time_ps", "node", "residual_ps"])
             for node in self.nodes:
-                times, resid = self._times[node], self._resid[node]
-                for t, r in zip(times, resid):
-                    w.writerow([t, node, int(round(r))])
+                resid = self._resid[node]
+                if isinstance(resid, np.ndarray):
+                    resid = resid.tolist()
+                field = _csv_field(node)
+                f.write("".join([f"{t},{field},{round(r)}\r\n"
+                                 for t, r in zip(self._times[node], resid)]))
+
+
+def _csv_field(text: str) -> str:
+    """`text` quoted as `csv.writer` quotes a field in the middle of a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-3]        # drop the empty field's ",\r\n"
 
 
 # --- domain engine ----------------------------------------------------------
@@ -356,7 +373,13 @@ class SyncDomain:
         self.exchanges: list[ExchangeRecord] = []
         self.clocks: dict[str, LocalClock] = {}
         self.ports: dict[str, PtpPort] = {}
-        self._jitter_scale_cache: dict[str, float] = {}
+        # link id -> (normal draw of its jitter stream, lognormal shape s,
+        # exp(s^2/2) * sqrt(expm1(s^2))), filled on a link's first draw
+        self._jitter: dict[str, tuple] = {}
+        self._interval_ps = from_seconds(config.sync_interval_s)
+        self._residence_ps = from_seconds(config.residence_us / 1e6)
+        self._followup_lag_ps = from_seconds(config.followup_lag_us / 1e6)
+        self._turnaround_ps = from_seconds(config.turnaround_us / 1e6)
 
         label = config.stream_label
         init = rng.stream(f"{label}/init")
@@ -411,10 +434,14 @@ class SyncDomain:
         sigma_ns = self.effective_jitter_sigma_ns(link, t)
         if sigma_ns <= 0:
             return 0
-        s = link.jitter_shape
-        scale = sigma_ns / (math.exp(s * s / 2) * math.sqrt(math.expm1(s * s)))
-        z = self.rng.stream(f"{self.config.stream_label}/jitter/{link.id}").normal()
-        return int(round(scale * math.exp(s * z) * 1000))
+        state = self._jitter.get(link.id)
+        if state is None:
+            s = link.jitter_shape
+            stream = self.rng.stream(f"{self.config.stream_label}/jitter/{link.id}")
+            state = self._jitter[link.id] = (
+                stream.normal, s, math.exp(s * s / 2) * math.sqrt(math.expm1(s * s)))
+        normal, s, denom = state
+        return int(round(sigma_ns / denom * math.exp(s * normal()) * 1000))
 
     # -- lifecycle --
 
@@ -437,9 +464,13 @@ class SyncDomain:
         # least once; before the first correction it is free-running and a
         # quiet streak would be declared "converged" by pure luck
         now = self.loop.now
+        clocks = self.clocks
+        add_sample = self.report.add_sample
+        online = self._online
+        tiles = self.fabric.tiles
         for node, port in self.ports.items():
-            if port.corrections > 0 and self._is_online(node):
-                self.report.add_sample(node, now, self.clocks[node].offset_at(now))
+            if port.corrections > 0 and (node not in tiles or online(node)):
+                add_sample(node, now, clocks[node].offset_at(now))
         self._schedule(now + tick, "all", "sample_residuals", self._sample, tick)
 
     def _is_online(self, node: str) -> bool:
@@ -458,7 +489,7 @@ class SyncDomain:
         port = self.ports[node]
         now = self.loop.now
         port.epoch_ps = now
-        next_epoch = now + from_seconds(self.config.sync_interval_s)
+        next_epoch = now + self._interval_ps
         self._schedule(next_epoch, node, "sync_egress", self._sync_egress, node)
         if not self._is_online(node):
             return
@@ -466,21 +497,20 @@ class SyncDomain:
         port.t1 = None
         port.t2 = None
         t1 = self.clocks[port.master].read(now)
-        msg = PtpMessage("Sync", port.seq)
+        msg = PtpMessage(port.seq)
         path = port.path
-        residence = from_seconds(self.config.residence_us / 1e6)
         if path.up_link is not None:
             hop = path.up_link.delay_ps(from_a=True) + self._jitter_ps(path.up_link, now)
             self._schedule(now + hop, node, "relay_ingress", self._relay_ingress,
                            (msg, node, "sync"))
-            fup_transit = (path.up_link.delay_ps(True) + residence
+            fup_transit = (path.up_link.delay_ps(True) + self._residence_ps
                            + path.down_link.delay_ps(True))
         else:
             hop = path.down_link.delay_ps(from_a=True) + self._jitter_ps(path.down_link, now)
             self._schedule(now + hop, node, "sync_arrival", self._sync_arrival,
                            (msg, node, port.seq))
             fup_transit = path.down_link.delay_ps(True)
-        fup_at = now + from_seconds(self.config.followup_lag_us / 1e6) + fup_transit
+        fup_at = now + self._followup_lag_ps + fup_transit
         self._schedule(fup_at, node, "followup_arrival", self._followup_arrival,
                        (node, port.seq, t1))
 
@@ -490,9 +520,8 @@ class SyncDomain:
         relay = port.path.relay
         now = self.loop.now
         t_in = self.clocks[relay].read(now)
-        residence = from_seconds(self.config.residence_us / 1e6)
-        self._schedule(now + residence, node, "relay_egress", self._relay_egress,
-                       (msg, node, leg, t_in))
+        self._schedule(now + self._residence_ps, node, "relay_egress",
+                       self._relay_egress, (msg, node, leg, t_in))
 
     def _relay_egress(self, arg) -> None:
         msg, node, leg, t_in = arg
@@ -533,7 +562,7 @@ class SyncDomain:
     def _maybe_send_delay_req(self, port: PtpPort) -> None:
         if port.t1 is None or port.t2 is None:
             return
-        at = self.loop.now + from_seconds(self.config.turnaround_us / 1e6)
+        at = self.loop.now + self._turnaround_ps
         self._schedule(at, port.node, "delay_req_egress", self._delay_req_egress,
                        (port.node, port.seq))
 
@@ -544,7 +573,7 @@ class SyncDomain:
             return
         now = self.loop.now
         port.t3 = self.clocks[node].read(now)
-        msg = PtpMessage("DelayReq", seq)
+        msg = PtpMessage(seq)
         path = port.path
         link = path.down_link
         hop = link.delay_ps(from_a=False) + self._jitter_ps(link, now)
@@ -565,7 +594,7 @@ class SyncDomain:
         path = port.path
         transit = path.down_link.base_delay_ps
         if path.up_link is not None:
-            transit += path.up_link.base_delay_ps + from_seconds(self.config.residence_us / 1e6)
+            transit += path.up_link.base_delay_ps + self._residence_ps
         self._schedule(now + transit, node, "delay_resp_arrival",
                        self._delay_resp_arrival, (node, msg.seq, t4, msg.correction_ps))
 

@@ -116,6 +116,41 @@ def test_trace_is_deterministic_ndjson():
     assert first == {"t": 5, "module": "alpha", "target": "n1", "action": "go"}
 
 
+def test_same_instant_fifo_with_incomparable_args_and_stats_per_call():
+    class Opaque:
+        pass
+
+    buf = io.StringIO()
+    loop = EventLoop(trace=buf)
+    fired = []
+    args = [{"k": 1}, None, Opaque(), {"k": 2}, None, Opaque()]
+    for i, arg in enumerate(args):
+        loop.schedule(7, "ab"[i % 2], f"n{i}", "go",
+                      lambda a, i=i: fired.append((i, a)), arg)
+    loop.schedule(20, "b", "late", "stop", lambda a: fired.append(("late", a)), {})
+
+    first = loop.run_until(10)
+    assert [i for i, _ in fired] == list(range(len(args)))
+    assert all(a is args[i] for i, a in fired)
+    assert (first.processed, first.by_module, first.last_fire_at) == \
+        (6, {"a": 3, "b": 3}, 7)
+    assert loop.now == 10
+
+    second = loop.run_until(30)
+    assert fired[-1] == ("late", {})
+    assert (second.processed, second.by_module, second.last_fire_at) == \
+        (1, {"b": 1}, 20)
+
+    idle = loop.run_until(40)
+    assert (idle.processed, idle.by_module, idle.last_fire_at) == (0, {}, 0)
+
+    expected = "".join(
+        '{"t":7,"module":"%s","target":"n%d","action":"go"}\n' % ("ab"[i % 2], i)
+        for i in range(len(args)))
+    expected += '{"t":20,"module":"b","target":"late","action":"stop"}\n'
+    assert buf.getvalue() == expected
+
+
 # --- random streams ---------------------------------------------------------
 
 def test_same_name_same_sequence():

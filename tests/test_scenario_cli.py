@@ -1,9 +1,15 @@
 """Scenario loading, validation, the command line, and whole-run artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
+import tilesim
 from tilesim.cli import main
 from tilesim.fabric import ConfigurationError
 from tilesim.orchestrator import run_scenario
@@ -184,6 +190,56 @@ def test_validate_reports_each_problem():
 def test_run_rejects_invalid_scenario(tmp_path):
     with pytest.raises(ConfigurationError, match="duration_s"):
         run_scenario(tiny_cfg(duration_s=-1.0), tmp_path)
+
+
+# A period that rounds below the 1 ps tick re-schedules its event at the same
+# instant forever, so validation must turn each of these away.
+SUB_PS_PERIODS = [("dataplane", "produce_interval_ms", 0),
+                  ("dataplane", "poll_interval_ms", 0),
+                  ("timesync", "sample_interval_s", 1e-13),
+                  ("timesync", "sync_interval_s", 1e-13)]
+
+
+@pytest.mark.parametrize("section,key,value", SUB_PS_PERIODS)
+def test_sub_picosecond_period_exits_1_instead_of_hanging(section, key, value,
+                                                          tmp_path):
+    doc = {"name": "probe", "seed": 3, "duration_s": 2.0,
+           "fabric": {"counts": {"wall_a": 2, "wall_b": 2, "floor": 2,
+                                 "ceiling": 2}, "switch_count": 2},
+           section: {key: value}}
+    path = tmp_path / "probe.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(tilesim.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    # a subprocess with a timeout, so a regression fails instead of hanging
+    proc = subprocess.run(
+        [sys.executable, "-m", "tilesim.cli", "run", str(path),
+         "--out", str(tmp_path / "runs")],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and f"{section}.{key}" in lines[0]
+
+
+@pytest.mark.parametrize("seconds,ok", [(4e-13, False), (6e-13, True),
+                                        (1e-12, True), (-1.0, False),
+                                        (float("nan"), False),
+                                        (float("inf"), False)])
+def test_period_check_rounds_like_the_scheduler(seconds, ok):
+    cfg = tiny_cfg(timesync={"sample_interval_s": seconds},
+                   dataplane={"poll_interval_ms": seconds * 1e3})
+    problems = validate_scenario(cfg)
+    assert (problems == []) == ok
+    if not ok:
+        assert [p.split()[0] for p in problems] == [
+            "dataplane.poll_interval_ms", "timesync.sample_interval_s"]
+
+
+def test_disabled_stage_periods_are_not_checked():
+    cfg = tiny_cfg(timesync={"enabled": False, "sync_interval_s": 0.0},
+                   dataplane={"enabled": False, "produce_interval_ms": 0.0})
+    assert validate_scenario(cfg) == []
 
 
 # --- command line ---------------------------------------------------------

@@ -1,11 +1,17 @@
 """Clock models, exchange arithmetic, servo discipline, and the sync domain."""
 
+import csv
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tilesim.core import (EventLoop, PS_PER_MS, PS_PER_S, PS_PER_US,
-                          RngRegistry, RngStream, SimulationError, from_seconds)
+from tilesim.core import (EventLoop, MAX_SIM_TIME, PS_PER_MS, PS_PER_S,
+                          PS_PER_US, RngRegistry, RngStream, SimulationError,
+                          from_seconds)
 from tilesim.fabric import ConfigurationError, FabricConfig, build_default_fabric
 from tilesim.timesync import (LocalClock, OscillatorConfig, PtpMessage,
                               ServoState, SyncDomain, SyncReport,
@@ -119,11 +125,11 @@ def test_negative_delay_flagged_not_raised():
 
 
 def test_transparent_correction_accumulates():
-    m = PtpMessage("Sync", 1)
+    m = PtpMessage(1)
     transparent_correct(m, 1000)
     transparent_correct(m, 500)
     assert m.correction_ps == 1500
-    m2 = transparent_correct(PtpMessage("Sync", 2), 0)
+    m2 = transparent_correct(PtpMessage(2), 0)
     assert m2.correction_ps == 0
 
 
@@ -347,3 +353,50 @@ def test_report_csv_format(tmp_path):
     r.to_csv(out)
     assert out.read_text().splitlines() == ["true_time_ps,node,residual_ps",
                                             "5,n,42"]
+
+
+def _csv_writer_to_csv(self, path) -> None:
+    # SyncReport.to_csv as it stood when it wrote one csv.writer row per
+    # sample; kept verbatim as the oracle for the block writer
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["true_time_ps", "node", "residual_ps"])
+        for node in self.nodes:
+            times, resid = self._times[node], self._resid[node]
+            for t, r in zip(times, resid):
+                w.writerow([t, node, int(round(r))])
+
+
+_TIES = [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, -0.0, 0.0,
+         1e15, -1e15, 1e15 - 0.5, -(1e15 - 0.5)]
+_residuals = st.one_of(st.sampled_from(_TIES),
+                       st.floats(-1e15, 1e15, allow_nan=False))
+_node_ids = st.one_of(st.sampled_from(["central", "sw0", "t007"]),
+                      st.text(alphabet='ab-_7 ,"\r\n\u00e9', min_size=1, max_size=6))
+_series = st.dictionaries(
+    _node_ids,
+    st.lists(st.tuples(st.integers(0, MAX_SIM_TIME), _residuals),
+             min_size=1, max_size=20),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series=_series, finalize=st.booleans())
+@example(series={"sw0": [(7, -0.0)],
+                 "t000": [(0, 0.5), (1, -0.5), (2, 2.5), (3, -2.5),
+                                  (4, 1e15), (5, -1e15), (6, 1e15 - 0.5)],
+                 "t001": [(10, 1.5), (11, -1.5)]},
+         finalize=True)
+def test_report_csv_matches_csv_writer_byte_for_byte(series, finalize):
+    r = SyncReport(threshold_ps=100, consecutive=1)
+    for node, samples in series.items():
+        for t, v in samples:
+            r.add_sample(node, t, v)
+    if finalize:
+        r.finalize()
+    with tempfile.TemporaryDirectory() as d:
+        got, want = os.path.join(d, "got.csv"), os.path.join(d, "want.csv")
+        r.to_csv(got)
+        _csv_writer_to_csv(r, want)
+        with open(got, "rb") as g, open(want, "rb") as w:
+            assert g.read() == w.read()
