@@ -6,6 +6,11 @@ weighting is applied as a phase subtraction of the same stored geometry
 values, so with perfect timing the cancellation is exact and the array gain
 is exactly N squared.  Timing errors are drawn per trial from the empirical
 post-convergence residual pool of each tile's disciplined clock.
+
+Trials are evaluated in blocks: each trial still draws from its own
+substream, so its gain does not depend on the block it lands in, and a
+block's gains come out of one (trials, n) array pass, bit for bit equal to
+summing each trial's phasors alone.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 CARRIER_MIN_HZ = 70e6
 CARRIER_MAX_HZ = 6e9
 MAX_TX_POWER_DBM = 20.0
+_TRIAL_BLOCK = 1024   # trials per array pass; bounds the (trials, n) temporaries
 
 
 class CoherentError(RuntimeError):
@@ -131,7 +137,9 @@ def evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
     Geometry enters through the steering phase of each tile and is removed
     by its own conjugate weight, so only timing and phase noise remain.  A
     per-trial substream keyed by trial index drives the draws, making every
-    trial reproducible in isolation.
+    trial reproducible in isolation: trial i's pool indices and phase noise
+    are `rng.substream(i).integer_array(0, pool, n)` and
+    `.normal_array(n, sigma)`.
     """
     room = fabric.room
     x, y, z = target
@@ -164,14 +172,15 @@ def evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
     pool_mat = np.stack([p[:min_pool] for p in pools])
 
     gains = np.empty(trials)
-    for i in range(trials):
-        sub = rng.substream(i)
-        idx = sub.integer_array(0, min_pool, n)
-        dt = pool_mat[np.arange(n), idx]
+    columns = np.arange(n)
+    for start in range(0, trials, _TRIAL_BLOCK):
+        labels = range(start, min(start + _TRIAL_BLOCK, trials))
+        idx = rng.substream_integer_arrays(labels, 0, min_pool, n)
+        dt = pool_mat[columns, idx]
         phi = geo - weights + wrap_phase(2 * np.pi * carrier_hz * dt)
         if phase_noise_sigma_rad:
-            phi = phi + sub.normal_array(n, phase_noise_sigma_rad)
-        gains[i] = coherent_gain(phi)
+            phi = phi + rng.substream_normal_arrays(labels, n, phase_noise_sigma_rad)
+        gains[labels.start:labels.stop] = coherent_gain_batch(phi)
 
     mean = float(gains.mean())
     return GainResult(n, carrier_hz, trials, mean, float(gains.var()),

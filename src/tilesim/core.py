@@ -115,6 +115,19 @@ def _philox_key(seed: int, name: str) -> np.ndarray:
     return np.frombuffer(digest[:16], dtype=np.uint64).copy()
 
 
+def _rekey(gen: Generator, key: np.ndarray) -> Generator:
+    """Reset `gen`'s Philox to the state `Philox(key=key)` starts in: counter
+    0, nothing buffered.  Philox is counter-based, so the draws that follow
+    equal those of a freshly keyed generator, without the OS-entropy
+    SeedSequence that the constructor builds and the key then overrides."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
 class RngStream:
     """Named deterministic random stream.
 
@@ -174,6 +187,29 @@ class RngStream:
 
     def substream(self, label: object) -> "RngStream":
         return RngStream(self.seed, f"{self.name}/{label}")
+
+    def substream_integer_arrays(self, labels, low: int, high: int,
+                                 size: int) -> np.ndarray:
+        """Row k is `self.substream(labels[k]).integer_array(low, high, size)`,
+        drawn on one generator rekeyed per label."""
+        return self._substream_rows(
+            labels, "integer_array", size,
+            lambda g: g.integers(low, high, size=size))
+
+    def substream_normal_arrays(self, labels, size: int,
+                                scale: float = 1.0) -> np.ndarray:
+        """Row k is `self.substream(labels[k]).normal_array(size, scale)`,
+        drawn on one generator rekeyed per label."""
+        return self._substream_rows(
+            labels, "normal_array", size,
+            lambda g: g.standard_normal(size) * scale)
+
+    def _substream_rows(self, labels, kind: str, size: int, draw) -> np.ndarray:
+        gen = Generator(Philox(0))
+        rows = [draw(_rekey(gen, _philox_key(self.seed,
+                                             f"{self.name}/{label}\x1f{kind}")))
+                for label in labels]
+        return np.array(rows).reshape(len(rows), size)
 
 
 class RngRegistry:

@@ -6,13 +6,19 @@ ring buffer.  Consumer groups track committed offsets per partition with
 at-least-once semantics: a member that vanishes before committing causes
 redelivery to whoever inherits its partitions.  Per-link byte accounting
 feeds the jitter coupling of the time-transfer plane.
+
+The append path is built for saturated logs: records are plain named
+tuples, FNV-1a resumes from a caller's hash of a constant key prefix, and
+the topic dump formats each JSON line directly instead of going through
+`json.dumps`, with the same bytes.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .core import PS_PER_S, SimTime
 from .fabric import ConfigurationError
@@ -22,8 +28,9 @@ FNV64_PRIME = 0x100000001b3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def fnv1a64(data: bytes) -> int:
-    h = FNV64_OFFSET
+def fnv1a64(data: bytes, h: int = FNV64_OFFSET) -> int:
+    """64-bit FNV-1a of `data`, continued from state `h`.  The hash is
+    byte-serial, so fnv1a64(a + b) == fnv1a64(b, fnv1a64(a))."""
     for b in data:
         h = ((h ^ b) * FNV64_PRIME) & _MASK64
     return h
@@ -33,13 +40,15 @@ class CommitError(ValueError):
     """Commit past the delivery frontier (or malformed)."""
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     key: str
     size_bytes: int
     produce_time_ps: SimTime
     producer: str
     offset: int
+
+
+_new_record = Record._make
 
 
 class _Partition:
@@ -66,7 +75,7 @@ class _Partition:
 
     def append(self, key, size_bytes, produce_time_ps, producer) -> int:
         off = self.next_offset
-        self._log.append(Record(key, size_bytes, produce_time_ps, producer, off))
+        self._log.append(_new_record((key, size_bytes, produce_time_ps, producer, off)))
         self.next_offset += 1
         if len(self._log) - self._head > self.retention:
             self._log[self._head] = None
@@ -98,8 +107,6 @@ class Broker:
     def __init__(self):
         self.topics: dict[str, Topic] = {}
         self.published = 0
-        self.dropped_in_flight = 0
-        self.dropped_bytes = 0
 
     def create_topic(self, name: str, partition_count: int = 1,
                      retention: int = 10_000) -> Topic:
@@ -113,29 +120,30 @@ class Broker:
         return fnv1a64(key.encode()) % len(self.topics[topic].partitions)
 
     def append(self, topic: str, key: str, size_bytes: int,
-               produce_time_ps: SimTime, producer: str) -> tuple[int, int]:
-        """Arrival-side append; offsets are assigned in call order."""
-        t = self.topics[topic]
-        p = self.partition_for(topic, key)
-        off = t.partitions[p].append(key, size_bytes, produce_time_ps, producer)
+               produce_time_ps: SimTime, producer: str,
+               key_hash: int | None = None) -> tuple[int, int]:
+        """Arrival-side append; offsets are assigned in call order.  A caller
+        that already holds fnv1a64(key.encode()) passes it as `key_hash`."""
+        partitions = self.topics[topic].partitions
+        if key_hash is None:
+            key_hash = fnv1a64(key.encode())
+        p = key_hash % len(partitions)
+        off = partitions[p].append(key, size_bytes, produce_time_ps, producer)
         self.published += 1
         return p, off
 
-    def drop_in_flight(self, size_bytes: int) -> None:
-        self.dropped_in_flight += 1
-        self.dropped_bytes += size_bytes
-
     def dump_topic(self, name: str) -> str:
-        """Newline-delimited JSON of everything currently retained."""
-        t = self.topics[name]
-        lines = []
-        for p, part in enumerate(t.partitions):
-            for r in part.retained():
-                lines.append(json.dumps(
-                    {"partition": p, "offset": r.offset, "key": r.key,
-                     "size_bytes": r.size_bytes, "produce_time_ps": r.produce_time_ps,
-                     "producer": r.producer}, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
+        """Newline-delimited JSON of everything currently retained, one
+        object per record with sorted keys, in the bytes `json.dumps(...,
+        sort_keys=True)` gives: strings through the encoder `json.dumps`
+        uses, ints in decimal."""
+        enc = encode_basestring_ascii
+        return "".join([
+            '{"key": %s, "offset": %d, "partition": %d, "produce_time_ps": %d, '
+            '"producer": %s, "size_bytes": %d}\n'
+            % (enc(key), offset, p, produce_time_ps, enc(producer), size_bytes)
+            for p, part in enumerate(self.topics[name].partitions)
+            for key, size_bytes, produce_time_ps, producer, offset in part.retained()])
 
 
 @dataclass
@@ -242,17 +250,16 @@ class ConsumerGroup:
         self.committed[key] = offset
 
 
-def publish(broker: Broker, topic: str, key: str, size_bytes: int,
-            produce_time_ps: SimTime, producer: str) -> tuple[int, int]:
-    return broker.append(topic, key, size_bytes, produce_time_ps, producer)
+class _LinkWindow:
+    """One link's records inside the window, their byte sum, and the bytes
+    it carried over the whole run."""
 
+    __slots__ = ("events", "in_window", "total")
 
-def poll(group: ConsumerGroup, member_id: str, max_records: int = 500) -> PollResult:
-    return group.poll(member_id, max_records)
-
-
-def commit(group: ConsumerGroup, topic: str, partition: int, offset: int) -> None:
-    group.commit(topic, partition, offset)
+    def __init__(self):
+        self.events: deque[tuple[SimTime, int]] = deque()
+        self.in_window = 0
+        self.total = 0
 
 
 class LinkLoadTracker:
@@ -262,31 +269,31 @@ class LinkLoadTracker:
 
     def __init__(self, window_ps: SimTime):
         self.window_ps = window_ps
-        self._events: dict[str, deque[tuple[SimTime, int]]] = {}
-        self._window_bytes: dict[str, int] = {}
-        self.total_bytes: dict[str, int] = {}
+        self._links: dict[str, _LinkWindow] = {}
+
+    @property
+    def total_bytes(self) -> dict[str, int]:
+        return {link_id: w.total for link_id, w in self._links.items()}
 
     def record(self, link_id: str, t: SimTime, nbytes: int) -> None:
-        self._events.setdefault(link_id, deque()).append((t, nbytes))
-        self._window_bytes[link_id] = self._window_bytes.get(link_id, 0) + nbytes
-        self.total_bytes[link_id] = self.total_bytes.get(link_id, 0) + nbytes
+        w = self._links.get(link_id)
+        if w is None:
+            w = self._links[link_id] = _LinkWindow()
+        w.events.append((t, nbytes))
+        w.in_window += nbytes
+        w.total += nbytes
 
-    def bits_per_second(self, link_id: str, now: SimTime,
-                        window_ps: SimTime | None = None) -> float:
-        w = window_ps or self.window_ps
-        q = self._events.get(link_id)
-        if not q:
+    def bits_per_second(self, link_id: str, now: SimTime) -> float:
+        w = self._links.get(link_id)
+        if w is None or not w.events:
             return 0.0
-        in_window = self._window_bytes[link_id]
-        while q and q[0][0] <= now - w:
+        q = w.events
+        horizon = now - self.window_ps
+        in_window = w.in_window
+        while q and q[0][0] <= horizon:
             in_window -= q.popleft()[1]
-        self._window_bytes[link_id] = in_window
-        return in_window * 8 * PS_PER_S / w
+        w.in_window = in_window
+        return in_window * 8 * PS_PER_S / self.window_ps
 
     def utilization(self, link_id: str, now: SimTime, bandwidth_bps: float) -> float:
         return min(1.0, self.bits_per_second(link_id, now) / bandwidth_bps)
-
-
-def link_load(tracker: LinkLoadTracker, link_id: str, now: SimTime,
-              window_ps: SimTime | None = None) -> float:
-    return tracker.bits_per_second(link_id, now, window_ps)

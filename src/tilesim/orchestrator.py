@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .coherent import CoherentError, GainResult, evaluate_beamforming
 from .core import PS_PER_MS, EventLoop, RngRegistry, from_seconds
-from .dataplane import Broker, ConsumerGroup, LinkLoadTracker
+from .dataplane import Broker, ConsumerGroup, LinkLoadTracker, fnv1a64
 from .fabric import ConfigurationError, Fabric, build_default_fabric
 from .powerplane import PdDevice, PsePlane
 from .rover import (Battery, MissionConfig, MissionRunner, default_beacons,
@@ -50,8 +50,8 @@ class _Producers:
 
     def __init__(self, loop, fabric, cfg, broker, tracker, online, until_ps):
         self.loop = loop
-        self.fabric = fabric
-        self.cfg = cfg
+        self.topic = cfg.topic
+        self.record_bytes = cfg.record_bytes
         self.broker = broker
         self.tracker = tracker
         self.online = online
@@ -66,26 +66,34 @@ class _Producers:
         for i, tile in enumerate(self.tiles):
             self.counts[tile] = 0
             self.bytes[tile] = 0
+            # keys are "<tile>:<seq>"; FNV-1a is byte-serial, so the
+            # constant prefix is hashed once and each key resumes from it
+            prefix = f"{tile}:"
+            route = (tile, period, prefix, fnv1a64(prefix.encode()),
+                     fabric.tile_link(tile).id,
+                     fabric.trunk_link(fabric.switch_for_tile(tile)).id)
             loop.schedule(i * spacing, self.MODULE, tile, "produce",
-                          self._produce, (tile, period))
+                          self._produce, route)
 
-    def _produce(self, arg) -> None:
-        tile, period = arg
+    def _produce(self, route) -> None:
+        tile, period, prefix, prefix_hash, tile_link, trunk_link = route
         now = self.loop.now
         nxt = now + period
         if nxt <= self.until:
             self.loop.schedule(nxt, self.MODULE, tile, "produce",
-                               self._produce, arg)
+                               self._produce, route)
         if not self.online(tile):
             return
         seq = self.counts[tile]
         self.counts[tile] = seq + 1
-        nbytes = self.cfg.record_bytes
+        nbytes = self.record_bytes
         self.bytes[tile] += nbytes
-        self.broker.append(self.cfg.topic, f"{tile}:{seq}", nbytes, now, tile)
-        self.tracker.record(self.fabric.tile_link(tile).id, now, nbytes)
-        sw = self.fabric.switch_for_tile(tile)
-        self.tracker.record(self.fabric.trunk_link(sw).id, now, nbytes)
+        digits = str(seq)
+        self.broker.append(self.topic, prefix + digits, nbytes, now, tile,
+                           fnv1a64(digits.encode(), prefix_hash))
+        record = self.tracker.record
+        record(tile_link, now, nbytes)
+        record(trunk_link, now, nbytes)
 
     def write_traffic_csv(self, path) -> None:
         with open(path, "w", newline="") as f:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .coherent import CARRIER_MAX_HZ, CARRIER_MIN_HZ, MAX_TX_POWER_DBM
-from .core import from_seconds
+from .core import PS_PER_S, from_seconds
 from .fabric import ConfigurationError, FabricConfig
 from .timesync import TimesyncConfig
 
@@ -165,10 +165,19 @@ def scenario_hash(cfg: ScenarioConfig) -> str:
 
 
 def _check_period(problems: list[str], name: str, seconds: float) -> None:
-    """A self-rescheduling period must round, as the scheduler rounds it, to
-    at least 1 ps; a zero period would fire forever at one instant."""
+    """A self-rescheduling period, or a window a rate is divided by, must
+    round, as the scheduler rounds it, to at least 1 ps; a zero period
+    would fire forever at one instant."""
     if not (math.isfinite(seconds) and from_seconds(seconds) >= 1):
         problems.append(f"{name} must be at least 1 ps (got {seconds:g} s)")
+
+
+def _check_delay(problems: list[str], name: str, seconds: float) -> None:
+    """A start time or delay must be non-negative, since an event cannot be
+    scheduled before now, and convertible to integer picoseconds."""
+    if not (seconds >= 0 and math.isfinite(seconds * PS_PER_S)):
+        problems.append(f"{name} must be a finite, non-negative time "
+                        f"(got {seconds:g} s)")
 
 
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
@@ -212,6 +221,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                       d.produce_interval_ms / 1e3)
         _check_period(problems, "dataplane.poll_interval_ms",
                       d.poll_interval_ms / 1e3)
+        _check_period(problems, "dataplane.load_window_ms",
+                      d.load_window_ms / 1e3)
     if cfg.rover.enabled:
         r = cfg.rover
         if r.area is not None:
@@ -226,6 +237,11 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         t = cfg.timesync
         _check_period(problems, "timesync.sync_interval_s", t.sync_interval_s)
         _check_period(problems, "timesync.sample_interval_s", t.sample_interval_s)
+        _check_delay(problems, "timesync.start_s", t.start_s)
+        _check_delay(problems, "timesync.stagger_ms", t.stagger_ms / 1e3)
+        _check_delay(problems, "timesync.followup_lag_us", t.followup_lag_us / 1e6)
+        _check_delay(problems, "timesync.turnaround_us", t.turnaround_us / 1e6)
+        _check_delay(problems, "timesync.residence_us", t.residence_us / 1e6)
         for sw in t.boundary_switches:
             if not isinstance(sw, str):
                 problems.append("timesync.boundary_switches must be switch ids")

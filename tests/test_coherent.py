@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from tilesim.coherent import (CARRIER_MAX_HZ, CARRIER_MIN_HZ, CoherentError,
-                              SPEED_OF_LIGHT_M_S, SdrNode, coherent_gain,
-                              coherent_gain_batch, evaluate_beamforming,
-                              expected_gain, phase_from_timing, steering_phase,
-                              wrap_phase)
+                              SPEED_OF_LIGHT_M_S, GainResult, SdrNode,
+                              coherent_gain, coherent_gain_batch,
+                              evaluate_beamforming, expected_gain,
+                              phase_from_timing, steering_phase, wrap_phase)
 from tilesim.core import RngStream
-from tilesim.fabric import ConfigurationError, FabricConfig, build_default_fabric
+from tilesim.fabric import (ConfigurationError, Fabric, FabricConfig,
+                            build_default_fabric)
 from tilesim.timesync import SyncReport
 
 
@@ -193,6 +194,86 @@ def test_evaluation_is_seed_deterministic():
     b = evaluate_beamforming(fab, report, 2.45e9, (4, 2, 1), 100,
                              RngStream(3, "bf"), tiles=tiles)
     assert np.array_equal(a.gains, b.gains)
+
+
+def parent_evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
+                                target, trials: int, rng: RngStream,
+                                tiles: list[str] | None = None,
+                                phase_noise_sigma_rad: float = 0.0,
+                                tx_power_dbm: float = 10.0) -> GainResult:
+    """Monte Carlo gain of the tile array toward a target point.
+
+    Geometry enters through the steering phase of each tile and is removed
+    by its own conjugate weight, so only timing and phase noise remain.  A
+    per-trial substream keyed by trial index drives the draws, making every
+    trial reproducible in isolation.
+    """
+    room = fabric.room
+    x, y, z = target
+    if not (0 <= x <= room.length_m and 0 <= y <= room.width_m and 0 <= z <= room.height_m):
+        raise ConfigurationError(f"target {target} is outside the room")
+    if trials < 1:
+        raise ConfigurationError("at least one trial required")
+    if tiles is None:
+        tiles = [t.id for t in fabric.tiles.values() if "sdr" in t.roles]
+    if not tiles:
+        raise CoherentError("no transmitting tiles")
+    nodes = [SdrNode(t, carrier_hz, tx_power_dbm) for t in tiles]
+
+    pools = []
+    missing = []
+    for t in tiles:
+        samples = sync_report.post_convergence(t)
+        if len(samples) == 0:
+            missing.append(t)
+        else:
+            pools.append(np.asarray(samples) * 1e-12)   # ps -> s
+    if missing:
+        raise CoherentError(f"no converged sync data for: {missing}")
+    n = len(tiles)
+    geo = np.array([steering_phase(fabric.tiles[t].center, target, carrier_hz)
+                    for t in tiles])
+    weights = geo   # conjugate weighting: identical stored values cancel exactly
+
+    min_pool = min(len(p) for p in pools)
+    pool_mat = np.stack([p[:min_pool] for p in pools])
+
+    gains = np.empty(trials)
+    for i in range(trials):
+        sub = rng.substream(i)
+        idx = sub.integer_array(0, min_pool, n)
+        dt = pool_mat[np.arange(n), idx]
+        phi = geo - weights + wrap_phase(2 * np.pi * carrier_hz * dt)
+        if phase_noise_sigma_rad:
+            phi = phi + sub.normal_array(n, phase_noise_sigma_rad)
+        gains[i] = coherent_gain(phi)
+
+    mean = float(gains.mean())
+    return GainResult(n, carrier_hz, trials, mean, float(gains.var()),
+                      mean / (n * n), gains)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 33, 140])
+@pytest.mark.parametrize("noise", [0.0, 0.2])
+def test_batched_trials_equal_the_per_trial_loop(n, noise):
+    # the oracle is the per-trial loop the blocks replaced, copied verbatim;
+    # 1030 trials cross a block boundary, and pools of unequal length
+    # exercise the truncation to the shortest
+    fab = build_default_fabric(FabricConfig())
+    tiles = sorted(fab.tiles)[:n]
+    report = SyncReport(threshold_ps=10**9, consecutive=1)
+    draws = RngStream(8, "residuals")
+    for k, node in enumerate(tiles):
+        for i in range(40 + k % 5):
+            report.add_sample(node, i, draws.normal(scale=120.0))
+    report.finalize()
+    args = (fab, report, 2.45e9, (4, 2, 1), 1030)
+    new = evaluate_beamforming(*args, RngStream(5, "bf"), tiles=tiles,
+                               phase_noise_sigma_rad=noise)
+    old = parent_evaluate_beamforming(*args, RngStream(5, "bf"), tiles=tiles,
+                                      phase_noise_sigma_rad=noise)
+    assert new.gains.tobytes() == old.gains.tobytes()
+    assert new.summary() == old.summary()
 
 
 def test_unconverged_tile_is_an_error():

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from tilesim.core import (EventLoop, PS_PER_MS, PS_PER_S, PS_PER_US,
-                          RngRegistry, RngStream, SimulationError,
-                          from_seconds, to_seconds)
+                          RngRegistry, RngStream, SimulationError, _philox_key,
+                          _rekey, from_seconds, to_seconds)
 
 
 # --- time -------------------------------------------------------------------
@@ -225,6 +226,35 @@ def test_substream_does_not_consume_parent_draws():
     b = RngStream(4, "p")
     b.substream("x").normal()
     assert [b.normal() for _ in range(5)] == seq
+
+
+def test_substream_rows_equal_fresh_substreams():
+    s = RngStream(9, "bf")
+    labels = [0, 1, 7, "x", 1]
+    ints = s.substream_integer_arrays(labels, 0, 97, 5)
+    normals = s.substream_normal_arrays(labels, 6, 0.3)
+    assert ints.shape == (5, 5) and normals.shape == (5, 6)
+    for k, label in enumerate(labels):
+        sub = s.substream(label)
+        assert np.array_equal(ints[k], sub.integer_array(0, 97, 5))
+        assert normals[k].tobytes() == sub.normal_array(6, 0.3).tobytes()
+    assert s.substream_integer_arrays([], 0, 5, 3).shape == (0, 3)
+
+
+@pytest.mark.parametrize("used", [
+    lambda g: g.integers(0, 2**31, size=3, dtype=np.int32),   # leaves a uint32 buffered
+    lambda g: g.random(3),                                # leaves a partial block
+    lambda g: g.standard_normal(7)])
+def test_rekey_matches_a_freshly_keyed_generator(used):
+    key = _philox_key(4, "trial/3")
+    gen = Generator(Philox(0))
+    used(gen)
+    _rekey(gen, key)
+    fresh = Generator(Philox(key=key))
+    for draw in (lambda g: g.integers(0, 2**31, size=3, dtype=np.int32),
+                 lambda g: g.integers(0, 1000, size=4),
+                 lambda g: g.standard_normal(5)):
+        assert draw(gen).tobytes() == draw(fresh).tobytes()
 
 
 def test_registry_returns_same_stream_object():

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from tilesim.core import PS_PER_MS, PS_PER_S
 from tilesim.dataplane import (Broker, CommitError, ConsumerGroup,
-                               LinkLoadTracker, commit, fnv1a64, link_load,
-                               poll, publish)
+                               LinkLoadTracker, Record, fnv1a64)
 from tilesim.fabric import ConfigurationError
 
 
@@ -22,7 +21,7 @@ def broker_with(partitions=4, retention=10_000):
 def fill(b, n, topic="samples", producer="p"):
     out = []
     for i in range(n):
-        out.append(publish(b, topic, f"k{i}", 100, i, producer))
+        out.append(b.append(topic, f"k{i}", 100, i, producer))
     return out
 
 
@@ -41,10 +40,30 @@ def test_partitioner_is_hash_mod():
         assert b.partition_for("samples", key) == fnv1a64(key.encode()) % 8
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=40), st.binary(max_size=40))
+def test_fnv1a64_resumes_from_a_prefix_state(a, b):
+    assert fnv1a64(a + b) == fnv1a64(b, fnv1a64(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(max_size=20), st.integers(0, 10**6), st.integers(1, 64))
+def test_append_with_key_hash_lands_where_partition_for_says(tile, seq,
+                                                             partitions):
+    # the producers' route: the "<tile>:" prefix hashed once, then the digits
+    key = f"{tile}:{seq}"
+    b = broker_with(partitions=partitions)
+    want = fnv1a64(key.encode()) % partitions
+    assert b.partition_for("samples", key) == want
+    h = fnv1a64(str(seq).encode(), fnv1a64(f"{tile}:".encode()))
+    assert b.append("samples", key, 1, 0, "p", h)[0] == want
+    assert b.append("samples", key, 1, 0, "p")[0] == want
+
+
 def test_same_key_same_partition():
     b = broker_with(partitions=8)
-    p1, _ = publish(b, "samples", "stable", 10, 0, "p")
-    p2, _ = publish(b, "samples", "stable", 10, 1, "p")
+    p1, _ = b.append("samples", "stable", 10, 0, "p")
+    p2, _ = b.append("samples", "stable", 10, 1, "p")
     assert p1 == p2
 
 
@@ -54,11 +73,25 @@ def test_offsets_dense_per_partition():
     b = broker_with(partitions=3)
     seen: dict[int, list[int]] = {}
     for i in range(300):
-        p, off = publish(b, "samples", f"k{i}", 10, i, "p")
+        p, off = b.append("samples", f"k{i}", 10, i, "p")
         seen.setdefault(p, []).append(off)
     for offs in seen.values():
         assert offs == list(range(len(offs)))
     assert b.published == 300
+
+
+def test_records_are_immutable_named_tuples():
+    b = broker_with(partitions=1)
+    b.append("samples", "k0", 64, 5, "prod")
+    (r,) = b.topics["samples"].partitions[0].retained()
+    assert (r.key, r.size_bytes, r.produce_time_ps, r.producer, r.offset) == \
+        ("k0", 64, 5, "prod", 0)
+    assert r == Record("k0", 64, 5, "prod", 0)
+    for field in Record._fields:
+        with pytest.raises(AttributeError):
+            setattr(r, field, 1)
+    with pytest.raises(AttributeError):
+        r.extra = 1
 
 
 def test_topic_validation():
@@ -92,13 +125,49 @@ def test_read_past_end_is_empty():
 
 def test_dump_topic_ndjson(tmp_path):
     b = broker_with(partitions=2)
-    publish(b, "samples", "k0", 64, 5, "prod")
+    b.append("samples", "k0", 64, 5, "prod")
     text = b.dump_topic("samples")
     assert text.endswith("\n")
     row = json.loads(text.splitlines()[0])
     assert row == {"key": "k0", "offset": 0, "partition": fnv1a64(b"k0") % 2,
                    "produce_time_ps": 5, "producer": "prod", "size_bytes": 64}
     assert broker_with().dump_topic("samples") == ""
+
+
+def parent_dump_topic(self, name: str) -> str:
+    """Newline-delimited JSON of everything currently retained."""
+    t = self.topics[name]
+    lines = []
+    for p, part in enumerate(t.partitions):
+        for r in part.retained():
+            lines.append(json.dumps(
+                {"partition": p, "offset": r.offset, "key": r.key,
+                 "size_bytes": r.size_bytes, "produce_time_ps": r.produce_time_ps,
+                 "producer": r.producer}, sort_keys=True))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+# text that exercises every escaping rule of json.dumps; a key must encode
+# to UTF-8 to be hashed, so only producers may hold lone surrogates
+_ESCAPES = '"\\/\b\f\n\r\t\x00\x1f\x7fé€😀\u2028'
+_KEYS = st.text(st.one_of(st.sampled_from(_ESCAPES), st.characters(codec="utf-8")),
+                max_size=12)
+_PRODUCERS = st.text(st.one_of(st.sampled_from(_ESCAPES + "\ud800"), st.characters()),
+                     max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(partitions=st.integers(1, 5), retention=st.integers(1, 8),
+       records=st.lists(st.tuples(_KEYS, st.integers(0, 2**40),
+                                  st.integers(0, 2**64 - 1), _PRODUCERS),
+                        max_size=30))
+def test_dump_topic_matches_json_dumps_byte_for_byte(partitions, retention,
+                                                     records):
+    # the oracle is the json.dumps loop dump_topic replaced, copied verbatim
+    b = broker_with(partitions=partitions, retention=retention)
+    for key, size, t, producer in records:
+        b.append("samples", key, size, t, producer)
+    assert b.dump_topic("samples") == parent_dump_topic(b, "samples")
 
 
 # --- consumer groups --------------------------------------------------------
@@ -109,7 +178,7 @@ def test_single_member_receives_everything():
     g = ConsumerGroup("g", b)
     g.subscribe("samples")
     g.join("c0")
-    got = poll(g, "c0", max_records=1000).records
+    got = g.poll("c0", max_records=1000).records
     assert len(got) == 100
     assert {r.key for r in got} == {f"k{i}" for i in range(100)}
 
@@ -133,8 +202,8 @@ def test_members_cover_disjoint_partitions():
     g.subscribe("samples")
     g.join("c0")
     g.join("c1")
-    got0 = poll(g, "c0", 1000).records
-    got1 = poll(g, "c1", 1000).records
+    got0 = g.poll("c0", 1000).records
+    got1 = g.poll("c1", 1000).records
     assert {r.offset for r in got0}.isdisjoint(set()) or True
     p0 = {(b.partition_for("samples", r.key)) for r in got0}
     p1 = {(b.partition_for("samples", r.key)) for r in got1}
@@ -152,7 +221,7 @@ def test_two_groups_deliver_independently():
         g.join("c")
         groups.append(g)
     for g in groups:
-        assert len(poll(g, "c", 1000).records) == 150
+        assert len(g.poll("c", 1000).records) == 150
 
 
 def test_poll_respects_budget_and_resumes():
@@ -161,8 +230,8 @@ def test_poll_respects_budget_and_resumes():
     g = ConsumerGroup("g", b)
     g.subscribe("samples")
     g.join("c")
-    first = poll(g, "c", max_records=4).records
-    second = poll(g, "c", max_records=100).records
+    first = g.poll("c", max_records=4).records
+    second = g.poll("c", max_records=100).records
     assert [r.offset for r in first] == [0, 1, 2, 3]
     assert [r.offset for r in second] == [4, 5, 6, 7, 8, 9]
 
@@ -173,11 +242,11 @@ def test_rebalance_redelivers_uncommitted():
     g = ConsumerGroup("g", b)
     g.subscribe("samples")
     g.join("c0")
-    got = poll(g, "c0", 100).records
+    got = g.poll("c0", 100).records
     assert len(got) == 6
-    commit(g, "samples", 0, 3)          # only the first three are safe
+    g.commit("samples", 0, 3)           # only the first three are safe
     g.join("c1")                        # membership change resets positions
-    again = poll(g, "c0", 100).records + poll(g, "c1", 100).records
+    again = g.poll("c0", 100).records + g.poll("c1", 100).records
     assert [r.offset for r in again] == [3, 4, 5]
     assert len(g.rebalances) == 2
     assert g.rebalances[-1]["why"] == "join"
@@ -200,13 +269,13 @@ def test_commit_past_frontier_rejected():
     g = ConsumerGroup("g", b)
     g.subscribe("samples")
     g.join("c")
-    poll(g, "c", 3)
-    commit(g, "samples", 0, 3)          # frontier after 3 deliveries
+    g.poll("c", 3)
+    g.commit("samples", 0, 3)           # frontier after 3 deliveries
     with pytest.raises(CommitError, match="frontier"):
-        commit(g, "samples", 0, 4)
+        g.commit("samples", 0, 4)
     with pytest.raises(CommitError, match="negative"):
-        commit(g, "samples", 0, -1)
-    commit(g, "samples", 0, 1)          # rewinding is allowed
+        g.commit("samples", 0, -1)
+    g.commit("samples", 0, 1)           # rewinding is allowed
     assert g.committed[("samples", 0)] == 1
 
 
@@ -215,7 +284,7 @@ def test_poll_requires_membership():
     g = ConsumerGroup("g", b)
     g.subscribe("samples")
     with pytest.raises(ConfigurationError, match="member"):
-        poll(g, "ghost")
+        g.poll("ghost")
     with pytest.raises(ConfigurationError, match="unknown topic"):
         g.subscribe("nope")
     g.join("c")
@@ -229,7 +298,7 @@ def test_eviction_gap_is_reported_and_skipped():
     g = ConsumerGroup("g", b)
     g.subscribe("samples")
     g.join("c")
-    res = poll(g, "c", 100)
+    res = g.poll("c", 100)
     assert res.gap
     assert [r.offset for r in res.records] == [7, 8, 9]
 
@@ -241,7 +310,7 @@ def test_interleaved_appends_keep_partition_order(ops):
     b = broker_with(partitions=4, retention=1000)
     per_partition: dict[int, list[int]] = {}
     for i, (k, salt) in enumerate(ops):
-        p, off = publish(b, "samples", f"{k}{salt}", 10, i, f"prod{salt}")
+        p, off = b.append("samples", f"{k}{salt}", 10, i, f"prod{salt}")
         per_partition.setdefault(p, []).append(off)
     for offs in per_partition.values():
         assert offs == sorted(offs)
@@ -249,7 +318,7 @@ def test_interleaved_appends_keep_partition_order(ops):
     g = ConsumerGroup("g", b)
     g.subscribe("samples")
     g.join("c")
-    got = poll(g, "c", 10_000).records
+    got = g.poll("c", 10_000).records
     assert len(got) == len(ops)
 
 
@@ -258,17 +327,17 @@ def test_interleaved_appends_keep_partition_order(ops):
 def test_load_window_arithmetic():
     tr = LinkLoadTracker(window_ps=PS_PER_MS)
     tr.record("l1", 0, 1250)   # 10 kilobits
-    assert link_load(tr, "l1", 0) == pytest.approx(10_000_000.0)
+    assert tr.bits_per_second("l1", 0) == pytest.approx(10_000_000.0)
     assert tr.utilization("l1", 0, 1e9) == pytest.approx(0.01)
     # an event exactly one window old has left the window
-    assert link_load(tr, "l1", PS_PER_MS) == 0.0
+    assert tr.bits_per_second("l1", PS_PER_MS) == 0.0
 
 
 def test_load_accumulates_within_window():
     tr = LinkLoadTracker(window_ps=PS_PER_S)
     for k in range(10):
         tr.record("l1", k * PS_PER_MS, 1000)
-    assert link_load(tr, "l1", 10 * PS_PER_MS) == pytest.approx(80_000.0)
+    assert tr.bits_per_second("l1", 10 * PS_PER_MS) == pytest.approx(80_000.0)
     assert tr.total_bytes["l1"] == 10_000
 
 
@@ -280,7 +349,7 @@ def test_utilization_saturates_at_one():
 
 def test_unknown_link_is_idle():
     tr = LinkLoadTracker(window_ps=PS_PER_MS)
-    assert link_load(tr, "never", 0) == 0.0
+    assert tr.bits_per_second("never", 0) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -294,7 +363,7 @@ def test_partition_reads_match_a_whole_log_model(retention, ops):
     log = []
     for is_append, offset, max_records in ops:
         if is_append:
-            publish(b, "samples", f"k{len(log)}", 10, len(log), "p")
+            b.append("samples", f"k{len(log)}", 10, len(log), "p")
             log.append(len(log))
             continue
         first = max(0, len(log) - retention)
@@ -311,7 +380,7 @@ def test_reads_across_evictions_and_compactions():
     b = broker_with(partitions=1, retention=64)
     part = b.topics["samples"].partitions[0]
     for n in range(1, 1000):
-        publish(b, "samples", f"k{n}", 10, n, "p")
+        b.append("samples", f"k{n}", 10, n, "p")
         first = max(0, n - 64)
         assert [r.offset for r in part.retained()] == list(range(first, n))
         recs, gap = part.read_from(n - 3, 10)
@@ -324,21 +393,20 @@ def test_reads_across_evictions_and_compactions():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["l1", "l2"]), st.integers(0, 50),
-                          st.integers(1, 10_000),
-                          st.sampled_from([None, 5, 20])),
+@given(st.sampled_from([5, 10, 20]),
+       st.lists(st.tuples(st.sampled_from(["l1", "l2"]), st.integers(0, 50),
+                          st.integers(1, 10_000)),
                 min_size=1, max_size=100))
-def test_windowed_rate_matches_a_full_rescan(ops):
-    # records arrive in time order; each lookup may pass its own window,
-    # which evicts for good, exactly like rescanning the kept records
-    tr = LinkLoadTracker(window_ps=10)
+def test_windowed_rate_matches_a_full_rescan(window, ops):
+    # records arrive in time order; a lookup evicts for good, exactly like
+    # rescanning the kept records
+    tr = LinkLoadTracker(window_ps=window)
     kept: dict[str, list[tuple[int, int]]] = {}
     now = 0
-    for link, dt, nbytes, window in ops:
+    for link, dt, nbytes in ops:
         now += dt
         tr.record(link, now, nbytes)
         kept.setdefault(link, []).append((now, nbytes))
-        w = window or 10
-        kept[link] = [(t, n) for t, n in kept[link] if t > now - w]
-        want = sum(n for _, n in kept[link]) * 8 * PS_PER_S / w
-        assert tr.bits_per_second(link, now, window) == want
+        kept[link] = [(t, n) for t, n in kept[link] if t > now - window]
+        want = sum(n for _, n in kept[link]) * 8 * PS_PER_S / window
+        assert tr.bits_per_second(link, now) == want

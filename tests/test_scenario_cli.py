@@ -200,9 +200,9 @@ SUB_PS_PERIODS = [("dataplane", "produce_interval_ms", 0),
                   ("timesync", "sync_interval_s", 1e-13)]
 
 
-@pytest.mark.parametrize("section,key,value", SUB_PS_PERIODS)
-def test_sub_picosecond_period_exits_1_instead_of_hanging(section, key, value,
-                                                          tmp_path):
+def run_probe(section, key, value, tmp_path):
+    """`tilesim run` on an 8-tile, 2 s scenario with one field overridden, in
+    a subprocess with a timeout, so a regression fails instead of hanging."""
     doc = {"name": "probe", "seed": 3, "duration_s": 2.0,
            "fabric": {"counts": {"wall_a": 2, "wall_b": 2, "floor": 2,
                                  "ceiling": 2}, "switch_count": 2},
@@ -212,14 +212,66 @@ def test_sub_picosecond_period_exits_1_instead_of_hanging(section, key, value,
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(tilesim.__file__).parents[1]),
                       os.environ.get("PYTHONPATH")])))
-    # a subprocess with a timeout, so a regression fails instead of hanging
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "tilesim.cli", "run", str(path),
          "--out", str(tmp_path / "runs")],
         capture_output=True, text=True, timeout=60, env=env)
+
+
+@pytest.mark.parametrize("section,key,value", SUB_PS_PERIODS)
+def test_sub_picosecond_period_exits_1_instead_of_hanging(section, key, value,
+                                                          tmp_path):
+    proc = run_probe(section, key, value, tmp_path)
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and f"{section}.{key}" in lines[0]
+
+
+# Each of these passed validation and then ended the run in a traceback:
+# a zero load window divides by zero at the first rate lookup, a negative
+# delay schedules an event before now, and a start time that is not finite
+# (or overflows once in ps) cannot be converted to picoseconds.
+MALFORMED_TIMES = [("dataplane", "load_window_ms", 0),
+                   ("timesync", "residence_us", -5000.0),
+                   ("timesync", "start_s", float("nan")),
+                   ("timesync", "start_s", 1e300),
+                   ("timesync", "turnaround_us", -1.0),
+                   ("timesync", "followup_lag_us", float("inf")),
+                   ("timesync", "stagger_ms", -1.0)]
+
+
+@pytest.mark.parametrize("section,key,value", MALFORMED_TIMES)
+def test_malformed_time_exits_1_with_one_line(section, key, value, tmp_path):
+    proc = run_probe(section, key, value, tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and f"{section}.{key}" in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("seconds,ok", [(0.0, True), (0.5, True), (-1e-9, False),
+                                        (float("nan"), False),
+                                        (float("inf"), False), (1e300, False)])
+def test_delay_check_rejects_negative_and_unconvertible(seconds, ok):
+    fields = {"start_s": seconds, "stagger_ms": seconds * 1e3,
+              "followup_lag_us": seconds * 1e6, "turnaround_us": seconds * 1e6,
+              "residence_us": seconds * 1e6}
+    problems = validate_scenario(tiny_cfg(timesync=fields))
+    assert (problems == []) == ok
+    if not ok:
+        assert [p.split()[0] for p in problems] == [
+            f"timesync.{k}" for k in fields]
+    disabled = dict(fields, enabled=False)
+    assert validate_scenario(tiny_cfg(timesync=disabled)) == []
+
+
+def test_load_window_is_checked_like_a_period():
+    assert validate_scenario(tiny_cfg(dataplane={"load_window_ms": 1e-9})) == []
+    for bad in (0.0, 4e-10, -1.0, float("nan")):
+        problems = validate_scenario(tiny_cfg(dataplane={"load_window_ms": bad}))
+        assert [p.split()[0] for p in problems] == ["dataplane.load_window_ms"]
+    off = tiny_cfg(dataplane={"enabled": False, "load_window_ms": 0.0})
+    assert validate_scenario(off) == []
 
 
 @pytest.mark.parametrize("seconds,ok", [(4e-13, False), (6e-13, True),
@@ -364,6 +416,18 @@ def test_runs_are_byte_identical(tmp_path):
         a = (first.out_dir / name).read_bytes()
         b = (second.out_dir / name).read_bytes()
         assert a == b, name
+
+
+def test_produced_keys_sit_on_their_hash_partition(tmp_path):
+    # producers hash each key's constant "<tile>:" prefix once; every record
+    # must still land where partition_for puts the whole key
+    result = run_scenario(tiny_cfg(), tmp_path)
+    rows = [json.loads(line) for line in
+            (result.out_dir / "topics.ndjson").read_text().splitlines()]
+    assert len(rows) == result.report["dataplane"]["published"]
+    for row in rows:
+        assert row["key"].startswith(row["producer"] + ":")
+        assert row["partition"] == result.broker.partition_for("samples", row["key"])
 
 
 def test_rover_stream_is_isolated_from_fabric_outputs(tmp_path):
