@@ -52,8 +52,9 @@ class RunStats:
 class EventLoop:
     """Single-threaded event queue ordered by (fire_at, insertion seq).
 
-    Handlers may schedule further events at or after the current time.
-    When a trace sink is given, one JSON line per processed event is
+    Handlers may schedule further events at or after the current time;
+    `every` is the one way to run a handler on a fixed period.  When a
+    trace sink is given, one JSON line per processed event is
     written; identical runs produce identical trace bytes.
 
     Each queued event is a plain tuple (fire_at, seq, fn, arg, module,
@@ -81,6 +82,25 @@ class EventLoop:
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (fire_at, seq, fn, arg, module, target, action))
+
+    def every(self, start: SimTime, period: SimTime, until: SimTime, module: str,
+              target: str, action: str, fn: Callable[[Any], None],
+              arg: Any = None) -> None:
+        """Call `fn(arg)` at start, start + period, ... up to and including
+        `until`.  Each firing queues the next one before it calls `fn`, so
+        the events `fn` schedules come after it in insertion order."""
+        if period < 1:
+            raise SimulationError(f"event {action!r} has period {period} ps, below 1 ps")
+        if start <= until:
+            self.schedule(start, module, target, action, self._fire_periodic,
+                          (period, until, module, target, action, fn, arg))
+
+    def _fire_periodic(self, spec: tuple) -> None:
+        period, until, module, target, action, fn, arg = spec
+        nxt = self._now + period
+        if nxt <= until:
+            self.schedule(nxt, module, target, action, self._fire_periodic, spec)
+        fn(arg)
 
     def run_until(self, t_end: SimTime) -> RunStats:
         """Process every event with fire_at <= t_end, then advance now to t_end."""

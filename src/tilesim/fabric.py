@@ -1,5 +1,5 @@
-"""Room and network fabric: tile placement on mounting surfaces, switch and
-cabling topology, and backbone capture/playback channel accounting.
+"""Room and network fabric: tile placement on mounting surfaces, and the
+switch and cabling topology.
 
 Geometry convention: the room interior is the axis-aligned box
 [0, length] x [0, width] x [0, height] in metres.  Panels mount on the
@@ -82,56 +82,6 @@ class Link:
 
     def delay_ps(self, from_a: bool) -> int:
         return self.base_delay_ps + (self.extra_ab_ps if from_a else self.extra_ba_ps)
-
-
-@dataclass(frozen=True)
-class DaqAssignment:
-    grant_id: str
-    kind: str
-    count: int
-    first_channel: int
-
-
-@dataclass(frozen=True)
-class DaqRejection:
-    kind: str
-    requested: int
-    remaining: int
-
-
-class DaqLedger:
-    """Capture/playback channel bookkeeping for the central backbone."""
-
-    ADC_RATE_SPS = 1_250_000
-    SAMPLE_BITS = 16
-
-    def __init__(self, adc_channels: int = 192, dac_channels: int = 48):
-        self.capacity = {"adc": adc_channels, "dac": dac_channels}
-        self.used = {"adc": 0, "dac": 0}
-        self._grants: dict[str, tuple[str, int]] = {}
-        self._next = 0
-
-    def assign(self, kind: str, count: int) -> DaqAssignment | DaqRejection:
-        if kind not in self.capacity:
-            raise ConfigurationError(f"unknown channel kind {kind!r}")
-        if count < 1:
-            raise ConfigurationError("channel request must be at least 1")
-        remaining = self.capacity[kind] - self.used[kind]
-        if count > remaining:
-            return DaqRejection(kind, count, remaining)
-        grant = DaqAssignment(f"g{self._next}", kind, count, self.used[kind])
-        self._next += 1
-        self.used[kind] += count
-        self._grants[grant.grant_id] = (kind, count)
-        return grant
-
-    def release(self, grant_id: str) -> None:
-        kind, count = self._grants.pop(grant_id)
-        self.used[kind] -= count
-
-
-def daq_assign(fabric: "Fabric", kind: str, count: int) -> DaqAssignment | DaqRejection:
-    return fabric.daq.assign(kind, count)
 
 
 # --- surface packing -------------------------------------------------------
@@ -238,8 +188,6 @@ class FabricConfig:
     trunk_jitter_sigma_ns: float = 20.0
     jitter_shape: float = 0.5
     bandwidth_bps: int = 10_000_000_000
-    adc_channels: int = 192
-    dac_channels: int = 48
 
 
 class Fabric:
@@ -252,7 +200,6 @@ class Fabric:
         self.switches = switches
         self.links = links
         self.central_id = central_id
-        self.daq = DaqLedger(config.adc_channels, config.dac_channels)
         self._tile_switch = {t: sw.id for sw in switches.values() for t in sw.attached}
         self._tile_link = {lk.b: lk.id for lk in links.values() if lk.b in tiles}
         self._trunk = {lk.b: lk.id for lk in links.values() if lk.b in switches}
@@ -464,7 +411,3 @@ def build_default_fabric(config: FabricConfig | None = None,
         raise ConfigurationError(
             f"{n_conn} tile connections exceed the limit {cfg.max_tile_connections}")
     return Fabric(cfg, tiles, switches, links)
-
-
-def tile_position(fabric: Fabric, tile_id: str):
-    return fabric.tile_position(tile_id)

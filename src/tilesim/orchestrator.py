@@ -55,7 +55,6 @@ class _Producers:
         self.broker = broker
         self.tracker = tracker
         self.online = online
-        self.until = until_ps
         self.counts: dict[str, int] = {}
         self.bytes: dict[str, int] = {}
         candidates = sorted(t.id for t in fabric.tiles.values()
@@ -69,19 +68,15 @@ class _Producers:
             # keys are "<tile>:<seq>"; FNV-1a is byte-serial, so the
             # constant prefix is hashed once and each key resumes from it
             prefix = f"{tile}:"
-            route = (tile, period, prefix, fnv1a64(prefix.encode()),
+            route = (tile, prefix, fnv1a64(prefix.encode()),
                      fabric.tile_link(tile).id,
                      fabric.trunk_link(fabric.switch_for_tile(tile)).id)
-            loop.schedule(i * spacing, self.MODULE, tile, "produce",
-                          self._produce, route)
+            loop.every(i * spacing, period, until_ps, self.MODULE, tile,
+                       "produce", self._produce, route)
 
     def _produce(self, route) -> None:
-        tile, period, prefix, prefix_hash, tile_link, trunk_link = route
+        tile, prefix, prefix_hash, tile_link, trunk_link = route
         now = self.loop.now
-        nxt = now + period
-        if nxt <= self.until:
-            self.loop.schedule(nxt, self.MODULE, tile, "produce",
-                               self._produce, route)
         if not self.online(tile):
             return
         seq = self.counts[tile]
@@ -112,7 +107,6 @@ class _Consumers:
     def __init__(self, loop, cfg, broker, until_ps):
         self.loop = loop
         self.cfg = cfg
-        self.until = until_ps
         self.groups: list[ConsumerGroup] = []
         self.delivered: dict[str, int] = {}
         period = from_seconds(cfg.poll_interval_ms / 1e3)
@@ -127,17 +121,13 @@ class _Consumers:
             self.groups.append(group)
             self.delivered[group.group_id] = 0
             for c in range(cfg.consumers_per_group):
-                loop.schedule(period + k * spacing, self.MODULE,
-                              f"g{g}-c{c}", "poll", self._poll,
-                              (group, f"g{g}-c{c}", period))
+                loop.every(period + k * spacing, period, until_ps, self.MODULE,
+                           f"g{g}-c{c}", "poll", self._poll,
+                           (group, f"g{g}-c{c}"))
                 k += 1
 
     def _poll(self, arg) -> None:
-        group, member, period = arg
-        now = self.loop.now
-        nxt = now + period
-        if nxt <= self.until:
-            self.loop.schedule(nxt, self.MODULE, member, "poll", self._poll, arg)
+        group, member = arg
         res = group.poll(member, self.cfg.max_poll_records)
         self.delivered[group.group_id] += len(res.records)
         for p in group.partitions_of(member, self.cfg.topic):

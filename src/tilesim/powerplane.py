@@ -90,14 +90,7 @@ class PdDevice:
     disconnected_at: SimTime | None = None
 
     def consumption_mw(self, t: SimTime) -> int:
-        if not self.online:
-            return 0
-        draw = self.base_mw
-        if self.s1.value_at(t):
-            draw += self.processing.value_at(t)
-        if self.s2.value_at(t):
-            draw += self.peripheral.value_at(t)
-        return draw
+        return self._draw_if_powered(t) if self.online else 0
 
     def _draw_if_powered(self, t: SimTime) -> int:
         draw = self.base_mw
@@ -324,16 +317,3 @@ class PsePlane:
             "denials": denials,
             "disconnects": disconnects,
         }
-
-
-def allocate(pse: PsePlane, tile_id: str, at: SimTime = 0) -> Grant | Denial:
-    return pse.allocate(tile_id, at)
-
-
-def monitor(pse: PsePlane, true_time: SimTime) -> list[DisconnectEvent]:
-    return pse.monitor(true_time)
-
-
-def toggle_switch(pse: PsePlane, tile_id: str, which: str, state: bool,
-                  at: SimTime = 0) -> None:
-    pse.toggle_switch(tile_id, which, state, at)

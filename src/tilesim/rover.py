@@ -1,7 +1,6 @@
 """Mobile sampling platform: acoustic ranging against fixed beacons,
 Gauss-Newton position solves, a gated constant-velocity Kalman tracker,
-serpentine coverage planning, obstacle ranging, lift metrology and a
-battery-aware mission loop.
+serpentine coverage planning and a battery-aware mission loop.
 
 The three kernels the mission loop runs every beacon period (ranging,
 trilateration and the Kalman step) are closed-form scalar arithmetic: the
@@ -23,10 +22,6 @@ from .fabric import ConfigurationError, Room
 
 LIFT_MIN_M = 0.55
 LIFT_MAX_M = 1.85
-LIFT_NOISE_M = 0.02           # uniform +- band of the height sensor
-OBSTACLE_QUANTUM_M = 0.003    # ranging resolution, round half to even
-OBSTACLE_MIN_M = 0.02
-OBSTACLE_MAX_M = 4.0
 
 
 class RoverError(RuntimeError):
@@ -393,82 +388,6 @@ def plan_sampling(room: Room, resolution_m: float, obstacles=(),
         ordered, orientation = by_row, "row_major"
     waypoints = tuple((x, y, z) for x, y in ordered for z in z_stops)
     return SamplePlan(waypoints, resolution_m, tuple(z_stops), orientation)
-
-
-# --- sensing ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ObstacleReading:
-    distance_m: float
-    flag: str                  # ok | min_range | max_range
-
-
-def _quantize_range(d: float) -> float:
-    return round(d / OBSTACLE_QUANTUM_M) * OBSTACLE_QUANTUM_M
-
-
-def _ray_to_walls(px, py, dx, dy, room: Room) -> float:
-    best = math.inf
-    if dx > 0:
-        best = min(best, (room.length_m - px) / dx)
-    elif dx < 0:
-        best = min(best, -px / dx)
-    if dy > 0:
-        best = min(best, (room.width_m - py) / dy)
-    elif dy < 0:
-        best = min(best, -py / dy)
-    return best
-
-
-def _ray_to_rect(px, py, dx, dy, rect) -> float:
-    """Slab test: distance along (dx, dy) to an axis-aligned rectangle."""
-    x0, y0, x1, y1 = rect
-    tmin, tmax = -math.inf, math.inf
-    for p, d, lo, hi in ((px, dx, x0, x1), (py, dy, y0, y1)):
-        if d == 0:
-            if not lo <= p <= hi:
-                return math.inf
-        else:
-            t1, t2 = (lo - p) / d, (hi - p) / d
-            if t1 > t2:
-                t1, t2 = t2, t1
-            tmin, tmax = max(tmin, t1), min(tmax, t2)
-    if tmax < max(tmin, 0.0):
-        return math.inf
-    return max(tmin, 0.0)
-
-
-def sense_obstacles(pose_xy, heading_rad: float, obstacles, room: Room) -> dict:
-    """Quantized ranges in the four body directions (front, left, back,
-    right), clamped to the sensor's working span with honesty flags."""
-    px, py = pose_xy
-    out = {}
-    for name, ang in (("front", 0.0), ("left", math.pi / 2),
-                      ("back", math.pi), ("right", -math.pi / 2)):
-        a = heading_rad + ang
-        dx, dy = math.cos(a), math.sin(a)
-        d = _ray_to_walls(px, py, dx, dy, room)
-        for rect in obstacles:
-            d = min(d, _ray_to_rect(px, py, dx, dy, rect))
-        q = _quantize_range(d) if math.isfinite(d) else math.inf
-        if q < OBSTACLE_MIN_M:
-            out[name] = ObstacleReading(OBSTACLE_MIN_M, "min_range")
-        elif q > OBSTACLE_MAX_M:
-            out[name] = ObstacleReading(OBSTACLE_MAX_M, "max_range")
-        else:
-            out[name] = ObstacleReading(q, "ok")
-    return out
-
-
-@dataclass(frozen=True)
-class LiftReading:
-    height_m: float
-    in_range: bool
-
-
-def lift_height_measure(true_height_m: float, rng: RngStream) -> LiftReading:
-    reading = true_height_m + rng.uniform(-LIFT_NOISE_M, LIFT_NOISE_M)
-    return LiftReading(reading, LIFT_MIN_M <= reading <= LIFT_MAX_M)
 
 
 # --- battery ----------------------------------------------------------------

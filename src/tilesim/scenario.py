@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .coherent import CARRIER_MAX_HZ, CARRIER_MIN_HZ, MAX_TX_POWER_DBM
-from .core import PS_PER_S, from_seconds
+from .core import MAX_SIM_TIME, PS_PER_S, from_seconds
 from .fabric import ConfigurationError, FabricConfig
 from .timesync import TimesyncConfig
 
@@ -108,11 +108,42 @@ def _coerce_float(value, where: str):
         return float(value)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{where}: expected a number, got {value!r}") from None
+    except OverflowError:
+        raise ConfigurationError(f"{where}: expected a number, got an integer "
+                                 f"too large for a float") from None
+
+
+_SCALAR_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+                 str: "a string"}
+
+
+def _check_scalar(hint, value, where: str):
+    """A value for a field hinted as a scalar (bool, int, float or str, or
+    one of them `| None`), type-checked; a float field also takes an int or
+    a numeric string.  Values of any other hint pass through unchecked."""
+    args = typing.get_args(hint)
+    kinds = [a for a in args or (hint,) if a is not type(None)]
+    if len(kinds) != 1 or kinds[0] not in _SCALAR_NAMES:
+        return _coerce_lists(value)
+    kind = kinds[0]
+    if value is None and type(None) in args:
+        return value
+    if isinstance(value, bool):
+        ok = kind is bool
+    elif kind is float and isinstance(value, (int, str)):
+        return _coerce_float(value, where)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigurationError(
+            f"{where}: expected {_SCALAR_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def _build(cls, data, where: str):
     """Instantiate a config dataclass from a mapping, rejecting unknown keys
-    with the list of valid ones so typos are caught at load time."""
+    with the list of valid ones, and scalar values of the wrong type, so
+    typos are caught at load time."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -127,11 +158,8 @@ def _build(cls, data, where: str):
         hint = hints.get(key)
         if dataclasses.is_dataclass(hint) and not isinstance(value, hint):
             value = _build(hint, value, f"{where}.{key}")
-        elif (hint is float or float in typing.get_args(hint)) \
-                and isinstance(value, (int, str)) and not isinstance(value, bool):
-            value = _coerce_float(value, f"{where}.{key}")
         else:
-            value = _coerce_lists(value)
+            value = _check_scalar(hint, value, f"{where}.{key}")
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -165,9 +193,9 @@ def scenario_hash(cfg: ScenarioConfig) -> str:
 
 
 def _check_period(problems: list[str], name: str, seconds: float) -> None:
-    """A self-rescheduling period, or a window a rate is divided by, must
-    round, as the scheduler rounds it, to at least 1 ps; a zero period
-    would fire forever at one instant."""
+    """A period handed to `EventLoop.every`, or a window a rate is divided
+    by, must round, as the scheduler rounds it, to at least 1 ps; `every`
+    raises on a shorter period, and a zero window divides by zero."""
     if not (math.isfinite(seconds) and from_seconds(seconds) >= 1):
         problems.append(f"{name} must be at least 1 ps (got {seconds:g} s)")
 
@@ -180,14 +208,30 @@ def _check_delay(problems: list[str], name: str, seconds: float) -> None:
                         f"(got {seconds:g} s)")
 
 
+def _numbers(value, n: int) -> bool:
+    """Whether `value` is a sequence of exactly n numbers."""
+    return (isinstance(value, (tuple, list)) and len(value) == n
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in value))
+
+
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """Cross-field checks that a single dataclass cannot express.  Returns a
     list of human-readable problems; empty means the scenario is runnable."""
     problems = []
     if cfg.duration_s <= 0:
         problems.append("duration_s must be positive")
+    elif not (math.isfinite(cfg.duration_s * PS_PER_S)
+              and from_seconds(cfg.duration_s) <= MAX_SIM_TIME):
+        problems.append(f"duration_s must be finite and at most "
+                        f"{MAX_SIM_TIME / PS_PER_S:g} s (got {cfg.duration_s:g} s)")
     if cfg.seed < 0:
         problems.append("seed must be non-negative")
+    counts = cfg.fabric.counts
+    if not (isinstance(counts, dict) and all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 0
+            for n in counts.values())):
+        problems.append("fabric.counts must map surfaces to non-negative integers")
     room = cfg.fabric.room
     if cfg.coherent.enabled:
         c = cfg.coherent
@@ -200,10 +244,13 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                             f"{MAX_TX_POWER_DBM}")
         if c.trials < 1:
             problems.append("coherent.trials must be at least 1")
-        x, y, z = c.target
-        if not (0 <= x <= room.length_m and 0 <= y <= room.width_m
-                and 0 <= z <= room.height_m):
-            problems.append("coherent.target lies outside the room")
+        if not _numbers(c.target, 3):
+            problems.append("coherent.target must hold 3 numbers (x, y, z)")
+        else:
+            x, y, z = c.target
+            if not (0 <= x <= room.length_m and 0 <= y <= room.width_m
+                    and 0 <= z <= room.height_m):
+                problems.append("coherent.target lies outside the room")
     if cfg.power.enabled:
         if cfg.power.midspan_count < 1:
             problems.append("power.midspan_count must be at least 1")
@@ -225,7 +272,9 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                       d.load_window_ms / 1e3)
     if cfg.rover.enabled:
         r = cfg.rover
-        if r.area is not None:
+        if r.area is not None and not _numbers(r.area, 4):
+            problems.append("rover.area must hold 4 numbers (x0, y0, x1, y1)")
+        elif r.area is not None:
             x0, y0, x1, y1 = r.area
             if not (0 <= x0 < x1 <= room.length_m and 0 <= y0 < y1 <= room.width_m):
                 problems.append("rover.area must lie inside the room")

@@ -83,10 +83,6 @@ class LocalClock:
         return self.offset_ps
 
 
-def clock_read(clock: LocalClock, true_time: SimTime) -> int:
-    return clock.read(true_time)
-
-
 # --- exchange arithmetic ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -343,7 +339,6 @@ class PtpPort:
     t2: int | None = None
     t3: int = 0
     fwd_correction: int = 0
-    epoch_ps: int = 0
 
 
 @dataclass(frozen=True)
@@ -451,15 +446,18 @@ class SyncDomain:
         t0 = from_seconds(c.start_s)
         stagger = from_seconds(c.stagger_ms / 1e3)
         for i, node in enumerate(sorted(self.ports)):
-            self._schedule(t0 + i * stagger, node, "sync_egress", self._sync_egress, node)
+            self.loop.every(t0 + i * stagger, self._interval_ps, until_ps,
+                            self.MODULE, node, "sync_egress", self._sync_egress, node)
         tick = from_seconds(c.sample_interval_s)
-        self._schedule(tick, "all", "sample_residuals", self._sample, tick)
+        self.loop.every(tick, tick, until_ps, self.MODULE, "all",
+                        "sample_residuals", self._sample)
 
     def _schedule(self, t, target, action, fn, arg):
+        """Queue one step of an exchange, dropped if it falls after the run."""
         if t <= self._until:
             self.loop.schedule(t, self.MODULE, target, action, fn, arg)
 
-    def _sample(self, tick: int) -> None:
+    def _sample(self, _arg) -> None:
         # a node enters the report once its discipline loop has closed at
         # least once; before the first correction it is free-running and a
         # quiet streak would be declared "converged" by pure luck
@@ -471,7 +469,6 @@ class SyncDomain:
         for node, port in self.ports.items():
             if port.corrections > 0 and (node not in tiles or online(node)):
                 add_sample(node, now, clocks[node].offset_at(now))
-        self._schedule(now + tick, "all", "sample_residuals", self._sample, tick)
 
     def _is_online(self, node: str) -> bool:
         if node in self.fabric.tiles:
@@ -488,9 +485,6 @@ class SyncDomain:
     def _sync_egress(self, node: str) -> None:
         port = self.ports[node]
         now = self.loop.now
-        port.epoch_ps = now
-        next_epoch = now + self._interval_ps
-        self._schedule(next_epoch, node, "sync_egress", self._sync_egress, node)
         if not self._is_online(node):
             return
         port.seq += 1
@@ -617,16 +611,6 @@ class SyncDomain:
                 port.fwd_correction, rev_correction,
                 sample.offset_ps, sample.mean_path_delay_ps,
                 true_offset, now))
-
-
-def boundary_sync(domain: SyncDomain, switch_id: str) -> None:
-    """Check a boundary switch is wired: it must hold a disciplined port
-    upstream and master its attached tiles with its own clock."""
-    if switch_id not in domain.fabric.switches:
-        raise ConfigurationError(f"unknown switch {switch_id!r}")
-    if switch_id not in domain.ports:
-        raise ConfigurationError(
-            f"{switch_id} has no upstream port; add it to boundary_switches")
 
 
 def run_sync_domain(fabric: Fabric, config: TimesyncConfig, duration_s: float,

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from tilesim.core import (EventLoop, PS_PER_MS, PS_PER_S, PS_PER_US,
@@ -61,20 +63,88 @@ def test_negative_fire_time_rejected():
         loop.schedule(-1, "m", "x", "a", lambda _: None)
 
 
-def test_periodic_chain_count():
+@pytest.mark.parametrize("use_every", [False, True], ids=["hand_rolled", "every"])
+def test_periodic_chain_count(use_every):
     # 1 ms period over 1 s: fires at 0, 1 ms, ..., 1000 ms inclusive
     loop = EventLoop()
     seen = []
 
     def tick(_):
         seen.append(loop.now)
-        loop.schedule(loop.now + PS_PER_MS, "m", "x", "tick", tick)
+        if not use_every:
+            loop.schedule(loop.now + PS_PER_MS, "m", "x", "tick", tick)
 
-    loop.schedule(0, "m", "x", "tick", tick)
+    if use_every:
+        loop.every(0, PS_PER_MS, PS_PER_S, "m", "x", "tick", tick)
+    else:
+        loop.schedule(0, "m", "x", "tick", tick)
     stats = loop.run_until(PS_PER_S)
     assert len(seen) == 1001
     assert stats.processed == 1001
     assert seen[0] == 0 and seen[-1] == PS_PER_S
+
+
+class _HandRolledPoll:
+    """`_Consumers._poll`'s re-arm before `EventLoop.every`, kept verbatim as
+    the oracle of the test below."""
+
+    MODULE = "dataplane"
+
+    def __init__(self, loop, until_ps, work):
+        self.loop, self.until, self.work = loop, until_ps, work
+
+    def _poll(self, arg) -> None:
+        member, period = arg
+        now = self.loop.now
+        nxt = now + period
+        if nxt <= self.until:
+            self.loop.schedule(nxt, self.MODULE, member, "poll", self._poll, arg)
+        self.work(arg)
+
+
+def _one_shots(loop):
+    """Queues one-shot events at the handler's instant and at its chain's
+    next one, where insertion order decides what fires first."""
+    def work(arg):
+        member, period = arg
+        loop.schedule(loop.now, "timesync", member, "now", lambda _: None)
+        loop.schedule(loop.now + period, "timesync", member, "next",
+                      lambda _: None)
+    return work
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains=st.lists(st.tuples(st.integers(0, 450), st.integers(1, 60)),
+                       min_size=1, max_size=3),
+       until=st.integers(0, 400))
+def test_every_matches_the_hand_rolled_chain(chains, until):
+    old_trace, new_trace = io.StringIO(), io.StringIO()
+    old, new = EventLoop(old_trace), EventLoop(new_trace)
+    hand_rolled = _HandRolledPoll(old, until, _one_shots(old))
+    work = _one_shots(new)
+    for i, (start, period) in enumerate(chains):
+        old.schedule(start, "dataplane", f"c{i}", "poll", hand_rolled._poll,
+                     (f"c{i}", period))
+        new.every(start, period, until, "dataplane", f"c{i}", "poll", work,
+                  (f"c{i}", period))
+    assert old.run_until(until) == new.run_until(until)
+    assert old_trace.getvalue() == new_trace.getvalue()
+
+
+@pytest.mark.parametrize("period", [0, -1])
+def test_every_rejects_a_period_below_one_tick(period):
+    loop = EventLoop()
+    with pytest.raises(SimulationError, match="period"):
+        loop.every(0, period, 100, "m", "x", "tick", lambda _: None)
+    assert loop.pending() == 0
+
+
+def test_every_starting_after_until_schedules_nothing():
+    loop = EventLoop()
+    fired = []
+    loop.every(101, 10, 100, "m", "x", "tick", fired.append)
+    assert loop.pending() == 0
+    assert loop.run_until(1000).processed == 0 and fired == []
 
 
 def test_run_until_advances_clock_without_events():

@@ -1,13 +1,12 @@
-"""Room geometry, panel packing, cabling, and channel bookkeeping."""
+"""Room geometry, panel packing and cabling."""
 
 import dataclasses
 
 import pytest
 
 from tilesim.core import RngStream
-from tilesim.fabric import (ConfigurationError, DaqAssignment, DaqRejection,
-                            Fabric, FabricConfig, Link, Room, TileNode,
-                            build_default_fabric, daq_assign, pack_surface)
+from tilesim.fabric import (ConfigurationError, Fabric, FabricConfig, Link,
+                            Room, TileNode, build_default_fabric, pack_surface)
 
 
 @pytest.fixture(scope="module")
@@ -213,43 +212,6 @@ def test_json_schema_version_guard(fabric):
     doc["schema_version"] = "bogus"
     with pytest.raises(ConfigurationError, match="schema"):
         Fabric.from_json_dict(doc)
-
-
-# --- channel ledger ---------------------------------------------------------
-
-def test_daq_capacity_and_rejection(fabric):
-    fab = build_default_fabric(FabricConfig(counts={"wall_a": 1}, switch_count=1))
-    g = daq_assign(fab, "adc", 192)
-    assert isinstance(g, DaqAssignment)
-    assert g.count == 192 and g.first_channel == 0
-    r = daq_assign(fab, "adc", 1)
-    assert isinstance(r, DaqRejection)
-    assert r.remaining == 0
-    fab.daq.release(g.grant_id)
-    assert isinstance(daq_assign(fab, "adc", 192), DaqAssignment)
-
-
-def test_daq_dac_pool_is_separate():
-    fab = build_default_fabric(FabricConfig(counts={"wall_a": 1}, switch_count=1))
-    assert isinstance(daq_assign(fab, "adc", 192), DaqAssignment)
-    assert isinstance(daq_assign(fab, "dac", 48), DaqAssignment)
-    assert isinstance(daq_assign(fab, "dac", 1), DaqRejection)
-
-
-def test_daq_partial_grants_accumulate():
-    fab = build_default_fabric(FabricConfig(counts={"wall_a": 1}, switch_count=1))
-    a = daq_assign(fab, "adc", 100)
-    b = daq_assign(fab, "adc", 92)
-    assert a.first_channel == 0 and b.first_channel == 100
-    assert isinstance(daq_assign(fab, "adc", 1), DaqRejection)
-
-
-def test_daq_bad_requests():
-    fab = build_default_fabric(FabricConfig(counts={"wall_a": 1}, switch_count=1))
-    with pytest.raises(ConfigurationError):
-        daq_assign(fab, "adc", 0)
-    with pytest.raises(ConfigurationError):
-        daq_assign(fab, "xyz", 1)
 
 
 # --- room -------------------------------------------------------------------

@@ -6,8 +6,7 @@ from tilesim.core import PS_PER_MS, PS_PER_S
 from tilesim.fabric import ConfigurationError
 from tilesim.powerplane import (DEFAULT_DETECTION_WINDOW_PS, Denial, Grant,
                                 PdDevice, PowerClass, POWER_CLASSES, PsePlane,
-                                StepSeries, allocate, classify, monitor,
-                                toggle_switch)
+                                StepSeries, classify)
 
 
 def make_pd(tile_id="t000", cls=3, base=500, processing=2500, peripheral=500):
@@ -110,7 +109,7 @@ def test_step_series_rejects_time_reversal():
 def test_full_fleet_class3_fits_budget():
     pds = [make_pd(f"t{i:03d}") for i in range(140)]
     plane = plane_with(pds)
-    grants = [allocate(plane, pd.tile_id) for pd in pds]
+    grants = [plane.allocate(pd.tile_id) for pd in pds]
     assert all(isinstance(g, Grant) for g in grants)
     # 140 x 15.4 W of sourced power against the 9 kW plane
     assert plane.global_used_mw() == 140 * 15_400 == 2_156_000
@@ -120,7 +119,7 @@ def test_full_fleet_class3_fits_budget():
 def test_class8_requests_cap_at_one_hundred():
     pds = [make_pd(f"t{i:03d}", cls=8) for i in range(140)]
     plane = plane_with(pds)
-    results = [allocate(plane, pd.tile_id) for pd in pds]
+    results = [plane.allocate(pd.tile_id) for pd in pds]
     grants = [r for r in results if isinstance(r, Grant)]
     denials = [r for r in results if isinstance(r, Denial)]
     # 90 W sourced each against 2.25 kW per midspan: 25 per midspan
@@ -133,8 +132,8 @@ def test_class8_requests_cap_at_one_hundred():
 def test_denial_reports_remaining_budgets():
     plane = plane_with([make_pd("a", cls=8), make_pd("b", cls=8)],
                        midspan_count=1, global_budget_mw=100_000)
-    assert isinstance(allocate(plane, "a"), Grant)
-    d = allocate(plane, "b")
+    assert isinstance(plane.allocate("a"), Grant)
+    d = plane.allocate("b")
     assert isinstance(d, Denial)
     assert d.remaining_midspan_mw == 10_000
     assert d.remaining_global_mw == 10_000
@@ -146,15 +145,15 @@ def test_midspans_fill_round_robin():
     pds = [make_pd(f"t{i}") for i in range(8)]
     plane = plane_with(pds)
     for pd in pds:
-        allocate(plane, pd.tile_id)
+        plane.allocate(pd.tile_id)
     assert [ms.used_mw for ms in plane.midspans] == [2 * 15_400] * 4
 
 
 def test_double_grant_rejected():
     plane = plane_with([make_pd("a")])
-    allocate(plane, "a")
+    plane.allocate("a")
     with pytest.raises(ConfigurationError, match="granted"):
-        allocate(plane, "a")
+        plane.allocate("a")
 
 
 def test_double_registration_rejected():
@@ -169,7 +168,7 @@ def test_double_registration_rejected():
 def test_idle_floor_consumption():
     pd = PdDevice("a", requested_class=3)   # no load profiles
     plane = plane_with([pd])
-    allocate(plane, "a")
+    plane.allocate("a")
     assert pd.consumption_mw(0) == 500
     assert pd.consumption_mw(10 * PS_PER_S) == 500
 
@@ -182,7 +181,7 @@ def test_offline_device_draws_nothing():
 def test_overdraw_disconnect_at_exact_window_edge():
     pd = make_pd("a")
     plane = plane_with([pd])
-    allocate(plane, "a", at=0)
+    plane.allocate("a", at=0)
     step_at = 2 * PS_PER_S
     pd.processing.set_from(step_at, 20_000)   # 20.5 W total vs 13 W ceiling
     ev = plane.find_disconnect_time(pd)
@@ -190,9 +189,9 @@ def test_overdraw_disconnect_at_exact_window_edge():
     assert ev.at_ps == step_at + DEFAULT_DETECTION_WINDOW_PS
     assert ev.limit_mw == 13_000
     # one tick before the deadline nothing happens
-    assert monitor(plane, ev.at_ps - 1) == []
+    assert plane.monitor(ev.at_ps - 1) == []
     assert pd.online
-    fired = monitor(plane, ev.at_ps)
+    fired = plane.monitor(ev.at_ps)
     assert [e.tile_id for e in fired] == ["a"]
     assert not pd.online
     assert pd.disconnected_at == ev.at_ps
@@ -202,12 +201,12 @@ def test_overdraw_disconnect_at_exact_window_edge():
 def test_short_spike_inside_window_survives():
     pd = make_pd("a")
     plane = plane_with([pd])
-    allocate(plane, "a", at=0)
+    plane.allocate("a", at=0)
     spike = PS_PER_S
     pd.processing.set_from(spike, 20_000)
     pd.processing.set_from(spike + 50 * PS_PER_MS, 2500)  # back under in 50 ms
     assert plane.find_disconnect_time(pd) is None
-    assert monitor(plane, 10 * PS_PER_S) == []
+    assert plane.monitor(10 * PS_PER_S) == []
     assert pd.online
 
 
@@ -216,18 +215,18 @@ def test_pre_grant_history_does_not_count():
     pd.processing.set_from(0, 20_000)          # over the ceiling from t=0
     pd.processing.set_from(PS_PER_S, 2500)     # tame by the grant instant
     plane = plane_with([pd])
-    allocate(plane, "a", at=2 * PS_PER_S)
+    plane.allocate("a", at=2 * PS_PER_S)
     assert plane.find_disconnect_time(pd) is None
 
 
 def test_regrant_after_disconnect():
     pd = make_pd("a")
     plane = plane_with([pd])
-    allocate(plane, "a", at=0)
+    plane.allocate("a", at=0)
     pd.processing.set_from(PS_PER_S, 20_000)
-    (ev,) = monitor(plane, 10 * PS_PER_S)
+    (ev,) = plane.monitor(10 * PS_PER_S)
     pd.processing.set_from(12 * PS_PER_S, 2500)
-    g = allocate(plane, "a", at=13 * PS_PER_S)
+    g = plane.allocate("a", at=13 * PS_PER_S)
     assert isinstance(g, Grant)
     assert pd.online
     # the old overdraw run is history; the new grant holds
@@ -239,42 +238,42 @@ def test_disconnect_callbacks_fire():
     plane = plane_with([pd])
     seen = []
     plane.on_disconnect.append(lambda tile, at: seen.append((tile, at)))
-    allocate(plane, "a", at=0)
+    plane.allocate("a", at=0)
     pd.processing.set_from(PS_PER_S, 50_000)
-    monitor(plane, 10 * PS_PER_S)
+    plane.monitor(10 * PS_PER_S)
     assert seen == [("a", PS_PER_S + DEFAULT_DETECTION_WINDOW_PS)]
 
 
 def test_load_switches_gate_consumption():
     pd = make_pd("a", processing=2500, peripheral=500)
     plane = plane_with([pd])
-    allocate(plane, "a", at=0)
+    plane.allocate("a", at=0)
     assert pd.consumption_mw(0) == 3500
-    toggle_switch(plane, "a", "s1", False, at=PS_PER_S)
+    plane.toggle_switch("a", "s1", False, at=PS_PER_S)
     assert pd.consumption_mw(PS_PER_S) == 1000
-    toggle_switch(plane, "a", "s2", False, at=2 * PS_PER_S)
+    plane.toggle_switch("a", "s2", False, at=2 * PS_PER_S)
     assert pd.consumption_mw(2 * PS_PER_S) == 500
-    toggle_switch(plane, "a", "s1", True, at=3 * PS_PER_S)
+    plane.toggle_switch("a", "s1", True, at=3 * PS_PER_S)
     assert pd.consumption_mw(3 * PS_PER_S) == 3000
     with pytest.raises(ConfigurationError):
-        toggle_switch(plane, "a", "s3", True)
+        plane.toggle_switch("a", "s3", True)
 
 
 def test_switch_off_can_clear_overdraw():
     pd = make_pd("a")
     plane = plane_with([pd])
-    allocate(plane, "a", at=0)
+    plane.allocate("a", at=0)
     pd.processing.set_from(PS_PER_S, 20_000)
     # peripheral path off cuts the draw below the ceiling mid-window
-    toggle_switch(plane, "a", "s1", False, at=PS_PER_S + 10 * PS_PER_MS)
+    plane.toggle_switch("a", "s1", False, at=PS_PER_S + 10 * PS_PER_MS)
     assert plane.find_disconnect_time(pd) is None
 
 
 def test_pending_disconnects_preview():
     pd_a, pd_b = make_pd("a"), make_pd("b")
     plane = plane_with([pd_a, pd_b])
-    allocate(plane, "a")
-    allocate(plane, "b")
+    plane.allocate("a")
+    plane.allocate("b")
     pd_b.processing.set_from(PS_PER_S, 99_000)
     pending = plane.pending_disconnects()
     assert [e.tile_id for e in pending] == ["b"]
@@ -286,7 +285,7 @@ def test_pending_disconnects_preview():
 def test_ledger_csv_format(tmp_path):
     pd = make_pd("a")
     plane = plane_with([pd])
-    allocate(plane, "a", at=0)
+    plane.allocate("a", at=0)
     out = tmp_path / "ledger.csv"
     plane.write_ledger_csv(out)
     lines = out.read_text().splitlines()
@@ -298,9 +297,9 @@ def test_summary_counts():
     pds = [make_pd(f"t{i}", cls=8) for i in range(3)]
     plane = plane_with(pds, midspan_count=1, global_budget_mw=180_000)
     for pd in pds:
-        allocate(plane, pd.tile_id)
+        plane.allocate(pd.tile_id)
     pds[0].processing.set_from(PS_PER_S, 99_000)
-    monitor(plane, 10 * PS_PER_S)
+    plane.monitor(10 * PS_PER_S)
     s = plane.summary()
     assert s["grants"] == 2
     assert s["denials"] == 1

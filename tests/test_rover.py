@@ -1,4 +1,4 @@
-"""Mobile sampler: positioning, tracking, planning, sensing, and energy."""
+"""Mobile sampler: positioning, tracking, planning, and energy."""
 
 import json
 import math
@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 from tilesim import rover
 from tilesim.core import RngStream
 from tilesim.fabric import ConfigurationError, Room
-from tilesim.rover import (Battery, BeaconSet, KalmanState, LIFT_MAX_M,
-                           LIFT_MIN_M, LIFT_NOISE_M, MissionConfig,
-                           MissionRunner, OBSTACLE_MAX_M, OBSTACLE_MIN_M,
-                           PowerDrawError, RoverError, RoverState, SamplePlan,
-                           TrilaterationError, TrilaterationResult,
-                           default_beacons, kalman_step, lift_height_measure,
+from tilesim.rover import (Battery, BeaconSet, KalmanState, MissionConfig,
+                           MissionRunner, PowerDrawError, RoverError,
+                           RoverState, SamplePlan, TrilaterationError,
+                           TrilaterationResult, default_beacons, kalman_step,
                            measure_ranges, mission_step, plan_sampling,
-                           reserve_wh, sense_obstacles, trilaterate)
+                           reserve_wh, trilaterate)
 
 ROOM = Room(8.0, 4.0, 2.4)
 
@@ -501,74 +499,6 @@ def test_plan_json_round_trip():
     p = plan_sampling(ROOM, 0.6, area=(0.6, 0.6, 1.8, 1.8))
     back = SamplePlan.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
     assert back == p
-
-
-# --- sensing ----------------------------------------------------------------
-
-def test_ranges_to_walls_from_room_centre():
-    # 3 mm quantum: 4.0 m reads as 1333 quanta = 3.999, 2.0 m as 667 = 2.001
-    r = sense_obstacles((4.0, 2.0), 0.0, [], ROOM)
-    assert r["front"].distance_m == pytest.approx(3.999)
-    assert r["front"].flag == "ok"
-    assert r["back"].distance_m == pytest.approx(3.999)
-    assert r["left"].distance_m == pytest.approx(2.001)
-    assert r["right"].distance_m == pytest.approx(2.001)
-
-
-def test_heading_rotates_the_frame():
-    r = sense_obstacles((4.0, 2.0), math.pi / 2, [], ROOM)
-    assert r["front"].distance_m == pytest.approx(2.001)  # facing far y wall
-    assert r["left"].distance_m == pytest.approx(3.999)
-
-
-def test_obstacle_shadows_the_wall():
-    r = sense_obstacles((1.0, 2.0), 0.0, [(2.0, 1.5, 2.5, 2.5)], ROOM)
-    assert r["front"].distance_m == pytest.approx(0.999)
-    assert r["back"].distance_m == pytest.approx(0.999)  # behind: just the wall
-
-
-def test_range_quantization_is_half_to_even():
-    # distances from the origin avoid subtraction noise, so the exact
-    # 10.5- and 11.5-quantum halves land on even neighbours 10 and 12
-    r = sense_obstacles((0.0, 2.0), 0.0, [(0.0075, 0.0, 8.0, 4.0)], ROOM)
-    assert r["front"].flag == "min_range"
-    r2 = sense_obstacles((0.0, 2.0), 0.0, [(0.0315, 0.0, 8.0, 4.0)], ROOM)
-    assert r2["front"].distance_m == pytest.approx(0.030)
-    r3 = sense_obstacles((0.0, 2.0), 0.0, [(0.0345, 0.0, 8.0, 4.0)], ROOM)
-    assert r3["front"].distance_m == pytest.approx(0.036)
-
-
-def test_range_reading_is_quantized_to_grid():
-    rng = np.random.default_rng(14)
-    for _ in range(100):
-        d = float(rng.uniform(0.05, 3.5))
-        r = sense_obstacles((0.0, 2.0), 0.0, [(d, 0.0, 8.0, 4.0)], ROOM)
-        got = r["front"].distance_m
-        assert round(got / 0.003) * 0.003 == pytest.approx(got, abs=1e-12)
-        assert abs(got - d) <= 0.0015 + 1e-12
-
-
-def test_min_and_max_range_flags():
-    r = sense_obstacles((1.0, 2.0), 0.0, [(1.005, 0.0, 8.0, 4.0)], ROOM)
-    assert r["front"].distance_m == OBSTACLE_MIN_M
-    assert r["front"].flag == "min_range"
-    big = Room(20.0, 4.0, 2.4)
-    far = sense_obstacles((1.0, 2.0), 0.0, [], big)
-    assert far["front"].distance_m == OBSTACLE_MAX_M
-    assert far["front"].flag == "max_range"
-
-
-def test_lift_reading_noise_band_and_flag():
-    rng = RngStream(2, "lift")
-    for h in (0.6, 1.0, 1.84):
-        for _ in range(50):
-            m = lift_height_measure(h, rng)
-            assert abs(m.height_m - h) <= LIFT_NOISE_M
-    low = [lift_height_measure(LIFT_MIN_M - 0.019, rng).in_range
-           for _ in range(100)]
-    assert not all(low)      # noise can push readings out of the span
-    mid = [lift_height_measure(1.2, rng).in_range for _ in range(100)]
-    assert all(mid)
 
 
 # --- battery ----------------------------------------------------------------

@@ -192,8 +192,9 @@ def test_run_rejects_invalid_scenario(tmp_path):
         run_scenario(tiny_cfg(duration_s=-1.0), tmp_path)
 
 
-# A period that rounds below the 1 ps tick re-schedules its event at the same
-# instant forever, so validation must turn each of these away.
+# A period that rounds below the 1 ps tick would re-schedule its event at the
+# same instant forever (`EventLoop.every` raises on it), so validation must
+# turn each of these away.
 SUB_PS_PERIODS = [("dataplane", "produce_interval_ms", 0),
                   ("dataplane", "poll_interval_ms", 0),
                   ("timesync", "sample_interval_s", 1e-13),
@@ -201,12 +202,16 @@ SUB_PS_PERIODS = [("dataplane", "produce_interval_ms", 0),
 
 
 def run_probe(section, key, value, tmp_path):
-    """`tilesim run` on an 8-tile, 2 s scenario with one field overridden, in
-    a subprocess with a timeout, so a regression fails instead of hanging."""
+    """`tilesim run` on an 8-tile, 2 s scenario with one field overridden
+    (a top-level one when `section` is None), in a subprocess with a
+    timeout, so a regression fails instead of hanging."""
     doc = {"name": "probe", "seed": 3, "duration_s": 2.0,
            "fabric": {"counts": {"wall_a": 2, "wall_b": 2, "floor": 2,
-                                 "ceiling": 2}, "switch_count": 2},
-           section: {key: value}}
+                                 "ceiling": 2}, "switch_count": 2}}
+    if section is None:
+        doc[key] = value
+    else:
+        doc[section] = {key: value}
     path = tmp_path / "probe.yaml"
     path.write_text(yaml.safe_dump(doc))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -247,6 +252,73 @@ def test_malformed_time_exits_1_with_one_line(section, key, value, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and f"{section}.{key}" in lines[0]
     assert "Traceback" not in proc.stderr
+
+
+# Each of these ended in a traceback, except that `duration_s: true` ran as
+# 1 s, `trials: 1.5` exited 0 and 2e7 s, past the 64-bit picosecond range,
+# ran on with no end in sight.  A value of the wrong type fails to load
+# (exit 2); a malformed one fails validation (exit 1).
+BAD_VALUES = [(None, "seed", "abc", 2), ("coherent", "trials", 1.5, 2),
+              ("dataplane", "partitions", 2.5, 2),
+              ("power", "midspan_count", 1.5, 2), (None, "duration_s", True, 2),
+              pytest.param("timesync", "start_s", 10**400, 2,
+                           id="timesync-start_s-401_digits"),
+              (None, "duration_s", float("nan"), 1),
+              (None, "duration_s", float("inf"), 1),
+              (None, "duration_s", 2.0e7, 1),
+              ("coherent", "target", [1.0, 2.0], 1),
+              ("rover", "area", [0.6, 0.6, 3.0], 1),
+              ("fabric", "counts", {"wall_a": "many"}, 1)]
+
+
+@pytest.mark.parametrize("section,key,value,code", BAD_VALUES)
+def test_bad_value_exits_with_one_line(section, key, value, code, tmp_path):
+    proc = run_probe(section, key, value, tmp_path)
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    field = key if section is None else f"{section}.{key}"
+    assert len(lines) == 1 and field in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("data", [
+    {"seed": True}, {"seed": 1.0}, {"seed": None}, {"trace_events": 1},
+    {"trace_events": "yes"}, {"name": 3}, {"duration_s": False},
+    {"duration_s": None}, {"duration_s": [1.0]},
+    {"power": {"requested_class": 3.0}}, {"power": {"midspan_budget_w": True}},
+    {"power": {"overdraw_tile": 7}}, {"coherent": {"tile_count": "all"}},
+    {"timesync": {"tile_osc": {"granularity_ps": 8000.0}}}])
+def test_scalar_fields_reject_other_types(data):
+    with pytest.raises(ConfigurationError, match="expected"):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("values", [(None, None, None), (4, 100, "t001")])
+def test_optional_scalars_take_none_or_their_type(values):
+    keys = ("requested_class", "midspan_budget_w", "overdraw_tile")
+    power = scenario_from_dict({"power": dict(zip(keys, values))}).power
+    assert [getattr(power, k) for k in keys] == list(values)
+    assert type(power.midspan_budget_w) in (type(None), float)
+
+
+@pytest.mark.parametrize("sections,field", [
+    ({"coherent": {"target": ["a", 1.0, 1.0]}}, "coherent.target"),
+    ({"coherent": {"target": [1.0, 1.0, 1.0, 1.0]}}, "coherent.target"),
+    ({"rover": {"area": [0.6, 0.6, 1.8, True]}}, "rover.area"),
+    ({"fabric": {"counts": {"wall_a": 2.5}}}, "fabric.counts"),
+    ({"fabric": {"counts": {"wall_a": True}}}, "fabric.counts"),
+    ({"fabric": {"counts": {"wall_a": -1}}}, "fabric.counts"),
+    ({"fabric": {"counts": [4, 4]}}, "fabric.counts"),
+    ({"duration_s": 1.9e7}, "duration_s")])
+def test_validate_names_the_malformed_field(sections, field):
+    problems = validate_scenario(tiny_cfg(**sections))
+    assert [p.split()[0] for p in problems] == [field]
+
+
+def test_duration_range_and_disabled_sections_validate():
+    assert validate_scenario(tiny_cfg(duration_s=1.8e7)) == []
+    assert validate_scenario(tiny_cfg(coherent={"enabled": False, "target": [1]},
+                                      rover={"enabled": False, "area": [1]})) == []
 
 
 @pytest.mark.parametrize("seconds,ok", [(0.0, True), (0.5, True), (-1e-9, False),

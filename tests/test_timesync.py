@@ -15,8 +15,7 @@ from tilesim.core import (EventLoop, MAX_SIM_TIME, PS_PER_MS, PS_PER_S,
 from tilesim.fabric import ConfigurationError, FabricConfig, build_default_fabric
 from tilesim.timesync import (LocalClock, OscillatorConfig, PtpMessage,
                               ServoState, SyncDomain, SyncReport,
-                              TimesyncConfig, boundary_sync, clock_read,
-                              quantize_ps, run_sync_domain, servo_update,
+                              TimesyncConfig, quantize_ps, run_sync_domain, servo_update,
                               transparent_correct, two_step_offset)
 
 
@@ -35,19 +34,19 @@ def small_fabric():
 def test_perfect_clock_reads_true_time():
     c = LocalClock()
     for t in (0, 17, PS_PER_S, 3 * PS_PER_S + 5):
-        assert clock_read(c, t) == t
+        assert c.read(t) == t
 
 
 def test_frequency_error_accumulates():
     # +10 ppm for one second puts the clock 10 microseconds ahead
     c = LocalClock(freq_error_ppm=10.0)
-    assert clock_read(c, PS_PER_S) - PS_PER_S == 10 * PS_PER_US
+    assert c.read(PS_PER_S) - PS_PER_S == 10 * PS_PER_US
 
 
 def test_granularity_quantizes_reads():
     c = LocalClock(offset_ps=3.7, granularity_ps=8000)
     for t in range(0, 10 * PS_PER_US, 777_777):
-        assert clock_read(c, t) % 8000 == 0
+        assert c.read(t) % 8000 == 0
 
 
 def test_quantize_floors_toward_minus_infinity():
@@ -59,27 +58,27 @@ def test_quantize_floors_toward_minus_infinity():
 
 def test_clock_rejects_backwards_reads():
     c = LocalClock()
-    clock_read(c, 100)
+    c.read(100)
     with pytest.raises(SimulationError):
-        clock_read(c, 99)
+        c.read(99)
 
 
 def test_same_instant_reads_agree():
     c = LocalClock(offset_ps=5.0, freq_error_ppm=3.0, granularity_ps=1)
-    assert clock_read(c, PS_PER_S) == clock_read(c, PS_PER_S)
+    assert c.read(PS_PER_S) == c.read(PS_PER_S)
 
 
 def test_servo_steering_changes_rate():
     c = LocalClock()
     c.freq_adj_ppm = -2.0
-    assert clock_read(c, PS_PER_S) - PS_PER_S == -2 * PS_PER_US
+    assert c.read(PS_PER_S) - PS_PER_S == -2 * PS_PER_US
 
 
 def test_random_walk_is_stream_deterministic():
     a = LocalClock(rw_sigma_ppm_per_sqrt_s=0.1, rng=RngStream(3, "osc"))
     b = LocalClock(rw_sigma_ppm_per_sqrt_s=0.1, rng=RngStream(3, "osc"))
     for k in range(1, 20):
-        assert clock_read(a, k * PS_PER_MS) == clock_read(b, k * PS_PER_MS)
+        assert a.read(k * PS_PER_MS) == b.read(k * PS_PER_MS)
 
 
 def test_granularity_must_be_positive():
@@ -285,9 +284,8 @@ def test_boundary_switch_serves_its_tiles():
         assert domain.ports[tid].master == "sw0"
     for tid in fab.switches["sw1"].attached:
         assert domain.ports[tid].master == "central"
-    boundary_sync(domain, "sw0")
-    with pytest.raises(ConfigurationError):
-        boundary_sync(domain, "sw1")
+    assert "sw0" in domain.ports
+    assert "sw1" not in domain.ports
 
 
 def test_unknown_boundary_switch_rejected():
