@@ -60,10 +60,19 @@ class EventLoop:
     Each queued event is a plain tuple (fire_at, seq, fn, arg, module,
     target, action); seq is unique, so heap comparisons never reach fn or
     arg and those may be anything.
+
+    Front slot: at most one event is held outside the heap, in `_front`,
+    and only while it fires strictly before every event in the heap.  A
+    handler's follow-up that lands before the heap's head (the next step of
+    a message exchange, say) then goes there and is dispatched next without
+    a heap push and pop.  An event at the head's instant goes to the heap,
+    since the head's smaller seq fires first.  The slot never changes the
+    (fire_at, seq) firing order, and `pending()` counts it.
     """
 
     def __init__(self, trace: IO[str] | None = None):
         self._heap: list[tuple] = []
+        self._front: tuple | None = None
         self._seq = 0
         self._now: SimTime = 0
         self._trace = trace
@@ -81,7 +90,19 @@ class EventLoop:
                 f"event {action!r} scheduled at {fire_at} ps, before now={self._now} ps")
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._heap, (fire_at, seq, fn, arg, module, target, action))
+        event = (fire_at, seq, fn, arg, module, target, action)
+        front = self._front
+        if front is None:
+            heap = self._heap
+            if heap and heap[0][0] <= fire_at:
+                heapq.heappush(heap, event)
+            else:
+                self._front = event
+        elif fire_at < front[0]:
+            heapq.heappush(self._heap, front)
+            self._front = event
+        else:
+            heapq.heappush(self._heap, event)
 
     def every(self, start: SimTime, period: SimTime, until: SimTime, module: str,
               target: str, action: str, fn: Callable[[Any], None],
@@ -112,8 +133,17 @@ class EventLoop:
         pop = heapq.heappop
         by_module: dict[str, int] = {}
         count = by_module.get
-        while heap and heap[0][0] <= t_end:
-            fire_at, _, fn, arg, module, target, action = pop(heap)
+        while True:
+            event = self._front
+            if event is not None:
+                if event[0] > t_end:
+                    break
+                self._front = None
+            elif heap and heap[0][0] <= t_end:
+                event = pop(heap)
+            else:
+                break
+            fire_at, _, fn, arg, module, target, action = event
             self._now = fire_at
             if trace is not None:
                 trace.write('{"t":%d,"module":"%s","target":"%s","action":"%s"}\n'
@@ -127,7 +157,7 @@ class EventLoop:
         return stats
 
     def pending(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + (self._front is not None)
 
 
 def _philox_key(seed: int, name: str) -> np.ndarray:
@@ -155,20 +185,24 @@ class RngStream:
     Each draw kind (normal / uniform / integers) runs on its own derived
     key, so the i-th normal drawn from a stream is the same value no matter
     how many uniforms were drawn in between.  Scalar gaussian and uniform
-    draws are served from refillable blocks purely as a speed measure; the
-    served sequence is identical to drawing one at a time.
+    draws are served from refillable blocks, converted to Python floats,
+    purely as a speed measure; the generator fills a block value by value,
+    so the served sequence is identical to drawing one at a time, whatever
+    the block size.
     """
 
-    _BLOCK = 2048
+    # values per refill; a served float costs about 32 bytes, and a full
+    # room keeps the blocks of about 300 streams alive
+    _BLOCK = 256
 
     def __init__(self, seed: int, name: str):
         self.seed = seed
         self.name = name
         self.algorithm = "philox4x64"
         self._gens: dict[str, Generator] = {}
-        self._zbuf: np.ndarray | None = None
+        self._zbuf: list[float] = []
         self._zi = 0
-        self._ubuf: np.ndarray | None = None
+        self._ubuf: list[float] = []
         self._ui = 0
 
     def _gen(self, kind: str) -> Generator:
@@ -179,24 +213,43 @@ class RngStream:
         return g
 
     def normal(self, scale: float = 1.0, loc: float = 0.0) -> float:
-        if self._zbuf is None or self._zi >= len(self._zbuf):
-            self._zbuf = self._gen("normal").standard_normal(self._BLOCK)
-            self._zi = 0
-        z = self._zbuf[self._zi]
-        self._zi += 1
-        return loc + scale * float(z)
+        zi = self._zi
+        try:
+            z = self._zbuf[zi]
+        except IndexError:
+            self._zbuf = self._gen("normal").standard_normal(self._BLOCK).tolist()
+            z = self._zbuf[0]
+            zi = 0
+        self._zi = zi + 1
+        return loc + scale * z
+
+    def standard_normals(self, k: int) -> list[float]:
+        """The next k scalar normals, unscaled: `normal(s, loc)` would have
+        returned `loc + s * z` for each z, in order."""
+        zi = self._zi
+        out = self._zbuf[zi:zi + k]
+        self._zi = zi + len(out)
+        while len(out) < k:
+            self._zbuf = self._gen("normal").standard_normal(self._BLOCK).tolist()
+            take = min(k - len(out), self._BLOCK)
+            out += self._zbuf[:take]
+            self._zi = take
+        return out
 
     def normal_array(self, size: int, scale: float = 1.0) -> np.ndarray:
         # bypasses the scalar block cache on purpose: array users own the stream
         return self._gen("normal_array").standard_normal(size) * scale
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        if self._ubuf is None or self._ui >= len(self._ubuf):
-            self._ubuf = self._gen("uniform").random(self._BLOCK)
-            self._ui = 0
-        u = self._ubuf[self._ui]
-        self._ui += 1
-        return low + (high - low) * float(u)
+        ui = self._ui
+        try:
+            u = self._ubuf[ui]
+        except IndexError:
+            self._ubuf = self._gen("uniform").random(self._BLOCK).tolist()
+            u = self._ubuf[0]
+            ui = 0
+        self._ui = ui + 1
+        return low + (high - low) * u
 
     def integers(self, low: int, high: int) -> int:
         """One integer in [low, high)."""

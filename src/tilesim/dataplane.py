@@ -168,6 +168,7 @@ class ConsumerGroup:
         self.committed: dict[tuple[str, int], int] = {}
         self.last_delivered: dict[tuple[str, int], int] = {}
         self._positions: dict[str, dict[tuple[str, int], int]] = {}
+        self._assignments: dict[str, dict[str, list[int]]] = {}
         self.rebalances: list[dict] = []
 
     def subscribe(self, topic: str) -> None:
@@ -190,13 +191,22 @@ class ConsumerGroup:
 
     def _rebalance(self, why: str, member_id: str) -> None:
         self._positions = {}
+        self._assignments = {}
         self.rebalances.append({"why": why, "member": member_id,
                                 "assignment": {t: self.assignment(t)
                                                for t in self.subscriptions}})
 
     def assignment(self, topic: str) -> dict[str, list[int]]:
         """Contiguous partition ranges over sorted members; the first
-        (count mod members) members absorb the remainder."""
+        (count mod members) members absorb the remainder.  Computed once
+        per membership (a join or leave clears it); callers share the
+        result and must not mutate it."""
+        out = self._assignments.get(topic)
+        if out is None:
+            out = self._assignments[topic] = self._assign(topic)
+        return out
+
+    def _assign(self, topic: str) -> dict[str, list[int]]:
         parts = list(range(len(self.broker.topics[topic].partitions)))
         if not self.members:
             return {}
@@ -250,7 +260,7 @@ class ConsumerGroup:
         self.committed[key] = offset
 
 
-class _LinkWindow:
+class LinkWindow:
     """One link's records inside the window, their byte sum, and the bytes
     it carried over the whole run."""
 
@@ -261,39 +271,45 @@ class _LinkWindow:
         self.in_window = 0
         self.total = 0
 
+    def bits_per_second(self, now: SimTime, window_ps: SimTime) -> float:
+        """Mean rate over (now - window_ps, now], dropping older records."""
+        q = self.events
+        if not q:
+            return 0.0
+        horizon = now - window_ps
+        in_window = self.in_window
+        while q and q[0][0] <= horizon:
+            in_window -= q.popleft()[1]
+        self.in_window = in_window
+        return in_window * 8 * PS_PER_S / window_ps
+
 
 class LinkLoadTracker:
     """Sliding-window byte accounting per link.  Each link keeps the byte
     sum of its window next to the window's records, so a rate lookup costs
-    only the evictions it makes."""
+    only the evictions it makes.  `windows` maps a link id to its
+    `LinkWindow` once the link has carried a record; a reader that holds
+    the dict can ask a link's window for its rate directly."""
 
     def __init__(self, window_ps: SimTime):
         self.window_ps = window_ps
-        self._links: dict[str, _LinkWindow] = {}
+        self.windows: dict[str, LinkWindow] = {}
 
     @property
     def total_bytes(self) -> dict[str, int]:
-        return {link_id: w.total for link_id, w in self._links.items()}
+        return {link_id: w.total for link_id, w in self.windows.items()}
 
     def record(self, link_id: str, t: SimTime, nbytes: int) -> None:
-        w = self._links.get(link_id)
+        w = self.windows.get(link_id)
         if w is None:
-            w = self._links[link_id] = _LinkWindow()
+            w = self.windows[link_id] = LinkWindow()
         w.events.append((t, nbytes))
         w.in_window += nbytes
         w.total += nbytes
 
     def bits_per_second(self, link_id: str, now: SimTime) -> float:
-        w = self._links.get(link_id)
-        if w is None or not w.events:
-            return 0.0
-        q = w.events
-        horizon = now - self.window_ps
-        in_window = w.in_window
-        while q and q[0][0] <= horizon:
-            in_window -= q.popleft()[1]
-        w.in_window = in_window
-        return in_window * 8 * PS_PER_S / self.window_ps
+        w = self.windows.get(link_id)
+        return 0.0 if w is None else w.bits_per_second(now, self.window_ps)
 
     def utilization(self, link_id: str, now: SimTime, bandwidth_bps: float) -> float:
         return min(1.0, self.bits_per_second(link_id, now) / bandwidth_bps)

@@ -190,7 +190,6 @@ def run_scenario(cfg: ScenarioConfig, out_root) -> RunResult:
         online = plane.is_online if plane is not None else (lambda tile_id: True)
 
         broker = producers = consumers = tracker = None
-        load_lookup = None
         if cfg.dataplane.enabled:
             broker = Broker()
             broker.create_topic(cfg.dataplane.topic, cfg.dataplane.partitions,
@@ -201,14 +200,11 @@ def run_scenario(cfg: ScenarioConfig, out_root) -> RunResult:
                                    tracker, online, until)
             consumers = _Consumers(loop, cfg.dataplane, broker, until)
 
-            def load_lookup(link_id, t):
-                bw = fabric.links[link_id].bandwidth_bps
-                return tracker.utilization(link_id, t, bw)
-
         domain = None
         if cfg.timesync.enabled:
-            domain = SyncDomain(loop, fabric, cfg.timesync, rng,
-                                load_lookup, online)
+            domain = SyncDomain(loop, fabric, cfg.timesync, rng, tracker, online)
+            if plane is not None:
+                plane.on_disconnect.append(domain.mark_offline)
             domain.start(until)
 
         loop.run_until(until)
@@ -227,8 +223,7 @@ def run_scenario(cfg: ScenarioConfig, out_root) -> RunResult:
 
     sync_report = None
     if domain is not None:
-        domain.report.finalize()
-        sync_report = domain.report
+        sync_report = domain.finish()
         sync_report.to_csv(out_dir / "sync_report.csv")
         report["timesync"] = dict(sync_report.summary(),
                                   exchanges=len(domain.exchanges))

@@ -217,6 +217,9 @@ class PsePlane:
         return Grant(tile_id, cls, ms.id)
 
     def disconnect(self, tile_id: str, at: SimTime, reason: str = "overdraw") -> None:
+        """Drop an online device's grant and mark it offline, then call each
+        `on_disconnect` subscriber with (tile_id, at).  A run subscribes its
+        sync domain, which stops exchanging with the tile from then on."""
         pd = self.devices[tile_id]
         if not pd.online:
             return

@@ -16,7 +16,7 @@ import yaml
 
 from .coherent import CARRIER_MAX_HZ, CARRIER_MIN_HZ, MAX_TX_POWER_DBM
 from .core import MAX_SIM_TIME, PS_PER_S, from_seconds
-from .fabric import ConfigurationError, FabricConfig
+from .fabric import SURFACE_NAMES, ConfigurationError, FabricConfig
 from .timesync import TimesyncConfig
 
 
@@ -232,6 +232,12 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             isinstance(n, int) and not isinstance(n, bool) and n >= 0
             for n in counts.values())):
         problems.append("fabric.counts must map surfaces to non-negative integers")
+    dims = cfg.fabric.face_dims
+    if not (isinstance(dims, dict) and all(
+            k in SURFACE_NAMES and _numbers(v, 2) and all(
+                0 < x < math.inf for x in v) for k, v in dims.items())):
+        problems.append("fabric.face_dims must map surfaces to 2 positive "
+                        "numbers (u, v)")
     room = cfg.fabric.room
     if cfg.coherent.enabled:
         c = cfg.coherent
@@ -256,12 +262,16 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             problems.append("power.midspan_count must be at least 1")
         if cfg.power.global_budget_w <= 0:
             problems.append("power.global_budget_w must be positive")
+        if cfg.power.detection_window_ms < 0:
+            problems.append("power.detection_window_ms must be non-negative")
     if cfg.dataplane.enabled:
         d = cfg.dataplane
         if d.partitions < 1:
             problems.append("dataplane.partitions must be at least 1")
         if d.producer_tiles < 0:
             problems.append("dataplane.producer_tiles must be non-negative")
+        if d.record_bytes < 0:
+            problems.append("dataplane.record_bytes must be non-negative")
         if d.consumer_groups < 0 or (d.consumer_groups and d.consumers_per_group < 1):
             problems.append("dataplane consumer topology is malformed")
         _check_period(problems, "dataplane.produce_interval_ms",
@@ -280,8 +290,20 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                 problems.append("rover.area must lie inside the room")
         if r.resolution_m <= 0 or r.z_resolution_m <= 0:
             problems.append("rover resolutions must be positive")
-        if r.tick_s <= 0 or r.speed_mps <= 0:
-            problems.append("rover tick and speed must be positive")
+        if not r.speed_mps > 0:
+            problems.append("rover.speed_mps must be positive")
+        _check_period(problems, "rover.tick_s", r.tick_s)
+        if not (r.max_duration_s >= 0 and math.isfinite(r.max_duration_s * PS_PER_S)
+                and from_seconds(r.max_duration_s) <= MAX_SIM_TIME):
+            problems.append(f"rover.max_duration_s must be non-negative, finite "
+                            f"and at most {MAX_SIM_TIME / PS_PER_S:g} s "
+                            f"(got {r.max_duration_s:g} s)")
+        if not 0 < r.battery_capacity_wh < math.inf:
+            problems.append("rover.battery_capacity_wh must be positive")
+        if not (isinstance(r.obstacles, (tuple, list))
+                and all(_numbers(o, 4) for o in r.obstacles)):
+            problems.append("rover.obstacles must be rectangles of 4 numbers "
+                            "(x0, y0, x1, y1)")
     if cfg.timesync.enabled:
         t = cfg.timesync
         _check_period(problems, "timesync.sync_interval_s", t.sync_interval_s)

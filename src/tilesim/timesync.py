@@ -44,7 +44,10 @@ class LocalClock:
     State advances lazily: every read evolves the clock to the requested
     true time, so two reads at the same instant agree.  The frequency
     random walk scales with the square root of elapsed time, making the
-    statistics independent of read cadence.
+    statistics independent of read cadence.  The realization does depend
+    on the read times, since each read that moves time draws one walk
+    increment; `sample_ticks` walks a run of evenly spaced instants with
+    exactly the values `offset_at` would give at each in turn.
     """
 
     def __init__(self, offset_ps: float = 0.0, freq_error_ppm: float = 0.0,
@@ -60,27 +63,64 @@ class LocalClock:
         self._rng = rng
         self._last_t: SimTime = 0
 
-    def _evolve(self, true_t: SimTime) -> None:
-        dt = true_t - self._last_t
-        if dt < 0:
-            raise SimulationError("clock read moved backwards in true time")
-        if dt == 0:
-            return
-        self.offset_ps += (self.freq_error_ppm + self.freq_adj_ppm) * 1e-6 * dt
-        if self.rw_sigma and self._rng is not None:
-            self.freq_error_ppm += self._rng.normal(
-                self.rw_sigma * math.sqrt(dt / PS_PER_S))
-        self._last_t = true_t
+    # read and offset_at each evolve the state in line (it is the hot path
+    # of every exchange): advance the phase at the current frequency, then
+    # step the frequency walk by a draw scaled to sqrt(elapsed seconds)
 
     def read(self, true_t: SimTime) -> int:
         """Timestamp the given true instant on this clock's tick grid."""
-        self._evolve(true_t)
+        dt = true_t - self._last_t
+        if dt:
+            if dt < 0:
+                raise SimulationError("clock read moved backwards in true time")
+            self.offset_ps += (self.freq_error_ppm + self.freq_adj_ppm) * 1e-6 * dt
+            if self.rw_sigma and self._rng is not None:
+                self.freq_error_ppm += self._rng.normal(
+                    self.rw_sigma * math.sqrt(dt / PS_PER_S))
+            self._last_t = true_t
         return quantize_ps(true_t + self.offset_ps, self.granularity_ps)
 
     def offset_at(self, true_t: SimTime) -> float:
         """Current raw offset (no readout quantization)."""
-        self._evolve(true_t)
+        dt = true_t - self._last_t
+        if dt:
+            if dt < 0:
+                raise SimulationError("clock read moved backwards in true time")
+            self.offset_ps += (self.freq_error_ppm + self.freq_adj_ppm) * 1e-6 * dt
+            if self.rw_sigma and self._rng is not None:
+                self.freq_error_ppm += self._rng.normal(
+                    self.rw_sigma * math.sqrt(dt / PS_PER_S))
+            self._last_t = true_t
         return self.offset_ps
+
+    def sample_ticks(self, first: SimTime, count: int, tick_ps: SimTime,
+                     offsets: list) -> None:
+        """Append `offset_at(first + i * tick_ps)` for i in range(count) to
+        offsets, exactly as those calls in turn would.  Every instant after
+        the first lies one whole tick after the one before, so its walk
+        increment has one constant scale, and their draws are taken from
+        the stream as one list."""
+        offset = self.offset_at(first)
+        offsets.append(offset)
+        n = count - 1
+        if n <= 0:
+            return
+        fe = self.freq_error_ppm
+        adj = self.freq_adj_ppm
+        add = offsets.append
+        if self.rw_sigma and self._rng is not None:
+            scale = self.rw_sigma * math.sqrt(tick_ps / PS_PER_S)
+            for z in self._rng.standard_normals(n):
+                offset += (fe + adj) * 1e-6 * tick_ps
+                fe += 0.0 + scale * z            # as normal(scale) returns it
+                add(offset)
+        else:
+            for _ in range(n):
+                offset += (fe + adj) * 1e-6 * tick_ps
+                add(offset)
+        self.offset_ps = offset
+        self.freq_error_ppm = fe
+        self._last_t = first + n * tick_ps
 
 
 # --- exchange arithmetic ----------------------------------------------------
@@ -234,12 +274,18 @@ class SyncReport:
         self._finalized = False
 
     def add_sample(self, node: str, t: SimTime, residual_ps: float) -> None:
+        times, resid = self.columns(node)
+        times.append(t)
+        resid.append(residual_ps)
+
+    def columns(self, node: str) -> tuple[list[int], list[float]]:
+        """The node's sample-time and residual lists, created empty on first
+        use, for a caller that appends samples in bulk."""
         times = self._times.get(node)
         if times is None:
             times = self._times[node] = []
             self._resid[node] = []
-        times.append(t)
-        self._resid[node].append(residual_ps)
+        return times, self._resid[node]
 
     def finalize(self) -> None:
         for node, r in self._resid.items():
@@ -303,18 +349,25 @@ class SyncReport:
         }
 
     def to_csv(self, path) -> None:
-        """One row per sample, residuals rounded half to even.  Each node's
-        rows are written as one block, laid out exactly as `csv.writer`
-        would write them."""
+        """One row per sample, residuals rounded half to even (`np.rint`, as
+        `round` does).  Each node's rows are written as one block, laid out
+        exactly as `csv.writer` would write them."""
         with open(path, "w", newline="") as f:
             csv.writer(f).writerow(["true_time_ps", "node", "residual_ps"])
             for node in self.nodes:
-                resid = self._resid[node]
-                if isinstance(resid, np.ndarray):
-                    resid = resid.tolist()
                 field = _csv_field(node)
-                f.write("".join([f"{t},{field},{round(r)}\r\n"
-                                 for t, r in zip(self._times[node], resid)]))
+                f.write("".join([f"{t},{field},{r}\r\n" for t, r in zip(
+                    self._times[node], _rounded(self._resid[node]))]))
+
+
+def _rounded(values) -> list[int]:
+    """Each value rounded half to even, as Python ints.  Values outside the
+    int64 range, or not finite, take `round` itself, so the result (or the
+    error) is always round's."""
+    arr = np.asarray(values, dtype=float)
+    if np.all(np.abs(arr) < 2.0**62):
+        return np.rint(arr).astype(np.int64).tolist()
+    return [round(v) for v in arr.tolist()]
 
 
 def _csv_field(text: str) -> str:
@@ -326,9 +379,12 @@ def _csv_field(text: str) -> str:
 
 # --- domain engine ----------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class PtpPort:
-    """Slave-side exchange state toward one upstream master."""
+    """Slave-side exchange state toward one upstream master, with its route
+    resolved once when the domain is built: the clocks the exchange reads,
+    whether the relay corrects for residence, and the constant part of
+    every hop."""
     node: str
     master: str
     path: tuple          # link hops, see _Path
@@ -339,6 +395,22 @@ class PtpPort:
     t2: int | None = None
     t3: int = 0
     fwd_correction: int = 0
+    sampled: int = 0     # sampler ticks already walked into the report
+    clock: LocalClock | None = field(default=None, repr=False)
+    master_clock: LocalClock | None = field(default=None, repr=False)
+    # the master's own port when it is a boundary switch, whose clock is
+    # sampled as well and so is flushed before every read
+    master_port: PtpPort | None = field(default=None, repr=False)
+    relay_clock: LocalClock | None = field(default=None, repr=False)
+    transparent: bool = False
+    up_jitter: _LinkJitter | None = field(default=None, repr=False)
+    down_jitter: _LinkJitter | None = field(default=None, repr=False)
+    sync_hop_ps: int = 0     # first sync leg: master to relay, or to slave
+    down_hop_ps: int = 0     # relay to slave, sync leg
+    req_hop_ps: int = 0      # slave to relay, or to master
+    up_req_hop_ps: int = 0   # relay to master, delay-request leg
+    followup_ps: int = 0     # follow-up lag plus its deterministic transit
+    resp_ps: int = 0         # deterministic delay-response transit
 
 
 @dataclass(frozen=True)
@@ -349,32 +421,97 @@ class _Path:
     down_link: Link          # relay (or master) <-> slave; b-side faces the slave
 
 
+class _LinkJitter:
+    """Delay jitter of one link: the base sigma, the load window that
+    scales it, and the lognormal shape.  The link's random stream is opened
+    on its first draw with a positive sigma."""
+
+    __slots__ = ("link_id", "base_ns", "coupling", "windows", "window_ps",
+                 "bandwidth_bps", "rng", "stream", "s", "denom", "normal")
+
+    def __init__(self, link: Link, config: TimesyncConfig, load,
+                 rng: RngRegistry, stream_name: str):
+        self.link_id = link.id
+        self.base_ns = link.jitter_sigma_ns * config.jitter_scale
+        self.coupling = config.load_coupling
+        self.windows = None if load is None else load.windows
+        self.window_ps = None if load is None else load.window_ps
+        self.bandwidth_bps = link.bandwidth_bps
+        self.rng = rng
+        self.stream = stream_name
+        s = link.jitter_shape
+        self.s = s
+        # lognormal mean exp(s^2/2); its standard deviation is this times
+        # sqrt(expm1(s^2)), so dividing by both gives unit sigma
+        self.denom = math.exp(s * s / 2) * math.sqrt(math.expm1(s * s))
+        self.normal = None
+
+    def sigma_ns(self, t: SimTime) -> float:
+        sigma = self.base_ns
+        if sigma > 0 and self.windows is not None:
+            w = self.windows.get(self.link_id)
+            bps = 0.0 if w is None else w.bits_per_second(t, self.window_ps)
+            sigma *= 1.0 + self.coupling * min(1.0, bps / self.bandwidth_bps)
+        return sigma
+
+    def ps(self, t: SimTime) -> int:
+        """One jitter draw at t, in integer picoseconds."""
+        sigma_ns = self.sigma_ns(t)
+        if sigma_ns <= 0:
+            return 0
+        normal = self.normal
+        if normal is None:
+            normal = self.normal = self.rng.stream(self.stream).normal
+        return int(round(sigma_ns / self.denom * math.exp(self.s * normal()) * 1000))
+
+
 class SyncDomain:
     """Schedules periodic exchanges for every clock-role tile (and boundary
-    switch) over an event loop and collects the residual series."""
+    switch) over an event loop and collects the residual series.
+
+    Residuals are sampled lazily.  The `sample_residuals` event only notes
+    the tick's instant; each port remembers how many ticks it has walked,
+    and `_flush` walks its clock through the ones since
+    (`LocalClock.sample_ticks`).
+    That equals sampling at every tick because each clock draws only from
+    its own oscillator stream, so what matters is the order of reads of
+    that clock, and a flush runs before every such read: the port's own
+    reads, and a boundary master's reads on behalf of its slaves.  Reads at
+    one instant are no-ops after the first, so a tick and a read at the same
+    time cannot disagree in either order.  A port is sampled once its loop
+    has closed and while its tile is online; both can only change right
+    after a flush (the first correction, a disconnect), so every walked tick
+    sees the eligibility it had when it fired.  `finish` flushes every port
+    and finalizes the report.
+
+    Liveness is an offline set, seeded from `online` when the domain is
+    built and grown by `mark_offline`, which the run subscribes to the power
+    plane's disconnects.
+    """
 
     MODULE = "timesync"
 
     def __init__(self, loop: EventLoop, fabric: Fabric, config: TimesyncConfig,
-                 rng: RngRegistry, load_lookup=None, online=None):
+                 rng: RngRegistry, load=None, online=None):
         self.loop = loop
         self.fabric = fabric
         self.config = config
         self.rng = rng
-        self._load = load_lookup             # (link_id, t) -> utilization in [0, 1]
-        self._online = online or (lambda tile_id: True)
+        self._load = load                    # a LinkLoadTracker, or None
         self.report = SyncReport(from_seconds(config.convergence_threshold_us / 1e6),
                                  config.convergence_samples)
         self.exchanges: list[ExchangeRecord] = []
         self.clocks: dict[str, LocalClock] = {}
         self.ports: dict[str, PtpPort] = {}
-        # link id -> (normal draw of its jitter stream, lognormal shape s,
-        # exp(s^2/2) * sqrt(expm1(s^2))), filled on a link's first draw
-        self._jitter: dict[str, tuple] = {}
+        self._jitter: dict[str, _LinkJitter] = {}
         self._interval_ps = from_seconds(config.sync_interval_s)
         self._residence_ps = from_seconds(config.residence_us / 1e6)
         self._followup_lag_ps = from_seconds(config.followup_lag_us / 1e6)
         self._turnaround_ps = from_seconds(config.turnaround_us / 1e6)
+        self._tick_ps = from_seconds(config.sample_interval_s)
+        # the instant of every sampler tick fired so far, kept as the loop
+        # handed it over so that all nodes' sample times share one int each
+        self._tick_times: list[SimTime] = []
 
         label = config.stream_label
         init = rng.stream(f"{label}/init")
@@ -402,6 +539,11 @@ class SyncDomain:
                 path = _Path(fabric.trunk_link(sw_id), sw_id, fabric.tile_link(t.id))
                 master = fabric.central_id
             self.ports[t.id] = PtpPort(t.id, master, path, self._make_servo())
+        for port in self.ports.values():
+            self._resolve(port)
+
+        online = online or (lambda tile_id: True)
+        self._offline = {t.id for t in clock_tiles if not online(t.id)}
 
     def _make_clock(self, osc: OscillatorConfig, node_id: str, init: RngStream) -> LocalClock:
         # draws happen for every node in creation order, so one node's
@@ -417,26 +559,42 @@ class SyncDomain:
         return ServoState(kp=c.servo_kp, ki=c.servo_ki, clamp_ppm=c.servo_clamp_ppm,
                           interval_s=c.sync_interval_s)
 
+    def _resolve(self, port: PtpPort) -> None:
+        """Fill in the port's clocks and constant hop delays."""
+        path = port.path
+        up, down = path.up_link, path.down_link
+        port.clock = self.clocks[port.node]
+        port.master_clock = self.clocks[port.master]
+        port.master_port = self.ports.get(port.master)
+        port.down_jitter = self._link_jitter(down)
+        port.down_hop_ps = down.delay_ps(from_a=True)
+        port.req_hop_ps = down.delay_ps(from_a=False)
+        port.resp_ps = down.base_delay_ps
+        if up is None:
+            port.sync_hop_ps = port.down_hop_ps
+            fup_transit = down.delay_ps(True)
+        else:
+            port.relay_clock = self.clocks[path.relay]
+            port.transparent = self.fabric.switches[path.relay].transparent_clock
+            port.up_jitter = self._link_jitter(up)
+            port.sync_hop_ps = up.delay_ps(from_a=True)
+            port.up_req_hop_ps = up.delay_ps(from_a=False)
+            port.resp_ps += up.base_delay_ps + self._residence_ps
+            fup_transit = up.delay_ps(True) + self._residence_ps + down.delay_ps(True)
+        port.followup_ps = self._followup_lag_ps + fup_transit
+
     # -- noise --
 
-    def effective_jitter_sigma_ns(self, link: Link, t: SimTime) -> float:
-        sigma = link.jitter_sigma_ns * self.config.jitter_scale
-        if sigma > 0 and self._load is not None:
-            sigma *= 1.0 + self.config.load_coupling * self._load(link.id, t)
-        return sigma
+    def _link_jitter(self, link: Link) -> _LinkJitter:
+        lj = self._jitter.get(link.id)
+        if lj is None:
+            lj = self._jitter[link.id] = _LinkJitter(
+                link, self.config, self._load, self.rng,
+                f"{self.config.stream_label}/jitter/{link.id}")
+        return lj
 
-    def _jitter_ps(self, link: Link, t: SimTime) -> int:
-        sigma_ns = self.effective_jitter_sigma_ns(link, t)
-        if sigma_ns <= 0:
-            return 0
-        state = self._jitter.get(link.id)
-        if state is None:
-            s = link.jitter_shape
-            stream = self.rng.stream(f"{self.config.stream_label}/jitter/{link.id}")
-            state = self._jitter[link.id] = (
-                stream.normal, s, math.exp(s * s / 2) * math.sqrt(math.expm1(s * s)))
-        normal, s, denom = state
-        return int(round(sigma_ns / denom * math.exp(s * normal()) * 1000))
+    def effective_jitter_sigma_ns(self, link: Link, t: SimTime) -> float:
+        return self._link_jitter(link).sigma_ns(t)
 
     # -- lifecycle --
 
@@ -447,10 +605,26 @@ class SyncDomain:
         stagger = from_seconds(c.stagger_ms / 1e3)
         for i, node in enumerate(sorted(self.ports)):
             self.loop.every(t0 + i * stagger, self._interval_ps, until_ps,
-                            self.MODULE, node, "sync_egress", self._sync_egress, node)
-        tick = from_seconds(c.sample_interval_s)
-        self.loop.every(tick, tick, until_ps, self.MODULE, "all",
-                        "sample_residuals", self._sample)
+                            self.MODULE, node, "sync_egress", self._sync_egress,
+                            self.ports[node])
+        self.loop.every(self._tick_ps, self._tick_ps, until_ps, self.MODULE,
+                        "all", "sample_residuals", self._sample)
+
+    def finish(self) -> SyncReport:
+        """Walk every port through the remaining ticks and finalize the
+        report; call once, after the loop has run."""
+        for port in self.ports.values():
+            self._flush(port)
+        self.report.finalize()
+        return self.report
+
+    def mark_offline(self, tile_id: str, at: SimTime = 0) -> None:
+        """Take a tile out of the exchanges and the residual series from
+        now on (a power-plane disconnect callback)."""
+        port = self.ports.get(tile_id)
+        if port is not None:
+            self._flush(port)
+        self._offline.add(tile_id)
 
     def _schedule(self, t, target, action, fn, arg):
         """Queue one step of an exchange, dropped if it falls after the run."""
@@ -458,22 +632,22 @@ class SyncDomain:
             self.loop.schedule(t, self.MODULE, target, action, fn, arg)
 
     def _sample(self, _arg) -> None:
+        self._tick_times.append(self.loop.now)
+
+    def _flush(self, port: PtpPort) -> None:
         # a node enters the report once its discipline loop has closed at
         # least once; before the first correction it is free-running and a
         # quiet streak would be declared "converged" by pure luck
-        now = self.loop.now
-        clocks = self.clocks
-        add_sample = self.report.add_sample
-        online = self._online
-        tiles = self.fabric.tiles
-        for node, port in self.ports.items():
-            if port.corrections > 0 and (node not in tiles or online(node)):
-                add_sample(node, now, clocks[node].offset_at(now))
-
-    def _is_online(self, node: str) -> bool:
-        if node in self.fabric.tiles:
-            return self._online(node)
-        return True
+        first = port.sampled
+        ticks = self._tick_times
+        last = len(ticks)
+        if first == last:
+            return
+        port.sampled = last
+        if port.corrections and port.node not in self._offline:
+            times, resid = self.report.columns(port.node)
+            times += ticks[first:last]
+            port.clock.sample_ticks(ticks[first], last - first, self._tick_ps, resid)
 
     # -- exchange machinery.  One exchange is a chain of events:
     # sync_egress -> (relay ingress/egress) -> sync_arrival, a follow-up
@@ -482,73 +656,62 @@ class SyncDomain:
     # via the relay's own clock; the follow-up and delay_resp transits are
     # deterministic since nothing timestamps them.
 
-    def _sync_egress(self, node: str) -> None:
-        port = self.ports[node]
-        now = self.loop.now
-        if not self._is_online(node):
+    def _sync_egress(self, port: PtpPort) -> None:
+        node = port.node
+        if node in self._offline:
             return
-        port.seq += 1
+        now = self.loop.now
+        seq = port.seq = port.seq + 1
         port.t1 = None
         port.t2 = None
-        t1 = self.clocks[port.master].read(now)
-        msg = PtpMessage(port.seq)
-        path = port.path
-        if path.up_link is not None:
-            hop = path.up_link.delay_ps(from_a=True) + self._jitter_ps(path.up_link, now)
+        if port.master_port is not None:
+            self._flush(port.master_port)
+        t1 = port.master_clock.read(now)
+        msg = PtpMessage(seq)
+        if port.relay_clock is not None:
+            hop = port.sync_hop_ps + port.up_jitter.ps(now)
             self._schedule(now + hop, node, "relay_ingress", self._relay_ingress,
-                           (msg, node, "sync"))
-            fup_transit = (path.up_link.delay_ps(True) + self._residence_ps
-                           + path.down_link.delay_ps(True))
+                           (msg, port, "sync"))
         else:
-            hop = path.down_link.delay_ps(from_a=True) + self._jitter_ps(path.down_link, now)
+            hop = port.sync_hop_ps + port.down_jitter.ps(now)
             self._schedule(now + hop, node, "sync_arrival", self._sync_arrival,
-                           (msg, node, port.seq))
-            fup_transit = path.down_link.delay_ps(True)
-        fup_at = now + self._followup_lag_ps + fup_transit
-        self._schedule(fup_at, node, "followup_arrival", self._followup_arrival,
-                       (node, port.seq, t1))
+                           (msg, port, seq))
+        self._schedule(now + port.followup_ps, node, "followup_arrival",
+                       self._followup_arrival, (port, seq, t1))
 
     def _relay_ingress(self, arg) -> None:
-        msg, node, leg = arg
-        port = self.ports[node]
-        relay = port.path.relay
+        msg, port, leg = arg
         now = self.loop.now
-        t_in = self.clocks[relay].read(now)
-        self._schedule(now + self._residence_ps, node, "relay_egress",
-                       self._relay_egress, (msg, node, leg, t_in))
+        t_in = port.relay_clock.read(now)
+        self._schedule(now + self._residence_ps, port.node, "relay_egress",
+                       self._relay_egress, (msg, port, leg, t_in))
 
     def _relay_egress(self, arg) -> None:
-        msg, node, leg, t_in = arg
-        port = self.ports[node]
-        relay = self.fabric.switches[port.path.relay]
+        msg, port, leg, t_in = arg
         now = self.loop.now
-        if relay.transparent_clock:
-            t_out = self.clocks[relay.id].read(now)
-            transparent_correct(msg, t_out - t_in)
+        if port.transparent:
+            transparent_correct(msg, port.relay_clock.read(now) - t_in)
         if leg == "sync":
-            link = port.path.down_link
-            hop = link.delay_ps(from_a=True) + self._jitter_ps(link, now)
-            self._schedule(now + hop, node, "sync_arrival", self._sync_arrival,
-                           (msg, node, msg.seq))
+            hop = port.down_hop_ps + port.down_jitter.ps(now)
+            self._schedule(now + hop, port.node, "sync_arrival", self._sync_arrival,
+                           (msg, port, msg.seq))
         else:
-            link = port.path.up_link
-            hop = link.delay_ps(from_a=False) + self._jitter_ps(link, now)
-            self._schedule(now + hop, node, "delay_req_arrival",
-                           self._delay_req_arrival, (msg, node))
+            hop = port.up_req_hop_ps + port.up_jitter.ps(now)
+            self._schedule(now + hop, port.node, "delay_req_arrival",
+                           self._delay_req_arrival, (msg, port))
 
     def _sync_arrival(self, arg) -> None:
-        msg, node, seq = arg
-        port = self.ports[node]
-        if seq != port.seq or not self._is_online(node):
+        msg, port, seq = arg
+        if seq != port.seq or port.node in self._offline:
             return
-        port.t2 = self.clocks[node].read(self.loop.now)
+        self._flush(port)
+        port.t2 = port.clock.read(self.loop.now)
         port.fwd_correction = msg.correction_ps
         self._maybe_send_delay_req(port)
 
     def _followup_arrival(self, arg) -> None:
-        node, seq, t1 = arg
-        port = self.ports[node]
-        if seq != port.seq or not self._is_online(node):
+        port, seq, t1 = arg
+        if seq != port.seq or port.node in self._offline:
             return
         port.t1 = t1
         self._maybe_send_delay_req(port)
@@ -558,50 +721,49 @@ class SyncDomain:
             return
         at = self.loop.now + self._turnaround_ps
         self._schedule(at, port.node, "delay_req_egress", self._delay_req_egress,
-                       (port.node, port.seq))
+                       (port, port.seq))
 
     def _delay_req_egress(self, arg) -> None:
-        node, seq = arg
-        port = self.ports[node]
-        if seq != port.seq or not self._is_online(node):
+        port, seq = arg
+        node = port.node
+        if seq != port.seq or node in self._offline:
             return
         now = self.loop.now
-        port.t3 = self.clocks[node].read(now)
+        self._flush(port)
+        port.t3 = port.clock.read(now)
         msg = PtpMessage(seq)
-        path = port.path
-        link = path.down_link
-        hop = link.delay_ps(from_a=False) + self._jitter_ps(link, now)
-        if path.relay is not None:
+        hop = port.req_hop_ps + port.down_jitter.ps(now)
+        if port.relay_clock is not None:
             self._schedule(now + hop, node, "relay_ingress", self._relay_ingress,
-                           (msg, node, "delay_req"))
+                           (msg, port, "delay_req"))
         else:
             self._schedule(now + hop, node, "delay_req_arrival",
-                           self._delay_req_arrival, (msg, node))
+                           self._delay_req_arrival, (msg, port))
 
     def _delay_req_arrival(self, arg) -> None:
-        msg, node = arg
-        port = self.ports[node]
+        msg, port = arg
         if msg.seq != port.seq:
             return
         now = self.loop.now
-        t4 = self.clocks[port.master].read(now)
-        path = port.path
-        transit = path.down_link.base_delay_ps
-        if path.up_link is not None:
-            transit += path.up_link.base_delay_ps + self._residence_ps
-        self._schedule(now + transit, node, "delay_resp_arrival",
-                       self._delay_resp_arrival, (node, msg.seq, t4, msg.correction_ps))
+        if port.master_port is not None:
+            self._flush(port.master_port)
+        t4 = port.master_clock.read(now)
+        self._schedule(now + port.resp_ps, port.node, "delay_resp_arrival",
+                       self._delay_resp_arrival, (port, msg.seq, t4, msg.correction_ps))
 
     def _delay_resp_arrival(self, arg) -> None:
-        node, seq, t4, rev_correction = arg
-        port = self.ports[node]
-        if seq != port.seq or not self._is_online(node):
+        port, seq, t4, rev_correction = arg
+        node = port.node
+        if seq != port.seq or node in self._offline:
             return
         now = self.loop.now
         sample = two_step_offset(port.t1, port.t2, port.t3, t4,
                                  port.fwd_correction, rev_correction)
-        clock = self.clocks[node]
-        # evolve under the old steering before applying the new one
+        clock = port.clock
+        # walk the pending ticks before the first correction makes the
+        # port eligible, and evolve under the old steering before applying
+        # the new one
+        self._flush(port)
         true_offset = clock.offset_at(now)
         clock.freq_adj_ppm = servo_update(port.servo, sample.offset_ps)
         port.corrections += 1
@@ -615,14 +777,13 @@ class SyncDomain:
 
 def run_sync_domain(fabric: Fabric, config: TimesyncConfig, duration_s: float,
                     seed: int = 0, rng: RngRegistry | None = None,
-                    loop: EventLoop | None = None, load_lookup=None,
+                    loop: EventLoop | None = None, load=None,
                     online=None) -> tuple[SyncReport, SyncDomain]:
     """Convenience wrapper: build a domain, run it, return the finalized report."""
     loop = loop or EventLoop()
     rng = rng or RngRegistry(seed)
-    domain = SyncDomain(loop, fabric, config, rng, load_lookup, online)
+    domain = SyncDomain(loop, fabric, config, rng, load, online)
     until = from_seconds(duration_s)
     domain.start(until)
     loop.run_until(until)
-    domain.report.finalize()
-    return domain.report, domain
+    return domain.finish(), domain

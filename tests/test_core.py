@@ -1,5 +1,6 @@
 """Event loop, simulated time, and named deterministic random streams."""
 
+import heapq
 import io
 import math
 
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
-from tilesim.core import (EventLoop, PS_PER_MS, PS_PER_S, PS_PER_US,
-                          RngRegistry, RngStream, SimulationError, _philox_key,
-                          _rekey, from_seconds, to_seconds)
+from tilesim.core import (EventLoop, MAX_SIM_TIME, PS_PER_MS, PS_PER_S,
+                          PS_PER_US, RngRegistry, RngStream, RunStats,
+                          SimulationError, _philox_key, _rekey, from_seconds,
+                          to_seconds)
 
 
 # --- time -------------------------------------------------------------------
@@ -222,6 +224,119 @@ def test_same_instant_fifo_with_incomparable_args_and_stats_per_call():
     assert buf.getvalue() == expected
 
 
+class HeapqLoop:
+    """Reference model: `EventLoop` before the front slot, every event
+    through `heapq` (copied from the earlier engine)."""
+
+    def __init__(self, trace=None):
+        self._heap = []
+        self._seq = 0
+        self._now = 0
+        self._trace = trace
+
+    @property
+    def now(self):
+        return self._now
+
+    def schedule(self, fire_at, module, target, action, fn, arg=None):
+        if not self._now <= fire_at <= MAX_SIM_TIME:
+            raise SimulationError("out of range")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (fire_at, seq, fn, arg, module, target, action))
+
+    def every(self, start, period, until, module, target, action, fn, arg=None):
+        if period < 1:
+            raise SimulationError("period")
+        if start <= until:
+            self.schedule(start, module, target, action, self._fire_periodic,
+                          (period, until, module, target, action, fn, arg))
+
+    def _fire_periodic(self, spec):
+        period, until, module, target, action, fn, arg = spec
+        nxt = self._now + period
+        if nxt <= until:
+            self.schedule(nxt, module, target, action, self._fire_periodic, spec)
+        fn(arg)
+
+    def run_until(self, t_end):
+        heap = self._heap
+        by_module = {}
+        while heap and heap[0][0] <= t_end:
+            fire_at, _, fn, arg, module, target, action = heapq.heappop(heap)
+            self._now = fire_at
+            if self._trace is not None:
+                self._trace.write('{"t":%d,"module":"%s","target":"%s","action":"%s"}\n'
+                                  % (fire_at, module, target, action))
+            fn(arg)
+            by_module[module] = by_module.get(module, 0) + 1
+        processed = sum(by_module.values())
+        stats = RunStats(processed, by_module, self._now if processed else 0)
+        if t_end > self._now:
+            self._now = t_end
+        return stats
+
+    def pending(self):
+        return len(self._heap)
+
+
+def drive(loop_cls, program):
+    """Run one random schedule; returns everything observable about it."""
+    starts, chains, children, ends = program
+    buf = io.StringIO()
+    loop = loop_cls(trace=buf)
+    fired = []
+
+    def handler(arg):
+        name, depth = arg
+        fired.append((loop.now, name, depth))
+        if depth < 3:
+            # follow-ups at the same instant, just after it (often before
+            # the queue's head) and further out
+            for k, delay in enumerate(children.get(name, ())):
+                loop.schedule(loop.now + delay, "ab"[k % 2], f"{name}.{k}", "child",
+                              handler, (f"{name}.{k}", depth + 1))
+
+    for i, (t, module) in enumerate(starts):
+        loop.schedule(t, module, f"e{i}", "start", handler, (f"e{i}", 0))
+    for i, (start, period, until) in enumerate(chains):
+        loop.every(start, period, until, "p", f"c{i}", "tick", handler, (f"c{i}", 1))
+    observed = []
+    for t_end in ends:
+        stats = loop.run_until(max(t_end, loop.now))
+        observed.append((stats, loop.now, loop.pending()))
+    return fired, observed, buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(starts=st.lists(st.tuples(st.integers(0, 60), st.sampled_from("ab")),
+                       max_size=12),
+       chains=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 25),
+                                 st.integers(0, 120)), max_size=3),
+       children=st.dictionaries(
+           st.sampled_from(["e0", "e1", "e2", "e3", "c0", "c1", "e0.0", "e1.1"]),
+           st.lists(st.integers(0, 30), max_size=3), max_size=6),
+       ends=st.lists(st.integers(0, 150), min_size=1, max_size=5))
+def test_front_slot_loop_matches_a_heapq_model(starts, chains, children, ends):
+    program = (starts, chains, children, sorted(ends) + [200])
+    assert drive(EventLoop, program) == drive(HeapqLoop, program)
+
+
+def test_front_slot_takes_only_strictly_earlier_events():
+    loop = EventLoop()
+    order = []
+    loop.schedule(10, "m", "a", "x", order.append, "a")
+    loop.schedule(10, "m", "b", "x", order.append, "b")     # tie: after a
+    loop.schedule(5, "m", "c", "x", order.append, "c")      # before the head
+    loop.schedule(5, "m", "d", "x", order.append, "d")      # tie with the slot
+    loop.schedule(3, "m", "e", "x", order.append, "e")      # displaces the slot
+    assert loop.pending() == 5
+    stats = loop.run_until(4)
+    assert order == ["e"] and loop.pending() == 4 and stats.processed == 1
+    loop.run_until(10)
+    assert order == ["e", "c", "d", "a", "b"] and loop.pending() == 0
+
+
 # --- random streams ---------------------------------------------------------
 
 def test_same_name_same_sequence():
@@ -264,6 +379,31 @@ def test_block_cache_crosses_boundary_consistently():
     first = [a.normal() for _ in range(n)]
     b = RngStream(11, "long")
     assert [b.normal() for _ in range(n)] == first
+
+
+@pytest.mark.parametrize("sizes", [[1], [255, 1, 3], [256], [600, 7], [0, 2049]])
+def test_standard_normals_continue_the_scalar_sequence(sizes):
+    a = RngStream(13, "bulk")
+    b = RngStream(13, "bulk")
+    want = [a.normal() for _ in range(sum(sizes) + 5)]
+    got = []
+    for k in sizes:
+        got += b.standard_normals(k)
+        got.append(b.normal())
+    assert got == want[:len(got)]
+
+
+def test_scalar_draws_equal_one_generator_block():
+    # the scalar blocks are a cache: the values are the generator's own
+    # sequence, whatever the block size
+    s = RngStream(21, "blk")
+    key = _philox_key(21, "blk\x1fnormal")
+    direct = Generator(Philox(key=key)).standard_normal(3000)
+    assert [s.normal() for _ in range(3000)] == direct.tolist()
+    u = RngStream(21, "blk")
+    key = _philox_key(21, "blk\x1funiform")
+    assert [u.uniform() for _ in range(700)] == \
+        Generator(Philox(key=key)).random(700).tolist()
 
 
 def test_normal_array_matches_scalar_stream_statistics():

@@ -263,6 +263,22 @@ def test_leave_triggers_rebalance():
     assert [r["why"] for r in g.rebalances] == ["join", "join", "leave"]
 
 
+def test_cached_assignment_follows_each_join_and_leave():
+    b = broker_with(partitions=4)
+    g = ConsumerGroup("g", b)
+    g.subscribe("samples")
+    g.join("c1")
+    assert g.partitions_of("c1", "samples") == [0, 1, 2, 3]
+    g.join("c0")
+    assert g.partitions_of("c1", "samples") == [2, 3]
+    assert g.partitions_of("c0", "samples") == [0, 1]
+    g.leave("c0")
+    assert g.partitions_of("c1", "samples") == [0, 1, 2, 3]
+    assert g.partitions_of("c0", "samples") == []
+    g.leave("c1")
+    assert g.assignment("samples") == {}
+
+
 def test_commit_past_frontier_rejected():
     b = broker_with(partitions=1)
     fill(b, 5)

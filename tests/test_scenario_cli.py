@@ -281,6 +281,26 @@ def test_bad_value_exits_with_one_line(section, key, value, code, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+# Unchecked ranges: a 1e-13 s rover tick rounds to 0 ps and the mission
+# loop never advances; an infinite mission bound overflows in ps; a zero
+# battery divides by zero; a 2-number obstacle or face size fails to
+# unpack; a negative record size or detection window ran to exit 0.
+OUT_OF_RANGE = [("rover", "tick_s", 1e-13), ("rover", "max_duration_s", float("inf")),
+                ("rover", "battery_capacity_wh", 0.0), ("rover", "obstacles", [[1, 2]]),
+                ("fabric", "face_dims", {"floor": [1]}),
+                ("dataplane", "record_bytes", -5),
+                ("power", "detection_window_ms", -1)]
+
+
+@pytest.mark.parametrize("section,key,value", OUT_OF_RANGE)
+def test_out_of_range_value_exits_1_with_one_line(section, key, value, tmp_path):
+    proc = run_probe(section, key, value, tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and f"{section}.{key}" in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("data", [
     {"seed": True}, {"seed": 1.0}, {"seed": None}, {"trace_events": 1},
     {"trace_events": "yes"}, {"name": 3}, {"duration_s": False},

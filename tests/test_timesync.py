@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tilesim.core import (EventLoop, MAX_SIM_TIME, PS_PER_MS, PS_PER_S,
                           PS_PER_US, RngRegistry, RngStream, SimulationError,
                           from_seconds)
+from tilesim.dataplane import LinkLoadTracker
 from tilesim.fabric import ConfigurationError, FabricConfig, build_default_fabric
 from tilesim.timesync import (LocalClock, OscillatorConfig, PtpMessage,
                               ServoState, SyncDomain, SyncReport,
@@ -266,6 +267,64 @@ def test_one_way_asymmetry_biases_by_half():
     assert abs(other.mean()) <= 8000
 
 
+class EagerSampler(SyncDomain):
+    """The per-tick sampler the deferred flush replaced: every tick reads
+    each eligible clock at once, and nothing is left to flush."""
+
+    def _sample(self, _arg):
+        now = self.loop.now
+        for node, port in self.ports.items():
+            if port.corrections > 0 and node not in self._offline:
+                self.report.add_sample(node, now, port.clock.offset_at(now))
+
+    def _flush(self, port):
+        pass
+
+
+@pytest.mark.parametrize("sample_interval_s", [0.05, 0.1, 0.5])
+def test_deferred_flush_equals_per_tick_reads(sample_interval_s):
+    # noisy clocks and links, a boundary switch (sw1) and two relays, and
+    # three disconnects: t001 between ticks, t002 on a tick but queued
+    # before it, t003 on the same tick but queued after it.  Epochs spread
+    # over most of the 0.3 s interval, a 20 ms relay dwell and a 30 ms
+    # turnaround put ticks between a boundary master's own reads and its
+    # slaves' reads of it, and between each two reads of one exchange.
+    fab = build_default_fabric(FabricConfig(counts={"wall_a": 4, "floor": 2},
+                                            switch_count=3))
+    cfg = TimesyncConfig(start_s=0.0, sync_interval_s=0.3, stagger_ms=40.0,
+                         residence_us=20_000.0, turnaround_us=30_000.0,
+                         sample_interval_s=sample_interval_s,
+                         boundary_switches=("sw1",))
+    until = from_seconds(6.0)
+    runs = []
+    for cls in (SyncDomain, EagerSampler):
+        loop = EventLoop()
+        domain = cls(loop, fab, cfg, RngRegistry(4))
+        domain.start(until)
+
+        def cut(tile, loop=loop, domain=domain):
+            domain.mark_offline(tile, loop.now)
+
+        loop.schedule(from_seconds(3.333), "power", "t001", "cut", cut, "t001")
+        loop.schedule(from_seconds(4.0), "power", "t002", "cut", cut, "t002")
+        loop.schedule(from_seconds(3.97), "power", "t003", "later",
+                      lambda _a, loop=loop, cut=cut: loop.schedule(
+                          from_seconds(4.0), "power", "t003", "cut", cut, "t003"))
+        loop.run_until(until)
+        report = domain.finish()
+        series = {n: (report.series(n)[0], report.series(n)[1].tobytes())
+                  for n in report.nodes}
+        runs.append((series, report.summary(), domain.exchanges))
+    deferred, eager = runs
+    assert deferred == eager
+    times = deferred[0]
+    assert max(times["t001"][0]) < from_seconds(3.333)
+    assert max(times["t002"][0]) < from_seconds(4.0)
+    assert max(times["t003"][0]) == from_seconds(4.0)
+    assert len(times["t000"][0]) == int(round(6.0 / sample_interval_s)) - \
+        times["t000"][0][0] // from_seconds(sample_interval_s) + 1
+
+
 def test_offline_tiles_do_not_exchange():
     report, domain = run_sync_domain(
         small_fabric(), zero_noise_config(), 10.0, seed=3,
@@ -299,8 +358,10 @@ def test_load_coupling_scales_jitter():
     link = fab.tile_link("t000")
     loop = EventLoop()
     cfg = TimesyncConfig(load_coupling=2.0, jitter_scale=1.0)
-    domain = SyncDomain(loop, fab, cfg, RngRegistry(1),
-                        load_lookup=lambda link_id, t: 0.5)
+    # half the link's rate over a 1 ms window: utilization exactly 0.5
+    tracker = LinkLoadTracker(window_ps=PS_PER_MS)
+    tracker.record(link.id, 0, link.bandwidth_bps // 16_000)
+    domain = SyncDomain(loop, fab, cfg, RngRegistry(1), load=tracker)
     assert domain.effective_jitter_sigma_ns(link, 0) == \
         pytest.approx(link.jitter_sigma_ns * 2.0)
     unloaded = SyncDomain(EventLoop(), fab, TimesyncConfig(jitter_scale=1.0),
