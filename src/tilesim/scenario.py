@@ -168,9 +168,15 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     return _build(ScenarioConfig, data, where)
 
 
+# libyaml's scanner and parser when PyYAML was built with them: the same
+# safe constructor and resolver turn the events into the same values, about
+# ten times faster than the pure-Python parser
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(path) -> ScenarioConfig:
     with open(path) as f:
-        data = yaml.safe_load(f)
+        data = yaml.load(f, Loader=_YAML_LOADER)
     if data is None:
         data = {}
     if not isinstance(data, dict):

@@ -379,7 +379,7 @@ def _csv_field(text: str) -> str:
 
 # --- domain engine ----------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PtpPort:
     """Slave-side exchange state toward one upstream master, with its route
     resolved once when the domain is built: the clocks the exchange reads,
@@ -387,7 +387,6 @@ class PtpPort:
     every hop."""
     node: str
     master: str
-    path: tuple          # link hops, see _Path
     servo: ServoState
     seq: int = 0
     corrections: int = 0
@@ -413,21 +412,13 @@ class PtpPort:
     resp_ps: int = 0         # deterministic delay-response transit
 
 
-@dataclass(frozen=True)
-class _Path:
-    """Route between master and slave: optional relay in the middle."""
-    up_link: Link | None     # master <-> relay (None when directly attached)
-    relay: str | None
-    down_link: Link          # relay (or master) <-> slave; b-side faces the slave
-
-
 class _LinkJitter:
     """Delay jitter of one link: the base sigma, the load window that
     scales it, and the lognormal shape.  The link's random stream is opened
     on its first draw with a positive sigma."""
 
     __slots__ = ("link_id", "base_ns", "coupling", "windows", "window_ps",
-                 "bandwidth_bps", "rng", "stream", "s", "denom", "normal")
+                 "bandwidth_bps", "s", "rng", "stream", "denom", "normal")
 
     def __init__(self, link: Link, config: TimesyncConfig, load,
                  rng: RngRegistry, stream_name: str):
@@ -437,13 +428,9 @@ class _LinkJitter:
         self.windows = None if load is None else load.windows
         self.window_ps = None if load is None else load.window_ps
         self.bandwidth_bps = link.bandwidth_bps
+        self.s = link.jitter_shape
         self.rng = rng
         self.stream = stream_name
-        s = link.jitter_shape
-        self.s = s
-        # lognormal mean exp(s^2/2); its standard deviation is this times
-        # sqrt(expm1(s^2)), so dividing by both gives unit sigma
-        self.denom = math.exp(s * s / 2) * math.sqrt(math.expm1(s * s))
         self.normal = None
 
     def sigma_ns(self, t: SimTime) -> float:
@@ -461,6 +448,10 @@ class _LinkJitter:
             return 0
         normal = self.normal
         if normal is None:
+            s = self.s
+            # lognormal mean exp(s^2/2); its standard deviation is this
+            # times sqrt(expm1(s^2)), so dividing by both gives unit sigma
+            self.denom = math.exp(s * s / 2) * math.sqrt(math.expm1(s * s))
             normal = self.normal = self.rng.stream(self.stream).normal
         return int(round(sigma_ns / self.denom * math.exp(self.s * normal()) * 1000))
 
@@ -472,13 +463,12 @@ class SyncDomain:
     Residuals are sampled lazily.  The `sample_residuals` event only notes
     the tick's instant; each port remembers how many ticks it has walked,
     and `_flush` walks its clock through the ones since
-    (`LocalClock.sample_ticks`).
-    That equals sampling at every tick because each clock draws only from
-    its own oscillator stream, so what matters is the order of reads of
-    that clock, and a flush runs before every such read: the port's own
-    reads, and a boundary master's reads on behalf of its slaves.  Reads at
-    one instant are no-ops after the first, so a tick and a read at the same
-    time cannot disagree in either order.  A port is sampled once its loop
+    (`LocalClock.sample_ticks`).  That equals sampling at every tick
+    because each clock draws only from its own oscillator stream, so what
+    matters is the order of reads of that clock, and a flush runs before
+    every such read: the port's own reads, and a boundary master's reads on
+    behalf of its slaves.  Reads at one instant are no-ops after the first,
+    so a tick and a read at the same time cannot disagree in either order.  A port is sampled once its loop
     has closed and while its tile is online; both can only change right
     after a flush (the first correction, a disconnect), so every walked tick
     sees the eligibility it had when it fired.  `finish` flushes every port
@@ -526,21 +516,17 @@ class SyncDomain:
         unknown = boundary - set(fabric.switches)
         if unknown:
             raise ConfigurationError(f"boundary switches not in fabric: {sorted(unknown)}")
+        # boundary ports first: a tile behind a boundary switch resolves
+        # that switch's port as its master's
         for sw_id in sorted(boundary):
-            self.ports[sw_id] = PtpPort(
-                sw_id, fabric.central_id,
-                _Path(None, None, fabric.trunk_link(sw_id)), self._make_servo())
+            self._add_port(sw_id, fabric.central_id, fabric.trunk_link(sw_id))
         for t in clock_tiles:
             sw_id = fabric.switch_for_tile(t.id)
             if sw_id in boundary:
-                path = _Path(None, None, fabric.tile_link(t.id))
-                master = sw_id
+                self._add_port(t.id, sw_id, fabric.tile_link(t.id))
             else:
-                path = _Path(fabric.trunk_link(sw_id), sw_id, fabric.tile_link(t.id))
-                master = fabric.central_id
-            self.ports[t.id] = PtpPort(t.id, master, path, self._make_servo())
-        for port in self.ports.values():
-            self._resolve(port)
+                self._add_port(t.id, fabric.central_id, fabric.tile_link(t.id),
+                               fabric.trunk_link(sw_id), sw_id)
 
         online = online or (lambda tile_id: True)
         self._offline = {t.id for t in clock_tiles if not online(t.id)}
@@ -559,13 +545,15 @@ class SyncDomain:
         return ServoState(kp=c.servo_kp, ki=c.servo_ki, clamp_ppm=c.servo_clamp_ppm,
                           interval_s=c.sync_interval_s)
 
-    def _resolve(self, port: PtpPort) -> None:
-        """Fill in the port's clocks and constant hop delays."""
-        path = port.path
-        up, down = path.up_link, path.down_link
-        port.clock = self.clocks[port.node]
-        port.master_clock = self.clocks[port.master]
-        port.master_port = self.ports.get(port.master)
+    def _add_port(self, node: str, master: str, down: Link,
+                  up: Link | None = None, relay: str | None = None) -> None:
+        """A port toward `master`, over `down` (whose b-side faces the
+        slave), and through `relay` and `up` when the master is not
+        directly attached; its clocks and constant hop delays resolved."""
+        port = self.ports[node] = PtpPort(node, master, self._make_servo())
+        port.clock = self.clocks[node]
+        port.master_clock = self.clocks[master]
+        port.master_port = self.ports.get(master)
         port.down_jitter = self._link_jitter(down)
         port.down_hop_ps = down.delay_ps(from_a=True)
         port.req_hop_ps = down.delay_ps(from_a=False)
@@ -574,8 +562,8 @@ class SyncDomain:
             port.sync_hop_ps = port.down_hop_ps
             fup_transit = down.delay_ps(True)
         else:
-            port.relay_clock = self.clocks[path.relay]
-            port.transparent = self.fabric.switches[path.relay].transparent_clock
+            port.relay_clock = self.clocks[relay]
+            port.transparent = self.fabric.switches[relay].transparent_clock
             port.up_jitter = self._link_jitter(up)
             port.sync_hop_ps = up.delay_ps(from_a=True)
             port.up_req_hop_ps = up.delay_ps(from_a=False)

@@ -13,8 +13,8 @@ import tilesim
 from tilesim.cli import main
 from tilesim.fabric import ConfigurationError
 from tilesim.orchestrator import run_scenario
-from tilesim.scenario import (load_scenario, resolved_dict, resolved_json,
-                              scenario_from_dict, scenario_hash,
+from tilesim.scenario import (_YAML_LOADER, load_scenario, resolved_dict,
+                              resolved_json, scenario_from_dict, scenario_hash,
                               validate_scenario)
 
 TINY = {
@@ -108,6 +108,25 @@ def test_unsigned_exponent_literal_loads_as_number(tmp_path):
     cfg = load_scenario(path)
     assert isinstance(cfg.coherent.carrier_hz, float)
     assert cfg.coherent.carrier_hz == 2.45e9
+
+
+@pytest.mark.parametrize("text", [
+    TINY_YAML, "coherent:\n  carrier_hz: 2.45e9\n  target: [1, 2.5e0, .inf]\n",
+    "a: !!binary aGk=\nb: 0x1f\nc: 1_000\nd: ~\ne: yes\nf: 2001-12-14\n",
+    "name: \"t\\u00e9st\\x01\"\nx: 'it''s'\ny: |\n  two\n  lines\n",
+    *(p.read_text() for p in sorted(
+        (Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))),
+    *(p.read_text() for p in sorted(
+        (Path(__file__).resolve().parent / "golden").glob("*.yaml")))])
+def test_scenario_parser_reads_what_the_python_parser_reads(text):
+    assert yaml.load(text, Loader=_YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("text", ["a: [1,\n", "a: b: c\n", "\ta: 1\n", "a: 'x\n"])
+def test_scenario_parser_rejects_what_the_python_parser_rejects(text):
+    for loader in (_YAML_LOADER, yaml.SafeLoader):
+        with pytest.raises(yaml.YAMLError):
+            yaml.load(text, Loader=loader)
 
 
 def test_non_numeric_string_rejected_for_float_field():
