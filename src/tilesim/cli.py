@@ -4,8 +4,10 @@
     tilesim run      <scenario.yaml> [--out DIR] [--seed N] [--trace]
     tilesim report   <run_dir|report.json> [--metric dotted.path]
 
-Exit codes: 0 success, 1 the scenario or fabric failed validation,
-2 usage errors (missing files, malformed YAML, unknown metric).
+Exit codes: 0 success, 1 the scenario failed set-up (the checks, the fabric
+or a stage's own arguments), 2 usage errors (missing files, malformed YAML,
+unknown metric).  `validate` runs the same set-up as `run` and stops before
+the first event; a run rejected there writes nothing.
 The output root defaults to $TILESIM_OUT, then ./runs.
 """
 
@@ -20,9 +22,9 @@ from pathlib import Path
 
 import yaml
 
-from .fabric import ConfigurationError, build_default_fabric
-from .orchestrator import run_scenario
-from .scenario import (load_scenario, scenario_hash, validate_scenario)
+from .fabric import ConfigurationError
+from .orchestrator import prepare_scenario, run_scenario
+from .scenario import load_scenario
 
 
 def _load(path: str):
@@ -38,18 +40,12 @@ def _load(path: str):
 
 def _cmd_validate(args) -> int:
     cfg = _load(args.scenario)
-    problems = validate_scenario(cfg)
-    if not problems:
-        try:
-            fabric = build_default_fabric(cfg.fabric)
-            problems = fabric.validate()
-        except ConfigurationError as e:
-            problems = [str(e)]
-    if problems:
-        for p in problems:
-            print(f"problem: {p}")
+    try:
+        run = prepare_scenario(cfg)
+    except ConfigurationError as e:
+        print(f"problem: {e}")
         return 1
-    print(f"ok: scenario {cfg.name!r} ({scenario_hash(cfg)[:12]})")
+    print(f"ok: scenario {cfg.name!r} ({run.config_hash[:12]})")
     return 0
 
 
@@ -118,7 +114,7 @@ def main(argv=None) -> int:
                                  description="testbed fabric simulator")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("validate", help="check a scenario without running it")
+    v = sub.add_parser("validate", help="set a scenario up without running it")
     v.add_argument("scenario")
     v.set_defaults(fn=_cmd_validate)
 

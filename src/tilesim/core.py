@@ -53,9 +53,9 @@ class EventLoop:
     """Single-threaded event queue ordered by (fire_at, insertion seq).
 
     Handlers may schedule further events at or after the current time;
-    `every` is the one way to run a handler on a fixed period.  When a
-    trace sink is given, one JSON line per processed event is
-    written; identical runs produce identical trace bytes.
+    `every` is the one way to run a handler on a fixed period.  While the
+    `trace` attribute holds a sink, each processed event writes one JSON
+    line to it; identical runs produce identical trace bytes.
 
     Each queued event is a plain tuple (fire_at, seq, fn, arg, module,
     target, action); seq is unique, so heap comparisons never reach fn or
@@ -75,7 +75,7 @@ class EventLoop:
         self._front: tuple | None = None
         self._seq = 0
         self._now: SimTime = 0
-        self._trace = trace
+        self.trace = trace
 
     @property
     def now(self) -> SimTime:
@@ -129,7 +129,7 @@ class EventLoop:
             raise SimulationError(
                 f"run_until({t_end}) would move time backwards from {self._now}")
         heap = self._heap
-        trace = self._trace
+        trace = self.trace
         pop = heapq.heappop
         by_module: dict[str, int] = {}
         count = by_module.get

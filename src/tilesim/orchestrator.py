@@ -1,11 +1,12 @@
 """End-to-end scenario execution.
 
-One run wires the stages together on a single event loop: the power plane
-decides which tiles are energized, producers feed the message fabric and
-their traffic loads the very links the sync exchanges cross, and the sync
-residuals in turn feed the array-gain evaluation.  The mobile platform runs
-its own time-stepped mission after the fabric phase.  Every artifact lands
-in a directory keyed by the hash of the resolved configuration.
+`prepare_scenario` wires the stages together on a single event loop and
+writes nothing: the power plane decides which tiles are energized, producers
+feed the message fabric and their traffic loads the very links the sync
+exchanges cross.  `tilesim validate` stops there.  `run_scenario` then runs
+the loop, feeds the sync residuals to the array-gain evaluation and runs the
+mobile platform's own time-stepped mission after the fabric phase.  Every
+artifact lands in a directory keyed by the hash of the resolved configuration.
 """
 
 from __future__ import annotations
@@ -16,29 +17,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .coherent import CoherentError, GainResult, evaluate_beamforming
-from .core import PS_PER_MS, EventLoop, RngRegistry, from_seconds
+from .core import PS_PER_MS, EventLoop, RngRegistry, SimTime, from_seconds
 from .dataplane import Broker, ConsumerGroup, LinkLoadTracker, fnv1a64
 from .fabric import ConfigurationError, Fabric, build_default_fabric
 from .powerplane import PdDevice, PsePlane
-from .rover import (Battery, MissionConfig, MissionRunner, default_beacons,
-                    plan_sampling)
+from .rover import (Battery, MissionConfig, MissionRunner, RoverError,
+                    default_beacons, plan_sampling)
 from .scenario import (ScenarioConfig, resolved_json, scenario_hash,
                        validate_scenario)
 from .timesync import SyncDomain, SyncReport
-
-
-@dataclass
-class RunResult:
-    out_dir: Path
-    report: dict
-    fabric: Fabric
-    sync_report: SyncReport | None = None
-    domain: SyncDomain | None = None
-    power: PsePlane | None = None
-    broker: Broker | None = None
-    groups: list[ConsumerGroup] | None = None
-    gain: GainResult | None = None
-    mission: MissionRunner | None = None
 
 
 class _Producers:
@@ -136,7 +123,28 @@ class _Consumers:
                 group.commit(self.cfg.topic, p, last + 1)
 
 
-def _setup_power(cfg: ScenarioConfig, fabric: Fabric, loop: EventLoop) -> PsePlane:
+@dataclass
+class RunResult:
+    """A scenario's stages (None when disabled), set up by `prepare_scenario`;
+    `run_scenario` fills in the rest."""
+    config_hash: str
+    rng: RngRegistry
+    fabric: Fabric
+    loop: EventLoop
+    power: PsePlane | None = None
+    broker: Broker | None = None
+    producers: _Producers | None = None
+    consumers: _Consumers | None = None
+    domain: SyncDomain | None = None
+    mission: MissionRunner | None = None
+    out_dir: Path | None = None
+    report: dict | None = None
+    sync_report: SyncReport | None = None
+    gain: GainResult | None = None
+
+
+def _setup_power(cfg: ScenarioConfig, fabric: Fabric, loop: EventLoop,
+                 until: SimTime) -> PsePlane:
     p = cfg.power
     plane = PsePlane(
         midspan_count=p.midspan_count,
@@ -161,110 +169,51 @@ def _setup_power(cfg: ScenarioConfig, fabric: Fabric, loop: EventLoop) -> PsePla
                                 int(round(p.overdraw_w * 1000)))
     for tile_id in sorted(plane.devices):
         plane.allocate(tile_id, at=0)
+    # a cut after the run's end never fires, and may lie past the 64-bit range
     for ev in plane.pending_disconnects():
-        loop.schedule(ev.at_ps, "power", ev.tile_id, "pd_disconnect",
-                      lambda _arg: plane.monitor(loop.now))
+        if ev.at_ps <= until:
+            loop.schedule(ev.at_ps, "power", ev.tile_id, "pd_disconnect",
+                          lambda _arg: plane.monitor(loop.now))
     return plane
 
 
-def run_scenario(cfg: ScenarioConfig, out_root) -> RunResult:
+def prepare_scenario(cfg: ScenarioConfig) -> RunResult:
+    """Everything a run does before its first event, writing nothing.  The
+    stages' constructors check their own arguments, so this raises
+    ConfigurationError for exactly the scenarios `run_scenario` rejects."""
     problems = validate_scenario(cfg)
     if problems:
         raise ConfigurationError("; ".join(problems))
-    full_hash = scenario_hash(cfg)
-    out_dir = Path(out_root) / full_hash[:12]
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     rng = RngRegistry(cfg.seed)
     fabric = build_default_fabric(cfg.fabric, rng.stream("fabric/cabling"))
     fabric_problems = fabric.validate()
     if fabric_problems:
         raise ConfigurationError("; ".join(fabric_problems))
+    loop = EventLoop()
+    until = from_seconds(cfg.duration_s)
+    run = RunResult(scenario_hash(cfg), rng, fabric, loop)
 
-    trace = open(out_dir / "events.ndjson", "w") if cfg.trace_events else None
-    try:
-        loop = EventLoop(trace)
-        until = from_seconds(cfg.duration_s)
+    plane = run.power = (_setup_power(cfg, fabric, loop, until)
+                         if cfg.power.enabled else None)
+    online = plane.is_online if plane is not None else (lambda tile_id: True)
 
-        plane = _setup_power(cfg, fabric, loop) if cfg.power.enabled else None
-        online = plane.is_online if plane is not None else (lambda tile_id: True)
-
-        broker = producers = consumers = tracker = None
-        if cfg.dataplane.enabled:
-            broker = Broker()
-            broker.create_topic(cfg.dataplane.topic, cfg.dataplane.partitions,
-                                cfg.dataplane.retention_records)
-            tracker = LinkLoadTracker(
-                from_seconds(cfg.dataplane.load_window_ms / 1e3))
-            producers = _Producers(loop, fabric, cfg.dataplane, broker,
+    tracker = None
+    if cfg.dataplane.enabled:
+        run.broker = broker = Broker()
+        broker.create_topic(cfg.dataplane.topic, cfg.dataplane.partitions,
+                            cfg.dataplane.retention_records)
+        tracker = LinkLoadTracker(
+            from_seconds(cfg.dataplane.load_window_ms / 1e3))
+        run.producers = _Producers(loop, fabric, cfg.dataplane, broker,
                                    tracker, online, until)
-            consumers = _Consumers(loop, cfg.dataplane, broker, until)
+        run.consumers = _Consumers(loop, cfg.dataplane, broker, until)
 
-        domain = None
-        if cfg.timesync.enabled:
-            domain = SyncDomain(loop, fabric, cfg.timesync, rng, tracker, online)
-            if plane is not None:
-                plane.on_disconnect.append(domain.mark_offline)
-            domain.start(until)
+    if cfg.timesync.enabled:
+        run.domain = SyncDomain(loop, fabric, cfg.timesync, rng, tracker, online)
+        if plane is not None:
+            plane.on_disconnect.append(run.domain.mark_offline)
+        run.domain.start(until)
 
-        loop.run_until(until)
-    finally:
-        if trace is not None:
-            trace.close()
-
-    report: dict = {
-        "name": cfg.name,
-        "seed": cfg.seed,
-        "duration_s": cfg.duration_s,
-        "config_hash": full_hash,
-        "fabric": {"tiles": len(fabric.tiles), "switches": len(fabric.switches),
-                   "links": len(fabric.links)},
-    }
-
-    sync_report = None
-    if domain is not None:
-        sync_report = domain.finish()
-        sync_report.to_csv(out_dir / "sync_report.csv")
-        report["timesync"] = dict(sync_report.summary(),
-                                  exchanges=len(domain.exchanges))
-
-    if plane is not None:
-        plane.monitor(until)
-        plane.write_ledger_csv(out_dir / "power_ledger.csv")
-        report["power"] = plane.summary()
-
-    if broker is not None:
-        producers.write_traffic_csv(out_dir / "traffic.csv")
-        with open(out_dir / "topics.ndjson", "w") as f:
-            f.write(broker.dump_topic(cfg.dataplane.topic))
-        report["dataplane"] = {
-            "topic": cfg.dataplane.topic,
-            "partitions": cfg.dataplane.partitions,
-            "published": broker.published,
-            "delivered": dict(sorted(consumers.delivered.items())),
-            "rebalances": {g.group_id: len(g.rebalances)
-                           for g in consumers.groups},
-        }
-
-    gain = None
-    if cfg.coherent.enabled and sync_report is not None:
-        c = cfg.coherent
-        sdr = sorted(t.id for t in fabric.tiles.values()
-                     if "sdr" in t.roles and online(t.id))
-        if c.tile_count is not None:
-            sdr = sdr[:c.tile_count]
-        try:
-            gain = evaluate_beamforming(
-                fabric, sync_report, c.carrier_hz, tuple(c.target), c.trials,
-                rng.stream(c.stream_label), tiles=sdr,
-                phase_noise_sigma_rad=c.phase_noise_sigma_rad,
-                tx_power_dbm=c.tx_power_dbm)
-            gain.write_csv(out_dir / "gains.csv")
-            report["coherent"] = gain.summary()
-        except CoherentError as e:
-            report["coherent"] = {"error": str(e)}
-
-    mission = None
     if cfg.rover.enabled:
         r = cfg.rover
         plan = plan_sampling(fabric.room, r.resolution_m, r.obstacles,
@@ -274,11 +223,84 @@ def run_scenario(cfg: ScenarioConfig, out_root) -> RunResult:
                                   outlier_prob=r.outlier_prob)
         battery = Battery(r.battery_capacity_wh, r.battery_peak_w)
         mc = MissionConfig(speed_mps=r.speed_mps, tick_s=r.tick_s)
-        mission = MissionRunner(fabric.room, plan, beacons, battery, mc,
-                                rng.stream(r.stream_label),
-                                obstacles=r.obstacles)
-        report["rover"] = mission.run(r.max_duration_s)
-        mission.write_log_csv(out_dir / "mission_log.csv")
+        run.mission = MissionRunner(fabric.room, plan, beacons, battery, mc,
+                                    rng.stream(r.stream_label))
+    return run
+
+
+def run_scenario(cfg: ScenarioConfig, out_root) -> RunResult:
+    """`prepare_scenario`, then the loop, the mission and the artifacts; the
+    directory is made only once set-up has succeeded."""
+    run = prepare_scenario(cfg)
+    fabric, loop, plane, domain = run.fabric, run.loop, run.power, run.domain
+    until = from_seconds(cfg.duration_s)
+    out_dir = run.out_dir = Path(out_root) / run.config_hash[:12]
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    if cfg.trace_events:
+        loop.trace = open(out_dir / "events.ndjson", "w")
+    try:
+        loop.run_until(until)
+    finally:
+        if loop.trace is not None:
+            loop.trace.close()
+
+    report = run.report = {
+        "name": cfg.name,
+        "seed": cfg.seed,
+        "duration_s": cfg.duration_s,
+        "config_hash": run.config_hash,
+        "fabric": {"tiles": len(fabric.tiles), "switches": len(fabric.switches),
+                   "links": len(fabric.links)},
+    }
+
+    if domain is not None:
+        run.sync_report = domain.finish()
+        run.sync_report.to_csv(out_dir / "sync_report.csv")
+        report["timesync"] = dict(run.sync_report.summary(),
+                                  exchanges=len(domain.exchanges))
+
+    if plane is not None:
+        plane.monitor(until)
+        plane.write_ledger_csv(out_dir / "power_ledger.csv")
+        report["power"] = plane.summary()
+
+    if run.broker is not None:
+        run.producers.write_traffic_csv(out_dir / "traffic.csv")
+        with open(out_dir / "topics.ndjson", "w") as f:
+            f.write(run.broker.dump_topic(cfg.dataplane.topic))
+        report["dataplane"] = {
+            "topic": cfg.dataplane.topic,
+            "partitions": cfg.dataplane.partitions,
+            "published": run.broker.published,
+            "delivered": dict(sorted(run.consumers.delivered.items())),
+            "rebalances": {g.group_id: len(g.rebalances)
+                           for g in run.consumers.groups},
+        }
+
+    if cfg.coherent.enabled and run.sync_report is not None:
+        c = cfg.coherent
+        sdr = sorted(t.id for t in fabric.tiles.values() if "sdr" in t.roles
+                     and (plane is None or plane.is_online(t.id)))
+        if c.tile_count is not None:
+            sdr = sdr[:c.tile_count]
+        try:
+            run.gain = evaluate_beamforming(
+                fabric, run.sync_report, c.carrier_hz, tuple(c.target), c.trials,
+                run.rng.stream(c.stream_label), tiles=sdr,
+                phase_noise_sigma_rad=c.phase_noise_sigma_rad,
+                tx_power_dbm=c.tx_power_dbm)
+            run.gain.write_csv(out_dir / "gains.csv")
+            report["coherent"] = run.gain.summary()
+        except CoherentError as e:
+            report["coherent"] = {"error": str(e)}
+
+    if run.mission is not None:
+        try:
+            report["rover"] = run.mission.run(cfg.rover.max_duration_s)
+        except RoverError as e:
+            report["rover"] = {"error": str(e)}
+        run.mission.write_log_csv(out_dir / "mission_log.csv")
 
     with open(out_dir / "resolved.json", "w") as f:
         f.write(resolved_json(cfg) + "\n")
@@ -286,7 +308,4 @@ def run_scenario(cfg: ScenarioConfig, out_root) -> RunResult:
     with open(out_dir / "report.json", "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
-
-    return RunResult(out_dir, report, fabric, sync_report, domain, plane,
-                     broker, consumers.groups if consumers else None,
-                     gain, mission)
+    return run

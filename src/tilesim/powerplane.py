@@ -2,11 +2,11 @@
 
 All power figures are integer milliwatts so budget arithmetic is exact.
 Each tile is a powered device with a piecewise-constant draw profile split
-into a fixed controller floor, a processing component gated by switch S1 and
-a peripheral component gated by S2.  Source-side allocations are charged
-against per-midspan budgets and a global budget; sustained draw above the
-granted class power disconnects the device after a detection window, and a
-disconnected tile stops producing anything until it is re-admitted.
+into a fixed controller floor, a processing component and a peripheral
+component.  Source-side allocations are charged against per-midspan budgets
+and a global budget; sustained draw above the granted class power
+disconnects the device after a detection window, and a disconnected tile
+stops producing anything until it is re-admitted.
 """
 
 from __future__ import annotations
@@ -82,8 +82,6 @@ class PdDevice:
     base_mw: int = IDLE_FLOOR_MW
     processing: StepSeries = field(default_factory=StepSeries)
     peripheral: StepSeries = field(default_factory=StepSeries)
-    s1: StepSeries = field(default_factory=lambda: StepSeries(1))
-    s2: StepSeries = field(default_factory=lambda: StepSeries(1))
     granted: PowerClass | None = None
     granted_at: SimTime = 0
     online: bool = False
@@ -93,17 +91,12 @@ class PdDevice:
         return self._draw_if_powered(t) if self.online else 0
 
     def _draw_if_powered(self, t: SimTime) -> int:
-        draw = self.base_mw
-        if self.s1.value_at(t):
-            draw += self.processing.value_at(t)
-        if self.s2.value_at(t):
-            draw += self.peripheral.value_at(t)
-        return draw
+        return (self.base_mw + self.processing.value_at(t)
+                + self.peripheral.value_at(t))
 
     def breakpoints(self) -> list[SimTime]:
-        pts = set(self.processing.breakpoints) | set(self.peripheral.breakpoints) \
-            | set(self.s1.breakpoints) | set(self.s2.breakpoints)
-        return sorted(pts)
+        return sorted(set(self.processing.breakpoints)
+                      | set(self.peripheral.breakpoints))
 
 
 def classify(pd: PdDevice, at: SimTime = 0,
@@ -287,18 +280,7 @@ class PsePlane:
                     out.append(ev)
         return out
 
-    # -- device controls --
-
-    def toggle_switch(self, tile_id: str, which: str, state: bool,
-                      at: SimTime = 0) -> None:
-        pd = self.devices[tile_id]
-        if which not in ("s1", "s2"):
-            raise ConfigurationError(f"unknown switch {which!r}")
-        series = pd.s1 if which == "s1" else pd.s2
-        series.set_from(at, 1 if state else 0)
-        self.ledger.append((at, tile_id,
-                            pd.granted.class_id if pd.granted else -1,
-                            pd.consumption_mw(at), f"toggle:{which}={int(state)}"))
+    # -- artifacts --
 
     def write_ledger_csv(self, path) -> None:
         with open(path, "w", newline="") as f:

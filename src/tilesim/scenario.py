@@ -17,6 +17,7 @@ import yaml
 from .coherent import CARRIER_MAX_HZ, CARRIER_MIN_HZ, MAX_TX_POWER_DBM
 from .core import MAX_SIM_TIME, PS_PER_S, from_seconds
 from .fabric import SURFACE_NAMES, ConfigurationError, FabricConfig
+from .rover import MissionConfig
 from .timesync import TimesyncConfig
 
 
@@ -28,8 +29,8 @@ class PowerConfig:
     midspan_budget_w: float | None = None   # None → equal split of the global
     requested_class: int | None = 3         # None → classify from measured draw
     base_mw: int = 500
-    processing_mw: int = 2500               # steady draw behind the logic switch
-    peripheral_mw: int = 500                # steady draw behind the aux switch
+    processing_mw: int = 2500               # steady processing draw
+    peripheral_mw: int = 500                # steady peripheral draw
     detection_window_ms: int = 75
     overdraw_tile: str | None = None        # fault injection: one greedy tile
     overdraw_at_s: float = 10.0
@@ -256,6 +257,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                             f"{MAX_TX_POWER_DBM}")
         if c.trials < 1:
             problems.append("coherent.trials must be at least 1")
+        if c.tile_count is not None and c.tile_count < 1:
+            problems.append("coherent.tile_count must be at least 1 when set")
         if not _numbers(c.target, 3):
             problems.append("coherent.target must hold 3 numbers (x, y, z)")
         else:
@@ -264,12 +267,23 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                     and 0 <= z <= room.height_m):
                 problems.append("coherent.target lies outside the room")
     if cfg.power.enabled:
-        if cfg.power.midspan_count < 1:
+        p = cfg.power
+        if p.midspan_count < 1:
             problems.append("power.midspan_count must be at least 1")
-        if cfg.power.global_budget_w <= 0:
-            problems.append("power.global_budget_w must be positive")
-        if cfg.power.detection_window_ms < 0:
+        if not 0 < p.global_budget_w < math.inf:
+            problems.append("power.global_budget_w must be positive and finite")
+        if p.midspan_budget_w is not None and not 0 < p.midspan_budget_w < math.inf:
+            problems.append("power.midspan_budget_w must be positive and finite "
+                            "when set")
+        for draw in ("base_mw", "processing_mw", "peripheral_mw"):
+            if getattr(p, draw) < 0:
+                problems.append(f"power.{draw} must be non-negative")
+        if p.detection_window_ms < 0:
             problems.append("power.detection_window_ms must be non-negative")
+        if p.overdraw_tile is not None:
+            _check_delay(problems, "power.overdraw_at_s", p.overdraw_at_s)
+            if not 0 <= p.overdraw_w < math.inf:
+                problems.append("power.overdraw_w must be finite and non-negative")
     if cfg.dataplane.enabled:
         d = cfg.dataplane
         if d.partitions < 1:
@@ -278,6 +292,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             problems.append("dataplane.producer_tiles must be non-negative")
         if d.record_bytes < 0:
             problems.append("dataplane.record_bytes must be non-negative")
+        if d.max_poll_records < 1:
+            problems.append("dataplane.max_poll_records must be at least 1")
         if d.consumer_groups < 0 or (d.consumer_groups and d.consumers_per_group < 1):
             problems.append("dataplane consumer topology is malformed")
         _check_period(problems, "dataplane.produce_interval_ms",
@@ -294,7 +310,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             x0, y0, x1, y1 = r.area
             if not (0 <= x0 < x1 <= room.length_m and 0 <= y0 < y1 <= room.width_m):
                 problems.append("rover.area must lie inside the room")
-        if r.resolution_m <= 0 or r.z_resolution_m <= 0:
+        if not (r.resolution_m > 0 and r.z_resolution_m > 0):
             problems.append("rover resolutions must be positive")
         if not r.speed_mps > 0:
             problems.append("rover.speed_mps must be positive")
@@ -306,6 +322,19 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                             f"(got {r.max_duration_s:g} s)")
         if not 0 < r.battery_capacity_wh < math.inf:
             problems.append("rover.battery_capacity_wh must be positive")
+        # moving is the mission's largest draw; the battery must supply it
+        if not r.battery_peak_w >= MissionConfig.move_draw_w:
+            problems.append(f"rover.battery_peak_w must be at least "
+                            f"{MissionConfig.move_draw_w:g} W, the driving draw")
+        if not r.beacon_sigma_m >= 0:
+            problems.append("rover.beacon_sigma_m must be non-negative")
+        if not 0 <= r.outlier_prob <= 1:
+            problems.append("rover.outlier_prob must lie in [0, 1]")
+        # the tracker folds in at most one fix per tick
+        if not (0 <= r.beacon_rate_hz < math.inf
+                and (r.tick_s <= 0 or r.beacon_rate_hz <= 1 / r.tick_s)):
+            problems.append("rover.beacon_rate_hz must be non-negative, finite "
+                            "and at most one fix per rover.tick_s")
         if not (isinstance(r.obstacles, (tuple, list))
                 and all(_numbers(o, 4) for o in r.obstacles)):
             problems.append("rover.obstacles must be rectangles of 4 numbers "
@@ -314,6 +343,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         t = cfg.timesync
         _check_period(problems, "timesync.sync_interval_s", t.sync_interval_s)
         _check_period(problems, "timesync.sample_interval_s", t.sample_interval_s)
+        if t.convergence_samples < 1:
+            problems.append("timesync.convergence_samples must be at least 1")
         _check_delay(problems, "timesync.start_s", t.start_s)
         _check_delay(problems, "timesync.stagger_ms", t.stagger_ms / 1e3)
         _check_delay(problems, "timesync.followup_lag_us", t.followup_lag_us / 1e6)

@@ -244,31 +244,6 @@ def test_disconnect_callbacks_fire():
     assert seen == [("a", PS_PER_S + DEFAULT_DETECTION_WINDOW_PS)]
 
 
-def test_load_switches_gate_consumption():
-    pd = make_pd("a", processing=2500, peripheral=500)
-    plane = plane_with([pd])
-    plane.allocate("a", at=0)
-    assert pd.consumption_mw(0) == 3500
-    plane.toggle_switch("a", "s1", False, at=PS_PER_S)
-    assert pd.consumption_mw(PS_PER_S) == 1000
-    plane.toggle_switch("a", "s2", False, at=2 * PS_PER_S)
-    assert pd.consumption_mw(2 * PS_PER_S) == 500
-    plane.toggle_switch("a", "s1", True, at=3 * PS_PER_S)
-    assert pd.consumption_mw(3 * PS_PER_S) == 3000
-    with pytest.raises(ConfigurationError):
-        plane.toggle_switch("a", "s3", True)
-
-
-def test_switch_off_can_clear_overdraw():
-    pd = make_pd("a")
-    plane = plane_with([pd])
-    plane.allocate("a", at=0)
-    pd.processing.set_from(PS_PER_S, 20_000)
-    # peripheral path off cuts the draw below the ceiling mid-window
-    plane.toggle_switch("a", "s1", False, at=PS_PER_S + 10 * PS_PER_MS)
-    assert plane.find_disconnect_time(pd) is None
-
-
 def test_pending_disconnects_preview():
     pd_a, pd_b = make_pd("a"), make_pd("b")
     plane = plane_with([pd_a, pd_b])

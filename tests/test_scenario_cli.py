@@ -220,10 +220,9 @@ SUB_PS_PERIODS = [("dataplane", "produce_interval_ms", 0),
                   ("timesync", "sync_interval_s", 1e-13)]
 
 
-def run_probe(section, key, value, tmp_path):
-    """`tilesim run` on an 8-tile, 2 s scenario with one field overridden
-    (a top-level one when `section` is None), in a subprocess with a
-    timeout, so a regression fails instead of hanging."""
+def probe_scenario(section, key, value, tmp_path):
+    """An 8-tile, 2 s scenario file with one field overridden (a top-level
+    one when `section` is None)."""
     doc = {"name": "probe", "seed": 3, "duration_s": 2.0,
            "fabric": {"counts": {"wall_a": 2, "wall_b": 2, "floor": 2,
                                  "ceiling": 2}, "switch_count": 2}}
@@ -233,6 +232,13 @@ def run_probe(section, key, value, tmp_path):
         doc[section] = {key: value}
     path = tmp_path / "probe.yaml"
     path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def run_probe(section, key, value, tmp_path):
+    """`tilesim run` on the probe scenario, in a subprocess with a timeout,
+    so a regression fails instead of hanging."""
+    path = probe_scenario(section, key, value, tmp_path)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(tilesim.__file__).parents[1]),
                       os.environ.get("PYTHONPATH")])))
@@ -303,12 +309,14 @@ def test_bad_value_exits_with_one_line(section, key, value, code, tmp_path):
 # Unchecked ranges: a 1e-13 s rover tick rounds to 0 ps and the mission
 # loop never advances; an infinite mission bound overflows in ps; a zero
 # battery divides by zero; a 2-number obstacle or face size fails to
-# unpack; a negative record size or detection window ran to exit 0.
+# unpack; a negative record size or detection window ran to exit 0; a
+# battery rated below the driving draw failed the mission in a traceback.
 OUT_OF_RANGE = [("rover", "tick_s", 1e-13), ("rover", "max_duration_s", float("inf")),
                 ("rover", "battery_capacity_wh", 0.0), ("rover", "obstacles", [[1, 2]]),
                 ("fabric", "face_dims", {"floor": [1]}),
                 ("dataplane", "record_bytes", -5),
-                ("power", "detection_window_ms", -1)]
+                ("power", "detection_window_ms", -1),
+                ("rover", "battery_peak_w", 0.0)]
 
 
 @pytest.mark.parametrize("section,key,value", OUT_OF_RANGE)
@@ -318,6 +326,52 @@ def test_out_of_range_value_exits_1_with_one_line(section, key, value, tmp_path)
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and f"{section}.{key}" in lines[0]
     assert "Traceback" not in proc.stderr
+
+
+def test_mission_that_cannot_finish_is_reported(tmp_path):
+    # 1 mWh runs dry before the charger is in reach
+    proc = run_probe("rover", "battery_capacity_wh", 0.001, tmp_path)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report["rover"] == {"error": "charger unreachable with remaining charge"}
+    log = (run_dir / "mission_log.csv").read_text().splitlines()
+    assert log[1].endswith(",start")
+
+
+# The first six got different answers from `validate` and `run` while the
+# two had separate set-up code; the rest passed both before their range
+# checks.  Both commands now share one set-up path, so they must agree,
+# and a rejected run must write nothing.
+SETUP_PROBES = [("fabric", "cable_model", "uniform", 0),
+                ("power", "overdraw_tile", "t999", 1),
+                ("timesync", "boundary_switches", ["sw9"], 1),
+                ("dataplane", "retention_records", 0, 1),
+                ("power", "requested_class", 9, 1),
+                ("rover", "obstacles", [[0, 0, 8, 4]], 1),
+                ("rover", "battery_peak_w", 0.0, 1),
+                ("rover", "beacon_sigma_m", -1.0, 1),
+                ("rover", "outlier_prob", 2.0, 1),
+                ("rover", "beacon_rate_hz", 11.0, 1),
+                ("power", "processing_mw", -100000, 1),
+                ("power", "midspan_budget_w", 0.0, 1),
+                ("timesync", "convergence_samples", 0, 1),
+                ("dataplane", "max_poll_records", 0, 1),
+                ("coherent", "tile_count", 0, 1)]
+
+
+@pytest.mark.parametrize("section,key,value,code", SETUP_PROBES)
+def test_validate_and_run_agree(section, key, value, code, tmp_path, capsys):
+    path = str(probe_scenario(section, key, value, tmp_path))
+    out = tmp_path / "runs"
+    validated = main(["validate", path])
+    ran = main(["run", path, "--out", str(out)])
+    assert (validated == 1) == (ran == 1)
+    assert ran == code
+    if ran == 1:
+        assert not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("data", [
@@ -348,7 +402,29 @@ def test_optional_scalars_take_none_or_their_type(values):
     ({"fabric": {"counts": {"wall_a": True}}}, "fabric.counts"),
     ({"fabric": {"counts": {"wall_a": -1}}}, "fabric.counts"),
     ({"fabric": {"counts": [4, 4]}}, "fabric.counts"),
-    ({"duration_s": 1.9e7}, "duration_s")])
+    ({"duration_s": 1.9e7}, "duration_s"),
+    ({"rover": {"battery_peak_w": 0.0}}, "rover.battery_peak_w"),
+    ({"rover": {"battery_peak_w": 79.9}}, "rover.battery_peak_w"),
+    ({"rover": {"beacon_sigma_m": -0.01}}, "rover.beacon_sigma_m"),
+    ({"rover": {"outlier_prob": -0.1}}, "rover.outlier_prob"),
+    ({"rover": {"outlier_prob": 1.5}}, "rover.outlier_prob"),
+    ({"rover": {"beacon_rate_hz": -1.0}}, "rover.beacon_rate_hz"),
+    ({"rover": {"beacon_rate_hz": float("inf")}}, "rover.beacon_rate_hz"),
+    ({"rover": {"beacon_rate_hz": 10.5}}, "rover.beacon_rate_hz"),
+    ({"rover": {"beacon_rate_hz": 2.5, "tick_s": 0.5}}, "rover.beacon_rate_hz"),
+    ({"power": {"base_mw": -1}}, "power.base_mw"),
+    ({"power": {"processing_mw": -100000}}, "power.processing_mw"),
+    ({"power": {"peripheral_mw": -1}}, "power.peripheral_mw"),
+    ({"power": {"midspan_budget_w": 0.0}}, "power.midspan_budget_w"),
+    ({"power": {"midspan_budget_w": -5.0}}, "power.midspan_budget_w"),
+    ({"power": {"global_budget_w": float("inf")}}, "power.global_budget_w"),
+    ({"power": {"overdraw_tile": "t000", "overdraw_at_s": float("nan")}},
+     "power.overdraw_at_s"),
+    ({"power": {"overdraw_tile": "t000", "overdraw_w": float("inf")}},
+     "power.overdraw_w"),
+    ({"timesync": {"convergence_samples": 0}}, "timesync.convergence_samples"),
+    ({"dataplane": {"max_poll_records": 0}}, "dataplane.max_poll_records"),
+    ({"coherent": {"tile_count": 0}}, "coherent.tile_count")])
 def test_validate_names_the_malformed_field(sections, field):
     problems = validate_scenario(tiny_cfg(**sections))
     assert [p.split()[0] for p in problems] == [field]
@@ -356,6 +432,10 @@ def test_validate_names_the_malformed_field(sections, field):
 
 def test_duration_range_and_disabled_sections_validate():
     assert validate_scenario(tiny_cfg(duration_s=1.8e7)) == []
+    # one beacon fix per tick is the most the tracker takes
+    for rate, tick in [(10.0, 0.1), (4.0, 0.25), (0.0, 0.1)]:
+        assert validate_scenario(tiny_cfg(rover={"beacon_rate_hz": rate,
+                                                 "tick_s": tick})) == []
     assert validate_scenario(tiny_cfg(coherent={"enabled": False, "target": [1]},
                                       rover={"enabled": False, "area": [1]})) == []
 
@@ -569,6 +649,13 @@ def test_overdraw_silences_producer_after_disconnect(tmp_path):
             last_by_producer.get(row["producer"], 0), row["produce_time_ps"])
     assert last_by_producer["t000"] < cutoff_ps
     assert max(last_by_producer.values()) > cutoff_ps
+
+
+def test_overdraw_past_the_run_is_never_cut(tmp_path):
+    # 1e10 s plus the detection window lies past the 64-bit ps range
+    cfg = tiny_cfg(duration_s=0.5, rover={"enabled": False},
+                   power={"overdraw_tile": "t000", "overdraw_at_s": 1e10})
+    assert run_scenario(cfg, tmp_path).report["power"]["disconnects"] == 0
 
 
 def test_unknown_overdraw_tile_rejected(tmp_path):
