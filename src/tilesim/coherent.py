@@ -56,25 +56,6 @@ def wrap_phase(phi):
     return np.pi - np.mod(np.pi - np.asarray(phi), 2 * np.pi)
 
 
-def phase_from_timing(delta_t_s, carrier_hz: float, noise_sigma_rad: float = 0.0,
-                      rng: RngStream | None = None):
-    """Phase a timing error produces at the carrier, plus optional phase noise."""
-    if not CARRIER_MIN_HZ <= carrier_hz <= CARRIER_MAX_HZ:
-        raise ConfigurationError(
-            f"carrier {carrier_hz:g} Hz outside the radio's "
-            f"{CARRIER_MIN_HZ:g}-{CARRIER_MAX_HZ:g} Hz range")
-    phi = 2 * np.pi * carrier_hz * np.asarray(delta_t_s, dtype=float)
-    if noise_sigma_rad:
-        if rng is None:
-            raise ConfigurationError("phase noise requested without a random stream")
-        if phi.ndim:
-            phi = phi + rng.normal_array(phi.size, noise_sigma_rad).reshape(phi.shape)
-        else:
-            phi = phi + rng.normal(noise_sigma_rad)
-    wrapped = wrap_phase(phi)
-    return float(wrapped) if np.ndim(wrapped) == 0 else wrapped
-
-
 def steering_phase(tile_center, target, carrier_hz: float) -> float:
     """Carrier phase accumulated over the straight path tile -> target."""
     d = math.dist(tile_center, target)

@@ -1,5 +1,6 @@
-"""Partitioned publish/subscribe log with consumer groups.
+"""The log: one topic of partitioned records, read by consumer groups.
 
+A run carries one stream of tile samples, so the broker is the topic.
 Records land on partitions by a stable 64-bit FNV-1a hash of the key, get
 dense per-partition offsets in broker arrival order, and age out of a fixed
 ring buffer.  Consumer groups track committed offsets per partition with
@@ -92,7 +93,10 @@ class _Partition:
         return self._log[i:i + max_records], gap
 
 
-class Topic:
+class Broker:
+    """The topic: `partition_count` partitions, each retaining its newest
+    `retention` records, and the count of records ever published."""
+
     def __init__(self, name: str, partition_count: int, retention: int):
         if partition_count < 1:
             raise ConfigurationError("a topic needs at least one partition")
@@ -100,31 +104,16 @@ class Topic:
             raise ConfigurationError("retention must hold at least one record")
         self.name = name
         self.partitions = [_Partition(retention) for _ in range(partition_count)]
-        self.retention = retention
-
-
-class Broker:
-    def __init__(self):
-        self.topics: dict[str, Topic] = {}
         self.published = 0
 
-    def create_topic(self, name: str, partition_count: int = 1,
-                     retention: int = 10_000) -> Topic:
-        if name in self.topics:
-            raise ConfigurationError(f"topic {name!r} exists")
-        t = Topic(name, partition_count, retention)
-        self.topics[name] = t
-        return t
+    def partition_for(self, key: str) -> int:
+        return fnv1a64(key.encode()) % len(self.partitions)
 
-    def partition_for(self, topic: str, key: str) -> int:
-        return fnv1a64(key.encode()) % len(self.topics[topic].partitions)
-
-    def append(self, topic: str, key: str, size_bytes: int,
-               produce_time_ps: SimTime, producer: str,
-               key_hash: int | None = None) -> tuple[int, int]:
+    def append(self, key: str, size_bytes: int, produce_time_ps: SimTime,
+               producer: str, key_hash: int | None = None) -> tuple[int, int]:
         """Arrival-side append; offsets are assigned in call order.  A caller
         that already holds fnv1a64(key.encode()) passes it as `key_hash`."""
-        partitions = self.topics[topic].partitions
+        partitions = self.partitions
         if key_hash is None:
             key_hash = fnv1a64(key.encode())
         p = key_hash % len(partitions)
@@ -132,7 +121,7 @@ class Broker:
         self.published += 1
         return p, off
 
-    def dump_topic(self, name: str) -> str:
+    def dump_topic(self) -> str:
         """Newline-delimited JSON of everything currently retained, one
         object per record with sorted keys, in the bytes `json.dumps(...,
         sort_keys=True)` gives: strings through the encoder `json.dumps`
@@ -142,7 +131,7 @@ class Broker:
             '{"key": %s, "offset": %d, "partition": %d, "produce_time_ps": %d, '
             '"producer": %s, "size_bytes": %d}\n'
             % (enc(key), offset, p, produce_time_ps, enc(producer), size_bytes)
-            for p, part in enumerate(self.topics[name].partitions)
+            for p, part in enumerate(self.partitions)
             for key, size_bytes, produce_time_ps, producer, offset in part.retained()])
 
 
@@ -153,7 +142,8 @@ class PollResult:
 
 
 class ConsumerGroup:
-    """Range partition assignment over sorted member ids.
+    """Range partition assignment of the broker's partitions over sorted
+    member ids.
 
     Poll positions are per-session: any membership change resets every
     member to the committed offsets, which is what produces the
@@ -164,19 +154,11 @@ class ConsumerGroup:
         self.group_id = group_id
         self.broker = broker
         self.members: list[str] = []
-        self.subscriptions: list[str] = []
-        self.committed: dict[tuple[str, int], int] = {}
-        self.last_delivered: dict[tuple[str, int], int] = {}
-        self._positions: dict[str, dict[tuple[str, int], int]] = {}
-        self._assignments: dict[str, dict[str, list[int]]] = {}
+        self.committed: dict[int, int] = {}
+        self.last_delivered: dict[int, int] = {}
+        self._positions: dict[str, dict[int, int]] = {}
+        self._assignment: dict[str, list[int]] = {}
         self.rebalances: list[dict] = []
-
-    def subscribe(self, topic: str) -> None:
-        if topic not in self.broker.topics:
-            raise ConfigurationError(f"unknown topic {topic!r}")
-        if topic not in self.subscriptions:
-            self.subscriptions.append(topic)
-            self.subscriptions.sort()
 
     def join(self, member_id: str) -> None:
         if member_id in self.members:
@@ -190,86 +172,72 @@ class ConsumerGroup:
         self._rebalance("leave", member_id)
 
     def _rebalance(self, why: str, member_id: str) -> None:
+        """Reset every poll position and split the partitions into
+        contiguous ranges over the sorted members; the first (count mod
+        members) members absorb the remainder."""
         self._positions = {}
-        self._assignments = {}
-        self.rebalances.append({"why": why, "member": member_id,
-                                "assignment": {t: self.assignment(t)
-                                               for t in self.subscriptions}})
-
-    def assignment(self, topic: str) -> dict[str, list[int]]:
-        """Contiguous partition ranges over sorted members; the first
-        (count mod members) members absorb the remainder.  Computed once
-        per membership (a join or leave clears it); callers share the
-        result and must not mutate it."""
-        out = self._assignments.get(topic)
-        if out is None:
-            out = self._assignments[topic] = self._assign(topic)
-        return out
-
-    def _assign(self, topic: str) -> dict[str, list[int]]:
-        parts = list(range(len(self.broker.topics[topic].partitions)))
-        if not self.members:
-            return {}
-        per, extra = divmod(len(parts), len(self.members))
-        out = {}
+        per, extra = divmod(len(self.broker.partitions),
+                            max(1, len(self.members)))
+        out = self._assignment = {}
         i = 0
         for k, m in enumerate(self.members):
             n = per + (1 if k < extra else 0)
-            out[m] = parts[i:i + n]
+            out[m] = list(range(i, i + n))
             i += n
-        return out
+        self.rebalances.append({"why": why, "member": member_id,
+                                "assignment": out})
 
-    def partitions_of(self, member_id: str, topic: str) -> list[int]:
-        return self.assignment(topic).get(member_id, [])
+    def assignment(self) -> dict[str, list[int]]:
+        """Each member's partitions, as of the last join or leave; callers
+        share the result and must not mutate it."""
+        return self._assignment
+
+    def partitions_of(self, member_id: str) -> list[int]:
+        return self._assignment.get(member_id, [])
 
     def poll(self, member_id: str, max_records: int = 500) -> PollResult:
         if member_id not in self.members:
             raise ConfigurationError(f"{member_id} is not a group member")
         pos = self._positions.setdefault(member_id, {})
+        partitions = self.broker.partitions
         out: list[Record] = []
         gap = False
         budget = max_records
-        for topic in self.subscriptions:
-            t = self.broker.topics[topic]
-            for p in self.partitions_of(member_id, topic):
-                if budget <= 0:
-                    break
-                key = (topic, p)
-                start = pos.get(key, self.committed.get(key, 0))
-                recs, g = t.partitions[p].read_from(start, budget)
-                gap = gap or g
-                if recs:
-                    out.extend(recs)
-                    budget -= len(recs)
-                    pos[key] = recs[-1].offset + 1
-                    prev = self.last_delivered.get(key, -1)
-                    self.last_delivered[key] = max(prev, recs[-1].offset)
-                elif g:
-                    pos[key] = t.partitions[p].first_offset
+        for p in self.partitions_of(member_id):
+            if budget <= 0:
+                break
+            start = pos.get(p, self.committed.get(p, 0))
+            recs, g = partitions[p].read_from(start, budget)
+            gap = gap or g
+            if recs:
+                out.extend(recs)
+                budget -= len(recs)
+                pos[p] = recs[-1].offset + 1
+                prev = self.last_delivered.get(p, -1)
+                self.last_delivered[p] = max(prev, recs[-1].offset)
+            elif g:
+                pos[p] = partitions[p].first_offset
         return PollResult(out, gap)
 
-    def commit(self, topic: str, partition: int, offset: int) -> None:
-        key = (topic, partition)
+    def commit(self, partition: int, offset: int) -> None:
         if offset < 0:
             raise CommitError("negative offset")
-        frontier = self.last_delivered.get(key, -1) + 1
+        frontier = self.last_delivered.get(partition, -1) + 1
         if offset > frontier:
             raise CommitError(
                 f"commit {offset} past delivery frontier {frontier} on "
-                f"{topic}[{partition}]")
-        self.committed[key] = offset
+                f"{self.broker.name}[{partition}]")
+        self.committed[partition] = offset
 
 
 class LinkWindow:
-    """One link's records inside the window, their byte sum, and the bytes
-    it carried over the whole run."""
+    """One link's records inside the window and their byte sum."""
 
-    __slots__ = ("events", "in_window", "total")
+    __slots__ = ("events", "in_window")
 
     def __init__(self):
         self.events: deque[tuple[SimTime, int]] = deque()
         self.in_window = 0
-        self.total = 0
 
     def bits_per_second(self, now: SimTime, window_ps: SimTime) -> float:
         """Mean rate over (now - window_ps, now], dropping older records."""
@@ -295,17 +263,12 @@ class LinkLoadTracker:
         self.window_ps = window_ps
         self.windows: dict[str, LinkWindow] = {}
 
-    @property
-    def total_bytes(self) -> dict[str, int]:
-        return {link_id: w.total for link_id, w in self.windows.items()}
-
     def record(self, link_id: str, t: SimTime, nbytes: int) -> None:
         w = self.windows.get(link_id)
         if w is None:
             w = self.windows[link_id] = LinkWindow()
         w.events.append((t, nbytes))
         w.in_window += nbytes
-        w.total += nbytes
 
     def bits_per_second(self, link_id: str, now: SimTime) -> float:
         w = self.windows.get(link_id)

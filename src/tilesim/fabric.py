@@ -204,14 +204,6 @@ class Fabric:
         self._tile_link = {lk.b: lk.id for lk in links.values() if lk.b in tiles}
         self._trunk = {lk.b: lk.id for lk in links.values() if lk.b in switches}
 
-    def tile_position(self, tile_id: str) -> tuple[tuple[float, float, float],
-                                                   tuple[float, float, float]]:
-        try:
-            t = self.tiles[tile_id]
-        except KeyError:
-            raise LookupError(f"unknown tile id {tile_id!r}") from None
-        return t.center, t.normal
-
     def switch_for_tile(self, tile_id: str) -> str:
         return self._tile_switch[tile_id]
 
@@ -300,26 +292,6 @@ class Fabric:
         with open(path, "w") as f:
             json.dump(self.to_json_dict(), f, indent=1, sort_keys=True)
             f.write("\n")
-
-    @classmethod
-    def from_json_dict(cls, doc: dict, config: FabricConfig | None = None) -> "Fabric":
-        version = doc.get("schema_version")
-        if version != FABRIC_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported fabric schema version {version!r}"
-                f" (this build reads {FABRIC_SCHEMA_VERSION})")
-        cfg = config or FabricConfig(room=Room(**doc["room"]))
-        tiles = {d["id"]: TileNode(d["id"], d["surface"], tuple(d["center"]),
-                                   tuple(d["normal"]), tuple(d["rect_mm"]),
-                                   frozenset(d["roles"])) for d in doc["tiles"]}
-        switches = {d["id"]: SwitchNode(d["id"], d["port_count"], tuple(d["position"]),
-                                        d["transparent_clock"], list(d["attached"]))
-                    for d in doc["switches"]}
-        links = {d["id"]: Link(d["id"], d["a"], d["b"], d["length_m"],
-                               d["base_delay_ps"], d["extra_ab_ps"], d["extra_ba_ps"],
-                               d["jitter_sigma_ns"], d["jitter_shape"],
-                               d["bandwidth_bps"]) for d in doc["links"]}
-        return cls(cfg, tiles, switches, links, doc["central_id"])
 
 
 def _cable_length_m(cfg: FabricConfig, tile: TileNode, sw: SwitchNode,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +38,6 @@ class _Producers:
 
     def __init__(self, loop, fabric, cfg, broker, tracker, online, until_ps):
         self.loop = loop
-        self.topic = cfg.topic
         self.record_bytes = cfg.record_bytes
         self.broker = broker
         self.tracker = tracker
@@ -71,7 +71,7 @@ class _Producers:
         nbytes = self.record_bytes
         self.bytes[tile] += nbytes
         digits = str(seq)
-        self.broker.append(self.topic, prefix + digits, nbytes, now, tile,
+        self.broker.append(prefix + digits, nbytes, now, tile,
                            fnv1a64(digits.encode(), prefix_hash))
         record = self.tracker.record
         record(tile_link, now, nbytes)
@@ -102,7 +102,6 @@ class _Consumers:
         k = 0
         for g in range(cfg.consumer_groups):
             group = ConsumerGroup(f"g{g}", broker)
-            group.subscribe(cfg.topic)
             for c in range(cfg.consumers_per_group):
                 group.join(f"g{g}-c{c}")
             self.groups.append(group)
@@ -117,10 +116,10 @@ class _Consumers:
         group, member = arg
         res = group.poll(member, self.cfg.max_poll_records)
         self.delivered[group.group_id] += len(res.records)
-        for p in group.partitions_of(member, self.cfg.topic):
-            last = group.last_delivered.get((self.cfg.topic, p))
+        for p in group.partitions_of(member):
+            last = group.last_delivered.get(p)
             if last is not None:
-                group.commit(self.cfg.topic, p, last + 1)
+                group.commit(p, last + 1)
 
 
 @dataclass
@@ -177,6 +176,17 @@ def _setup_power(cfg: ScenarioConfig, fabric: Fabric, loop: EventLoop,
     return plane
 
 
+@contextmanager
+def _section(name: str):
+    """Prefix a set-up error with its scenario section, unless it names a key."""
+    try:
+        yield
+    except ConfigurationError as e:
+        if str(e).startswith(name + "."):
+            raise
+        raise ConfigurationError(f"{name}: {e}") from e
+
+
 def prepare_scenario(cfg: ScenarioConfig) -> RunResult:
     """Everything a run does before its first event, writing nothing.  The
     stages' constructors check their own arguments, so this raises
@@ -185,46 +195,52 @@ def prepare_scenario(cfg: ScenarioConfig) -> RunResult:
     if problems:
         raise ConfigurationError("; ".join(problems))
     rng = RngRegistry(cfg.seed)
-    fabric = build_default_fabric(cfg.fabric, rng.stream("fabric/cabling"))
-    fabric_problems = fabric.validate()
-    if fabric_problems:
-        raise ConfigurationError("; ".join(fabric_problems))
+    with _section("fabric"):
+        fabric = build_default_fabric(cfg.fabric, rng.stream("fabric/cabling"))
+        fabric_problems = fabric.validate()
+        if fabric_problems:
+            raise ConfigurationError("; ".join(fabric_problems))
     loop = EventLoop()
     until = from_seconds(cfg.duration_s)
     run = RunResult(scenario_hash(cfg), rng, fabric, loop)
 
-    plane = run.power = (_setup_power(cfg, fabric, loop, until)
-                         if cfg.power.enabled else None)
+    with _section("power"):
+        plane = run.power = (_setup_power(cfg, fabric, loop, until)
+                             if cfg.power.enabled else None)
     online = plane.is_online if plane is not None else (lambda tile_id: True)
 
     tracker = None
     if cfg.dataplane.enabled:
-        run.broker = broker = Broker()
-        broker.create_topic(cfg.dataplane.topic, cfg.dataplane.partitions,
-                            cfg.dataplane.retention_records)
-        tracker = LinkLoadTracker(
-            from_seconds(cfg.dataplane.load_window_ms / 1e3))
-        run.producers = _Producers(loop, fabric, cfg.dataplane, broker,
-                                   tracker, online, until)
-        run.consumers = _Consumers(loop, cfg.dataplane, broker, until)
+        d = cfg.dataplane
+        with _section("dataplane"):
+            run.broker = broker = Broker(d.topic, d.partitions,
+                                         d.retention_records)
+            tracker = LinkLoadTracker(from_seconds(d.load_window_ms / 1e3))
+            run.producers = _Producers(loop, fabric, d, broker, tracker,
+                                       online, until)
+            run.consumers = _Consumers(loop, d, broker, until)
 
     if cfg.timesync.enabled:
-        run.domain = SyncDomain(loop, fabric, cfg.timesync, rng, tracker, online)
-        if plane is not None:
-            plane.on_disconnect.append(run.domain.mark_offline)
-        run.domain.start(until)
+        with _section("timesync"):
+            run.domain = SyncDomain(loop, fabric, cfg.timesync, rng, tracker,
+                                    online)
+            if plane is not None:
+                plane.on_disconnect.append(run.domain.mark_offline)
+            run.domain.start(until)
 
     if cfg.rover.enabled:
         r = cfg.rover
-        plan = plan_sampling(fabric.room, r.resolution_m, r.obstacles,
-                             r.z_resolution_m, area=r.area)
-        beacons = default_beacons(fabric.room, range_sigma_m=r.beacon_sigma_m,
-                                  rate_hz=r.beacon_rate_hz,
-                                  outlier_prob=r.outlier_prob)
-        battery = Battery(r.battery_capacity_wh, r.battery_peak_w)
-        mc = MissionConfig(speed_mps=r.speed_mps, tick_s=r.tick_s)
-        run.mission = MissionRunner(fabric.room, plan, beacons, battery, mc,
-                                    rng.stream(r.stream_label))
+        with _section("rover"):
+            plan = plan_sampling(fabric.room, r.resolution_m, r.obstacles,
+                                 r.z_resolution_m, area=r.area)
+            beacons = default_beacons(fabric.room,
+                                      range_sigma_m=r.beacon_sigma_m,
+                                      rate_hz=r.beacon_rate_hz,
+                                      outlier_prob=r.outlier_prob)
+            battery = Battery(r.battery_capacity_wh, r.battery_peak_w)
+            mc = MissionConfig(speed_mps=r.speed_mps, tick_s=r.tick_s)
+            run.mission = MissionRunner(fabric.room, plan, beacons, battery,
+                                        mc, rng.stream(r.stream_label))
     return run
 
 
@@ -257,8 +273,9 @@ def run_scenario(cfg: ScenarioConfig, out_root) -> RunResult:
     if domain is not None:
         run.sync_report = domain.finish()
         run.sync_report.to_csv(out_dir / "sync_report.csv")
-        report["timesync"] = dict(run.sync_report.summary(),
-                                  exchanges=len(domain.exchanges))
+        report["timesync"] = dict(
+            run.sync_report.summary(),
+            exchanges=sum(p.corrections for p in domain.ports.values()))
 
     if plane is not None:
         plane.monitor(until)
@@ -268,7 +285,7 @@ def run_scenario(cfg: ScenarioConfig, out_root) -> RunResult:
     if run.broker is not None:
         run.producers.write_traffic_csv(out_dir / "traffic.csv")
         with open(out_dir / "topics.ndjson", "w") as f:
-            f.write(run.broker.dump_topic(cfg.dataplane.topic))
+            f.write(run.broker.dump_topic())
         report["dataplane"] = {
             "topic": cfg.dataplane.topic,
             "partitions": cfg.dataplane.partitions,

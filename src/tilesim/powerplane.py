@@ -175,7 +175,6 @@ class PsePlane:
         self._midspan_of: dict[str, Midspan] = {}
         self.ledger: list[tuple] = []   # (t, tile, class_id, consumption_mw, event)
         self.on_disconnect: list[Callable[[str, SimTime], None]] = []
-        self._applied_disconnects: set[str] = set()
 
     # -- registration / allocation --
 
@@ -205,7 +204,6 @@ class PsePlane:
         pd.granted_at = at
         pd.online = True
         pd.disconnected_at = None
-        self._applied_disconnects.discard(tile_id)
         self.ledger.append((at, tile_id, cls.class_id, pd.consumption_mw(at), "grant"))
         return Grant(tile_id, cls, ms.id)
 
@@ -260,11 +258,10 @@ class PsePlane:
         fired = []
         for tile_id in sorted(self.devices):
             pd = self.devices[tile_id]
-            if tile_id in self._applied_disconnects or not pd.online:
+            if not pd.online:
                 continue
             ev = self.find_disconnect_time(pd)
             if ev is not None and ev.at_ps <= true_time:
-                self._applied_disconnects.add(tile_id)
                 self.disconnect(tile_id, ev.at_ps)
                 fired.append(ev)
         return fired
@@ -274,7 +271,7 @@ class PsePlane:
         out = []
         for tile_id in sorted(self.devices):
             pd = self.devices[tile_id]
-            if pd.online and tile_id not in self._applied_disconnects:
+            if pd.online:
                 ev = self.find_disconnect_time(pd)
                 if ev is not None:
                     out.append(ev)

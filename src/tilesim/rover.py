@@ -22,6 +22,7 @@ from .fabric import ConfigurationError, Room
 
 LIFT_MIN_M = 0.55
 LIFT_MAX_M = 1.85
+MAX_PLAN_STOPS = 1_000_000   # the shipped scenario plans 48, rover_survey 141
 
 
 class RoverError(RuntimeError):
@@ -309,17 +310,6 @@ class SamplePlan:
     z_stops: tuple
     orientation: str            # row_major | column_major
 
-    def to_json_dict(self) -> dict:
-        return {"waypoints": [list(w) for w in self.waypoints],
-                "resolution_m": self.resolution_m,
-                "z_stops": list(self.z_stops),
-                "orientation": self.orientation}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SamplePlan":
-        return cls(tuple(tuple(w) for w in d["waypoints"]), d["resolution_m"],
-                   tuple(d["z_stops"]), d["orientation"])
-
 
 def _xy_path_length(cells: list[tuple[float, float]]) -> float:
     return sum(math.dist(cells[i], cells[i + 1]) for i in range(len(cells) - 1))
@@ -361,6 +351,13 @@ def plan_sampling(room: Room, resolution_m: float, obstacles=(),
     if not (0 <= ax0 < ax1 <= room.length_m and 0 <= ay0 < ay1 <= room.width_m):
         raise ConfigurationError("sampling area must lie inside the room")
     lo, hi = lift_range
+    # one Python tuple per stop: refuse a plan too large to build
+    stops = ((ax1 - ax0) / resolution_m) * ((ay1 - ay0) / resolution_m) \
+        * ((hi - lo) / zres + 1)
+    if stops > MAX_PLAN_STOPS:
+        raise ConfigurationError(
+            f"the sampling plan would exceed {MAX_PLAN_STOPS:,} lift stops; "
+            "coarsen resolution_m or z_resolution_m")
     z_stops = []
     z = lo
     while z <= hi + 1e-9:
@@ -397,11 +394,7 @@ class PowerDrawError(RoverError):
 
 
 class Battery:
-    """State-of-charge bookkeeping with a hard draw ceiling and a linear
-    terminal-voltage map over the charge span."""
-
-    V_EMPTY = 10.0
-    V_FULL = 16.2
+    """State-of-charge bookkeeping with a hard draw ceiling."""
 
     def __init__(self, capacity_wh: float = 170.0, peak_w: float = 480.0,
                  soc: float = 1.0):
@@ -409,9 +402,6 @@ class Battery:
         self.peak_w = peak_w
         self.soc = soc
         self.drawn_wh = 0.0
-
-    def voltage(self) -> float:
-        return self.V_EMPTY + (self.V_FULL - self.V_EMPTY) * self.soc
 
     def remaining_wh(self) -> float:
         return self.soc * self.capacity_wh

@@ -271,7 +271,6 @@ class SyncReport:
         self._times: dict[str, list[int]] = {}
         self._resid: dict[str, list[float]] = {}
         self._conv_idx: dict[str, int | None] = {}
-        self._finalized = False
 
     def add_sample(self, node: str, t: SimTime, residual_ps: float) -> None:
         times, resid = self.columns(node)
@@ -300,7 +299,6 @@ class SyncReport:
                     idx = i - self.consecutive + 1
                     break
             self._conv_idx[node] = idx
-        self._finalized = True
 
     @property
     def nodes(self) -> list[str]:

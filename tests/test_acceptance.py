@@ -294,13 +294,11 @@ def test_criterion_10_tracker_integrity(verdict):
 
 def test_criterion_11_delivery_under_arbitrary_interleaving(verdict):
     rnd = random.Random(1111)
-    broker = Broker()
-    broker.create_topic("samples", 8, 1_000_000)
+    broker = Broker("samples", 8, 1_000_000)
     members = []
     groups = []
     for gid in ("g0", "g1"):
         group = ConsumerGroup(gid, broker)
-        group.subscribe("samples")
         for m in range(3):
             group.join(f"{gid}-m{m}")
             members.append((group, f"{gid}-m{m}"))
@@ -321,10 +319,10 @@ def test_criterion_11_delivery_under_arbitrary_interleaving(verdict):
                 order_ok = False
             last_seen[key] = rec.offset
             delivered[group.group_id].add((part, rec.offset))
-        for part in group.partitions_of(member, "samples"):
-            last = group.last_delivered.get(("samples", part))
+        for part in group.partitions_of(member):
+            last = group.last_delivered.get(part)
             if last is not None:
-                group.commit("samples", part, last + 1)
+                group.commit(part, last + 1)
         return len(res.records)
 
     published = 0
@@ -335,7 +333,7 @@ def test_criterion_11_delivery_under_arbitrary_interleaving(verdict):
                 if published == 10_000:
                     break
                 t += rnd.randint(1, 50)
-                truth.add(broker.append("samples", f"k{published:05d}", 64, t,
+                truth.add(broker.append(f"k{published:05d}", 64, t,
                                         f"p{rnd.randint(0, 5)}"))
                 published += 1
         else:

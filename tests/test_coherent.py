@@ -9,7 +9,7 @@ from tilesim.coherent import (CARRIER_MAX_HZ, CARRIER_MIN_HZ, CoherentError,
                               SPEED_OF_LIGHT_M_S, GainResult, SdrNode,
                               coherent_gain, coherent_gain_batch,
                               evaluate_beamforming, expected_gain,
-                              phase_from_timing, steering_phase, wrap_phase)
+                              steering_phase, wrap_phase)
 from tilesim.core import RngStream
 from tilesim.fabric import (ConfigurationError, Fabric, FabricConfig,
                             build_default_fabric)
@@ -43,35 +43,6 @@ def test_wrap_phase_range_and_edges():
 def test_wrap_phase_preserves_phasor():
     for phi in np.linspace(-15, 15, 301):
         assert np.exp(1j * wrap_phase(phi)) == pytest.approx(np.exp(1j * phi))
-
-
-# --- timing to phase --------------------------------------------------------
-
-def test_phase_from_timing_basics():
-    assert phase_from_timing(0.0, 1e9) == 0.0
-    # a full carrier period wraps back to zero
-    assert phase_from_timing(1e-9, 1e9) == pytest.approx(0.0, abs=1e-9)
-    # half a period is the pi edge
-    assert abs(phase_from_timing(0.5e-9, 1e9)) == pytest.approx(math.pi)
-    arr = phase_from_timing(np.array([0.0, 0.25e-9]), 1e9)
-    assert arr[1] == pytest.approx(math.pi / 2)
-
-
-def test_phase_from_timing_carrier_bounds():
-    with pytest.raises(ConfigurationError, match="carrier"):
-        phase_from_timing(0.0, 1e6)
-    with pytest.raises(ConfigurationError, match="carrier"):
-        phase_from_timing(0.0, 10e9)
-    phase_from_timing(0.0, CARRIER_MIN_HZ)
-    phase_from_timing(0.0, CARRIER_MAX_HZ)
-
-
-def test_phase_noise_needs_stream_and_is_deterministic():
-    with pytest.raises(ConfigurationError, match="stream"):
-        phase_from_timing(1e-9, 1e9, noise_sigma_rad=0.1)
-    a = phase_from_timing(1e-9, 1e9, 0.1, RngStream(5, "pn"))
-    b = phase_from_timing(1e-9, 1e9, 0.1, RngStream(5, "pn"))
-    assert a == b != phase_from_timing(1e-9, 1e9)
 
 
 def test_steering_phase_geometry():

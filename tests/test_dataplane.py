@@ -13,15 +13,13 @@ from tilesim.fabric import ConfigurationError
 
 
 def broker_with(partitions=4, retention=10_000):
-    b = Broker()
-    b.create_topic("samples", partitions, retention)
-    return b
+    return Broker("samples", partitions, retention)
 
 
-def fill(b, n, topic="samples", producer="p"):
+def fill(b, n, producer="p"):
     out = []
     for i in range(n):
-        out.append(b.append(topic, f"k{i}", 100, i, producer))
+        out.append(b.append(f"k{i}", 100, i, producer))
     return out
 
 
@@ -37,7 +35,7 @@ def test_fnv1a64_reference_vectors():
 def test_partitioner_is_hash_mod():
     b = broker_with(partitions=8)
     for key in ("t000", "t042", "alpha", ""):
-        assert b.partition_for("samples", key) == fnv1a64(key.encode()) % 8
+        assert b.partition_for(key) == fnv1a64(key.encode()) % 8
 
 
 @settings(max_examples=200, deadline=None)
@@ -54,16 +52,16 @@ def test_append_with_key_hash_lands_where_partition_for_says(tile, seq,
     key = f"{tile}:{seq}"
     b = broker_with(partitions=partitions)
     want = fnv1a64(key.encode()) % partitions
-    assert b.partition_for("samples", key) == want
+    assert b.partition_for(key) == want
     h = fnv1a64(str(seq).encode(), fnv1a64(f"{tile}:".encode()))
-    assert b.append("samples", key, 1, 0, "p", h)[0] == want
-    assert b.append("samples", key, 1, 0, "p")[0] == want
+    assert b.append(key, 1, 0, "p", h)[0] == want
+    assert b.append(key, 1, 0, "p")[0] == want
 
 
 def test_same_key_same_partition():
     b = broker_with(partitions=8)
-    p1, _ = b.append("samples", "stable", 10, 0, "p")
-    p2, _ = b.append("samples", "stable", 10, 1, "p")
+    p1, _ = b.append("stable", 10, 0, "p")
+    p2, _ = b.append("stable", 10, 1, "p")
     assert p1 == p2
 
 
@@ -73,7 +71,7 @@ def test_offsets_dense_per_partition():
     b = broker_with(partitions=3)
     seen: dict[int, list[int]] = {}
     for i in range(300):
-        p, off = b.append("samples", f"k{i}", 10, i, "p")
+        p, off = b.append(f"k{i}", 10, i, "p")
         seen.setdefault(p, []).append(off)
     for offs in seen.values():
         assert offs == list(range(len(offs)))
@@ -82,8 +80,8 @@ def test_offsets_dense_per_partition():
 
 def test_records_are_immutable_named_tuples():
     b = broker_with(partitions=1)
-    b.append("samples", "k0", 64, 5, "prod")
-    (r,) = b.topics["samples"].partitions[0].retained()
+    b.append("k0", 64, 5, "prod")
+    (r,) = b.partitions[0].retained()
     assert (r.key, r.size_bytes, r.produce_time_ps, r.producer, r.offset) == \
         ("k0", 64, 5, "prod", 0)
     assert r == Record("k0", 64, 5, "prod", 0)
@@ -95,20 +93,16 @@ def test_records_are_immutable_named_tuples():
 
 
 def test_topic_validation():
-    b = Broker()
-    b.create_topic("t", 2)
-    with pytest.raises(ConfigurationError, match="exists"):
-        b.create_topic("t", 2)
     with pytest.raises(ConfigurationError, match="partition"):
-        b.create_topic("empty", 0)
+        Broker("empty", 0, 10)
     with pytest.raises(ConfigurationError, match="retention"):
-        b.create_topic("tiny", 1, retention=0)
+        Broker("tiny", 1, 0)
 
 
 def test_retention_evicts_oldest():
     b = broker_with(partitions=1, retention=4)
     fill(b, 6)
-    part = b.topics["samples"].partitions[0]
+    part = b.partitions[0]
     assert part.first_offset == 2
     assert part.next_offset == 6
     recs, gap = part.read_from(0, 100)
@@ -119,26 +113,25 @@ def test_retention_evicts_oldest():
 def test_read_past_end_is_empty():
     b = broker_with(partitions=1)
     fill(b, 3)
-    recs, gap = b.topics["samples"].partitions[0].read_from(3, 10)
+    recs, gap = b.partitions[0].read_from(3, 10)
     assert recs == [] and not gap
 
 
 def test_dump_topic_ndjson(tmp_path):
     b = broker_with(partitions=2)
-    b.append("samples", "k0", 64, 5, "prod")
-    text = b.dump_topic("samples")
+    b.append("k0", 64, 5, "prod")
+    text = b.dump_topic()
     assert text.endswith("\n")
     row = json.loads(text.splitlines()[0])
     assert row == {"key": "k0", "offset": 0, "partition": fnv1a64(b"k0") % 2,
                    "produce_time_ps": 5, "producer": "prod", "size_bytes": 64}
-    assert broker_with().dump_topic("samples") == ""
+    assert broker_with().dump_topic() == ""
 
 
-def parent_dump_topic(self, name: str) -> str:
+def parent_dump_topic(self) -> str:
     """Newline-delimited JSON of everything currently retained."""
-    t = self.topics[name]
     lines = []
-    for p, part in enumerate(t.partitions):
+    for p, part in enumerate(self.partitions):
         for r in part.retained():
             lines.append(json.dumps(
                 {"partition": p, "offset": r.offset, "key": r.key,
@@ -166,8 +159,8 @@ def test_dump_topic_matches_json_dumps_byte_for_byte(partitions, retention,
     # the oracle is the json.dumps loop dump_topic replaced, copied verbatim
     b = broker_with(partitions=partitions, retention=retention)
     for key, size, t, producer in records:
-        b.append("samples", key, size, t, producer)
-    assert b.dump_topic("samples") == parent_dump_topic(b, "samples")
+        b.append(key, size, t, producer)
+    assert b.dump_topic() == parent_dump_topic(b)
 
 
 # --- consumer groups --------------------------------------------------------
@@ -176,7 +169,6 @@ def test_single_member_receives_everything():
     b = broker_with(partitions=4)
     fill(b, 100)
     g = ConsumerGroup("g", b)
-    g.subscribe("samples")
     g.join("c0")
     got = g.poll("c0", max_records=1000).records
     assert len(got) == 100
@@ -186,27 +178,25 @@ def test_single_member_receives_everything():
 def test_range_assignment_split():
     b = broker_with(partitions=8)
     g = ConsumerGroup("g", b)
-    g.subscribe("samples")
     for m in ("c2", "c0", "c1"):
         g.join(m)
-    a = g.assignment("samples")
+    a = g.assignment()
     # sorted members, contiguous ranges, remainder to the first members
     assert a == {"c0": [0, 1, 2], "c1": [3, 4, 5], "c2": [6, 7]}
-    assert g.partitions_of("c2", "samples") == [6, 7]
+    assert g.partitions_of("c2") == [6, 7]
 
 
 def test_members_cover_disjoint_partitions():
     b = broker_with(partitions=4)
     fill(b, 200)
     g = ConsumerGroup("g", b)
-    g.subscribe("samples")
     g.join("c0")
     g.join("c1")
     got0 = g.poll("c0", 1000).records
     got1 = g.poll("c1", 1000).records
     assert {r.offset for r in got0}.isdisjoint(set()) or True
-    p0 = {(b.partition_for("samples", r.key)) for r in got0}
-    p1 = {(b.partition_for("samples", r.key)) for r in got1}
+    p0 = {(b.partition_for(r.key)) for r in got0}
+    p1 = {(b.partition_for(r.key)) for r in got1}
     assert p0.isdisjoint(p1)
     assert len(got0) + len(got1) == 200
 
@@ -217,7 +207,6 @@ def test_two_groups_deliver_independently():
     groups = []
     for gid in ("g0", "g1"):
         g = ConsumerGroup(gid, b)
-        g.subscribe("samples")
         g.join("c")
         groups.append(g)
     for g in groups:
@@ -228,7 +217,6 @@ def test_poll_respects_budget_and_resumes():
     b = broker_with(partitions=1)
     fill(b, 10)
     g = ConsumerGroup("g", b)
-    g.subscribe("samples")
     g.join("c")
     first = g.poll("c", max_records=4).records
     second = g.poll("c", max_records=100).records
@@ -240,11 +228,10 @@ def test_rebalance_redelivers_uncommitted():
     b = broker_with(partitions=1)
     fill(b, 6)
     g = ConsumerGroup("g", b)
-    g.subscribe("samples")
     g.join("c0")
     got = g.poll("c0", 100).records
     assert len(got) == 6
-    g.commit("samples", 0, 3)           # only the first three are safe
+    g.commit(0, 3)                      # only the first three are safe
     g.join("c1")                        # membership change resets positions
     again = g.poll("c0", 100).records + g.poll("c1", 100).records
     assert [r.offset for r in again] == [3, 4, 5]
@@ -255,54 +242,48 @@ def test_rebalance_redelivers_uncommitted():
 def test_leave_triggers_rebalance():
     b = broker_with(partitions=2)
     g = ConsumerGroup("g", b)
-    g.subscribe("samples")
     g.join("c0")
     g.join("c1")
     g.leave("c1")
-    assert g.assignment("samples") == {"c0": [0, 1]}
+    assert g.assignment() == {"c0": [0, 1]}
     assert [r["why"] for r in g.rebalances] == ["join", "join", "leave"]
 
 
 def test_cached_assignment_follows_each_join_and_leave():
     b = broker_with(partitions=4)
     g = ConsumerGroup("g", b)
-    g.subscribe("samples")
     g.join("c1")
-    assert g.partitions_of("c1", "samples") == [0, 1, 2, 3]
+    assert g.partitions_of("c1") == [0, 1, 2, 3]
     g.join("c0")
-    assert g.partitions_of("c1", "samples") == [2, 3]
-    assert g.partitions_of("c0", "samples") == [0, 1]
+    assert g.partitions_of("c1") == [2, 3]
+    assert g.partitions_of("c0") == [0, 1]
     g.leave("c0")
-    assert g.partitions_of("c1", "samples") == [0, 1, 2, 3]
-    assert g.partitions_of("c0", "samples") == []
+    assert g.partitions_of("c1") == [0, 1, 2, 3]
+    assert g.partitions_of("c0") == []
     g.leave("c1")
-    assert g.assignment("samples") == {}
+    assert g.assignment() == {}
 
 
 def test_commit_past_frontier_rejected():
     b = broker_with(partitions=1)
     fill(b, 5)
     g = ConsumerGroup("g", b)
-    g.subscribe("samples")
     g.join("c")
     g.poll("c", 3)
-    g.commit("samples", 0, 3)           # frontier after 3 deliveries
+    g.commit(0, 3)                      # frontier after 3 deliveries
     with pytest.raises(CommitError, match="frontier"):
-        g.commit("samples", 0, 4)
+        g.commit(0, 4)
     with pytest.raises(CommitError, match="negative"):
-        g.commit("samples", 0, -1)
-    g.commit("samples", 0, 1)           # rewinding is allowed
-    assert g.committed[("samples", 0)] == 1
+        g.commit(0, -1)
+    g.commit(0, 1)                      # rewinding is allowed
+    assert g.committed[0] == 1
 
 
 def test_poll_requires_membership():
     b = broker_with()
     g = ConsumerGroup("g", b)
-    g.subscribe("samples")
     with pytest.raises(ConfigurationError, match="member"):
         g.poll("ghost")
-    with pytest.raises(ConfigurationError, match="unknown topic"):
-        g.subscribe("nope")
     g.join("c")
     with pytest.raises(ConfigurationError, match="already"):
         g.join("c")
@@ -312,7 +293,6 @@ def test_eviction_gap_is_reported_and_skipped():
     b = broker_with(partitions=1, retention=3)
     fill(b, 10)    # offsets 7, 8, 9 retained
     g = ConsumerGroup("g", b)
-    g.subscribe("samples")
     g.join("c")
     res = g.poll("c", 100)
     assert res.gap
@@ -326,13 +306,12 @@ def test_interleaved_appends_keep_partition_order(ops):
     b = broker_with(partitions=4, retention=1000)
     per_partition: dict[int, list[int]] = {}
     for i, (k, salt) in enumerate(ops):
-        p, off = b.append("samples", f"{k}{salt}", 10, i, f"prod{salt}")
+        p, off = b.append(f"{k}{salt}", 10, i, f"prod{salt}")
         per_partition.setdefault(p, []).append(off)
     for offs in per_partition.values():
         assert offs == sorted(offs)
         assert offs == list(range(offs[0], offs[0] + len(offs)))
     g = ConsumerGroup("g", b)
-    g.subscribe("samples")
     g.join("c")
     got = g.poll("c", 10_000).records
     assert len(got) == len(ops)
@@ -354,7 +333,6 @@ def test_load_accumulates_within_window():
     for k in range(10):
         tr.record("l1", k * PS_PER_MS, 1000)
     assert tr.bits_per_second("l1", 10 * PS_PER_MS) == pytest.approx(80_000.0)
-    assert tr.total_bytes["l1"] == 10_000
 
 
 def test_utilization_saturates_at_one():
@@ -375,11 +353,11 @@ def test_unknown_link_is_idle():
 def test_partition_reads_match_a_whole_log_model(retention, ops):
     # the model keeps every record and slices the retained tail
     b = broker_with(partitions=1, retention=retention)
-    part = b.topics["samples"].partitions[0]
+    part = b.partitions[0]
     log = []
     for is_append, offset, max_records in ops:
         if is_append:
-            b.append("samples", f"k{len(log)}", 10, len(log), "p")
+            b.append(f"k{len(log)}", 10, len(log), "p")
             log.append(len(log))
             continue
         first = max(0, len(log) - retention)
@@ -394,9 +372,9 @@ def test_partition_reads_match_a_whole_log_model(retention, ops):
 
 def test_reads_across_evictions_and_compactions():
     b = broker_with(partitions=1, retention=64)
-    part = b.topics["samples"].partitions[0]
+    part = b.partitions[0]
     for n in range(1, 1000):
-        b.append("samples", f"k{n}", 10, n, "p")
+        b.append(f"k{n}", 10, n, "p")
         first = max(0, n - 64)
         assert [r.offset for r in part.retained()] == list(range(first, n))
         recs, gap = part.read_from(n - 3, 10)

@@ -50,12 +50,12 @@ def test_normals_point_into_the_room(fabric):
             assert t.normal == (0, -1, 0) and t.center[1] == room.width_m
 
 
-def test_first_wall_tile_position(fabric):
+def test_first_wall_tile_placement(fabric):
     # wall face is 8.4 m wide, centred on the 8 m room: origin x = -0.2;
     # first upright cell is 0.6 x 1.2 starting at the face origin
-    (center, normal) = fabric.tile_position("t000")
-    assert center == (0.1, 0.0, 0.6)
-    assert normal == (0, 1, 0)
+    tile = fabric.tiles["t000"]
+    assert tile.center == (0.1, 0.0, 0.6)
+    assert tile.normal == (0, 1, 0)
 
 
 def test_round_robin_switch_attachment(fabric):
@@ -67,11 +67,6 @@ def test_round_robin_switch_attachment(fabric):
     for sw in fabric.switches.values():
         assert len(sw.attached) == 35
         assert len(sw.attached) + 1 <= sw.port_count
-
-
-def test_unknown_tile_lookup(fabric):
-    with pytest.raises(LookupError):
-        fabric.tile_position("t999")
 
 
 # --- packing ----------------------------------------------------------------
@@ -192,26 +187,6 @@ def test_trunk_links_present(fabric):
         lk = fabric.trunk_link(f"sw{k}")
         assert lk.a == "central" and lk.b == f"sw{k}"
         assert lk.base_delay_ps > 0
-
-
-# --- serialization ----------------------------------------------------------
-
-def test_json_round_trip(fabric, tmp_path):
-    doc = fabric.to_json_dict()
-    back = Fabric.from_json_dict(doc)
-    assert sorted(back.tiles) == sorted(fabric.tiles)
-    for tid in fabric.tiles:
-        assert back.tiles[tid] == fabric.tiles[tid]
-    for lid in fabric.links:
-        assert back.links[lid] == fabric.links[lid]
-    assert back.validate() == []
-
-
-def test_json_schema_version_guard(fabric):
-    doc = fabric.to_json_dict()
-    doc["schema_version"] = "bogus"
-    with pytest.raises(ConfigurationError, match="schema"):
-        Fabric.from_json_dict(doc)
 
 
 # --- room -------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Mobile sampler: positioning, tracking, planning, and energy."""
 
-import json
 import math
 
 import numpy as np
@@ -13,7 +12,7 @@ from tilesim.core import RngStream
 from tilesim.fabric import ConfigurationError, Room
 from tilesim.rover import (Battery, BeaconSet, KalmanState, MissionConfig,
                            MissionRunner, PowerDrawError, RoverError,
-                           RoverState, SamplePlan, TrilaterationError,
+                           RoverState, TrilaterationError,
                            TrilaterationResult, default_beacons, kalman_step,
                            measure_ranges, mission_step, plan_sampling,
                            reserve_wh, trilaterate)
@@ -495,10 +494,17 @@ def test_area_must_fit_room():
         plan_sampling(ROOM, 0.0)
 
 
-def test_plan_json_round_trip():
-    p = plan_sampling(ROOM, 0.6, area=(0.6, 0.6, 1.8, 1.8))
-    back = SamplePlan.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
-    assert back == p
+def test_plan_size_bound_counts_cells_times_lift_stops():
+    # 10 x 10 cells of a 1 m patch, 1.3 m of lift in 1.3e-4 m steps:
+    # 100 cells x 10,001 stops is just over the bound; 101 stops is not
+    area = (0.6, 0.6, 1.6, 1.6)
+    with pytest.raises(ConfigurationError, match="lift stops"):
+        plan_sampling(ROOM, 0.1, z_resolution_m=1.3e-4, area=area)
+    p = plan_sampling(ROOM, 0.1, z_resolution_m=0.013, area=area)
+    assert len(p.waypoints) == 100 * 101
+    # a cell count that overflows to infinity is refused too
+    with pytest.raises(ConfigurationError, match="lift stops"):
+        plan_sampling(ROOM, 5e-324)
 
 
 # --- battery ----------------------------------------------------------------
@@ -518,15 +524,6 @@ def test_peak_draw_enforced():
     with pytest.raises(PowerDrawError, match="positive"):
         b.time_to_empty_s(0.0)
     b.discharge(480.0, 1.0)     # the rated peak itself is fine
-
-
-def test_voltage_tracks_charge_linearly():
-    b = Battery()
-    assert b.voltage() == pytest.approx(16.2)
-    b.soc = 0.5
-    assert b.voltage() == pytest.approx(13.1)
-    b.soc = 0.0
-    assert b.voltage() == pytest.approx(10.0)
 
 
 def test_charge_clamps_at_full():

@@ -328,6 +328,22 @@ def test_out_of_range_value_exits_1_with_one_line(section, key, value, tmp_path)
     assert "Traceback" not in proc.stderr
 
 
+# A plan this fine would take about 1.3e9 (lift) or 1e11 (floor) stops to
+# build, so set-up hung in both `validate` and `run`.
+OVERSIZED_PLANS = [("rover", "z_resolution_m", 1e-9),
+                   ("rover", "resolution_m", 1e-5)]
+
+
+@pytest.mark.parametrize("section,key,value", OVERSIZED_PLANS)
+def test_oversized_plan_exits_1_instead_of_hanging(section, key, value,
+                                                   tmp_path):
+    proc = run_probe(section, key, value, tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: rover: ")
+    assert "lift stops" in lines[0]
+
+
 def test_mission_that_cannot_finish_is_reported(tmp_path):
     # 1 mWh runs dry before the charger is in reach
     proc = run_probe("rover", "battery_capacity_wh", 0.001, tmp_path)
@@ -343,7 +359,8 @@ def test_mission_that_cannot_finish_is_reported(tmp_path):
 # The first six got different answers from `validate` and `run` while the
 # two had separate set-up code; the rest passed both before their range
 # checks.  Both commands now share one set-up path, so they must agree,
-# and a rejected run must write nothing.
+# a rejected run must write nothing, and its one line must name the
+# scenario section, even when a stage's constructor raised it.
 SETUP_PROBES = [("fabric", "cable_model", "uniform", 0),
                 ("power", "overdraw_tile", "t999", 1),
                 ("timesync", "boundary_switches", ["sw9"], 1),
@@ -358,7 +375,8 @@ SETUP_PROBES = [("fabric", "cable_model", "uniform", 0),
                 ("power", "midspan_budget_w", 0.0, 1),
                 ("timesync", "convergence_samples", 0, 1),
                 ("dataplane", "max_poll_records", 0, 1),
-                ("coherent", "tile_count", 0, 1)]
+                ("coherent", "tile_count", 0, 1),
+                ("timesync", "tile_osc", {"granularity_ps": 0}, 1)]
 
 
 @pytest.mark.parametrize("section,key,value,code", SETUP_PROBES)
@@ -371,7 +389,9 @@ def test_validate_and_run_agree(section, key, value, code, tmp_path, capsys):
     assert ran == code
     if ran == 1:
         assert not out.exists()
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith((f"error: {section}.", f"error: {section}: "))
+        assert f"{section}: {section}." not in line
 
 
 @pytest.mark.parametrize("data", [
@@ -618,7 +638,18 @@ def test_produced_keys_sit_on_their_hash_partition(tmp_path):
     assert len(rows) == result.report["dataplane"]["published"]
     for row in rows:
         assert row["key"].startswith(row["producer"] + ":")
-        assert row["partition"] == result.broker.partition_for("samples", row["key"])
+        assert row["partition"] == result.broker.partition_for(row["key"])
+
+
+def test_exchange_count_does_not_depend_on_keeping_records(tmp_path):
+    counts = []
+    for keep in (True, False):
+        result = run_scenario(
+            tiny_cfg(duration_s=2.0, timesync={"record_exchanges": keep},
+                     rover={"enabled": False}), tmp_path / str(keep))
+        counts.append(result.report["timesync"]["exchanges"])
+        assert len(result.domain.exchanges) == (counts[-1] if keep else 0)
+    assert counts[0] == counts[1] > 0
 
 
 def test_rover_stream_is_isolated_from_fabric_outputs(tmp_path):
