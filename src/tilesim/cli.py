@@ -70,8 +70,9 @@ def _cmd_run(args) -> int:
         p99 = ts.get("p99_residual_ps")
         if p99 is not None:
             print(f"p99 residual: {p99 / 1e3:.1f} ns over {ts['nodes']} nodes")
-        if ts.get("unconverged_nodes"):
-            print(f"unconverged: {ts['unconverged_nodes']}")
+        for key in ("unconverged_nodes", "offline_nodes"):
+            if ts.get(key):
+                print(f"{key.split('_')[0]}: {ts[key]}")
     return 0
 
 

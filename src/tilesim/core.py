@@ -223,19 +223,6 @@ class RngStream:
         self._zi = zi + 1
         return loc + scale * z
 
-    def standard_normals(self, k: int) -> list[float]:
-        """The next k scalar normals, unscaled: `normal(s, loc)` would have
-        returned `loc + s * z` for each z, in order."""
-        zi = self._zi
-        out = self._zbuf[zi:zi + k]
-        self._zi = zi + len(out)
-        while len(out) < k:
-            self._zbuf = self._gen("normal").standard_normal(self._BLOCK).tolist()
-            take = min(k - len(out), self._BLOCK)
-            out += self._zbuf[:take]
-            self._zi = take
-        return out
-
     def normal_array(self, size: int, scale: float = 1.0) -> np.ndarray:
         # bypasses the scalar block cache on purpose: array users own the stream
         return self._gen("normal_array").standard_normal(size) * scale

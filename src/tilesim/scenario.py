@@ -215,6 +215,16 @@ def _check_delay(problems: list[str], name: str, seconds: float) -> None:
                         f"(got {seconds:g} s)")
 
 
+def _check_scale(problems: list[str], name: str, value: float,
+                 below: float = math.inf, positive: bool = False) -> None:
+    """A gain, sigma, length or shape must lie in [0, below), or in
+    (0, below) when `positive`; NaN and infinity fail."""
+    if not (0 < value < below if positive else 0 <= value < below):
+        problems.append(f"{name} must be {'positive' if positive else 'non-negative'}"
+                        f" and {'finite' if below == math.inf else f'below {below:g}'}"
+                        f" (got {value:g})")
+
+
 def _numbers(value, n: int) -> bool:
     """Whether `value` is a sequence of exactly n numbers."""
     return (isinstance(value, (tuple, list)) and len(value) == n
@@ -245,6 +255,14 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                 0 < x < math.inf for x in v) for k, v in dims.items())):
         problems.append("fabric.face_dims must map surfaces to 2 positive "
                         "numbers (u, v)")
+    f = cfg.fabric
+    for key in ("prop_ns_per_m", "slack_m", "cable_min_m", "cable_max_m",
+                "cable_fixed_m", "tile_jitter_sigma_ns", "trunk_jitter_sigma_ns"):
+        _check_scale(problems, f"fabric.{key}", getattr(f, key))
+    # the lognormal jitter is normalized by a factor that is 0 at shape 0
+    _check_scale(problems, "fabric.jitter_shape", f.jitter_shape, positive=True)
+    if f.bandwidth_bps < 1:
+        problems.append("fabric.bandwidth_bps must be at least 1")
     room = cfg.fabric.room
     if cfg.coherent.enabled:
         c = cfg.coherent
@@ -252,13 +270,15 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             problems.append(
                 f"coherent.carrier_hz {c.carrier_hz:g} outside "
                 f"[{CARRIER_MIN_HZ:g}, {CARRIER_MAX_HZ:g}]")
-        if c.tx_power_dbm > MAX_TX_POWER_DBM:
-            problems.append(f"coherent.tx_power_dbm {c.tx_power_dbm} exceeds "
-                            f"{MAX_TX_POWER_DBM}")
+        if not c.tx_power_dbm <= MAX_TX_POWER_DBM:
+            problems.append(f"coherent.tx_power_dbm must be at most "
+                            f"{MAX_TX_POWER_DBM} (got {c.tx_power_dbm})")
         if c.trials < 1:
             problems.append("coherent.trials must be at least 1")
         if c.tile_count is not None and c.tile_count < 1:
             problems.append("coherent.tile_count must be at least 1 when set")
+        _check_scale(problems, "coherent.phase_noise_sigma_rad",
+                     c.phase_noise_sigma_rad)
         if not _numbers(c.target, 3):
             problems.append("coherent.target must hold 3 numbers (x, y, z)")
         else:
@@ -343,6 +363,15 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         t = cfg.timesync
         _check_period(problems, "timesync.sync_interval_s", t.sync_interval_s)
         _check_period(problems, "timesync.sample_interval_s", t.sample_interval_s)
+        for osc in ("tile_osc", "switch_osc", "gm_osc"):
+            for key in ("init_offset_us", "freq_error_ppm", "rw_sigma_ppm_per_sqrt_s"):
+                # at 1e6 ppm a clock would stand still or run backwards
+                _check_scale(problems, f"timesync.{osc}.{key}", getattr(getattr(t, osc), key),
+                             1e6 if key == "freq_error_ppm" else math.inf)
+        for key in ("jitter_scale", "load_coupling", "servo_kp", "servo_ki"):
+            _check_scale(problems, f"timesync.{key}", getattr(t, key))
+        for key in ("servo_clamp_ppm", "convergence_threshold_us"):
+            _check_scale(problems, f"timesync.{key}", getattr(t, key), positive=True)
         if t.convergence_samples < 1:
             problems.append("timesync.convergence_samples must be at least 1")
         _check_delay(problems, "timesync.start_s", t.start_s)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,10 @@ import numpy as np
 from .core import (EventLoop, PS_PER_S, PS_PER_US, RngRegistry, RngStream,
                    SimTime, SimulationError, from_seconds)
 from .fabric import ConfigurationError, Fabric, Link
+
+
+# the most residual samples (ports times sampler ticks) one run may ask for
+MAX_RESIDUAL_SAMPLES = 10_000_000
 
 
 def quantize_ps(local_ps: float, granularity_ps: int) -> int:
@@ -41,18 +46,18 @@ def quantize_ps(local_ps: float, granularity_ps: int) -> int:
 class LocalClock:
     """Free-running oscillator.
 
-    State advances lazily: every read evolves the clock to the requested
-    true time, so two reads at the same instant agree.  The frequency
-    random walk scales with the square root of elapsed time, making the
-    statistics independent of read cadence.  The realization does depend
-    on the read times, since each read that moves time draws one walk
-    increment; `sample_ticks` walks a run of evenly spaced instants with
-    exactly the values `offset_at` would give at each in turn.
+    State advances lazily: `offset_at` moves the phase to the requested true
+    time at the current rate (frequency error plus servo steering), then
+    steps the frequency random walk by one draw scaled to the square root of
+    the elapsed time, so the walk's statistics do not depend on read cadence.
+    Between two reads the offset is therefore linear.  A clock made with
+    `record=True` keeps the start of each such segment (true time, offset,
+    rate), from which `offsets` evaluates later instants without drawing.
     """
 
     def __init__(self, offset_ps: float = 0.0, freq_error_ppm: float = 0.0,
                  rw_sigma_ppm_per_sqrt_s: float = 0.0, granularity_ps: int = 1,
-                 rng: RngStream | None = None):
+                 rng: RngStream | None = None, record: bool = False):
         if granularity_ps < 1:
             raise ConfigurationError("granularity must be at least 1 ps")
         self.offset_ps = float(offset_ps)          # local minus true
@@ -62,65 +67,43 @@ class LocalClock:
         self.freq_adj_ppm = 0.0                    # servo-applied steering
         self._rng = rng
         self._last_t: SimTime = 0
-
-    # read and offset_at each evolve the state in line (it is the hot path
-    # of every exchange): advance the phase at the current frequency, then
-    # step the frequency walk by a draw scaled to sqrt(elapsed seconds)
+        # segment starts: true ps, and (offset, rate ppm) pairs
+        self._path = (array("Q"), array("d")) if record else None
 
     def read(self, true_t: SimTime) -> int:
         """Timestamp the given true instant on this clock's tick grid."""
-        dt = true_t - self._last_t
-        if dt:
-            if dt < 0:
-                raise SimulationError("clock read moved backwards in true time")
-            self.offset_ps += (self.freq_error_ppm + self.freq_adj_ppm) * 1e-6 * dt
-            if self.rw_sigma and self._rng is not None:
-                self.freq_error_ppm += self._rng.normal(
-                    self.rw_sigma * math.sqrt(dt / PS_PER_S))
-            self._last_t = true_t
-        return quantize_ps(true_t + self.offset_ps, self.granularity_ps)
+        return quantize_ps(true_t + self.offset_at(true_t), self.granularity_ps)
 
     def offset_at(self, true_t: SimTime) -> float:
-        """Current raw offset (no readout quantization)."""
+        """Raw offset at the given true instant (no readout quantization)."""
         dt = true_t - self._last_t
         if dt:
             if dt < 0:
                 raise SimulationError("clock read moved backwards in true time")
-            self.offset_ps += (self.freq_error_ppm + self.freq_adj_ppm) * 1e-6 * dt
+            rate = self.freq_error_ppm + self.freq_adj_ppm
+            if self._path is not None:
+                starts, segments = self._path
+                starts.append(self._last_t)
+                segments.append(self.offset_ps)
+                segments.append(rate)
+            self.offset_ps += rate * 1e-6 * dt
             if self.rw_sigma and self._rng is not None:
                 self.freq_error_ppm += self._rng.normal(
                     self.rw_sigma * math.sqrt(dt / PS_PER_S))
             self._last_t = true_t
         return self.offset_ps
 
-    def sample_ticks(self, first: SimTime, count: int, tick_ps: SimTime,
-                     offsets: list) -> None:
-        """Append `offset_at(first + i * tick_ps)` for i in range(count) to
-        offsets, exactly as those calls in turn would.  Every instant after
-        the first lies one whole tick after the one before, so its walk
-        increment has one constant scale, and their draws are taken from
-        the stream as one list."""
-        offset = self.offset_at(first)
-        offsets.append(offset)
-        n = count - 1
-        if n <= 0:
-            return
-        fe = self.freq_error_ppm
-        adj = self.freq_adj_ppm
-        add = offsets.append
-        if self.rw_sigma and self._rng is not None:
-            scale = self.rw_sigma * math.sqrt(tick_ps / PS_PER_S)
-            for z in self._rng.standard_normals(n):
-                offset += (fe + adj) * 1e-6 * tick_ps
-                fe += 0.0 + scale * z            # as normal(scale) returns it
-                add(offset)
-        else:
-            for _ in range(n):
-                offset += (fe + adj) * 1e-6 * tick_ps
-                add(offset)
-        self.offset_ps = offset
-        self.freq_error_ppm = fe
-        self._last_t = first + n * tick_ps
+    def offsets(self, times: np.ndarray) -> np.ndarray:
+        """The offset at each of `times` (uint64 true ps, each after 0), as
+        `offset_at` would have returned it there on this clock as it stood
+        then, from the recorded path.  An instant that starts a segment
+        takes the end of the one before: the same bits that read gave."""
+        starts, segments = self._path
+        starts = np.append(np.frombuffer(starts, np.uint64), np.uint64(self._last_t))
+        segments = np.append(np.frombuffer(segments, float), (
+            self.offset_ps, self.freq_error_ppm + self.freq_adj_ppm)).reshape(-1, 2)
+        k = np.searchsorted(starts, times, side="left") - 1
+        return segments[k, 0] + segments[k, 1] * 1e-6 * (times - starts[k])
 
 
 # --- exchange arithmetic ----------------------------------------------------
@@ -262,7 +245,10 @@ class SyncReport:
     Convergence per node is the first sample from which a configured number
     of consecutive samples stay inside the threshold band; percentiles pool
     the absolute residuals of every node from its convergence point on, with
-    no re-filtering, so late excursions count against the statistics.
+    no re-filtering, so late excursions count against the statistics.  A
+    node named offline at `finalize` was cut during the run: it is listed
+    apart, and neither counts as unconverged nor holds back the overall
+    convergence time.
     """
 
     def __init__(self, threshold_ps: int, consecutive: int):
@@ -271,22 +257,19 @@ class SyncReport:
         self._times: dict[str, list[int]] = {}
         self._resid: dict[str, list[float]] = {}
         self._conv_idx: dict[str, int | None] = {}
+        self.offline: list[str] = []
 
     def add_sample(self, node: str, t: SimTime, residual_ps: float) -> None:
-        times, resid = self.columns(node)
-        times.append(t)
-        resid.append(residual_ps)
+        self._times.setdefault(node, []).append(t)
+        self._resid.setdefault(node, []).append(residual_ps)
 
-    def columns(self, node: str) -> tuple[list[int], list[float]]:
-        """The node's sample-time and residual lists, created empty on first
-        use, for a caller that appends samples in bulk."""
-        times = self._times.get(node)
-        if times is None:
-            times = self._times[node] = []
-            self._resid[node] = []
-        return times, self._resid[node]
+    def add_series(self, node: str, times: list[int], residuals) -> None:
+        """A node's whole series at once: its sample times and residuals."""
+        self._times[node] = times
+        self._resid[node] = residuals
 
-    def finalize(self) -> None:
+    def finalize(self, offline=()) -> None:
+        self.offline = sorted(offline)
         for node, r in self._resid.items():
             arr = np.asarray(r)
             self._resid[node] = arr
@@ -312,7 +295,9 @@ class SyncReport:
         return None if idx is None else self._times[node][idx]
 
     def overall_convergence_ps(self) -> int | None:
-        times = [self.convergence_time_ps(n) for n in self.nodes]
+        """The latest convergence time of the nodes never cut, if all did."""
+        offline = set(self.offline)
+        times = [self.convergence_time_ps(n) for n in self.nodes if n not in offline]
         if not times or any(t is None for t in times):
             return None
         return max(times)
@@ -336,11 +321,14 @@ class SyncReport:
     def summary(self) -> dict:
         p = self.percentiles()
         conv = self.overall_convergence_ps()
-        unconverged = sorted(n for n in self.nodes if self._conv_idx.get(n) is None)
+        offline = set(self.offline)
+        unconverged = [n for n in self.nodes
+                       if self._conv_idx.get(n) is None and n not in offline]
         return {
             "nodes": len(self.nodes),
             "convergence_time_ps": conv,
             "unconverged_nodes": unconverged,
+            "offline_nodes": self.offline,
             "p50_residual_ps": p["p50"],
             "p95_residual_ps": p["p95"],
             "p99_residual_ps": p["p99"],
@@ -392,12 +380,10 @@ class PtpPort:
     t2: int | None = None
     t3: int = 0
     fwd_correction: int = 0
-    sampled: int = 0     # sampler ticks already walked into the report
+    closed_ps: int | None = None   # the instant of the first correction
+    cut_ps: int | None = None      # the instant the tile went offline
     clock: LocalClock | None = field(default=None, repr=False)
     master_clock: LocalClock | None = field(default=None, repr=False)
-    # the master's own port when it is a boundary switch, whose clock is
-    # sampled as well and so is flushed before every read
-    master_port: PtpPort | None = field(default=None, repr=False)
     relay_clock: LocalClock | None = field(default=None, repr=False)
     transparent: bool = False
     up_jitter: _LinkJitter | None = field(default=None, repr=False)
@@ -456,25 +442,20 @@ class _LinkJitter:
 
 class SyncDomain:
     """Schedules periodic exchanges for every clock-role tile (and boundary
-    switch) over an event loop and collects the residual series.
+    switch) over an event loop and, at `finish`, builds the residual series.
 
-    Residuals are sampled lazily.  The `sample_residuals` event only notes
-    the tick's instant; each port remembers how many ticks it has walked,
-    and `_flush` walks its clock through the ones since
-    (`LocalClock.sample_ticks`).  That equals sampling at every tick
-    because each clock draws only from its own oscillator stream, so what
-    matters is the order of reads of that clock, and a flush runs before
-    every such read: the port's own reads, and a boundary master's reads on
-    behalf of its slaves.  Reads at one instant are no-ops after the first,
-    so a tick and a read at the same time cannot disagree in either order.  A port is sampled once its loop
-    has closed and while its tile is online; both can only change right
-    after a flush (the first correction, a disconnect), so every walked tick
-    sees the eligibility it had when it fired.  `finish` flushes every port
-    and finalizes the report.
+    The series is sampled every `sample_interval_s` without reading a clock
+    while the loop runs, so observing a run cannot change it: each port's
+    clock records its path, and `finish` evaluates the port's residual at
+    each tick from it (`LocalClock.offsets`).  A port is sampled from its
+    first correction on, a tick at that instant included, since before it
+    the clock is free-running and a quiet streak would be declared
+    "converged" by pure luck.  It is sampled until its tile is cut, a tick
+    at the cut instant excluded.
 
-    Liveness is an offline set, seeded from `online` when the domain is
-    built and grown by `mark_offline`, which the run subscribes to the power
-    plane's disconnects.
+    A tile is cut when it is offline as the domain is built (`online`), or
+    by `mark_offline`, which the run subscribes to the power plane's
+    disconnects; a cut port exchanges no more.
     """
 
     MODULE = "timesync"
@@ -497,25 +478,21 @@ class SyncDomain:
         self._followup_lag_ps = from_seconds(config.followup_lag_us / 1e6)
         self._turnaround_ps = from_seconds(config.turnaround_us / 1e6)
         self._tick_ps = from_seconds(config.sample_interval_s)
-        # the instant of every sampler tick fired so far, kept as the loop
-        # handed it over so that all nodes' sample times share one int each
-        self._tick_times: list[SimTime] = []
-
-        label = config.stream_label
-        init = rng.stream(f"{label}/init")
-        self.clocks[fabric.central_id] = self._make_clock(config.gm_osc, fabric.central_id, init)
-        for sw_id in fabric.switches:
-            self.clocks[sw_id] = self._make_clock(config.switch_osc, sw_id, init)
-        clock_tiles = [t for t in fabric.tiles.values() if "clock" in t.roles]
-        for t in clock_tiles:
-            self.clocks[t.id] = self._make_clock(config.tile_osc, t.id, init)
 
         boundary = set(config.boundary_switches)
         unknown = boundary - set(fabric.switches)
         if unknown:
             raise ConfigurationError(f"boundary switches not in fabric: {sorted(unknown)}")
-        # boundary ports first: a tile behind a boundary switch resolves
-        # that switch's port as its master's
+        # the clocks of the ports, which the report samples, record their paths
+        label = config.stream_label
+        init = rng.stream(f"{label}/init")
+        self.clocks[fabric.central_id] = self._make_clock(config.gm_osc, fabric.central_id, init)
+        for sw_id in fabric.switches:
+            self.clocks[sw_id] = self._make_clock(config.switch_osc, sw_id, init,
+                                                  sw_id in boundary)
+        clock_tiles = [t for t in fabric.tiles.values() if "clock" in t.roles]
+        for t in clock_tiles:
+            self.clocks[t.id] = self._make_clock(config.tile_osc, t.id, init, True)
         for sw_id in sorted(boundary):
             self._add_port(sw_id, fabric.central_id, fabric.trunk_link(sw_id))
         for t in clock_tiles:
@@ -526,17 +503,20 @@ class SyncDomain:
                 self._add_port(t.id, fabric.central_id, fabric.tile_link(t.id),
                                fabric.trunk_link(sw_id), sw_id)
 
-        online = online or (lambda tile_id: True)
-        self._offline = {t.id for t in clock_tiles if not online(t.id)}
+        if online is not None:
+            for t in clock_tiles:
+                if not online(t.id):
+                    self.ports[t.id].cut_ps = 0
 
-    def _make_clock(self, osc: OscillatorConfig, node_id: str, init: RngStream) -> LocalClock:
+    def _make_clock(self, osc: OscillatorConfig, node_id: str, init: RngStream,
+                    record: bool = False) -> LocalClock:
         # draws happen for every node in creation order, so one node's
         # initial conditions do not depend on another's noise settings
         off = init.uniform(-osc.init_offset_us, osc.init_offset_us)
         fe = init.uniform(-osc.freq_error_ppm, osc.freq_error_ppm)
         walk = self.rng.stream(f"{self.config.stream_label}/oscillator/{node_id}")
         return LocalClock(round(off * PS_PER_US), fe, osc.rw_sigma_ppm_per_sqrt_s,
-                          osc.granularity_ps, walk)
+                          osc.granularity_ps, walk, record)
 
     def _make_servo(self) -> ServoState:
         c = self.config
@@ -551,7 +531,6 @@ class SyncDomain:
         port = self.ports[node] = PtpPort(node, master, self._make_servo())
         port.clock = self.clocks[node]
         port.master_clock = self.clocks[master]
-        port.master_port = self.ports.get(master)
         port.down_jitter = self._link_jitter(down)
         port.down_hop_ps = down.delay_ps(from_a=True)
         port.req_hop_ps = down.delay_ps(from_a=False)
@@ -585,6 +564,11 @@ class SyncDomain:
     # -- lifecycle --
 
     def start(self, until_ps: SimTime) -> None:
+        samples = len(self.ports) * (until_ps // self._tick_ps)
+        if samples > MAX_RESIDUAL_SAMPLES:
+            raise ConfigurationError(
+                f"timesync.sample_interval_s {self.config.sample_interval_s:g} s "
+                f"asks for {samples} residual samples, over {MAX_RESIDUAL_SAMPLES}")
         self._until = until_ps
         c = self.config
         t0 = from_seconds(c.start_s)
@@ -593,47 +577,37 @@ class SyncDomain:
             self.loop.every(t0 + i * stagger, self._interval_ps, until_ps,
                             self.MODULE, node, "sync_egress", self._sync_egress,
                             self.ports[node])
-        self.loop.every(self._tick_ps, self._tick_ps, until_ps, self.MODULE,
-                        "all", "sample_residuals", self._sample)
 
     def finish(self) -> SyncReport:
-        """Walk every port through the remaining ticks and finalize the
-        report; call once, after the loop has run."""
-        for port in self.ports.values():
-            self._flush(port)
-        self.report.finalize()
+        """Evaluate each port's residual at every tick it is sampled at and
+        finalize the report; call once, after the loop has run to the end
+        given to `start`."""
+        tick = self._tick_ps
+        # ticks[i] is tick i + 1: exact in uint64, and as ints all series share
+        ticks = np.arange(1, self._until // tick + 1, dtype=np.uint64) * np.uint64(tick)
+        tick_ints = ticks.tolist()
+        for node, port in self.ports.items():
+            if port.closed_ps is None:
+                continue
+            first = max(0, -(-port.closed_ps // tick) - 1)
+            end = len(ticks) if port.cut_ps is None else (port.cut_ps - 1) // tick
+            if first < end:
+                self.report.add_series(node, tick_ints[first:end],
+                                       port.clock.offsets(ticks[first:end]))
+        self.report.finalize(n for n, p in self.ports.items() if p.cut_ps is not None)
         return self.report
 
-    def mark_offline(self, tile_id: str, at: SimTime = 0) -> None:
+    def mark_offline(self, tile_id: str, at: SimTime) -> None:
         """Take a tile out of the exchanges and the residual series from
-        now on (a power-plane disconnect callback)."""
+        `at` on (a power-plane disconnect callback)."""
         port = self.ports.get(tile_id)
         if port is not None:
-            self._flush(port)
-        self._offline.add(tile_id)
+            port.cut_ps = at
 
     def _schedule(self, t, target, action, fn, arg):
         """Queue one step of an exchange, dropped if it falls after the run."""
         if t <= self._until:
             self.loop.schedule(t, self.MODULE, target, action, fn, arg)
-
-    def _sample(self, _arg) -> None:
-        self._tick_times.append(self.loop.now)
-
-    def _flush(self, port: PtpPort) -> None:
-        # a node enters the report once its discipline loop has closed at
-        # least once; before the first correction it is free-running and a
-        # quiet streak would be declared "converged" by pure luck
-        first = port.sampled
-        ticks = self._tick_times
-        last = len(ticks)
-        if first == last:
-            return
-        port.sampled = last
-        if port.corrections and port.node not in self._offline:
-            times, resid = self.report.columns(port.node)
-            times += ticks[first:last]
-            port.clock.sample_ticks(ticks[first], last - first, self._tick_ps, resid)
 
     # -- exchange machinery.  One exchange is a chain of events:
     # sync_egress -> (relay ingress/egress) -> sync_arrival, a follow-up
@@ -643,15 +617,13 @@ class SyncDomain:
     # deterministic since nothing timestamps them.
 
     def _sync_egress(self, port: PtpPort) -> None:
-        node = port.node
-        if node in self._offline:
+        if port.cut_ps is not None:
             return
+        node = port.node
         now = self.loop.now
         seq = port.seq = port.seq + 1
         port.t1 = None
         port.t2 = None
-        if port.master_port is not None:
-            self._flush(port.master_port)
         t1 = port.master_clock.read(now)
         msg = PtpMessage(seq)
         if port.relay_clock is not None:
@@ -688,16 +660,15 @@ class SyncDomain:
 
     def _sync_arrival(self, arg) -> None:
         msg, port, seq = arg
-        if seq != port.seq or port.node in self._offline:
+        if seq != port.seq or port.cut_ps is not None:
             return
-        self._flush(port)
         port.t2 = port.clock.read(self.loop.now)
         port.fwd_correction = msg.correction_ps
         self._maybe_send_delay_req(port)
 
     def _followup_arrival(self, arg) -> None:
         port, seq, t1 = arg
-        if seq != port.seq or port.node in self._offline:
+        if seq != port.seq or port.cut_ps is not None:
             return
         port.t1 = t1
         self._maybe_send_delay_req(port)
@@ -711,11 +682,10 @@ class SyncDomain:
 
     def _delay_req_egress(self, arg) -> None:
         port, seq = arg
-        node = port.node
-        if seq != port.seq or node in self._offline:
+        if seq != port.seq or port.cut_ps is not None:
             return
+        node = port.node
         now = self.loop.now
-        self._flush(port)
         port.t3 = port.clock.read(now)
         msg = PtpMessage(seq)
         hop = port.req_hop_ps + port.down_jitter.ps(now)
@@ -731,27 +701,24 @@ class SyncDomain:
         if msg.seq != port.seq:
             return
         now = self.loop.now
-        if port.master_port is not None:
-            self._flush(port.master_port)
         t4 = port.master_clock.read(now)
         self._schedule(now + port.resp_ps, port.node, "delay_resp_arrival",
                        self._delay_resp_arrival, (port, msg.seq, t4, msg.correction_ps))
 
     def _delay_resp_arrival(self, arg) -> None:
         port, seq, t4, rev_correction = arg
-        node = port.node
-        if seq != port.seq or node in self._offline:
+        if seq != port.seq or port.cut_ps is not None:
             return
+        node = port.node
         now = self.loop.now
         sample = two_step_offset(port.t1, port.t2, port.t3, t4,
                                  port.fwd_correction, rev_correction)
         clock = port.clock
-        # walk the pending ticks before the first correction makes the
-        # port eligible, and evolve under the old steering before applying
-        # the new one
-        self._flush(port)
+        # evolve under the old steering before applying the new one
         true_offset = clock.offset_at(now)
         clock.freq_adj_ppm = servo_update(port.servo, sample.offset_ps)
+        if port.closed_ps is None:
+            port.closed_ps = now
         port.corrections += 1
         if self.config.record_exchanges:
             self.exchanges.append(ExchangeRecord(

@@ -381,18 +381,6 @@ def test_block_cache_crosses_boundary_consistently():
     assert [b.normal() for _ in range(n)] == first
 
 
-@pytest.mark.parametrize("sizes", [[1], [255, 1, 3], [256], [600, 7], [0, 2049]])
-def test_standard_normals_continue_the_scalar_sequence(sizes):
-    a = RngStream(13, "bulk")
-    b = RngStream(13, "bulk")
-    want = [a.normal() for _ in range(sum(sizes) + 5)]
-    got = []
-    for k in sizes:
-        got += b.standard_normals(k)
-        got.append(b.normal())
-    assert got == want[:len(got)]
-
-
 def test_scalar_draws_equal_one_generator_block():
     # the scalar blocks are a cache: the values are the generator's own
     # sequence, whatever the block size

@@ -334,6 +334,47 @@ OVERSIZED_PLANS = [("rover", "z_resolution_m", 1e-9),
                    ("rover", "resolution_m", 1e-5)]
 
 
+# Each of these passed validation: a NaN ended the run in a traceback when
+# it reached a clock read, a jitter draw or a cable delay, or ran to exit 0
+# with every tile unconverged; a zero bandwidth divided by zero.
+UNCHECKED_FLOATS = [("timesync", "tile_osc", {"init_offset_us": float("nan")}),
+                    ("timesync", "switch_osc", {"freq_error_ppm": float("nan")}),
+                    ("timesync", "gm_osc", {"rw_sigma_ppm_per_sqrt_s": float("nan")}),
+                    ("timesync", "jitter_scale", float("nan")),
+                    ("timesync", "load_coupling", float("nan")),
+                    ("timesync", "servo_kp", float("nan")),
+                    ("timesync", "servo_ki", float("nan")),
+                    ("timesync", "servo_clamp_ppm", float("nan")),
+                    ("timesync", "convergence_threshold_us", float("nan")),
+                    ("fabric", "prop_ns_per_m", float("nan")),
+                    ("fabric", "slack_m", float("nan")),
+                    ("fabric", "tile_jitter_sigma_ns", float("nan")),
+                    ("fabric", "trunk_jitter_sigma_ns", float("nan")),
+                    ("fabric", "jitter_shape", float("nan")),
+                    ("coherent", "phase_noise_sigma_rad", float("nan")),
+                    ("fabric", "bandwidth_bps", 0)]
+
+
+@pytest.mark.parametrize("section,key,value", UNCHECKED_FLOATS)
+def test_unchecked_float_exits_1_with_one_line(section, key, value, tmp_path):
+    proc = run_probe(section, key, value, tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    field = f"{section}.{key}" + (f".{next(iter(value))}" if isinstance(value, dict) else "")
+    assert len(lines) == 1 and field in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
+def test_oversized_residual_series_exits_1_instead_of_hanging(tmp_path):
+    # one sample a nanosecond for 2 s on every port would be about 2e10
+    # residuals: the run hung building them
+    proc = run_probe("timesync", "sample_interval_s", 1e-9, tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "timesync.sample_interval_s" in lines[0]
+    assert "residual samples" in lines[0]
+
+
 @pytest.mark.parametrize("section,key,value", OVERSIZED_PLANS)
 def test_oversized_plan_exits_1_instead_of_hanging(section, key, value,
                                                    tmp_path):
@@ -376,7 +417,8 @@ SETUP_PROBES = [("fabric", "cable_model", "uniform", 0),
                 ("timesync", "convergence_samples", 0, 1),
                 ("dataplane", "max_poll_records", 0, 1),
                 ("coherent", "tile_count", 0, 1),
-                ("timesync", "tile_osc", {"granularity_ps": 0}, 1)]
+                ("timesync", "tile_osc", {"granularity_ps": 0}, 1),
+                ("timesync", "sample_interval_s", 1e-9, 1)]
 
 
 @pytest.mark.parametrize("section,key,value,code", SETUP_PROBES)
@@ -444,7 +486,31 @@ def test_optional_scalars_take_none_or_their_type(values):
      "power.overdraw_w"),
     ({"timesync": {"convergence_samples": 0}}, "timesync.convergence_samples"),
     ({"dataplane": {"max_poll_records": 0}}, "dataplane.max_poll_records"),
-    ({"coherent": {"tile_count": 0}}, "coherent.tile_count")])
+    ({"coherent": {"tile_count": 0}}, "coherent.tile_count"),
+    *[({"timesync": {osc: {key: value}}}, f"timesync.{osc}.{key}")
+      for osc in ("tile_osc", "switch_osc", "gm_osc")
+      for key in ("init_offset_us", "freq_error_ppm", "rw_sigma_ppm_per_sqrt_s")
+      for value in (float("nan"), -1.0, float("inf"))],
+    ({"timesync": {"tile_osc": {"freq_error_ppm": 1e6}}},
+     "timesync.tile_osc.freq_error_ppm"),
+    *[({"timesync": {key: value}}, f"timesync.{key}")
+      for key in ("jitter_scale", "load_coupling", "servo_kp", "servo_ki",
+                  "servo_clamp_ppm", "convergence_threshold_us")
+      for value in (float("nan"), -1.0)],
+    ({"timesync": {"servo_clamp_ppm": 0.0}}, "timesync.servo_clamp_ppm"),
+    ({"timesync": {"convergence_threshold_us": 0.0}},
+     "timesync.convergence_threshold_us"),
+    *[({"fabric": {key: value}}, f"fabric.{key}")
+      for key in ("prop_ns_per_m", "slack_m", "tile_jitter_sigma_ns",
+                  "trunk_jitter_sigma_ns", "jitter_shape")
+      for value in (float("nan"), -1.0, float("inf"))],
+    ({"fabric": {"jitter_shape": 0.0}}, "fabric.jitter_shape"),
+    ({"fabric": {"bandwidth_bps": 0}}, "fabric.bandwidth_bps"),
+    ({"coherent": {"phase_noise_sigma_rad": float("nan")}},
+     "coherent.phase_noise_sigma_rad"),
+    *[({"fabric": {key: float("nan")}}, f"fabric.{key}")
+      for key in ("cable_min_m", "cable_max_m", "cable_fixed_m")],
+    ({"coherent": {"tx_power_dbm": float("nan")}}, "coherent.tx_power_dbm")])
 def test_validate_names_the_malformed_field(sections, field):
     problems = validate_scenario(tiny_cfg(**sections))
     assert [p.split()[0] for p in problems] == [field]

@@ -1,10 +1,13 @@
 """Clock models, exchange arithmetic, servo discipline, and the sync domain."""
 
+import copy
 import csv
+import io
 import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -267,28 +270,40 @@ def test_one_way_asymmetry_biases_by_half():
     assert abs(other.mean()) <= 8000
 
 
-class EagerSampler(SyncDomain):
-    """The per-tick sampler the deferred flush replaced: every tick reads
-    each eligible clock at once, and nothing is left to flush."""
+def eight_tile_fabric():
+    return build_default_fabric(FabricConfig(
+        counts={"wall_a": 2, "wall_b": 2, "floor": 2, "ceiling": 2}, switch_count=2))
 
-    def _sample(self, _arg):
-        now = self.loop.now
-        for node, port in self.ports.items():
-            if port.corrections > 0 and node not in self._offline:
-                self.report.add_sample(node, now, port.clock.offset_at(now))
 
-    def _flush(self, port):
-        pass
+@pytest.mark.parametrize("boundary", [(), ("sw1",)])
+def test_sampling_and_tracing_leave_the_exchanges_alone(boundary):
+    # the sampler reads no clock while the loop runs, so neither its
+    # interval nor the event trace can move a single draw
+    runs = []
+    for sample_interval_s in (0.05, 0.1, 0.5):
+        for trace in (None, io.StringIO()):
+            cfg = TimesyncConfig(sample_interval_s=sample_interval_s,
+                                 boundary_switches=boundary)
+            _, domain = run_sync_domain(eight_tile_fabric(), cfg, 30.0, seed=7,
+                                        loop=EventLoop(trace))
+            runs.append(domain.exchanges)
+    assert len(runs[0]) == 30 * (8 + len(boundary))
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def cut_at(loop, domain, tile, t):
+    loop.schedule(t, "power", tile, "cut", lambda _a: domain.mark_offline(tile, loop.now))
 
 
 @pytest.mark.parametrize("sample_interval_s", [0.05, 0.1, 0.5])
-def test_deferred_flush_equals_per_tick_reads(sample_interval_s):
+def test_residuals_equal_offset_at_on_a_copy_taken_at_each_tick(sample_interval_s):
     # noisy clocks and links, a boundary switch (sw1) and two relays, and
-    # three disconnects: t001 between ticks, t002 on a tick but queued
-    # before it, t003 on the same tick but queued after it.  Epochs spread
-    # over most of the 0.3 s interval, a 20 ms relay dwell and a 30 ms
-    # turnaround put ticks between a boundary master's own reads and its
-    # slaves' reads of it, and between each two reads of one exchange.
+    # three disconnects: t001 between ticks, t002 and t003 on a tick.
+    # Epochs spread over most of the 0.3 s interval, a 20 ms relay dwell
+    # and a 30 ms turnaround put ticks between a boundary master's own
+    # reads and its slaves' reads of it, and between each two reads of one
+    # exchange.  At every tick, a copy of each port's clock is read as the
+    # sampler once read the clock itself; the residual must be that value.
     fab = build_default_fabric(FabricConfig(counts={"wall_a": 4, "floor": 2},
                                             switch_count=3))
     cfg = TimesyncConfig(start_s=0.0, sync_interval_s=0.3, stagger_ms=40.0,
@@ -296,33 +311,47 @@ def test_deferred_flush_equals_per_tick_reads(sample_interval_s):
                          sample_interval_s=sample_interval_s,
                          boundary_switches=("sw1",))
     until = from_seconds(6.0)
-    runs = []
-    for cls in (SyncDomain, EagerSampler):
-        loop = EventLoop()
-        domain = cls(loop, fab, cfg, RngRegistry(4))
-        domain.start(until)
+    tick = from_seconds(sample_interval_s)
+    loop = EventLoop()
+    domain = SyncDomain(loop, fab, cfg, RngRegistry(4))
+    domain.start(until)
+    copied = {}
 
-        def cut(tile, loop=loop, domain=domain):
-            domain.mark_offline(tile, loop.now)
+    def copy_clocks(_arg):
+        for node, port in domain.ports.items():
+            copied[node, loop.now] = copy.deepcopy(port.clock).offset_at(loop.now)
 
-        loop.schedule(from_seconds(3.333), "power", "t001", "cut", cut, "t001")
-        loop.schedule(from_seconds(4.0), "power", "t002", "cut", cut, "t002")
-        loop.schedule(from_seconds(3.97), "power", "t003", "later",
-                      lambda _a, loop=loop, cut=cut: loop.schedule(
-                          from_seconds(4.0), "power", "t003", "cut", cut, "t003"))
-        loop.run_until(until)
-        report = domain.finish()
-        series = {n: (report.series(n)[0], report.series(n)[1].tobytes())
-                  for n in report.nodes}
-        runs.append((series, report.summary(), domain.exchanges))
-    deferred, eager = runs
-    assert deferred == eager
-    times = deferred[0]
-    assert max(times["t001"][0]) < from_seconds(3.333)
-    assert max(times["t002"][0]) < from_seconds(4.0)
-    assert max(times["t003"][0]) == from_seconds(4.0)
-    assert len(times["t000"][0]) == int(round(6.0 / sample_interval_s)) - \
-        times["t000"][0][0] // from_seconds(sample_interval_s) + 1
+    loop.every(tick, tick, until, "test", "all", "copy_clocks", copy_clocks)
+    for tile, t_s in (("t001", 3.333), ("t002", 4.0), ("t003", 5.0)):
+        cut_at(loop, domain, tile, from_seconds(t_s))
+    loop.run_until(until)
+    report = domain.finish()
+    assert report.offline == ["t001", "t002", "t003"]
+    for node, port in domain.ports.items():
+        want = [t for t in range(tick, until + 1, tick) if port.closed_ps <= t
+                and (port.cut_ps is None or t < port.cut_ps)]
+        times, resid = report.series(node)
+        assert times == want
+        assert resid.tobytes() == np.array([copied[node, t] for t in times]).tobytes()
+
+
+def test_tick_at_first_correction_is_sampled_and_tick_at_cut_is_not():
+    until = from_seconds(4.0)
+    closed = run_sync_domain(eight_tile_fabric(), TimesyncConfig(), 4.0,
+                             seed=7)[1].ports["t000"].closed_ps
+    # a sampler ticking at t000's first correction, which sampling cannot move
+    cfg = TimesyncConfig(sample_interval_s=closed / PS_PER_S)
+    assert from_seconds(cfg.sample_interval_s) == closed
+    loop = EventLoop()
+    domain = SyncDomain(loop, eight_tile_fabric(), cfg, RngRegistry(7))
+    domain.start(until)
+    cut_at(loop, domain, "t001", 3 * closed)
+    loop.run_until(until)
+    report = domain.finish()
+    assert domain.ports["t000"].closed_ps == closed
+    assert report.series("t000")[0][:2] == [closed, 2 * closed]
+    assert report.series("t001")[0] == [2 * closed]
+    assert report.summary()["offline_nodes"] == ["t001"]
 
 
 def test_offline_tiles_do_not_exchange():
