@@ -134,20 +134,6 @@ def two_step_offset(t1: int, t2: int, t3: int, t4: int,
                         fwd + rev < 0)
 
 
-@dataclass
-class PtpMessage:
-    """A timestamped message (Sync or DelayReq) crossing the relays."""
-    seq: int
-    origin_timestamp_ps: int = 0
-    correction_ps: int = 0
-
-
-def transparent_correct(message: PtpMessage, residence_measured_ps: int) -> PtpMessage:
-    """Accumulate a relay's measured residence into the message correction."""
-    message.correction_ps += residence_measured_ps
-    return message
-
-
 # --- servo ------------------------------------------------------------------
 
 @dataclass
@@ -217,7 +203,6 @@ class TimesyncConfig:
     convergence_threshold_us: float = 2.0
     convergence_samples: int = 10
     boundary_switches: tuple = ()
-    record_exchanges: bool = True
     stream_label: str = "timesync"
 
 
@@ -456,6 +441,11 @@ class SyncDomain:
     A tile is cut when it is offline as the domain is built (`online`), or
     by `mark_offline`, which the run subscribes to the power plane's
     disconnects; a cut port exchanges no more.
+
+    A scenario run keeps nothing of an exchange once it closes beyond its
+    port's `corrections` count.  `exchanges` is None there; only
+    `run_sync_domain`, the tests' harness, makes it a list, which then gets
+    an `ExchangeRecord` per closed exchange.
     """
 
     MODULE = "timesync"
@@ -469,7 +459,7 @@ class SyncDomain:
         self._load = load                    # a LinkLoadTracker, or None
         self.report = SyncReport(from_seconds(config.convergence_threshold_us / 1e6),
                                  config.convergence_samples)
-        self.exchanges: list[ExchangeRecord] = []
+        self.exchanges: list[ExchangeRecord] | None = None
         self.clocks: dict[str, LocalClock] = {}
         self.ports: dict[str, PtpPort] = {}
         self._jitter: dict[str, _LinkJitter] = {}
@@ -625,45 +615,44 @@ class SyncDomain:
         port.t1 = None
         port.t2 = None
         t1 = port.master_clock.read(now)
-        msg = PtpMessage(seq)
         if port.relay_clock is not None:
             hop = port.sync_hop_ps + port.up_jitter.ps(now)
             self._schedule(now + hop, node, "relay_ingress", self._relay_ingress,
-                           (msg, port, "sync"))
+                           (port, seq, "sync"))
         else:
             hop = port.sync_hop_ps + port.down_jitter.ps(now)
             self._schedule(now + hop, node, "sync_arrival", self._sync_arrival,
-                           (msg, port, seq))
+                           (port, seq, 0))
         self._schedule(now + port.followup_ps, node, "followup_arrival",
                        self._followup_arrival, (port, seq, t1))
 
     def _relay_ingress(self, arg) -> None:
-        msg, port, leg = arg
+        port, seq, leg = arg
         now = self.loop.now
         t_in = port.relay_clock.read(now)
         self._schedule(now + self._residence_ps, port.node, "relay_egress",
-                       self._relay_egress, (msg, port, leg, t_in))
+                       self._relay_egress, (port, seq, leg, t_in))
 
     def _relay_egress(self, arg) -> None:
-        msg, port, leg, t_in = arg
+        port, seq, leg, t_in = arg
         now = self.loop.now
-        if port.transparent:
-            transparent_correct(msg, port.relay_clock.read(now) - t_in)
+        # the residence the relay's own clock measured, if it corrects for it
+        correction = port.relay_clock.read(now) - t_in if port.transparent else 0
         if leg == "sync":
             hop = port.down_hop_ps + port.down_jitter.ps(now)
             self._schedule(now + hop, port.node, "sync_arrival", self._sync_arrival,
-                           (msg, port, msg.seq))
+                           (port, seq, correction))
         else:
             hop = port.up_req_hop_ps + port.up_jitter.ps(now)
             self._schedule(now + hop, port.node, "delay_req_arrival",
-                           self._delay_req_arrival, (msg, port))
+                           self._delay_req_arrival, (port, seq, correction))
 
     def _sync_arrival(self, arg) -> None:
-        msg, port, seq = arg
+        port, seq, correction = arg
         if seq != port.seq or port.cut_ps is not None:
             return
         port.t2 = port.clock.read(self.loop.now)
-        port.fwd_correction = msg.correction_ps
+        port.fwd_correction = correction
         self._maybe_send_delay_req(port)
 
     def _followup_arrival(self, arg) -> None:
@@ -687,23 +676,22 @@ class SyncDomain:
         node = port.node
         now = self.loop.now
         port.t3 = port.clock.read(now)
-        msg = PtpMessage(seq)
         hop = port.req_hop_ps + port.down_jitter.ps(now)
         if port.relay_clock is not None:
             self._schedule(now + hop, node, "relay_ingress", self._relay_ingress,
-                           (msg, port, "delay_req"))
+                           (port, seq, "delay_req"))
         else:
             self._schedule(now + hop, node, "delay_req_arrival",
-                           self._delay_req_arrival, (msg, port))
+                           self._delay_req_arrival, (port, seq, 0))
 
     def _delay_req_arrival(self, arg) -> None:
-        msg, port = arg
-        if msg.seq != port.seq:
+        port, seq, rev_correction = arg
+        if seq != port.seq:
             return
         now = self.loop.now
         t4 = port.master_clock.read(now)
         self._schedule(now + port.resp_ps, port.node, "delay_resp_arrival",
-                       self._delay_resp_arrival, (port, msg.seq, t4, msg.correction_ps))
+                       self._delay_resp_arrival, (port, seq, t4, rev_correction))
 
     def _delay_resp_arrival(self, arg) -> None:
         port, seq, t4, rev_correction = arg
@@ -720,7 +708,7 @@ class SyncDomain:
         if port.closed_ps is None:
             port.closed_ps = now
         port.corrections += 1
-        if self.config.record_exchanges:
+        if self.exchanges is not None:
             self.exchanges.append(ExchangeRecord(
                 node, seq, port.t1, port.t2, port.t3, t4,
                 port.fwd_correction, rev_correction,
@@ -732,10 +720,12 @@ def run_sync_domain(fabric: Fabric, config: TimesyncConfig, duration_s: float,
                     seed: int = 0, rng: RngRegistry | None = None,
                     loop: EventLoop | None = None, load=None,
                     online=None) -> tuple[SyncReport, SyncDomain]:
-    """Convenience wrapper: build a domain, run it, return the finalized report."""
+    """Build a domain, run it, return the finalized report; the domain's
+    `exchanges` holds a record of every exchange that closed."""
     loop = loop or EventLoop()
     rng = rng or RngRegistry(seed)
     domain = SyncDomain(loop, fabric, config, rng, load, online)
+    domain.exchanges = []
     until = from_seconds(duration_s)
     domain.start(until)
     loop.run_until(until)

@@ -16,6 +16,7 @@ from tilesim.orchestrator import run_scenario
 from tilesim.scenario import (_YAML_LOADER, load_scenario, resolved_dict,
                               resolved_json, scenario_from_dict, scenario_hash,
                               validate_scenario)
+from tilesim.timesync import run_sync_domain
 
 TINY = {
     "name": "tiny",
@@ -707,15 +708,16 @@ def test_produced_keys_sit_on_their_hash_partition(tmp_path):
         assert row["partition"] == result.broker.partition_for(row["key"])
 
 
-def test_exchange_count_does_not_depend_on_keeping_records(tmp_path):
-    counts = []
-    for keep in (True, False):
-        result = run_scenario(
-            tiny_cfg(duration_s=2.0, timesync={"record_exchanges": keep},
-                     rover={"enabled": False}), tmp_path / str(keep))
-        counts.append(result.report["timesync"]["exchanges"])
-        assert len(result.domain.exchanges) == (counts[-1] if keep else 0)
-    assert counts[0] == counts[1] > 0
+def test_a_run_keeps_no_exchange_log_and_still_counts_exchanges(tmp_path):
+    cfg = tiny_cfg(duration_s=2.0, rover={"enabled": False})
+    result = run_scenario(cfg, tmp_path)
+    assert result.domain.exchanges is None
+    corrections = sum(p.corrections for p in result.domain.ports.values())
+    assert result.report["timesync"]["exchanges"] == corrections > 0
+    # the tests' harness keeps one record for each correction
+    _, domain = run_sync_domain(result.fabric, cfg.timesync, 2.0, seed=cfg.seed)
+    assert len(domain.exchanges) == sum(
+        p.corrections for p in domain.ports.values()) > 0
 
 
 def test_rover_stream_is_isolated_from_fabric_outputs(tmp_path):

@@ -17,10 +17,10 @@ from tilesim.core import (EventLoop, MAX_SIM_TIME, PS_PER_MS, PS_PER_S,
                           from_seconds)
 from tilesim.dataplane import LinkLoadTracker
 from tilesim.fabric import ConfigurationError, FabricConfig, build_default_fabric
-from tilesim.timesync import (LocalClock, OscillatorConfig, PtpMessage,
-                              ServoState, SyncDomain, SyncReport,
-                              TimesyncConfig, quantize_ps, run_sync_domain, servo_update,
-                              transparent_correct, two_step_offset)
+from tilesim.timesync import (LocalClock, OscillatorConfig, ServoState,
+                              SyncDomain, SyncReport, TimesyncConfig,
+                              quantize_ps, run_sync_domain, servo_update,
+                              two_step_offset)
 
 
 def quiet_osc(offset_us=0.0, granularity_ps=1):
@@ -125,15 +125,6 @@ def test_negative_delay_flagged_not_raised():
     s = two_step_offset(0, -20, 0, 10)
     assert s.negative_delay
     assert s.mean_path_delay_ps < 0
-
-
-def test_transparent_correction_accumulates():
-    m = PtpMessage(1)
-    transparent_correct(m, 1000)
-    transparent_correct(m, 500)
-    assert m.correction_ps == 1500
-    m2 = transparent_correct(PtpMessage(2), 0)
-    assert m2.correction_ps == 0
 
 
 # --- servo ------------------------------------------------------------------
