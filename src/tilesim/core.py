@@ -106,15 +106,18 @@ class EventLoop:
 
     def every(self, start: SimTime, period: SimTime, until: SimTime, module: str,
               target: str, action: str, fn: Callable[[Any], None],
-              arg: Any = None) -> None:
+              arg: Any = None) -> int:
         """Call `fn(arg)` at start, start + period, ... up to and including
-        `until`.  Each firing queues the next one before it calls `fn`, so
-        the events `fn` schedules come after it in insertion order."""
+        `until`, and return how many calls that makes.  Each firing queues
+        the next one before it calls `fn`, so the events `fn` schedules come
+        after it in insertion order."""
         if period < 1:
             raise SimulationError(f"event {action!r} has period {period} ps, below 1 ps")
-        if start <= until:
-            self.schedule(start, module, target, action, self._fire_periodic,
-                          (period, until, module, target, action, fn, arg))
+        if start > until:
+            return 0
+        self.schedule(start, module, target, action, self._fire_periodic,
+                      (period, until, module, target, action, fn, arg))
+        return (until - start) // period + 1
 
     def _fire_periodic(self, spec: tuple) -> None:
         period, until, module, target, action, fn, arg = spec

@@ -44,6 +44,7 @@ class _Producers:
         self.online = online
         self.counts: dict[str, int] = {}
         self.bytes: dict[str, int] = {}
+        self.firings = 0
         candidates = sorted(t.id for t in fabric.tiles.values()
                             if "producer" in t.roles)
         self.tiles = candidates[:cfg.producer_tiles]
@@ -58,8 +59,9 @@ class _Producers:
             route = (tile, prefix, fnv1a64(prefix.encode()),
                      fabric.tile_link(tile).id,
                      fabric.trunk_link(fabric.switch_for_tile(tile)).id)
-            loop.every(i * spacing, period, until_ps, self.MODULE, tile,
-                       "produce", self._produce, route)
+            self.firings += loop.every(i * spacing, period, until_ps,
+                                       self.MODULE, tile, "produce",
+                                       self._produce, route)
 
     def _produce(self, route) -> None:
         tile, prefix, prefix_hash, tile_link, trunk_link = route
@@ -96,6 +98,7 @@ class _Consumers:
         self.cfg = cfg
         self.groups: list[ConsumerGroup] = []
         self.delivered: dict[str, int] = {}
+        self.firings = 0
         period = from_seconds(cfg.poll_interval_ms / 1e3)
         members_total = max(1, cfg.consumer_groups * cfg.consumers_per_group)
         spacing = period // members_total
@@ -107,9 +110,10 @@ class _Consumers:
             self.groups.append(group)
             self.delivered[group.group_id] = 0
             for c in range(cfg.consumers_per_group):
-                loop.every(period + k * spacing, period, until_ps, self.MODULE,
-                           f"g{g}-c{c}", "poll", self._poll,
-                           (group, f"g{g}-c{c}"))
+                self.firings += loop.every(period + k * spacing, period,
+                                           until_ps, self.MODULE, f"g{g}-c{c}",
+                                           "poll", self._poll,
+                                           (group, f"g{g}-c{c}"))
                 k += 1
 
     def _poll(self, arg) -> None:
@@ -176,6 +180,23 @@ def _setup_power(cfg: ScenarioConfig, fabric: Fabric, loop: EventLoop,
     return plane
 
 
+# the most periodic firings (sync epochs, produce events, consumer polls
+# and mission ticks together) one run may queue
+MAX_PERIODIC_FIRINGS = 10_000_000
+
+
+def _check_firings(firings: dict[str, int]) -> None:
+    """Refuse a run whose periodic firings, keyed by the scenario key of
+    their period, exceed MAX_PERIODIC_FIRINGS, naming the key with the
+    most: a run that long would not end in any useful time."""
+    total = sum(firings.values())
+    if total > MAX_PERIODIC_FIRINGS:
+        key = max(firings, key=firings.get)
+        raise ConfigurationError(
+            f"{key} asks for {firings[key]:,} of the run's {total:,} periodic "
+            f"events; a run may queue at most {MAX_PERIODIC_FIRINGS:,}")
+
+
 @contextmanager
 def _section(name: str):
     """Prefix a set-up error with its scenario section, unless it names a key."""
@@ -209,6 +230,7 @@ def prepare_scenario(cfg: ScenarioConfig) -> RunResult:
                              if cfg.power.enabled else None)
     online = plane.is_online if plane is not None else (lambda tile_id: True)
 
+    firings = {}
     tracker = None
     if cfg.dataplane.enabled:
         d = cfg.dataplane
@@ -219,6 +241,8 @@ def prepare_scenario(cfg: ScenarioConfig) -> RunResult:
             run.producers = _Producers(loop, fabric, d, broker, tracker,
                                        online, until)
             run.consumers = _Consumers(loop, d, broker, until)
+        firings["dataplane.produce_interval_ms"] = run.producers.firings
+        firings["dataplane.poll_interval_ms"] = run.consumers.firings
 
     if cfg.timesync.enabled:
         with _section("timesync"):
@@ -226,7 +250,7 @@ def prepare_scenario(cfg: ScenarioConfig) -> RunResult:
                                     online)
             if plane is not None:
                 plane.on_disconnect.append(run.domain.mark_offline)
-            run.domain.start(until)
+            firings["timesync.sync_interval_s"] = run.domain.start(until)
 
     if cfg.rover.enabled:
         r = cfg.rover
@@ -241,6 +265,9 @@ def prepare_scenario(cfg: ScenarioConfig) -> RunResult:
             mc = MissionConfig(speed_mps=r.speed_mps, tick_s=r.tick_s)
             run.mission = MissionRunner(fabric.room, plan, beacons, battery,
                                         mc, rng.stream(r.stream_label))
+        firings["rover.tick_s"] = -(-from_seconds(r.max_duration_s)
+                                    // from_seconds(r.tick_s))
+    _check_firings(firings)
     return run
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PS_PER_S, RngStream, SimTime, from_seconds
+from .core import MAX_SIM_TIME, PS_PER_S, RngStream, SimTime, from_seconds
 from .fabric import ConfigurationError, Room
 
 LIFT_MIN_M = 0.55
@@ -529,7 +529,12 @@ class MissionRunner:
         self._next_wp = 0
         self._dwell_left = 0.0
         self._t: SimTime = 0
-        self._meas_accum = 0.0
+        # the instant of the next beacon fix, one fix period after the last;
+        # none when the period falls outside the 64-bit time range
+        period_s = 1.0 / beacons.rate_hz if beacons.rate_hz > 0 else math.inf
+        self._fix_ps = from_seconds(period_s) \
+            if period_s * PS_PER_S <= MAX_SIM_TIME else None
+        self._next_fix = self._fix_ps
 
     def _log(self, event: str) -> None:
         s = self.state
@@ -540,24 +545,22 @@ class MissionRunner:
 
     def _track_tick(self, dt_s: float) -> None:
         """Advance the tracker one tick: always predict, fold in a ranging
-        fix when one is due (at most one per tick).  The solver is seeded
-        from the current estimate, never from the true pose."""
+        fix when one is due (at most one per tick), that is at the first
+        tick at or after each multiple of the fix period.  The solver is
+        seeded from the current estimate, never from the true pose."""
         fix = None
-        if self.beacons.rate_hz > 0:
-            self._meas_accum += dt_s
-            period = 1.0 / self.beacons.rate_hz
-            if self._meas_accum >= period - 1e-12:
-                self._meas_accum -= period
-                pose = (self.state.x, self.state.y, self.mobile_z)
-                ranges = measure_ranges(pose, self.beacons, self.rng)
-                try:
-                    sol = trilaterate(ranges, self.beacons, self.mobile_z,
-                                      initial=(float(self.track.x[0]),
-                                               float(self.track.x[1])))
-                    fix = sol.position
-                    self.raw_fixes.append(fix)
-                except TrilaterationError:
-                    fix = None
+        if self._next_fix is not None and self._t >= self._next_fix:
+            self._next_fix += self._fix_ps
+            pose = (self.state.x, self.state.y, self.mobile_z)
+            ranges = measure_ranges(pose, self.beacons, self.rng)
+            try:
+                sol = trilaterate(ranges, self.beacons, self.mobile_z,
+                                  initial=(float(self.track.x[0]),
+                                           float(self.track.x[1])))
+                fix = sol.position
+                self.raw_fixes.append(fix)
+            except TrilaterationError:
+                fix = None
         # process noise sized for waypoint turns: the platform reverses
         # 2x speed within a tick, so accel bursts reach a few m/s^2
         self.track, _ = kalman_step(

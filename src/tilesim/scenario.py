@@ -20,6 +20,10 @@ from .fabric import SURFACE_NAMES, ConfigurationError, FabricConfig
 from .rover import MissionConfig
 from .timesync import TimesyncConfig
 
+# the widest lognormal jitter shape and ranging error the models take
+MAX_JITTER_SHAPE = 20.0
+MAX_BEACON_SIGMA_M = 1e3
+
 
 @dataclass
 class PowerConfig:
@@ -201,10 +205,13 @@ def scenario_hash(cfg: ScenarioConfig) -> str:
 
 def _check_period(problems: list[str], name: str, seconds: float) -> None:
     """A period handed to `EventLoop.every`, or a window a rate is divided
-    by, must round, as the scheduler rounds it, to at least 1 ps; `every`
-    raises on a shorter period, and a zero window divides by zero."""
-    if not (math.isfinite(seconds) and from_seconds(seconds) >= 1):
-        problems.append(f"{name} must be at least 1 ps (got {seconds:g} s)")
+    by, must round, as the scheduler rounds it, to at least 1 ps, and lie
+    inside the 64-bit time range; `every` raises on a shorter period, and a
+    zero window divides by zero."""
+    if not (math.isfinite(seconds * PS_PER_S)
+            and 1 <= from_seconds(seconds) <= MAX_SIM_TIME):
+        problems.append(f"{name} must be at least 1 ps and at most "
+                        f"{MAX_SIM_TIME / PS_PER_S:g} s (got {seconds:g} s)")
 
 
 def _check_delay(problems: list[str], name: str, seconds: float) -> None:
@@ -259,11 +266,16 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     for key in ("prop_ns_per_m", "slack_m", "cable_min_m", "cable_max_m",
                 "cable_fixed_m", "tile_jitter_sigma_ns", "trunk_jitter_sigma_ns"):
         _check_scale(problems, f"fabric.{key}", getattr(f, key))
-    # the lognormal jitter is normalized by a factor that is 0 at shape 0
-    _check_scale(problems, "fabric.jitter_shape", f.jitter_shape, positive=True)
+    # the lognormal jitter is normalized by exp(s^2/2)*sqrt(expm1(s^2)),
+    # which is 0 at shape 0 and overflows a float past about 26.6
+    _check_scale(problems, "fabric.jitter_shape", f.jitter_shape,
+                 MAX_JITTER_SHAPE, positive=True)
     if f.bandwidth_bps < 1:
         problems.append("fabric.bandwidth_bps must be at least 1")
     room = cfg.fabric.room
+    for key in ("length_m", "width_m", "height_m"):
+        _check_scale(problems, f"fabric.room.{key}", getattr(room, key),
+                     positive=True)
     if cfg.coherent.enabled:
         c = cfg.coherent
         if not CARRIER_MIN_HZ <= c.carrier_hz <= CARRIER_MAX_HZ:
@@ -346,8 +358,9 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         if not r.battery_peak_w >= MissionConfig.move_draw_w:
             problems.append(f"rover.battery_peak_w must be at least "
                             f"{MissionConfig.move_draw_w:g} W, the driving draw")
-        if not r.beacon_sigma_m >= 0:
-            problems.append("rover.beacon_sigma_m must be non-negative")
+        # the tracker squares it into the measurement variance
+        _check_scale(problems, "rover.beacon_sigma_m", r.beacon_sigma_m,
+                     MAX_BEACON_SIGMA_M)
         if not 0 <= r.outlier_prob <= 1:
             problems.append("rover.outlier_prob must lie in [0, 1]")
         # the tracker folds in at most one fix per tick
@@ -379,8 +392,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         _check_delay(problems, "timesync.followup_lag_us", t.followup_lag_us / 1e6)
         _check_delay(problems, "timesync.turnaround_us", t.turnaround_us / 1e6)
         _check_delay(problems, "timesync.residence_us", t.residence_us / 1e6)
-        for sw in t.boundary_switches:
-            if not isinstance(sw, str):
-                problems.append("timesync.boundary_switches must be switch ids")
-                break
+        if not (isinstance(t.boundary_switches, (tuple, list))
+                and all(isinstance(sw, str) for sw in t.boundary_switches)):
+            problems.append("timesync.boundary_switches must be a list of "
+                            "switch ids")
     return problems

@@ -553,7 +553,8 @@ class SyncDomain:
 
     # -- lifecycle --
 
-    def start(self, until_ps: SimTime) -> None:
+    def start(self, until_ps: SimTime) -> int:
+        """Queue every port's sync epochs up to `until_ps`; returns how many."""
         samples = len(self.ports) * (until_ps // self._tick_ps)
         if samples > MAX_RESIDUAL_SAMPLES:
             raise ConfigurationError(
@@ -563,10 +564,12 @@ class SyncDomain:
         c = self.config
         t0 = from_seconds(c.start_s)
         stagger = from_seconds(c.stagger_ms / 1e3)
+        epochs = 0
         for i, node in enumerate(sorted(self.ports)):
-            self.loop.every(t0 + i * stagger, self._interval_ps, until_ps,
-                            self.MODULE, node, "sync_egress", self._sync_egress,
-                            self.ports[node])
+            epochs += self.loop.every(t0 + i * stagger, self._interval_ps, until_ps,
+                                      self.MODULE, node, "sync_egress",
+                                      self._sync_egress, self.ports[node])
+        return epochs
 
     def finish(self) -> SyncReport:
         """Evaluate each port's residual at every tick it is sampled at and

@@ -647,3 +647,31 @@ def test_runner_timeout_is_reported():
     s = run.run(max_duration_s=1.0)
     assert run.log[-1].event == "timeout"
     assert s["visited"] < s["waypoints"]
+
+
+@pytest.mark.parametrize("rate_hz,tick_s", [(3.0, 0.1), (10.0, 0.1), (5.0, 0.2)])
+def test_fixes_come_at_the_first_tick_at_or_after_each_fix_instant(
+        rate_hz, tick_s, monkeypatch):
+    # one ranging per fix, at integer-ps ticks; 3 Hz at 0.1 s ticks falls
+    # between ticks, so each fix waits for the next one
+    plan = plan_sampling(ROOM, 0.6, area=(0.6, 0.6, 1.8, 1.8),
+                         z_resolution_m=2.0)
+    run = MissionRunner(ROOM, plan,
+                        BeaconSet(default_beacons(ROOM).anchors, rate_hz=rate_hz),
+                        Battery(), MissionConfig(tick_s=tick_s),
+                        RngStream(12, "fixes"))
+    ranged_at = []
+    measure = rover.measure_ranges
+
+    def recording(*args):
+        ranged_at.append(run._t)
+        return measure(*args)
+
+    monkeypatch.setattr(rover, "measure_ranges", recording)
+    run.run(max_duration_s=5.0)
+    tick = round(tick_s * 1e12)
+    ticks = range(tick, round(5.0 * 1e12) + 1, tick)
+    # the first tick at or after k / rate_hz seconds, in exact integers
+    expected = sorted({min(t for t in ticks if t * rate_hz >= k * 1e12)
+                       for k in range(1, int(5.0 * rate_hz) + 1)})
+    assert ranged_at == expected

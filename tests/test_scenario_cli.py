@@ -422,7 +422,48 @@ SETUP_PROBES = [("fabric", "cable_model", "uniform", 0),
                 ("timesync", "sample_interval_s", 1e-9, 1)]
 
 
-@pytest.mark.parametrize("section,key,value,code", SETUP_PROBES)
+# Each of these passed validation, and `tilesim run` had not ended after
+# 10 s: the period asks for millions to trillions of periodic events.
+ENDLESS_PERIODS = [("timesync", "sync_interval_s", 1e-6),
+                   ("timesync", "sync_interval_s", 1e-9),
+                   ("dataplane", "produce_interval_ms", 1e-9),
+                   ("dataplane", "poll_interval_ms", 1e-9),
+                   ("rover", "tick_s", 1e-9)]
+
+
+@pytest.mark.parametrize("section,key,value", ENDLESS_PERIODS)
+def test_endless_period_exits_1_instead_of_hanging(section, key, value,
+                                                   tmp_path):
+    proc = run_probe(section, key, value, tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {section}.{key} asks for ")
+    assert "periodic events" in lines[0]
+
+
+# Each of these ended `validate`, `run` or both in a traceback: a period or
+# room size that overflows once in picoseconds or millimetres, a jitter
+# shape or ranging error whose square overflows, and boundary switches
+# given as one number.
+OVERFLOWING_VALUES = [
+    *[("timesync", key, 1e300, 1) for key in ("sync_interval_s",
+                                              "sample_interval_s")],
+    *[("dataplane", key, 1e300, 1) for key in ("produce_interval_ms",
+                                               "poll_interval_ms",
+                                               "load_window_ms")],
+    ("rover", "tick_s", 1e300, 1),
+    *[("fabric", "room", {key: float("inf")}, 1)
+      for key in ("length_m", "width_m", "height_m")],
+    ("fabric", "jitter_shape", 1e300, 1),
+    ("rover", "beacon_sigma_m", 1e300, 1),
+    *[("timesync", "boundary_switches", value, 1)
+      for value in (0, -1, 1e-13, 1e-9, float("nan"), float("inf"), 1e300)]]
+
+
+@pytest.mark.parametrize("section,key,value,code",
+                         SETUP_PROBES + OVERFLOWING_VALUES
+                         + [(*probe, 1) for probe in ENDLESS_PERIODS])
 def test_validate_and_run_agree(section, key, value, code, tmp_path, capsys):
     path = str(probe_scenario(section, key, value, tmp_path))
     out = tmp_path / "runs"
