@@ -38,8 +38,9 @@ class Room:
     height_m: float = 2.4
 
     def __post_init__(self):
-        if min(self.length_m, self.width_m, self.height_m) <= 0:
-            raise ConfigurationError("room dimensions must be positive")
+        for name in ("length_m", "width_m", "height_m"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive")
 
     @property
     def center(self) -> tuple[float, float, float]:

@@ -180,21 +180,22 @@ def _setup_power(cfg: ScenarioConfig, fabric: Fabric, loop: EventLoop,
     return plane
 
 
-# the most periodic firings (sync epochs, produce events, consumer polls
-# and mission ticks together) one run may queue
-MAX_PERIODIC_FIRINGS = 10_000_000
+# the most events that periodic work may queue in one run: sync exchanges
+# (each counted at its route's events), produce events, consumer polls and
+# mission ticks together
+MAX_PERIODIC_EVENTS = 10_000_000
 
 
-def _check_firings(firings: dict[str, int]) -> None:
-    """Refuse a run whose periodic firings, keyed by the scenario key of
-    their period, exceed MAX_PERIODIC_FIRINGS, naming the key with the
-    most: a run that long would not end in any useful time."""
-    total = sum(firings.values())
-    if total > MAX_PERIODIC_FIRINGS:
-        key = max(firings, key=firings.get)
+def _check_events(events: dict[str, int]) -> None:
+    """Refuse a run whose periodic events, keyed by the scenario key of
+    their period, exceed MAX_PERIODIC_EVENTS, naming the key with the most:
+    a run that long would not end in any useful time."""
+    total = sum(events.values())
+    if total > MAX_PERIODIC_EVENTS:
+        key = max(events, key=events.get)
         raise ConfigurationError(
-            f"{key} asks for {firings[key]:,} of the run's {total:,} periodic "
-            f"events; a run may queue at most {MAX_PERIODIC_FIRINGS:,}")
+            f"{key} asks for {events[key]:,} of the run's {total:,} periodic "
+            f"events; a run may queue at most {MAX_PERIODIC_EVENTS:,}")
 
 
 @contextmanager
@@ -230,7 +231,7 @@ def prepare_scenario(cfg: ScenarioConfig) -> RunResult:
                              if cfg.power.enabled else None)
     online = plane.is_online if plane is not None else (lambda tile_id: True)
 
-    firings = {}
+    events = {}
     tracker = None
     if cfg.dataplane.enabled:
         d = cfg.dataplane
@@ -241,8 +242,8 @@ def prepare_scenario(cfg: ScenarioConfig) -> RunResult:
             run.producers = _Producers(loop, fabric, d, broker, tracker,
                                        online, until)
             run.consumers = _Consumers(loop, d, broker, until)
-        firings["dataplane.produce_interval_ms"] = run.producers.firings
-        firings["dataplane.poll_interval_ms"] = run.consumers.firings
+        events["dataplane.produce_interval_ms"] = run.producers.firings
+        events["dataplane.poll_interval_ms"] = run.consumers.firings
 
     if cfg.timesync.enabled:
         with _section("timesync"):
@@ -250,7 +251,7 @@ def prepare_scenario(cfg: ScenarioConfig) -> RunResult:
                                     online)
             if plane is not None:
                 plane.on_disconnect.append(run.domain.mark_offline)
-            firings["timesync.sync_interval_s"] = run.domain.start(until)
+            events["timesync.sync_interval_s"] = run.domain.start(until)
 
     if cfg.rover.enabled:
         r = cfg.rover
@@ -265,9 +266,9 @@ def prepare_scenario(cfg: ScenarioConfig) -> RunResult:
             mc = MissionConfig(speed_mps=r.speed_mps, tick_s=r.tick_s)
             run.mission = MissionRunner(fabric.room, plan, beacons, battery,
                                         mc, rng.stream(r.stream_label))
-        firings["rover.tick_s"] = -(-from_seconds(r.max_duration_s)
-                                    // from_seconds(r.tick_s))
-    _check_firings(firings)
+        events["rover.tick_s"] = -(-from_seconds(r.max_duration_s)
+                                   // from_seconds(r.tick_s))
+    _check_events(events)
     return run
 
 

@@ -37,6 +37,12 @@ from .fabric import ConfigurationError, Fabric, Link
 # the most residual samples (ports times sampler ticks) one run may ask for
 MAX_RESIDUAL_SAMPLES = 10_000_000
 
+# the events one exchange fires: sync egress and arrival, follow-up arrival,
+# delay request egress and arrival, delay response arrival; through a relay,
+# also its ingress and egress on each of the two timestamped legs
+EXCHANGE_EVENTS = 6
+RELAYED_EXCHANGE_EVENTS = 10
+
 
 def quantize_ps(local_ps: float, granularity_ps: int) -> int:
     """Truncate a local time to the timestamp tick grid (counter semantics)."""
@@ -72,7 +78,8 @@ class LocalClock:
 
     def read(self, true_t: SimTime) -> int:
         """Timestamp the given true instant on this clock's tick grid."""
-        return quantize_ps(true_t + self.offset_at(true_t), self.granularity_ps)
+        return quantize_ps(true_t + math.floor(self.offset_at(true_t)),
+                           self.granularity_ps)
 
     def offset_at(self, true_t: SimTime) -> float:
         """Raw offset at the given true instant (no readout quantization)."""
@@ -468,6 +475,7 @@ class SyncDomain:
         self._followup_lag_ps = from_seconds(config.followup_lag_us / 1e6)
         self._turnaround_ps = from_seconds(config.turnaround_us / 1e6)
         self._tick_ps = from_seconds(config.sample_interval_s)
+        self._longest_exchange_ps = 0
 
         boundary = set(config.boundary_switches)
         unknown = boundary - set(fabric.switches)
@@ -537,6 +545,13 @@ class SyncDomain:
             port.resp_ps += up.base_delay_ps + self._residence_ps
             fup_transit = up.delay_ps(True) + self._residence_ps + down.delay_ps(True)
         port.followup_ps = self._followup_lag_ps + fup_transit
+        # the delay request leaves a turnaround after the follow-up lands
+        # and returns through the relay: the exchange's span without jitter
+        req_ps = port.req_hop_ps + (0 if up is None else
+                                    self._residence_ps + port.up_req_hop_ps)
+        self._longest_exchange_ps = max(
+            self._longest_exchange_ps,
+            port.followup_ps + self._turnaround_ps + req_ps + port.resp_ps)
 
     # -- noise --
 
@@ -554,7 +569,14 @@ class SyncDomain:
     # -- lifecycle --
 
     def start(self, until_ps: SimTime) -> int:
-        """Queue every port's sync epochs up to `until_ps`; returns how many."""
+        """Queue every port's sync epochs up to `until_ps`; returns how many
+        events their exchanges fire.  An interval no longer than an exchange
+        is refused: the next epoch would drop every exchange in flight."""
+        if self._interval_ps <= self._longest_exchange_ps:
+            raise ConfigurationError(
+                f"timesync.sync_interval_s must be longer than one exchange, "
+                f"{self._longest_exchange_ps / PS_PER_S:g} s "
+                f"(got {self.config.sync_interval_s:g} s)")
         samples = len(self.ports) * (until_ps // self._tick_ps)
         if samples > MAX_RESIDUAL_SAMPLES:
             raise ConfigurationError(
@@ -564,12 +586,15 @@ class SyncDomain:
         c = self.config
         t0 = from_seconds(c.start_s)
         stagger = from_seconds(c.stagger_ms / 1e3)
-        epochs = 0
+        events = 0
         for i, node in enumerate(sorted(self.ports)):
-            epochs += self.loop.every(t0 + i * stagger, self._interval_ps, until_ps,
-                                      self.MODULE, node, "sync_egress",
-                                      self._sync_egress, self.ports[node])
-        return epochs
+            port = self.ports[node]
+            epochs = self.loop.every(t0 + i * stagger, self._interval_ps, until_ps,
+                                     self.MODULE, node, "sync_egress",
+                                     self._sync_egress, port)
+            events += epochs * (EXCHANGE_EVENTS if port.relay_clock is None
+                                else RELAYED_EXCHANGE_EVENTS)
+        return events
 
     def finish(self) -> SyncReport:
         """Evaluate each port's residual at every tick it is sampled at and

@@ -1,12 +1,16 @@
 """The scenario boundary: every malformed scenario ends in a one-line
-refusal, never in a traceback, a hang or a run with no end.
+refusal, never in a traceback, a hang or a run with no end, and each case
+ends as `scenario.RULES` predicts.
 
 The cases walk the real key tree of `ScenarioConfig`: each leaf key of an
 8-tile, 2-switch, 2 s probe scenario set in turn to each of a few boundary
-values.  Tier-1 sets every case up in-process through `prepare_scenario`
-and runs a sample of scenarios with one to three keys changed through the
-command line.  The full sweep runs every single-key case that sets up to
-the end, in one process, with an alarm on each:
+values.  A case the load type check or a rule refuses must be refused in
+one line naming its key; every other case must set up, unless
+`BEYOND_RULES` names it as refused by a check across fields, a stage or a
+work bound.  Tier-1 sets every case up in-process through
+`prepare_scenario` and runs a sample of scenarios with one to three keys
+changed through the command line.  The full sweep runs every single-key
+case that sets up to the end, in one process, with an alarm on each:
 
     PYTHONPATH=src python tests/test_boundary.py
 """
@@ -23,6 +27,7 @@ import tempfile
 import time
 import traceback
 import typing
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -33,7 +38,8 @@ from hypothesis import strategies as st
 from tilesim.cli import main
 from tilesim.fabric import ConfigurationError
 from tilesim.orchestrator import prepare_scenario, run_scenario
-from tilesim.scenario import ScenarioConfig, scenario_from_dict
+from tilesim.scenario import (OVERDRAW_RULES, RULES, ScenarioConfig,
+                              scenario_from_dict)
 
 PROBE = {"name": "probe", "seed": 3, "duration_s": 2.0,
          "fabric": {"counts": {"wall_a": 2, "wall_b": 2, "floor": 2,
@@ -88,11 +94,94 @@ def alarm(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+# keys that take a mapping or a list of a given shape, which no value of
+# the walk has: validation refuses each of them, naming the key
+SHAPED = {"fabric.counts", "fabric.face_dims", "coherent.target", "rover.area",
+          "rover.obstacles", "timesync.boundary_switches"}
+
+ROOM = ["fabric.room.length_m", "fabric.room.width_m", "fabric.room.height_m"]
+
+# The cases every rule passes that set-up refuses all the same, and why.
+BEYOND_RULES = [
+    (ROOM, (1e-13, 1e-9), "coherent.target and rover.area lie outside the room"),
+    (ROOM + ["fabric.prop_ns_per_m", "fabric.slack_m", "timesync.followup_lag_us",
+             "timesync.turnaround_us", "timesync.residence_us"], (1e300,),
+     "an exchange outlasts timesync.sync_interval_s"),
+    (["timesync.sync_interval_s"], (1e-9,), "the interval is shorter than one exchange"),
+    (["timesync.sample_interval_s"], (1e-9,), "residual samples over their bound"),
+    (["dataplane.produce_interval_ms", "dataplane.poll_interval_ms", "rover.tick_s"],
+     (1e-9,), "periodic events over their bound"),
+    (["rover.resolution_m", "rover.z_resolution_m"], (1e-13, 1e-9),
+     "lift stops over their bound"),
+    (["rover.resolution_m"], (1e300,), "no reachable cell in the sampling area"),
+    (["rover.beacon_rate_hz"], (1e300,), "more than one beacon fix per rover.tick_s"),
+    (["fabric.cable_model", "power.overdraw_tile"], ("x",),
+     "no such cable model, no such powered tile"),
+]
+_BEYOND = {(key, value) for keys, values, _ in BEYOND_RULES
+           for key in keys for value in values}
+
+
+def predicted(path, value) -> str:
+    """How the case ends, from the load type check and `RULES`: "load" or
+    "rules" (refused, naming the key), "beyond" (refused all the same, see
+    BEYOND_RULES) or "set up"."""
+    key = ".".join(path)
+    try:
+        cfg = scenario_from_dict(probe_with([(path, value)]))
+    except ConfigurationError:
+        return "load"
+    loaded = attrgetter(key)(cfg)
+    if key in SHAPED or (key in RULES and loaded is not None
+                         and RULES[key].problem(key, loaded)):
+        return "rules"
+    return "beyond" if (key, value) in _BEYOND else "set up"
+
+
+def check_outcome(path, value, refusal: ConfigurationError | None) -> None:
+    """Assert that a case set up (`refusal` None) or was refused as
+    predicted, in one line."""
+    key, expected = ".".join(path), predicted(path, value)
+    if refusal is None:
+        assert expected == "set up", (value, expected)
+        return
+    message = str(refusal)
+    assert "\n" not in message, (value, message)
+    assert expected != "set up", (value, message)
+    if expected == "rules":
+        assert message.startswith(f"{key} "), (value, message)
+    elif expected == "load":
+        assert f".{key}: " in message or f".{key} " in message, (value, message)
+
+
+
 def test_the_walk_reaches_every_section_and_nested_key():
     assert {path[0] for path in KEYS} == {
         f.name for f in dataclasses.fields(ScenarioConfig)}
     assert ("timesync", "tile_osc", "granularity_ps") in KEYS
     assert ("fabric", "room", "height_m") in KEYS
+
+
+def leaf_type(path):
+    cls = ScenarioConfig
+    for name in path[:-1]:
+        cls = typing.get_type_hints(cls)[name]
+    hint = typing.get_type_hints(cls)[path[-1]]
+    kinds = [a for a in typing.get_args(hint) or (hint,) if a is not type(None)]
+    return kinds[0] if len(kinds) == 1 else hint
+
+
+# numeric leaves that RULES leaves out on purpose: OVERDRAW_RULES checks
+# them, once power.overdraw_tile names a tile to overdraw
+EXEMPT = {"power.overdraw_at_s", "power.overdraw_w"}
+
+
+def test_every_numeric_leaf_has_a_rule():
+    leaves = {".".join(path) for path in KEYS}
+    numeric = {".".join(path) for path in KEYS if leaf_type(path) in (int, float)}
+    assert numeric - RULES.keys() == EXEMPT == OVERDRAW_RULES.keys()
+    assert RULES.keys() <= numeric
+    assert SHAPED <= leaves - numeric
 
 
 @pytest.mark.parametrize("path", KEYS, ids=".".join)
@@ -101,7 +190,9 @@ def test_each_boundary_value_sets_up_or_is_refused_in_one_line(path):
         try:
             prepare_scenario(scenario_from_dict(probe_with([(path, value)])))
         except ConfigurationError as e:
-            assert "\n" not in str(e), (value, str(e))
+            check_outcome(path, value, e)
+        else:
+            check_outcome(path, value, None)
 
 
 @settings(max_examples=30, deadline=None)
@@ -138,10 +229,17 @@ def sweep(seconds: int = 10) -> int:
                         run_scenario(scenario_from_dict(probe_with([(path, value)])),
                                      tmp)
                     ran += 1
+                    check_outcome(path, value, None)
                 except ConfigurationError as e:
-                    if "\n" in str(e):
+                    try:
+                        check_outcome(path, value, e)
+                    except AssertionError:
                         bad += 1
-                        print(f"{case}: multi-line refusal: {e!r}")
+                        print(f"{case}: refused against the prediction: {e!r}")
+                except AssertionError:
+                    bad += 1
+                    print(f"{case}: ran against the prediction "
+                          f"{predicted(path, value)!r}")
                 except _Alarm:
                     bad += 1
                     print(f"{case}: no end after {seconds} s")

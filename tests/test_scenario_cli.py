@@ -1,13 +1,16 @@
 """Scenario loading, validation, the command line, and whole-run artifacts."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 import yaml
+from test_boundary import alarm
 
 import tilesim
 from tilesim.cli import main
@@ -237,16 +240,56 @@ def probe_scenario(section, key, value, tmp_path):
 
 
 def run_probe(section, key, value, tmp_path):
-    """`tilesim run` on the probe scenario, in a subprocess with a timeout,
-    so a regression fails instead of hanging."""
-    path = probe_scenario(section, key, value, tmp_path)
+    """`tilesim run` on the probe scenario through `cli.main` in this
+    process, under an alarm so a regression fails instead of hanging; an
+    exception other than SystemExit fails the test with its traceback."""
+    args = ["run", str(probe_scenario(section, key, value, tmp_path)),
+            "--out", str(tmp_path / "runs")]
+    out, err = io.StringIO(), io.StringIO()
+    with alarm(60), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as e:
+            code = e.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+# The probes run `cli.main` in this process.  These run `tilesim` in
+# children under a timeout, one for each exit code and one that hung before
+# its guard, for what only a child shows: the exit status the shell sees,
+# stderr as written, and a hang inside a C call, which no alarm interrupts.
+CHILD_PROBES = [("rover", "battery_capacity_wh", 0.001, 0),
+                ("timesync", "sync_interval_s", 5e-4, 1),
+                (None, "seed", "abc", 2),
+                ("timesync", "sync_interval_s", 2e-6, 1)]
+
+
+def test_child_processes_exit_with_their_code_and_one_line(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(tilesim.__file__).parents[1]),
                       os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "tilesim.cli", "run", str(path),
-         "--out", str(tmp_path / "runs")],
-        capture_output=True, text=True, timeout=60, env=env)
+    children = []
+    for i, (section, key, value, code) in enumerate(CHILD_PROBES):
+        work = tmp_path / str(i)
+        work.mkdir()
+        path = probe_scenario(section, key, value, work)
+        children.append((key, code, subprocess.Popen(
+            [sys.executable, "-m", "tilesim.cli", "run", str(path),
+             "--out", str(work / "runs")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)))
+    try:
+        for key, code, child in children:
+            out, err = child.communicate(timeout=60)
+            assert child.returncode == code, (key, err)
+            if code:
+                (line,) = err.splitlines()
+                assert key in line and "Traceback" not in line
+            else:
+                assert err == "" and "run complete" in out
+    finally:
+        for *_, child in children:
+            child.kill()
+            child.wait()
 
 
 @pytest.mark.parametrize("section,key,value", SUB_PS_PERIODS)
@@ -438,8 +481,31 @@ def test_endless_period_exits_1_instead_of_hanging(section, key, value,
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"error: {section}.{key} asks for ")
-    assert "periodic events" in lines[0]
+    if key == "sync_interval_s":
+        # refused before its events are counted: no exchange could close
+        assert lines[0].startswith(
+            "error: timesync.sync_interval_s must be longer than one exchange")
+    else:
+        assert lines[0].startswith(f"error: {section}.{key} asks for ")
+        assert "periodic events" in lines[0]
+
+
+# An exchange spans about 0.6 ms on the probe: 100 us follow-up lag, 500 us
+# turnaround and the hops.  At 2e-6 s each exchange was dropped by the next
+# epoch and `run` never ended; at 5e-4 s it exited 0 with no exchange and no
+# disciplined clock.
+@pytest.mark.parametrize("interval", [2e-6, 5e-4])
+def test_sync_interval_shorter_than_an_exchange_is_refused(interval, tmp_path,
+                                                           capsys):
+    path = str(probe_scenario("timesync", "sync_interval_s", interval, tmp_path))
+    assert main(["validate", path]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("problem: timesync.sync_interval_s must be longer "
+                           "than one exchange, 0.0006")
+    assert main(["run", path, "--out", str(tmp_path / "runs")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: timesync.sync_interval_s ")
+
 
 
 # Each of these ended `validate`, `run` or both in a traceback: a period or

@@ -85,6 +85,17 @@ def test_random_walk_is_stream_deterministic():
         assert a.read(k * PS_PER_MS) == b.read(k * PS_PER_MS)
 
 
+@pytest.mark.parametrize("hours", [3, 24])
+@pytest.mark.parametrize("granularity_ps", [1, 8_000])
+def test_noise_free_read_is_exact_past_2_to_the_53_ps(hours, granularity_ps):
+    # a float sum of time and offset cannot hold 1 ps past about 2.5 h
+    t = hours * 3600 * PS_PER_S + 12_345
+    c = LocalClock(offset_ps=1234.75, freq_error_ppm=3.7,
+                   granularity_ps=granularity_ps)
+    got = c.read(t)
+    assert got == (t + math.floor(c.offset_at(t))) // granularity_ps * granularity_ps
+
+
 def test_granularity_must_be_positive():
     with pytest.raises(ConfigurationError):
         LocalClock(granularity_ps=0)
@@ -365,6 +376,27 @@ def test_boundary_switch_serves_its_tiles():
         assert domain.ports[tid].master == "central"
     assert "sw0" in domain.ports
     assert "sw1" not in domain.ports
+
+
+@pytest.mark.parametrize("boundary,per_exchange", [((), 10), (("sw0", "sw1"), 6)])
+def test_start_counts_every_event_of_each_exchange(boundary, per_exchange):
+    # through a relay: egress, relay in and out on both legs, sync,
+    # follow-up, request and response arrivals; direct: no relay events
+    cfg = TimesyncConfig(start_s=0.5, sync_interval_s=0.5, stagger_ms=0.0,
+                         boundary_switches=boundary)
+    domain = SyncDomain(EventLoop(), small_fabric(), cfg, RngRegistry(1))
+    assert domain.start(from_seconds(2.5)) == len(domain.ports) * 5 * per_exchange
+
+
+def test_interval_no_longer_than_an_exchange_is_refused():
+    cfg = TimesyncConfig(sync_interval_s=0.0006, followup_lag_us=100.0,
+                         turnaround_us=500.0, residence_us=0.0)
+    domain = SyncDomain(EventLoop(), small_fabric(), cfg, RngRegistry(1))
+    with pytest.raises(ConfigurationError,
+                       match="^timesync.sync_interval_s must be longer than one exchange"):
+        domain.start(PS_PER_S)
+    cfg.sync_interval_s = 0.0007
+    SyncDomain(EventLoop(), small_fabric(), cfg, RngRegistry(1)).start(PS_PER_S)
 
 
 def test_unknown_boundary_switch_rejected():
