@@ -205,7 +205,7 @@ def scenario_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(resolved_json(cfg).encode()).hexdigest()
 
 
-# seconds are divided by these, as the stages convert a time key's value
+# a time key's value over these is seconds, as its stage converts it
 _PER_SECOND = {"s": 1, "ms": 1e3, "us": 1e6}
 
 

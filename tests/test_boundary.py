@@ -154,7 +154,6 @@ def check_outcome(path, value, refusal: ConfigurationError | None) -> None:
         assert f".{key}: " in message or f".{key} " in message, (value, message)
 
 
-
 def test_the_walk_reaches_every_section_and_nested_key():
     assert {path[0] for path in KEYS} == {
         f.name for f in dataclasses.fields(ScenarioConfig)}
@@ -216,37 +215,36 @@ def test_changed_scenarios_run_or_exit_with_one_line(changes):
 
 def sweep(seconds: int = 10) -> int:
     """Run every single-key case through `run_scenario`, each under an
-    alarm; print each one that ends in a traceback, a timeout or a
-    multi-line refusal, and return how many did."""
+    alarm; print each one that ends in a traceback, a timeout or otherwise
+    than predicted, and return how many did."""
     bad = ran = 0
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         for path in KEYS:
             for value in VALUES:
                 case = f"{'.'.join(path)}: {value!r}"
+                refusal = None
                 try:
                     with alarm(seconds):
                         run_scenario(scenario_from_dict(probe_with([(path, value)])),
                                      tmp)
                     ran += 1
-                    check_outcome(path, value, None)
                 except ConfigurationError as e:
-                    try:
-                        check_outcome(path, value, e)
-                    except AssertionError:
-                        bad += 1
-                        print(f"{case}: refused against the prediction: {e!r}")
-                except AssertionError:
-                    bad += 1
-                    print(f"{case}: ran against the prediction "
-                          f"{predicted(path, value)!r}")
+                    refusal = e
                 except _Alarm:
                     bad += 1
                     print(f"{case}: no end after {seconds} s")
+                    continue
                 except Exception:
                     bad += 1
                     print(f"{case}: traceback")
                     traceback.print_exc(file=sys.stdout)
+                    continue
+                try:
+                    check_outcome(path, value, refusal)
+                except AssertionError as e:
+                    bad += 1
+                    print(f"{case}: not as predicted: {e}")
     print(f"{len(KEYS) * len(VALUES)} cases, {ran} ran to the end, {bad} failed, "
           f"{time.perf_counter() - t0:.0f} s")
     return bad
