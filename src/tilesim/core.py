@@ -184,7 +184,7 @@ def _rekey(gen: Generator, key: np.ndarray) -> Generator:
 class RngStream:
     """Named deterministic random stream.
 
-    algorithm: counter-based Philox 4x64 keyed by SHA-256(seed, name).
+    Draws come from counter-based Philox 4x64 keyed by SHA-256(seed, name).
     Each draw kind (normal / uniform / integers) runs on its own derived
     key, so the i-th normal drawn from a stream is the same value no matter
     how many uniforms were drawn in between.  Scalar gaussian and uniform
@@ -201,7 +201,6 @@ class RngStream:
     def __init__(self, seed: int, name: str):
         self.seed = seed
         self.name = name
-        self.algorithm = "philox4x64"
         self._gens: dict[str, Generator] = {}
         self._zbuf: list[float] = []
         self._zi = 0

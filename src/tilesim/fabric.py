@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from .core import RngStream
+from .core import MAX_SIM_TIME, PS_PER_S, RngStream
 
 SURFACE_NAMES = ("wall_a", "wall_b", "floor", "ceiling")
 
@@ -310,7 +310,12 @@ def _cable_length_m(cfg: FabricConfig, tile: TileNode, sw: SwitchNode,
 
 
 def _delay_ps(length_m: float, prop_ns_per_m: float) -> int:
-    return int(round(length_m * prop_ns_per_m * 1000))
+    delay = length_m * prop_ns_per_m * 1000
+    if not delay <= MAX_SIM_TIME:
+        raise ConfigurationError(
+            f"fabric.prop_ns_per_m {prop_ns_per_m:g} ns/m over a {length_m:g} m "
+            f"cable is a delay past {MAX_SIM_TIME / PS_PER_S:g} s")
+    return int(round(delay))
 
 
 def build_default_fabric(config: FabricConfig | None = None,

@@ -255,15 +255,9 @@ class PsePlane:
 
     def monitor(self, true_time: SimTime) -> list[DisconnectEvent]:
         """Apply every disconnect that has come due by true_time."""
-        fired = []
-        for tile_id in sorted(self.devices):
-            pd = self.devices[tile_id]
-            if not pd.online:
-                continue
-            ev = self.find_disconnect_time(pd)
-            if ev is not None and ev.at_ps <= true_time:
-                self.disconnect(tile_id, ev.at_ps)
-                fired.append(ev)
+        fired = [ev for ev in self.pending_disconnects() if ev.at_ps <= true_time]
+        for ev in fired:
+            self.disconnect(ev.tile_id, ev.at_ps)
         return fired
 
     def pending_disconnects(self) -> list[DisconnectEvent]:

@@ -445,7 +445,6 @@ class MissionConfig:
     dwell_s: float = 1.0
     move_draw_w: float = 80.0
     dwell_draw_w: float = 30.0
-    idle_draw_w: float = 15.0
     charger_xy: tuple = (0.5, 0.5)
     recharge_w: float = 60.0
     reserve_safety: float = 2.0

@@ -155,12 +155,8 @@ class ServoState:
     ki: float = 0.3
     clamp_ppm: float = 100.0
     interval_s: float = 1.0
-    lock_threshold_ps: int = 1_000_000
-    lock_count: int = 5
     integrator_ps: float = 0.0
     freq_adj_ppm: float = 0.0
-    locked: bool = False
-    _run: int = field(default=0, repr=False)
 
 
 def servo_update(servo: ServoState, offset_ps: float) -> float:
@@ -169,13 +165,6 @@ def servo_update(servo: ServoState, offset_ps: float) -> float:
     raw = -(servo.kp * offset_ps + servo.ki * servo.integrator_ps) \
         * 1e-6 / servo.interval_s
     servo.freq_adj_ppm = max(-servo.clamp_ppm, min(servo.clamp_ppm, raw))
-    if abs(offset_ps) < servo.lock_threshold_ps:
-        servo._run += 1
-        if servo._run >= servo.lock_count:
-            servo.locked = True
-    else:
-        servo._run = 0
-        servo.locked = False
     return servo.freq_adj_ppm
 
 
@@ -745,14 +734,12 @@ class SyncDomain:
 
 
 def run_sync_domain(fabric: Fabric, config: TimesyncConfig, duration_s: float,
-                    seed: int = 0, rng: RngRegistry | None = None,
-                    loop: EventLoop | None = None, load=None,
+                    seed: int = 0, loop: EventLoop | None = None,
                     online=None) -> tuple[SyncReport, SyncDomain]:
     """Build a domain, run it, return the finalized report; the domain's
     `exchanges` holds a record of every exchange that closed."""
     loop = loop or EventLoop()
-    rng = rng or RngRegistry(seed)
-    domain = SyncDomain(loop, fabric, config, rng, load, online)
+    domain = SyncDomain(loop, fabric, config, RngRegistry(seed), online=online)
     domain.exchanges = []
     until = from_seconds(duration_s)
     domain.start(until)

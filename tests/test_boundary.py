@@ -104,9 +104,10 @@ ROOM = ["fabric.room.length_m", "fabric.room.width_m", "fabric.room.height_m"]
 # The cases every rule passes that set-up refuses all the same, and why.
 BEYOND_RULES = [
     (ROOM, (1e-13, 1e-9), "coherent.target and rover.area lie outside the room"),
-    (ROOM + ["fabric.prop_ns_per_m", "fabric.slack_m", "timesync.followup_lag_us",
-             "timesync.turnaround_us", "timesync.residence_us"], (1e300,),
-     "an exchange outlasts timesync.sync_interval_s"),
+    (ROOM + ["fabric.prop_ns_per_m", "fabric.slack_m"], (1e300,),
+     "a cable's delay lies past the 64-bit time range"),
+    (["timesync.followup_lag_us", "timesync.turnaround_us", "timesync.residence_us"],
+     (1e300,), "an exchange outlasts timesync.sync_interval_s"),
     (["timesync.sync_interval_s"], (1e-9,), "the interval is shorter than one exchange"),
     (["timesync.sample_interval_s"], (1e-9,), "residual samples over their bound"),
     (["dataplane.produce_interval_ms", "dataplane.poll_interval_ms", "rover.tick_s"],
@@ -211,6 +212,35 @@ def test_changed_scenarios_run_or_exit_with_one_line(changes):
     assert code in (0, 1, 2)
     if code:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+# Two keys that each pass their rule, whose product overflowed a float when
+# set-up converted a cable's delay to picoseconds, and ended in a traceback.
+LONG_CABLE_DELAYS = [
+    {"slack_m": 1e300},
+    {"room": {"length_m": 1e300}},
+    {"cable_model": "fixed", "cable_fixed_m": 1e300},
+]
+
+
+@pytest.mark.parametrize("fabric", LONG_CABLE_DELAYS, ids=str)
+def test_cable_delay_past_the_time_range_exits_1_with_one_line(fabric, tmp_path):
+    doc = probe_with([(("fabric", "prop_ns_per_m"), 1e300)])
+    for key, value in fabric.items():
+        doc["fabric"][key] = value
+    path = tmp_path / "probe.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    # `validate` states its problem on stdout, `run` its error on stderr
+    for args, stream, word in ((["validate"], 0, "problem"),
+                               (["run", "--out", str(tmp_path / "runs")], 1, "error")):
+        out = io.StringIO(), io.StringIO()
+        with alarm(60), contextlib.redirect_stdout(out[0]), \
+                contextlib.redirect_stderr(out[1]):
+            code = main([args[0], str(path), *args[1:]])
+        (line,) = out[stream].getvalue().splitlines()
+        assert code == 1 and out[1 - stream].getvalue() == "", line
+        assert line.startswith(f"{word}: fabric.prop_ns_per_m ") and " m cable " in line
+    assert not (tmp_path / "runs").exists()
 
 
 def sweep(seconds: int = 10) -> int:

@@ -87,7 +87,7 @@ def test_periodic_chain_count(use_every):
 
 
 class _HandRolledPoll:
-    """`_Consumers._poll`'s re-arm before `EventLoop.every`, kept verbatim as
+    """The consumer poll's re-arm before `EventLoop.every`, kept verbatim as
     the oracle of the test below."""
 
     MODULE = "dataplane"

@@ -1,5 +1,6 @@
 """Scenario loading, validation, the command line, and whole-run artifacts."""
 
+import dataclasses
 import io
 import json
 import os
@@ -15,10 +16,10 @@ from test_boundary import alarm
 import tilesim
 from tilesim.cli import main
 from tilesim.fabric import ConfigurationError
-from tilesim.orchestrator import run_scenario
-from tilesim.scenario import (_YAML_LOADER, load_scenario, resolved_dict,
-                              resolved_json, scenario_from_dict, scenario_hash,
-                              validate_scenario)
+from tilesim.orchestrator import STAGES, run_scenario
+from tilesim.scenario import (_YAML_LOADER, ScenarioConfig, load_scenario,
+                              resolved_dict, resolved_json, scenario_from_dict,
+                              scenario_hash, validate_scenario)
 from tilesim.timesync import run_sync_domain
 
 TINY = {
@@ -815,6 +816,15 @@ def test_a_run_keeps_no_exchange_log_and_still_counts_exchanges(tmp_path):
     _, domain = run_sync_domain(result.fabric, cfg.timesync, 2.0, seed=cfg.seed)
     assert len(domain.exchanges) == sum(
         p.corrections for p in domain.ports.values()) > 0
+
+
+def test_every_section_with_a_switch_is_a_stage():
+    # a new section that can be enabled must be set up and finished, not
+    # skipped silently
+    cfg = ScenarioConfig()
+    switched = [f.name for f in dataclasses.fields(cfg)
+                if hasattr(getattr(cfg, f.name), "enabled")]
+    assert sorted(switched) == sorted(STAGES)
 
 
 def test_rover_stream_is_isolated_from_fabric_outputs(tmp_path):

@@ -160,15 +160,6 @@ def test_servo_clamps_adjustment():
     assert servo_update(s2, -1e15) == 100.0
 
 
-def test_servo_lock_after_consecutive_small_offsets():
-    s = ServoState(lock_threshold_ps=1000, lock_count=3)
-    for _ in range(3):
-        servo_update(s, 10.0)
-    assert s.locked
-    servo_update(s, 5000.0)
-    assert not s.locked
-
-
 def test_discipline_loop_converges_on_constant_drift():
     # closed loop against a +5 ppm oscillator: the integral term must
     # absorb the bias and bring the offset below one 8 ns granule
