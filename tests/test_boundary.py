@@ -230,17 +230,19 @@ def test_cable_delay_past_the_time_range_exits_1_with_one_line(fabric, tmp_path)
         doc["fabric"][key] = value
     path = tmp_path / "probe.yaml"
     path.write_text(yaml.safe_dump(doc))
-    # `validate` states its problem on stdout, `run` its error on stderr
-    for args, stream, word in ((["validate"], 0, "problem"),
-                               (["run", "--out", str(tmp_path / "runs")], 1, "error")):
-        out = io.StringIO(), io.StringIO()
-        with alarm(60), contextlib.redirect_stdout(out[0]), \
-                contextlib.redirect_stderr(out[1]):
-            code = main([args[0], str(path), *args[1:]])
-        (line,) = out[stream].getvalue().splitlines()
-        assert code == 1 and out[1 - stream].getvalue() == "", line
-        assert line.startswith(f"{word}: fabric.prop_ns_per_m ") and " m cable " in line
-    assert not (tmp_path / "runs").exists()
+    runs = tmp_path / "runs"
+    for args in (["validate", str(path)], ["run", str(path), "--out", str(runs)]):
+        out, err = io.StringIO(), io.StringIO()
+        with alarm(60), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(args)
+        # `validate` states its problem on stdout, `run` its error on stderr
+        said, quiet = (out, err) if args[0] == "validate" else (err, out)
+        (line,) = said.getvalue().splitlines()
+        assert code == 1 and quiet.getvalue() == "", line
+        assert line.split(": ", 1)[1].startswith("fabric.prop_ns_per_m ")
+        assert " m cable " in line
+    assert not runs.exists()
 
 
 def sweep(seconds: int = 10) -> int:
