@@ -7,10 +7,13 @@ values, so with perfect timing the cancellation is exact and the array gain
 is exactly N squared.  Timing errors are drawn per trial from the empirical
 post-convergence residual pool of each tile's disciplined clock.
 
-Trials are evaluated in blocks: each trial still draws from its own
-substream, so its gain does not depend on the block it lands in, and a
-block's gains come out of one (trials, n) array pass, bit for bit equal to
-summing each trial's phasors alone.
+Trials are evaluated in blocks of about `_BLOCK_ELEMENTS` trial-element
+pairs, so an array of n tiles takes `max(1, _BLOCK_ELEMENTS // n)` trials
+a block and the pass's temporaries stay one size however large the array
+is.  Each trial still draws from its own substream, so its gain does not
+depend on the block it lands in, and a block's gains come out of one
+(trials, n) array pass, bit for bit equal to summing each trial's phasors
+alone.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 CARRIER_MIN_HZ = 70e6
 CARRIER_MAX_HZ = 6e9
 MAX_TX_POWER_DBM = 20.0
-_TRIAL_BLOCK = 1024   # trials per array pass; bounds the (trials, n) temporaries
+_BLOCK_ELEMENTS = 16384   # trial-element pairs per array pass: its element budget
 
 
 class CoherentError(RuntimeError):
@@ -154,8 +157,9 @@ def evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
 
     gains = np.empty(trials)
     columns = np.arange(n)
-    for start in range(0, trials, _TRIAL_BLOCK):
-        labels = range(start, min(start + _TRIAL_BLOCK, trials))
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, trials, block):
+        labels = range(start, min(start + block, trials))
         idx = rng.substream_integer_arrays(labels, 0, min_pool, n)
         dt = pool_mat[columns, idx]
         phi = geo - weights + wrap_phase(2 * np.pi * carrier_hz * dt)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, IO
 
@@ -188,24 +189,26 @@ class RngStream:
     Each draw kind (normal / uniform / integers) runs on its own derived
     key, so the i-th normal drawn from a stream is the same value no matter
     how many uniforms were drawn in between.  Scalar gaussian and uniform
-    draws are served from refillable blocks, converted to Python floats,
-    purely as a speed measure; the generator fills a block value by value,
-    so the served sequence is identical to drawing one at a time, whatever
-    the block size.
+    draws are served from refillable blocks, purely as a speed measure; the
+    generator fills a block value by value, so the served sequence is
+    identical to drawing one at a time, whatever the block size.  A block
+    is kept packed, 8 bytes a value, in an `array("d")`, and served through
+    an iterator, whose items come out as Python floats with the
+    generator's bits.
     """
 
-    # values per refill; a served float costs about 32 bytes, and a full
-    # room keeps the blocks of about 300 streams alive
+    # values per refill, 2 KiB a block when packed; a full room keeps the
+    # blocks of about 300 streams alive
     _BLOCK = 256
+    # iterators over the current normal and uniform blocks; until a stream's
+    # first draw both are this shared exhausted one, so making a stream
+    # allocates no block
+    _zbuf = _ubuf = iter(())
 
     def __init__(self, seed: int, name: str):
         self.seed = seed
         self.name = name
         self._gens: dict[str, Generator] = {}
-        self._zbuf: list[float] = []
-        self._zi = 0
-        self._ubuf: list[float] = []
-        self._ui = 0
 
     def _gen(self, kind: str) -> Generator:
         g = self._gens.get(kind)
@@ -215,14 +218,12 @@ class RngStream:
         return g
 
     def normal(self, scale: float = 1.0, loc: float = 0.0) -> float:
-        zi = self._zi
         try:
-            z = self._zbuf[zi]
-        except IndexError:
-            self._zbuf = self._gen("normal").standard_normal(self._BLOCK).tolist()
-            z = self._zbuf[0]
-            zi = 0
-        self._zi = zi + 1
+            z = next(self._zbuf)
+        except StopIteration:
+            self._zbuf = iter(array("d", self._gen("normal").standard_normal(
+                self._BLOCK).tobytes()))
+            z = next(self._zbuf)
         return loc + scale * z
 
     def normal_array(self, size: int, scale: float = 1.0) -> np.ndarray:
@@ -230,14 +231,12 @@ class RngStream:
         return self._gen("normal_array").standard_normal(size) * scale
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        ui = self._ui
         try:
-            u = self._ubuf[ui]
-        except IndexError:
-            self._ubuf = self._gen("uniform").random(self._BLOCK).tolist()
-            u = self._ubuf[0]
-            ui = 0
-        self._ui = ui + 1
+            u = next(self._ubuf)
+        except StopIteration:
+            self._ubuf = iter(array("d", self._gen("uniform").random(
+                self._BLOCK).tobytes()))
+            u = next(self._ubuf)
         return low + (high - low) * u
 
     def integers(self, low: int, high: int) -> int:

@@ -11,7 +11,9 @@ feeds the jitter coupling of the time-transfer plane.
 The append path is built for saturated logs: records are plain named
 tuples, FNV-1a resumes from a caller's hash of a constant key prefix, and
 the topic dump formats each JSON line directly instead of going through
-`json.dumps`, with the same bytes.
+`json.dumps`, with the same bytes.  The dump writes to an open file in
+blocks of `_DUMP_BLOCK` lines, so at no point does it hold the whole topic
+as text.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .fabric import ConfigurationError
 FNV64_OFFSET = 0xcbf29ce484222325
 FNV64_PRIME = 0x100000001b3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_DUMP_BLOCK = 4096   # topic dump lines per write
 
 
 def fnv1a64(data: bytes, h: int = FNV64_OFFSET) -> int:
@@ -121,18 +124,24 @@ class Broker:
         self.published += 1
         return p, off
 
-    def dump_topic(self) -> str:
-        """Newline-delimited JSON of everything currently retained, one
-        object per record with sorted keys, in the bytes `json.dumps(...,
-        sort_keys=True)` gives: strings through the encoder `json.dumps`
-        uses, ints in decimal."""
+    def dump_topic(self, f) -> None:
+        """Write everything currently retained to the text file `f` as
+        newline-delimited JSON, one object per record with sorted keys, in
+        the bytes `json.dumps(..., sort_keys=True)` gives: strings through
+        the encoder `json.dumps` uses, ints in decimal.  Each write holds at
+        most `_DUMP_BLOCK` lines, so the dump's memory does not grow with
+        the topic."""
         enc = encode_basestring_ascii
-        return "".join([
-            '{"key": %s, "offset": %d, "partition": %d, "produce_time_ps": %d, '
-            '"producer": %s, "size_bytes": %d}\n'
-            % (enc(key), offset, p, produce_time_ps, enc(producer), size_bytes)
-            for p, part in enumerate(self.partitions)
-            for key, size_bytes, produce_time_ps, producer, offset in part.retained()])
+        line = ('{"key": %s, "offset": %d, "partition": %d, "produce_time_ps": %d, '
+                '"producer": %s, "size_bytes": %d}\n')
+        for p, part in enumerate(self.partitions):
+            for start in range(part.first_offset, part.next_offset, _DUMP_BLOCK):
+                records, _ = part.read_from(start, _DUMP_BLOCK)
+                f.write("".join([
+                    line % (enc(key), offset, p, produce_time_ps, enc(producer),
+                            size_bytes)
+                    for key, size_bytes, produce_time_ps, producer, offset
+                    in records]))
 
 
 @dataclass

@@ -176,7 +176,7 @@ class _Dataplane:
             for tile in self.tiles:
                 w.writerow([tile, self.counts[tile], self.bytes[tile]])
         with open(run.out_dir / "topics.ndjson", "w") as f:
-            f.write(self.broker.dump_topic())
+            self.broker.dump_topic(f)
         return {"topic": self.cfg.topic, "partitions": self.cfg.partitions,
                 "published": self.broker.published,
                 "delivered": dict(sorted(self.delivered.items())),

@@ -230,12 +230,16 @@ class SyncReport:
     node named offline at `finalize` was cut during the run: it is listed
     apart, and neither counts as unconverged nor holds back the overall
     convergence time.
+
+    A series added whole keeps the sample times it was given, from
+    `SyncDomain.finish` a `range` of ticks rather than a list of ints;
+    `series` returns them as a list.
     """
 
     def __init__(self, threshold_ps: int, consecutive: int):
         self.threshold_ps = threshold_ps
         self.consecutive = consecutive
-        self._times: dict[str, list[int]] = {}
+        self._times: dict[str, list[int] | range] = {}
         self._resid: dict[str, list[float]] = {}
         self._conv_idx: dict[str, int | None] = {}
         self.offline: list[str] = []
@@ -244,8 +248,9 @@ class SyncReport:
         self._times.setdefault(node, []).append(t)
         self._resid.setdefault(node, []).append(residual_ps)
 
-    def add_series(self, node: str, times: list[int], residuals) -> None:
-        """A node's whole series at once: its sample times and residuals."""
+    def add_series(self, node: str, times: list[int] | range, residuals) -> None:
+        """A node's whole series at once: its sample times (a list or a
+        range) and residuals."""
         self._times[node] = times
         self._resid[node] = residuals
 
@@ -269,7 +274,7 @@ class SyncReport:
         return sorted(self._resid)
 
     def series(self, node: str) -> tuple[list[int], np.ndarray]:
-        return self._times[node], np.asarray(self._resid[node])
+        return list(self._times[node]), np.asarray(self._resid[node])
 
     def convergence_time_ps(self, node: str) -> int | None:
         idx = self._conv_idx.get(node)
@@ -294,10 +299,11 @@ class SyncReport:
         pooled = [p for p in pooled if len(p)]
         if not pooled:
             return {"p50": None, "p95": None, "p99": None}
-        a = np.abs(np.concatenate(pooled))
-        return {"p50": float(np.percentile(a, 50)),
-                "p95": float(np.percentile(a, 95)),
-                "p99": float(np.percentile(a, 99))}
+        # one pooled copy, made absolute and partitioned in place
+        a = np.concatenate(pooled)
+        p50, p95, p99 = np.percentile(np.abs(a, out=a), (50, 95, 99),
+                                      overwrite_input=True)
+        return {"p50": float(p50), "p95": float(p95), "p99": float(p99)}
 
     def summary(self) -> dict:
         p = self.percentiles()
@@ -590,17 +596,17 @@ class SyncDomain:
         finalize the report; call once, after the loop has run to the end
         given to `start`."""
         tick = self._tick_ps
-        # ticks[i] is tick i + 1: exact in uint64, and as ints all series share
+        # ticks[i] is tick i + 1: exact in uint64; a port's sample times are
+        # the same ticks as a range of ints
         ticks = np.arange(1, self._until // tick + 1, dtype=np.uint64) * np.uint64(tick)
-        tick_ints = ticks.tolist()
         for node, port in self.ports.items():
             if port.closed_ps is None:
                 continue
             first = max(0, -(-port.closed_ps // tick) - 1)
             end = len(ticks) if port.cut_ps is None else (port.cut_ps - 1) // tick
             if first < end:
-                self.report.add_series(node, tick_ints[first:end],
-                                       port.clock.offsets(ticks[first:end]))
+                times = range((first + 1) * tick, end * tick + 1, tick)
+                self.report.add_series(node, times, port.clock.offsets(ticks[first:end]))
         self.report.finalize(n for n, p in self.ports.items() if p.cut_ps is not None)
         return self.report
 

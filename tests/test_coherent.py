@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tilesim.coherent import (CARRIER_MAX_HZ, CARRIER_MIN_HZ, CoherentError,
-                              SPEED_OF_LIGHT_M_S, GainResult, SdrNode,
+from tilesim.coherent import (_BLOCK_ELEMENTS, CARRIER_MAX_HZ, CARRIER_MIN_HZ,
+                              CoherentError, SPEED_OF_LIGHT_M_S, GainResult, SdrNode,
                               coherent_gain, coherent_gain_batch,
                               evaluate_beamforming, expected_gain,
                               steering_phase, wrap_phase)
@@ -228,8 +228,8 @@ def parent_evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
 @pytest.mark.parametrize("noise", [0.0, 0.2])
 def test_batched_trials_equal_the_per_trial_loop(n, noise):
     # the oracle is the per-trial loop the blocks replaced, copied verbatim;
-    # 1030 trials cross a block boundary, and pools of unequal length
-    # exercise the truncation to the shortest
+    # one block and a partial one cross a block edge at every n, and pools
+    # of unequal length exercise the truncation to the shortest
     fab = build_default_fabric(FabricConfig())
     tiles = sorted(fab.tiles)[:n]
     report = SyncReport(threshold_ps=10**9, consecutive=1)
@@ -238,7 +238,7 @@ def test_batched_trials_equal_the_per_trial_loop(n, noise):
         for i in range(40 + k % 5):
             report.add_sample(node, i, draws.normal(scale=120.0))
     report.finalize()
-    args = (fab, report, 2.45e9, (4, 2, 1), 1030)
+    args = (fab, report, 2.45e9, (4, 2, 1), max(1, _BLOCK_ELEMENTS // n) + 6)
     new = evaluate_beamforming(*args, RngStream(5, "bf"), tiles=tiles,
                                phase_noise_sigma_rad=noise)
     old = parent_evaluate_beamforming(*args, RngStream(5, "bf"), tiles=tiles,

@@ -387,11 +387,14 @@ def test_scalar_draws_equal_one_generator_block():
     s = RngStream(21, "blk")
     key = _philox_key(21, "blk\x1fnormal")
     direct = Generator(Philox(key=key)).standard_normal(3000)
-    assert [s.normal() for _ in range(3000)] == direct.tolist()
+    normals = [s.normal() for _ in range(3000)]
+    assert normals == direct.tolist()
     u = RngStream(21, "blk")
     key = _philox_key(21, "blk\x1funiform")
-    assert [u.uniform() for _ in range(700)] == \
-        Generator(Philox(key=key)).random(700).tolist()
+    uniforms = [u.uniform() for _ in range(700)]
+    assert uniforms == Generator(Philox(key=key)).random(700).tolist()
+    # served across refills as Python floats, not numpy scalars
+    assert {type(v) for v in normals + uniforms} == {float}
 
 
 def test_normal_array_matches_scalar_stream_statistics():

@@ -1,11 +1,14 @@
 """Partitioned log broker, consumer groups, and link load accounting."""
 
+import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilesim import dataplane
 from tilesim.core import PS_PER_MS, PS_PER_S
 from tilesim.dataplane import (Broker, CommitError, ConsumerGroup,
                                LinkLoadTracker, Record, fnv1a64)
@@ -117,15 +120,29 @@ def test_read_past_end_is_empty():
     assert recs == [] and not gap
 
 
-def test_dump_topic_ndjson(tmp_path):
+def dumped(b: Broker) -> str:
+    """`b.dump_topic` written into a string three lines a write, so that
+    records straddle the dump's block edges."""
+    f = io.StringIO()
+    with mock.patch.object(dataplane, "_DUMP_BLOCK", 3):
+        b.dump_topic(f)
+    return f.getvalue()
+
+
+def test_dump_topic_ndjson():
     b = broker_with(partitions=2)
     b.append("k0", 64, 5, "prod")
-    text = b.dump_topic()
+    fill(b, 9)
+    text = dumped(b)
     assert text.endswith("\n")
-    row = json.loads(text.splitlines()[0])
+    rows = [json.loads(line) for line in text.splitlines()]
+    assert len(rows) == 10
+    row = next(r for r in rows if r["key"] == "k0" and r["producer"] == "prod")
     assert row == {"key": "k0", "offset": 0, "partition": fnv1a64(b"k0") % 2,
                    "produce_time_ps": 5, "producer": "prod", "size_bytes": 64}
-    assert broker_with().dump_topic() == ""
+    assert [(r["partition"], r["offset"]) for r in rows] == sorted(
+        (r["partition"], r["offset"]) for r in rows)
+    assert dumped(broker_with()) == ""
 
 
 def parent_dump_topic(self) -> str:
@@ -160,7 +177,7 @@ def test_dump_topic_matches_json_dumps_byte_for_byte(partitions, retention,
     b = broker_with(partitions=partitions, retention=retention)
     for key, size, t, producer in records:
         b.append(key, size, t, producer)
-    assert b.dump_topic() == parent_dump_topic(b)
+    assert dumped(b) == parent_dump_topic(b)
 
 
 # --- consumer groups --------------------------------------------------------

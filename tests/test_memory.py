@@ -1,0 +1,77 @@
+"""Finish-stage memory: each stage works in bounded blocks, so the peak it
+adds does not grow with the records, samples or trials it walks.
+
+Peaks are read with `tracemalloc`, which counts Python and NumPy
+allocations made while it traces, from zero at `start`.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from tilesim import dataplane
+from tilesim.coherent import evaluate_beamforming
+from tilesim.core import RngStream
+from tilesim.dataplane import Broker
+from tilesim.fabric import FabricConfig, build_default_fabric
+from tilesim.timesync import SyncReport
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Bytes allocated at the high point of `fn(*args, **kwargs)`, above
+    what was live when it was called."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_topic_dump_peak_does_not_grow_with_the_records(tmp_path):
+    path = tmp_path / "topics.ndjson"
+
+    def peak(records):
+        b = Broker("samples", 1, records)
+        for i in range(records):
+            b.append(f"t{i % 140:03d}:{i // 140}", 32768, 10**9 * i, f"t{i % 140:03d}")
+        with open(path, "w") as f:
+            return traced_peak(b.dump_topic, f)
+
+    block = dataplane._DUMP_BLOCK
+    small = peak(2 * block)
+    large = peak(8 * block)
+    block_bytes = path.stat().st_size // 8   # one block's lines as text
+    assert large - small < block_bytes
+
+
+def test_percentiles_peak_is_one_pooled_copy():
+    report = SyncReport(threshold_ps=10**9, consecutive=1)
+    draws = np.random.default_rng(3)
+    for k in range(20):
+        report.add_series(f"t{k:03d}", range(20_000), draws.normal(0, 100, 20_000))
+    report.finalize()
+    pooled = sum(len(report.post_convergence(n)) for n in report.nodes) * 8
+    report.percentiles()   # warm-up: numpy's first-call set-up is not the pass
+    assert traced_peak(report.percentiles) < 1.5 * pooled
+
+
+def test_beamforming_peak_does_not_grow_with_the_trials():
+    fab = build_default_fabric(FabricConfig())
+    tiles = sorted(fab.tiles)[:140]
+    assert len(tiles) == 140
+    report = SyncReport(threshold_ps=10**9, consecutive=1)
+    draws = np.random.default_rng(4)
+    for node in tiles:
+        report.add_series(node, range(200), draws.normal(0, 120, 200))
+    report.finalize()
+
+    def peak(trials):
+        return traced_peak(evaluate_beamforming, fab, report, 2.45e9, (4, 2, 1),
+                           trials, RngStream(5, "bf"), tiles=tiles,
+                           phase_noise_sigma_rad=0.2)
+
+    peak(1)   # warm-up, as above
+    one, eight = peak(128), peak(8 * 128)
+    # only the gains array itself, 8 bytes a trial, may grow
+    assert eight - one < 7 * 128 * 8 + 64 * 1024

@@ -447,6 +447,44 @@ def test_report_pools_percentiles_after_convergence():
     assert p["p99"] <= 50.0
 
 
+def _three_call_percentiles(self) -> dict:
+    # SyncReport.percentiles as it stood when it took an abs copy and made
+    # one np.percentile call per level; kept verbatim as the oracle
+    pooled = [self.post_convergence(n) for n in self.nodes]
+    pooled = [p for p in pooled if len(p)]
+    if not pooled:
+        return {"p50": None, "p95": None, "p99": None}
+    a = np.abs(np.concatenate(pooled))
+    return {"p50": float(np.percentile(a, 50)),
+            "p95": float(np.percentile(a, 95)),
+            "p99": float(np.percentile(a, 99))}
+
+
+_tied = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 7.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(series=st.lists(st.lists(st.one_of(_tied, st.floats(-1e15, 1e15)),
+                                min_size=1, max_size=30),
+                       min_size=1, max_size=4),
+       threshold=st.sampled_from([3, 10**18]))
+@example(series=[[-4.0]], threshold=10**18)
+@example(series=[[2.5, -2.5, 2.5, -2.5]], threshold=10**18)
+def test_percentiles_equal_three_separate_calls_bit_for_bit(series, threshold):
+    r = SyncReport(threshold_ps=threshold, consecutive=1)
+    for k, values in enumerate(series):
+        r.add_series(f"t{k:03d}", range(len(values)), np.array(values))
+    r.finalize()
+    before = {n: r.series(n)[1].copy() for n in r.nodes}
+    hexed = {k: None if v is None else v.hex()
+             for k, v in r.percentiles().items()}
+    assert hexed == {k: None if v is None else v.hex()
+                     for k, v in _three_call_percentiles(r).items()}
+    # the pooled copy is the only array made absolute in place
+    for n, values in before.items():
+        assert r.series(n)[1].tobytes() == values.tobytes()
+
+
 def test_report_csv_format(tmp_path):
     r = SyncReport(threshold_ps=100, consecutive=1)
     r.add_sample("n", 5, 42.4)
