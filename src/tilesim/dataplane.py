@@ -8,18 +8,24 @@ at-least-once semantics: a member that vanishes before committing causes
 redelivery to whoever inherits its partitions.  Per-link byte accounting
 feeds the jitter coupling of the time-transfer plane.
 
-The append path is built for saturated logs: records are plain named
-tuples, FNV-1a resumes from a caller's hash of a constant key prefix, and
-the topic dump formats each JSON line directly instead of going through
-`json.dumps`, with the same bytes.  The dump writes to an open file in
-blocks of `_DUMP_BLOCK` lines, so at no point does it hold the whole topic
-as text.
+The append path is built for saturated logs.  A partition keeps its
+retained records column by column (keys, sizes, produce times in an
+unsigned 64-bit array, producers; offsets are implicit), so a retained
+record costs a key string and four slots rather than a tuple and its
+boxed ints.  A read builds the `Record` named tuples it returns in C, by
+zipping the column slices; FNV-1a resumes from a caller's hash of a
+constant key prefix; and the topic dump formats each JSON line straight
+from the columns instead of going through `json.dumps`, with the same
+bytes.  The dump writes to an open file in blocks of `_DUMP_BLOCK` lines,
+so at no point does it hold the whole topic as text.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -28,7 +34,7 @@ from .fabric import ConfigurationError
 
 FNV64_OFFSET = 0xcbf29ce484222325
 FNV64_PRIME = 0x100000001b3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+FNV64_MASK = 0xFFFFFFFFFFFFFFFF
 _DUMP_BLOCK = 4096   # topic dump lines per write
 
 
@@ -36,7 +42,7 @@ def fnv1a64(data: bytes, h: int = FNV64_OFFSET) -> int:
     """64-bit FNV-1a of `data`, continued from state `h`.  The hash is
     byte-serial, so fnv1a64(a + b) == fnv1a64(b, fnv1a64(a))."""
     for b in data:
-        h = ((h ^ b) * FNV64_PRIME) & _MASK64
+        h = ((h ^ b) * FNV64_PRIME) & FNV64_MASK
     return h
 
 
@@ -52,48 +58,73 @@ class Record(NamedTuple):
     offset: int
 
 
-_new_record = Record._make
+# tuple.__new__(Record, row) builds a record from a row tuple without the
+# Python-level call `Record._make` makes
+_new_tuple = tuple.__new__
 
 
 class _Partition:
-    """Retained records of one partition.
+    """Retained records of one partition, as four columns.
 
-    `_log[_head:]` holds the retained records in offset order.  Eviction
-    releases the oldest record and advances `_head`; the emptied prefix is
-    dropped once it reaches a sixteenth of the retention, which keeps
-    appends O(1) amortized, and a read copies only the records it returns.
+    `_keys`, `_sizes`, `_times` (an `array("Q")`) and `_producers` hold, from
+    index `_head` on, the retained records in offset order; the offset of
+    index i is `first_offset + i - _head`.  Eviction releases the oldest
+    key (its slot becomes None) and advances `_head`; the emptied prefix of
+    every column is dropped once it reaches a sixteenth of the retention,
+    which keeps appends O(1) amortized.  A read slices the columns and
+    builds only the records it returns.
     """
 
     def __init__(self, retention: int):
         self.retention = retention
-        self._log: list[Record | None] = []
+        self._keys: list[str | None] = []
+        self._sizes: list[int] = []
+        self._times = array("Q")
+        self._producers: list[str] = []
         self._head = 0
         self.next_offset = 0
 
     @property
     def first_offset(self) -> int:
-        return self.next_offset - (len(self._log) - self._head)
+        return self.next_offset - (len(self._keys) - self._head)
 
     def retained(self) -> list[Record]:
-        return self._log[self._head:]
+        return self.read_from(self.first_offset, self.retention)[0]
 
     def append(self, key, size_bytes, produce_time_ps, producer) -> int:
+        keys = self._keys
+        keys.append(key)
+        self._sizes.append(size_bytes)
+        self._times.append(produce_time_ps)
+        self._producers.append(producer)
         off = self.next_offset
-        self._log.append(_new_record((key, size_bytes, produce_time_ps, producer, off)))
-        self.next_offset += 1
-        if len(self._log) - self._head > self.retention:
-            self._log[self._head] = None
+        self.next_offset = off + 1
+        if len(keys) - self._head > self.retention:
+            keys[self._head] = None
             self._head += 1
             if self._head * 16 >= self.retention:
-                del self._log[:self._head]
+                for column in (keys, self._sizes, self._times, self._producers):
+                    del column[:self._head]
                 self._head = 0
         return off
+
+    def rows(self, start: int, n: int):
+        """(key, size_bytes, produce_time_ps, producer, offset) of at most
+        `n` retained records from offset `start` on, which must be retained
+        or `next_offset`: one zip over the column slices."""
+        i = self._head + start - self.first_offset
+        j = i + n
+        return zip(self._keys[i:j], self._sizes[i:j], self._times[i:j],
+                   self._producers[i:j], range(start, start + n))
 
     def read_from(self, offset: int, max_records: int) -> tuple[list[Record], bool]:
         first = self.first_offset
         gap = offset < first
-        i = self._head + max(offset, first) - first
-        return self._log[i:i + max_records], gap
+        start = max(offset, first)
+        if start >= self.next_offset:
+            return [], gap
+        return list(map(_new_tuple, repeat(Record),
+                        self.rows(start, max_records))), gap
 
 
 class Broker:
@@ -136,12 +167,11 @@ class Broker:
                 '"producer": %s, "size_bytes": %d}\n')
         for p, part in enumerate(self.partitions):
             for start in range(part.first_offset, part.next_offset, _DUMP_BLOCK):
-                records, _ = part.read_from(start, _DUMP_BLOCK)
                 f.write("".join([
                     line % (enc(key), offset, p, produce_time_ps, enc(producer),
                             size_bytes)
                     for key, size_bytes, produce_time_ps, producer, offset
-                    in records]))
+                    in part.rows(start, _DUMP_BLOCK)]))
 
 
 @dataclass

@@ -22,7 +22,8 @@ from typing import Callable
 
 from .coherent import CoherentError, evaluate_beamforming
 from .core import PS_PER_MS, EventLoop, RngRegistry, SimTime, from_seconds
-from .dataplane import Broker, ConsumerGroup, LinkLoadTracker, fnv1a64
+from .dataplane import (FNV64_MASK, FNV64_PRIME, Broker, ConsumerGroup,
+                        LinkLoadTracker, fnv1a64)
 from .fabric import ConfigurationError, Fabric, build_default_fabric
 from .powerplane import PdDevice, PsePlane
 from .rover import (Battery, MissionConfig, MissionRunner, RoverError,
@@ -111,7 +112,9 @@ class _Dataplane:
         self.tiles = sorted(t.id for t in fabric.tiles.values()
                             if "producer" in t.roles)[:cfg.producer_tiles]
         self.counts = dict.fromkeys(self.tiles, 0)
-        self.bytes = dict.fromkeys(self.tiles, 0)
+        # per tile, the FNV-1a state of "<tile>:<seq // 10>" (of "<tile>:"
+        # while seq < 10), set at each seq divisible by ten
+        self.stems = dict.fromkeys(self.tiles, 0)
         produced = 0
         period = from_seconds(cfg.produce_interval_ms / 1e3)
         spacing = period // max(1, len(self.tiles))
@@ -151,11 +154,17 @@ class _Dataplane:
             return
         seq = self.counts[tile]
         self.counts[tile] = seq + 1
+        # the key's hash steps its stem's state by the byte of its last
+        # digit, ord("0") + unit, only
+        unit = seq % 10
+        if unit:
+            stem = self.stems[tile]
+        else:
+            stem = self.stems[tile] = (
+                fnv1a64(str(seq // 10).encode(), prefix_hash) if seq else prefix_hash)
         nbytes = self.record_bytes
-        self.bytes[tile] += nbytes
-        digits = str(seq)
-        self.broker.append(prefix + digits, nbytes, now, tile,
-                           fnv1a64(digits.encode(), prefix_hash))
+        self.broker.append(prefix + str(seq), nbytes, now, tile,
+                           ((stem ^ (48 + unit)) * FNV64_PRIME) & FNV64_MASK)
         record = self.tracker.record
         record(tile_link, now, nbytes)
         record(trunk_link, now, nbytes)
@@ -174,7 +183,8 @@ class _Dataplane:
             w = csv.writer(f)
             w.writerow(["producer", "records", "bytes"])
             for tile in self.tiles:
-                w.writerow([tile, self.counts[tile], self.bytes[tile]])
+                w.writerow([tile, self.counts[tile],
+                            self.counts[tile] * self.record_bytes])
         with open(run.out_dir / "topics.ndjson", "w") as f:
             self.broker.dump_topic(f)
         return {"topic": self.cfg.topic, "partitions": self.cfg.partitions,

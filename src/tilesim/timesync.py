@@ -52,10 +52,11 @@ def quantize_ps(local_ps: float, granularity_ps: int) -> int:
 class LocalClock:
     """Free-running oscillator.
 
-    State advances lazily: `offset_at` moves the phase to the requested true
-    time at the current rate (frequency error plus servo steering), then
-    steps the frequency random walk by one draw scaled to the square root of
-    the elapsed time, so the walk's statistics do not depend on read cadence.
+    State advances lazily: `read` and `offset_at` move the phase to the
+    requested true time at the current rate (frequency error plus servo
+    steering), then step the frequency random walk by one draw scaled to the
+    square root of the elapsed time, so the walk's statistics do not depend
+    on read cadence.
     Between two reads the offset is therefore linear.  A clock made with
     `record=True` keeps the start of each such segment (true time, offset,
     rate), from which `offsets` evaluates later instants without drawing.
@@ -78,11 +79,17 @@ class LocalClock:
 
     def read(self, true_t: SimTime) -> int:
         """Timestamp the given true instant on this clock's tick grid."""
-        return quantize_ps(true_t + math.floor(self.offset_at(true_t)),
+        self._advance(true_t)
+        return quantize_ps(true_t + math.floor(self.offset_ps),
                            self.granularity_ps)
 
     def offset_at(self, true_t: SimTime) -> float:
         """Raw offset at the given true instant (no readout quantization)."""
+        self._advance(true_t)
+        return self.offset_ps
+
+    def _advance(self, true_t: SimTime) -> None:
+        """Evolve the state to `true_t`, for `read` and `offset_at` alike."""
         dt = true_t - self._last_t
         if dt:
             if dt < 0:
@@ -98,7 +105,6 @@ class LocalClock:
                 self.freq_error_ppm += self._rng.normal(
                     self.rw_sigma * math.sqrt(dt / PS_PER_S))
             self._last_t = true_t
-        return self.offset_ps
 
     def offsets(self, times: np.ndarray) -> np.ndarray:
         """The offset at each of `times` (uint64 true ps, each after 0), as

@@ -13,6 +13,8 @@ from tilesim.core import PS_PER_MS, PS_PER_S
 from tilesim.dataplane import (Broker, CommitError, ConsumerGroup,
                                LinkLoadTracker, Record, fnv1a64)
 from tilesim.fabric import ConfigurationError
+from tilesim.orchestrator import prepare_scenario
+from tilesim.scenario import scenario_from_dict
 
 
 def broker_with(partitions=4, retention=10_000):
@@ -59,6 +61,29 @@ def test_append_with_key_hash_lands_where_partition_for_says(tile, seq,
     h = fnv1a64(str(seq).encode(), fnv1a64(f"{tile}:".encode()))
     assert b.append(key, 1, 0, "p", h)[0] == want
     assert b.append(key, 1, 0, "p")[0] == want
+
+
+def test_produced_keys_land_where_their_whole_hash_says():
+    # producers hash a key by stepping a per-decade state by its last digit;
+    # their sequence numbers cross 9->10, 99->100 and 999->1000, and t001 is
+    # cut by a power overdraw partway, after it crossed 99->100
+    cfg = scenario_from_dict({
+        "duration_s": 1.2, "timesync": {"enabled": False},
+        "coherent": {"enabled": False}, "rover": {"enabled": False},
+        "power": {"overdraw_tile": "t001", "overdraw_at_s": 0.4},
+        "dataplane": {"producer_tiles": 3, "produce_interval_ms": 1.0,
+                      "partitions": 8, "retention_records": 10_000}})
+    run = prepare_scenario(cfg)
+    run.loop.run_until(run.until)
+    counts = run.stages["dataplane"].counts
+    assert counts["t000"] > 1000 and counts["t002"] > 1000
+    assert 100 < counts["t001"] < 1000
+    seen = 0
+    for p, part in enumerate(run.broker.partitions):
+        for r in part.retained():
+            assert fnv1a64(r.key.encode()) % 8 == p, r.key
+            seen += 1
+    assert seen == run.broker.published == sum(counts.values())
 
 
 def test_same_key_same_partition():
@@ -374,17 +399,18 @@ def test_partition_reads_match_a_whole_log_model(retention, ops):
     log = []
     for is_append, offset, max_records in ops:
         if is_append:
-            b.append(f"k{len(log)}", 10, len(log), "p")
-            log.append(len(log))
+            n = len(log)
+            b.append(f"k{n}", 10 + n % 3, 2**63 + n, f"p{n % 2}")
+            log.append(Record(f"k{n}", 10 + n % 3, 2**63 + n, f"p{n % 2}", n))
             continue
         first = max(0, len(log) - retention)
         recs, gap = part.read_from(offset, max_records)
         start = max(offset, first)
-        assert [r.offset for r in recs] == log[start:start + max_records]
+        assert recs == log[start:start + max_records]
+        assert all(type(r) is Record for r in recs)
         assert gap == (offset < first)
         assert part.first_offset == first
-    assert [r.offset for r in part.retained()] == \
-        log[max(0, len(log) - retention):]
+    assert part.retained() == log[max(0, len(log) - retention):]
 
 
 def test_reads_across_evictions_and_compactions():
@@ -399,8 +425,11 @@ def test_reads_across_evictions_and_compactions():
         recs, gap = part.read_from(0, 2)
         assert gap == (first > 0)
         assert [r.offset for r in recs] == [first, first + 1][:n]
-        # the evicted prefix still held is under a sixteenth of retention
-        assert len(part._log) - len(part.retained()) < 64 // 16
+        # each column's evicted prefix still held is under a sixteenth of
+        # retention, and holds no key
+        for column in (part._keys, part._sizes, part._times, part._producers):
+            assert len(column) - len(part.retained()) == part._head < 64 // 16
+        assert part._keys[:part._head] == [None] * part._head
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
-"""Finish-stage memory: each stage works in bounded blocks, so the peak it
-adds does not grow with the records, samples or trials it walks.
+"""Memory of the run's state and of its finish stages.  The log keeps its
+retained records in columns, and each finish stage works in bounded
+blocks, so the peak it adds does not grow with the records, samples or
+trials it walks.
 
 Peaks are read with `tracemalloc`, which counts Python and NumPy
 allocations made while it traces, from zero at `start`.
@@ -26,6 +28,24 @@ def traced_peak(fn, *args, **kwargs) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_a_retained_record_costs_under_110_bytes():
+    # a producer's records share its name and their size; each keeps its
+    # own key and produce time
+    n = 20_000
+    producers = [f"t{k:03d}" for k in range(140)]
+    tracemalloc.start()
+    try:
+        b = Broker("samples", 1, n)
+        for i in range(n):
+            b.append(f"{producers[i % 140]}:{i // 140}", 32768, 10**9 * i,
+                     producers[i % 140])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(b.partitions[0].retained()) == n
+    assert held / n < 110
 
 
 def test_topic_dump_peak_does_not_grow_with_the_records(tmp_path):
