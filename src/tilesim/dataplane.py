@@ -71,8 +71,9 @@ class _Partition:
     index i is `first_offset + i - _head`.  Eviction releases the oldest
     key (its slot becomes None) and advances `_head`; the emptied prefix of
     every column is dropped once it reaches a sixteenth of the retention,
-    which keeps appends O(1) amortized.  A read slices the columns and
-    builds only the records it returns.
+    which keeps appends O(1) amortized.  A read builds only the records it
+    returns, in C: `tuple.__new__(Record, row)` mapped over the zip of the
+    column slices (`rows`).
     """
 
     def __init__(self, retention: int):
@@ -110,8 +111,8 @@ class _Partition:
 
     def rows(self, start: int, n: int):
         """(key, size_bytes, produce_time_ps, producer, offset) of at most
-        `n` retained records from offset `start` on, which must be retained
-        or `next_offset`: one zip over the column slices."""
+        `n` retained records from the retained offset `start` on: one zip
+        over the column slices."""
         i = self._head + start - self.first_offset
         j = i + n
         return zip(self._keys[i:j], self._sizes[i:j], self._times[i:j],
