@@ -10,10 +10,10 @@ post-convergence residual pool of each tile's disciplined clock.
 Trials are evaluated in blocks of about `_BLOCK_ELEMENTS` trial-element
 pairs, so an array of n tiles takes `max(1, _BLOCK_ELEMENTS // n)` trials
 a block and the pass's temporaries stay one size however large the array
-is.  Each trial still draws from its own substream, so its gain does not
-depend on the block it lands in, and a block's gains come out of one
-(trials, n) array pass, bit for bit equal to summing each trial's phasors
-alone.
+is.  Each trial reads the words of the stream it owns, so its gain does
+not depend on the block it lands in, a block costs one read of words, and
+its gains come out of one (trials, n) array pass, bit for bit equal to
+summing each trial's phasors alone.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, as_indices, as_normals
 from .fabric import ConfigurationError, Fabric
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -32,6 +32,7 @@ CARRIER_MIN_HZ = 70e6
 CARRIER_MAX_HZ = 6e9
 MAX_TX_POWER_DBM = 20.0
 _BLOCK_ELEMENTS = 16384   # trial-element pairs per array pass: its element budget
+MAX_TRIAL_ELEMENTS = 10_000_000   # trial-element pairs per run, refused past it
 
 
 class CoherentError(RuntimeError):
@@ -119,11 +120,11 @@ def evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
     """Monte Carlo gain of the tile array toward a target point.
 
     Geometry enters through the steering phase of each tile and is removed
-    by its own conjugate weight, so only timing and phase noise remain.  A
-    per-trial substream keyed by trial index drives the draws, making every
-    trial reproducible in isolation: trial i's pool indices and phase noise
-    are `rng.substream(i).integer_array(0, pool, n)` and
-    `.normal_array(n, sigma)`.
+    by its own conjugate weight, so only timing and phase noise remain.
+    Trial i owns the 2n + n % 2 words `w` of its stream from index
+    i * (2n + n % 2) on, making every trial reproducible in isolation: its
+    pool indices are `as_indices(w[:n], pool)` and its phase noise, drawn
+    or not, `as_normals(w[n:])[:n] * sigma`.
     """
     room = fabric.room
     x, y, z = target
@@ -137,14 +138,9 @@ def evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
         raise CoherentError("no transmitting tiles")
     nodes = [SdrNode(t, carrier_hz, tx_power_dbm) for t in tiles]
 
-    pools = []
-    missing = []
-    for t in tiles:
-        samples = sync_report.post_convergence(t)
-        if len(samples) == 0:
-            missing.append(t)
-        else:
-            pools.append(np.asarray(samples) * 1e-12)   # ps -> s
+    pools = [np.asarray(sync_report.post_convergence(t)) * 1e-12   # ps -> s
+             for t in tiles]
+    missing = [t for t, pool in zip(tiles, pools) if len(pool) == 0]
     if missing:
         raise CoherentError(f"no converged sync data for: {missing}")
     n = len(tiles)
@@ -158,14 +154,15 @@ def evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
     gains = np.empty(trials)
     columns = np.arange(n)
     block = max(1, _BLOCK_ELEMENTS // n)
+    stride = 2 * n + n % 2
     for start in range(0, trials, block):
-        labels = range(start, min(start + block, trials))
-        idx = rng.substream_integer_arrays(labels, 0, min_pool, n)
-        dt = pool_mat[columns, idx]
+        stop = min(start + block, trials)
+        w = rng.words(start * stride, (stop - start) * stride).reshape(-1, stride)
+        dt = pool_mat[columns, as_indices(w[:, :n], min_pool)]
         phi = geo - weights + wrap_phase(2 * np.pi * carrier_hz * dt)
         if phase_noise_sigma_rad:
-            phi = phi + rng.substream_normal_arrays(labels, n, phase_noise_sigma_rad)
-        gains[labels.start:labels.stop] = coherent_gain_batch(phi)
+            phi = phi + as_normals(w[:, n:])[:, :n] * phase_noise_sigma_rad
+        gains[start:stop] = coherent_gain_batch(phi)
 
     mean = float(gains.mean())
     return GainResult(n, carrier_hz, trials, mean, float(gains.var()),

@@ -3,22 +3,23 @@
 Simulated time is an integer count of picoseconds since the run epoch, kept
 in plain Python ints but bounded to the unsigned 64-bit range at the API
 boundary so arithmetic is exact and portable.  Events fire in (time,
-insertion order), which makes every run replayable bit-for-bit.  Randomness
-comes from named streams backed by a counter-based bit generator, so the
-value at a given draw index depends only on (seed, stream name, draw kind,
-index) and never on what other streams did.
+insertion order), which makes every run replayable bit-for-bit.  Every
+random draw is a word addressed by (stream, index), a Philox 4x64 output
+keyed by the seed and the stream's name, so it depends on those alone and
+never on other draws; uniforms, integers and normals are transforms of it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, IO
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 SimTime = int  # picoseconds
 
@@ -169,108 +170,103 @@ def _philox_key(seed: int, name: str) -> np.ndarray:
     return np.frombuffer(digest[:16], dtype=np.uint64).copy()
 
 
-def _rekey(gen: Generator, key: np.ndarray) -> Generator:
-    """Reset `gen`'s Philox to the state `Philox(key=key)` starts in: counter
-    0, nothing buffered.  Philox is counter-based, so the draws that follow
-    equal those of a freshly keyed generator, without the OS-entropy
-    SeedSequence that the constructor builds and the key then overrides."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
-    return gen
+_PHILOX = Philox(0)   # serves every read, which sets its key and counter
+_UNIFORM_LANE, _NORMAL_LANE = 1, 2   # the scalar cursors' lanes
+
+
+def as_uniforms(words: np.ndarray) -> np.ndarray:
+    """Each word's top 53 bits times 2**-53: a uniform in [0, 1), exact."""
+    return (words >> 11) * 2.0**-53
+
+
+def as_indices(words: np.ndarray, m: int) -> np.ndarray:
+    """floor(u * m) of each word's uniform u: below m, as u <= 1 - 2**-53."""
+    return (as_uniforms(words) * m).astype(np.intp)
+
+
+def as_normals(words: np.ndarray) -> np.ndarray:
+    """One standard normal a word: Box-Muller on each pair (u1, u2) of the
+    flattened words gives r cos(2 pi u2), then r sin(2 pi u2), with r =
+    sqrt(-2 log1p(-u1)).  log1p, sqrt, cos and sin run value by value in
+    `math`, on the platform's libm, never as numpy ufuncs, whose last bits
+    vary with the CPU; only exact or correctly rounded arithmetic runs
+    vectorized.  The size must be even."""
+    u = as_uniforms(words.reshape(-1))
+    n = u.size // 2
+    log = np.fromiter(map(math.log1p, (-u[0::2]).tolist()), float, n)
+    r = np.fromiter(map(math.sqrt, (-2.0 * log).tolist()), float, n)
+    theta = (2 * math.pi * u[1::2]).tolist()
+    out = np.empty((n, 2))
+    out[:, 0] = np.fromiter(map(math.cos, theta), float, n)
+    out[:, 1] = np.fromiter(map(math.sin, theta), float, n)
+    return (out * r[:, None]).reshape(words.shape)
 
 
 class RngStream:
-    """Named deterministic random stream.
+    """Named deterministic random stream: words addressed by index.
 
-    Draws come from counter-based Philox 4x64 keyed by SHA-256(seed, name).
-    Each draw kind (normal / uniform / integers) runs on its own derived
-    key, so the i-th normal drawn from a stream is the same value no matter
-    how many uniforms were drawn in between.  Scalar gaussian and uniform
-    draws are served from refillable blocks, purely as a speed measure; the
-    generator fills a block value by value, so the served sequence is
-    identical to drawing one at a time, whatever the block size.  A block
-    is kept packed, 8 bytes a value, in an `array("d")`, and served through
-    an iterator, whose items come out as Python floats with the
-    generator's bits.
+    Word i of lane k is word i mod 4 of the Philox 4x64 block at counter
+    (i // 4, k, 0, 0), keyed by SHA-256(seed, name), so it depends on
+    (seed, name, lane, i) alone.  The blocks come from `random_raw`, whose
+    words numpy keeps stable, and a run draws only transforms of words, so
+    no numpy distribution method enters it.  A consumer that owns an index
+    (a coherent trial) reads lane 0 there; `uniform` and `normal` are
+    cursors over lanes 1 and 2, so neither kind shifts the other.  They
+    serve blocks of `_BLOCK` values, packed in an `array("d")` and read
+    through an iterator, whose items come out as Python floats.
     """
 
     # values per refill, 2 KiB a block when packed; a full room keeps the
     # blocks of about 300 streams alive
     _BLOCK = 256
-    # iterators over the current normal and uniform blocks; until a stream's
-    # first draw both are this shared exhausted one, so making a stream
-    # allocates no block
+    # the blocks' iterators, each lane's next refill index and the key, made
+    # on the first read: shared class values until then, so making a stream
+    # allocates nothing
     _zbuf = _ubuf = iter(())
+    _znext = _unext = 0
+    _key = None
 
     def __init__(self, seed: int, name: str):
         self.seed = seed
         self.name = name
-        self._gens: dict[str, Generator] = {}
 
-    def _gen(self, kind: str) -> Generator:
-        g = self._gens.get(kind)
-        if g is None:
-            g = Generator(Philox(key=_philox_key(self.seed, f"{self.name}\x1f{kind}")))
-            self._gens[kind] = g
-        return g
+    def words(self, start: int, n: int, lane: int = 0) -> np.ndarray:
+        """Words start .. start + n - 1 of `lane`, as uint64."""
+        if not 0 <= start <= start + n <= 4 << 64:
+            raise ValueError(f"words [{start}, {start + n}) outside one lane")
+        if self._key is None:
+            self._key = _philox_key(self.seed, self.name)
+        # the bit generator steps its counter before it fills a block
+        c = ((lane << 64) + start // 4 - 1) % (1 << 256)
+        _PHILOX.state = {"bit_generator": "Philox", "state": {
+            "counter": np.array([(c >> k) % 2**64 for k in (0, 64, 128, 192)],
+                                dtype=np.uint64), "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        return _PHILOX.random_raw(start % 4 + n)[start % 4:]
+
+    def _refill(self, start: int, lane: int, transform):
+        """An iterator over a block of `lane`, and the next block's start."""
+        block = transform(self.words(start, self._BLOCK, lane))
+        return iter(array("d", block.tobytes())), start + self._BLOCK
 
     def normal(self, scale: float = 1.0, loc: float = 0.0) -> float:
         try:
             z = next(self._zbuf)
         except StopIteration:
-            self._zbuf = iter(array("d", self._gen("normal").standard_normal(
-                self._BLOCK).tobytes()))
+            self._zbuf, self._znext = self._refill(self._znext, _NORMAL_LANE,
+                                                   as_normals)
             z = next(self._zbuf)
         return loc + scale * z
-
-    def normal_array(self, size: int, scale: float = 1.0) -> np.ndarray:
-        # bypasses the scalar block cache on purpose: array users own the stream
-        return self._gen("normal_array").standard_normal(size) * scale
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         try:
             u = next(self._ubuf)
         except StopIteration:
-            self._ubuf = iter(array("d", self._gen("uniform").random(
-                self._BLOCK).tobytes()))
+            self._ubuf, self._unext = self._refill(self._unext, _UNIFORM_LANE,
+                                                   as_uniforms)
             u = next(self._ubuf)
         return low + (high - low) * u
-
-    def integers(self, low: int, high: int) -> int:
-        """One integer in [low, high)."""
-        return int(self._gen("integers").integers(low, high))
-
-    def integer_array(self, low: int, high: int, size: int) -> np.ndarray:
-        return self._gen("integer_array").integers(low, high, size=size)
-
-    def substream(self, label: object) -> "RngStream":
-        return RngStream(self.seed, f"{self.name}/{label}")
-
-    def substream_integer_arrays(self, labels, low: int, high: int,
-                                 size: int) -> np.ndarray:
-        """Row k is `self.substream(labels[k]).integer_array(low, high, size)`,
-        drawn on one generator rekeyed per label."""
-        return self._substream_rows(
-            labels, "integer_array", size,
-            lambda g: g.integers(low, high, size=size))
-
-    def substream_normal_arrays(self, labels, size: int,
-                                scale: float = 1.0) -> np.ndarray:
-        """Row k is `self.substream(labels[k]).normal_array(size, scale)`,
-        drawn on one generator rekeyed per label."""
-        return self._substream_rows(
-            labels, "normal_array", size,
-            lambda g: g.standard_normal(size) * scale)
-
-    def _substream_rows(self, labels, kind: str, size: int, draw) -> np.ndarray:
-        gen = Generator(Philox(0))
-        rows = [draw(_rekey(gen, _philox_key(self.seed,
-                                             f"{self.name}/{label}\x1f{kind}")))
-                for label in labels]
-        return np.array(rows).reshape(len(rows), size)
 
 
 class RngRegistry:

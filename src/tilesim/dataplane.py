@@ -25,7 +25,8 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -177,8 +178,15 @@ class Broker:
 
 @dataclass
 class PollResult:
-    records: list[Record]
-    gap: bool   # true when eviction skipped past the read position
+    """A poll's record count, whether eviction skipped a read position, and
+    its `records`, built on first read from the column slices it took."""
+    count: int
+    gap: bool
+    rows: list
+
+    @cached_property
+    def records(self) -> list[Record]:
+        return list(map(_new_tuple, repeat(Record), chain.from_iterable(self.rows)))
 
 
 class ConsumerGroup:
@@ -240,24 +248,25 @@ class ConsumerGroup:
             raise ConfigurationError(f"{member_id} is not a group member")
         pos = self._positions.setdefault(member_id, {})
         partitions = self.broker.partitions
-        out: list[Record] = []
+        rows = []
         gap = False
         budget = max_records
         for p in self.partitions_of(member_id):
             if budget <= 0:
                 break
+            part = partitions[p]
             start = pos.get(p, self.committed.get(p, 0))
-            recs, g = partitions[p].read_from(start, budget)
-            gap = gap or g
-            if recs:
-                out.extend(recs)
-                budget -= len(recs)
-                pos[p] = recs[-1].offset + 1
-                prev = self.last_delivered.get(p, -1)
-                self.last_delivered[p] = max(prev, recs[-1].offset)
-            elif g:
-                pos[p] = partitions[p].first_offset
-        return PollResult(out, gap)
+            if start < part.first_offset:
+                gap = True
+                start = pos[p] = part.first_offset
+            n = min(budget, part.next_offset - start)
+            if n > 0:
+                rows.append(part.rows(start, n))
+                budget -= n
+                pos[p] = start + n
+                self.last_delivered[p] = max(self.last_delivered.get(p, -1),
+                                             start + n - 1)
+        return PollResult(max_records - budget, gap, rows)
 
     def commit(self, partition: int, offset: int) -> None:
         if offset < 0:

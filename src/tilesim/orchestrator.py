@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .coherent import CoherentError, evaluate_beamforming
+from .coherent import MAX_TRIAL_ELEMENTS, CoherentError, evaluate_beamforming
 from .core import PS_PER_MS, EventLoop, RngRegistry, SimTime, from_seconds
 from .dataplane import (FNV64_MASK, FNV64_PRIME, Broker, ConsumerGroup,
                         LinkLoadTracker, fnv1a64)
@@ -171,8 +171,7 @@ class _Dataplane:
 
     def _poll(self, arg) -> None:
         group, member = arg
-        res = group.poll(member, self.cfg.max_poll_records)
-        self.delivered[group.group_id] += len(res.records)
+        self.delivered[group.group_id] += group.poll(member, self.cfg.max_poll_records).count
         for p in group.partitions_of(member):
             last = group.last_delivered.get(p)
             if last is not None:
@@ -213,9 +212,16 @@ class _Timesync:
 
 
 class _Coherent:
-    """Array gain of the energized SDR tiles at the sync residuals."""
+    """Array gain of the energized SDR tiles at the sync residuals; set-up
+    bounds the trials over every SDR tile, up to `tile_count`."""
 
     def __init__(self, run: RunResult, cfg):
+        self.sdr = sorted(t.id for t in run.fabric.tiles.values() if "sdr" in t.roles)
+        n = len(self.sdr[:cfg.tile_count])
+        if cfg.trials * n > MAX_TRIAL_ELEMENTS:
+            raise ConfigurationError(
+                f"coherent.trials {cfg.trials:,} over {n} transmitters is {cfg.trials * n:,} "
+                f"trial-element pairs; a run may evaluate at most {MAX_TRIAL_ELEMENTS:,}")
         self.cfg = cfg
         self.events = {}
 
@@ -223,10 +229,7 @@ class _Coherent:
         if run.sync_report is None:
             return None
         c = self.cfg
-        sdr = sorted(t.id for t in run.fabric.tiles.values()
-                     if "sdr" in t.roles and run.online(t.id))
-        if c.tile_count is not None:
-            sdr = sdr[:c.tile_count]
+        sdr = [t for t in self.sdr if run.online(t)][:c.tile_count]
         try:
             gain = evaluate_beamforming(
                 run.fabric, run.sync_report, c.carrier_hz, tuple(c.target),

@@ -391,24 +391,24 @@ class PtpPort:
 
 class _LinkJitter:
     """Delay jitter of one link: the base sigma, the load window that
-    scales it, and the lognormal shape.  The link's random stream is opened
-    on its first draw with a positive sigma."""
+    scales it, the lognormal shape, and the link's random stream."""
 
     __slots__ = ("link_id", "base_ns", "coupling", "windows", "window_ps",
-                 "bandwidth_bps", "s", "rng", "stream", "denom", "normal")
+                 "bandwidth_bps", "s", "denom", "normal")
 
     def __init__(self, link: Link, config: TimesyncConfig, load,
-                 rng: RngRegistry, stream_name: str):
+                 stream: RngStream):
         self.link_id = link.id
         self.base_ns = link.jitter_sigma_ns * config.jitter_scale
         self.coupling = config.load_coupling
         self.windows = None if load is None else load.windows
         self.window_ps = None if load is None else load.window_ps
         self.bandwidth_bps = link.bandwidth_bps
-        self.s = link.jitter_shape
-        self.rng = rng
-        self.stream = stream_name
-        self.normal = None
+        s = self.s = link.jitter_shape
+        # lognormal mean exp(s^2/2); its standard deviation is this times
+        # sqrt(expm1(s^2)), so dividing by both gives unit sigma
+        self.denom = math.exp(s * s / 2) * math.sqrt(math.expm1(s * s))
+        self.normal = stream.normal
 
     def sigma_ns(self, t: SimTime) -> float:
         sigma = self.base_ns
@@ -423,14 +423,7 @@ class _LinkJitter:
         sigma_ns = self.sigma_ns(t)
         if sigma_ns <= 0:
             return 0
-        normal = self.normal
-        if normal is None:
-            s = self.s
-            # lognormal mean exp(s^2/2); its standard deviation is this
-            # times sqrt(expm1(s^2)), so dividing by both gives unit sigma
-            self.denom = math.exp(s * s / 2) * math.sqrt(math.expm1(s * s))
-            normal = self.normal = self.rng.stream(self.stream).normal
-        return int(round(sigma_ns / self.denom * math.exp(self.s * normal()) * 1000))
+        return int(round(sigma_ns / self.denom * math.exp(self.s * self.normal()) * 1000))
 
 
 class SyncDomain:
@@ -560,8 +553,8 @@ class SyncDomain:
         lj = self._jitter.get(link.id)
         if lj is None:
             lj = self._jitter[link.id] = _LinkJitter(
-                link, self.config, self._load, self.rng,
-                f"{self.config.stream_label}/jitter/{link.id}")
+                link, self.config, self._load,
+                self.rng.stream(f"{self.config.stream_label}/jitter/{link.id}"))
         return lj
 
     def effective_jitter_sigma_ns(self, link: Link, t: SimTime) -> float:

@@ -10,7 +10,7 @@ from tilesim.coherent import (_BLOCK_ELEMENTS, CARRIER_MAX_HZ, CARRIER_MIN_HZ,
                               coherent_gain, coherent_gain_batch,
                               evaluate_beamforming, expected_gain,
                               steering_phase, wrap_phase)
-from tilesim.core import RngStream
+from tilesim.core import RngStream, as_normals
 from tilesim.fabric import (ConfigurationError, Fabric, FabricConfig,
                             build_default_fabric)
 from tilesim.timesync import SyncReport
@@ -111,7 +111,7 @@ def test_expected_gain_formula_spot_values():
 def test_monte_carlo_matches_expected_gain():
     rng = RngStream(7, "mc")
     n, sigma, trials = 16, 0.3, 20_000
-    phases = rng.normal_array(trials * n, sigma).reshape(trials, n)
+    phases = as_normals(rng.words(0, trials * n)).reshape(trials, n) * sigma
     mean = coherent_gain_batch(phases).mean()
     assert mean == pytest.approx(expected_gain(n, sigma), rel=0.02)
 
@@ -167,56 +167,29 @@ def test_evaluation_is_seed_deterministic():
     assert np.array_equal(a.gains, b.gains)
 
 
-def parent_evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
-                                target, trials: int, rng: RngStream,
-                                tiles: list[str] | None = None,
-                                phase_noise_sigma_rad: float = 0.0,
-                                tx_power_dbm: float = 10.0) -> GainResult:
-    """Monte Carlo gain of the tile array toward a target point.
-
-    Geometry enters through the steering phase of each tile and is removed
-    by its own conjugate weight, so only timing and phase noise remain.  A
-    per-trial substream keyed by trial index drives the draws, making every
-    trial reproducible in isolation.
-    """
-    room = fabric.room
-    x, y, z = target
-    if not (0 <= x <= room.length_m and 0 <= y <= room.width_m and 0 <= z <= room.height_m):
-        raise ConfigurationError(f"target {target} is outside the room")
-    if trials < 1:
-        raise ConfigurationError("at least one trial required")
-    if tiles is None:
-        tiles = [t.id for t in fabric.tiles.values() if "sdr" in t.roles]
-    if not tiles:
-        raise CoherentError("no transmitting tiles")
-    nodes = [SdrNode(t, carrier_hz, tx_power_dbm) for t in tiles]
-
-    pools = []
-    missing = []
-    for t in tiles:
-        samples = sync_report.post_convergence(t)
-        if len(samples) == 0:
-            missing.append(t)
-        else:
-            pools.append(np.asarray(samples) * 1e-12)   # ps -> s
-    if missing:
-        raise CoherentError(f"no converged sync data for: {missing}")
+def per_trial_evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
+                                   target, trials: int, rng: RngStream,
+                                   tiles: list[str],
+                                   phase_noise_sigma_rad: float = 0.0) -> GainResult:
+    """The evaluation one trial at a time: trial i reads the 2n + n % 2
+    words from index i * (2n + n % 2) on, its pool indices from the first n
+    and its phase noise from Box-Muller pairs of the rest."""
+    pools = [np.asarray(sync_report.post_convergence(t)) * 1e-12 for t in tiles]
     n = len(tiles)
     geo = np.array([steering_phase(fabric.tiles[t].center, target, carrier_hz)
                     for t in tiles])
-    weights = geo   # conjugate weighting: identical stored values cancel exactly
-
     min_pool = min(len(p) for p in pools)
     pool_mat = np.stack([p[:min_pool] for p in pools])
 
+    stride = 2 * n + n % 2
     gains = np.empty(trials)
     for i in range(trials):
-        sub = rng.substream(i)
-        idx = sub.integer_array(0, min_pool, n)
+        w = rng.words(i * stride, stride)
+        idx = [int((int(x) >> 11) * 2.0**-53 * min_pool) for x in w[:n]]
         dt = pool_mat[np.arange(n), idx]
-        phi = geo - weights + wrap_phase(2 * np.pi * carrier_hz * dt)
+        phi = geo - geo + wrap_phase(2 * np.pi * carrier_hz * dt)
         if phase_noise_sigma_rad:
-            phi = phi + sub.normal_array(n, phase_noise_sigma_rad)
+            phi = phi + as_normals(w[n:])[:n] * phase_noise_sigma_rad
         gains[i] = coherent_gain(phi)
 
     mean = float(gains.mean())
@@ -227,9 +200,9 @@ def parent_evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
 @pytest.mark.parametrize("n", [1, 2, 7, 16, 33, 140])
 @pytest.mark.parametrize("noise", [0.0, 0.2])
 def test_batched_trials_equal_the_per_trial_loop(n, noise):
-    # the oracle is the per-trial loop the blocks replaced, copied verbatim;
-    # one block and a partial one cross a block edge at every n, and pools
-    # of unequal length exercise the truncation to the shortest
+    # the oracle reads each trial's own words one trial at a time; one
+    # block and a partial one cross a block edge at every n, and pools of
+    # unequal length exercise the truncation to the shortest
     fab = build_default_fabric(FabricConfig())
     tiles = sorted(fab.tiles)[:n]
     report = SyncReport(threshold_ps=10**9, consecutive=1)
@@ -241,8 +214,8 @@ def test_batched_trials_equal_the_per_trial_loop(n, noise):
     args = (fab, report, 2.45e9, (4, 2, 1), max(1, _BLOCK_ELEMENTS // n) + 6)
     new = evaluate_beamforming(*args, RngStream(5, "bf"), tiles=tiles,
                                phase_noise_sigma_rad=noise)
-    old = parent_evaluate_beamforming(*args, RngStream(5, "bf"), tiles=tiles,
-                                      phase_noise_sigma_rad=noise)
+    old = per_trial_evaluate_beamforming(*args, RngStream(5, "bf"), tiles=tiles,
+                                         phase_noise_sigma_rad=noise)
     assert new.gains.tobytes() == old.gains.tobytes()
     assert new.summary() == old.summary()
 

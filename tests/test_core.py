@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from tilesim.core import (EventLoop, MAX_SIM_TIME, PS_PER_MS, PS_PER_S,
                           PS_PER_US, RngRegistry, RngStream, RunStats,
-                          SimulationError, _philox_key, _rekey, from_seconds,
-                          to_seconds)
+                          SimulationError, _NORMAL_LANE, _UNIFORM_LANE,
+                          _philox_key, as_indices, as_normals, as_uniforms,
+                          from_seconds, to_seconds)
 
 
 # --- time -------------------------------------------------------------------
@@ -339,10 +340,62 @@ def test_front_slot_takes_only_strictly_earlier_events():
 
 # --- random streams ---------------------------------------------------------
 
+# The first draws of one named stream, written out so that a numpy whose
+# Philox words change, or an edit to a transform, fails here by name.
+GOLDEN_SEED, GOLDEN_NAME = 2021, "tilesim/golden"
+GOLDEN_WORDS = [0xd21432a431461d92, 0x408040853f500323, 0xc0339b1174731217,
+                0xab98286f300c2acd, 0x15bfdf65c88895d1, 0x4b551c9f428d6d2d,
+                0x11a619c69e8a0ea0, 0x23931d971d788128]
+GOLDEN_UNIFORMS = ["0x1.fec664e313d70p-3", "0x1.5df43062b2384p-1",
+                   "0x1.97853b9a4c890p-2", "0x1.d91c394b79f7dp-1",
+                   "0x1.312c778f35e59p-1", "0x1.f950c4feab1e9p-1",
+                   "0x1.1e34e298c71d8p-4", "0x1.95f0065481d87p-1"]
+GOLDEN_NORMALS = ["-0x1.d49cddbc76481p-1", "0x1.395af0acd21acp-1",
+                  "-0x1.a817036c5c693p-5", "-0x1.b671ba973f262p-4",
+                  "-0x1.fd8742846c371p-3", "0x1.42602dfc348eep+0",
+                  "0x1.b3cf57b364201p-1", "-0x1.287ead4faad2dp+0"]
+
+
+def test_first_raw_words_uniforms_and_normals_are_pinned():
+    s = RngStream(GOLDEN_SEED, GOLDEN_NAME)
+    assert s.words(0, 8).tolist() == GOLDEN_WORDS
+    assert [s.uniform().hex() for _ in range(8)] == GOLDEN_UNIFORMS
+    assert [s.normal().hex() for _ in range(8)] == GOLDEN_NORMALS
+
+
+def test_words_are_philox_blocks_addressed_by_counter():
+    # word i of lane k is word i mod 4 of the block at counter (i // 4, k);
+    # numpy's Philox steps its counter before it fills a block
+    key = _philox_key(5, "addr")
+    s = RngStream(5, "addr")
+    for lane, block in [(0, 0), (0, 1), (0, 2**64 - 1), (1, 0), (2, 7)]:
+        before = (((lane << 64) + block - 1) % (1 << 256)).to_bytes(32, "little")
+        bg = Philox(key=key, counter=np.frombuffer(before, dtype=np.uint64))
+        assert s.words(4 * block, 4, lane).tolist() == bg.random_raw(4).tolist()
+
+
+@given(st.integers(0, 3000), st.integers(0, 40), st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_a_word_does_not_depend_on_the_read_it_comes_from(start, n, k):
+    s = RngStream(8, "read")
+    whole = s.words(0, start + n + k)
+    assert s.words(start, n).tolist() == whole[start:start + n].tolist()
+    assert s.words(start + n, k).tolist() == whole[start + n:].tolist()
+
+
+def test_words_outside_one_lane_are_refused():
+    s = RngStream(1, "edge")
+    assert s.words(4 * 2**64 - 3, 3).size == 3
+    for start, n in [(-1, 2), (4 * 2**64 - 3, 4), (0, -1)]:
+        with pytest.raises(ValueError, match="outside one lane"):
+            s.words(start, n)
+
+
 def test_same_name_same_sequence():
     a = RngStream(7, "fabric/jitter")
     b = RngStream(7, "fabric/jitter")
     assert [a.normal() for _ in range(100)] == [b.normal() for _ in range(100)]
+    assert a.words(0, 64).tolist() == b.words(0, 64).tolist()
 
 
 def test_different_names_are_independent():
@@ -351,25 +404,33 @@ def test_different_names_are_independent():
     b = np.array([sb.normal() for _ in range(200)])
     assert not np.allclose(a, b)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.25
+    ua, ub = as_uniforms(sa.words(0, 2000)), as_uniforms(sb.words(0, 2000))
+    assert abs(np.corrcoef(ua, ub)[0, 1]) < 0.1
 
 
 def test_different_seeds_differ():
     a = RngStream(1, "x").normal()
     b = RngStream(2, "x").normal()
     assert a != b
+    assert RngStream(1, "x").words(0, 4).tolist() != RngStream(2, "x").words(0, 4).tolist()
 
 
 def test_draw_kinds_do_not_interfere():
-    # consuming uniforms must not shift the normal sequence
+    # consuming uniforms or reading words must not shift the normal
+    # sequence, nor normals and words the uniform one
     plain = RngStream(3, "s")
-    normals = [plain.normal() for _ in range(10)]
+    normals = [plain.normal() for _ in range(300)]
+    uniforms = [plain.uniform() for _ in range(300)]
     mixed = RngStream(3, "s")
-    out = []
-    for _ in range(10):
-        mixed.uniform()
-        out.append(mixed.normal())
-        mixed.integers(0, 100)
-    assert out == normals
+    out_n, out_u = [], []
+    for i in range(300):
+        out_u.append(mixed.uniform())
+        mixed.words(i, 3)
+        out_n.append(mixed.normal())
+    assert out_n == normals and out_u == uniforms
+    # the cursors' lanes hold none of the words a consumer addresses
+    lanes = [set(mixed.words(0, 512, lane).tolist()) for lane in (0, 1, 2)]
+    assert not (lanes[0] & lanes[1] or lanes[0] & lanes[2] or lanes[1] & lanes[2])
 
 
 def test_block_cache_crosses_boundary_consistently():
@@ -382,80 +443,59 @@ def test_block_cache_crosses_boundary_consistently():
 
 
 def test_scalar_draws_equal_one_generator_block():
-    # the scalar blocks are a cache: the values are the generator's own
-    # sequence, whatever the block size
+    # the scalar blocks are a cache: the values are the transforms of the
+    # cursor lanes' words, whatever the block size
     s = RngStream(21, "blk")
-    key = _philox_key(21, "blk\x1fnormal")
-    direct = Generator(Philox(key=key)).standard_normal(3000)
     normals = [s.normal() for _ in range(3000)]
-    assert normals == direct.tolist()
-    u = RngStream(21, "blk")
-    key = _philox_key(21, "blk\x1funiform")
-    uniforms = [u.uniform() for _ in range(700)]
-    assert uniforms == Generator(Philox(key=key)).random(700).tolist()
+    assert normals == as_normals(s.words(0, 3000, _NORMAL_LANE)).tolist()
+    uniforms = [s.uniform() for _ in range(700)]
+    assert uniforms == as_uniforms(s.words(0, 700, _UNIFORM_LANE)).tolist()
     # served across refills as Python floats, not numpy scalars
     assert {type(v) for v in normals + uniforms} == {float}
 
 
+def box_muller_pairs(words) -> list[float]:
+    """The normal transform one pair at a time, in scalar Python."""
+    out = []
+    for w1, w2 in zip(words[0::2], words[1::2]):
+        u1, u2 = (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53
+        r = math.sqrt(-2.0 * math.log1p(-u1))
+        out += [r * math.cos(2 * math.pi * u2), r * math.sin(2 * math.pi * u2)]
+    return out
+
+
+def test_normals_equal_the_scalar_box_muller_bit_for_bit():
+    words = RngStream(31, "bm").words(0, 20_000)
+    extremes = np.array([0, 2**64 - 1, 2**11 - 1, 2**11, 2**63, 1 << 62],
+                        dtype=np.uint64)
+    for w in (words, extremes, words[:6].reshape(3, 2)):
+        got = as_normals(w)
+        assert got.shape == w.shape
+        assert got.reshape(-1).tolist() == box_muller_pairs(w.reshape(-1).tolist())
+    # the largest uniform keeps log1p(-u) finite
+    assert np.isfinite(as_normals(np.array([2**64 - 1, 0], dtype=np.uint64))).all()
+
+
 def test_normal_array_matches_scalar_stream_statistics():
-    arr = RngStream(5, "arr").normal_array(20000, scale=2.0)
+    arr = as_normals(RngStream(5, "arr").words(0, 20000)) * 2.0
     assert abs(arr.mean()) < 0.05
     assert abs(arr.std() - 2.0) < 0.05
+    # cos and sin halves are each standard normal and uncorrelated
+    assert abs(np.corrcoef(arr[0::2], arr[1::2])[0, 1]) < 0.05
 
 
 def test_uniform_bounds_and_integers_range():
     s = RngStream(9, "bounds")
     us = [s.uniform(2.0, 3.0) for _ in range(1000)]
     assert all(2.0 <= u < 3.0 for u in us)
-    ints = [s.integers(5, 8) for _ in range(1000)]
-    assert set(ints) <= {5, 6, 7}
-    assert set(ints) == {5, 6, 7}
-
-
-def test_substream_is_deterministic_and_distinct():
-    parent = RngStream(13, "root")
-    child1 = parent.substream("leg")
-    child2 = RngStream(13, "root").substream("leg")
-    assert [child1.normal() for _ in range(50)] == [child2.normal() for _ in range(50)]
-    other = parent.substream("other")
-    assert other.normal() != RngStream(13, "root").substream("leg").normal()
-
-
-def test_substream_does_not_consume_parent_draws():
-    a = RngStream(4, "p")
-    seq = [a.normal() for _ in range(5)]
-    b = RngStream(4, "p")
-    b.substream("x").normal()
-    assert [b.normal() for _ in range(5)] == seq
-
-
-def test_substream_rows_equal_fresh_substreams():
-    s = RngStream(9, "bf")
-    labels = [0, 1, 7, "x", 1]
-    ints = s.substream_integer_arrays(labels, 0, 97, 5)
-    normals = s.substream_normal_arrays(labels, 6, 0.3)
-    assert ints.shape == (5, 5) and normals.shape == (5, 6)
-    for k, label in enumerate(labels):
-        sub = s.substream(label)
-        assert np.array_equal(ints[k], sub.integer_array(0, 97, 5))
-        assert normals[k].tobytes() == sub.normal_array(6, 0.3).tobytes()
-    assert s.substream_integer_arrays([], 0, 5, 3).shape == (0, 3)
-
-
-@pytest.mark.parametrize("used", [
-    lambda g: g.integers(0, 2**31, size=3, dtype=np.int32),   # leaves a uint32 buffered
-    lambda g: g.random(3),                                # leaves a partial block
-    lambda g: g.standard_normal(7)])
-def test_rekey_matches_a_freshly_keyed_generator(used):
-    key = _philox_key(4, "trial/3")
-    gen = Generator(Philox(0))
-    used(gen)
-    _rekey(gen, key)
-    fresh = Generator(Philox(key=key))
-    for draw in (lambda g: g.integers(0, 2**31, size=3, dtype=np.int32),
-                 lambda g: g.integers(0, 1000, size=4),
-                 lambda g: g.standard_normal(5)):
-        assert draw(gen).tobytes() == draw(fresh).tobytes()
+    ints = as_indices(s.words(0, 1000), 3) + 5
+    assert set(ints.tolist()) == {5, 6, 7}
+    # the largest word's uniform, 1 - 2**-53, still floors below m
+    top = np.array([2**64 - 1], dtype=np.uint64)
+    assert as_uniforms(top)[0] == 1 - 2.0**-53
+    for m in (1, 3, 97, 2**31 - 1, 2**53 - 1, 2**53):
+        assert as_indices(top, m)[0] == m - 1
+    assert as_indices(np.array([0], dtype=np.uint64), 5)[0] == 0
 
 
 def test_registry_returns_same_stream_object():

@@ -5,7 +5,7 @@ import json
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilesim import dataplane
@@ -215,6 +215,79 @@ def test_single_member_receives_everything():
     got = g.poll("c0", max_records=1000).records
     assert len(got) == 100
     assert {r.key for r in got} == {f"k{i}" for i in range(100)}
+
+
+def parent_poll(group, member_id, max_records):
+    """`ConsumerGroup.poll` as it was when every poll built its records,
+    copied verbatim but for its result, (records, gap)."""
+    pos = group._positions.setdefault(member_id, {})
+    partitions = group.broker.partitions
+    out = []
+    gap = False
+    budget = max_records
+    for p in group.partitions_of(member_id):
+        if budget <= 0:
+            break
+        start = pos.get(p, group.committed.get(p, 0))
+        recs, g = partitions[p].read_from(start, budget)
+        gap = gap or g
+        if recs:
+            out.extend(recs)
+            budget -= len(recs)
+            pos[p] = recs[-1].offset + 1
+            prev = group.last_delivered.get(p, -1)
+            group.last_delivered[p] = max(prev, recs[-1].offset)
+        elif g:
+            pos[p] = partitions[p].first_offset
+    return out, gap
+
+
+@settings(max_examples=100, deadline=None)
+@example(partitions=1, retention=1, ops=[("a", 0, 1), ("p", 0, 5), ("a", 0, 3)])
+@given(partitions=st.integers(1, 4), retention=st.integers(1, 12),
+       ops=st.lists(st.tuples(st.sampled_from("aaapcj"), st.integers(0, 2),
+                              st.integers(0, 9)), max_size=80))
+def test_poll_counts_and_records_equal_the_building_poll(partitions, retention,
+                                                        ops):
+    # two groups over one broker take the same steps, one through `poll`
+    # and one through the poll that built every record; the records of a
+    # poll are read only after the appends that follow it
+    b = broker_with(partitions=partitions, retention=retention)
+    new, old = ConsumerGroup("new", b), ConsumerGroup("old", b)
+    for g in (new, old):
+        g.join("m0")
+    unread = []
+    for op, member, n in ops:
+        m = f"m{member}"
+        if op == "a":
+            for _ in range(n):
+                k = b.published
+                b.append(f"k{k}", n, k, f"p{member}")
+        elif op == "j":
+            for g in (new, old):
+                if m in g.members and len(g.members) > 1:
+                    g.leave(m)
+                elif m not in g.members:
+                    g.join(m)
+        elif m not in new.members:
+            continue
+        elif op == "p":
+            res = new.poll(m, n)
+            recs, gap = parent_poll(old, m, n)
+            assert (res.count, res.gap) == (len(recs), gap)
+            unread.append((res, recs))
+        else:
+            for p in new.partitions_of(m):
+                last = new.last_delivered.get(p)
+                if last is not None:
+                    new.commit(p, last + 1)
+                    old.commit(p, last + 1)
+        assert new._positions == old._positions
+        assert new.last_delivered == old.last_delivered
+        assert new.committed == old.committed
+    for res, recs in unread:
+        assert res.records == recs and all(type(r) is Record for r in res.records)
+        assert res.records is res.records
 
 
 def test_range_assignment_split():

@@ -8,9 +8,13 @@ a boundary switch and transparent relays, the dataplane load coupling, an
 overdraw disconnect between two residual samples and one on a sample
 instant, and the rover.
 
-NumPy does not promise the same `Generator` streams across versions, so
-the file records the numpy and Python versions it was written with.  The
-digests are compared under any versions; a mismatch names both.
+Every draw of a run is a Philox 4x64 raw word addressed by (stream,
+index), turned into a uniform, an index or a normal by transforms in
+`tilesim.core`, so the digests rest on numpy's raw Philox words, which
+numpy keeps stable across versions, and on the platform's libm, through
+`math.log1p`, `sqrt`, `cos`, `sin` and `exp`.  The file records the numpy
+and Python versions it was written with; the digests are compared under
+any versions, and a mismatch names both.
 
 Regenerate (only for a change that means to move the realization, and say
 why in CHANGES.md):

@@ -16,7 +16,8 @@ from test_boundary import alarm
 import tilesim
 from tilesim.cli import main
 from tilesim.fabric import ConfigurationError
-from tilesim.orchestrator import STAGES, run_scenario
+from tilesim.coherent import MAX_TRIAL_ELEMENTS
+from tilesim.orchestrator import STAGES, prepare_scenario, run_scenario
 from tilesim.scenario import (_YAML_LOADER, ScenarioConfig, load_scenario,
                               resolved_dict, resolved_json, scenario_from_dict,
                               scenario_hash, validate_scenario)
@@ -418,6 +419,38 @@ def test_oversized_residual_series_exits_1_instead_of_hanging(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "timesync.sample_interval_s" in lines[0]
     assert "residual samples" in lines[0]
+
+
+def test_oversized_coherent_trials_exit_1_and_write_nothing(tmp_path, capsys):
+    # 10^12 trials passed `validate`, then `run` went through the whole loop
+    # and died allocating the gains, leaving its directory behind
+    path = str(probe_scenario("coherent", "trials", 10**12, tmp_path))
+    out = tmp_path / "runs"
+    with alarm(60):
+        assert main(["validate", path]) == 1
+        assert main(["run", path, "--out", str(out)]) == 1
+    std = capsys.readouterr()
+    for stream, prefix in ((std.out, "problem: "), (std.err, "error: ")):
+        (line,) = stream.splitlines()
+        assert line.startswith(prefix + "coherent.trials 1,000,000,000,000 over ")
+        assert "trial-element pairs" in line
+    assert not out.exists()
+
+
+def test_coherent_work_bound_counts_the_sdr_tiles_up_to_tile_count(tmp_path):
+    cfg = load_scenario(probe_scenario(None, "seed", 3, tmp_path))
+    sdr = sum("sdr" in t.roles for t in prepare_scenario(cfg).fabric.tiles.values())
+    for tile_count, n in [(None, sdr), (1, 1), (sdr + 5, sdr)]:
+        for trials, refused in [(MAX_TRIAL_ELEMENTS // n, False),
+                                (MAX_TRIAL_ELEMENTS // n + 1, True)]:
+            case = dataclasses.replace(cfg, coherent=dataclasses.replace(
+                cfg.coherent, trials=trials, tile_count=tile_count))
+            if refused:
+                with pytest.raises(ConfigurationError,
+                                   match=f"over {n} transmitters"):
+                    prepare_scenario(case)
+            else:
+                prepare_scenario(case)
 
 
 @pytest.mark.parametrize("section,key,value", OVERSIZED_PLANS)
