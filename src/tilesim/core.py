@@ -187,14 +187,14 @@ def as_indices(words: np.ndarray, m: int) -> np.ndarray:
 def as_normals(words: np.ndarray) -> np.ndarray:
     """One standard normal a word: Box-Muller on each pair (u1, u2) of the
     flattened words gives r cos(2 pi u2), then r sin(2 pi u2), with r =
-    sqrt(-2 log1p(-u1)).  log1p, sqrt, cos and sin run value by value in
-    `math`, on the platform's libm, never as numpy ufuncs, whose last bits
-    vary with the CPU; only exact or correctly rounded arithmetic runs
-    vectorized.  The size must be even."""
+    sqrt(-2 log1p(-u1)).  log1p, cos and sin run value by value in `math`,
+    on the platform's libm, never as numpy ufuncs, whose last bits vary
+    with the CPU; only exact or correctly rounded arithmetic runs
+    vectorized, the square root included (IEEE 754 rounds it correctly, so
+    `np.sqrt` gives `math.sqrt`'s bits).  The size must be even."""
     u = as_uniforms(words.reshape(-1))
     n = u.size // 2
-    log = np.fromiter(map(math.log1p, (-u[0::2]).tolist()), float, n)
-    r = np.fromiter(map(math.sqrt, (-2.0 * log).tolist()), float, n)
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log1p, (-u[0::2]).tolist()), float, n))
     theta = (2 * math.pi * u[1::2]).tolist()
     out = np.empty((n, 2))
     out[:, 0] = np.fromiter(map(math.cos, theta), float, n)
@@ -210,10 +210,12 @@ class RngStream:
     (seed, name, lane, i) alone.  The blocks come from `random_raw`, whose
     words numpy keeps stable, and a run draws only transforms of words, so
     no numpy distribution method enters it.  A consumer that owns an index
-    (a coherent trial) reads lane 0 there; `uniform` and `normal` are
+    reads lane 0 there: a coherent trial its words, a clock's walk step or
+    a hop's jitter its normal (`normal_at`).  `uniform` and `normal` are
     cursors over lanes 1 and 2, so neither kind shifts the other.  They
     serve blocks of `_BLOCK` values, packed in an `array("d")` and read
-    through an iterator, whose items come out as Python floats.
+    through an iterator, whose items come out as Python floats;
+    `normal_at` keeps the lane-0 block it last read the same way.
     """
 
     # values per refill, 2 KiB a block when packed; a full room keeps the
@@ -225,6 +227,8 @@ class RngStream:
     _zbuf = _ubuf = iter(())
     _znext = _unext = 0
     _key = None
+    _nblock = array("d")
+    _nstart = 0
 
     def __init__(self, seed: int, name: str):
         self.seed = seed
@@ -249,6 +253,17 @@ class RngStream:
         """An iterator over a block of `lane`, and the next block's start."""
         block = transform(self.words(start, self._BLOCK, lane))
         return iter(array("d", block.tobytes())), start + self._BLOCK
+
+    def normal_at(self, i: int) -> float:
+        """Normal i of lane 0: `as_normals` of the word pair that holds word
+        i, so it depends on (seed, name, i) alone, whatever else was read."""
+        k = i - self._nstart
+        if not 0 <= k < len(self._nblock):
+            self._nstart = i - i % self._BLOCK
+            self._nblock = array("d", as_normals(
+                self.words(self._nstart, self._BLOCK)).tobytes())
+            k = i - self._nstart
+        return self._nblock[k]
 
     def normal(self, scale: float = 1.0, loc: float = 0.0) -> float:
         try:

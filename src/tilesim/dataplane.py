@@ -90,9 +90,6 @@ class _Partition:
     def first_offset(self) -> int:
         return self.next_offset - (len(self._keys) - self._head)
 
-    def retained(self) -> list[Record]:
-        return self.read_from(self.first_offset, self.retention)[0]
-
     def append(self, key, size_bytes, produce_time_ps, producer) -> int:
         keys = self._keys
         keys.append(key)
@@ -118,15 +115,6 @@ class _Partition:
         j = i + n
         return zip(self._keys[i:j], self._sizes[i:j], self._times[i:j],
                    self._producers[i:j], range(start, start + n))
-
-    def read_from(self, offset: int, max_records: int) -> tuple[list[Record], bool]:
-        first = self.first_offset
-        gap = offset < first
-        start = max(offset, first)
-        if start >= self.next_offset:
-            return [], gap
-        return list(map(_new_tuple, repeat(Record),
-                        self.rows(start, max_records))), gap
 
 
 class Broker:

@@ -202,7 +202,8 @@ class _Timesync:
                                          run.load, run.online)
         if run.power is not None:
             run.power.on_disconnect.append(domain.mark_offline)
-        self.events = {"timesync.sync_interval_s": domain.start(run.until)}
+        self.events = {"timesync.sync_interval_s": domain.start(run.until),
+                       "duration_s": domain.walk_steps(run.until)}
 
     def finish(self, run: RunResult) -> dict:
         report = run.sync_report = run.domain.finish()
@@ -276,8 +277,8 @@ STAGES = {"power": _Power, "dataplane": _Dataplane, "timesync": _Timesync,
           "coherent": _Coherent, "rover": _Rover}
 
 # the most events that periodic work may queue in one run: sync exchanges
-# (each counted at its route's events), produce events, consumer polls and
-# mission ticks together
+# (two events each), produce events, consumer polls and mission ticks
+# together, with the clocks' frequency-walk steps counted as events too
 MAX_PERIODIC_EVENTS = 10_000_000
 
 

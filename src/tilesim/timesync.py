@@ -25,23 +25,30 @@ import csv
 import io
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (EventLoop, PS_PER_S, PS_PER_US, RngRegistry, RngStream,
-                   SimTime, SimulationError, from_seconds)
+                   SimTime, SimulationError, as_normals, as_uniforms,
+                   from_seconds)
 from .fabric import ConfigurationError, Fabric, Link
 
 
 # the most residual samples (ports times sampler ticks) one run may ask for
 MAX_RESIDUAL_SAMPLES = 10_000_000
 
-# the events one exchange fires: sync egress and arrival, follow-up arrival,
-# delay request egress and arrival, delay response arrival; through a relay,
-# also its ingress and egress on each of the two timestamped legs
-EXCHANGE_EVENTS = 6
-RELAYED_EXCHANGE_EVENTS = 10
+# the events one exchange fires: its sync egress and its close
+EXCHANGE_EVENTS = 2
+
+# the frequency walk's lattice step: a constant, so neither a configured
+# interval nor the run's length moves a draw
+WALK_STEP_PS = PS_PER_S
+_NEVER = 1 << 64          # past every instant: the next step of no walk
+_HALF_INV_SQRT3 = 0.5 / math.sqrt(3.0)
 
 
 def quantize_ps(local_ps: float, granularity_ps: int) -> int:
@@ -49,80 +56,134 @@ def quantize_ps(local_ps: float, granularity_ps: int) -> int:
     return (math.floor(local_ps) // granularity_ps) * granularity_ps
 
 
-class LocalClock:
-    """Free-running oscillator.
+def _phase_step(rate_ppm: float, dt: int) -> int:
+    """What `rate_ppm` adds to the phase over dt ps, in 2**-32 ps: the
+    floor of its exact binary value times dt * 2**32 / 10**6."""
+    n, d = rate_ppm.as_integer_ratio()
+    return (n * dt << 32) // (d * 1_000_000)
 
-    State advances lazily: `read` and `offset_at` move the phase to the
-    requested true time at the current rate (frequency error plus servo
-    steering), then step the frequency random walk by one draw scaled to the
-    square root of the elapsed time, so the walk's statistics do not depend
-    on read cadence.
-    Between two reads the offset is therefore linear.  A clock made with
-    `record=True` keeps the start of each such segment (true time, offset,
-    rate), from which `offsets` evaluates later instants without drawing.
+
+class LocalClock:
+    """Free-running oscillator whose offset is a function of true time.
+
+    The offset (local minus true) is piecewise linear, a segment starting
+    at each lattice point of the frequency walk and at each servo step
+    (`steer`).  The walk is the two-state clock model discretized exactly
+    on the lattice (C. Zucca and P. Tavella, IEEE Trans. UFFC 52(2), 2005):
+    with c = rw_sigma sqrt(step) and z1, z2 normals 2k and 2k + 1 of the
+    walk stream, step k runs at y_k + c (z1 / 2 + z2 / (2 sqrt 3)), the
+    frequency's mean over it, and y_(k+1) = y_k + c z1.  A segment's rate
+    adds the servo's steering to that.  The phase is an exact integer in
+    2**-32 ps: `_phase_step` per segment, which a read behind the latest
+    segment subtracts again.  So `read(t)` depends only on the clock, t
+    and the servo steps before t, in any order of reads.  `offset_at` and
+    `offsets` add rate times elapsed time to the float start phase of the
+    last segment that starts before the instant.  `init`, when given,
+    returns (offset_ps, freq_error_ppm) on the clock's first use, in place
+    of the two arguments, so that making a clock draws nothing.
     """
 
     def __init__(self, offset_ps: float = 0.0, freq_error_ppm: float = 0.0,
                  rw_sigma_ppm_per_sqrt_s: float = 0.0, granularity_ps: int = 1,
-                 rng: RngStream | None = None, record: bool = False):
+                 rng: RngStream | None = None, init=None):
         if granularity_ps < 1:
             raise ConfigurationError("granularity must be at least 1 ps")
-        self.offset_ps = float(offset_ps)          # local minus true
-        self.freq_error_ppm = float(freq_error_ppm)
-        self.rw_sigma = float(rw_sigma_ppm_per_sqrt_s)
         self.granularity_ps = int(granularity_ps)
-        self.freq_adj_ppm = 0.0                    # servo-applied steering
+        self.freq_adj_ppm = 0.0        # the steering in force, set by `steer`
+        self._init = init or (lambda: (offset_ps, freq_error_ppm))
         self._rng = rng
-        self._last_t: SimTime = 0
-        # segment starts: true ps, and (offset, rate ppm) pairs
-        self._path = (array("Q"), array("d")) if record else None
+        self.walk_sigma = 0.0 if rng is None else float(rw_sigma_ppm_per_sqrt_s) \
+            * math.sqrt(WALK_STEP_PS / PS_PER_S)
+        self._starts, self._rates, self._phases = array("Q"), array("d"), array("d")
+        # the latest segment's start, exact phase and rate (_num / _den, in
+        # 2**-32 ps per ps); the walk's step, rate and next frequency.  The
+        # next step at 0 sends the first use to `_extend`.
+        self._t0 = self._p0 = self._next_ps = 0
+        self._num, self._den = 0, 1
+        self._k, self._walk, self._y = -1, 0.0, 0.0
 
     def read(self, true_t: SimTime) -> int:
         """Timestamp the given true instant on this clock's tick grid."""
-        self._advance(true_t)
-        return quantize_ps(true_t + math.floor(self.offset_ps),
-                           self.granularity_ps)
+        t0 = self._t0
+        if true_t >= t0:
+            if true_t >= self._next_ps:
+                self._extend(true_t)
+                t0 = self._t0
+            p = self._p0 + self._num * (true_t - t0) // self._den
+        else:
+            p = self._phase_behind(true_t)
+        return quantize_ps(true_t + (p >> 32), self.granularity_ps)
 
     def offset_at(self, true_t: SimTime) -> float:
-        """Raw offset at the given true instant (no readout quantization)."""
-        self._advance(true_t)
-        return self.offset_ps
-
-    def _advance(self, true_t: SimTime) -> None:
-        """Evolve the state to `true_t`, for `read` and `offset_at` alike."""
-        dt = true_t - self._last_t
-        if dt:
-            if dt < 0:
-                raise SimulationError("clock read moved backwards in true time")
-            rate = self.freq_error_ppm + self.freq_adj_ppm
-            if self._path is not None:
-                starts, segments = self._path
-                starts.append(self._last_t)
-                segments.append(self.offset_ps)
-                segments.append(rate)
-            self.offset_ps += rate * 1e-6 * dt
-            if self.rw_sigma and self._rng is not None:
-                self.freq_error_ppm += self._rng.normal(
-                    self.rw_sigma * math.sqrt(dt / PS_PER_S))
-            self._last_t = true_t
+        """Offset at the given true instant (no readout quantization)."""
+        return float(self.offsets(np.array([true_t], dtype=np.uint64))[0])
 
     def offsets(self, times: np.ndarray) -> np.ndarray:
-        """The offset at each of `times` (uint64 true ps, each after 0), as
-        `offset_at` would have returned it there on this clock as it stood
-        then, from the recorded path.  An instant that starts a segment
-        takes the end of the one before: the same bits that read gave."""
-        starts, segments = self._path
-        starts = np.append(np.frombuffer(starts, np.uint64), np.uint64(self._last_t))
-        segments = np.append(np.frombuffer(segments, float), (
-            self.offset_ps, self.freq_error_ppm + self.freq_adj_ppm)).reshape(-1, 2)
-        k = np.searchsorted(starts, times, side="left") - 1
-        return segments[k, 0] + segments[k, 1] * 1e-6 * (times - starts[k])
+        """The offset at each of `times` (ascending uint64 true ps)."""
+        if len(times) and int(times[-1]) >= self._next_ps:
+            self._extend(int(times[-1]))
+        starts = np.frombuffer(self._starts, np.uint64)
+        k = np.maximum(np.searchsorted(starts, times, side="left") - 1, 0)
+        return (np.frombuffer(self._phases)[k]
+                + np.frombuffer(self._rates)[k] * 1e-6 * (times - starts[k]))
+
+    def steer(self, true_t: SimTime, freq_adj_ppm: float) -> None:
+        """Steer the rate by `freq_adj_ppm` from `true_t` on: a servo step,
+        which no segment may start after."""
+        if true_t >= self._next_ps:
+            self._extend(true_t)
+        if true_t < self._t0:
+            raise SimulationError("clock steered before its latest segment")
+        self.freq_adj_ppm = freq_adj_ppm
+        self._segment(true_t, self._walk + freq_adj_ppm)
+
+    def _segment(self, t: SimTime, rate: float) -> None:
+        """End the latest segment at t and start one of `rate` there."""
+        t0 = self._t0
+        p = self._p0 + self._num * (t - t0) // self._den
+        if t == t0 and self._starts:
+            self._rates[-1] = rate
+        else:
+            self._starts.append(t)
+            self._rates.append(rate)
+            self._phases.append(p / 4294967296)
+        self._t0, self._p0 = t, p
+        n, d = rate.as_integer_ratio()
+        self._num, self._den = n << 32, d * 1_000_000
+
+    def _extend(self, t: SimTime) -> None:
+        """Make every segment that starts at or before t."""
+        if self._k < 0:
+            offset_ps, self._y = self._init()
+            self._init = None
+            n, d = float(offset_ps).as_integer_ratio()
+            self._p0 = (n << 32) // d
+        c = self.walk_sigma
+        while self._next_ps <= t:
+            at, k = self._next_ps, self._k + 1
+            if c:
+                z1, z2 = self._rng.normal_at(2 * k), self._rng.normal_at(2 * k + 1)
+                self._walk = self._y + c * (0.5 * z1 + _HALF_INV_SQRT3 * z2)
+                self._y += c * z1
+                self._next_ps = (k + 1) * WALK_STEP_PS
+            else:
+                self._walk, self._next_ps = self._y, _NEVER
+            self._k = k
+            self._segment(at, self._walk + self.freq_adj_ppm)
+
+    def _phase_behind(self, t: SimTime) -> int:
+        """The exact phase at t, before the latest segment's start."""
+        starts, rates = self._starts, self._rates
+        j = bisect_right(starts, t) - 1
+        p = self._p0
+        for i in range(len(starts) - 2, j - 1, -1):
+            p -= _phase_step(rates[i], starts[i + 1] - starts[i])
+        return p + _phase_step(rates[j], t - starts[j])
 
 
 # --- exchange arithmetic ----------------------------------------------------
 
-@dataclass(frozen=True)
-class OffsetSample:
+class OffsetSample(NamedTuple):
     offset_ps: int
     mean_path_delay_ps: int
     negative_delay: bool     # symptom of uncompensated asymmetry
@@ -361,43 +422,45 @@ def _csv_field(text: str) -> str:
 @dataclass(eq=False, slots=True)
 class PtpPort:
     """Slave-side exchange state toward one upstream master, with its route
-    resolved once when the domain is built: the clocks the exchange reads,
-    whether the relay corrects for residence, and the constant part of
-    every hop."""
+    resolved once: the clocks the exchange reads, whether the relay corrects
+    for residence, each hop's constant delay (the upstream ones and the
+    residence 0 on a direct route) and the port's jitter on each link."""
     node: str
     master: str
     servo: ServoState
     seq: int = 0
     corrections: int = 0
-    t1: int | None = None
-    t2: int | None = None
-    t3: int = 0
-    fwd_correction: int = 0
     closed_ps: int | None = None   # the instant of the first correction
     cut_ps: int | None = None      # the instant the tile went offline
     clock: LocalClock | None = field(default=None, repr=False)
     master_clock: LocalClock | None = field(default=None, repr=False)
     relay_clock: LocalClock | None = field(default=None, repr=False)
     transparent: bool = False
-    up_jitter: _LinkJitter | None = field(default=None, repr=False)
-    down_jitter: _LinkJitter | None = field(default=None, repr=False)
-    sync_hop_ps: int = 0     # first sync leg: master to relay, or to slave
-    down_hop_ps: int = 0     # relay to slave, sync leg
-    req_hop_ps: int = 0      # slave to relay, or to master
+    up: _PortJitter | None = field(default=None, repr=False)
+    down: _PortJitter | None = field(default=None, repr=False)
+    up_hop_ps: int = 0       # master to relay, sync leg
+    residence_ps: int = 0    # relay dwell, each leg
+    down_hop_ps: int = 0     # relay (or master) to slave, sync leg
+    req_hop_ps: int = 0      # slave to relay (or master), delay-request leg
     up_req_hop_ps: int = 0   # relay to master, delay-request leg
     followup_ps: int = 0     # follow-up lag plus its deterministic transit
     resp_ps: int = 0         # deterministic delay-response transit
 
 
-class _LinkJitter:
-    """Delay jitter of one link: the base sigma, the load window that
-    scales it, the lognormal shape, and the link's random stream."""
+class _PortJitter:
+    """One port's delay jitter on one link: the link's base sigma, the load
+    window that scales it and the lognormal shape, and the port's draws.
+    Exchange seq's hop on leg 0 (sync) or 1 (delay request) draws exp(s z),
+    z normal 2 seq + leg of the port's own stream on the link, made on the
+    first draw; the factors are held a block at a time, each exp taken in
+    `math`."""
 
     __slots__ = ("link_id", "base_ns", "coupling", "windows", "window_ps",
-                 "bandwidth_bps", "s", "denom", "normal")
+                 "bandwidth_bps", "s", "denom", "rng", "name", "stream",
+                 "start", "factors")
 
     def __init__(self, link: Link, config: TimesyncConfig, load,
-                 stream: RngStream):
+                 rng: RngRegistry | None = None, name: str = ""):
         self.link_id = link.id
         self.base_ns = link.jitter_sigma_ns * config.jitter_scale
         self.coupling = config.load_coupling
@@ -408,7 +471,8 @@ class _LinkJitter:
         # lognormal mean exp(s^2/2); its standard deviation is this times
         # sqrt(expm1(s^2)), so dividing by both gives unit sigma
         self.denom = math.exp(s * s / 2) * math.sqrt(math.expm1(s * s))
-        self.normal = stream.normal
+        self.rng, self.name = rng, name
+        self.stream, self.start, self.factors = None, 0, ()
 
     def sigma_ns(self, t: SimTime) -> float:
         sigma = self.base_ns
@@ -418,30 +482,49 @@ class _LinkJitter:
             sigma *= 1.0 + self.coupling * min(1.0, bps / self.bandwidth_bps)
         return sigma
 
-    def ps(self, t: SimTime) -> int:
-        """One jitter draw at t, in integer picoseconds."""
+    def ps(self, t: SimTime, seq: int) -> tuple[int, int]:
+        """Exchange seq's jitter on the sync and the delay-request hop, in
+        integer ps, at the link's sigma at t."""
         sigma_ns = self.sigma_ns(t)
         if sigma_ns <= 0:
-            return 0
-        return int(round(sigma_ns / self.denom * math.exp(self.s * self.normal()) * 1000))
+            return 0, 0
+        scale = sigma_ns * 1000 / self.denom
+        k = 2 * seq - self.start
+        if not 0 <= k < len(self.factors):
+            if self.stream is None:
+                self.stream = self.rng.stream(self.name)
+            self.start = 2 * seq - 2 * seq % RngStream._BLOCK
+            z = as_normals(self.stream.words(self.start, RngStream._BLOCK))
+            self.factors = array("d", map(math.exp, (self.s * z).tolist()))
+            k = 2 * seq - self.start
+        return round(scale * self.factors[k]), round(scale * self.factors[k + 1])
 
 
 class SyncDomain:
     """Schedules periodic exchanges for every clock-role tile (and boundary
     switch) over an event loop and, at `finish`, builds the residual series.
 
-    The series is sampled every `sample_interval_s` without reading a clock
-    while the loop runs, so observing a run cannot change it: each port's
-    clock records its path, and `finish` evaluates the port's residual at
-    each tick from it (`LocalClock.offsets`).  A port is sampled from its
-    first correction on, a tick at that instant included, since before it
-    the clock is free-running and a quiet streak would be declared
-    "converged" by pure luck.  It is sampled until its tile is cut, a tick
-    at the cut instant excluded.
+    An exchange is two events.  Its sync egress works out the instant of
+    each step from the hop delays and jitters: the sync message crosses the
+    relay, if any, to the slave (t2); a follow-up with the precise t1 lands
+    a fixed lag later; a turnaround after both the delay request leaves
+    (t3) and crosses back to the master (t4), whose response returns with a
+    fixed transit.  A hop's jitter is drawn from words its port, link,
+    exchange and leg own, at its link's sigma at the exchange's epoch.  The
+    close, at the response's arrival, reads t1-t4 and the relay's residence
+    on each leg at their instants, which, as reads are functions of time
+    and of earlier servo steps, are what each step would have read as it
+    happened, a boundary master steered meanwhile included; then it steps
+    the servo, the one thing that changes a clock's future.
 
-    A tile is cut when it is offline as the domain is built (`online`), or
-    by `mark_offline`, which the run subscribes to the power plane's
-    disconnects; a cut port exchanges no more.
+    `finish` evaluates each port's residual at every `sample_interval_s`
+    tick from its clock's segments, so observing a run cannot change it.
+    A port is sampled from its first correction on, a tick at that instant
+    included (before it a free-running clock's quiet streak would be
+    declared "converged" by pure luck), until its tile is cut, a tick at
+    the cut excluded.  A tile is cut when it is offline as the domain is
+    built (`online`), or by `mark_offline`, which the run subscribes to the
+    power plane's disconnects; a cut port exchanges no more.
 
     A scenario run keeps nothing of an exchange once it closes beyond its
     port's `corrections` count.  `exchanges` is None there; only
@@ -463,28 +546,25 @@ class SyncDomain:
         self.exchanges: list[ExchangeRecord] | None = None
         self.clocks: dict[str, LocalClock] = {}
         self.ports: dict[str, PtpPort] = {}
-        self._jitter: dict[str, _LinkJitter] = {}
         self._interval_ps = from_seconds(config.sync_interval_s)
         self._residence_ps = from_seconds(config.residence_us / 1e6)
         self._followup_lag_ps = from_seconds(config.followup_lag_us / 1e6)
         self._turnaround_ps = from_seconds(config.turnaround_us / 1e6)
         self._tick_ps = from_seconds(config.sample_interval_s)
         self._longest_exchange_ps = 0
+        self._init_stream = rng.stream(f"{config.stream_label}/init")
+        self._init_uniforms = None
 
         boundary = set(config.boundary_switches)
         unknown = boundary - set(fabric.switches)
         if unknown:
             raise ConfigurationError(f"boundary switches not in fabric: {sorted(unknown)}")
-        # the clocks of the ports, which the report samples, record their paths
-        label = config.stream_label
-        init = rng.stream(f"{label}/init")
-        self.clocks[fabric.central_id] = self._make_clock(config.gm_osc, fabric.central_id, init)
+        self._add_clock(config.gm_osc, fabric.central_id)
         for sw_id in fabric.switches:
-            self.clocks[sw_id] = self._make_clock(config.switch_osc, sw_id, init,
-                                                  sw_id in boundary)
+            self._add_clock(config.switch_osc, sw_id)
         clock_tiles = [t for t in fabric.tiles.values() if "clock" in t.roles]
         for t in clock_tiles:
-            self.clocks[t.id] = self._make_clock(config.tile_osc, t.id, init, True)
+            self._add_clock(config.tile_osc, t.id)
         for sw_id in sorted(boundary):
             self._add_port(sw_id, fabric.central_id, fabric.trunk_link(sw_id))
         for t in clock_tiles:
@@ -500,65 +580,58 @@ class SyncDomain:
                 if not online(t.id):
                     self.ports[t.id].cut_ps = 0
 
-    def _make_clock(self, osc: OscillatorConfig, node_id: str, init: RngStream,
-                    record: bool = False) -> LocalClock:
-        # draws happen for every node in creation order, so one node's
-        # initial conditions do not depend on another's noise settings
-        off = init.uniform(-osc.init_offset_us, osc.init_offset_us)
-        fe = init.uniform(-osc.freq_error_ppm, osc.freq_error_ppm)
+    def _add_clock(self, osc: OscillatorConfig, node_id: str) -> None:
         walk = self.rng.stream(f"{self.config.stream_label}/oscillator/{node_id}")
-        return LocalClock(round(off * PS_PER_US), fe, osc.rw_sigma_ppm_per_sqrt_s,
-                          osc.granularity_ps, walk, record)
+        self.clocks[node_id] = LocalClock(
+            rw_sigma_ppm_per_sqrt_s=osc.rw_sigma_ppm_per_sqrt_s,
+            granularity_ps=osc.granularity_ps, rng=walk,
+            init=partial(self._initial, len(self.clocks), osc))
 
-    def _make_servo(self) -> ServoState:
-        c = self.config
-        return ServoState(kp=c.servo_kp, ki=c.servo_ki, clamp_ppm=c.servo_clamp_ppm,
-                          interval_s=c.sync_interval_s)
+    def _initial(self, i: int, osc: OscillatorConfig) -> tuple[int, float]:
+        """Clock i's initial offset (ps) and frequency error (ppm), uniform
+        in their bands from words 2i and 2i + 1 of the init stream."""
+        if self._init_uniforms is None:
+            self._init_uniforms = as_uniforms(
+                self._init_stream.words(0, 2 * len(self.clocks))).tolist()
+        u_off, u_fe = self._init_uniforms[2 * i:2 * i + 2]
+        a, f = osc.init_offset_us, osc.freq_error_ppm
+        return round((-a + 2 * a * u_off) * PS_PER_US), -f + 2 * f * u_fe
 
     def _add_port(self, node: str, master: str, down: Link,
                   up: Link | None = None, relay: str | None = None) -> None:
         """A port toward `master`, over `down` (whose b-side faces the
         slave), and through `relay` and `up` when the master is not
         directly attached; its clocks and constant hop delays resolved."""
-        port = self.ports[node] = PtpPort(node, master, self._make_servo())
+        c = self.config
+        port = self.ports[node] = PtpPort(node, master, ServoState(
+            kp=c.servo_kp, ki=c.servo_ki, clamp_ppm=c.servo_clamp_ppm,
+            interval_s=c.sync_interval_s))
         port.clock = self.clocks[node]
         port.master_clock = self.clocks[master]
-        port.down_jitter = self._link_jitter(down)
+        label = f"{c.stream_label}/jitter/"
+        port.down = _PortJitter(down, c, self._load, self.rng, label + f"{down.id}/{node}")
         port.down_hop_ps = down.delay_ps(from_a=True)
         port.req_hop_ps = down.delay_ps(from_a=False)
         port.resp_ps = down.base_delay_ps
-        if up is None:
-            port.sync_hop_ps = port.down_hop_ps
-            fup_transit = down.delay_ps(True)
-        else:
+        if up is not None:
             port.relay_clock = self.clocks[relay]
             port.transparent = self.fabric.switches[relay].transparent_clock
-            port.up_jitter = self._link_jitter(up)
-            port.sync_hop_ps = up.delay_ps(from_a=True)
+            port.up = _PortJitter(up, c, self._load, self.rng, label + f"{up.id}/{node}")
+            port.up_hop_ps = up.delay_ps(from_a=True)
             port.up_req_hop_ps = up.delay_ps(from_a=False)
+            port.residence_ps = self._residence_ps
             port.resp_ps += up.base_delay_ps + self._residence_ps
-            fup_transit = up.delay_ps(True) + self._residence_ps + down.delay_ps(True)
-        port.followup_ps = self._followup_lag_ps + fup_transit
+        port.followup_ps = (self._followup_lag_ps + port.up_hop_ps + port.residence_ps
+                            + port.down_hop_ps)
         # the delay request leaves a turnaround after the follow-up lands
         # and returns through the relay: the exchange's span without jitter
-        req_ps = port.req_hop_ps + (0 if up is None else
-                                    self._residence_ps + port.up_req_hop_ps)
         self._longest_exchange_ps = max(
             self._longest_exchange_ps,
-            port.followup_ps + self._turnaround_ps + req_ps + port.resp_ps)
-
-    # -- noise --
-
-    def _link_jitter(self, link: Link) -> _LinkJitter:
-        lj = self._jitter.get(link.id)
-        if lj is None:
-            lj = self._jitter[link.id] = _LinkJitter(
-                link, self.config, self._load,
-                self.rng.stream(f"{self.config.stream_label}/jitter/{link.id}"))
-        return lj
+            port.followup_ps + self._turnaround_ps + port.req_hop_ps
+            + port.residence_ps + port.up_req_hop_ps + port.resp_ps)
 
     def effective_jitter_sigma_ns(self, link: Link, t: SimTime) -> float:
-        return self._link_jitter(link).sigma_ns(t)
+        return _PortJitter(link, self.config, self._load).sigma_ns(t)
 
     # -- lifecycle --
 
@@ -580,15 +653,17 @@ class SyncDomain:
         c = self.config
         t0 = from_seconds(c.start_s)
         stagger = from_seconds(c.stagger_ms / 1e3)
-        events = 0
+        epochs = 0
         for i, node in enumerate(sorted(self.ports)):
-            port = self.ports[node]
-            epochs = self.loop.every(t0 + i * stagger, self._interval_ps, until_ps,
-                                     self.MODULE, node, "sync_egress",
-                                     self._sync_egress, port)
-            events += epochs * (EXCHANGE_EVENTS if port.relay_clock is None
-                                else RELAYED_EXCHANGE_EVENTS)
-        return events
+            epochs += self.loop.every(t0 + i * stagger, self._interval_ps, until_ps,
+                                      self.MODULE, node, "sync_egress",
+                                      self._sync_egress, self.ports[node])
+        return epochs * EXCHANGE_EVENTS
+
+    def walk_steps(self, until_ps: SimTime) -> int:
+        """The steps the clocks' frequency walks take up to `until_ps`."""
+        walking = sum(c.walk_sigma != 0 for c in self.clocks.values())
+        return walking * (until_ps // WALK_STEP_PS)
 
     def finish(self) -> SyncReport:
         """Evaluate each port's residual at every tick it is sampled at and
@@ -616,126 +691,49 @@ class SyncDomain:
         if port is not None:
             port.cut_ps = at
 
-    def _schedule(self, t, target, action, fn, arg):
-        """Queue one step of an exchange, dropped if it falls after the run."""
-        if t <= self._until:
-            self.loop.schedule(t, self.MODULE, target, action, fn, arg)
-
-    # -- exchange machinery.  One exchange is a chain of events:
-    # sync_egress -> (relay ingress/egress) -> sync_arrival, a follow-up
-    # arrival carrying the precise t1, then delay_req back through the relay
-    # and a direct delay_resp.  Residence accumulates on the timestamped legs
-    # via the relay's own clock; the follow-up and delay_resp transits are
-    # deterministic since nothing timestamps them.
-
     def _sync_egress(self, port: PtpPort) -> None:
         if port.cut_ps is not None:
             return
-        node = port.node
         now = self.loop.now
         seq = port.seq = port.seq + 1
-        port.t1 = None
-        port.t2 = None
-        t1 = port.master_clock.read(now)
-        if port.relay_clock is not None:
-            hop = port.sync_hop_ps + port.up_jitter.ps(now)
-            self._schedule(now + hop, node, "relay_ingress", self._relay_ingress,
-                           (port, seq, "sync"))
-        else:
-            hop = port.sync_hop_ps + port.down_jitter.ps(now)
-            self._schedule(now + hop, node, "sync_arrival", self._sync_arrival,
-                           (port, seq, 0))
-        self._schedule(now + port.followup_ps, node, "followup_arrival",
-                       self._followup_arrival, (port, seq, t1))
+        up_sync, up_req = (0, 0) if port.up is None else port.up.ps(now, seq)
+        down_sync, down_req = port.down.ps(now, seq)
+        sync_in = now + port.up_hop_ps + up_sync
+        sync_out = sync_in + port.residence_ps
+        t2_at = sync_out + port.down_hop_ps + down_sync
+        t3_at = max(t2_at, now + port.followup_ps) + self._turnaround_ps
+        req_in = t3_at + port.req_hop_ps + down_req
+        req_out = req_in + port.residence_ps
+        t4_at = req_out + port.up_req_hop_ps + up_req
+        close = t4_at + port.resp_ps
+        if close <= self._until:
+            self.loop.schedule(close, self.MODULE, port.node, "close", self._close,
+                               (port, seq, now, t2_at, t3_at, t4_at,
+                                sync_in, sync_out, req_in, req_out))
 
-    def _relay_ingress(self, arg) -> None:
-        port, seq, leg = arg
-        now = self.loop.now
-        t_in = port.relay_clock.read(now)
-        self._schedule(now + self._residence_ps, port.node, "relay_egress",
-                       self._relay_egress, (port, seq, leg, t_in))
-
-    def _relay_egress(self, arg) -> None:
-        port, seq, leg, t_in = arg
-        now = self.loop.now
-        # the residence the relay's own clock measured, if it corrects for it
-        correction = port.relay_clock.read(now) - t_in if port.transparent else 0
-        if leg == "sync":
-            hop = port.down_hop_ps + port.down_jitter.ps(now)
-            self._schedule(now + hop, port.node, "sync_arrival", self._sync_arrival,
-                           (port, seq, correction))
-        else:
-            hop = port.up_req_hop_ps + port.up_jitter.ps(now)
-            self._schedule(now + hop, port.node, "delay_req_arrival",
-                           self._delay_req_arrival, (port, seq, correction))
-
-    def _sync_arrival(self, arg) -> None:
-        port, seq, correction = arg
+    def _close(self, arg) -> None:
+        port, seq, t1_at, t2_at, t3_at, t4_at, sync_in, sync_out, req_in, req_out = arg
         if seq != port.seq or port.cut_ps is not None:
             return
-        port.t2 = port.clock.read(self.loop.now)
-        port.fwd_correction = correction
-        self._maybe_send_delay_req(port)
-
-    def _followup_arrival(self, arg) -> None:
-        port, seq, t1 = arg
-        if seq != port.seq or port.cut_ps is not None:
-            return
-        port.t1 = t1
-        self._maybe_send_delay_req(port)
-
-    def _maybe_send_delay_req(self, port: PtpPort) -> None:
-        if port.t1 is None or port.t2 is None:
-            return
-        at = self.loop.now + self._turnaround_ps
-        self._schedule(at, port.node, "delay_req_egress", self._delay_req_egress,
-                       (port, port.seq))
-
-    def _delay_req_egress(self, arg) -> None:
-        port, seq = arg
-        if seq != port.seq or port.cut_ps is not None:
-            return
-        node = port.node
         now = self.loop.now
-        port.t3 = port.clock.read(now)
-        hop = port.req_hop_ps + port.down_jitter.ps(now)
-        if port.relay_clock is not None:
-            self._schedule(now + hop, node, "relay_ingress", self._relay_ingress,
-                           (port, seq, "delay_req"))
-        else:
-            self._schedule(now + hop, node, "delay_req_arrival",
-                           self._delay_req_arrival, (port, seq, 0))
-
-    def _delay_req_arrival(self, arg) -> None:
-        port, seq, rev_correction = arg
-        if seq != port.seq:
-            return
-        now = self.loop.now
-        t4 = port.master_clock.read(now)
-        self._schedule(now + port.resp_ps, port.node, "delay_resp_arrival",
-                       self._delay_resp_arrival, (port, seq, t4, rev_correction))
-
-    def _delay_resp_arrival(self, arg) -> None:
-        port, seq, t4, rev_correction = arg
-        if seq != port.seq or port.cut_ps is not None:
-            return
-        node = port.node
-        now = self.loop.now
-        sample = two_step_offset(port.t1, port.t2, port.t3, t4,
-                                 port.fwd_correction, rev_correction)
-        clock = port.clock
-        # evolve under the old steering before applying the new one
-        true_offset = clock.offset_at(now)
-        clock.freq_adj_ppm = servo_update(port.servo, sample.offset_ps)
+        master, clock = port.master_clock, port.clock
+        t1, t4 = master.read(t1_at), master.read(t4_at)
+        t2, t3 = clock.read(t2_at), clock.read(t3_at)
+        fwd = rev = 0
+        if port.transparent:
+            # the residence the relay's own clock measured on each leg
+            relay = port.relay_clock
+            fwd = relay.read(sync_out) - relay.read(sync_in)
+            rev = relay.read(req_out) - relay.read(req_in)
+        sample = two_step_offset(t1, t2, t3, t4, fwd, rev)
+        if self.exchanges is not None:
+            self.exchanges.append(ExchangeRecord(
+                port.node, seq, t1, t2, t3, t4, fwd, rev, sample.offset_ps,
+                sample.mean_path_delay_ps, clock.offset_at(now), now))
+        clock.steer(now, servo_update(port.servo, sample.offset_ps))
         if port.closed_ps is None:
             port.closed_ps = now
         port.corrections += 1
-        if self.exchanges is not None:
-            self.exchanges.append(ExchangeRecord(
-                node, seq, port.t1, port.t2, port.t3, t4,
-                port.fwd_correction, rev_correction,
-                sample.offset_ps, sample.mean_path_delay_ps,
-                true_offset, now))
 
 
 def run_sync_domain(fabric: Fabric, config: TimesyncConfig, duration_s: float,

@@ -147,10 +147,10 @@ def test_criterion_06_budget_respected_and_fault_isolated(tmp_path, verdict):
         last_produce[row["producer"]] = max(
             last_produce.get(row["producer"], 0), row["produce_time_ps"])
     sample_times = result.sync_report.series("t007")[0]
-    # an exchange reads the slave's clock as its sync arrives, as its delay
-    # request leaves and as it closes, so the last read bounds t007's last
-    # exchange step
-    last_clock_read = result.domain.clocks["t007"]._last_t
+    # each closed exchange steps t007's clock, starting a segment, and the
+    # residual samples end before the cut, so its latest segment bounds
+    # its last exchange
+    last_clock_read = result.domain.clocks["t007"]._t0
 
     ok = (len(grant_rows) == 140
           and granted_mw == 140 * POWER_CLASSES[3].pse_mw

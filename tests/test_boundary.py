@@ -245,6 +245,35 @@ def test_cable_delay_past_the_time_range_exits_1_with_one_line(fabric, tmp_path)
     assert not runs.exists()
 
 
+# The periodic-event bound counts a sync exchange as its two events and
+# each clock's frequency-walk step (one a second a walking clock, up to
+# duration_s) as one.  These runs it treats otherwise than when it counted
+# 10 events a relayed exchange and no walk steps.
+WORK_BOUND = [
+    # newly allowed: the default room for 7,000 s is 140 exchanges, 144
+    # walk steps, 160 produce events and 40 polls a second plus 72,000
+    # mission ticks, 4.4 million in all, where it was 11.3 million.  (Past
+    # about 7,142 s its residual samples pass their own bound.)
+    ({"duration_s": 7000.0}, None),
+    # newly refused: one exchange a port every 100 s over 70,000 s is
+    # 196,000 events, but its 144 walking clocks take 10,080,000 steps
+    ({"duration_s": 70_000.0, "dataplane": {"enabled": False},
+      "rover": {"enabled": False},
+      "timesync": {"sync_interval_s": 100.0, "sample_interval_s": 10.0}},
+     "duration_s"),
+]
+
+
+@pytest.mark.parametrize("doc,key", WORK_BOUND, ids=["allowed", "refused"])
+def test_the_work_bound_counts_exchanges_and_walk_steps(doc, key):
+    cfg = scenario_from_dict(doc)
+    if key is None:
+        prepare_scenario(cfg)
+        return
+    with pytest.raises(ConfigurationError, match=f"^{key} asks for 10,080,000 of"):
+        prepare_scenario(cfg)
+
+
 def sweep(seconds: int = 10) -> int:
     """Run every single-key case through `run_scenario`, each under an
     alarm; print each one that ends in a traceback, a timeout or otherwise

@@ -465,7 +465,7 @@ def box_muller_pairs(words) -> list[float]:
 
 
 def test_normals_equal_the_scalar_box_muller_bit_for_bit():
-    words = RngStream(31, "bm").words(0, 20_000)
+    words = RngStream(31, "bm").words(0, 100_000)
     extremes = np.array([0, 2**64 - 1, 2**11 - 1, 2**11, 2**63, 1 << 62],
                         dtype=np.uint64)
     for w in (words, extremes, words[:6].reshape(3, 2)):

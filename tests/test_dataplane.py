@@ -21,6 +21,18 @@ def broker_with(partitions=4, retention=10_000):
     return Broker("samples", partitions, retention)
 
 
+def read_from(part, offset, max_records):
+    """At most `max_records` records of `part` from `offset` on, through
+    `_Partition.rows`, and whether eviction skipped `offset`."""
+    start = max(offset, part.first_offset)
+    n = max(0, min(max_records, part.next_offset - start))
+    return [Record(*row) for row in part.rows(start, n)], offset < part.first_offset
+
+
+def retained(part):
+    return read_from(part, part.first_offset, part.retention)[0]
+
+
 def fill(b, n, producer="p"):
     out = []
     for i in range(n):
@@ -80,7 +92,7 @@ def test_produced_keys_land_where_their_whole_hash_says():
     assert 100 < counts["t001"] < 1000
     seen = 0
     for p, part in enumerate(run.broker.partitions):
-        for r in part.retained():
+        for r in retained(part):
             assert fnv1a64(r.key.encode()) % 8 == p, r.key
             seen += 1
     assert seen == run.broker.published == sum(counts.values())
@@ -109,7 +121,7 @@ def test_offsets_dense_per_partition():
 def test_records_are_immutable_named_tuples():
     b = broker_with(partitions=1)
     b.append("k0", 64, 5, "prod")
-    (r,) = b.partitions[0].retained()
+    (r,) = retained(b.partitions[0])
     assert (r.key, r.size_bytes, r.produce_time_ps, r.producer, r.offset) == \
         ("k0", 64, 5, "prod", 0)
     assert r == Record("k0", 64, 5, "prod", 0)
@@ -133,16 +145,21 @@ def test_retention_evicts_oldest():
     part = b.partitions[0]
     assert part.first_offset == 2
     assert part.next_offset == 6
-    recs, gap = part.read_from(0, 100)
-    assert gap
-    assert [r.offset for r in recs] == [2, 3, 4, 5]
+    g = ConsumerGroup("g", b)
+    g.join("c0")
+    res = g.poll("c0", 100)
+    assert res.gap
+    assert [r.offset for r in res.records] == [2, 3, 4, 5]
 
 
 def test_read_past_end_is_empty():
     b = broker_with(partitions=1)
     fill(b, 3)
-    recs, gap = b.partitions[0].read_from(3, 10)
-    assert recs == [] and not gap
+    g = ConsumerGroup("g", b)
+    g.join("c0")
+    assert g.poll("c0", 10).count == 3
+    res = g.poll("c0", 10)
+    assert res.records == [] and res.count == 0 and not res.gap
 
 
 def dumped(b: Broker) -> str:
@@ -174,7 +191,7 @@ def parent_dump_topic(self) -> str:
     """Newline-delimited JSON of everything currently retained."""
     lines = []
     for p, part in enumerate(self.partitions):
-        for r in part.retained():
+        for r in retained(part):
             lines.append(json.dumps(
                 {"partition": p, "offset": r.offset, "key": r.key,
                  "size_bytes": r.size_bytes, "produce_time_ps": r.produce_time_ps,
@@ -229,7 +246,7 @@ def parent_poll(group, member_id, max_records):
         if budget <= 0:
             break
         start = pos.get(p, group.committed.get(p, 0))
-        recs, g = partitions[p].read_from(start, budget)
+        recs, g = read_from(partitions[p], start, budget)
         gap = gap or g
         if recs:
             out.extend(recs)
@@ -477,13 +494,13 @@ def test_partition_reads_match_a_whole_log_model(retention, ops):
             log.append(Record(f"k{n}", 10 + n % 3, 2**63 + n, f"p{n % 2}", n))
             continue
         first = max(0, len(log) - retention)
-        recs, gap = part.read_from(offset, max_records)
+        recs, gap = read_from(part, offset, max_records)
         start = max(offset, first)
         assert recs == log[start:start + max_records]
         assert all(type(r) is Record for r in recs)
         assert gap == (offset < first)
         assert part.first_offset == first
-    assert part.retained() == log[max(0, len(log) - retention):]
+    assert retained(part) == log[max(0, len(log) - retention):]
 
 
 def test_reads_across_evictions_and_compactions():
@@ -492,16 +509,16 @@ def test_reads_across_evictions_and_compactions():
     for n in range(1, 1000):
         b.append(f"k{n}", 10, n, "p")
         first = max(0, n - 64)
-        assert [r.offset for r in part.retained()] == list(range(first, n))
-        recs, gap = part.read_from(n - 3, 10)
+        assert [r.offset for r in retained(part)] == list(range(first, n))
+        recs, gap = read_from(part, n - 3, 10)
         assert [r.offset for r in recs] == list(range(max(first, n - 3), n))
-        recs, gap = part.read_from(0, 2)
+        recs, gap = read_from(part, 0, 2)
         assert gap == (first > 0)
         assert [r.offset for r in recs] == [first, first + 1][:n]
         # each column's evicted prefix still held is under a sixteenth of
         # retention, and holds no key
         for column in (part._keys, part._sizes, part._times, part._producers):
-            assert len(column) - len(part.retained()) == part._head < 64 // 16
+            assert len(column) - len(retained(part)) == part._head < 64 // 16
         assert part._keys[:part._head] == [None] * part._head
 
 

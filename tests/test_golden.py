@@ -12,7 +12,8 @@ Every draw of a run is a Philox 4x64 raw word addressed by (stream,
 index), turned into a uniform, an index or a normal by transforms in
 `tilesim.core`, so the digests rest on numpy's raw Philox words, which
 numpy keeps stable across versions, and on the platform's libm, through
-`math.log1p`, `sqrt`, `cos`, `sin` and `exp`.  The file records the numpy
+`math.log1p`, `cos`, `sin` and `exp` (the square root, correctly rounded
+under IEEE 754, runs in numpy).  The file records the numpy
 and Python versions it was written with; the digests are compared under
 any versions, and a mismatch names both.
 

@@ -23,10 +23,12 @@ from tilesim.scenario import (_YAML_LOADER, ScenarioConfig, load_scenario,
                               scenario_hash, validate_scenario)
 from tilesim.timesync import run_sync_domain
 
+# 8 s: at 6 s, most seeds leave an SDR tile unconverged (22 of seeds 1-30),
+# and a run whose array has no converged tile writes no gains.csv
 TINY = {
     "name": "tiny",
     "seed": 11,
-    "duration_s": 6.0,
+    "duration_s": 8.0,
     "fabric": {"counts": {"wall_a": 4, "wall_b": 4, "floor": 4, "ceiling": 4},
                "switch_count": 2},
     "dataplane": {"producer_tiles": 6, "partitions": 4},
@@ -38,7 +40,7 @@ TINY = {
 TINY_YAML = """\
 name: tiny
 seed: 11
-duration_s: 6.0
+duration_s: 8.0
 fabric:
   counts: {wall_a: 4, wall_b: 4, floor: 4, ceiling: 4}
   switch_count: 2

@@ -6,6 +6,7 @@ import io
 import math
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from tilesim.core import (EventLoop, MAX_SIM_TIME, PS_PER_MS, PS_PER_S,
                           from_seconds)
 from tilesim.dataplane import LinkLoadTracker
 from tilesim.fabric import ConfigurationError, FabricConfig, build_default_fabric
-from tilesim.timesync import (LocalClock, OscillatorConfig, ServoState,
-                              SyncDomain, SyncReport, TimesyncConfig,
-                              quantize_ps, run_sync_domain, servo_update,
-                              two_step_offset)
+from tilesim.timesync import (ExchangeRecord, LocalClock, OscillatorConfig,
+                              ServoState, SyncDomain, SyncReport,
+                              TimesyncConfig, quantize_ps, run_sync_domain,
+                              servo_update, two_step_offset)
 
 
 def quiet_osc(offset_us=0.0, granularity_ps=1):
@@ -60,11 +61,12 @@ def test_quantize_floors_toward_minus_infinity():
     assert quantize_ps(-8000.0, 8000) == -8000
 
 
-def test_clock_rejects_backwards_reads():
-    c = LocalClock()
-    c.read(100)
+def test_clock_refuses_a_step_before_its_latest_segment():
+    c = LocalClock(rw_sigma_ppm_per_sqrt_s=0.1, rng=RngStream(3, "osc"))
+    c.read(3 * PS_PER_S)            # makes the walk's segments up to 3 s
     with pytest.raises(SimulationError):
-        c.read(99)
+        c.steer(2 * PS_PER_S, 1.0)
+    c.steer(3 * PS_PER_S, 1.0)
 
 
 def test_same_instant_reads_agree():
@@ -74,8 +76,12 @@ def test_same_instant_reads_agree():
 
 def test_servo_steering_changes_rate():
     c = LocalClock()
-    c.freq_adj_ppm = -2.0
+    c.steer(0, -2.0)
     assert c.read(PS_PER_S) - PS_PER_S == -2 * PS_PER_US
+    # a step ends a segment: the phase before it stands
+    c.steer(PS_PER_S, 3.0)
+    assert c.read(PS_PER_S // 2) - PS_PER_S // 2 == -PS_PER_US
+    assert c.read(2 * PS_PER_S) - 2 * PS_PER_S == PS_PER_US
 
 
 def test_random_walk_is_stream_deterministic():
@@ -85,6 +91,13 @@ def test_random_walk_is_stream_deterministic():
         assert a.read(k * PS_PER_MS) == b.read(k * PS_PER_MS)
 
 
+def exact_read(t, offset_ps, rate_ppm, granularity_ps=1):
+    """floor(t + offset + rate * t / 10**6) on the tick grid, in exact
+    rationals: what a noise-free, unsteered clock must read."""
+    local = t + Fraction(offset_ps) + Fraction(rate_ppm) * t / 10**6
+    return math.floor(local) // granularity_ps * granularity_ps
+
+
 @pytest.mark.parametrize("hours", [3, 24])
 @pytest.mark.parametrize("granularity_ps", [1, 8_000])
 def test_noise_free_read_is_exact_past_2_to_the_53_ps(hours, granularity_ps):
@@ -92,8 +105,61 @@ def test_noise_free_read_is_exact_past_2_to_the_53_ps(hours, granularity_ps):
     t = hours * 3600 * PS_PER_S + 12_345
     c = LocalClock(offset_ps=1234.75, freq_error_ppm=3.7,
                    granularity_ps=granularity_ps)
-    got = c.read(t)
-    assert got == (t + math.floor(c.offset_at(t))) // granularity_ps * granularity_ps
+    assert c.read(t) == exact_read(t, 1234.75, 3.7, granularity_ps)
+
+
+@pytest.mark.parametrize("offset_ps", [0, -7_654_321])
+@pytest.mark.parametrize("rate_ppm", [0.1, 3.7, -7.3, 10.0, -99.99])
+def test_noise_free_probes_equal_the_rational_floor(rate_ppm, offset_ps):
+    c = LocalClock(offset_ps=offset_ps, freq_error_ppm=rate_ppm)
+    for hours in (1, 3, 10, 24):
+        t = hours * 3600 * PS_PER_S
+        assert c.read(t) == exact_read(t, offset_ps, rate_ppm)
+
+
+def test_a_day_of_reads_at_one_second_steps_is_exact():
+    c = LocalClock(offset_ps=-1234, freq_error_ppm=3.7)
+    got = [c.read(k * PS_PER_S) for k in range(1, 86_401)]
+    rate = Fraction(3.7)
+    assert got == [k * PS_PER_S - 1234 + math.floor(rate * k * PS_PER_S / 10**6)
+                   for k in range(1, 86_401)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 5 * PS_PER_S), min_size=1, max_size=12),
+       st.randoms(use_true_random=False))
+def test_reads_do_not_depend_on_their_order(instants, rnd):
+    # a walking, steered clock read at a multiset of instants, in order and
+    # shuffled, with no step between the reads
+    def clock():
+        c = LocalClock(offset_ps=5e5, freq_error_ppm=4.0,
+                       rw_sigma_ppm_per_sqrt_s=0.5, granularity_ps=8,
+                       rng=RngStream(9, "walk"))
+        c.steer(0, -1.5)
+        return c
+
+    a, b = clock(), clock()
+    want = {t: a.read(t) for t in sorted(instants)}
+    shuffled = list(instants)
+    rnd.shuffle(shuffled)
+    assert [b.read(t) for t in shuffled] == [want[t] for t in shuffled]
+    assert [b.offset_at(t) for t in shuffled] == [a.offset_at(t) for t in shuffled]
+
+
+def test_walk_rate_is_the_exact_two_state_discretization():
+    # step k's rate is y_k + c (z1 / 2 + z2 / (2 sqrt 3)), and
+    # y_(k+1) = y_k + c z1, with z1, z2 normals 2k and 2k + 1 of the stream
+    sigma, fe = 0.3, 2.0
+    stream = RngStream(4, "walk")
+    c = LocalClock(freq_error_ppm=fe, rw_sigma_ppm_per_sqrt_s=sigma, rng=stream)
+    c.offset_at(3 * PS_PER_S)
+    y, rates = fe, []
+    for k in range(4):
+        z1, z2 = stream.normal_at(2 * k), stream.normal_at(2 * k + 1)
+        rates.append(y + sigma * (0.5 * z1 + 0.5 / math.sqrt(3.0) * z2))
+        y = y + sigma * z1
+    assert c._rates.tolist() == rates
+    assert c._starts.tolist() == [k * PS_PER_S for k in range(4)]
 
 
 def test_granularity_must_be_positive():
@@ -171,7 +237,7 @@ def test_discipline_loop_converges_on_constant_drift():
         t += PS_PER_S
         off = clock.offset_at(t)
         offsets.append(off)
-        clock.freq_adj_ppm = servo_update(servo, off)
+        clock.steer(t, servo_update(servo, off))
     assert abs(offsets[-1]) < 8000
     assert abs(offsets[-1]) < abs(offsets[0])
 
@@ -183,7 +249,7 @@ def test_open_loop_drift_grows_linearly():
     for k in range(1, 6):
         t += PS_PER_S
         off = clock.offset_at(t)
-        clock.freq_adj_ppm = servo_update(servo, off)
+        clock.steer(t, servo_update(servo, off))
         assert off == pytest.approx(k * 5 * PS_PER_US)
 
 
@@ -219,8 +285,10 @@ def test_transparent_residence_sweep_is_invariant():
 
 
 def test_imperfect_relay_clock_leaves_residue():
-    # +100 ppm relay clock over 2 us dwell mismeasures residence, so the
-    # sweep no longer cancels exactly
+    # a relay clock up to 100 ppm off over a 2 ms dwell mismeasures the
+    # residence by the same amount on both legs, so the measured delay
+    # carries it and the offset, exact in integers, moves by at most the
+    # 1 ps tick
     base = run_sync_domain(small_fabric(), zero_noise_config(residence_us=0.0),
                            10.0, seed=3)[1].exchanges
     cfg = TimesyncConfig(tile_osc=quiet_osc(5.0),
@@ -228,7 +296,8 @@ def test_imperfect_relay_clock_leaves_residue():
                          jitter_scale=0.0, servo_kp=0.0, servo_ki=0.0,
                          residence_us=2000.0)
     skewed = run_sync_domain(small_fabric(), cfg, 10.0, seed=3)[1].exchanges
-    assert [r.offset_ps for r in base] != [r.offset_ps for r in skewed]
+    assert [r.delay_ps for r in base] != [r.delay_ps for r in skewed]
+    assert all(abs(a.offset_ps - b.offset_ps) <= 1 for a, b in zip(base, skewed))
 
 
 def test_closed_loop_domain_converges():
@@ -369,14 +438,16 @@ def test_boundary_switch_serves_its_tiles():
     assert "sw1" not in domain.ports
 
 
-@pytest.mark.parametrize("boundary,per_exchange", [((), 10), (("sw0", "sw1"), 6)])
-def test_start_counts_every_event_of_each_exchange(boundary, per_exchange):
-    # through a relay: egress, relay in and out on both legs, sync,
-    # follow-up, request and response arrivals; direct: no relay events
+@pytest.mark.parametrize("boundary", [(), ("sw0", "sw1")])
+def test_start_counts_two_events_an_exchange(boundary):
+    # an exchange is its sync egress and its close, direct or relayed
     cfg = TimesyncConfig(start_s=0.5, sync_interval_s=0.5, stagger_ms=0.0,
                          boundary_switches=boundary)
-    domain = SyncDomain(EventLoop(), small_fabric(), cfg, RngRegistry(1))
-    assert domain.start(from_seconds(2.5)) == len(domain.ports) * 5 * per_exchange
+    loop = EventLoop()
+    domain = SyncDomain(loop, small_fabric(), cfg, RngRegistry(1))
+    until = from_seconds(2.6)
+    assert domain.start(until) == len(domain.ports) * 5 * 2
+    assert loop.run_until(until).by_module["timesync"] == len(domain.ports) * 5 * 2
 
 
 def test_interval_no_longer_than_an_exchange_is_refused():
@@ -540,3 +611,169 @@ def test_report_csv_matches_csv_writer_byte_for_byte(series, finalize):
         _csv_writer_to_csv(r, want)
         with open(got, "rb") as g, open(want, "rb") as w:
             assert g.read() == w.read()
+
+
+# --- fusion oracle (R7) -----------------------------------------------------
+
+class StepwiseDomain(SyncDomain):
+    """The exchange as ten events, each step reading its clock as it fires:
+    sync egress, relay ingress and egress, sync arrival, follow-up arrival,
+    delay-request egress, relay ingress and egress, delay-request arrival
+    and delay-response arrival.  It takes the fused exchange's hop jitters,
+    so the fused close must give the same records."""
+
+    def _sync_egress(self, port):
+        if port.cut_ps is not None:
+            return
+        now = self.loop.now
+        seq = port.seq = port.seq + 1
+        up_sync, up_req = (0, 0) if port.up is None else port.up.ps(now, seq)
+        down_sync, down_req = port.down.ps(now, seq)
+        st = {"seq": seq, "t1": port.master_clock.read(now), "t2": None,
+              "followup": False, "down_req": down_req, "up_req": up_req}
+        if port.relay_clock is not None:
+            self._step(now + port.up_hop_ps + up_sync, port, "relay_ingress",
+                       self._relay_ingress, (port, st, "sync", down_sync))
+        else:
+            self._step(now + port.down_hop_ps + down_sync, port, "sync_arrival",
+                       self._sync_arrival, (port, st, 0))
+        self._step(now + port.followup_ps, port, "followup_arrival",
+                   self._followup_arrival, (port, st))
+
+    def _step(self, t, port, action, fn, arg):
+        if t <= self._until:
+            self.loop.schedule(t, self.MODULE, port.node, action, fn, arg)
+
+    def _live(self, port, st):
+        return st["seq"] == port.seq and port.cut_ps is None
+
+    def _relay_ingress(self, arg):
+        port, st, leg, jitter = arg
+        t_in = port.relay_clock.read(self.loop.now)
+        self._step(self.loop.now + self._residence_ps, port, "relay_egress",
+                   self._relay_egress, (port, st, leg, jitter, t_in))
+
+    def _relay_egress(self, arg):
+        port, st, leg, jitter, t_in = arg
+        now = self.loop.now
+        corr = port.relay_clock.read(now) - t_in if port.transparent else 0
+        if leg == "sync":
+            self._step(now + port.down_hop_ps + jitter, port, "sync_arrival",
+                       self._sync_arrival, (port, st, corr))
+        else:
+            self._step(now + port.up_req_hop_ps + jitter, port, "delay_req_arrival",
+                       self._delay_req_arrival, (port, st, corr))
+
+    def _sync_arrival(self, arg):
+        port, st, corr = arg
+        if self._live(port, st):
+            st["t2"], st["fwd"] = port.clock.read(self.loop.now), corr
+            self._maybe_request(port, st)
+
+    def _followup_arrival(self, arg):
+        port, st = arg
+        if self._live(port, st):
+            st["followup"] = True
+            self._maybe_request(port, st)
+
+    def _maybe_request(self, port, st):
+        if st["t2"] is not None and st["followup"]:
+            self._step(self.loop.now + self._turnaround_ps, port, "delay_req_egress",
+                       self._delay_req_egress, (port, st))
+
+    def _delay_req_egress(self, arg):
+        port, st = arg
+        if not self._live(port, st):
+            return
+        now = self.loop.now
+        st["t3"] = port.clock.read(now)
+        at = now + port.req_hop_ps + st["down_req"]
+        if port.relay_clock is not None:
+            self._step(at, port, "relay_ingress", self._relay_ingress,
+                       (port, st, "delay_req", st["up_req"]))
+        else:
+            self._step(at, port, "delay_req_arrival", self._delay_req_arrival,
+                       (port, st, 0))
+
+    def _delay_req_arrival(self, arg):
+        port, st, corr = arg
+        if st["seq"] == port.seq:
+            st["t4"], st["rev"] = port.master_clock.read(self.loop.now), corr
+            self._step(self.loop.now + port.resp_ps, port, "delay_resp_arrival",
+                       self._delay_resp_arrival, (port, st))
+
+    def _delay_resp_arrival(self, arg):
+        port, st = arg
+        if not self._live(port, st):
+            return
+        now = self.loop.now
+        sample = two_step_offset(st["t1"], st["t2"], st["t3"], st["t4"],
+                                 st["fwd"], st["rev"])
+        self.exchanges.append(ExchangeRecord(
+            port.node, st["seq"], st["t1"], st["t2"], st["t3"], st["t4"],
+            st["fwd"], st["rev"], sample.offset_ps, sample.mean_path_delay_ps,
+            port.clock.offset_at(now), now))
+        port.clock.steer(now, servo_update(port.servo, sample.offset_ps))
+        if port.closed_ps is None:
+            port.closed_ps = now
+        port.corrections += 1
+
+
+def _run_domain(cls, fab, cfg, until, cuts, load):
+    loop = EventLoop()
+    domain = cls(loop, fab, cfg, RngRegistry(4), load=load)
+    domain.exchanges = []
+    domain.start(until)
+    for tile, t in cuts:
+        cut_at(loop, domain, tile, t)
+    loop.run_until(until)
+    return domain, domain.finish(), loop
+
+
+@pytest.mark.parametrize("boundary", [(), ("sw0",)])
+def test_fused_close_equals_the_ten_event_exchange(boundary):
+    # sw0 a boundary switch or a transparent relay, sw1 a transparent
+    # relay, sw2 a relay that does not correct; noisy clocks and loaded
+    # links.  Long dwells and turnarounds put a boundary master's steps
+    # inside its slaves' exchanges, and t002 is cut inside one.
+    def fabric():
+        fab = build_default_fabric(FabricConfig(
+            counts={"wall_a": 3, "floor": 3, "ceiling": 3}, switch_count=3))
+        fab.switches["sw2"].transparent_clock = False
+        return fab
+
+    cfg = TimesyncConfig(start_s=0.0, sync_interval_s=0.3, stagger_ms=20.0,
+                         residence_us=20_000.0, turnaround_us=30_000.0,
+                         load_coupling=3.0, boundary_switches=boundary)
+    until = from_seconds(4.0)
+    first = fabric()
+    port_order = sorted(SyncDomain(EventLoop(), first, cfg, RngRegistry(4)).ports)
+    # t002's exchange 5 starts at its epoch; cut it 10 ms later
+    epoch = (port_order.index("t002") * from_seconds(0.02) + 4 * from_seconds(0.3))
+    cuts = [("t002", epoch + from_seconds(0.01))]
+    runs = []
+    for cls in (SyncDomain, StepwiseDomain):
+        fab = fabric()
+        load = LinkLoadTracker(window_ps=from_seconds(0.05))
+        for k in range(400):
+            for link in fab.links.values():
+                load.record(link.id, k * from_seconds(0.01), link.bandwidth_bps // 400)
+        runs.append(_run_domain(cls, fab, cfg, until, cuts, load))
+    (fused, fused_report, fused_loop), (stepwise, step_report, _) = runs
+    assert fused.exchanges == stepwise.exchanges
+    assert len(fused.exchanges) > 100
+    assert {sw.transparent_clock for sw in first.switches.values()} == {True, False}
+    for node in fused_report.nodes:
+        assert fused_report.series(node)[1].tobytes() == \
+            step_report.series(node)[1].tobytes()
+    # the cut exchange never closed: t002 corrected four times
+    assert fused.ports["t002"].corrections == 4
+    if boundary:
+        sw_closes = [r.at_ps for r in fused.exchanges if r.node == "sw0"]
+        served = [r for r in fused.exchanges
+                  if fused.ports[r.node].master == "sw0"]
+        start = {n: i * from_seconds(0.02) for i, n in enumerate(port_order)}
+        inside = [r for r in served if any(
+            start[r.node] + (r.seq - 1) * from_seconds(0.3) < c < r.at_ps
+            for c in sw_closes)]
+        assert inside, "no boundary step fell inside a served exchange"
