@@ -210,8 +210,8 @@ class RngStream:
     (seed, name, lane, i) alone.  The blocks come from `random_raw`, whose
     words numpy keeps stable, and a run draws only transforms of words, so
     no numpy distribution method enters it.  A consumer that owns an index
-    reads lane 0 there: a coherent trial its words, a clock's walk step or
-    a hop's jitter its normal (`normal_at`).  `uniform` and `normal` are
+    reads lane 0 there: a coherent trial or a hop's jitter its words, a
+    clock's walk step its normals (`normal_at`).  `uniform` and `normal` are
     cursors over lanes 1 and 2, so neither kind shifts the other.  They
     serve blocks of `_BLOCK` values, packed in an `array("d")` and read
     through an iterator, whose items come out as Python floats;

@@ -51,11 +51,6 @@ _NEVER = 1 << 64          # past every instant: the next step of no walk
 _HALF_INV_SQRT3 = 0.5 / math.sqrt(3.0)
 
 
-def quantize_ps(local_ps: float, granularity_ps: int) -> int:
-    """Truncate a local time to the timestamp tick grid (counter semantics)."""
-    return (math.floor(local_ps) // granularity_ps) * granularity_ps
-
-
 def _phase_step(rate_ppm: float, dt: int) -> int:
     """What `rate_ppm` adds to the phase over dt ps, in 2**-32 ps: the
     floor of its exact binary value times dt * 2**32 / 10**6."""
@@ -112,7 +107,9 @@ class LocalClock:
             p = self._p0 + self._num * (true_t - t0) // self._den
         else:
             p = self._phase_behind(true_t)
-        return quantize_ps(true_t + (p >> 32), self.granularity_ps)
+        # truncate to the tick grid, toward minus infinity (a counter)
+        g = self.granularity_ps
+        return (true_t + (p >> 32)) // g * g
 
     def offset_at(self, true_t: SimTime) -> float:
         """Offset at the given true instant (no readout quantization)."""

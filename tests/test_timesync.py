@@ -20,8 +20,8 @@ from tilesim.dataplane import LinkLoadTracker
 from tilesim.fabric import ConfigurationError, FabricConfig, build_default_fabric
 from tilesim.timesync import (ExchangeRecord, LocalClock, OscillatorConfig,
                               ServoState, SyncDomain, SyncReport,
-                              TimesyncConfig, quantize_ps, run_sync_domain,
-                              servo_update, two_step_offset)
+                              TimesyncConfig, run_sync_domain, servo_update,
+                              two_step_offset)
 
 
 def quiet_osc(offset_us=0.0, granularity_ps=1):
@@ -55,6 +55,9 @@ def test_granularity_quantizes_reads():
 
 
 def test_quantize_floors_toward_minus_infinity():
+    def quantize_ps(local_ps, granularity_ps):
+        return LocalClock(offset_ps=local_ps, granularity_ps=granularity_ps).read(0)
+
     assert quantize_ps(15_999.9, 8000) == 8000
     assert quantize_ps(16_000.0, 8000) == 16_000
     assert quantize_ps(-0.5, 8000) == -8000
