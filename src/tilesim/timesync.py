@@ -27,7 +27,6 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -64,19 +63,22 @@ class LocalClock:
     The offset (local minus true) is piecewise linear, a segment starting
     at each lattice point of the frequency walk and at each servo step
     (`steer`).  The walk is the two-state clock model discretized exactly
-    on the lattice (C. Zucca and P. Tavella, IEEE Trans. UFFC 52(2), 2005):
-    with c = rw_sigma sqrt(step) and z1, z2 normals 2k and 2k + 1 of the
-    walk stream, step k runs at y_k + c (z1 / 2 + z2 / (2 sqrt 3)), the
-    frequency's mean over it, and y_(k+1) = y_k + c z1.  A segment's rate
-    adds the servo's steering to that.  The phase is an exact integer in
-    2**-32 ps: `_phase_step` per segment, which a read behind the latest
-    segment subtracts again.  So `read(t)` depends only on the clock, t
-    and the servo steps before t, in any order of reads.  `offset_at` and
-    `offsets` add rate times elapsed time to the float start phase of the
-    last segment that starts before the instant.  `init`, when given,
-    returns (offset_ps, freq_error_ppm) on the clock's first use, in place
-    of the two arguments, so that making a clock draws nothing.
+    (C. Zucca and P. Tavella, IEEE Trans. UFFC 52(2), 2005): with c =
+    rw_sigma sqrt(step) and z1, z2 normals 2k and 2k + 1 of the walk
+    stream, step k runs at y_k + c (z1 / 2 + z2 / (2 sqrt 3)), the
+    frequency's mean over it, and y_(k+1) = y_k + c z1; the steering adds
+    to that.  The phase is an exact integer in 2**-32 ps, `_phase_step`
+    per segment, so `read(t)` depends only on the clock, t and the servo
+    steps before t, in any order of reads.  `offset_at` and `offsets` take
+    the float start phase of the last segment that starts before the
+    instant.  `init`, when given, is called with the clock on its first
+    use for (offset_ps, freq_error_ppm): making a clock draws and
+    allocates nothing more.
     """
+
+    __slots__ = ("granularity_ps", "freq_adj_ppm", "walk_sigma", "_init", "_rng",
+                 "_starts", "_rates", "_phases", "_t0", "_p0", "_next_ps",
+                 "_num", "_den", "_k", "_walk", "_y")
 
     def __init__(self, offset_ps: float = 0.0, freq_error_ppm: float = 0.0,
                  rw_sigma_ppm_per_sqrt_s: float = 0.0, granularity_ps: int = 1,
@@ -85,17 +87,18 @@ class LocalClock:
             raise ConfigurationError("granularity must be at least 1 ps")
         self.granularity_ps = int(granularity_ps)
         self.freq_adj_ppm = 0.0        # the steering in force, set by `steer`
-        self._init = init or (lambda: (offset_ps, freq_error_ppm))
+        self._init = init
         self._rng = rng
         self.walk_sigma = 0.0 if rng is None else float(rw_sigma_ppm_per_sqrt_s) \
             * math.sqrt(WALK_STEP_PS / PS_PER_S)
-        self._starts, self._rates, self._phases = array("Q"), array("d"), array("d")
+        self._starts = self._rates = self._phases = None
         # the latest segment's start, exact phase and rate (_num / _den, in
         # 2**-32 ps per ps); the walk's step, rate and next frequency.  The
         # next step at 0 sends the first use to `_extend`.
-        self._t0 = self._p0 = self._next_ps = 0
+        self._t0 = self._next_ps = 0
+        self._p0 = _phase_step(float(offset_ps), 10**6)    # offset_ps in 2**-32 ps
         self._num, self._den = 0, 1
-        self._k, self._walk, self._y = -1, 0.0, 0.0
+        self._k, self._walk, self._y = -1, 0.0, float(freq_error_ppm)
 
     def read(self, true_t: SimTime) -> int:
         """Timestamp the given true instant on this clock's tick grid."""
@@ -117,7 +120,9 @@ class LocalClock:
 
     def offsets(self, times: np.ndarray) -> np.ndarray:
         """The offset at each of `times` (ascending uint64 true ps)."""
-        if len(times) and int(times[-1]) >= self._next_ps:
+        if not len(times):
+            return np.empty(0)
+        if int(times[-1]) >= self._next_ps:
             self._extend(int(times[-1]))
         starts = np.frombuffer(self._starts, np.uint64)
         k = np.maximum(np.searchsorted(starts, times, side="left") - 1, 0)
@@ -151,10 +156,10 @@ class LocalClock:
     def _extend(self, t: SimTime) -> None:
         """Make every segment that starts at or before t."""
         if self._k < 0:
-            offset_ps, self._y = self._init()
-            self._init = None
-            n, d = float(offset_ps).as_integer_ratio()
-            self._p0 = (n << 32) // d
+            if self._init is not None:
+                offset_ps, self._y = self._init(self)
+                self._p0, self._init = _phase_step(float(offset_ps), 10**6), None
+            self._starts, self._rates, self._phases = array("Q"), array("d"), array("d")
         c = self.walk_sigma
         while self._next_ps <= t:
             at, k = self._next_ps, self._k + 1
@@ -446,11 +451,10 @@ class PtpPort:
 
 class _PortJitter:
     """One port's delay jitter on one link: the link's base sigma, the load
-    window that scales it and the lognormal shape, and the port's draws.
-    Exchange seq's hop on leg 0 (sync) or 1 (delay request) draws exp(s z),
-    z normal 2 seq + leg of the port's own stream on the link, made on the
-    first draw; the factors are held a block at a time, each exp taken in
-    `math`."""
+    window that scales it, the lognormal shape, and the port's draws, made
+    on the first: exchange seq's hop on leg 0 (sync) or 1 (delay request)
+    draws exp(s z), z normal 2 seq + leg of the port's stream on the link,
+    held a block at a time, each exp taken in `math`."""
 
     __slots__ = ("link_id", "base_ns", "coupling", "windows", "window_ps",
                  "bandwidth_bps", "s", "denom", "rng", "name", "stream",
@@ -461,8 +465,8 @@ class _PortJitter:
         self.link_id = link.id
         self.base_ns = link.jitter_sigma_ns * config.jitter_scale
         self.coupling = config.load_coupling
-        self.windows = None if load is None else load.windows
-        self.window_ps = None if load is None else load.window_ps
+        self.windows, self.window_ps = (None, None) if load is None else (
+            load.windows, load.window_ps)
         self.bandwidth_bps = link.bandwidth_bps
         s = self.s = link.jitter_shape
         # lognormal mean exp(s^2/2); its standard deviation is this times
@@ -501,27 +505,24 @@ class SyncDomain:
     """Schedules periodic exchanges for every clock-role tile (and boundary
     switch) over an event loop and, at `finish`, builds the residual series.
 
-    An exchange is two events.  Its sync egress works out the instant of
-    each step from the hop delays and jitters: the sync message crosses the
+    An exchange is two events.  Its sync egress works out when each step
+    happens from the hop delays and jitters: the sync message crosses the
     relay, if any, to the slave (t2); a follow-up with the precise t1 lands
     a fixed lag later; a turnaround after both the delay request leaves
     (t3) and crosses back to the master (t4), whose response returns with a
-    fixed transit.  A hop's jitter is drawn from words its port, link,
-    exchange and leg own, at its link's sigma at the exchange's epoch.  The
-    close, at the response's arrival, reads t1-t4 and the relay's residence
-    on each leg at their instants, which, as reads are functions of time
-    and of earlier servo steps, are what each step would have read as it
-    happened, a boundary master steered meanwhile included; then it steps
-    the servo, the one thing that changes a clock's future.
+    fixed transit.  The close, at the response's arrival, reads t1-t4 and
+    the relay's residence on each leg at their instants (reads are
+    functions of time and earlier servo steps, so a boundary master
+    steered meanwhile reads as a stepwise event would have), then steps the
+    servo, the one thing that changes a clock's future.
 
     `finish` evaluates each port's residual at every `sample_interval_s`
-    tick from its clock's segments, so observing a run cannot change it.
-    A port is sampled from its first correction on, a tick at that instant
-    included (before it a free-running clock's quiet streak would be
-    declared "converged" by pure luck), until its tile is cut, a tick at
-    the cut excluded.  A tile is cut when it is offline as the domain is
-    built (`online`), or by `mark_offline`, which the run subscribes to the
-    power plane's disconnects; a cut port exchanges no more.
+    tick from its clock's segments, so observing a run cannot change it:
+    from its first correction, a tick at that instant included (a
+    free-running clock's quiet streak would be "converged" by luck), until
+    its tile is cut, a tick at the cut excluded.  A tile is cut when it is
+    offline as the domain is built (`online`) or by `mark_offline`, which
+    the run subscribes to the power plane's disconnects.
 
     A scenario run keeps nothing of an exchange once it closes beyond its
     port's `corrections` count.  `exchanges` is None there; only
@@ -550,7 +551,9 @@ class SyncDomain:
         self._tick_ps = from_seconds(config.sample_interval_s)
         self._longest_exchange_ps = 0
         self._init_stream = rng.stream(f"{config.stream_label}/init")
-        self._init_uniforms = None
+        self._oscs: dict[LocalClock, OscillatorConfig] = {}
+        self._initials: dict[LocalClock, tuple[int, float]] | None = None
+        self._initial = self._first_use     # one method object for every clock
 
         boundary = set(config.boundary_switches)
         unknown = boundary - set(fabric.switches)
@@ -579,20 +582,24 @@ class SyncDomain:
 
     def _add_clock(self, osc: OscillatorConfig, node_id: str) -> None:
         walk = self.rng.stream(f"{self.config.stream_label}/oscillator/{node_id}")
-        self.clocks[node_id] = LocalClock(
+        clock = self.clocks[node_id] = LocalClock(
             rw_sigma_ppm_per_sqrt_s=osc.rw_sigma_ppm_per_sqrt_s,
-            granularity_ps=osc.granularity_ps, rng=walk,
-            init=partial(self._initial, len(self.clocks), osc))
+            granularity_ps=osc.granularity_ps, rng=walk, init=self._initial)
+        self._oscs[clock] = osc
 
-    def _initial(self, i: int, osc: OscillatorConfig) -> tuple[int, float]:
-        """Clock i's initial offset (ps) and frequency error (ppm), uniform
-        in their bands from words 2i and 2i + 1 of the init stream."""
-        if self._init_uniforms is None:
-            self._init_uniforms = as_uniforms(
-                self._init_stream.words(0, 2 * len(self.clocks))).tolist()
-        u_off, u_fe = self._init_uniforms[2 * i:2 * i + 2]
-        a, f = osc.init_offset_us, osc.freq_error_ppm
-        return round((-a + 2 * a * u_off) * PS_PER_US), -f + 2 * f * u_fe
+    def _first_use(self, clock: LocalClock) -> tuple[int, float]:
+        """A clock's initial offset (ps) and frequency error (ppm): uniform
+        in its oscillator's bands from words 2i and 2i + 1 of the init
+        stream, i its place in `clocks`.  The first use of any clock draws
+        them for all."""
+        if self._initials is None:
+            u = as_uniforms(self._init_stream.words(0, 2 * len(self.clocks))).tolist()
+            self._initials = {}
+            for i, (c, osc) in enumerate(self._oscs.items()):
+                a, f = osc.init_offset_us, osc.freq_error_ppm
+                self._initials[c] = (round((-a + 2 * a * u[2 * i]) * PS_PER_US),
+                                     -f + 2 * f * u[2 * i + 1])
+        return self._initials[clock]
 
     def _add_port(self, node: str, master: str, down: Link,
                   up: Link | None = None, relay: str | None = None) -> None:
@@ -620,8 +627,7 @@ class SyncDomain:
             port.resp_ps += up.base_delay_ps + self._residence_ps
         port.followup_ps = (self._followup_lag_ps + port.up_hop_ps + port.residence_ps
                             + port.down_hop_ps)
-        # the delay request leaves a turnaround after the follow-up lands
-        # and returns through the relay: the exchange's span without jitter
+        # the exchange's span without jitter
         self._longest_exchange_ps = max(
             self._longest_exchange_ps,
             port.followup_ps + self._turnaround_ps + port.req_hop_ps
@@ -629,8 +635,6 @@ class SyncDomain:
 
     def effective_jitter_sigma_ns(self, link: Link, t: SimTime) -> float:
         return _PortJitter(link, self.config, self._load).sigma_ns(t)
-
-    # -- lifecycle --
 
     def start(self, until_ps: SimTime) -> int:
         """Queue every port's sync epochs up to `until_ps`; returns how many
