@@ -7,7 +7,7 @@ from .core import (EventLoop, RngRegistry, RngStream, SimTime, SimulationError,
 from .fabric import (ConfigurationError, Fabric, FabricConfig, Link, Room,
                      SwitchNode, TileNode, build_default_fabric)
 from .timesync import (LocalClock, OscillatorConfig, SyncDomain, SyncReport,
-                       TimesyncConfig, run_sync_domain, two_step_offset)
+                       TimesyncConfig, two_step_offset)
 from .powerplane import PdDevice, PsePlane, classify
 from .dataplane import Broker, CommitError, ConsumerGroup, LinkLoadTracker
 from .coherent import (coherent_gain, evaluate_beamforming, expected_gain,
@@ -29,7 +29,7 @@ __all__ = [
     "SimulationError", "SwitchNode", "SyncDomain", "SyncReport", "TileNode",
     "TimesyncConfig", "build_default_fabric", "classify", "coherent_gain",
     "evaluate_beamforming", "expected_gain", "from_seconds", "kalman_step",
-    "load_scenario", "plan_sampling", "run_scenario", "run_sync_domain",
-    "scenario_hash", "steering_phase", "to_seconds", "trilaterate",
-    "two_step_offset", "wrap_phase",
+    "load_scenario", "plan_sampling", "run_scenario", "scenario_hash",
+    "steering_phase", "to_seconds", "trilaterate", "two_step_offset",
+    "wrap_phase",
 ]

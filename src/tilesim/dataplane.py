@@ -223,11 +223,6 @@ class ConsumerGroup:
         self.rebalances.append({"why": why, "member": member_id,
                                 "assignment": out})
 
-    def assignment(self) -> dict[str, list[int]]:
-        """Each member's partitions, as of the last join or leave; callers
-        share the result and must not mutate it."""
-        return self._assignment
-
     def partitions_of(self, member_id: str) -> list[int]:
         return self._assignment.get(member_id, [])
 
@@ -307,9 +302,7 @@ class LinkLoadTracker:
         w.events.append((t, nbytes))
         w.in_window += nbytes
 
-    def bits_per_second(self, link_id: str, now: SimTime) -> float:
-        w = self.windows.get(link_id)
-        return 0.0 if w is None else w.bits_per_second(now, self.window_ps)
-
     def utilization(self, link_id: str, now: SimTime, bandwidth_bps: float) -> float:
-        return min(1.0, self.bits_per_second(link_id, now) / bandwidth_bps)
+        w = self.windows.get(link_id)
+        bps = 0.0 if w is None else w.bits_per_second(now, self.window_ps)
+        return min(1.0, bps / bandwidth_bps)

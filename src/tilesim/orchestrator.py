@@ -21,11 +21,11 @@ from pathlib import Path
 from typing import Callable
 
 from .coherent import MAX_TRIAL_ELEMENTS, CoherentError, evaluate_beamforming
-from .core import PS_PER_MS, EventLoop, RngRegistry, SimTime, from_seconds
+from .core import EventLoop, RngRegistry, SimTime, from_seconds
 from .dataplane import (FNV64_MASK, FNV64_PRIME, Broker, ConsumerGroup,
                         LinkLoadTracker, fnv1a64)
 from .fabric import ConfigurationError, Fabric, build_default_fabric
-from .powerplane import PdDevice, PsePlane
+from .powerplane import PsePlane
 from .rover import (Battery, MissionConfig, MissionRunner, RoverError,
                     default_beacons, plan_sampling)
 from .scenario import (ScenarioConfig, resolved_json, scenario_hash,
@@ -58,25 +58,8 @@ class _Power:
     """PoE grants at time 0; an overdraw cut due by the run's end is an event."""
 
     def __init__(self, run: RunResult, p):
-        plane = run.power = PsePlane(
-            midspan_count=p.midspan_count,
-            global_budget_mw=int(round(p.global_budget_w * 1000)),
-            midspan_budget_mw=None if p.midspan_budget_w is None
-            else int(round(p.midspan_budget_w * 1000)),
-            detection_window_ps=p.detection_window_ms * PS_PER_MS)
-        for tile in run.fabric.tiles.values():
-            if "pd" in tile.roles:
-                dev = PdDevice(tile.id, requested_class=p.requested_class,
-                               base_mw=p.base_mw)
-                dev.processing.set_from(0, p.processing_mw)
-                dev.peripheral.set_from(0, p.peripheral_mw)
-                plane.register(dev)
-        if p.overdraw_tile is not None:
-            if p.overdraw_tile not in plane.devices:
-                raise ConfigurationError(
-                    f"power.overdraw_tile {p.overdraw_tile!r} is not a powered tile")
-            plane.devices[p.overdraw_tile].processing.set_from(
-                from_seconds(p.overdraw_at_s), int(round(p.overdraw_w * 1000)))
+        pd_tiles = (t.id for t in run.fabric.tiles.values() if "pd" in t.roles)
+        plane = run.power = PsePlane(p, pd_tiles)
         for tile_id in sorted(plane.devices):
             plane.allocate(tile_id, at=0)
         # a cut after the run's end never fires, and may lie past the 64-bit range

@@ -14,12 +14,32 @@ from __future__ import annotations
 import bisect
 import csv
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
-from .core import PS_PER_MS, PS_PER_S, SimTime
+from .core import PS_PER_MS, PS_PER_S, SimTime, from_seconds
 from .fabric import ConfigurationError
 
 MW_PER_W = 1000
+
+
+@dataclass
+class PowerConfig:
+    enabled: bool = True
+    global_budget_w: float = 9000.0
+    midspan_count: int = 4
+    midspan_budget_w: float | None = None   # None → equal split of the global
+    requested_class: int | None = 3         # None → classify from measured draw
+    base_mw: int = 500
+    processing_mw: int = 2500               # steady processing draw
+    peripheral_mw: int = 500                # steady peripheral draw
+    detection_window_ms: int = 75
+    overdraw_tile: str | None = None        # fault injection: one greedy tile
+    overdraw_at_s: float = 10.0
+    overdraw_w: float = 20.0
+
+
+def _mw(watts: float) -> int:
+    return int(round(watts * MW_PER_W))
 
 
 @dataclass(frozen=True)
@@ -45,11 +65,6 @@ POWER_CLASSES: dict[int, PowerClass] = {
 # only ever assigned explicitly, never by measurement
 _AUTOCLASS_ORDER = sorted((c for c in POWER_CLASSES.values() if c.class_id != 0),
                           key=lambda c: (c.pd_mw, c.class_id))
-
-DEFAULT_GLOBAL_BUDGET_MW = 9_000_000
-DEFAULT_DETECTION_WINDOW_PS = 75 * PS_PER_MS
-IDLE_FLOOR_MW = 500
-
 
 class StepSeries:
     """Right-continuous step function of sim time with integer values."""
@@ -78,8 +93,8 @@ class StepSeries:
 @dataclass
 class PdDevice:
     tile_id: str
-    requested_class: int | None = 3      # None selects classification by measurement
-    base_mw: int = IDLE_FLOOR_MW
+    requested_class: int | None = PowerConfig.requested_class
+    base_mw: int = PowerConfig.base_mw
     processing: StepSeries = field(default_factory=StepSeries)
     peripheral: StepSeries = field(default_factory=StepSeries)
     granted: PowerClass | None = None
@@ -158,23 +173,34 @@ class Midspan:
 
 class PsePlane:
     """Sourcing side: midspans, budgets, the allocation ledger and the
-    consumption monitor."""
+    consumption monitor, built from a power section.  Each of `tile_ids`
+    gets a powered device drawing the section's steady profile, registered
+    in that order, and the section's overdraw tile its step."""
 
-    def __init__(self, midspan_count: int = 4,
-                 global_budget_mw: int = DEFAULT_GLOBAL_BUDGET_MW,
-                 midspan_budget_mw: int | None = None,
-                 detection_window_ps: SimTime = DEFAULT_DETECTION_WINDOW_PS):
-        if midspan_count < 1:
+    def __init__(self, config: PowerConfig, tile_ids: Iterable[str] = ()):
+        if config.midspan_count < 1:
             raise ConfigurationError("at least one midspan is required")
-        per = midspan_budget_mw if midspan_budget_mw is not None \
-            else global_budget_mw // midspan_count
-        self.midspans = [Midspan(f"ms{i}", per) for i in range(midspan_count)]
-        self.global_budget_mw = global_budget_mw
-        self.detection_window_ps = detection_window_ps
+        self.global_budget_mw = _mw(config.global_budget_w)
+        per = self.global_budget_mw // config.midspan_count \
+            if config.midspan_budget_w is None else _mw(config.midspan_budget_w)
+        self.midspans = [Midspan(f"ms{i}", per) for i in range(config.midspan_count)]
+        self.detection_window_ps = config.detection_window_ms * PS_PER_MS
         self.devices: dict[str, PdDevice] = {}
         self._midspan_of: dict[str, Midspan] = {}
         self.ledger: list[tuple] = []   # (t, tile, class_id, consumption_mw, event)
         self.on_disconnect: list[Callable[[str, SimTime], None]] = []
+        for tile_id in tile_ids:
+            pd = PdDevice(tile_id, requested_class=config.requested_class,
+                          base_mw=config.base_mw)
+            pd.processing.set_from(0, config.processing_mw)
+            pd.peripheral.set_from(0, config.peripheral_mw)
+            self.register(pd)
+        if config.overdraw_tile is not None:
+            if config.overdraw_tile not in self.devices:
+                raise ConfigurationError(
+                    f"power.overdraw_tile {config.overdraw_tile!r} is not a powered tile")
+            self.devices[config.overdraw_tile].processing.set_from(
+                from_seconds(config.overdraw_at_s), _mw(config.overdraw_w))
 
     # -- registration / allocation --
 

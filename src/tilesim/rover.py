@@ -329,9 +329,7 @@ def _serpentine(cells_xy: list[tuple[float, float]], key_major, key_minor):
 
 def plan_sampling(room: Room, resolution_m: float, obstacles=(),
                   z_resolution_m: float | None = None,
-                  inflation_m: float = 0.25,
-                  lift_range=(LIFT_MIN_M, LIFT_MAX_M),
-                  area=None) -> SamplePlan:
+                  inflation_m: float = 0.25, area=None) -> SamplePlan:
     """Serpentine coverage of the reachable floor cells, ascending lift
     stops at every cell.  Both row- and column-major sweeps are costed and
     the shorter one wins (row-major on a tie).
@@ -350,17 +348,16 @@ def plan_sampling(room: Room, resolution_m: float, obstacles=(),
         else (0.0, 0.0, room.length_m, room.width_m)
     if not (0 <= ax0 < ax1 <= room.length_m and 0 <= ay0 < ay1 <= room.width_m):
         raise ConfigurationError("sampling area must lie inside the room")
-    lo, hi = lift_range
     # one Python tuple per stop: refuse a plan too large to build
     stops = ((ax1 - ax0) / resolution_m) * ((ay1 - ay0) / resolution_m) \
-        * ((hi - lo) / zres + 1)
+        * ((LIFT_MAX_M - LIFT_MIN_M) / zres + 1)
     if stops > MAX_PLAN_STOPS:
         raise ConfigurationError(
             f"the sampling plan would exceed {MAX_PLAN_STOPS:,} lift stops; "
             "coarsen resolution_m or z_resolution_m")
     z_stops = []
-    z = lo
-    while z <= hi + 1e-9:
+    z = LIFT_MIN_M
+    while z <= LIFT_MAX_M + 1e-9:
         z_stops.append(round(z, 9))
         z += zres
     cols = int((ax1 - ax0) / resolution_m + 1e-9)

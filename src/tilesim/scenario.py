@@ -18,25 +18,9 @@ import yaml
 from .coherent import CARRIER_MAX_HZ, CARRIER_MIN_HZ, MAX_TX_POWER_DBM
 from .core import MAX_SIM_TIME, PS_PER_S, from_seconds
 from .fabric import SURFACE_NAMES, ConfigurationError, FabricConfig
-from .powerplane import POWER_CLASSES
+from .powerplane import POWER_CLASSES, PowerConfig
 from .rover import MissionConfig
 from .timesync import TimesyncConfig
-
-
-@dataclass
-class PowerConfig:
-    enabled: bool = True
-    global_budget_w: float = 9000.0
-    midspan_count: int = 4
-    midspan_budget_w: float | None = None   # None → equal split of the global
-    requested_class: int | None = 3         # None → classify from measured draw
-    base_mw: int = 500
-    processing_mw: int = 2500               # steady processing draw
-    peripheral_mw: int = 500                # steady peripheral draw
-    detection_window_ms: int = 75
-    overdraw_tile: str | None = None        # fault injection: one greedy tile
-    overdraw_at_s: float = 10.0
-    overdraw_w: float = 20.0
 
 
 @dataclass

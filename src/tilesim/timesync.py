@@ -273,22 +273,6 @@ class TimesyncConfig:
 
 # --- report -----------------------------------------------------------------
 
-@dataclass
-class ExchangeRecord:
-    node: str
-    seq: int
-    t1: int
-    t2: int
-    t3: int
-    t4: int
-    fwd_correction: int
-    rev_correction: int
-    offset_ps: int
-    delay_ps: int
-    true_offset_ps: float
-    at_ps: SimTime
-
-
 class SyncReport:
     """Residual-offset series per disciplined node, plus summary statistics.
 
@@ -522,12 +506,8 @@ class SyncDomain:
     free-running clock's quiet streak would be "converged" by luck), until
     its tile is cut, a tick at the cut excluded.  A tile is cut when it is
     offline as the domain is built (`online`) or by `mark_offline`, which
-    the run subscribes to the power plane's disconnects.
-
-    A scenario run keeps nothing of an exchange once it closes beyond its
-    port's `corrections` count.  `exchanges` is None there; only
-    `run_sync_domain`, the tests' harness, makes it a list, which then gets
-    an `ExchangeRecord` per closed exchange.
+    the run subscribes to the power plane's disconnects.  Nothing of an
+    exchange is kept once it closes beyond its port's `corrections` count.
     """
 
     MODULE = "timesync"
@@ -541,7 +521,6 @@ class SyncDomain:
         self._load = load                    # a LinkLoadTracker, or None
         self.report = SyncReport(from_seconds(config.convergence_threshold_us / 1e6),
                                  config.convergence_samples)
-        self.exchanges: list[ExchangeRecord] | None = None
         self.clocks: dict[str, LocalClock] = {}
         self.ports: dict[str, PtpPort] = {}
         self._interval_ps = from_seconds(config.sync_interval_s)
@@ -727,25 +706,8 @@ class SyncDomain:
             fwd = relay.read(sync_out) - relay.read(sync_in)
             rev = relay.read(req_out) - relay.read(req_in)
         sample = two_step_offset(t1, t2, t3, t4, fwd, rev)
-        if self.exchanges is not None:
-            self.exchanges.append(ExchangeRecord(
-                port.node, seq, t1, t2, t3, t4, fwd, rev, sample.offset_ps,
-                sample.mean_path_delay_ps, clock.offset_at(now), now))
         clock.steer(now, servo_update(port.servo, sample.offset_ps))
         if port.closed_ps is None:
             port.closed_ps = now
         port.corrections += 1
 
-
-def run_sync_domain(fabric: Fabric, config: TimesyncConfig, duration_s: float,
-                    seed: int = 0, loop: EventLoop | None = None,
-                    online=None) -> tuple[SyncReport, SyncDomain]:
-    """Build a domain, run it, return the finalized report; the domain's
-    `exchanges` holds a record of every exchange that closed."""
-    loop = loop or EventLoop()
-    domain = SyncDomain(loop, fabric, config, RngRegistry(seed), online=online)
-    domain.exchanges = []
-    until = from_seconds(duration_s)
-    domain.start(until)
-    loop.run_until(until)
-    return domain.finish(), domain

@@ -1,6 +1,14 @@
-"""Shared fixtures, plus a terminal section listing the acceptance verdicts."""
+"""Shared fixtures and hypothesis profiles, plus a terminal section listing
+the acceptance verdicts."""
 
 import pytest
+from hypothesis import settings
+
+# Every other property test sets its own example count; the metamorphic
+# relations, a few whole runs each, take theirs from the profile: a few in
+# Tier-1, a larger sweep under `--hypothesis-profile=sweep`.
+settings.register_profile("default", max_examples=5)
+settings.register_profile("sweep", max_examples=100)
 
 _ACCEPTANCE_LINES = []
 

@@ -1,0 +1,77 @@
+"""A sync domain that keeps a record of every exchange it closes.
+
+A run keeps nothing of an exchange but its port's count, so the tests
+rebuild the records from outside: a clock read depends only on the clock,
+the instant and the servo steps before it, and the close's one step comes
+after every instant the exchange read.  Reading them again once the close
+has run therefore gives exactly the timestamps it used.
+
+This is a helper module rather than part of `conftest.py`, so that its
+name cannot clash with `perfbench/tests/conftest.py` when one pytest run
+collects both test directories.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from tilesim.core import EventLoop, RngRegistry, SimTime, from_seconds
+from tilesim.timesync import SyncDomain, two_step_offset
+
+
+@dataclass
+class ExchangeRecord:
+    node: str
+    seq: int
+    t1: int
+    t2: int
+    t3: int
+    t4: int
+    fwd_correction: int
+    rev_correction: int
+    offset_ps: int
+    delay_ps: int
+    true_offset_ps: float
+    at_ps: SimTime
+
+
+class RecordingDomain(SyncDomain):
+    """`records` gets an `ExchangeRecord` per closed exchange: its four
+    timestamps and the relay's residences read again at the instants the
+    close read them, and the slave's true offset at the close."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.records: list[ExchangeRecord] = []
+
+    def _close(self, arg) -> None:
+        port = arg[0]
+        corrections = port.corrections
+        super()._close(arg)
+        if port.corrections == corrections:
+            return
+        _, seq, t1_at, t2_at, t3_at, t4_at, sync_in, sync_out, req_in, req_out = arg
+        master, clock, relay = port.master_clock, port.clock, port.relay_clock
+        t1, t2, t3, t4 = (master.read(t1_at), clock.read(t2_at),
+                          clock.read(t3_at), master.read(t4_at))
+        fwd = rev = 0
+        if port.transparent:
+            fwd = relay.read(sync_out) - relay.read(sync_in)
+            rev = relay.read(req_out) - relay.read(req_in)
+        sample = two_step_offset(t1, t2, t3, t4, fwd, rev)
+        now = self.loop.now
+        self.records.append(ExchangeRecord(
+            port.node, seq, t1, t2, t3, t4, fwd, rev, sample.offset_ps,
+            sample.mean_path_delay_ps, clock.offset_at(now), now))
+
+
+def run_sync(fabric, config, duration_s: float, seed: int = 0, cls=SyncDomain,
+             loop: EventLoop | None = None, online=None):
+    """Build a domain of `cls` (`RecordingDomain` to keep the records), run
+    it for `duration_s` and finish it; returns (report, domain)."""
+    loop = loop or EventLoop()
+    domain = cls(loop, fabric, config, RngRegistry(seed), online=online)
+    until = from_seconds(duration_s)
+    domain.start(until)
+    loop.run_until(until)
+    return domain.finish(), domain

@@ -16,12 +16,14 @@ from tilesim.core import RngStream, from_seconds
 from tilesim.dataplane import Broker, ConsumerGroup, fnv1a64
 from tilesim.fabric import FabricConfig, Room, build_default_fabric
 from tilesim.orchestrator import run_scenario
-from tilesim.powerplane import POWER_CLASSES, Grant, PdDevice, PsePlane
+from tilesim.powerplane import POWER_CLASSES, Grant, PdDevice, PowerConfig, PsePlane
 from tilesim.rover import (Battery, KalmanState, MissionConfig, MissionRunner,
                            PowerDrawError, default_beacons, kalman_step,
                            measure_ranges, plan_sampling, trilaterate)
 from tilesim.scenario import scenario_from_dict
-from tilesim.timesync import OscillatorConfig, TimesyncConfig, run_sync_domain
+from tilesim.timesync import OscillatorConfig, TimesyncConfig
+
+from sync_recorder import RecordingDomain, run_sync
 
 
 def quiet_osc(offset_us=0.0, granularity_ps=1):
@@ -70,9 +72,9 @@ def test_criterion_02_offsets_exact_when_noise_free(verdict):
                          cable_model=rnd.choice(["manhattan", "uniform", "fixed"])),
             RngStream(500 + k, "cabling"))
         cfg = open_loop_config(offset_us=rnd.uniform(-40.0, 40.0))
-        report, domain = run_sync_domain(fab, cfg, 5.0, seed=900 + k)
-        assert domain.exchanges
-        for rec in domain.exchanges:
+        report, domain = run_sync(fab, cfg, 5.0, seed=900 + k, cls=RecordingDomain)
+        assert domain.records
+        for rec in domain.records:
             checked += 1
             mismatches += rec.offset_ps != rec.true_offset_ps
     ok = mismatches == 0 and checked >= 300
@@ -86,9 +88,9 @@ def test_criterion_03_relay_dwell_cancels_exactly(verdict):
         fab = build_default_fabric(
             FabricConfig(counts={"wall_a": 5, "floor": 5}, switch_count=2))
         cfg = open_loop_config(residence_us=residence_us)
-        report, domain = run_sync_domain(fab, cfg, 8.0, seed=33)
+        report, domain = run_sync(fab, cfg, 8.0, seed=33, cls=RecordingDomain)
         outcomes.append([(r.node, r.seq, r.offset_ps, r.delay_ps)
-                         for r in domain.exchanges])
+                         for r in domain.records])
     ok = outcomes[0] == outcomes[1] == outcomes[2] and len(outcomes[0]) > 50
     assert verdict(3, ok, f"{len(outcomes[0])} exchanges tick-identical "
                           f"across 0 / 1 us / 100 us of relay dwell")
@@ -104,7 +106,7 @@ def test_criterion_04_one_way_asymmetry_settles_at_half(verdict):
         cfg = TimesyncConfig(tile_osc=OscillatorConfig(5.0, 2.0, 0.0, 8000),
                              switch_osc=quiet_osc(granularity_ps=8000),
                              jitter_scale=0.0)
-        report, _ = run_sync_domain(fab, cfg, 60.0, seed=7)
+        report, _ = run_sync(fab, cfg, 60.0, seed=7)
         tail = report.series("t000")[1][-20:]
         err = abs(abs(tail.mean()) - extra_ps / 2)
         ok = ok and err <= 8000
@@ -117,7 +119,7 @@ def test_criterion_05_cable_randomization_barely_moves_p99(verdict):
     for model in ("fixed", "uniform"):
         fab = build_default_fabric(FabricConfig(cable_model=model),
                                    RngStream(11, "cabling"))
-        report, _ = run_sync_domain(fab, TimesyncConfig(), 150.0, seed=11)
+        report, _ = run_sync(fab, TimesyncConfig(), 150.0, seed=11)
         p99[model] = report.summary()["p99_residual_ps"]
     shift = abs(p99["uniform"] - p99["fixed"]) / p99["fixed"]
     assert verdict(5, shift < 0.10,
@@ -168,7 +170,7 @@ def test_criterion_06_budget_respected_and_fault_isolated(tmp_path, verdict):
 
 
 def test_criterion_07_highest_class_fleet_hits_global_cap(verdict):
-    plane = PsePlane()
+    plane = PsePlane(PowerConfig())
     for i in range(140):
         plane.register(PdDevice(f"t{i:03d}", requested_class=8))
     results = [plane.allocate(f"t{i:03d}", at=0) for i in range(140)]
@@ -191,8 +193,7 @@ def test_criterion_08_array_gain_statistics(verdict):
 
     fab = build_default_fabric(FabricConfig(counts={"wall_a": 8},
                                             switch_count=2))
-    report, _ = run_sync_domain(fab, open_loop_config(offset_us=0.0), 8.0,
-                                seed=88)
+    report, _ = run_sync(fab, open_loop_config(offset_us=0.0), 8.0, seed=88)
     gain = evaluate_beamforming(fab, report, 2.45e9, (4.0, 2.0, 1.2), 200,
                                 RngStream(88, "beam"))
     perfect = bool(np.all(gain.gains == 64.0))

@@ -312,10 +312,9 @@ def test_range_assignment_split():
     g = ConsumerGroup("g", b)
     for m in ("c2", "c0", "c1"):
         g.join(m)
-    a = g.assignment()
+    a = {m: g.partitions_of(m) for m in g.members}
     # sorted members, contiguous ranges, remainder to the first members
     assert a == {"c0": [0, 1, 2], "c1": [3, 4, 5], "c2": [6, 7]}
-    assert g.partitions_of("c2") == [6, 7]
 
 
 def test_members_cover_disjoint_partitions():
@@ -377,7 +376,8 @@ def test_leave_triggers_rebalance():
     g.join("c0")
     g.join("c1")
     g.leave("c1")
-    assert g.assignment() == {"c0": [0, 1]}
+    assert g.members == ["c0"] and g.partitions_of("c0") == [0, 1]
+    assert g.partitions_of("c1") == []
     assert [r["why"] for r in g.rebalances] == ["join", "join", "leave"]
 
 
@@ -393,7 +393,7 @@ def test_cached_assignment_follows_each_join_and_leave():
     assert g.partitions_of("c1") == [0, 1, 2, 3]
     assert g.partitions_of("c0") == []
     g.leave("c1")
-    assert g.assignment() == {}
+    assert g.members == [] and g.partitions_of("c1") == []
 
 
 def test_commit_past_frontier_rejected():
@@ -454,17 +454,20 @@ def test_interleaved_appends_keep_partition_order(ops):
 def test_load_window_arithmetic():
     tr = LinkLoadTracker(window_ps=PS_PER_MS)
     tr.record("l1", 0, 1250)   # 10 kilobits
-    assert tr.bits_per_second("l1", 0) == pytest.approx(10_000_000.0)
+    w = tr.windows["l1"]
+    assert w.bits_per_second(0, tr.window_ps) == pytest.approx(10_000_000.0)
     assert tr.utilization("l1", 0, 1e9) == pytest.approx(0.01)
     # an event exactly one window old has left the window
-    assert tr.bits_per_second("l1", PS_PER_MS) == 0.0
+    assert w.bits_per_second(PS_PER_MS, tr.window_ps) == 0.0
+    assert tr.utilization("l1", PS_PER_MS, 1e9) == 0.0
 
 
 def test_load_accumulates_within_window():
     tr = LinkLoadTracker(window_ps=PS_PER_S)
     for k in range(10):
         tr.record("l1", k * PS_PER_MS, 1000)
-    assert tr.bits_per_second("l1", 10 * PS_PER_MS) == pytest.approx(80_000.0)
+    assert tr.windows["l1"].bits_per_second(10 * PS_PER_MS, tr.window_ps) == \
+        pytest.approx(80_000.0)
 
 
 def test_utilization_saturates_at_one():
@@ -475,7 +478,8 @@ def test_utilization_saturates_at_one():
 
 def test_unknown_link_is_idle():
     tr = LinkLoadTracker(window_ps=PS_PER_MS)
-    assert tr.bits_per_second("never", 0) == 0.0
+    assert tr.utilization("never", 0, 1e9) == 0.0
+    assert "never" not in tr.windows
 
 
 @settings(max_examples=60, deadline=None)
@@ -539,4 +543,4 @@ def test_windowed_rate_matches_a_full_rescan(window, ops):
         kept.setdefault(link, []).append((now, nbytes))
         kept[link] = [(t, n) for t, n in kept[link] if t > now - window]
         want = sum(n for _, n in kept[link]) * 8 * PS_PER_S / window
-        assert tr.bits_per_second(link, now) == want
+        assert tr.windows[link].bits_per_second(now, window) == want

@@ -12,8 +12,10 @@ A Review of Challenges and Opportunities", ACM Computing Surveys 51(1),
   every other artifact byte-identical.
 - R3: with `timesync.load_coupling: 0`, turning the dataplane off leaves
   `sync_report.csv` and `gains.csv` byte-identical.
+- R4: multiplying `timesync.sample_interval_s` by k leaves every row the
+  two runs share equal: each row of the coarser run is a row of the finer.
 - R5: a shorter run's sync rows are, node by node, a prefix of a longer
-  run's.
+  run's, and its `power_ledger.csv` lines a prefix of the longer run's.
 
 `report.json` and `resolved.json` carry the configuration and its hash, so
 a relation compares `report.json` without `config_hash` and without the
@@ -22,6 +24,9 @@ section of the stage it turns off, and skips `resolved.json`.
 Each scenario is drawn leaf by leaf: every numeric leaf in `SMALL` takes a
 value inside its `scenario.RULES` rule, in a range that keeps a run under
 about a tenth of a second (at most 16 tiles and 2 s).
+
+The example count comes from the hypothesis profile (`tests/conftest.py`):
+a few for Tier-1, more under `--hypothesis-profile=sweep`.
 """
 
 from __future__ import annotations
@@ -155,7 +160,7 @@ def variant(doc: dict, **changes) -> dict:
     return out
 
 
-RELATION = settings(max_examples=5, derandomize=True, deadline=None)
+RELATION = settings(derandomize=True, deadline=None)
 
 
 @RELATION
@@ -187,6 +192,16 @@ def test_r3_an_uncoupled_dataplane_moves_no_sync_artifact(doc):
         assert on.get(name) == off.get(name), name
 
 
+@RELATION
+@given(scenarios(), st.integers(2, 4))
+def test_r4_a_coarser_sampler_keeps_every_shared_row(doc, k):
+    # whole milliseconds, so each coarse tick is exactly a fine one
+    fine = round(doc["timesync"]["sample_interval_s"], 3)
+    rows = [set(artifacts(variant(doc, timesync__sample_interval_s=s))
+                ["sync_report.csv"].splitlines()[1:]) for s in (fine, fine * k)]
+    assert rows[1] <= rows[0]
+
+
 def _rows_by_node(csv_bytes: bytes) -> dict[str, list[bytes]]:
     rows: dict[str, list[bytes]] = {}
     for line in csv_bytes.splitlines()[1:]:
@@ -195,10 +210,17 @@ def _rows_by_node(csv_bytes: bytes) -> dict[str, list[bytes]]:
 
 
 @RELATION
-@given(scenarios(), st.floats(0.2, 0.9))
-def test_r5_a_shorter_runs_sync_rows_are_a_prefix(doc, fraction):
-    longer = _rows_by_node(artifacts(doc)["sync_report.csv"])
-    shorter = _rows_by_node(artifacts(variant(
-        doc, duration_s=doc["duration_s"] * fraction))["sync_report.csv"])
-    for node, rows in shorter.items():
-        assert longer[node][:len(rows)] == rows, node
+@given(scenarios(), st.floats(0.2, 0.9), st.floats(0.0, 1.0))
+def test_r5_a_shorter_run_is_a_prefix_of_a_longer_one(doc, fraction, overdraw):
+    # t000, granted first, overdraws from a drawn point of the longer run:
+    # its cut lands before the shorter run ends, after it, or after both
+    doc = variant(doc, power__overdraw_tile="t000", power__overdraw_w=20.0,
+                  power__overdraw_at_s=doc["duration_s"] * overdraw)
+    longer = artifacts(doc)
+    shorter = artifacts(variant(doc, duration_s=doc["duration_s"] * fraction))
+    rows = _rows_by_node(longer["sync_report.csv"])
+    for node, prefix in _rows_by_node(shorter["sync_report.csv"]).items():
+        assert rows[node][:len(prefix)] == prefix, node
+    lines = longer["power_ledger.csv"].splitlines()
+    prefix = shorter["power_ledger.csv"].splitlines()
+    assert lines[:len(prefix)] == prefix

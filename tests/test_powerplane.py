@@ -4,9 +4,11 @@ import pytest
 
 from tilesim.core import PS_PER_MS, PS_PER_S
 from tilesim.fabric import ConfigurationError
-from tilesim.powerplane import (DEFAULT_DETECTION_WINDOW_PS, Denial, Grant,
-                                PdDevice, PowerClass, POWER_CLASSES, PsePlane,
+from tilesim.powerplane import (Denial, Grant, PdDevice, PowerClass,
+                                POWER_CLASSES, PowerConfig, PsePlane,
                                 StepSeries, classify)
+
+WINDOW_PS = PowerConfig.detection_window_ms * PS_PER_MS
 
 
 def make_pd(tile_id="t000", cls=3, base=500, processing=2500, peripheral=500):
@@ -17,7 +19,7 @@ def make_pd(tile_id="t000", cls=3, base=500, processing=2500, peripheral=500):
 
 
 def plane_with(pds, **kw):
-    plane = PsePlane(**kw)
+    plane = PsePlane(PowerConfig(**kw))
     for pd in pds:
         plane.register(pd)
     return plane
@@ -131,7 +133,7 @@ def test_class8_requests_cap_at_one_hundred():
 
 def test_denial_reports_remaining_budgets():
     plane = plane_with([make_pd("a", cls=8), make_pd("b", cls=8)],
-                       midspan_count=1, global_budget_mw=100_000)
+                       midspan_count=1, global_budget_w=100.0)
     assert isinstance(plane.allocate("a"), Grant)
     d = plane.allocate("b")
     assert isinstance(d, Denial)
@@ -157,10 +159,41 @@ def test_double_grant_rejected():
 
 
 def test_double_registration_rejected():
-    plane = PsePlane()
+    plane = PsePlane(PowerConfig())
     plane.register(make_pd("a"))
     with pytest.raises(ConfigurationError, match="twice"):
         plane.register(make_pd("a"))
+
+
+def test_plane_is_built_from_its_section():
+    cfg = PowerConfig(global_budget_w=100.5, midspan_count=3, midspan_budget_w=40.25,
+                      requested_class=None, base_mw=700, processing_mw=1200,
+                      peripheral_mw=300, detection_window_ms=20,
+                      overdraw_tile="b", overdraw_at_s=1.5, overdraw_w=30.0)
+    plane = PsePlane(cfg, ["c", "a", "b"])
+    assert plane.global_budget_mw == 100_500
+    assert [m.budget_mw for m in plane.midspans] == [40_250] * 3
+    assert plane.detection_window_ps == 20 * PS_PER_MS
+    # one device a tile, registered in the given order, round robin
+    assert [plane.allocate(t).midspan_id for t in "cab"] == ["ms0", "ms1", "ms2"]
+    for tile in "cab":
+        pd = plane.devices[tile]
+        assert (pd.requested_class, pd.granted.class_id) == (None, 1)
+        assert pd.consumption_mw(0) == 2200
+    assert plane.devices["a"].breakpoints() == [0]
+    assert plane.devices["b"].consumption_mw(int(1.5 * PS_PER_S)) == 31_000
+
+
+def test_overdraw_tile_must_be_a_powered_tile():
+    with pytest.raises(ConfigurationError,
+                       match="^power.overdraw_tile 'z' is not a powered tile$"):
+        PsePlane(PowerConfig(overdraw_tile="z"), ["a"])
+
+
+def test_device_defaults_are_the_sections():
+    pd = PdDevice("a")
+    assert (pd.requested_class, pd.base_mw) == (PowerConfig.requested_class,
+                                                PowerConfig.base_mw)
 
 
 # --- consumption and overdraw -----------------------------------------------
@@ -186,7 +219,7 @@ def test_overdraw_disconnect_at_exact_window_edge():
     pd.processing.set_from(step_at, 20_000)   # 20.5 W total vs 13 W ceiling
     ev = plane.find_disconnect_time(pd)
     assert ev is not None
-    assert ev.at_ps == step_at + DEFAULT_DETECTION_WINDOW_PS
+    assert ev.at_ps == step_at + WINDOW_PS
     assert ev.limit_mw == 13_000
     # one tick before the deadline nothing happens
     assert plane.monitor(ev.at_ps - 1) == []
@@ -241,7 +274,7 @@ def test_disconnect_callbacks_fire():
     plane.allocate("a", at=0)
     pd.processing.set_from(PS_PER_S, 50_000)
     plane.monitor(10 * PS_PER_S)
-    assert seen == [("a", PS_PER_S + DEFAULT_DETECTION_WINDOW_PS)]
+    assert seen == [("a", PS_PER_S + WINDOW_PS)]
 
 
 def test_pending_disconnects_preview():
@@ -270,7 +303,7 @@ def test_ledger_csv_format(tmp_path):
 
 def test_summary_counts():
     pds = [make_pd(f"t{i}", cls=8) for i in range(3)]
-    plane = plane_with(pds, midspan_count=1, global_budget_mw=180_000)
+    plane = plane_with(pds, midspan_count=1, global_budget_w=180.0)
     for pd in pds:
         plane.allocate(pd.tile_id)
     pds[0].processing.set_from(PS_PER_S, 99_000)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from sync_recorder import RecordingDomain
 from test_boundary import alarm
 
 import tilesim
@@ -21,7 +22,6 @@ from tilesim.orchestrator import STAGES, prepare_scenario, run_scenario
 from tilesim.scenario import (_YAML_LOADER, ScenarioConfig, load_scenario,
                               resolved_dict, resolved_json, scenario_from_dict,
                               scenario_hash, validate_scenario)
-from tilesim.timesync import run_sync_domain
 
 # 8 s: at 6 s, most seeds leave an SDR tile unconverged (22 of seeds 1-30),
 # and a run whose array has no converged tile writes no gains.csv
@@ -841,16 +841,18 @@ def test_produced_keys_sit_on_their_hash_partition(tmp_path):
         assert row["partition"] == result.broker.partition_for(row["key"])
 
 
-def test_a_run_keeps_no_exchange_log_and_still_counts_exchanges(tmp_path):
+def test_a_run_counts_each_exchange_it_closes_and_keeps_none(tmp_path, monkeypatch):
     cfg = tiny_cfg(duration_s=2.0, rover={"enabled": False})
-    result = run_scenario(cfg, tmp_path)
-    assert result.domain.exchanges is None
-    corrections = sum(p.corrections for p in result.domain.ports.values())
-    assert result.report["timesync"]["exchanges"] == corrections > 0
-    # the tests' harness keeps one record for each correction
-    _, domain = run_sync_domain(result.fabric, cfg.timesync, 2.0, seed=cfg.seed)
-    assert len(domain.exchanges) == sum(
-        p.corrections for p in domain.ports.values()) > 0
+    assert not hasattr(prepare_scenario(cfg).domain, "exchanges")
+    plain = run_scenario(cfg, tmp_path / "plain")
+    # the recorder closes each exchange as a run does, then reads it again
+    monkeypatch.setattr("tilesim.orchestrator.SyncDomain", RecordingDomain)
+    recorded = run_scenario(cfg, tmp_path / "recorded")
+    assert isinstance(recorded.domain, RecordingDomain)
+    records = recorded.domain.records
+    assert recorded.report["timesync"]["exchanges"] == len(records) > 0
+    for name in ("sync_report.csv", "report.json"):
+        assert (recorded.out_dir / name).read_bytes() == (plain.out_dir / name).read_bytes()
 
 
 def test_every_section_with_a_switch_is_a_stage():

@@ -18,10 +18,11 @@ from tilesim.core import (EventLoop, MAX_SIM_TIME, PS_PER_MS, PS_PER_S,
                           from_seconds)
 from tilesim.dataplane import LinkLoadTracker
 from tilesim.fabric import ConfigurationError, FabricConfig, build_default_fabric
-from tilesim.timesync import (ExchangeRecord, LocalClock, OscillatorConfig,
-                              ServoState, SyncDomain, SyncReport,
-                              TimesyncConfig, run_sync_domain, servo_update,
-                              two_step_offset)
+from tilesim.timesync import (LocalClock, OscillatorConfig, ServoState,
+                              SyncDomain, SyncReport, TimesyncConfig,
+                              servo_update, two_step_offset)
+
+from sync_recorder import ExchangeRecord, RecordingDomain, run_sync
 
 
 def quiet_osc(offset_us=0.0, granularity_ps=1):
@@ -267,9 +268,10 @@ def zero_noise_config(offset_us=5.0, kp=0.0, ki=0.0, **kw):
 def test_zero_noise_offsets_are_exact():
     # no jitter, no drift, 1 ps ticks, open-loop servo: each measured
     # offset must equal the true (integer) clock offset
-    report, domain = run_sync_domain(small_fabric(), zero_noise_config(), 10.0, seed=3)
-    assert len(domain.exchanges) >= 4 * 9
-    for rec in domain.exchanges:
+    report, domain = run_sync(small_fabric(), zero_noise_config(), 10.0, seed=3,
+                              cls=RecordingDomain)
+    assert len(domain.records) >= 4 * 9
+    for rec in domain.records:
         assert rec.offset_ps == rec.true_offset_ps
         assert not isinstance(rec.true_offset_ps, bool)
         assert rec.delay_ps > 0
@@ -280,9 +282,10 @@ def test_transparent_residence_sweep_is_invariant():
     outcomes = []
     for residence_us in (0.0, 1.0, 100.0):
         cfg = zero_noise_config(residence_us=residence_us)
-        report, domain = run_sync_domain(small_fabric(), cfg, 10.0, seed=3)
+        report, domain = run_sync(small_fabric(), cfg, 10.0, seed=3,
+                                  cls=RecordingDomain)
         outcomes.append([(r.node, r.seq, r.offset_ps, r.delay_ps)
-                         for r in domain.exchanges])
+                         for r in domain.records])
     assert outcomes[0] == outcomes[1] == outcomes[2]
     assert len(outcomes[0]) > 0
 
@@ -292,13 +295,13 @@ def test_imperfect_relay_clock_leaves_residue():
     # residence by the same amount on both legs, so the measured delay
     # carries it and the offset, exact in integers, moves by at most the
     # 1 ps tick
-    base = run_sync_domain(small_fabric(), zero_noise_config(residence_us=0.0),
-                           10.0, seed=3)[1].exchanges
+    base = run_sync(small_fabric(), zero_noise_config(residence_us=0.0),
+                    10.0, seed=3, cls=RecordingDomain)[1].records
     cfg = TimesyncConfig(tile_osc=quiet_osc(5.0),
                          switch_osc=OscillatorConfig(0.0, 100.0, 0.0, 1),
                          jitter_scale=0.0, servo_kp=0.0, servo_ki=0.0,
                          residence_us=2000.0)
-    skewed = run_sync_domain(small_fabric(), cfg, 10.0, seed=3)[1].exchanges
+    skewed = run_sync(small_fabric(), cfg, 10.0, seed=3, cls=RecordingDomain)[1].records
     assert [r.delay_ps for r in base] != [r.delay_ps for r in skewed]
     assert all(abs(a.offset_ps - b.offset_ps) <= 1 for a, b in zip(base, skewed))
 
@@ -307,7 +310,7 @@ def test_closed_loop_domain_converges():
     cfg = TimesyncConfig(tile_osc=OscillatorConfig(10.0, 10.0, 0.0, 8000),
                          switch_osc=quiet_osc(granularity_ps=8000),
                          jitter_scale=0.0)
-    report, domain = run_sync_domain(small_fabric(), cfg, 60.0, seed=5)
+    report, domain = run_sync(small_fabric(), cfg, 60.0, seed=5)
     s = report.summary()
     assert s["unconverged_nodes"] == []
     assert s["convergence_time_ps"] is not None
@@ -328,7 +331,7 @@ def test_one_way_asymmetry_biases_by_half():
     cfg = TimesyncConfig(tile_osc=OscillatorConfig(5.0, 2.0, 0.0, 8000),
                          switch_osc=quiet_osc(granularity_ps=8000),
                          jitter_scale=0.0)
-    report, domain = run_sync_domain(fab, cfg, 60.0, seed=7)
+    report, domain = run_sync(fab, cfg, 60.0, seed=7)
     tail = report.series("t000")[1][-20:]
     assert abs(abs(tail.mean()) - extra_ps / 2) <= 8000
     other = report.series("t001")[1][-20:]
@@ -349,9 +352,9 @@ def test_sampling_and_tracing_leave_the_exchanges_alone(boundary):
         for trace in (None, io.StringIO()):
             cfg = TimesyncConfig(sample_interval_s=sample_interval_s,
                                  boundary_switches=boundary)
-            _, domain = run_sync_domain(eight_tile_fabric(), cfg, 30.0, seed=7,
-                                        loop=EventLoop(trace))
-            runs.append(domain.exchanges)
+            _, domain = run_sync(eight_tile_fabric(), cfg, 30.0, seed=7,
+                                 cls=RecordingDomain, loop=EventLoop(trace))
+            runs.append(domain.records)
     assert len(runs[0]) == 30 * (8 + len(boundary))
     assert all(run == runs[0] for run in runs[1:])
 
@@ -402,8 +405,8 @@ def test_residuals_equal_offset_at_on_a_copy_taken_at_each_tick(sample_interval_
 
 def test_tick_at_first_correction_is_sampled_and_tick_at_cut_is_not():
     until = from_seconds(4.0)
-    closed = run_sync_domain(eight_tile_fabric(), TimesyncConfig(), 4.0,
-                             seed=7)[1].ports["t000"].closed_ps
+    closed = run_sync(eight_tile_fabric(), TimesyncConfig(), 4.0,
+                      seed=7)[1].ports["t000"].closed_ps
     # a sampler ticking at t000's first correction, which sampling cannot move
     cfg = TimesyncConfig(sample_interval_s=closed / PS_PER_S)
     assert from_seconds(cfg.sample_interval_s) == closed
@@ -420,10 +423,10 @@ def test_tick_at_first_correction_is_sampled_and_tick_at_cut_is_not():
 
 
 def test_offline_tiles_do_not_exchange():
-    report, domain = run_sync_domain(
-        small_fabric(), zero_noise_config(), 10.0, seed=3,
+    report, domain = run_sync(
+        small_fabric(), zero_noise_config(), 10.0, seed=3, cls=RecordingDomain,
         online=lambda node: node != "t000")
-    nodes = {r.node for r in domain.exchanges}
+    nodes = {r.node for r in domain.records}
     assert "t000" not in nodes
     assert {"t001", "t002", "t003"} <= nodes
 
@@ -431,7 +434,7 @@ def test_offline_tiles_do_not_exchange():
 def test_boundary_switch_serves_its_tiles():
     fab = small_fabric()
     cfg = zero_noise_config(boundary_switches=("sw0",))
-    report, domain = run_sync_domain(fab, cfg, 10.0, seed=3)
+    report, domain = run_sync(fab, cfg, 10.0, seed=3)
     assert domain.ports["sw0"].master == "central"
     for tid in fab.switches["sw0"].attached:
         assert domain.ports[tid].master == "sw0"
@@ -466,8 +469,7 @@ def test_interval_no_longer_than_an_exchange_is_refused():
 
 def test_unknown_boundary_switch_rejected():
     with pytest.raises(ConfigurationError, match="boundary"):
-        run_sync_domain(small_fabric(),
-                        zero_noise_config(boundary_switches=("sw9",)), 1.0)
+        run_sync(small_fabric(), zero_noise_config(boundary_switches=("sw9",)), 1.0)
 
 
 def test_load_coupling_scales_jitter():
@@ -618,12 +620,13 @@ def test_report_csv_matches_csv_writer_byte_for_byte(series, finalize):
 
 # --- fusion oracle (R7) -----------------------------------------------------
 
-class StepwiseDomain(SyncDomain):
+class StepwiseDomain(RecordingDomain):
     """The exchange as ten events, each step reading its clock as it fires:
     sync egress, relay ingress and egress, sync arrival, follow-up arrival,
     delay-request egress, relay ingress and egress, delay-request arrival
-    and delay-response arrival.  It takes the fused exchange's hop jitters,
-    so the fused close must give the same records."""
+    and delay-response arrival.  It takes the fused exchange's hop jitters
+    and builds its own records at the last step (it queues no close), so
+    the recorded fused close must give the same records."""
 
     def _sync_egress(self, port):
         if port.cut_ps is not None:
@@ -712,7 +715,7 @@ class StepwiseDomain(SyncDomain):
         now = self.loop.now
         sample = two_step_offset(st["t1"], st["t2"], st["t3"], st["t4"],
                                  st["fwd"], st["rev"])
-        self.exchanges.append(ExchangeRecord(
+        self.records.append(ExchangeRecord(
             port.node, st["seq"], st["t1"], st["t2"], st["t3"], st["t4"],
             st["fwd"], st["rev"], sample.offset_ps, sample.mean_path_delay_ps,
             port.clock.offset_at(now), now))
@@ -725,7 +728,6 @@ class StepwiseDomain(SyncDomain):
 def _run_domain(cls, fab, cfg, until, cuts, load):
     loop = EventLoop()
     domain = cls(loop, fab, cfg, RngRegistry(4), load=load)
-    domain.exchanges = []
     domain.start(until)
     for tile, t in cuts:
         cut_at(loop, domain, tile, t)
@@ -755,7 +757,7 @@ def test_fused_close_equals_the_ten_event_exchange(boundary):
     epoch = (port_order.index("t002") * from_seconds(0.02) + 4 * from_seconds(0.3))
     cuts = [("t002", epoch + from_seconds(0.01))]
     runs = []
-    for cls in (SyncDomain, StepwiseDomain):
+    for cls in (RecordingDomain, StepwiseDomain):
         fab = fabric()
         load = LinkLoadTracker(window_ps=from_seconds(0.05))
         for k in range(400):
@@ -763,8 +765,8 @@ def test_fused_close_equals_the_ten_event_exchange(boundary):
                 load.record(link.id, k * from_seconds(0.01), link.bandwidth_bps // 400)
         runs.append(_run_domain(cls, fab, cfg, until, cuts, load))
     (fused, fused_report, fused_loop), (stepwise, step_report, _) = runs
-    assert fused.exchanges == stepwise.exchanges
-    assert len(fused.exchanges) > 100
+    assert fused.records == stepwise.records
+    assert len(fused.records) > 100
     assert {sw.transparent_clock for sw in first.switches.values()} == {True, False}
     for node in fused_report.nodes:
         assert fused_report.series(node)[1].tobytes() == \
@@ -772,8 +774,8 @@ def test_fused_close_equals_the_ten_event_exchange(boundary):
     # the cut exchange never closed: t002 corrected four times
     assert fused.ports["t002"].corrections == 4
     if boundary:
-        sw_closes = [r.at_ps for r in fused.exchanges if r.node == "sw0"]
-        served = [r for r in fused.exchanges
+        sw_closes = [r.at_ps for r in fused.records if r.node == "sw0"]
+        served = [r for r in fused.records
                   if fused.ports[r.node].master == "sw0"]
         start = {n: i * from_seconds(0.02) for i, n in enumerate(port_order)}
         inside = [r for r in served if any(
