@@ -40,8 +40,13 @@ from .fabric import ConfigurationError, Fabric, Link
 # the most residual samples (ports times sampler ticks) one run may ask for
 MAX_RESIDUAL_SAMPLES = 10_000_000
 
-# the events one exchange fires: its sync egress and its close
+# the periodic work one exchange counts for: its sync egress, the one
+# event it fires, and its close, run in a batch
 EXCHANGE_EVENTS = 2
+
+# the most exchanges a port holds unclosed: an egress that fills the block
+# closes those due by then
+_CLOSE_BLOCK = 128
 
 # the frequency walk's lattice step: a constant, so neither a configured
 # interval nor the run's length moves a draw
@@ -113,6 +118,34 @@ class LocalClock:
         # truncate to the tick grid, toward minus infinity (a counter)
         g = self.granularity_ps
         return (true_t + (p >> 32)) // g * g
+
+    def read_many(self, times) -> list[int]:
+        """`read` at each of `times` (ascending true ps), in one exact pass
+        forward over the segments from the one holding the first."""
+        if not times:
+            return []
+        if times[-1] >= self._next_ps:
+            self._extend(times[-1])
+        starts, rates = self._starts, self._rates
+        last = len(starts) - 1
+        j = bisect_right(starts, times[0]) - 1
+        p = self._p0                  # the exact phase at starts[j]
+        for i in range(last - 1, j - 1, -1):
+            p -= _phase_step(rates[i], starts[i + 1] - starts[i])
+        g = self.granularity_ps
+        t0, nxt = starts[j], starts[j + 1] if j < last else _NEVER
+        n, d = rates[j].as_integer_ratio()
+        n, d = n << 32, d * 1_000_000
+        out = []
+        for t in times:
+            while t >= nxt:
+                p += n * (nxt - t0) // d
+                j += 1
+                t0, nxt = nxt, starts[j + 1] if j < last else _NEVER
+                n, d = rates[j].as_integer_ratio()
+                n, d = n << 32, d * 1_000_000
+            out.append((t + ((p + n * (t - t0) // d) >> 32)) // g * g)
+        return out
 
     def offset_at(self, true_t: SimTime) -> float:
         """Offset at the given true instant (no readout quantization)."""
@@ -377,13 +410,41 @@ class SyncReport:
     def to_csv(self, path) -> None:
         """One row per sample, residuals rounded half to even (`np.rint`, as
         `round` does).  Each node's rows are written as one block, laid out
-        exactly as `csv.writer` would write them."""
+        exactly as `csv.writer` would write them.  Nodes whose times are
+        ranges on one tick grid share each tick's text, made once."""
+        grids = _tick_texts(self._times.values())
         with open(path, "w", newline="") as f:
             csv.writer(f).writerow(["true_time_ps", "node", "residual_ps"])
             for node in self.nodes:
                 field = _csv_field(node)
+                times = self._times[node]
+                grid = grids.get(_grid_of(times))
+                if grid is not None:
+                    i = (times.start - grid[0]) // times.step
+                    times = grid[1][i:i + len(times)]
                 f.write("".join([f"{t},{field},{r}\r\n" for t, r in zip(
-                    self._times[node], _rounded(self._resid[node]))]))
+                    times, _rounded(self._resid[node]))]))
+
+
+def _grid_of(times) -> tuple | None:
+    """The tick grid (step, residue) of an ascending, non-empty range."""
+    if isinstance(times, range) and times.step > 0 and times:
+        return times.step, times.start % times.step
+    return None
+
+
+def _tick_texts(series) -> dict:
+    """Per tick grid of the ranges in `series`, (first tick, the text of
+    each tick up to the last of any): only for a grid whose span holds no
+    more ticks than its ranges do together."""
+    spans = {}
+    for times in series:
+        grid = _grid_of(times)
+        if grid is not None:
+            lo, hi, n = spans.get(grid, (times.start, times[-1], 0))
+            spans[grid] = (min(lo, times.start), max(hi, times[-1]), n + len(times))
+    return {grid: (lo, [str(t) for t in range(lo, hi + 1, grid[0])])
+            for grid, (lo, hi, n) in spans.items() if (hi - lo) // grid[0] < n}
 
 
 def _rounded(values) -> list[int]:
@@ -418,6 +479,7 @@ class PtpPort:
     corrections: int = 0
     closed_ps: int | None = None   # the instant of the first correction
     cut_ps: int | None = None      # the instant the tile went offline
+    epoch_ps: int = 0              # the first sync egress
     clock: LocalClock | None = field(default=None, repr=False)
     master_clock: LocalClock | None = field(default=None, repr=False)
     relay_clock: LocalClock | None = field(default=None, repr=False)
@@ -435,14 +497,13 @@ class PtpPort:
 
 class _PortJitter:
     """One port's delay jitter on one link: the link's base sigma, the load
-    window that scales it, the lognormal shape, and the port's draws, made
-    on the first: exchange seq's hop on leg 0 (sync) or 1 (delay request)
-    draws exp(s z), z normal 2 seq + leg of the port's stream on the link,
-    held a block at a time, each exp taken in `math`."""
+    window that scales it, the lognormal shape, and the sigma held for each
+    exchange not yet closed, taken at its epoch.  Exchange seq's hop on leg
+    0 (sync) or 1 (delay request) is exp(s z) at that sigma, z normal
+    2 seq + leg of the port's stream on the link, made on the first draw."""
 
     __slots__ = ("link_id", "base_ns", "coupling", "windows", "window_ps",
-                 "bandwidth_bps", "s", "denom", "rng", "name", "stream",
-                 "start", "factors")
+                 "bandwidth_bps", "s", "denom", "rng", "name", "stream", "sigmas")
 
     def __init__(self, link: Link, config: TimesyncConfig, load,
                  rng: RngRegistry | None = None, name: str = ""):
@@ -457,7 +518,7 @@ class _PortJitter:
         # sqrt(expm1(s^2)), so dividing by both gives unit sigma
         self.denom = math.exp(s * s / 2) * math.sqrt(math.expm1(s * s))
         self.rng, self.name = rng, name
-        self.stream, self.start, self.factors = None, 0, ()
+        self.stream = self.sigmas = None
 
     def sigma_ns(self, t: SimTime) -> float:
         sigma = self.base_ns
@@ -467,38 +528,53 @@ class _PortJitter:
             sigma *= 1.0 + self.coupling * min(1.0, bps / self.bandwidth_bps)
         return sigma
 
-    def ps(self, t: SimTime, seq: int) -> tuple[int, int]:
-        """Exchange seq's jitter on the sync and the delay-request hop, in
-        integer ps, at the link's sigma at t."""
-        sigma_ns = self.sigma_ns(t)
-        if sigma_ns <= 0:
-            return 0, 0
-        scale = sigma_ns * 1000 / self.denom
-        k = 2 * seq - self.start
-        if not 0 <= k < len(self.factors):
-            if self.stream is None:
-                self.stream = self.rng.stream(self.name)
-            self.start = 2 * seq - 2 * seq % RngStream._BLOCK
-            z = as_normals(self.stream.words(self.start, RngStream._BLOCK))
-            self.factors = array("d", map(math.exp, (self.s * z).tolist()))
-            k = 2 * seq - self.start
-        return round(scale * self.factors[k]), round(scale * self.factors[k + 1])
+    def hold(self, t: SimTime) -> int:
+        """Hold the link's sigma at t for the next exchange; returns how
+        many are held."""
+        sigmas = self.sigmas
+        if sigmas is None:
+            sigmas = self.sigmas = array("d")
+        sigmas.append(self.sigma_ns(t))
+        return len(sigmas)
+
+    def ps(self, seq: int, n: int) -> tuple[list[int], list[int]]:
+        """The jitter of exchanges seq .. seq + n - 1, at the first n sigmas
+        held, on the sync and on the delay-request hop: integer ps, each
+        rounded half to even from its exp taken in `math`."""
+        sigma = np.frombuffer(self.sigmas[:n])
+        if not (sigma > 0).any():
+            return [0] * n, [0] * n
+        if self.stream is None:
+            self.stream = self.rng.stream(self.name)
+        z = self.s * as_normals(self.stream.words(2 * seq, 2 * n))
+        factors = np.fromiter(map(math.exp, z.tolist()), float, 2 * n)
+        scale = np.where(sigma > 0, sigma * 1000 / self.denom, 0.0)
+        jitter = _rounded(factors * np.repeat(scale, 2))
+        return jitter[0::2], jitter[1::2]
 
 
 class SyncDomain:
     """Schedules periodic exchanges for every clock-role tile (and boundary
     switch) over an event loop and, at `finish`, builds the residual series.
 
-    An exchange is two events.  Its sync egress works out when each step
-    happens from the hop delays and jitters: the sync message crosses the
-    relay, if any, to the slave (t2); a follow-up with the precise t1 lands
-    a fixed lag later; a turnaround after both the delay request leaves
-    (t3) and crosses back to the master (t4), whose response returns with a
-    fixed transit.  The close, at the response's arrival, reads t1-t4 and
-    the relay's residence on each leg at their instants (reads are
-    functions of time and earlier servo steps, so a boundary master
-    steered meanwhile reads as a stepwise event would have), then steps the
-    servo, the one thing that changes a clock's future.
+    An exchange is one event, its sync egress, which holds the sigma of
+    each of the port's links at that epoch (the dataplane's load window is
+    read in the loop's order).  Its close runs later, in a batch of the
+    port's held exchanges, and works out when each step happened from the
+    hop delays and jitters: the sync message crosses the relay, if any, to
+    the slave (t2); a follow-up with the precise t1 lands a fixed lag
+    later; a turnaround after both the delay request leaves (t3) and
+    crosses back to the master (t4), whose response returns with a fixed
+    transit, the close's instant.  The close counts if that instant is at
+    or before the run's end, before the tile's cut and before the port's
+    next epoch.  It reads t1-t4 and the relay's residence on each leg at
+    their instants, then steps the servo at the close, the one thing that
+    changes a clock's future.  Reads are functions of time and earlier
+    servo steps, so a batch reads what events at each instant would have,
+    as long as a boundary master's exchanges close before its slaves':
+    `finish` closes every port in `ports` order, boundary switches first,
+    and an egress that fills its port's block of `_CLOSE_BLOCK` closes the
+    exchanges of its boundary master, then its own, that are due by then.
 
     `finish` evaluates each port's residual at every `sample_interval_s`
     tick from its clock's segments, so observing a run cannot change it:
@@ -635,9 +711,11 @@ class SyncDomain:
         stagger = from_seconds(c.stagger_ms / 1e3)
         epochs = 0
         for i, node in enumerate(sorted(self.ports)):
-            epochs += self.loop.every(t0 + i * stagger, self._interval_ps, until_ps,
+            port = self.ports[node]
+            port.epoch_ps = t0 + i * stagger
+            epochs += self.loop.every(port.epoch_ps, self._interval_ps, until_ps,
                                       self.MODULE, node, "sync_egress",
-                                      self._sync_egress, self.ports[node])
+                                      self._sync_egress, port)
         return epochs * EXCHANGE_EVENTS
 
     def walk_steps(self, until_ps: SimTime) -> int:
@@ -646,9 +724,12 @@ class SyncDomain:
         return walking * (until_ps // WALK_STEP_PS)
 
     def finish(self) -> SyncReport:
-        """Evaluate each port's residual at every tick it is sampled at and
-        finalize the report; call once, after the loop has run to the end
-        given to `start`."""
+        """Close every held exchange, evaluate each port's residual at
+        every tick it is sampled at and finalize the report; call once,
+        after the loop has run to the end given to `start`."""
+        # boundary switches come first in `ports`: their clocks are masters
+        for port in self.ports.values():
+            self._close_due(port, _NEVER)
         tick = self._tick_ps
         # ticks[i] is tick i + 1: exact in uint64; a port's sample times are
         # the same ticks as a range of ints
@@ -675,39 +756,78 @@ class SyncDomain:
         if port.cut_ps is not None:
             return
         now = self.loop.now
-        seq = port.seq = port.seq + 1
-        up_sync, up_req = (0, 0) if port.up is None else port.up.ps(now, seq)
-        down_sync, down_req = port.down.ps(now, seq)
-        sync_in = now + port.up_hop_ps + up_sync
-        sync_out = sync_in + port.residence_ps
-        t2_at = sync_out + port.down_hop_ps + down_sync
-        t3_at = max(t2_at, now + port.followup_ps) + self._turnaround_ps
-        req_in = t3_at + port.req_hop_ps + down_req
-        req_out = req_in + port.residence_ps
-        t4_at = req_out + port.up_req_hop_ps + up_req
-        close = t4_at + port.resp_ps
-        if close <= self._until:
-            self.loop.schedule(close, self.MODULE, port.node, "close", self._close,
-                               (port, seq, now, t2_at, t3_at, t4_at,
-                                sync_in, sync_out, req_in, req_out))
+        port.seq += 1
+        if port.up is not None:
+            port.up.hold(now)
+        if port.down.hold(now) == _CLOSE_BLOCK:
+            master = self.ports.get(port.master)
+            if master is not None:
+                self._close_due(master, now)
+            self._close_due(port, now)
 
-    def _close(self, arg) -> None:
-        port, seq, t1_at, t2_at, t3_at, t4_at, sync_in, sync_out, req_in, req_out = arg
-        if seq != port.seq or port.cut_ps is not None:
+    def _close_due(self, port: PtpPort, horizon: SimTime) -> None:
+        """Close the port's held exchanges, in order, up to the first that
+        may still count but closes past `horizon`: work out each one's
+        instants, read the master and the relay at all of theirs in one
+        pass each, then close each that counts."""
+        down, up = port.down, port.up
+        n = 0 if down.sigmas is None else len(down.sigmas)
+        if not n:
             return
-        now = self.loop.now
-        master, clock = port.master_clock, port.clock
-        t1, t4 = master.read(t1_at), master.read(t4_at)
-        t2, t3 = clock.read(t2_at), clock.read(t3_at)
+        first = port.seq - n + 1
+        down_sync, down_req = down.ps(first, n)
+        up_sync, up_req = ([0] * n,) * 2 if up is None else up.ps(first, n)
+        interval, turnaround, until = self._interval_ps, self._turnaround_ps, self._until
+        end = min(until, _NEVER if port.cut_ps is None else port.cut_ps - 1)
+        up_hop, residence, down_hop = port.up_hop_ps, port.residence_ps, port.down_hop_ps
+        req_hop, up_req_hop = port.req_hop_ps, port.up_req_hop_ps
+        followup, resp = port.followup_ps, port.resp_ps
+        epoch = port.epoch_ps + (first - 1) * interval
+        closing, master_at, relay_at = [], [], []
+        done = 0
+        for k in range(n):
+            sync_in = epoch + up_hop + up_sync[k]
+            sync_out = sync_in + residence
+            t2_at = sync_out + down_hop + down_sync[k]
+            t3_at = max(t2_at, epoch + followup) + turnaround
+            req_in = t3_at + req_hop + down_req[k]
+            req_out = req_in + residence
+            t4_at = req_out + up_req_hop + up_req[k]
+            close = t4_at + resp
+            # the next epoch fires first at its instant, and ends the exchange
+            nxt = epoch + interval
+            if close < nxt:
+                if close > horizon:
+                    break
+                if close <= end:
+                    closing.append((first + k, close, t2_at, t3_at))
+                    master_at += (epoch, t4_at)
+                    relay_at += (sync_in, sync_out, req_in, req_out)
+            done += 1
+            epoch = nxt
+        del down.sigmas[:done]
+        if up is not None:
+            del up.sigmas[:done]
+        if not closing:
+            return
+        master = port.master_clock.read_many(master_at)
+        relay = port.relay_clock.read_many(relay_at) if port.transparent else None
         fwd = rev = 0
-        if port.transparent:
-            # the residence the relay's own clock measured on each leg
-            relay = port.relay_clock
-            fwd = relay.read(sync_out) - relay.read(sync_in)
-            rev = relay.read(req_out) - relay.read(req_in)
-        sample = two_step_offset(t1, t2, t3, t4, fwd, rev)
-        clock.steer(now, servo_update(port.servo, sample.offset_ps))
-        if port.closed_ps is None:
-            port.closed_ps = now
-        port.corrections += 1
+        for i, (seq, close, t2_at, t3_at) in enumerate(closing):
+            if relay is not None:
+                fwd = relay[4 * i + 1] - relay[4 * i]
+                rev = relay[4 * i + 3] - relay[4 * i + 2]
+            self._close(port, seq, close, master[2 * i], t2_at, t3_at,
+                        master[2 * i + 1], fwd, rev)
 
+    def _close(self, port: PtpPort, seq: int, at: SimTime, t1: int,
+               t2_at: SimTime, t3_at: SimTime, t4: int, fwd: int, rev: int) -> None:
+        """Close exchange `seq` at `at`, given the master's t1 and t4 and
+        the relay's residence on each leg: the slave reads t2 and t3, and
+        the servo steps its clock."""
+        clock = port.clock
+        sample = two_step_offset(t1, clock.read(t2_at), clock.read(t3_at), t4, fwd, rev)
+        clock.steer(at, servo_update(port.servo, sample.offset_ps))
+        if port.closed_ps is None:
+            port.closed_ps = at
+        port.corrections += 1

@@ -1,10 +1,11 @@
 """A sync domain that keeps a record of every exchange it closes.
 
 A run keeps nothing of an exchange but its port's count, so the tests
-rebuild the records from outside: a clock read depends only on the clock,
-the instant and the servo steps before it, and the close's one step comes
-after every instant the exchange read.  Reading them again once the close
-has run therefore gives exactly the timestamps it used.
+rebuild the records from outside, hooking the per-exchange close that the
+batch calls with the close's instant: a clock read depends only on the
+clock, the instant and the servo steps before it, and the close's one step
+comes after every instant the exchange read.  Reading the slave again once
+the close has run therefore gives exactly the timestamps it used.
 
 This is a helper module rather than part of `conftest.py`, so that its
 name cannot clash with `perfbench/tests/conftest.py` when one pytest run
@@ -36,33 +37,23 @@ class ExchangeRecord:
 
 
 class RecordingDomain(SyncDomain):
-    """`records` gets an `ExchangeRecord` per closed exchange: its four
-    timestamps and the relay's residences read again at the instants the
-    close read them, and the slave's true offset at the close."""
+    """`records` gets an `ExchangeRecord` per closed exchange: the master's
+    timestamps and the relay's residences the close was given, the slave's
+    timestamps read again at their instants, and the slave's true offset at
+    the close's instant."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.records: list[ExchangeRecord] = []
 
-    def _close(self, arg) -> None:
-        port = arg[0]
-        corrections = port.corrections
-        super()._close(arg)
-        if port.corrections == corrections:
-            return
-        _, seq, t1_at, t2_at, t3_at, t4_at, sync_in, sync_out, req_in, req_out = arg
-        master, clock, relay = port.master_clock, port.clock, port.relay_clock
-        t1, t2, t3, t4 = (master.read(t1_at), clock.read(t2_at),
-                          clock.read(t3_at), master.read(t4_at))
-        fwd = rev = 0
-        if port.transparent:
-            fwd = relay.read(sync_out) - relay.read(sync_in)
-            rev = relay.read(req_out) - relay.read(req_in)
+    def _close(self, port, seq, at, t1, t2_at, t3_at, t4, fwd, rev) -> None:
+        super()._close(port, seq, at, t1, t2_at, t3_at, t4, fwd, rev)
+        clock = port.clock
+        t2, t3 = clock.read(t2_at), clock.read(t3_at)
         sample = two_step_offset(t1, t2, t3, t4, fwd, rev)
-        now = self.loop.now
         self.records.append(ExchangeRecord(
             port.node, seq, t1, t2, t3, t4, fwd, rev, sample.offset_ps,
-            sample.mean_path_delay_ps, clock.offset_at(now), now))
+            sample.mean_path_delay_ps, clock.offset_at(at), at))
 
 
 def run_sync(fabric, config, duration_s: float, seed: int = 0, cls=SyncDomain,

@@ -1,8 +1,13 @@
 """One API surface per module: no module-level function of `tilesim` may be
 a bare alias of a method, that is, a function whose body does nothing but
-call a method reached through its first parameter."""
+call a method reached through its first parameter.  And every name the
+benchmark's tracer wraps must still be there to wrap."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tilesim
@@ -66,3 +71,32 @@ def test_no_module_level_method_aliases():
     aliases = {path.name: method_aliases(path.read_text())
                for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in aliases.items() if found} == {}
+
+
+TRACED_RUN = """
+import json, sys, tempfile
+from perfbench.tracer import Tracer, install
+from tilesim.orchestrator import run_scenario
+from tilesim.scenario import load_scenario
+tr = Tracer()
+install(tr)
+with tempfile.TemporaryDirectory() as out:
+    run_scenario(load_scenario(sys.argv[1]), out)
+print(json.dumps({name: stat[0] for name, stat in tr.stats.items()}))
+"""
+
+
+def test_the_benchmark_tracer_finds_every_name_it_patches():
+    # `perfbench.tracer.install` wraps tilesim's calls by name, and a name
+    # that is gone fails the traced benchmark.  It runs in a child, so no
+    # wrapper leaks into the other tests, on a short traced scenario with a
+    # boundary switch and relays.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), str(root)]))
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(root / "tests/golden/fabric_traced.yaml")],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    calls = json.loads(done.stdout.splitlines()[-1])
+    assert calls["timesync.servo_update"] > 0
+    assert calls["timesync.clock_read"] > 0

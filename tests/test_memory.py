@@ -13,10 +13,11 @@ import numpy as np
 
 from tilesim import dataplane
 from tilesim.coherent import evaluate_beamforming
-from tilesim.core import RngStream
+from tilesim.core import EventLoop, RngRegistry, RngStream, from_seconds
 from tilesim.dataplane import Broker
 from tilesim.fabric import FabricConfig, build_default_fabric
-from tilesim.timesync import SyncReport
+from tilesim.timesync import (LocalClock, OscillatorConfig, SyncDomain,
+                              SyncReport, TimesyncConfig)
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
@@ -95,3 +96,26 @@ def test_beamforming_peak_does_not_grow_with_the_trials():
     one, eight = peak(128), peak(8 * 128)
     # only the gains array itself, 8 bytes a trial, may grow
     assert eight - one < 7 * 128 * 8 + 64 * 1024
+
+
+def test_held_exchanges_do_not_grow_with_the_run(monkeypatch):
+    # clocks that keep one segment (no walk, steps stubbed out), so what
+    # the loop keeps is the sync plane's own state: at most a block of
+    # held exchanges a port, however many blocks of 128 the run fills
+    monkeypatch.setattr(LocalClock, "steer", lambda self, t, ppm: None)
+    fab = build_default_fabric(FabricConfig(counts={"wall_a": 2}, switch_count=2))
+    still = OscillatorConfig(rw_sigma_ppm_per_sqrt_s=0.0)
+    cfg = TimesyncConfig(start_s=0.0, sync_interval_s=0.01, tile_osc=still,
+                         switch_osc=still)
+
+    def peak(blocks):
+        loop = EventLoop()
+        domain = SyncDomain(loop, fab, cfg, RngRegistry(3))
+        until = from_seconds(blocks * 1.28)
+        domain.start(until)
+        return traced_peak(loop.run_until, until)
+
+    peak(1)   # warm-up, as above
+    three, nine = peak(3), peak(9)
+    # unclosed, the 6 blocks between would hold 2 ports x 768 x 16 bytes
+    assert nine - three < 8 * 1024

@@ -16,6 +16,10 @@ A Review of Challenges and Opportunities", ACM Computing Surveys 51(1),
   two runs share equal: each row of the coarser run is a row of the finer.
 - R5: a shorter run's sync rows are, node by node, a prefix of a longer
   run's, and its `power_ledger.csv` lines a prefix of the longer run's.
+- R6: renaming one stage's `stream_label` moves only that stage's
+  artifacts, and those of the stages that read it: timesync's moves
+  `sync_report.csv` and `gains.csv`, coherent's `gains.csv` and the
+  rover's `mission_log.csv`.
 
 `report.json` and `resolved.json` carry the configuration and its hash, so
 a relation compares `report.json` without `config_hash` and without the
@@ -224,3 +228,21 @@ def test_r5_a_shorter_run_is_a_prefix_of_a_longer_one(doc, fraction, overdraw):
     lines = longer["power_ledger.csv"].splitlines()
     prefix = shorter["power_ledger.csv"].splitlines()
     assert lines[:len(prefix)] == prefix
+
+
+# per stage with a stream label: the artifacts and report.json sections
+# its draws may move, its own and those of the stages that read it
+LABELLED = {
+    "timesync": (("sync_report.csv", "gains.csv"), ("timesync", "coherent")),
+    "coherent": (("gains.csv",), ("coherent",)),
+    "rover": (("mission_log.csv",), ("rover",)),
+}
+
+
+@RELATION
+@given(scenarios())
+def test_r6_a_renamed_stream_moves_only_its_stage(doc):
+    base = artifacts(doc)
+    for stage, (files, sections) in LABELLED.items():
+        renamed = artifacts(variant(doc, **{f"{stage}__stream_label": f"{stage}-renamed"}))
+        assert_same_but(base, renamed, files=files, sections=sections)

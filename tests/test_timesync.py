@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tilesim.core import (EventLoop, MAX_SIM_TIME, PS_PER_MS, PS_PER_S,
                           PS_PER_US, RngRegistry, RngStream, SimulationError,
-                          from_seconds)
+                          as_normals, from_seconds)
 from tilesim.dataplane import LinkLoadTracker
 from tilesim.fabric import ConfigurationError, FabricConfig, build_default_fabric
 from tilesim.timesync import (LocalClock, OscillatorConfig, ServoState,
@@ -148,6 +148,32 @@ def test_reads_do_not_depend_on_their_order(instants, rnd):
     rnd.shuffle(shuffled)
     assert [b.read(t) for t in shuffled] == [want[t] for t in shuffled]
     assert [b.offset_at(t) for t in shuffled] == [a.offset_at(t) for t in shuffled]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 5 * PS_PER_S), min_size=1, max_size=12),
+       st.lists(st.integers(0, 5 * PS_PER_S), max_size=4),
+       st.sampled_from(["walking", "still"]), st.booleans())
+def test_read_many_equals_a_read_at_each_instant(instants, steps, kind, ahead):
+    # one pass over ascending instants, repeats included, of a clock
+    # steered at a few instants, on a walk or at rate 0; `ahead` first
+    # makes its segments well past the reads
+    def clock():
+        if kind == "still":
+            c = LocalClock(offset_ps=-1234.5, granularity_ps=8)
+        else:
+            c = LocalClock(offset_ps=5e5, freq_error_ppm=4.0,
+                           rw_sigma_ppm_per_sqrt_s=0.5, granularity_ps=8,
+                           rng=RngStream(9, "walk"))
+        for k, t in enumerate(sorted(steps)):
+            c.steer(t, 0.5 - k)
+        if ahead:
+            c.read(7 * PS_PER_S)
+        return c
+
+    times = sorted(instants)
+    want = clock()
+    assert clock().read_many(times) == [want.read(t) for t in times]
 
 
 def test_walk_rate_is_the_exact_two_state_discretization():
@@ -370,32 +396,41 @@ def test_residuals_equal_offset_at_on_a_copy_taken_at_each_tick(sample_interval_
     # Epochs spread over most of the 0.3 s interval, a 20 ms relay dwell
     # and a 30 ms turnaround put ticks between a boundary master's own
     # reads and its slaves' reads of it, and between each two reads of one
-    # exchange.  At every tick, a copy of each port's clock is read as the
-    # sampler once read the clock itself; the residual must be that value.
-    fab = build_default_fabric(FabricConfig(counts={"wall_a": 4, "floor": 2},
-                                            switch_count=3))
+    # exchange.  The ten-event reference steps its clocks in the loop; at
+    # every tick, a copy of each of its ports' clocks is read as the
+    # sampler once read the clock itself.  The batched domain's residual
+    # must be that value.
     cfg = TimesyncConfig(start_s=0.0, sync_interval_s=0.3, stagger_ms=40.0,
                          residence_us=20_000.0, turnaround_us=30_000.0,
                          sample_interval_s=sample_interval_s,
                          boundary_switches=("sw1",))
     until = from_seconds(6.0)
     tick = from_seconds(sample_interval_s)
-    loop = EventLoop()
-    domain = SyncDomain(loop, fab, cfg, RngRegistry(4))
-    domain.start(until)
     copied = {}
 
-    def copy_clocks(_arg):
-        for node, port in domain.ports.items():
-            copied[node, loop.now] = copy.deepcopy(port.clock).offset_at(loop.now)
+    def run(cls):
+        fab = build_default_fabric(FabricConfig(counts={"wall_a": 4, "floor": 2},
+                                                switch_count=3))
+        loop = EventLoop()
+        domain = cls(loop, fab, cfg, RngRegistry(4))
+        domain.start(until)
 
-    loop.every(tick, tick, until, "test", "all", "copy_clocks", copy_clocks)
-    for tile, t_s in (("t001", 3.333), ("t002", 4.0), ("t003", 5.0)):
-        cut_at(loop, domain, tile, from_seconds(t_s))
-    loop.run_until(until)
-    report = domain.finish()
+        def copy_clocks(_arg):
+            for node, port in domain.ports.items():
+                copied[node, loop.now] = copy.deepcopy(port.clock).offset_at(loop.now)
+
+        if cls is StepwiseDomain:
+            loop.every(tick, tick, until, "test", "all", "copy_clocks", copy_clocks)
+        for tile, t_s in (("t001", 3.333), ("t002", 4.0), ("t003", 5.0)):
+            cut_at(loop, domain, tile, from_seconds(t_s))
+        loop.run_until(until)
+        return domain, domain.finish()
+
+    stepwise, _ = run(StepwiseDomain)
+    domain, report = run(SyncDomain)
     assert report.offline == ["t001", "t002", "t003"]
     for node, port in domain.ports.items():
+        assert port.closed_ps == stepwise.ports[node].closed_ps
         want = [t for t in range(tick, until + 1, tick) if port.closed_ps <= t
                 and (port.cut_ps is None or t < port.cut_ps)]
         times, resid = report.series(node)
@@ -446,14 +481,17 @@ def test_boundary_switch_serves_its_tiles():
 
 @pytest.mark.parametrize("boundary", [(), ("sw0", "sw1")])
 def test_start_counts_two_events_an_exchange(boundary):
-    # an exchange is its sync egress and its close, direct or relayed
+    # the work bound counts an exchange's sync egress and its close, direct
+    # or relayed; only the egress is an event, the close runs in a batch
     cfg = TimesyncConfig(start_s=0.5, sync_interval_s=0.5, stagger_ms=0.0,
                          boundary_switches=boundary)
     loop = EventLoop()
     domain = SyncDomain(loop, small_fabric(), cfg, RngRegistry(1))
     until = from_seconds(2.6)
     assert domain.start(until) == len(domain.ports) * 5 * 2
-    assert loop.run_until(until).by_module["timesync"] == len(domain.ports) * 5 * 2
+    assert loop.run_until(until).by_module["timesync"] == len(domain.ports) * 5
+    domain.finish()
+    assert [p.corrections for p in domain.ports.values()] == [5] * len(domain.ports)
 
 
 def test_interval_no_longer_than_an_exchange_is_refused():
@@ -561,6 +599,37 @@ def test_percentiles_equal_three_separate_calls_bit_for_bit(series, threshold):
         assert r.series(n)[1].tobytes() == values.tobytes()
 
 
+_tick_ranges = st.dictionaries(
+    st.one_of(st.sampled_from(["central", "sw0", "t007"]),
+              st.text(alphabet='ab-_7 ,"\r\n\u00e9', min_size=1, max_size=6)),
+    st.tuples(st.sampled_from([1, 7, 100_000_000_000]), st.integers(0, 3),
+              st.integers(0, 40), st.sampled_from([0, 1, 10**6])),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series=_tick_ranges, seed=st.integers(0, 2**32 - 1))
+@example(series={"t000": (7, 0, 5, 0), "t001": (7, 2, 5, 0), "t002": (7, 1, 3, 10**6),
+                 "t003": (1, 3, 4, 0), "t004": (100_000_000_000, 1, 0, 0)}, seed=1)
+def test_report_csv_of_tick_ranges_matches_csv_writer(series, seed):
+    # each node's sample times a range (step, first tick, length, offset
+    # off the grid): overlapping and far-apart ranges on one grid, other
+    # grids, empty ranges; ties among the residuals
+    draws = np.random.default_rng(seed)
+    r = SyncReport(threshold_ps=100, consecutive=1)
+    for node, (step, first, n, off) in series.items():
+        start = off + first * step
+        values = np.round(draws.normal(0, 50, n) * 2) / 2
+        r.add_series(node, range(start, start + n * step, step), values)
+    r.finalize()
+    with tempfile.TemporaryDirectory() as d:
+        got, want = os.path.join(d, "got.csv"), os.path.join(d, "want.csv")
+        r.to_csv(got)
+        _csv_writer_to_csv(r, want)
+        with open(got, "rb") as g, open(want, "rb") as w:
+            assert g.read() == w.read()
+
+
 def test_report_csv_format(tmp_path):
     r = SyncReport(threshold_ps=100, consecutive=1)
     r.add_sample("n", 5, 42.4)
@@ -620,21 +689,35 @@ def test_report_csv_matches_csv_writer_byte_for_byte(series, finalize):
 
 # --- fusion oracle (R7) -----------------------------------------------------
 
+def hop_jitter(jitter, t, seq):
+    """Exchange seq's jitter on the sync and the delay-request hop of one
+    link, drawn alone at the link's sigma at t: the draw each exchange made
+    at its egress before closes ran in batches, kept as the oracle."""
+    sigma_ns = jitter.sigma_ns(t)
+    if sigma_ns <= 0:
+        return 0, 0
+    scale = sigma_ns * 1000 / jitter.denom
+    z = as_normals(jitter.rng.stream(jitter.name).words(2 * seq, 2)).tolist()
+    return (round(scale * math.exp(jitter.s * z[0])),
+            round(scale * math.exp(jitter.s * z[1])))
+
+
 class StepwiseDomain(RecordingDomain):
     """The exchange as ten events, each step reading its clock as it fires:
     sync egress, relay ingress and egress, sync arrival, follow-up arrival,
     delay-request egress, relay ingress and egress, delay-request arrival
-    and delay-response arrival.  It takes the fused exchange's hop jitters
-    and builds its own records at the last step (it queues no close), so
-    the recorded fused close must give the same records."""
+    and delay-response arrival.  It draws each hop's jitter alone at its
+    egress (`hop_jitter`), holds nothing for the batch and builds its own
+    records at the last step, so the recorded batched close must give the
+    same records."""
 
     def _sync_egress(self, port):
         if port.cut_ps is not None:
             return
         now = self.loop.now
         seq = port.seq = port.seq + 1
-        up_sync, up_req = (0, 0) if port.up is None else port.up.ps(now, seq)
-        down_sync, down_req = port.down.ps(now, seq)
+        up_sync, up_req = (0, 0) if port.up is None else hop_jitter(port.up, now, seq)
+        down_sync, down_req = hop_jitter(port.down, now, seq)
         st = {"seq": seq, "t1": port.master_clock.read(now), "t2": None,
               "followup": False, "down_req": down_req, "up_req": up_req}
         if port.relay_clock is not None:
@@ -725,6 +808,10 @@ class StepwiseDomain(RecordingDomain):
         port.corrections += 1
 
 
+def by_exchange(record):
+    return record.node, record.seq
+
+
 def _run_domain(cls, fab, cfg, until, cuts, load):
     loop = EventLoop()
     domain = cls(loop, fab, cfg, RngRegistry(4), load=load)
@@ -765,7 +852,9 @@ def test_fused_close_equals_the_ten_event_exchange(boundary):
                 load.record(link.id, k * from_seconds(0.01), link.bandwidth_bps // 400)
         runs.append(_run_domain(cls, fab, cfg, until, cuts, load))
     (fused, fused_report, fused_loop), (stepwise, step_report, _) = runs
-    assert fused.records == stepwise.records
+    # the batch closes port by port, the reference in time order
+    assert sorted(fused.records, key=by_exchange) == \
+        sorted(stepwise.records, key=by_exchange)
     assert len(fused.records) > 100
     assert {sw.transparent_clock for sw in first.switches.values()} == {True, False}
     for node in fused_report.nodes:
@@ -782,3 +871,95 @@ def test_fused_close_equals_the_ten_event_exchange(boundary):
             start[r.node] + (r.seq - 1) * from_seconds(0.3) < c < r.at_ps
             for c in sw_closes)]
         assert inside, "no boundary step fell inside a served exchange"
+
+
+def block_filling_config(boundary):
+    # 400 exchanges a port in 20 s, so each egress that fills a block of
+    # 128 closes in the loop; 5 ms dwells and a 20 ms turnaround make an
+    # exchange about 40 ms of the 50 ms interval, with epochs of other
+    # ports inside it
+    return TimesyncConfig(start_s=0.0, sync_interval_s=0.05, stagger_ms=7.0,
+                          residence_us=5_000.0, turnaround_us=20_000.0,
+                          load_coupling=3.0, boundary_switches=boundary)
+
+
+@pytest.mark.parametrize("boundary", [(), ("sw0",)])
+@pytest.mark.parametrize("sigma_ns", [100.0, 2e7])
+def test_closes_in_the_loop_equal_the_ten_event_exchange(boundary, sigma_ns):
+    # at a 20 ms tile-link sigma and shape 2, a fifth or so of the tiles'
+    # exchanges outlast the interval and never close
+    fab = build_default_fabric(FabricConfig(
+        counts={"wall_a": 3, "floor": 3}, switch_count=3,
+        tile_jitter_sigma_ns=sigma_ns, jitter_shape=2.0))
+    cfg = block_filling_config(boundary)
+    until = from_seconds(20.0)
+    cuts = [("t001", from_seconds(13.3337))]
+    runs = []
+    for cls in (RecordingDomain, StepwiseDomain):
+        load = LinkLoadTracker(window_ps=from_seconds(0.05))
+        for k in range(2000):
+            for link in fab.links.values():
+                load.record(link.id, k * from_seconds(0.01), link.bandwidth_bps // 400)
+        loop = EventLoop()
+        domain = cls(loop, fab, cfg, RngRegistry(6), load=load)
+        domain.start(until)
+        for tile, t in cuts:
+            cut_at(loop, domain, tile, t)
+        loop.run_until(until)
+        if cls is RecordingDomain:
+            # every port but the cut one filled a block three times, so
+            # most of its exchanges closed in the loop; less than a block
+            # is held
+            assert max(len(p.down.sigmas) for p in domain.ports.values()) < 128
+            closed = [p.corrections for n, p in domain.ports.items() if n != "t001"]
+            if sigma_ns < 1e3:
+                assert min(closed) == 3 * 127
+            else:
+                assert 200 < min(closed) < 3 * 127
+        runs.append((domain, domain.finish()))
+    (batched, report), (stepwise, step_report) = runs
+    assert len(batched.records) > 1500
+    assert sorted(batched.records, key=by_exchange) == \
+        sorted(stepwise.records, key=by_exchange)
+    for node in report.nodes:
+        assert report.series(node)[1].tobytes() == step_report.series(node)[1].tobytes()
+
+
+class PermutedDomain(SyncDomain):
+    """Closes its tile ports' held exchanges at `finish` in a drawn order,
+    after the boundary switches' as always."""
+
+    def __init__(self, *args, order=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.order = order
+
+    def finish(self):
+        ports = list(self.ports.values())
+        switches = [p for p in ports if p.node in self.fabric.switches]
+        tiles = [p for p in ports if p.node not in self.fabric.switches]
+        self.order.shuffle(tiles)
+        for port in switches + tiles:
+            self._close_due(port, 1 << 64)
+        return super().finish()
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([(), ("sw0",), ("sw0", "sw2")]))
+def test_the_close_order_of_tile_ports_leaves_the_residuals_alone(order, boundary):
+    def csv_bytes(domain):
+        loop = domain.loop
+        domain.start(from_seconds(3.0))
+        cut_at(loop, domain, "t004", from_seconds(1.7))
+        loop.run_until(from_seconds(3.0))
+        with tempfile.TemporaryDirectory() as d:
+            domain.finish().to_csv(os.path.join(d, "r.csv"))
+            with open(os.path.join(d, "r.csv"), "rb") as f:
+                return f.read()
+
+    cfg = block_filling_config(boundary)
+    fab = build_default_fabric(FabricConfig(counts={"wall_a": 3, "floor": 3},
+                                            switch_count=3))
+    plain = csv_bytes(SyncDomain(EventLoop(), fab, cfg, RngRegistry(8)))
+    permuted = csv_bytes(PermutedDomain(EventLoop(), fab, cfg, RngRegistry(8), order=order))
+    assert permuted == plain
+    assert plain.count(b"\n") > 6 * 25
