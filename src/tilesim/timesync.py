@@ -108,13 +108,12 @@ class LocalClock:
     def read(self, true_t: SimTime) -> int:
         """Timestamp the given true instant on this clock's tick grid."""
         t0 = self._t0
-        if true_t >= t0:
-            if true_t >= self._next_ps:
-                self._extend(true_t)
-                t0 = self._t0
-            p = self._p0 + self._num * (true_t - t0) // self._den
-        else:
-            p = self._phase_behind(true_t)
+        if true_t < t0:
+            return self.read_many((true_t,))[0]
+        if true_t >= self._next_ps:
+            self._extend(true_t)
+            t0 = self._t0
+        p = self._p0 + self._num * (true_t - t0) // self._den
         # truncate to the tick grid, toward minus infinity (a counter)
         g = self.granularity_ps
         return (true_t + (p >> 32)) // g * g
@@ -205,15 +204,6 @@ class LocalClock:
                 self._walk, self._next_ps = self._y, _NEVER
             self._k = k
             self._segment(at, self._walk + self.freq_adj_ppm)
-
-    def _phase_behind(self, t: SimTime) -> int:
-        """The exact phase at t, before the latest segment's start."""
-        starts, rates = self._starts, self._rates
-        j = bisect_right(starts, t) - 1
-        p = self._p0
-        for i in range(len(starts) - 2, j - 1, -1):
-            p -= _phase_step(rates[i], starts[i + 1] - starts[i])
-        return p + _phase_step(rates[j], t - starts[j])
 
 
 # --- exchange arithmetic ----------------------------------------------------

@@ -157,23 +157,28 @@ def test_reads_do_not_depend_on_their_order(instants, rnd):
 def test_read_many_equals_a_read_at_each_instant(instants, steps, kind, ahead):
     # one pass over ascending instants, repeats included, of a clock
     # steered at a few instants, on a walk or at rate 0; `ahead` first
-    # makes its segments well past the reads
+    # makes its segments well past the reads.  The oracle takes each step
+    # just before its first read after it, so every read it makes is in
+    # its latest segment.
     def clock():
         if kind == "still":
-            c = LocalClock(offset_ps=-1234.5, granularity_ps=8)
-        else:
-            c = LocalClock(offset_ps=5e5, freq_error_ppm=4.0,
-                           rw_sigma_ppm_per_sqrt_s=0.5, granularity_ps=8,
-                           rng=RngStream(9, "walk"))
-        for k, t in enumerate(sorted(steps)):
-            c.steer(t, 0.5 - k)
-        if ahead:
-            c.read(7 * PS_PER_S)
-        return c
+            return LocalClock(offset_ps=-1234.5)
+        return LocalClock(offset_ps=5e5, freq_error_ppm=4.0,
+                          rw_sigma_ppm_per_sqrt_s=0.5, rng=RngStream(9, "walk"))
 
-    times = sorted(instants)
-    want = clock()
-    assert clock().read_many(times) == [want.read(t) for t in times]
+    times, steps = sorted(instants), list(enumerate(sorted(steps)))
+    oracle, want, due = clock(), [], list(steps)
+    for t in times:
+        while due and due[0][1] <= t:
+            k, at = due.pop(0)
+            oracle.steer(at, 0.5 - k)
+        want.append(oracle.read(t))
+    got = clock()
+    for k, at in steps:
+        got.steer(at, 0.5 - k)
+    if ahead:
+        got.read(7 * PS_PER_S)
+    assert got.read_many(times) == want
 
 
 def test_walk_rate_is_the_exact_two_state_discretization():
@@ -939,7 +944,7 @@ class PermutedDomain(SyncDomain):
         tiles = [p for p in ports if p.node not in self.fabric.switches]
         self.order.shuffle(tiles)
         for port in switches + tiles:
-            self._close_due(port, 1 << 64)
+            self._close_due(port, MAX_SIM_TIME + 1)    # past every instant
         return super().finish()
 
 
