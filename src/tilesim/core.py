@@ -3,7 +3,9 @@
 Simulated time is an integer count of picoseconds since the run epoch, kept
 in plain Python ints but bounded to the unsigned 64-bit range at the API
 boundary so arithmetic is exact and portable.  Events fire in (time,
-insertion order), which makes every run replayable bit-for-bit.  Every
+insertion order), which makes every run replayable bit-for-bit; in a run
+whose events are queued at set-up or re-queued by `EventLoop.every`, the
+order at one instant has a closed form, `EventLoop.tie_rank`.  Every
 random draw is a word addressed by (stream, index), a Philox 4x64 output
 keyed by the seed and the stream's name, so it depends on those alone and
 never on other draws; uniforms, integers and normals are transforms of it.
@@ -120,6 +122,29 @@ class EventLoop:
         self.schedule(start, module, target, action, self._fire_periodic,
                       (period, until, module, target, action, fn, arg))
         return (until - start) // period + 1
+
+    @staticmethod
+    def tie_rank(at: SimTime, start: SimTime, period: SimTime, order: int) -> tuple:
+        """Where the occurrence at `at` of the series `every(start, period)`
+        fires among the events at that instant: events at one instant fire
+        in ascending rank.  `order` numbers the events queued at set-up in
+        the order they were queued; a one-shot queued at set-up is a series
+        whose start is `at`.  The rule holds for a run whose every event is
+        queued at set-up or is a periodic re-queue:
+
+        - events queued at set-up fire first, in set-up order;
+        - of two re-queued occurrences, the longer period fires first: its
+          predecessor fired earlier, so it was queued earlier;
+        - with equal periods, the later start fires first: at that start
+          it fired first, as a set-up event, and each firing queues the next
+          occurrence before the other series' does; with equal starts too,
+          set-up order decides.
+
+        A run's producers are no events: this rank tells which of their
+        records a poll or a sync egress at the same instant sees."""
+        if at == start:
+            return (0, order)
+        return (1, -period, -start, order)
 
     def _fire_periodic(self, spec: tuple) -> None:
         period, until, module, target, action, fn, arg = spec

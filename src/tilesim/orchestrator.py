@@ -3,8 +3,8 @@
 Each of a scenario's five stages is one private class here, and `STAGES`
 holds the single order they are set up and finished in: power, dataplane,
 timesync, coherent, rover.  A stage's constructor `(run, section_config)`
-does its set-up on the shared event loop and exposes `events`, its queued
-periodic events by the scenario key of their period; `finish(run)` writes
+does its set-up on the shared event loop and exposes `events`, its periodic
+work counted in events, by the scenario key of its period; `finish(run)` writes
 its artifacts and returns its report section, or None.  `prepare_scenario`
 sets up the fabric and each enabled stage, writing nothing (`tilesim
 validate` stops there); `run_scenario` runs the loop, then finishes each
@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable
 
 from .coherent import MAX_TRIAL_ELEMENTS, CoherentError, evaluate_beamforming
-from .core import EventLoop, RngRegistry, SimTime, from_seconds
+from .core import MAX_SIM_TIME, EventLoop, RngRegistry, SimTime, from_seconds
 from .dataplane import (FNV64_MASK, FNV64_PRIME, Broker, ConsumerGroup,
                         LinkLoadTracker, fnv1a64)
 from .fabric import ConfigurationError, Fabric, build_default_fabric
@@ -55,7 +55,8 @@ class RunResult:
 
 
 class _Power:
-    """PoE grants at time 0; an overdraw cut due by the run's end is an event."""
+    """PoE grants at time 0; an overdraw cut due by the run's end is an event,
+    and `cuts` maps each cut tile to its instant."""
 
     def __init__(self, run: RunResult, p):
         pd_tiles = (t.id for t in run.fabric.tiles.values() if "pd" in t.roles)
@@ -63,10 +64,11 @@ class _Power:
         for tile_id in sorted(plane.devices):
             plane.allocate(tile_id, at=0)
         # a cut after the run's end never fires, and may lie past the 64-bit range
-        for ev in plane.pending_disconnects():
-            if ev.at_ps <= run.until:
-                run.loop.schedule(ev.at_ps, "power", ev.tile_id, "pd_disconnect",
-                                  lambda _arg: plane.monitor(run.loop.now))
+        self.cuts = {ev.tile_id: ev.at_ps for ev in plane.pending_disconnects()
+                     if ev.at_ps <= run.until}
+        for tile_id, at in self.cuts.items():
+            run.loop.schedule(at, "power", tile_id, "pd_disconnect",
+                              lambda _arg: plane.monitor(run.loop.now))
         run.online = plane.is_online
         self.events = {}
 
@@ -77,9 +79,15 @@ class _Power:
 
 
 class _Dataplane:
-    """Periodic producers and consumer groups.  A producer that has been
-    powered down emits nothing; its uplink and trunk loads vanish with it,
-    which is exactly what the sync jitter coupling should see.  A consumer
+    """Producers and consumer groups.  A producer is no event: tile i of
+    `tiles` publishes its record m, keyed "<tile>:<m>", at i * spacing +
+    m * period, for each such instant at or before the run's end and
+    before the tile's power cut (a cut's event fires first at its
+    instant), and nothing if it is offline at set-up.  Its uplink and
+    trunk loads stop with it, which is exactly what the sync jitter
+    coupling should see.  `catch_up` appends, in (m, i) order, each record
+    the loop would have produced before a reader: a consumer poll, a sync
+    egress about to read the load windows, or `finish`.  A consumer
     commits its delivery frontier after every poll."""
 
     def __init__(self, run: RunResult, cfg):
@@ -91,30 +99,37 @@ class _Dataplane:
                                           cfg.retention_records)
         self.tracker = run.load = LinkLoadTracker(
             from_seconds(cfg.load_window_ms / 1e3))
-        self.online = run.online
         self.tiles = sorted(t.id for t in fabric.tiles.values()
                             if "producer" in t.roles)[:cfg.producer_tiles]
-        self.counts = dict.fromkeys(self.tiles, 0)
-        # per tile, the FNV-1a state of "<tile>:<seq // 10>" (of "<tile>:"
-        # while seq < 10), set at each seq divisible by ten
-        self.stems = dict.fromkeys(self.tiles, 0)
-        produced = 0
-        period = from_seconds(cfg.produce_interval_ms / 1e3)
-        spacing = period // max(1, len(self.tiles))
+        period = self.period = from_seconds(cfg.produce_interval_ms / 1e3)
+        spacing = self.spacing = period // max(1, len(self.tiles))
+        power = run.stages.get("power")
+        cuts = {} if power is None else power.cuts
+        # per tile, how many records it publishes in the whole run
+        self.counts = {}
+        self.routes = []
         for i, tile in enumerate(self.tiles):
+            # it produces before `end`: to the run's end, and before its cut
+            end = min(until + 1, cuts.get(tile, until + 1)) if run.online(tile) else 0
+            self.counts[tile] = max(0, -(-(end - i * spacing) // period))
             # keys are "<tile>:<seq>"; FNV-1a is byte-serial, so the
             # constant prefix is hashed once and each key resumes from it
             prefix = f"{tile}:"
-            route = (tile, prefix, fnv1a64(prefix.encode()),
-                     fabric.tile_link(tile).id,
-                     fabric.trunk_link(fabric.switch_for_tile(tile)).id)
-            produced += loop.every(i * spacing, period, until, "dataplane",
-                                   tile, "produce", self._produce, route)
+            # the last slot holds its key stem, set in `_produce`
+            self.routes.append([tile, prefix, fnv1a64(prefix.encode()),
+                                fabric.tile_link(tile).id,
+                                fabric.trunk_link(fabric.switch_for_tile(tile)).id,
+                                self.counts[tile], i * spacing, 0])
+        # the (m, i) positions handled, m * len(tiles) + i, and the instant
+        # of the next; with no producer, no instant is due
+        self.done, self.next_at = 0, 0 if self.tiles else MAX_SIM_TIME + 1
+        produced = sum(max(0, (until - i * spacing) // period + 1)
+                       for i in range(len(self.tiles)))
 
         self.groups: list[ConsumerGroup] = []
         self.delivered = {f"g{g}": 0 for g in range(cfg.consumer_groups)}
         polled = 0
-        period = from_seconds(cfg.poll_interval_ms / 1e3)
+        period = self.poll_period = from_seconds(cfg.poll_interval_ms / 1e3)
         spacing = period // max(1, cfg.consumer_groups * cfg.consumers_per_group)
         k = 0
         for g in range(cfg.consumer_groups):
@@ -123,37 +138,69 @@ class _Dataplane:
                 group.join(f"g{g}-c{c}")
             self.groups.append(group)
             for c in range(cfg.consumers_per_group):
-                polled += loop.every(period + k * spacing, period, until,
-                                     "dataplane", f"g{g}-c{c}", "poll",
-                                     self._poll, (group, f"g{g}-c{c}"))
+                start = period + k * spacing
+                polled += loop.every(start, period, until, "dataplane",
+                                     f"g{g}-c{c}", "poll", self._poll,
+                                     (group, f"g{g}-c{c}", start))
                 k += 1
         self.events = {"dataplane.produce_interval_ms": produced,
                        "dataplane.poll_interval_ms": polled}
 
-    def _produce(self, route) -> None:
-        tile, prefix, prefix_hash, tile_link, trunk_link = route
-        now = self.loop.now
-        if not self.online(tile):
+    def catch_up(self, at: SimTime, start: SimTime | None = None,
+                 period: SimTime | None = None) -> None:
+        """Append every record produced before the occurrence at `at` of
+        the reader `EventLoop.every(start, period)`, which the run queues
+        at set-up after the producers; with no reader, every record
+        produced at or before `at`."""
+        if at < self.next_at:
             return
-        seq = self.counts[tile]
-        self.counts[tile] = seq + 1
-        # the key's hash steps its stem's state by the byte of its last
-        # digit, ord("0") + unit, only
-        unit = seq % 10
-        if unit:
-            stem = self.stems[tile]
-        else:
-            stem = self.stems[tile] = (
-                fnv1a64(str(seq // 10).encode(), prefix_hash) if seq else prefix_hash)
-        nbytes = self.record_bytes
-        self.broker.append(prefix + str(seq), nbytes, now, tile,
-                           ((stem ^ (48 + unit)) * FNV64_PRIME) & FNV64_MASK)
-        record = self.tracker.record
-        record(tile_link, now, nbytes)
-        record(trunk_link, now, nbytes)
+        n, step, spacing = len(self.routes), self.period, self.spacing
+        m, r = divmod(at, step)
+        # the positions before `at`, then those at `at` that fire first
+        g = m * n + (min(n, -(-r // spacing)) if spacing else n * (r > 0))
+        while True:
+            m, i = divmod(g, n)
+            next_at = m * step + i * spacing
+            if next_at != at or start is not None and (
+                    EventLoop.tie_rank(at, i * spacing, step, i)
+                    > EventLoop.tie_rank(at, start, period, n)):
+                break
+            g += 1
+        if g > self.done:
+            self._produce(g)
+            self.next_at = next_at
+
+    def _produce(self, end: int) -> None:
+        """Append the records of positions `done` .. end - 1, in order."""
+        g, self.done = self.done, end
+        routes, n, step = self.routes, len(self.routes), self.period
+        append, record, nbytes = self.broker.append, self.tracker.record, self.record_bytes
+        m, i = divmod(g, n)
+        seq, base, unit = str(m), m * step, m % 10
+        while g < end:
+            route = routes[i]
+            tile, prefix, prefix_hash, tile_link, trunk_link, count, offset, stem = route
+            if m < count:
+                # a key's hash steps its stem, the FNV-1a state of "<tile>:<m
+                # // 10>" (of "<tile>:" while m < 10), by the byte of its
+                # last digit, ord("0") + m % 10, only
+                if not unit:
+                    stem = route[7] = fnv1a64(str(m // 10).encode(), prefix_hash) \
+                        if m else prefix_hash
+                now = base + offset
+                append(prefix + seq, nbytes, now, tile,
+                       ((stem ^ (48 + unit)) * FNV64_PRIME) & FNV64_MASK)
+                record(tile_link, now, nbytes)
+                record(trunk_link, now, nbytes)
+            g += 1
+            i += 1
+            if i == n:
+                i, m = 0, m + 1
+                seq, base, unit = str(m), base + step, m % 10
 
     def _poll(self, arg) -> None:
-        group, member = arg
+        group, member, start = arg
+        self.catch_up(self.loop.now, start, self.poll_period)
         self.delivered[group.group_id] += group.poll(member, self.cfg.max_poll_records).count
         for p in group.partitions_of(member):
             last = group.last_delivered.get(p)
@@ -161,6 +208,7 @@ class _Dataplane:
                 group.commit(p, last + 1)
 
     def finish(self, run: RunResult) -> dict:
+        self.catch_up(run.until)
         with open(run.out_dir / "traffic.csv", "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["producer", "records", "bytes"])
@@ -181,8 +229,10 @@ class _Timesync:
     each tile's exchanges when the power plane cuts it."""
 
     def __init__(self, run: RunResult, cfg):
-        domain = run.domain = SyncDomain(run.loop, run.fabric, cfg, run.rng,
-                                         run.load, run.online)
+        dataplane = run.stages.get("dataplane")
+        domain = run.domain = SyncDomain(
+            run.loop, run.fabric, cfg, run.rng, run.load, run.online,
+            None if dataplane is None else dataplane.catch_up)
         if run.power is not None:
             run.power.on_disconnect.append(domain.mark_offline)
         self.events = {"timesync.sync_interval_s": domain.start(run.until),
@@ -259,9 +309,10 @@ class _Rover:
 STAGES = {"power": _Power, "dataplane": _Dataplane, "timesync": _Timesync,
           "coherent": _Coherent, "rover": _Rover}
 
-# the most events that periodic work may queue in one run: sync exchanges
-# (two events each), produce events, consumer polls and mission ticks
-# together, with the clocks' frequency-walk steps counted as events too
+# the most periodic work one run may ask for, counted in events: sync
+# exchanges (two each), produced records, consumer polls and mission ticks
+# together, with the clocks' frequency-walk steps counted too.  A record
+# and an exchange's close fire no event of their own; their work counts.
 MAX_PERIODIC_EVENTS = 10_000_000
 
 

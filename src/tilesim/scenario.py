@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import typing
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -228,15 +229,18 @@ class Delay:
 
 @dataclass(frozen=True)
 class Scale:
-    """A gain, sigma, length or shape: in [0, below), or in (0, below) when
-    `positive`; NaN and infinity fail."""
+    """A gain, sigma, length or shape: in [least, below), or in (0, below)
+    when `positive`; NaN and infinity fail."""
     below: float = math.inf
     positive: bool = False
+    least: float = 0.0
 
     def problem(self, key: str, value: float) -> str | None:
-        if (0 < value if self.positive else 0 <= value) and value < self.below:
+        if (0 < value if self.positive else self.least <= value) and value < self.below:
             return None
-        return (f"{key} must be {'positive' if self.positive else 'non-negative'}"
+        low = ("positive" if self.positive else
+               f"at least {self.least:g}" if self.least else "non-negative")
+        return (f"{key} must be {low}"
                 f" and {'finite' if self.below == math.inf else f'below {self.below:g}'}"
                 f" (got {value:g})")
 
@@ -270,8 +274,9 @@ RULES = {
     "fabric.cable_fixed_m": Scale(), "fabric.tile_jitter_sigma_ns": Scale(),
     "fabric.trunk_jitter_sigma_ns": Scale(),
     # the lognormal jitter is normalized by exp(s^2/2)*sqrt(expm1(s^2)),
-    # which is 0 at shape 0 and overflows a float past about 26.6
-    "fabric.jitter_shape": Scale(below=20.0, positive=True),
+    # which overflows a float past about 26.6; s^2 must be a normal float,
+    # or the normalization loses its digits and then underflows to 0
+    "fabric.jitter_shape": Scale(below=20.0, least=math.sqrt(sys.float_info.min)),
     "coherent.carrier_hz": Count(CARRIER_MIN_HZ, CARRIER_MAX_HZ),
     "coherent.tx_power_dbm": Count(-math.inf, MAX_TX_POWER_DBM),
     "coherent.trials": Count(1), "coherent.tile_count": Count(1),

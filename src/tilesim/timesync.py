@@ -53,6 +53,8 @@ _CLOSE_BLOCK = 128
 WALK_STEP_PS = PS_PER_S
 _NEVER = 1 << 64          # past every instant: the next step of no walk
 _HALF_INV_SQRT3 = 0.5 / math.sqrt(3.0)
+# the largest |z| `as_normals` makes: r at the largest uniform, 1 - 2**-53
+_Z_MAX = math.sqrt(106 * math.log(2))
 
 
 def _phase_step(rate_ppm: float, dt: int) -> int:
@@ -507,6 +509,13 @@ class _PortJitter:
         # lognormal mean exp(s^2/2); its standard deviation is this times
         # sqrt(expm1(s^2)), so dividing by both gives unit sigma
         self.denom = math.exp(s * s / 2) * math.sqrt(math.expm1(s * s))
+        # the largest jitter a draw can make, at full load, must be a float
+        if not math.isfinite(self.base_ns * (1 + self.coupling) * 1000 / self.denom
+                             * math.exp(s * _Z_MAX)):
+            raise ConfigurationError(
+                f"link {link.id}: a jitter sigma of {self.base_ns:g} ns at shape "
+                f"{s:g} and load coupling {self.coupling:g} draws delays past "
+                f"the float range")
         self.rng, self.name = rng, name
         self.stream = self.sigmas = None
 
@@ -579,12 +588,16 @@ class SyncDomain:
     MODULE = "timesync"
 
     def __init__(self, loop: EventLoop, fabric: Fabric, config: TimesyncConfig,
-                 rng: RngRegistry, load=None, online=None):
+                 rng: RngRegistry, load=None, online=None, catch_up=None):
         self.loop = loop
         self.fabric = fabric
         self.config = config
         self.rng = rng
         self._load = load                    # a LinkLoadTracker, or None
+        # called as catch_up(now, epoch, interval) by each egress before it
+        # reads the load windows: a run's dataplane appends what its
+        # producers made by then
+        self._catch_up = catch_up
         self.report = SyncReport(from_seconds(config.convergence_threshold_us / 1e6),
                                  config.convergence_samples)
         self.clocks: dict[str, LocalClock] = {}
@@ -746,6 +759,8 @@ class SyncDomain:
         if port.cut_ps is not None:
             return
         now = self.loop.now
+        if self._catch_up is not None:
+            self._catch_up(now, port.epoch_ps, self._interval_ps)
         port.seq += 1
         if port.up is not None:
             port.up.hold(now)

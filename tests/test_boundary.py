@@ -44,7 +44,8 @@ from tilesim.scenario import (OVERDRAW_RULES, RULES, ScenarioConfig,
 PROBE = {"name": "probe", "seed": 3, "duration_s": 2.0,
          "fabric": {"counts": {"wall_a": 2, "wall_b": 2, "floor": 2,
                                "ceiling": 2}, "switch_count": 2}}
-VALUES = [0, -1, 1e-13, 1e-9, float("nan"), float("inf"), 1e300, [1], "x"]
+# 1e-200 squares to 0, as a jitter shape once did on its way to a traceback
+VALUES = [0, -1, 1e-200, 1e-13, 1e-9, float("nan"), float("inf"), 1e300, [1], "x"]
 
 
 def leaf_keys(cls=ScenarioConfig, prefix=()) -> list[tuple[str, ...]]:
@@ -103,7 +104,7 @@ ROOM = ["fabric.room.length_m", "fabric.room.width_m", "fabric.room.height_m"]
 
 # The cases every rule passes that set-up refuses all the same, and why.
 BEYOND_RULES = [
-    (ROOM, (1e-13, 1e-9), "coherent.target and rover.area lie outside the room"),
+    (ROOM, (1e-200, 1e-13, 1e-9), "coherent.target and rover.area lie outside the room"),
     (ROOM + ["fabric.prop_ns_per_m", "fabric.slack_m"], (1e300,),
      "a cable's delay lies past the 64-bit time range"),
     (["timesync.followup_lag_us", "timesync.turnaround_us", "timesync.residence_us"],
@@ -112,7 +113,7 @@ BEYOND_RULES = [
     (["timesync.sample_interval_s"], (1e-9,), "residual samples over their bound"),
     (["dataplane.produce_interval_ms", "dataplane.poll_interval_ms", "rover.tick_s"],
      (1e-9,), "periodic events over their bound"),
-    (["rover.resolution_m", "rover.z_resolution_m"], (1e-13, 1e-9),
+    (["rover.resolution_m", "rover.z_resolution_m"], (1e-200, 1e-13, 1e-9),
      "lift stops over their bound"),
     (["rover.resolution_m"], (1e300,), "no reachable cell in the sampling area"),
     (["rover.beacon_rate_hz"], (1e300,), "more than one beacon fix per rover.tick_s"),
@@ -242,6 +243,26 @@ def test_cable_delay_past_the_time_range_exits_1_with_one_line(fabric, tmp_path)
         assert code == 1 and quiet.getvalue() == "", line
         assert line.split(": ", 1)[1].startswith("fabric.prop_ns_per_m ")
         assert " m cable " in line
+    assert not runs.exists()
+
+
+def test_jitter_past_the_float_range_exits_1_with_one_line(tmp_path):
+    # each passes its rule, but the largest jitter a draw can make, 1e300 ns
+    # over a normalization of about 1e-13, is past the float range, which
+    # ended the run in a traceback at its first draw
+    doc = probe_with([(("fabric", "tile_jitter_sigma_ns"), 1e300),
+                      (("fabric", "jitter_shape"), 1e-13)])
+    path = tmp_path / "probe.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    runs = tmp_path / "runs"
+    for args in (["validate", str(path)], ["run", str(path), "--out", str(runs)]):
+        out, err = io.StringIO(), io.StringIO()
+        with alarm(60), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(args)
+        said = out if args[0] == "validate" else err
+        (line,) = said.getvalue().splitlines()
+        assert code == 1 and line.endswith("draws delays past the float range"), line
     assert not runs.exists()
 
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox
 
@@ -336,6 +336,56 @@ def test_front_slot_takes_only_strictly_earlier_events():
     assert order == ["e"] and loop.pending() == 4 and stats.processed == 1
     loop.run_until(10)
     assert order == ["e", "c", "d", "a", "b"] and loop.pending() == 0
+
+
+# --- the order at equal instants --------------------------------------------
+
+def fired_at_ties(setup, until):
+    """Queue `setup` on an `EventLoop`, in its order: ("once", at) is a
+    one-shot, ("every", start, period) a series up to `until`.  Returns
+    (at, k) of each event that fired, k its place in `setup`, in firing
+    order."""
+    loop = EventLoop()
+    fired = []
+
+    def note(k):
+        fired.append((loop.now, k))
+
+    for k, event in enumerate(setup):
+        if event[0] == "once":
+            loop.schedule(event[1], "m", f"e{k}", "once", note, k)
+        else:
+            loop.every(event[1], event[2], until, "m", f"e{k}", "tick", note, k)
+    loop.run_until(until)
+    return fired
+
+
+def ranked(setup, fired):
+    """`fired` reordered within each instant by `EventLoop.tie_rank`."""
+    def rank(item):
+        at, k = item
+        event = setup[k]
+        start, period = (at, 1) if event[0] == "once" else event[1:]
+        return at, EventLoop.tie_rank(at, start, period, k)
+    return sorted(fired, key=rank)
+
+
+# one-shots and series on a shared grid of small periods and starts, so
+# equal periods, equal starts and first occurrences tie often
+SETUP = st.lists(st.one_of(
+    st.tuples(st.just("once"), st.integers(0, 12)),
+    st.tuples(st.just("every"), st.integers(0, 8), st.integers(1, 4))),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SETUP)
+@example([("every", 0, 2), ("every", 2, 2)])      # equal periods: later start first
+@example([("every", 0, 3), ("every", 3, 1)])      # a first occurrence comes first
+@example([("every", 2, 2), ("once", 4), ("every", 4, 1), ("every", 0, 2)])
+def test_tie_rank_gives_the_order_the_loop_fired_in(setup):
+    fired = fired_at_ties(setup, 24)
+    assert ranked(setup, fired) == fired
 
 
 # --- random streams ---------------------------------------------------------

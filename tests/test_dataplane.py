@@ -1,5 +1,6 @@
 """Partitioned log broker, consumer groups, and link load accounting."""
 
+import csv
 import io
 import json
 from unittest import mock
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tilesim import dataplane
-from tilesim.core import PS_PER_MS, PS_PER_S
-from tilesim.dataplane import (Broker, CommitError, ConsumerGroup,
-                               LinkLoadTracker, Record, fnv1a64)
+from tilesim import dataplane, orchestrator
+from tilesim.core import PS_PER_MS, PS_PER_S, from_seconds
+from tilesim.dataplane import (FNV64_MASK, FNV64_PRIME, Broker, CommitError,
+                               ConsumerGroup, LinkLoadTracker, Record, fnv1a64)
 from tilesim.fabric import ConfigurationError
-from tilesim.orchestrator import prepare_scenario
+from tilesim.orchestrator import prepare_scenario, run_scenario
 from tilesim.scenario import scenario_from_dict
 
 
@@ -87,7 +88,11 @@ def test_produced_keys_land_where_their_whole_hash_says():
                       "partitions": 8, "retention_records": 10_000}})
     run = prepare_scenario(cfg)
     run.loop.run_until(run.until)
-    counts = run.stages["dataplane"].counts
+    # producers are no events: what the last poll did not read is appended
+    # when the stage is flushed, as its finish does
+    stage = run.stages["dataplane"]
+    stage.catch_up(run.until)
+    counts = stage.counts
     assert counts["t000"] > 1000 and counts["t002"] > 1000
     assert 100 < counts["t001"] < 1000
     seen = 0
@@ -544,3 +549,162 @@ def test_windowed_rate_matches_a_full_rescan(window, ops):
         kept[link] = [(t, n) for t, n in kept[link] if t > now - window]
         want = sum(n for _, n in kept[link]) * 8 * PS_PER_S / window
         assert tr.windows[link].bits_per_second(now, window) == want
+
+
+# --- producers without events -----------------------------------------------
+
+class EagerDataplane:
+    """Reference model: the dataplane stage when each producer was a
+    periodic event that checked its tile's power at every firing (copied
+    from the earlier engine).  The loop's events append each record, so a
+    reader needs no catch-up."""
+
+    catch_up = None
+
+    def __init__(self, run, cfg):
+        loop, fabric, until = run.loop, run.fabric, run.until
+        self.loop = loop
+        self.cfg = cfg
+        self.record_bytes = cfg.record_bytes
+        self.broker = run.broker = Broker(cfg.topic, cfg.partitions,
+                                          cfg.retention_records)
+        self.tracker = run.load = LinkLoadTracker(
+            from_seconds(cfg.load_window_ms / 1e3))
+        self.online = run.online
+        self.tiles = sorted(t.id for t in fabric.tiles.values()
+                            if "producer" in t.roles)[:cfg.producer_tiles]
+        self.counts = dict.fromkeys(self.tiles, 0)
+        self.stems = dict.fromkeys(self.tiles, 0)
+        produced = 0
+        period = from_seconds(cfg.produce_interval_ms / 1e3)
+        spacing = period // max(1, len(self.tiles))
+        for i, tile in enumerate(self.tiles):
+            prefix = f"{tile}:"
+            route = (tile, prefix, fnv1a64(prefix.encode()),
+                     fabric.tile_link(tile).id,
+                     fabric.trunk_link(fabric.switch_for_tile(tile)).id)
+            produced += loop.every(i * spacing, period, until, "dataplane",
+                                   tile, "produce", self._produce, route)
+        self.groups = []
+        self.delivered = {f"g{g}": 0 for g in range(cfg.consumer_groups)}
+        polled = 0
+        period = from_seconds(cfg.poll_interval_ms / 1e3)
+        spacing = period // max(1, cfg.consumer_groups * cfg.consumers_per_group)
+        k = 0
+        for g in range(cfg.consumer_groups):
+            group = ConsumerGroup(f"g{g}", self.broker)
+            for c in range(cfg.consumers_per_group):
+                group.join(f"g{g}-c{c}")
+            self.groups.append(group)
+            for c in range(cfg.consumers_per_group):
+                polled += loop.every(period + k * spacing, period, until,
+                                     "dataplane", f"g{g}-c{c}", "poll",
+                                     self._poll, (group, f"g{g}-c{c}"))
+                k += 1
+        self.events = {"dataplane.produce_interval_ms": produced,
+                       "dataplane.poll_interval_ms": polled}
+
+    def _produce(self, route):
+        tile, prefix, prefix_hash, tile_link, trunk_link = route
+        now = self.loop.now
+        if not self.online(tile):
+            return
+        seq = self.counts[tile]
+        self.counts[tile] = seq + 1
+        unit = seq % 10
+        if unit:
+            stem = self.stems[tile]
+        else:
+            stem = self.stems[tile] = (
+                fnv1a64(str(seq // 10).encode(), prefix_hash) if seq else prefix_hash)
+        nbytes = self.record_bytes
+        self.broker.append(prefix + str(seq), nbytes, now, tile,
+                           ((stem ^ (48 + unit)) * FNV64_PRIME) & FNV64_MASK)
+        self.tracker.record(tile_link, now, nbytes)
+        self.tracker.record(trunk_link, now, nbytes)
+
+    def _poll(self, arg):
+        group, member = arg
+        self.delivered[group.group_id] += group.poll(member, self.cfg.max_poll_records).count
+        for p in group.partitions_of(member):
+            last = group.last_delivered.get(p)
+            if last is not None:
+                group.commit(p, last + 1)
+
+    def finish(self, run):
+        with open(run.out_dir / "traffic.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["producer", "records", "bytes"])
+            for tile in self.tiles:
+                w.writerow([tile, self.counts[tile],
+                            self.counts[tile] * self.record_bytes])
+        with open(run.out_dir / "topics.ndjson", "w") as f:
+            self.broker.dump_topic(f)
+        return {"topic": self.cfg.topic, "partitions": self.cfg.partitions,
+                "published": self.broker.published,
+                "delivered": dict(sorted(self.delivered.items())),
+                "rebalances": {g.group_id: len(g.rebalances)
+                               for g in self.groups}}
+
+
+# Ties everywhere.  Eight tiles produce every 8 ms, 1 ms apart, and port i
+# starts its exchanges at tile i's first produce instant (start_s 0,
+# stagger_ms 1), so every egress of a port meets its own tile's produce on
+# the links it reads; polls every 40 ms meet a produce at each poll too.
+# t003's overdraw cut (0.296 s + 75 ms) falls on one of its produce
+# instants, and a 100 W budget on one midspan denies t006 and t007 at
+# set-up.  The second run makes sw1 a boundary switch, whose port sorts
+# first, so each tile's epochs move one stagger later, onto the next
+# tile's produce instants.  The last run has 4 ps between a tile's
+# records, so all eight tiles produce at one instant, with t002 cut at 0.
+TIES = {"name": "ties", "seed": 5, "duration_s": 1.0, "trace_events": True,
+        "fabric": {"counts": {"wall_a": 2, "wall_b": 2, "floor": 2, "ceiling": 2},
+                   "switch_count": 2, "bandwidth_bps": 100_000_000},
+        "timesync": {"start_s": 0.0, "sync_interval_s": 0.04, "stagger_ms": 1.0,
+                     "sample_interval_s": 0.02, "load_coupling": 2.0},
+        "power": {"global_budget_w": 100.0, "midspan_count": 1,
+                  "overdraw_tile": "t003", "overdraw_at_s": 0.296},
+        "dataplane": {"producer_tiles": 8, "produce_interval_ms": 8.0,
+                      "record_bytes": 32768, "consumer_groups": 1,
+                      "consumers_per_group": 2, "poll_interval_ms": 40.0,
+                      "load_window_ms": 20.0, "retention_records": 500},
+        "coherent": {"trials": 20, "tile_count": None},
+        "rover": {"enabled": False}}
+TIE_SCENARIOS = {
+    "ties": TIES,
+    "boundary_switch": dict(TIES, timesync=dict(TIES["timesync"],
+                                                boundary_switches=["sw1"])),
+    "one_instant": {"name": "one_instant", "seed": 5, "duration_s": 4e-10,
+                    "trace_events": True, "fabric": TIES["fabric"],
+                    "timesync": {"enabled": False}, "coherent": {"enabled": False},
+                    "rover": {"enabled": False},
+                    "power": {"overdraw_tile": "t002", "overdraw_at_s": 0.0,
+                              "detection_window_ms": 0},
+                    "dataplane": {"producer_tiles": 8, "produce_interval_ms": 4e-9,
+                                  "consumer_groups": 2, "consumers_per_group": 3,
+                                  "poll_interval_ms": 8e-9, "max_poll_records": 7,
+                                  "retention_records": 50}},
+}
+
+
+def artifacts(doc, out_root):
+    out_dir = run_scenario(scenario_from_dict(doc), out_root).out_dir
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+@pytest.mark.parametrize("name", TIE_SCENARIOS)
+def test_producers_without_events_match_the_eager_reference(name, tmp_path):
+    doc = TIE_SCENARIOS[name]
+    lazy = artifacts(doc, tmp_path / "lazy")
+    with mock.patch.dict(orchestrator.STAGES, dataplane=EagerDataplane):
+        eager = artifacts(doc, tmp_path / "eager")
+    events = eager.pop("events.ndjson").decode().splitlines(keepends=True)
+    produced = [line for line in events if '"action":"produce"' in line]
+    assert produced
+    assert lazy.pop("events.ndjson").decode() == "".join(
+        line for line in events if '"action":"produce"' not in line)
+    assert lazy.keys() == eager.keys()
+    for artifact in lazy:
+        assert lazy[artifact] == eager[artifact], artifact
+    report = json.loads(lazy["report.json"])
+    assert report["dataplane"]["published"] > 0

@@ -528,8 +528,8 @@ def test_endless_period_exits_1_instead_of_hanging(section, key, value,
 
 # Each of these ended `validate`, `run` or both in a traceback: a period or
 # room size that overflows once in picoseconds or millimetres, a jitter
-# shape or ranging error whose square overflows, and boundary switches
-# given as one number.
+# shape or ranging error whose square overflows, a jitter shape whose
+# square underflows to 0, and boundary switches given as one number.
 OVERFLOWING_VALUES = [
     *[("timesync", key, 1e300, 1) for key in ("sync_interval_s",
                                               "sample_interval_s")],
@@ -540,6 +540,7 @@ OVERFLOWING_VALUES = [
     *[("fabric", "room", {key: float("inf")}, 1)
       for key in ("length_m", "width_m", "height_m")],
     ("fabric", "jitter_shape", 1e300, 1),
+    ("fabric", "jitter_shape", 1e-200, 1),
     ("rover", "beacon_sigma_m", 1e300, 1),
     *[("timesync", "boundary_switches", value, 1)
       for value in (0, -1, 1e-13, 1e-9, float("nan"), float("inf"), 1e300)]]
