@@ -56,27 +56,19 @@ class RunStats:
 class EventLoop:
     """Single-threaded event queue ordered by (fire_at, insertion seq).
 
-    Handlers may schedule further events at or after the current time;
-    `every` is the one way to run a handler on a fixed period.  While the
+    `every` is the one way to run a handler on a fixed period, and a run's
+    stages queue nothing else: each event of a run is the first occurrence
+    of a series, queued at set-up, or its periodic re-queue.  While the
     `trace` attribute holds a sink, each processed event writes one JSON
     line to it; identical runs produce identical trace bytes.
 
     Each queued event is a plain tuple (fire_at, seq, fn, arg, module,
     target, action); seq is unique, so heap comparisons never reach fn or
     arg and those may be anything.
-
-    Front slot: at most one event is held outside the heap, in `_front`,
-    and only while it fires strictly before every event in the heap.  A
-    handler's follow-up that lands before the heap's head (the next step of
-    a message exchange, say) then goes there and is dispatched next without
-    a heap push and pop.  An event at the head's instant goes to the heap,
-    since the head's smaller seq fires first.  The slot never changes the
-    (fire_at, seq) firing order, and `pending()` counts it.
     """
 
     def __init__(self, trace: IO[str] | None = None):
         self._heap: list[tuple] = []
-        self._front: tuple | None = None
         self._seq = 0
         self._now: SimTime = 0
         self.trace = trace
@@ -94,19 +86,7 @@ class EventLoop:
                 f"event {action!r} scheduled at {fire_at} ps, before now={self._now} ps")
         seq = self._seq
         self._seq = seq + 1
-        event = (fire_at, seq, fn, arg, module, target, action)
-        front = self._front
-        if front is None:
-            heap = self._heap
-            if heap and heap[0][0] <= fire_at:
-                heapq.heappush(heap, event)
-            else:
-                self._front = event
-        elif fire_at < front[0]:
-            heapq.heappush(self._heap, front)
-            self._front = event
-        else:
-            heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (fire_at, seq, fn, arg, module, target, action))
 
     def every(self, start: SimTime, period: SimTime, until: SimTime, module: str,
               target: str, action: str, fn: Callable[[Any], None],
@@ -128,9 +108,10 @@ class EventLoop:
         """Where the occurrence at `at` of the series `every(start, period)`
         fires among the events at that instant: events at one instant fire
         in ascending rank.  `order` numbers the events queued at set-up in
-        the order they were queued; a one-shot queued at set-up is a series
-        whose start is `at`.  The rule holds for a run whose every event is
-        queued at set-up or is a periodic re-queue:
+        the order they were queued.  The rule holds for a run whose every
+        event is queued at set-up or is a periodic re-queue, as a run's
+        are (a one-shot queued at set-up ranks as a series starting at
+        `at`):
 
         - events queued at set-up fire first, in set-up order;
         - of two re-queued occurrences, the longer period fires first: its
@@ -164,12 +145,7 @@ class EventLoop:
         by_module: dict[str, int] = {}
         count = by_module.get
         while True:
-            event = self._front
-            if event is not None:
-                if event[0] > t_end:
-                    break
-                self._front = None
-            elif heap and heap[0][0] <= t_end:
+            if heap and heap[0][0] <= t_end:
                 event = pop(heap)
             else:
                 break
@@ -187,7 +163,7 @@ class EventLoop:
         return stats
 
     def pending(self) -> int:
-        return len(self._heap) + (self._front is not None)
+        return len(self._heap)
 
 
 def _philox_key(seed: int, name: str) -> np.ndarray:

@@ -18,7 +18,6 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from .coherent import MAX_TRIAL_ELEMENTS, CoherentError, evaluate_beamforming
 from .core import MAX_SIM_TIME, EventLoop, RngRegistry, SimTime, from_seconds
@@ -36,14 +35,15 @@ from .timesync import SyncDomain, SyncReport
 @dataclass
 class RunResult:
     """A scenario's run and what its stages made (None when disabled), set
-    up by `prepare_scenario`; `run_scenario` fills in the rest."""
+    up by `prepare_scenario`; `run_scenario` fills in the rest.  `cuts` maps
+    each tile the power plane cuts by the run's end to the cut's instant
+    (0 for a tile denied power at set-up); every stage reads a cut there."""
     config_hash: str
     rng: RngRegistry
     fabric: Fabric
     loop: EventLoop
     until: SimTime
-    # whether a tile is energized: the power plane's answer once it is set up
-    online: Callable[[str], bool] = lambda tile_id: True
+    cuts: dict[str, SimTime] = field(default_factory=dict)
     stages: dict = field(default_factory=dict)
     power: PsePlane | None = None
     broker: Broker | None = None
@@ -55,21 +55,19 @@ class RunResult:
 
 
 class _Power:
-    """PoE grants at time 0; an overdraw cut due by the run's end is an event,
-    and `cuts` maps each cut tile to its instant."""
+    """PoE grants at time 0, and the run's cuts: a denied tile at 0, and an
+    overdraw cut due by the run's end at its instant.  The stage queues no
+    event; `finish` applies the cuts to the ledger."""
 
     def __init__(self, run: RunResult, p):
         pd_tiles = (t.id for t in run.fabric.tiles.values() if "pd" in t.roles)
         plane = run.power = PsePlane(p, pd_tiles)
         for tile_id in sorted(plane.devices):
             plane.allocate(tile_id, at=0)
-        # a cut after the run's end never fires, and may lie past the 64-bit range
-        self.cuts = {ev.tile_id: ev.at_ps for ev in plane.pending_disconnects()
-                     if ev.at_ps <= run.until}
-        for tile_id, at in self.cuts.items():
-            run.loop.schedule(at, "power", tile_id, "pd_disconnect",
-                              lambda _arg: plane.monitor(run.loop.now))
-        run.online = plane.is_online
+        run.cuts = {tile_id: 0 for tile_id, pd in plane.devices.items() if not pd.online}
+        # a cut after the run's end never happens, and may lie past the 64-bit range
+        run.cuts.update((ev.tile_id, ev.at_ps) for ev in plane.pending_disconnects()
+                        if ev.at_ps <= run.until)
         self.events = {}
 
     def finish(self, run: RunResult) -> dict:
@@ -82,10 +80,9 @@ class _Dataplane:
     """Producers and consumer groups.  A producer is no event: tile i of
     `tiles` publishes its record m, keyed "<tile>:<m>", at i * spacing +
     m * period, for each such instant at or before the run's end and
-    before the tile's power cut (a cut's event fires first at its
-    instant), and nothing if it is offline at set-up.  Its uplink and
-    trunk loads stop with it, which is exactly what the sync jitter
-    coupling should see.  `catch_up` appends, in (m, i) order, each record
+    before the tile's power cut in `run.cuts` (a tile denied power is cut
+    at 0, so it publishes nothing).  Its uplink and trunk loads stop with
+    it, which is exactly what the sync jitter coupling should see.  `catch_up` appends, in (m, i) order, each record
     the loop would have produced before a reader: a consumer poll, a sync
     egress about to read the load windows, or `finish`.  A consumer
     commits its delivery frontier after every poll."""
@@ -103,14 +100,12 @@ class _Dataplane:
                             if "producer" in t.roles)[:cfg.producer_tiles]
         period = self.period = from_seconds(cfg.produce_interval_ms / 1e3)
         spacing = self.spacing = period // max(1, len(self.tiles))
-        power = run.stages.get("power")
-        cuts = {} if power is None else power.cuts
         # per tile, how many records it publishes in the whole run
         self.counts = {}
         self.routes = []
         for i, tile in enumerate(self.tiles):
             # it produces before `end`: to the run's end, and before its cut
-            end = min(until + 1, cuts.get(tile, until + 1)) if run.online(tile) else 0
+            end = run.cuts.get(tile, until + 1)
             self.counts[tile] = max(0, -(-(end - i * spacing) // period))
             # keys are "<tile>:<seq>"; FNV-1a is byte-serial, so the
             # constant prefix is hashed once and each key resumes from it
@@ -225,16 +220,14 @@ class _Dataplane:
 
 
 class _Timesync:
-    """The sync domain, jittered by the dataplane's link loads and stopping
-    each tile's exchanges when the power plane cuts it."""
+    """The sync domain, jittered by the dataplane's link loads, each tile's
+    exchanges stopping before its power cut."""
 
     def __init__(self, run: RunResult, cfg):
         dataplane = run.stages.get("dataplane")
         domain = run.domain = SyncDomain(
-            run.loop, run.fabric, cfg, run.rng, run.load, run.online,
+            run.loop, run.fabric, cfg, run.rng, run.load, run.cuts,
             None if dataplane is None else dataplane.catch_up)
-        if run.power is not None:
-            run.power.on_disconnect.append(domain.mark_offline)
         self.events = {"timesync.sync_interval_s": domain.start(run.until),
                        "duration_s": domain.walk_steps(run.until)}
 
@@ -263,7 +256,7 @@ class _Coherent:
         if run.sync_report is None:
             return None
         c = self.cfg
-        sdr = [t for t in self.sdr if run.online(t)][:c.tile_count]
+        sdr = [t for t in self.sdr if t not in run.cuts][:c.tile_count]
         try:
             gain = evaluate_beamforming(
                 run.fabric, run.sync_report, c.carrier_hz, tuple(c.target),
@@ -310,9 +303,10 @@ STAGES = {"power": _Power, "dataplane": _Dataplane, "timesync": _Timesync,
           "coherent": _Coherent, "rover": _Rover}
 
 # the most periodic work one run may ask for, counted in events: sync
-# exchanges (two each), produced records, consumer polls and mission ticks
-# together, with the clocks' frequency-walk steps counted too.  A record
-# and an exchange's close fire no event of their own; their work counts.
+# exchanges (two each, a tile's up to its cut), produced records, consumer
+# polls and mission ticks together, with the clocks' frequency-walk steps
+# counted too.  A record and an exchange's close fire no event of their
+# own; their work counts.  Every event of a run belongs to such a series.
 MAX_PERIODIC_EVENTS = 10_000_000
 
 

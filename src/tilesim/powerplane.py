@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .core import PS_PER_MS, PS_PER_S, SimTime, from_seconds
 from .fabric import ConfigurationError
@@ -188,7 +188,6 @@ class PsePlane:
         self.devices: dict[str, PdDevice] = {}
         self._midspan_of: dict[str, Midspan] = {}
         self.ledger: list[tuple] = []   # (t, tile, class_id, consumption_mw, event)
-        self.on_disconnect: list[Callable[[str, SimTime], None]] = []
         for tile_id in tile_ids:
             pd = PdDevice(tile_id, requested_class=config.requested_class,
                           base_mw=config.base_mw)
@@ -234,9 +233,8 @@ class PsePlane:
         return Grant(tile_id, cls, ms.id)
 
     def disconnect(self, tile_id: str, at: SimTime, reason: str = "overdraw") -> None:
-        """Drop an online device's grant and mark it offline, then call each
-        `on_disconnect` subscriber with (tile_id, at).  A run subscribes its
-        sync domain, which stops exchanging with the tile from then on."""
+        """Drop an online device's grant and mark it offline.  A run's other
+        stages read each cut instant at set-up, from `pending_disconnects`."""
         pd = self.devices[tile_id]
         if not pd.online:
             return
@@ -247,12 +245,6 @@ class PsePlane:
         pd.granted = None
         pd.online = False
         pd.disconnected_at = at
-        for cb in self.on_disconnect:
-            cb(tile_id, at)
-
-    def is_online(self, tile_id: str) -> bool:
-        pd = self.devices.get(tile_id)
-        return True if pd is None else pd.online
 
     # -- monitoring --
 
@@ -280,8 +272,11 @@ class PsePlane:
         return None
 
     def monitor(self, true_time: SimTime) -> list[DisconnectEvent]:
-        """Apply every disconnect that has come due by true_time."""
-        fired = [ev for ev in self.pending_disconnects() if ev.at_ps <= true_time]
+        """Apply every disconnect that has come due by true_time, in
+        (instant, tile) order, so the ledger does not depend on how often
+        the monitor runs."""
+        fired = sorted((ev for ev in self.pending_disconnects() if ev.at_ps <= true_time),
+                       key=lambda ev: ev.at_ps)
         for ev in fired:
             self.disconnect(ev.tile_id, ev.at_ps)
         return fired

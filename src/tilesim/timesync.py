@@ -470,7 +470,7 @@ class PtpPort:
     seq: int = 0
     corrections: int = 0
     closed_ps: int | None = None   # the instant of the first correction
-    cut_ps: int | None = None      # the instant the tile went offline
+    cut_ps: int | None = None      # the instant the tile's power is cut
     epoch_ps: int = 0              # the first sync egress
     clock: LocalClock | None = field(default=None, repr=False)
     master_clock: LocalClock | None = field(default=None, repr=False)
@@ -579,16 +579,16 @@ class SyncDomain:
     tick from its clock's segments, so observing a run cannot change it:
     from its first correction, a tick at that instant included (a
     free-running clock's quiet streak would be "converged" by luck), until
-    its tile is cut, a tick at the cut excluded.  A tile is cut when it is
-    offline as the domain is built (`online`) or by `mark_offline`, which
-    the run subscribes to the power plane's disconnects.  Nothing of an
-    exchange is kept once it closes beyond its port's `corrections` count.
+    its tile is cut, a tick at the cut excluded.  Each tile's cut instant
+    is given as the domain is built (`cuts`, tile to instant), and `start`
+    ends the tile's series of epochs before it.  Nothing of an exchange is
+    kept once it closes beyond its port's `corrections` count.
     """
 
     MODULE = "timesync"
 
     def __init__(self, loop: EventLoop, fabric: Fabric, config: TimesyncConfig,
-                 rng: RngRegistry, load=None, online=None, catch_up=None):
+                 rng: RngRegistry, load=None, cuts=None, catch_up=None):
         self.loop = loop
         self.fabric = fabric
         self.config = config
@@ -632,11 +632,9 @@ class SyncDomain:
             else:
                 self._add_port(t.id, fabric.central_id, fabric.tile_link(t.id),
                                fabric.trunk_link(sw_id), sw_id)
-
-        if online is not None:
-            for t in clock_tiles:
-                if not online(t.id):
-                    self.ports[t.id].cut_ps = 0
+        for tile_id, at in (cuts or {}).items():
+            if tile_id in self.ports:
+                self.ports[tile_id].cut_ps = at
 
     def _add_clock(self, osc: OscillatorConfig, node_id: str) -> None:
         walk = self.rng.stream(f"{self.config.stream_label}/oscillator/{node_id}")
@@ -695,9 +693,10 @@ class SyncDomain:
         return _PortJitter(link, self.config, self._load).sigma_ns(t)
 
     def start(self, until_ps: SimTime) -> int:
-        """Queue every port's sync epochs up to `until_ps`; returns how many
-        events their exchanges fire.  An interval no longer than an exchange
-        is refused: the next epoch would drop every exchange in flight."""
+        """Queue every port's sync epochs up to `until_ps`, and before its
+        tile's cut; returns how many events their exchanges fire.  An
+        interval no longer than an exchange is refused: the next epoch
+        would drop every exchange in flight."""
         if self._interval_ps <= self._longest_exchange_ps:
             raise ConfigurationError(
                 f"timesync.sync_interval_s must be longer than one exchange, "
@@ -716,7 +715,8 @@ class SyncDomain:
         for i, node in enumerate(sorted(self.ports)):
             port = self.ports[node]
             port.epoch_ps = t0 + i * stagger
-            epochs += self.loop.every(port.epoch_ps, self._interval_ps, until_ps,
+            end = until_ps if port.cut_ps is None else min(until_ps, port.cut_ps - 1)
+            epochs += self.loop.every(port.epoch_ps, self._interval_ps, end,
                                       self.MODULE, node, "sync_egress",
                                       self._sync_egress, port)
         return epochs * EXCHANGE_EVENTS
@@ -748,16 +748,7 @@ class SyncDomain:
         self.report.finalize(n for n, p in self.ports.items() if p.cut_ps is not None)
         return self.report
 
-    def mark_offline(self, tile_id: str, at: SimTime) -> None:
-        """Take a tile out of the exchanges and the residual series from
-        `at` on (a power-plane disconnect callback)."""
-        port = self.ports.get(tile_id)
-        if port is not None:
-            port.cut_ps = at
-
     def _sync_egress(self, port: PtpPort) -> None:
-        if port.cut_ps is not None:
-            return
         now = self.loop.now
         if self._catch_up is not None:
             self._catch_up(now, port.epoch_ps, self._interval_ps)

@@ -57,11 +57,12 @@ class RecordingDomain(SyncDomain):
 
 
 def run_sync(fabric, config, duration_s: float, seed: int = 0, cls=SyncDomain,
-             loop: EventLoop | None = None, online=None):
-    """Build a domain of `cls` (`RecordingDomain` to keep the records), run
-    it for `duration_s` and finish it; returns (report, domain)."""
+             loop: EventLoop | None = None, cuts=None):
+    """Build a domain of `cls` (`RecordingDomain` to keep the records) with
+    the tiles' `cuts`, run it for `duration_s` and finish it; returns
+    (report, domain)."""
     loop = loop or EventLoop()
-    domain = cls(loop, fabric, config, RngRegistry(seed), online=online)
+    domain = cls(loop, fabric, config, RngRegistry(seed), cuts=cuts)
     until = from_seconds(duration_s)
     domain.start(until)
     loop.run_until(until)

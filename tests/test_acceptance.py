@@ -158,7 +158,7 @@ def test_criterion_06_budget_respected_and_fault_isolated(tmp_path, verdict):
           and granted_mw == 140 * POWER_CLASSES[3].pse_mw
           and granted_mw <= 9_000_000
           and len(cuts) == 1 and cuts[0][0] == cutoff
-          and not plane.is_online("t007")
+          and not plane.devices["t007"].online
           and last_produce["t007"] < cutoff
           and max(last_produce.values()) > cutoff
           and max(sample_times) < cutoff

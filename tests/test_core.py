@@ -226,8 +226,8 @@ def test_same_instant_fifo_with_incomparable_args_and_stats_per_call():
 
 
 class HeapqLoop:
-    """Reference model: `EventLoop` before the front slot, every event
-    through `heapq` (copied from the earlier engine)."""
+    """Reference model: a plain `heapq` queue of (fire_at, seq) events,
+    written apart from `EventLoop` (copied from an earlier engine)."""
 
     def __init__(self, trace=None):
         self._heap = []
@@ -318,19 +318,19 @@ def drive(loop_cls, program):
            st.sampled_from(["e0", "e1", "e2", "e3", "c0", "c1", "e0.0", "e1.1"]),
            st.lists(st.integers(0, 30), max_size=3), max_size=6),
        ends=st.lists(st.integers(0, 150), min_size=1, max_size=5))
-def test_front_slot_loop_matches_a_heapq_model(starts, chains, children, ends):
+def test_loop_matches_a_heapq_model(starts, chains, children, ends):
     program = (starts, chains, children, sorted(ends) + [200])
     assert drive(EventLoop, program) == drive(HeapqLoop, program)
 
 
-def test_front_slot_takes_only_strictly_earlier_events():
+def test_events_fire_in_time_then_insertion_order():
     loop = EventLoop()
     order = []
     loop.schedule(10, "m", "a", "x", order.append, "a")
     loop.schedule(10, "m", "b", "x", order.append, "b")     # tie: after a
     loop.schedule(5, "m", "c", "x", order.append, "c")      # before the head
-    loop.schedule(5, "m", "d", "x", order.append, "d")      # tie with the slot
-    loop.schedule(3, "m", "e", "x", order.append, "e")      # displaces the slot
+    loop.schedule(5, "m", "d", "x", order.append, "d")      # tie: after c
+    loop.schedule(3, "m", "e", "x", order.append, "e")      # before them all
     assert loop.pending() == 5
     stats = loop.run_until(4)
     assert order == ["e"] and loop.pending() == 4 and stats.processed == 1

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilesim import dataplane, orchestrator
-from tilesim.core import PS_PER_MS, PS_PER_S, from_seconds
+from tilesim.core import MAX_SIM_TIME, PS_PER_MS, PS_PER_S, from_seconds
 from tilesim.dataplane import (FNV64_MASK, FNV64_PRIME, Broker, CommitError,
                                ConsumerGroup, LinkLoadTracker, Record, fnv1a64)
 from tilesim.fabric import ConfigurationError
@@ -556,8 +556,8 @@ def test_windowed_rate_matches_a_full_rescan(window, ops):
 class EagerDataplane:
     """Reference model: the dataplane stage when each producer was a
     periodic event that checked its tile's power at every firing (copied
-    from the earlier engine).  The loop's events append each record, so a
-    reader needs no catch-up."""
+    from the earlier engine), here against the cut in `run.cuts`.  The
+    loop's events append each record, so a reader needs no catch-up."""
 
     catch_up = None
 
@@ -570,7 +570,7 @@ class EagerDataplane:
                                           cfg.retention_records)
         self.tracker = run.load = LinkLoadTracker(
             from_seconds(cfg.load_window_ms / 1e3))
-        self.online = run.online
+        self.cuts = run.cuts
         self.tiles = sorted(t.id for t in fabric.tiles.values()
                             if "producer" in t.roles)[:cfg.producer_tiles]
         self.counts = dict.fromkeys(self.tiles, 0)
@@ -607,7 +607,7 @@ class EagerDataplane:
     def _produce(self, route):
         tile, prefix, prefix_hash, tile_link, trunk_link = route
         now = self.loop.now
-        if not self.online(tile):
+        if now >= self.cuts.get(tile, MAX_SIM_TIME + 1):
             return
         seq = self.counts[tile]
         self.counts[tile] = seq + 1
@@ -708,3 +708,16 @@ def test_producers_without_events_match_the_eager_reference(name, tmp_path):
         assert lazy[artifact] == eager[artifact], artifact
     report = json.loads(lazy["report.json"])
     assert report["dataplane"]["published"] > 0
+
+
+def test_a_cut_tile_fires_no_event(tmp_path):
+    # t006 and t007 are denied at set-up and t003 is cut at 371 ms: their
+    # sync series end before the cut, and the cut itself is no event
+    lines = artifacts(TIES, tmp_path)["events.ndjson"].decode().splitlines()
+    events = [json.loads(line) for line in lines]
+    assert not [e for e in events if e["module"] == "power"]
+    egress = [e for e in events if e["action"] == "sync_egress"]
+    assert not [e for e in egress if e["target"] in ("t006", "t007")]
+    assert not [e for e in egress if e["target"] == "t003"
+                and e["t"] >= from_seconds(0.371)]
+    assert [e for e in egress if e["target"] == "t003"]

@@ -27,7 +27,8 @@ section of the stage it turns off, and skips `resolved.json`.
 
 Each scenario is drawn leaf by leaf: every numeric leaf in `SMALL` takes a
 value inside its `scenario.RULES` rule, in a range that keeps a run under
-about a tenth of a second (at most 16 tiles and 2 s).
+about a tenth of a second (at most 16 tiles and 2 s).  A scenario may also
+cut t000's power inside the run, so every relation covers a mid-run cut.
 
 The example count comes from the hypothesis profile (`tests/conftest.py`):
 a few for Tier-1, more under `--hypothesis-profile=sweep`.
@@ -124,6 +125,13 @@ def scenarios(draw) -> dict:
                             else st.floats(lo, hi)))
     doc["trace_events"] = draw(st.booleans())
     doc["timesync"]["boundary_switches"] = ["sw0"] if draw(st.booleans()) else []
+    # t000 is allocated first, so it is granted unless the budget grants
+    # no tile at all (a midspan under one class-3 grant, 15.4 W); when
+    # drawn, its overdraw cut (75 ms after the onset) lands inside the run
+    onset = draw(st.none() | st.floats(0.0, 0.8))
+    if onset is not None:
+        doc["power"].update(overdraw_tile="t000", overdraw_w=20.0,
+                            overdraw_at_s=doc["duration_s"] * onset)
     return doc
 
 

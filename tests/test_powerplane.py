@@ -266,15 +266,19 @@ def test_regrant_after_disconnect():
     assert plane.find_disconnect_time(pd) is None
 
 
-def test_disconnect_callbacks_fire():
-    pd = make_pd("a")
-    plane = plane_with([pd])
-    seen = []
-    plane.on_disconnect.append(lambda tile, at: seen.append((tile, at)))
+def test_one_monitor_applies_disconnects_in_time_order():
+    # b overdraws first; a single late monitor lists it, and ledgers it,
+    # before a, as a monitor at each cut instant would
+    pd_a, pd_b = make_pd("a"), make_pd("b")
+    plane = plane_with([pd_a, pd_b])
     plane.allocate("a", at=0)
-    pd.processing.set_from(PS_PER_S, 50_000)
-    plane.monitor(10 * PS_PER_S)
-    assert seen == [("a", PS_PER_S + WINDOW_PS)]
+    plane.allocate("b", at=0)
+    pd_a.processing.set_from(2 * PS_PER_S, 50_000)
+    pd_b.processing.set_from(PS_PER_S, 50_000)
+    fired = plane.monitor(10 * PS_PER_S)
+    assert [(ev.tile_id, ev.at_ps) for ev in fired] == \
+        [("b", PS_PER_S + WINDOW_PS), ("a", 2 * PS_PER_S + WINDOW_PS)]
+    assert [r[1] for r in plane.ledger if r[4].startswith("disconnect")] == ["b", "a"]
 
 
 def test_pending_disconnects_preview():

@@ -883,7 +883,7 @@ def test_overdraw_silences_producer_after_disconnect(tmp_path):
                           "overdraw_w": 20.0})
     result = run_scenario(cfg, tmp_path)
     assert result.report["power"]["disconnects"] >= 1
-    assert not result.power.is_online("t000")
+    assert not result.power.devices["t000"].online
 
     cutoff_ps = int(2.075e12)   # overdraw start plus the 75 ms window
     last_by_producer = {}

@@ -390,10 +390,6 @@ def test_sampling_and_tracing_leave_the_exchanges_alone(boundary):
     assert all(run == runs[0] for run in runs[1:])
 
 
-def cut_at(loop, domain, tile, t):
-    loop.schedule(t, "power", tile, "cut", lambda _a: domain.mark_offline(tile, loop.now))
-
-
 @pytest.mark.parametrize("sample_interval_s", [0.05, 0.1, 0.5])
 def test_residuals_equal_offset_at_on_a_copy_taken_at_each_tick(sample_interval_s):
     # noisy clocks and links, a boundary switch (sw1) and two relays, and
@@ -417,7 +413,9 @@ def test_residuals_equal_offset_at_on_a_copy_taken_at_each_tick(sample_interval_
         fab = build_default_fabric(FabricConfig(counts={"wall_a": 4, "floor": 2},
                                                 switch_count=3))
         loop = EventLoop()
-        domain = cls(loop, fab, cfg, RngRegistry(4))
+        domain = cls(loop, fab, cfg, RngRegistry(4), cuts={
+            tile: from_seconds(t_s)
+            for tile, t_s in (("t001", 3.333), ("t002", 4.0), ("t003", 5.0))})
         domain.start(until)
 
         def copy_clocks(_arg):
@@ -426,8 +424,6 @@ def test_residuals_equal_offset_at_on_a_copy_taken_at_each_tick(sample_interval_
 
         if cls is StepwiseDomain:
             loop.every(tick, tick, until, "test", "all", "copy_clocks", copy_clocks)
-        for tile, t_s in (("t001", 3.333), ("t002", 4.0), ("t003", 5.0)):
-            cut_at(loop, domain, tile, from_seconds(t_s))
         loop.run_until(until)
         return domain, domain.finish()
 
@@ -451,9 +447,9 @@ def test_tick_at_first_correction_is_sampled_and_tick_at_cut_is_not():
     cfg = TimesyncConfig(sample_interval_s=closed / PS_PER_S)
     assert from_seconds(cfg.sample_interval_s) == closed
     loop = EventLoop()
-    domain = SyncDomain(loop, eight_tile_fabric(), cfg, RngRegistry(7))
+    domain = SyncDomain(loop, eight_tile_fabric(), cfg, RngRegistry(7),
+                        cuts={"t001": 3 * closed})
     domain.start(until)
-    cut_at(loop, domain, "t001", 3 * closed)
     loop.run_until(until)
     report = domain.finish()
     assert domain.ports["t000"].closed_ps == closed
@@ -465,7 +461,7 @@ def test_tick_at_first_correction_is_sampled_and_tick_at_cut_is_not():
 def test_offline_tiles_do_not_exchange():
     report, domain = run_sync(
         small_fabric(), zero_noise_config(), 10.0, seed=3, cls=RecordingDomain,
-        online=lambda node: node != "t000")
+        cuts={"t000": 0})
     nodes = {r.node for r in domain.records}
     assert "t000" not in nodes
     assert {"t001", "t002", "t003"} <= nodes
@@ -717,8 +713,6 @@ class StepwiseDomain(RecordingDomain):
     same records."""
 
     def _sync_egress(self, port):
-        if port.cut_ps is not None:
-            return
         now = self.loop.now
         seq = port.seq = port.seq + 1
         up_sync, up_req = (0, 0) if port.up is None else hop_jitter(port.up, now, seq)
@@ -739,7 +733,8 @@ class StepwiseDomain(RecordingDomain):
             self.loop.schedule(t, self.MODULE, port.node, action, fn, arg)
 
     def _live(self, port, st):
-        return st["seq"] == port.seq and port.cut_ps is None
+        return st["seq"] == port.seq and (port.cut_ps is None
+                                          or self.loop.now < port.cut_ps)
 
     def _relay_ingress(self, arg):
         port, st, leg, jitter = arg
@@ -819,10 +814,8 @@ def by_exchange(record):
 
 def _run_domain(cls, fab, cfg, until, cuts, load):
     loop = EventLoop()
-    domain = cls(loop, fab, cfg, RngRegistry(4), load=load)
+    domain = cls(loop, fab, cfg, RngRegistry(4), load=load, cuts=cuts)
     domain.start(until)
-    for tile, t in cuts:
-        cut_at(loop, domain, tile, t)
     loop.run_until(until)
     return domain, domain.finish(), loop
 
@@ -847,7 +840,7 @@ def test_fused_close_equals_the_ten_event_exchange(boundary):
     port_order = sorted(SyncDomain(EventLoop(), first, cfg, RngRegistry(4)).ports)
     # t002's exchange 5 starts at its epoch; cut it 10 ms later
     epoch = (port_order.index("t002") * from_seconds(0.02) + 4 * from_seconds(0.3))
-    cuts = [("t002", epoch + from_seconds(0.01))]
+    cuts = {"t002": epoch + from_seconds(0.01)}
     runs = []
     for cls in (RecordingDomain, StepwiseDomain):
         fab = fabric()
@@ -898,7 +891,7 @@ def test_closes_in_the_loop_equal_the_ten_event_exchange(boundary, sigma_ns):
         tile_jitter_sigma_ns=sigma_ns, jitter_shape=2.0))
     cfg = block_filling_config(boundary)
     until = from_seconds(20.0)
-    cuts = [("t001", from_seconds(13.3337))]
+    cuts = {"t001": from_seconds(13.3337)}
     runs = []
     for cls in (RecordingDomain, StepwiseDomain):
         load = LinkLoadTracker(window_ps=from_seconds(0.05))
@@ -906,10 +899,8 @@ def test_closes_in_the_loop_equal_the_ten_event_exchange(boundary, sigma_ns):
             for link in fab.links.values():
                 load.record(link.id, k * from_seconds(0.01), link.bandwidth_bps // 400)
         loop = EventLoop()
-        domain = cls(loop, fab, cfg, RngRegistry(6), load=load)
+        domain = cls(loop, fab, cfg, RngRegistry(6), load=load, cuts=cuts)
         domain.start(until)
-        for tile, t in cuts:
-            cut_at(loop, domain, tile, t)
         loop.run_until(until)
         if cls is RecordingDomain:
             # every port but the cut one filled a block three times, so
@@ -954,7 +945,6 @@ def test_the_close_order_of_tile_ports_leaves_the_residuals_alone(order, boundar
     def csv_bytes(domain):
         loop = domain.loop
         domain.start(from_seconds(3.0))
-        cut_at(loop, domain, "t004", from_seconds(1.7))
         loop.run_until(from_seconds(3.0))
         with tempfile.TemporaryDirectory() as d:
             domain.finish().to_csv(os.path.join(d, "r.csv"))
@@ -964,7 +954,9 @@ def test_the_close_order_of_tile_ports_leaves_the_residuals_alone(order, boundar
     cfg = block_filling_config(boundary)
     fab = build_default_fabric(FabricConfig(counts={"wall_a": 3, "floor": 3},
                                             switch_count=3))
-    plain = csv_bytes(SyncDomain(EventLoop(), fab, cfg, RngRegistry(8)))
-    permuted = csv_bytes(PermutedDomain(EventLoop(), fab, cfg, RngRegistry(8), order=order))
+    cuts = {"t004": from_seconds(1.7)}
+    plain = csv_bytes(SyncDomain(EventLoop(), fab, cfg, RngRegistry(8), cuts=cuts))
+    permuted = csv_bytes(PermutedDomain(EventLoop(), fab, cfg, RngRegistry(8),
+                                        order=order, cuts=cuts))
     assert permuted == plain
     assert plain.count(b"\n") > 6 * 25
