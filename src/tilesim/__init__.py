@@ -9,7 +9,7 @@ from .fabric import (ConfigurationError, Fabric, FabricConfig, Link, Room,
 from .timesync import (LocalClock, OscillatorConfig, SyncDomain, SyncReport,
                        TimesyncConfig, two_step_offset)
 from .powerplane import PdDevice, PsePlane, classify
-from .dataplane import Broker, CommitError, ConsumerGroup, LinkLoadTracker
+from .dataplane import Broker, CommitError, ConsumerGroup
 from .coherent import (coherent_gain, evaluate_beamforming, expected_gain,
                        steering_phase, wrap_phase)
 from .rover import (Battery, BeaconSet, KalmanState, MissionConfig,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Battery", "BeaconSet", "Broker", "CommitError", "ConfigurationError",
     "ConsumerGroup", "EventLoop", "Fabric", "FabricConfig", "KalmanState",
-    "Link", "LinkLoadTracker", "LocalClock", "MissionConfig", "MissionRunner",
+    "Link", "LocalClock", "MissionConfig", "MissionRunner",
     "OscillatorConfig", "PdDevice", "PsePlane", "RngRegistry", "RngStream",
     "Room", "RunResult", "SamplePlan", "ScenarioConfig", "SimTime",
     "SimulationError", "SwitchNode", "SyncDomain", "SyncReport", "TileNode",

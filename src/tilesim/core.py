@@ -50,7 +50,6 @@ class SimulationError(RuntimeError):
 class RunStats:
     processed: int = 0
     by_module: dict[str, int] = field(default_factory=dict)
-    last_fire_at: SimTime = 0
 
 
 class EventLoop:
@@ -122,7 +121,8 @@ class EventLoop:
           set-up order decides.
 
         A run's producers are no events: this rank tells which of their
-        records a poll or a sync egress at the same instant sees."""
+        records a poll at the same instant sees, and which a sync exchange's
+        load window holds at its epoch."""
         if at == start:
             return (0, order)
         return (1, -period, -start, order)
@@ -144,23 +144,16 @@ class EventLoop:
         pop = heapq.heappop
         by_module: dict[str, int] = {}
         count = by_module.get
-        while True:
-            if heap and heap[0][0] <= t_end:
-                event = pop(heap)
-            else:
-                break
-            fire_at, _, fn, arg, module, target, action = event
+        while heap and heap[0][0] <= t_end:
+            fire_at, _, fn, arg, module, target, action = pop(heap)
             self._now = fire_at
             if trace is not None:
                 trace.write('{"t":%d,"module":"%s","target":"%s","action":"%s"}\n'
                             % (fire_at, module, target, action))
             fn(arg)
             by_module[module] = count(module, 0) + 1
-        processed = sum(by_module.values())
-        stats = RunStats(processed, by_module, self._now if processed else 0)
-        if t_end > self._now:
-            self._now = t_end
-        return stats
+        self._now = t_end
+        return RunStats(sum(by_module.values()), by_module)
 
     def pending(self) -> int:
         return len(self._heap)

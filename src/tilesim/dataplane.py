@@ -5,8 +5,8 @@ Records land on partitions by a stable 64-bit FNV-1a hash of the key, get
 dense per-partition offsets in broker arrival order, and age out of a fixed
 ring buffer.  Consumer groups track committed offsets per partition with
 at-least-once semantics: a member that vanishes before committing causes
-redelivery to whoever inherits its partitions.  Per-link byte accounting
-feeds the jitter coupling of the time-transfer plane.
+redelivery to whoever inherits its partitions.  `LinkLoadTracker` counts
+link bytes record by record, the reference for a run's closed-form load.
 
 The append path is built for saturated logs.  A partition keeps its
 retained records column by column (keys, sizes, produce times in an
@@ -285,11 +285,12 @@ class LinkWindow:
 
 
 class LinkLoadTracker:
-    """Sliding-window byte accounting per link.  Each link keeps the byte
-    sum of its window next to the window's records, so a rate lookup costs
-    only the evictions it makes.  `windows` maps a link id to its
-    `LinkWindow` once the link has carried a record; a reader that holds
-    the dict can ask a link's window for its rate directly."""
+    """Sliding-window byte accounting per link, the tests' reference for
+    `_Dataplane.load`.  Each link keeps the byte sum of its window next to
+    the window's records, so a rate lookup costs only the evictions it
+    makes.  `windows` maps a link id to its `LinkWindow` once the link has
+    carried a record; a reader that holds the dict can ask a link's window
+    for its rate directly."""
 
     def __init__(self, window_ps: SimTime):
         self.window_ps = window_ps

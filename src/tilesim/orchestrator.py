@@ -19,10 +19,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .coherent import MAX_TRIAL_ELEMENTS, CoherentError, evaluate_beamforming
-from .core import MAX_SIM_TIME, EventLoop, RngRegistry, SimTime, from_seconds
-from .dataplane import (FNV64_MASK, FNV64_PRIME, Broker, ConsumerGroup,
-                        LinkLoadTracker, fnv1a64)
+from .core import (MAX_SIM_TIME, PS_PER_S, EventLoop, RngRegistry, SimTime,
+                   from_seconds)
+from .dataplane import FNV64_MASK, FNV64_PRIME, Broker, ConsumerGroup, fnv1a64
 from .fabric import ConfigurationError, Fabric, build_default_fabric
 from .powerplane import PsePlane
 from .rover import (Battery, MissionConfig, MissionRunner, RoverError,
@@ -47,7 +49,6 @@ class RunResult:
     stages: dict = field(default_factory=dict)
     power: PsePlane | None = None
     broker: Broker | None = None
-    load: LinkLoadTracker | None = None
     domain: SyncDomain | None = None
     out_dir: Path | None = None
     report: dict | None = None
@@ -82,10 +83,11 @@ class _Dataplane:
     m * period, for each such instant at or before the run's end and
     before the tile's power cut in `run.cuts` (a tile denied power is cut
     at 0, so it publishes nothing).  Its uplink and trunk loads stop with
-    it, which is exactly what the sync jitter coupling should see.  `catch_up` appends, in (m, i) order, each record
-    the loop would have produced before a reader: a consumer poll, a sync
-    egress about to read the load windows, or `finish`.  A consumer
-    commits its delivery frontier after every poll."""
+    it, which is exactly what the sync jitter coupling should see.
+    `catch_up` appends, in (m, i) order, each record the loop would have
+    produced before a reader: a consumer poll, or `finish`.  `load` gives
+    a link's load window at each occurrence of a reader series in closed
+    form.  A consumer commits its delivery frontier after every poll."""
 
     def __init__(self, run: RunResult, cfg):
         loop, fabric, until = run.loop, run.fabric, run.until
@@ -94,14 +96,14 @@ class _Dataplane:
         self.record_bytes = cfg.record_bytes
         self.broker = run.broker = Broker(cfg.topic, cfg.partitions,
                                           cfg.retention_records)
-        self.tracker = run.load = LinkLoadTracker(
-            from_seconds(cfg.load_window_ms / 1e3))
+        self.window_ps = from_seconds(cfg.load_window_ms / 1e3)
         self.tiles = sorted(t.id for t in fabric.tiles.values()
                             if "producer" in t.roles)[:cfg.producer_tiles]
         period = self.period = from_seconds(cfg.produce_interval_ms / 1e3)
         spacing = self.spacing = period // max(1, len(self.tiles))
-        # per tile, how many records it publishes in the whole run
-        self.counts = {}
+        # per tile, how many records it publishes in the whole run; per
+        # link, the set-up order of the tiles whose records it carries
+        self.counts, self.links = {}, {}
         self.routes = []
         for i, tile in enumerate(self.tiles):
             # it produces before `end`: to the run's end, and before its cut
@@ -112,9 +114,15 @@ class _Dataplane:
             prefix = f"{tile}:"
             # the last slot holds its key stem, set in `_produce`
             self.routes.append([tile, prefix, fnv1a64(prefix.encode()),
-                                fabric.tile_link(tile).id,
-                                fabric.trunk_link(fabric.switch_for_tile(tile)).id,
                                 self.counts[tile], i * spacing, 0])
+            for link in (fabric.tile_link(tile),
+                         fabric.trunk_link(fabric.switch_for_tile(tile))):
+                self.links.setdefault(link.id, []).append(i)
+        # each tile's offset and record count in uint64 (a count of 2**64
+        # is past the work bound, which refuses the run)
+        self.offsets = np.arange(len(self.tiles), dtype=np.uint64) * np.uint64(spacing)
+        self.limits = np.array([min(c, MAX_SIM_TIME) for c in self.counts.values()],
+                               np.uint64)
         # the (m, i) positions handled, m * len(tiles) + i, and the instant
         # of the next; with no producer, no instant is due
         self.done, self.next_at = 0, 0 if self.tiles else MAX_SIM_TIME + 1
@@ -169,29 +177,58 @@ class _Dataplane:
         """Append the records of positions `done` .. end - 1, in order."""
         g, self.done = self.done, end
         routes, n, step = self.routes, len(self.routes), self.period
-        append, record, nbytes = self.broker.append, self.tracker.record, self.record_bytes
+        append, nbytes = self.broker.append, self.record_bytes
         m, i = divmod(g, n)
         seq, base, unit = str(m), m * step, m % 10
         while g < end:
             route = routes[i]
-            tile, prefix, prefix_hash, tile_link, trunk_link, count, offset, stem = route
+            tile, prefix, prefix_hash, count, offset, stem = route
             if m < count:
                 # a key's hash steps its stem, the FNV-1a state of "<tile>:<m
                 # // 10>" (of "<tile>:" while m < 10), by the byte of its
                 # last digit, ord("0") + m % 10, only
                 if not unit:
-                    stem = route[7] = fnv1a64(str(m // 10).encode(), prefix_hash) \
+                    stem = route[5] = fnv1a64(str(m // 10).encode(), prefix_hash) \
                         if m else prefix_hash
-                now = base + offset
-                append(prefix + seq, nbytes, now, tile,
+                append(prefix + seq, nbytes, base + offset, tile,
                        ((stem ^ (48 + unit)) * FNV64_PRIME) & FNV64_MASK)
-                record(tile_link, now, nbytes)
-                record(trunk_link, now, nbytes)
             g += 1
             i += 1
             if i == n:
                 i, m = 0, m + 1
                 seq, base, unit = str(m), base + step, m % 10
+
+    def load(self, link_id: str, start: SimTime, period: SimTime, first: int,
+             n: int) -> np.ndarray:
+        """The bits per second `link_id` carries in the window (t - W, t] at
+        occurrences first .. first + n - 1 of a reader `EventLoop.every(start,
+        period)` queued after the producers.  A record at t counts iff
+        `EventLoop.tie_rank` fires it first: a tile's first record always, a
+        later one never at the reader's first firing.  Exact over the 64-bit
+        range: instants in uint64, each count's rate in Python ints."""
+        tiles = self.links.get(link_id)
+        if tiles is None or not n:
+            return np.zeros(n)
+        offsets, counts = self.offsets[tiles], self.limits[tiles]
+        step, window = np.uint64(self.period), np.uint64(self.window_ps)
+        t = (np.arange(first, first + n, dtype=np.uint64) * np.uint64(period)
+             + np.uint64(start))[:, None]
+        # a re-queued record at t does not count at the reader's first
+        # firing, nor where the reader ranks first; at an instant neither
+        # series starts at, both rank as re-queued occurrences
+        never, rank = MAX_SIM_TIME + 1, EventLoop.tie_rank
+        reader = rank(never, start, period, len(self.tiles))
+        skip = np.repeat([[rank(never, i * self.spacing, self.period, i) > reader
+                           for i in tiles]], n, axis=0)
+        if first == 0:
+            skip[0] = True
+        skip &= t != offsets
+        k = (_records_through(t - skip, t >= offsets, offsets, counts, step)
+             - _records_through(t - window, (t >= window) & (t - window >= offsets),
+                                offsets, counts, step)).sum(axis=1)
+        ks, index = np.unique(k, return_inverse=True)
+        bits = self.record_bytes * 8 * PS_PER_S
+        return np.array([c * bits / self.window_ps for c in ks.tolist()])[index]
 
     def _poll(self, arg) -> None:
         group, member, start = arg
@@ -219,15 +256,22 @@ class _Dataplane:
                                for g in self.groups}}
 
 
+def _records_through(x, ok, offsets, counts, step):
+    """Per tile, its records at or before x where `ok`, else none."""
+    q = (x - offsets) // step
+    return np.where(ok, np.where(q < counts, q + 1, counts), 0)
+
+
 class _Timesync:
-    """The sync domain, jittered by the dataplane's link loads, each tile's
-    exchanges stopping before its power cut."""
+    """The sync domain, jittered by the dataplane's link load at each
+    exchange's epoch, each tile's exchanges stopping before its power
+    cut."""
 
     def __init__(self, run: RunResult, cfg):
         dataplane = run.stages.get("dataplane")
         domain = run.domain = SyncDomain(
-            run.loop, run.fabric, cfg, run.rng, run.load, run.cuts,
-            None if dataplane is None else dataplane.catch_up)
+            run.fabric, cfg, run.rng, None if dataplane is None else dataplane.load,
+            run.cuts)
         self.events = {"timesync.sync_interval_s": domain.start(run.until),
                        "duration_s": domain.walk_steps(run.until)}
 
@@ -305,8 +349,8 @@ STAGES = {"power": _Power, "dataplane": _Dataplane, "timesync": _Timesync,
 # the most periodic work one run may ask for, counted in events: sync
 # exchanges (two each, a tile's up to its cut), produced records, consumer
 # polls and mission ticks together, with the clocks' frequency-walk steps
-# counted too.  A record and an exchange's close fire no event of their
-# own; their work counts.  Every event of a run belongs to such a series.
+# counted too.  A record and an exchange fire no event; their work counts.
+# Every event of a run is a consumer poll of such a series.
 MAX_PERIODIC_EVENTS = 10_000_000
 
 

@@ -31,21 +31,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (EventLoop, PS_PER_S, PS_PER_US, RngRegistry, RngStream,
-                   SimTime, SimulationError, as_normals, as_uniforms,
-                   from_seconds)
+from .core import (PS_PER_S, PS_PER_US, RngRegistry, RngStream, SimTime,
+                   SimulationError, as_normals, as_uniforms, from_seconds)
 from .fabric import ConfigurationError, Fabric, Link
 
 
 # the most residual samples (ports times sampler ticks) one run may ask for
 MAX_RESIDUAL_SAMPLES = 10_000_000
 
-# the periodic work one exchange counts for: its sync egress, the one
-# event it fires, and its close, run in a batch
+# the periodic work one exchange counts for in the run's work bound, in
+# events: its sync message out and its close, both worked out at `finish`
 EXCHANGE_EVENTS = 2
 
-# the most exchanges a port holds unclosed: an egress that fills the block
-# closes those due by then
+# the exchanges of one port `finish` works out at a time, so that what a
+# close holds does not grow with the run
 _CLOSE_BLOCK = 128
 
 # the frequency walk's lattice step: a constant, so neither a configured
@@ -467,11 +466,11 @@ class PtpPort:
     node: str
     master: str
     servo: ServoState
-    seq: int = 0
+    exchanges: int = 0             # its epochs, to the run's end and before its cut
     corrections: int = 0
     closed_ps: int | None = None   # the instant of the first correction
     cut_ps: int | None = None      # the instant the tile's power is cut
-    epoch_ps: int = 0              # the first sync egress
+    epoch_ps: int = 0              # the first exchange's epoch
     clock: LocalClock | None = field(default=None, repr=False)
     master_clock: LocalClock | None = field(default=None, repr=False)
     relay_clock: LocalClock | None = field(default=None, repr=False)
@@ -488,22 +487,21 @@ class PtpPort:
 
 
 class _PortJitter:
-    """One port's delay jitter on one link: the link's base sigma, the load
-    window that scales it, the lognormal shape, and the sigma held for each
-    exchange not yet closed, taken at its epoch.  Exchange seq's hop on leg
-    0 (sync) or 1 (delay request) is exp(s z) at that sigma, z normal
-    2 seq + leg of the port's stream on the link, made on the first draw."""
+    """One port's delay jitter on one link: the link's base sigma, the
+    link load that scales it at each exchange's epoch, and the lognormal
+    shape.  Exchange seq's hop on leg 0 (sync) or 1 (delay request) is
+    exp(s z) at that sigma, z normal 2 seq + leg of the port's stream on
+    the link, made on the first draw."""
 
-    __slots__ = ("link_id", "base_ns", "coupling", "windows", "window_ps",
-                 "bandwidth_bps", "s", "denom", "rng", "name", "stream", "sigmas")
+    __slots__ = ("link_id", "base_ns", "coupling", "load", "bandwidth_bps", "s",
+                 "denom", "rng", "name", "stream")
 
     def __init__(self, link: Link, config: TimesyncConfig, load,
                  rng: RngRegistry | None = None, name: str = ""):
         self.link_id = link.id
         self.base_ns = link.jitter_sigma_ns * config.jitter_scale
         self.coupling = config.load_coupling
-        self.windows, self.window_ps = (None, None) if load is None else (
-            load.windows, load.window_ps)
+        self.load = load
         self.bandwidth_bps = link.bandwidth_bps
         s = self.s = link.jitter_shape
         # lognormal mean exp(s^2/2); its standard deviation is this times
@@ -517,87 +515,70 @@ class _PortJitter:
                 f"{s:g} and load coupling {self.coupling:g} draws delays past "
                 f"the float range")
         self.rng, self.name = rng, name
-        self.stream = self.sigmas = None
+        self.stream = None
 
-    def sigma_ns(self, t: SimTime) -> float:
-        sigma = self.base_ns
-        if sigma > 0 and self.windows is not None:
-            w = self.windows.get(self.link_id)
-            bps = 0.0 if w is None else w.bits_per_second(t, self.window_ps)
-            sigma *= 1.0 + self.coupling * min(1.0, bps / self.bandwidth_bps)
+    def sigma_ns(self, start: SimTime, period: SimTime, first: int, n: int) -> np.ndarray:
+        """The link's sigma at occurrences first .. first + n - 1 of the
+        epochs `every(start, period)`."""
+        sigma = np.full(n, self.base_ns, dtype=float)
+        if self.load is not None:
+            bps = self.load(self.link_id, start, period, first, n)
+            sigma *= 1.0 + self.coupling * np.minimum(1.0, bps / self.bandwidth_bps)
         return sigma
 
-    def hold(self, t: SimTime) -> int:
-        """Hold the link's sigma at t for the next exchange; returns how
-        many are held."""
-        sigmas = self.sigmas
-        if sigmas is None:
-            sigmas = self.sigmas = array("d")
-        sigmas.append(self.sigma_ns(t))
-        return len(sigmas)
-
-    def ps(self, seq: int, n: int) -> tuple[list[int], list[int]]:
-        """The jitter of exchanges seq .. seq + n - 1, at the first n sigmas
-        held, on the sync and on the delay-request hop: integer ps, each
-        rounded half to even from its exp taken in `math`."""
-        sigma = np.frombuffer(self.sigmas[:n])
-        if not (sigma > 0).any():
+    def ps(self, start: SimTime, period: SimTime, first: int,
+           n: int) -> tuple[list[int], list[int]]:
+        """The jitter of the exchanges at those epochs, seq first + 1 ..
+        first + n, on the sync and on the delay-request hop: integer ps,
+        each rounded half to even from its exp taken in `math`."""
+        if self.base_ns <= 0:
             return [0] * n, [0] * n
         if self.stream is None:
             self.stream = self.rng.stream(self.name)
-        z = self.s * as_normals(self.stream.words(2 * seq, 2 * n))
+        z = self.s * as_normals(self.stream.words(2 * first + 2, 2 * n))
         factors = np.fromiter(map(math.exp, z.tolist()), float, 2 * n)
-        scale = np.where(sigma > 0, sigma * 1000 / self.denom, 0.0)
+        scale = self.sigma_ns(start, period, first, n) * 1000 / self.denom
         jitter = _rounded(factors * np.repeat(scale, 2))
         return jitter[0::2], jitter[1::2]
 
 
 class SyncDomain:
-    """Schedules periodic exchanges for every clock-role tile (and boundary
-    switch) over an event loop and, at `finish`, builds the residual series.
+    """Periodic exchanges for every clock-role tile (and boundary switch),
+    worked out at `finish`, which then builds the residual series.
 
-    An exchange is one event, its sync egress, which holds the sigma of
-    each of the port's links at that epoch (the dataplane's load window is
-    read in the loop's order).  Its close runs later, in a batch of the
-    port's held exchanges, and works out when each step happened from the
-    hop delays and jitters: the sync message crosses the relay, if any, to
-    the slave (t2); a follow-up with the precise t1 lands a fixed lag
-    later; a turnaround after both the delay request leaves (t3) and
-    crosses back to the master (t4), whose response returns with a fixed
-    transit, the close's instant.  The close counts if that instant is at
-    or before the run's end, before the tile's cut and before the port's
-    next epoch.  It reads t1-t4 and the relay's residence on each leg at
-    their instants, then steps the servo at the close, the one thing that
+    Port i of the sorted ports has its epochs at start_s + i * stagger, one
+    each sync interval, to the run's end and before its tile's cut (`cuts`,
+    tile to instant); `start` counts them.  `finish` closes each port's
+    series, `_CLOSE_BLOCK` exchanges at a time, each link's sigma at each
+    epoch taken from `load`: (link id, start, period, first, n) to the
+    link's load window at those epochs of a series, or None with no
+    dataplane.  It works out when each step happened from the hop delays
+    and jitters: the sync message crosses the relay, if any, to the slave
+    (t2); a follow-up with the precise t1 lands a fixed lag later; a
+    turnaround after both the delay request leaves (t3) and crosses back
+    to the master (t4), whose response returns with a fixed transit, the
+    close's instant.  The close counts if that instant is at or before
+    the run's end, before the tile's cut and before the port's next epoch.
+    It reads t1-t4 and the relay's residence on each leg at their
+    instants, then steps the servo at the close, the one thing that
     changes a clock's future.  Reads are functions of time and earlier
-    servo steps, so a batch reads what events at each instant would have,
-    as long as a boundary master's exchanges close before its slaves':
-    `finish` closes every port in `ports` order, boundary switches first,
-    and an egress that fills its port's block of `_CLOSE_BLOCK` closes the
-    exchanges of its boundary master, then its own, that are due by then.
+    servo steps, so each read gives what it would at its instant, as the
+    ports close in `ports` order: a boundary master before its slaves.
 
-    `finish` evaluates each port's residual at every `sample_interval_s`
-    tick from its clock's segments, so observing a run cannot change it:
-    from its first correction, a tick at that instant included (a
-    free-running clock's quiet streak would be "converged" by luck), until
-    its tile is cut, a tick at the cut excluded.  Each tile's cut instant
-    is given as the domain is built (`cuts`, tile to instant), and `start`
-    ends the tile's series of epochs before it.  Nothing of an exchange is
-    kept once it closes beyond its port's `corrections` count.
+    `finish` then evaluates each port's residual at every
+    `sample_interval_s` tick from its clock's segments: from its first
+    correction, a tick at that instant included (a free-running clock's
+    quiet streak would be "converged" by luck), until its tile is cut, a
+    tick at the cut excluded.  Nothing of an exchange is kept once it
+    closes beyond its port's `corrections` count.
     """
 
-    MODULE = "timesync"
-
-    def __init__(self, loop: EventLoop, fabric: Fabric, config: TimesyncConfig,
-                 rng: RngRegistry, load=None, cuts=None, catch_up=None):
-        self.loop = loop
+    def __init__(self, fabric: Fabric, config: TimesyncConfig, rng: RngRegistry,
+                 load=None, cuts=None):
         self.fabric = fabric
         self.config = config
         self.rng = rng
-        self._load = load                    # a LinkLoadTracker, or None
-        # called as catch_up(now, epoch, interval) by each egress before it
-        # reads the load windows: a run's dataplane appends what its
-        # producers made by then
-        self._catch_up = catch_up
+        self._load = load
         self.report = SyncReport(from_seconds(config.convergence_threshold_us / 1e6),
                                  config.convergence_samples)
         self.clocks: dict[str, LocalClock] = {}
@@ -690,11 +671,12 @@ class SyncDomain:
             + port.residence_ps + port.up_req_hop_ps + port.resp_ps)
 
     def effective_jitter_sigma_ns(self, link: Link, t: SimTime) -> float:
-        return _PortJitter(link, self.config, self._load).sigma_ns(t)
+        """The link's sigma at t, to a series whose first epoch is t."""
+        return float(_PortJitter(link, self.config, self._load).sigma_ns(t, 1, 0, 1)[0])
 
     def start(self, until_ps: SimTime) -> int:
-        """Queue every port's sync epochs up to `until_ps`, and before its
-        tile's cut; returns how many events their exchanges fire.  An
+        """Set every port's epochs up to `until_ps`, and before its tile's
+        cut; returns the work their exchanges count for, in events.  An
         interval no longer than an exchange is refused: the next epoch
         would drop every exchange in flight."""
         if self._interval_ps <= self._longest_exchange_ps:
@@ -716,9 +698,8 @@ class SyncDomain:
             port = self.ports[node]
             port.epoch_ps = t0 + i * stagger
             end = until_ps if port.cut_ps is None else min(until_ps, port.cut_ps - 1)
-            epochs += self.loop.every(port.epoch_ps, self._interval_ps, end,
-                                      self.MODULE, node, "sync_egress",
-                                      self._sync_egress, port)
+            port.exchanges = max(0, (end - port.epoch_ps) // self._interval_ps + 1)
+            epochs += port.exchanges
         return epochs * EXCHANGE_EVENTS
 
     def walk_steps(self, until_ps: SimTime) -> int:
@@ -727,12 +708,12 @@ class SyncDomain:
         return walking * (until_ps // WALK_STEP_PS)
 
     def finish(self) -> SyncReport:
-        """Close every held exchange, evaluate each port's residual at
+        """Close every port's exchanges, evaluate each port's residual at
         every tick it is sampled at and finalize the report; call once,
-        after the loop has run to the end given to `start`."""
+        after `start`."""
         # boundary switches come first in `ports`: their clocks are masters
         for port in self.ports.values():
-            self._close_due(port, _NEVER)
+            self._close_port(port)
         tick = self._tick_ps
         # ticks[i] is tick i + 1: exact in uint64; a port's sample times are
         # the same ticks as a range of ints
@@ -748,73 +729,48 @@ class SyncDomain:
         self.report.finalize(n for n, p in self.ports.items() if p.cut_ps is not None)
         return self.report
 
-    def _sync_egress(self, port: PtpPort) -> None:
-        now = self.loop.now
-        if self._catch_up is not None:
-            self._catch_up(now, port.epoch_ps, self._interval_ps)
-        port.seq += 1
-        if port.up is not None:
-            port.up.hold(now)
-        if port.down.hold(now) == _CLOSE_BLOCK:
-            master = self.ports.get(port.master)
-            if master is not None:
-                self._close_due(master, now)
-            self._close_due(port, now)
-
-    def _close_due(self, port: PtpPort, horizon: SimTime) -> None:
-        """Close the port's held exchanges, in order, up to the first that
-        may still count but closes past `horizon`: work out each one's
-        instants, read the master and the relay at all of theirs in one
-        pass each, then close each that counts."""
+    def _close_port(self, port: PtpPort) -> None:
+        """Close the port's exchanges in order, `_CLOSE_BLOCK` at a time:
+        work out each one's instants, read the master and the relay at all
+        of a block's in one pass each, then close each that counts."""
         down, up = port.down, port.up
-        n = 0 if down.sigmas is None else len(down.sigmas)
-        if not n:
-            return
-        first = port.seq - n + 1
-        down_sync, down_req = down.ps(first, n)
-        up_sync, up_req = ([0] * n,) * 2 if up is None else up.ps(first, n)
-        interval, turnaround, until = self._interval_ps, self._turnaround_ps, self._until
-        end = min(until, _NEVER if port.cut_ps is None else port.cut_ps - 1)
+        interval, turnaround = self._interval_ps, self._turnaround_ps
+        end = self._until if port.cut_ps is None else min(self._until, port.cut_ps - 1)
         up_hop, residence, down_hop = port.up_hop_ps, port.residence_ps, port.down_hop_ps
         req_hop, up_req_hop = port.req_hop_ps, port.up_req_hop_ps
         followup, resp = port.followup_ps, port.resp_ps
-        epoch = port.epoch_ps + (first - 1) * interval
-        closing, master_at, relay_at = [], [], []
-        done = 0
-        for k in range(n):
-            sync_in = epoch + up_hop + up_sync[k]
-            sync_out = sync_in + residence
-            t2_at = sync_out + down_hop + down_sync[k]
-            t3_at = max(t2_at, epoch + followup) + turnaround
-            req_in = t3_at + req_hop + down_req[k]
-            req_out = req_in + residence
-            t4_at = req_out + up_req_hop + up_req[k]
-            close = t4_at + resp
-            # the next epoch fires first at its instant, and ends the exchange
-            nxt = epoch + interval
-            if close < nxt:
-                if close > horizon:
-                    break
-                if close <= end:
-                    closing.append((first + k, close, t2_at, t3_at))
+        for first in range(0, port.exchanges, _CLOSE_BLOCK):
+            n = min(_CLOSE_BLOCK, port.exchanges - first)
+            down_sync, down_req = down.ps(port.epoch_ps, interval, first, n)
+            up_sync, up_req = ([0] * n,) * 2 if up is None else up.ps(
+                port.epoch_ps, interval, first, n)
+            epoch = port.epoch_ps + first * interval
+            closing, master_at, relay_at = [], [], []
+            for k in range(n):
+                sync_in = epoch + up_hop + up_sync[k]
+                sync_out = sync_in + residence
+                t2_at = sync_out + down_hop + down_sync[k]
+                t3_at = max(t2_at, epoch + followup) + turnaround
+                req_in = t3_at + req_hop + down_req[k]
+                req_out = req_in + residence
+                t4_at = req_out + up_req_hop + up_req[k]
+                close = t4_at + resp
+                # the next epoch, at its instant, ends the exchange
+                nxt = epoch + interval
+                if close < nxt and close <= end:
+                    closing.append((first + k + 1, close, t2_at, t3_at))
                     master_at += (epoch, t4_at)
                     relay_at += (sync_in, sync_out, req_in, req_out)
-            done += 1
-            epoch = nxt
-        del down.sigmas[:done]
-        if up is not None:
-            del up.sigmas[:done]
-        if not closing:
-            return
-        master = port.master_clock.read_many(master_at)
-        relay = port.relay_clock.read_many(relay_at) if port.transparent else None
-        fwd = rev = 0
-        for i, (seq, close, t2_at, t3_at) in enumerate(closing):
-            if relay is not None:
-                fwd = relay[4 * i + 1] - relay[4 * i]
-                rev = relay[4 * i + 3] - relay[4 * i + 2]
-            self._close(port, seq, close, master[2 * i], t2_at, t3_at,
-                        master[2 * i + 1], fwd, rev)
+                epoch = nxt
+            master = port.master_clock.read_many(master_at)
+            relay = port.relay_clock.read_many(relay_at) if port.transparent else None
+            fwd = rev = 0
+            for i, (seq, close, t2_at, t3_at) in enumerate(closing):
+                if relay is not None:
+                    fwd = relay[4 * i + 1] - relay[4 * i]
+                    rev = relay[4 * i + 3] - relay[4 * i + 2]
+                self._close(port, seq, close, master[2 * i], t2_at, t3_at,
+                            master[2 * i + 1], fwd, rev)
 
     def _close(self, port: PtpPort, seq: int, at: SimTime, t1: int,
                t2_at: SimTime, t3_at: SimTime, t4: int, fwd: int, rev: int) -> None:

@@ -1,8 +1,8 @@
 """A sync domain that keeps a record of every exchange it closes.
 
 A run keeps nothing of an exchange but its port's count, so the tests
-rebuild the records from outside, hooking the per-exchange close that the
-batch calls with the close's instant: a clock read depends only on the
+rebuild the records from outside, hooking the per-exchange close that
+`finish` calls with the close's instant: a clock read depends only on the
 clock, the instant and the servo steps before it, and the close's one step
 comes after every instant the exchange read.  Reading the slave again once
 the close has run therefore gives exactly the timestamps it used.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tilesim.core import EventLoop, RngRegistry, SimTime, from_seconds
+from tilesim.core import RngRegistry, SimTime, from_seconds
 from tilesim.timesync import SyncDomain, two_step_offset
 
 
@@ -57,13 +57,10 @@ class RecordingDomain(SyncDomain):
 
 
 def run_sync(fabric, config, duration_s: float, seed: int = 0, cls=SyncDomain,
-             loop: EventLoop | None = None, cuts=None):
+             cuts=None):
     """Build a domain of `cls` (`RecordingDomain` to keep the records) with
-    the tiles' `cuts`, run it for `duration_s` and finish it; returns
+    the tiles' `cuts`, start it for `duration_s` and finish it; returns
     (report, domain)."""
-    loop = loop or EventLoop()
-    domain = cls(loop, fabric, config, RngRegistry(seed), cuts=cuts)
-    until = from_seconds(duration_s)
-    domain.start(until)
-    loop.run_until(until)
+    domain = cls(fabric, config, RngRegistry(seed), cuts=cuts)
+    domain.start(from_seconds(duration_s))
     return domain.finish(), domain

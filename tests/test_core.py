@@ -206,17 +206,15 @@ def test_same_instant_fifo_with_incomparable_args_and_stats_per_call():
     first = loop.run_until(10)
     assert [i for i, _ in fired] == list(range(len(args)))
     assert all(a is args[i] for i, a in fired)
-    assert (first.processed, first.by_module, first.last_fire_at) == \
-        (6, {"a": 3, "b": 3}, 7)
+    assert (first.processed, first.by_module) == (6, {"a": 3, "b": 3})
     assert loop.now == 10
 
     second = loop.run_until(30)
     assert fired[-1] == ("late", {})
-    assert (second.processed, second.by_module, second.last_fire_at) == \
-        (1, {"b": 1}, 20)
+    assert (second.processed, second.by_module) == (1, {"b": 1})
 
     idle = loop.run_until(40)
-    assert (idle.processed, idle.by_module, idle.last_fire_at) == (0, {}, 0)
+    assert (idle.processed, idle.by_module) == (0, {})
 
     expected = "".join(
         '{"t":7,"module":"%s","target":"n%d","action":"go"}\n' % ("ab"[i % 2], i)
@@ -271,8 +269,7 @@ class HeapqLoop:
                                   % (fire_at, module, target, action))
             fn(arg)
             by_module[module] = by_module.get(module, 0) + 1
-        processed = sum(by_module.values())
-        stats = RunStats(processed, by_module, self._now if processed else 0)
+        stats = RunStats(sum(by_module.values()), by_module)
         if t_end > self._now:
             self._now = t_end
         return stats

@@ -5,17 +5,18 @@ import io
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilesim import dataplane, orchestrator
-from tilesim.core import MAX_SIM_TIME, PS_PER_MS, PS_PER_S, from_seconds
+from tilesim.core import MAX_SIM_TIME, PS_PER_MS, PS_PER_S, EventLoop, from_seconds
 from tilesim.dataplane import (FNV64_MASK, FNV64_PRIME, Broker, CommitError,
                                ConsumerGroup, LinkLoadTracker, Record, fnv1a64)
-from tilesim.fabric import ConfigurationError
+from tilesim.fabric import ConfigurationError, FabricConfig, build_default_fabric
 from tilesim.orchestrator import prepare_scenario, run_scenario
-from tilesim.scenario import scenario_from_dict
+from tilesim.scenario import DataplaneConfig, scenario_from_dict
 
 
 def broker_with(partitions=4, retention=10_000):
@@ -551,15 +552,83 @@ def test_windowed_rate_matches_a_full_rescan(window, ops):
         assert tr.windows[link].bits_per_second(now, window) == want
 
 
+# --- the load in closed form ------------------------------------------------
+
+_EIGHT_TILES = build_default_fabric(FabricConfig(
+    counts={"wall_a": 2, "wall_b": 2, "floor": 2, "ceiling": 2}, switch_count=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), unit=st.sampled_from([1, 2**57]),
+       producers=st.integers(1, 8), spacing=st.integers(0, 6),
+       record_bytes=st.sampled_from([1, 1500, 32768]))
+def test_the_load_equals_a_tracker_fed_in_catch_up_order(data, unit, producers,
+                                                         spacing, record_bytes):
+    # producers every `period` ps, `spacing` apart (at 0, all at one
+    # instant), one of them cut, maybe at 0; a reader series whose start
+    # may be forced onto a produce instant.  At unit 2**57 the instants
+    # reach the end of the 64-bit range.
+    draw = data.draw
+    period = max(1, spacing * producers + draw(st.integers(0, producers - 1)))
+    until = min(MAX_SIM_TIME, draw(st.integers(0, 300)) * unit)
+    cut_tile = f"t{draw(st.integers(0, 7)):03d}"
+    cut = draw(st.sampled_from([0, draw(st.integers(0, 300)) * unit]))
+    window = min(MAX_SIM_TIME, draw(st.integers(1, 100)) * unit)
+    cfg = DataplaneConfig(producer_tiles=producers, record_bytes=record_bytes,
+                          produce_interval_ms=period * unit / 1e9,
+                          load_window_ms=window / 1e9, consumer_groups=0)
+    run = orchestrator.RunResult("", None, _EIGHT_TILES, EventLoop(), until,
+                                 cuts={cut_tile: cut} if cut <= until else {})
+    stage = orchestrator._Dataplane(run, cfg)
+    assert stage.spacing == stage.period // producers
+    # the reader: its period that of the producers, a multiple or any
+    step = min(MAX_SIM_TIME, draw(st.one_of(
+        st.just(stage.period), st.integers(1, 4).map(lambda k: k * stage.period),
+        st.integers(1, 60).map(lambda k: k * unit))))
+    start = draw(st.one_of(
+        st.integers(0, 100).map(lambda k: k * unit),
+        st.tuples(st.integers(0, producers - 1), st.integers(0, 5)).map(
+            lambda im: im[0] * stage.spacing + im[1] * stage.period)))
+    n = max(0, (until - start) // step + 1)
+    first = draw(st.integers(0, n))
+
+    tracker = LinkLoadTracker(stage.window_ps)
+    links = {tile: (_EIGHT_TILES.tile_link(tile).id,
+                    _EIGHT_TILES.trunk_link(_EIGHT_TILES.switch_for_tile(tile)).id)
+             for tile in stage.tiles}
+    append = stage.broker.append
+
+    def recorded(key, nbytes, t, tile, key_hash):
+        for link_id in links[tile]:
+            tracker.record(link_id, t, nbytes)
+        return append(key, nbytes, t, tile, key_hash)
+
+    stage.broker.append = recorded
+    for link_id in sorted(_EIGHT_TILES.links):
+        got = stage.load(link_id, start, step, 0, n)
+        assert len(got) == n
+        # a later part of the series, read on its own, reads the same
+        assert stage.load(link_id, start, step, first, n - first).tolist() == \
+            got[first:].tolist()
+    want = {link_id: [] for link_id in _EIGHT_TILES.links}
+    for j in range(n):
+        t = start + j * step
+        stage.catch_up(t, start, step)
+        for link_id, rates in want.items():
+            w = tracker.windows.get(link_id)
+            rates.append(0.0 if w is None else w.bits_per_second(t, stage.window_ps))
+    for link_id, rates in want.items():
+        assert stage.load(link_id, start, step, 0, n).tolist() == rates, link_id
+
+
 # --- producers without events -----------------------------------------------
 
 class EagerDataplane:
     """Reference model: the dataplane stage when each producer was a
     periodic event that checked its tile's power at every firing (copied
     from the earlier engine), here against the cut in `run.cuts`.  The
-    loop's events append each record, so a reader needs no catch-up."""
-
-    catch_up = None
+    loop's events append each record, so a reader needs no catch-up.  Its
+    `load` sums each window record by record."""
 
     def __init__(self, run, cfg):
         loop, fabric, until = run.loop, run.fabric, run.until
@@ -568,21 +637,22 @@ class EagerDataplane:
         self.record_bytes = cfg.record_bytes
         self.broker = run.broker = Broker(cfg.topic, cfg.partitions,
                                           cfg.retention_records)
-        self.tracker = run.load = LinkLoadTracker(
-            from_seconds(cfg.load_window_ms / 1e3))
+        self.window_ps = from_seconds(cfg.load_window_ms / 1e3)
+        self.sent = {}        # per link, (instant, offset, tile order, bytes)
         self.cuts = run.cuts
         self.tiles = sorted(t.id for t in fabric.tiles.values()
                             if "producer" in t.roles)[:cfg.producer_tiles]
         self.counts = dict.fromkeys(self.tiles, 0)
         self.stems = dict.fromkeys(self.tiles, 0)
         produced = 0
-        period = from_seconds(cfg.produce_interval_ms / 1e3)
+        period = self.period = from_seconds(cfg.produce_interval_ms / 1e3)
         spacing = period // max(1, len(self.tiles))
         for i, tile in enumerate(self.tiles):
             prefix = f"{tile}:"
             route = (tile, prefix, fnv1a64(prefix.encode()),
-                     fabric.tile_link(tile).id,
-                     fabric.trunk_link(fabric.switch_for_tile(tile)).id)
+                     (fabric.tile_link(tile).id,
+                      fabric.trunk_link(fabric.switch_for_tile(tile)).id),
+                     i * spacing, i)
             produced += loop.every(i * spacing, period, until, "dataplane",
                                    tile, "produce", self._produce, route)
         self.groups = []
@@ -605,7 +675,7 @@ class EagerDataplane:
                        "dataplane.poll_interval_ms": polled}
 
     def _produce(self, route):
-        tile, prefix, prefix_hash, tile_link, trunk_link = route
+        tile, prefix, prefix_hash, links, offset, i = route
         now = self.loop.now
         if now >= self.cuts.get(tile, MAX_SIM_TIME + 1):
             return
@@ -620,8 +690,18 @@ class EagerDataplane:
         nbytes = self.record_bytes
         self.broker.append(prefix + str(seq), nbytes, now, tile,
                            ((stem ^ (48 + unit)) * FNV64_PRIME) & FNV64_MASK)
-        self.tracker.record(tile_link, now, nbytes)
-        self.tracker.record(trunk_link, now, nbytes)
+        for link_id in links:
+            self.sent.setdefault(link_id, []).append((now, offset, i, nbytes))
+
+    def load(self, link_id, start, period, first, n):
+        rates = []
+        for t in range(start + first * period, start + (first + n) * period, period):
+            reader = EventLoop.tie_rank(t, start, period, len(self.tiles))
+            nbytes = sum(b for at, offset, i, b in self.sent.get(link_id, ())
+                         if t - self.window_ps < at < t or at == t and
+                         EventLoop.tie_rank(t, offset, self.period, i) < reader)
+            rates.append(nbytes * 8 * PS_PER_S / self.window_ps)
+        return np.array(rates)
 
     def _poll(self, arg):
         group, member = arg
@@ -649,7 +729,7 @@ class EagerDataplane:
 
 # Ties everywhere.  Eight tiles produce every 8 ms, 1 ms apart, and port i
 # starts its exchanges at tile i's first produce instant (start_s 0,
-# stagger_ms 1), so every egress of a port meets its own tile's produce on
+# stagger_ms 1), so every epoch of a port meets its own tile's produce on
 # the links it reads; polls every 40 ms meet a produce at each poll too.
 # t003's overdraw cut (0.296 s + 75 ms) falls on one of its produce
 # instants, and a 100 W budget on one midspan denies t006 and t007 at
@@ -712,12 +792,15 @@ def test_producers_without_events_match_the_eager_reference(name, tmp_path):
 
 def test_a_cut_tile_fires_no_event(tmp_path):
     # t006 and t007 are denied at set-up and t003 is cut at 371 ms: their
-    # sync series end before the cut, and the cut itself is no event
-    lines = artifacts(TIES, tmp_path)["events.ndjson"].decode().splitlines()
-    events = [json.loads(line) for line in lines]
-    assert not [e for e in events if e["module"] == "power"]
-    egress = [e for e in events if e["action"] == "sync_egress"]
-    assert not [e for e in egress if e["target"] in ("t006", "t007")]
-    assert not [e for e in egress if e["target"] == "t003"
-                and e["t"] >= from_seconds(0.371)]
-    assert [e for e in egress if e["target"] == "t003"]
+    # sync series end before the cut, and neither a cut nor an exchange is
+    # an event
+    run = run_scenario(scenario_from_dict(TIES), tmp_path)
+    events = [json.loads(line) for line in
+              (run.out_dir / "events.ndjson").read_text().splitlines()]
+    assert {e["module"] for e in events} == {"dataplane"}
+    ports = run.domain.ports
+    assert run.cuts == {"t006": 0, "t007": 0, "t003": from_seconds(0.371)}
+    assert ports["t006"].corrections == ports["t007"].corrections == 0
+    # t003's epochs every 40 ms from 3 ms: ten before its cut, each closed
+    assert ports["t003"].epoch_ps == from_seconds(0.003)
+    assert ports["t003"].exchanges == ports["t003"].corrections == 10

@@ -13,7 +13,7 @@ import numpy as np
 
 from tilesim import dataplane
 from tilesim.coherent import evaluate_beamforming
-from tilesim.core import EventLoop, RngRegistry, RngStream, from_seconds
+from tilesim.core import RngRegistry, RngStream, from_seconds
 from tilesim.dataplane import Broker
 from tilesim.fabric import FabricConfig, build_default_fabric
 from tilesim.timesync import (LocalClock, OscillatorConfig, SyncDomain,
@@ -99,23 +99,23 @@ def test_beamforming_peak_does_not_grow_with_the_trials():
 
 
 def test_held_exchanges_do_not_grow_with_the_run(monkeypatch):
-    # clocks that keep one segment (no walk, steps stubbed out), so what
-    # the loop keeps is the sync plane's own state: at most a block of
-    # held exchanges a port, however many blocks of 128 the run fills
+    # clocks that keep one segment (no walk, steps stubbed out) and no
+    # residual tick inside the run, so what `finish` holds is the sync
+    # plane's own: a chunk of exchanges a port at most, however many
+    # chunks of 128 the run has
     monkeypatch.setattr(LocalClock, "steer", lambda self, t, ppm: None)
     fab = build_default_fabric(FabricConfig(counts={"wall_a": 2}, switch_count=2))
     still = OscillatorConfig(rw_sigma_ppm_per_sqrt_s=0.0)
     cfg = TimesyncConfig(start_s=0.0, sync_interval_s=0.01, tile_osc=still,
-                         switch_osc=still)
+                         switch_osc=still, sample_interval_s=100.0)
 
-    def peak(blocks):
-        loop = EventLoop()
-        domain = SyncDomain(loop, fab, cfg, RngRegistry(3))
-        until = from_seconds(blocks * 1.28)
-        domain.start(until)
-        return traced_peak(loop.run_until, until)
+    def peak(chunks):
+        domain = SyncDomain(fab, cfg, RngRegistry(3))
+        domain.start(from_seconds(chunks * 1.28))
+        return traced_peak(domain.finish)
 
     peak(1)   # warm-up, as above
     three, nine = peak(3), peak(9)
-    # unclosed, the 6 blocks between would hold 2 ports x 768 x 16 bytes
+    # closed at once, the 6 chunks between would hold 2 ports x 768
+    # exchanges of a few hundred bytes each
     assert nine - three < 8 * 1024

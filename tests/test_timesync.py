@@ -2,7 +2,6 @@
 
 import copy
 import csv
-import io
 import math
 import os
 import tempfile
@@ -18,8 +17,8 @@ from tilesim.core import (EventLoop, MAX_SIM_TIME, PS_PER_MS, PS_PER_S,
                           as_normals, from_seconds)
 from tilesim.dataplane import LinkLoadTracker
 from tilesim.fabric import ConfigurationError, FabricConfig, build_default_fabric
-from tilesim.timesync import (LocalClock, OscillatorConfig, ServoState,
-                              SyncDomain, SyncReport, TimesyncConfig,
+from tilesim.timesync import (_CLOSE_BLOCK, LocalClock, OscillatorConfig,
+                              ServoState, SyncDomain, SyncReport, TimesyncConfig,
                               servo_update, two_step_offset)
 
 from sync_recorder import ExchangeRecord, RecordingDomain, run_sync
@@ -376,16 +375,16 @@ def eight_tile_fabric():
 
 @pytest.mark.parametrize("boundary", [(), ("sw1",)])
 def test_sampling_and_tracing_leave_the_exchanges_alone(boundary):
-    # the sampler reads no clock while the loop runs, so neither its
-    # interval nor the event trace can move a single draw
+    # the sampler reads each clock only once every exchange has closed, so
+    # its interval cannot move a single draw; the domain fires no event,
+    # so an event trace has nothing of it to record
     runs = []
     for sample_interval_s in (0.05, 0.1, 0.5):
-        for trace in (None, io.StringIO()):
-            cfg = TimesyncConfig(sample_interval_s=sample_interval_s,
-                                 boundary_switches=boundary)
-            _, domain = run_sync(eight_tile_fabric(), cfg, 30.0, seed=7,
-                                 cls=RecordingDomain, loop=EventLoop(trace))
-            runs.append(domain.records)
+        cfg = TimesyncConfig(sample_interval_s=sample_interval_s,
+                             boundary_switches=boundary)
+        _, domain = run_sync(eight_tile_fabric(), cfg, 30.0, seed=7,
+                             cls=RecordingDomain)
+        runs.append(domain.records)
     assert len(runs[0]) == 30 * (8 + len(boundary))
     assert all(run == runs[0] for run in runs[1:])
 
@@ -412,19 +411,19 @@ def test_residuals_equal_offset_at_on_a_copy_taken_at_each_tick(sample_interval_
     def run(cls):
         fab = build_default_fabric(FabricConfig(counts={"wall_a": 4, "floor": 2},
                                                 switch_count=3))
-        loop = EventLoop()
-        domain = cls(loop, fab, cfg, RngRegistry(4), cuts={
+        domain = cls(fab, cfg, RngRegistry(4), cuts={
             tile: from_seconds(t_s)
             for tile, t_s in (("t001", 3.333), ("t002", 4.0), ("t003", 5.0))})
         domain.start(until)
 
         def copy_clocks(_arg):
+            now = domain.loop.now
             for node, port in domain.ports.items():
-                copied[node, loop.now] = copy.deepcopy(port.clock).offset_at(loop.now)
+                copied[node, now] = copy.deepcopy(port.clock).offset_at(now)
 
         if cls is StepwiseDomain:
-            loop.every(tick, tick, until, "test", "all", "copy_clocks", copy_clocks)
-        loop.run_until(until)
+            domain.loop.every(tick, tick, until, "test", "all", "copy_clocks",
+                              copy_clocks)
         return domain, domain.finish()
 
     stepwise, _ = run(StepwiseDomain)
@@ -446,11 +445,9 @@ def test_tick_at_first_correction_is_sampled_and_tick_at_cut_is_not():
     # a sampler ticking at t000's first correction, which sampling cannot move
     cfg = TimesyncConfig(sample_interval_s=closed / PS_PER_S)
     assert from_seconds(cfg.sample_interval_s) == closed
-    loop = EventLoop()
-    domain = SyncDomain(loop, eight_tile_fabric(), cfg, RngRegistry(7),
+    domain = SyncDomain(eight_tile_fabric(), cfg, RngRegistry(7),
                         cuts={"t001": 3 * closed})
     domain.start(until)
-    loop.run_until(until)
     report = domain.finish()
     assert domain.ports["t000"].closed_ps == closed
     assert report.series("t000")[0][:2] == [closed, 2 * closed]
@@ -482,15 +479,13 @@ def test_boundary_switch_serves_its_tiles():
 
 @pytest.mark.parametrize("boundary", [(), ("sw0", "sw1")])
 def test_start_counts_two_events_an_exchange(boundary):
-    # the work bound counts an exchange's sync egress and its close, direct
-    # or relayed; only the egress is an event, the close runs in a batch
+    # the work bound counts an exchange's sync message and its close,
+    # direct or relayed; neither is an event, `finish` works out both
     cfg = TimesyncConfig(start_s=0.5, sync_interval_s=0.5, stagger_ms=0.0,
                          boundary_switches=boundary)
-    loop = EventLoop()
-    domain = SyncDomain(loop, small_fabric(), cfg, RngRegistry(1))
-    until = from_seconds(2.6)
-    assert domain.start(until) == len(domain.ports) * 5 * 2
-    assert loop.run_until(until).by_module["timesync"] == len(domain.ports) * 5
+    domain = SyncDomain(small_fabric(), cfg, RngRegistry(1))
+    assert domain.start(from_seconds(2.6)) == len(domain.ports) * 5 * 2
+    assert [p.exchanges for p in domain.ports.values()] == [5] * len(domain.ports)
     domain.finish()
     assert [p.corrections for p in domain.ports.values()] == [5] * len(domain.ports)
 
@@ -498,12 +493,12 @@ def test_start_counts_two_events_an_exchange(boundary):
 def test_interval_no_longer_than_an_exchange_is_refused():
     cfg = TimesyncConfig(sync_interval_s=0.0006, followup_lag_us=100.0,
                          turnaround_us=500.0, residence_us=0.0)
-    domain = SyncDomain(EventLoop(), small_fabric(), cfg, RngRegistry(1))
+    domain = SyncDomain(small_fabric(), cfg, RngRegistry(1))
     with pytest.raises(ConfigurationError,
                        match="^timesync.sync_interval_s must be longer than one exchange"):
         domain.start(PS_PER_S)
     cfg.sync_interval_s = 0.0007
-    SyncDomain(EventLoop(), small_fabric(), cfg, RngRegistry(1)).start(PS_PER_S)
+    SyncDomain(small_fabric(), cfg, RngRegistry(1)).start(PS_PER_S)
 
 
 def test_unknown_boundary_switch_rejected():
@@ -514,16 +509,13 @@ def test_unknown_boundary_switch_rejected():
 def test_load_coupling_scales_jitter():
     fab = small_fabric()
     link = fab.tile_link("t000")
-    loop = EventLoop()
     cfg = TimesyncConfig(load_coupling=2.0, jitter_scale=1.0)
     # half the link's rate over a 1 ms window: utilization exactly 0.5
-    tracker = LinkLoadTracker(window_ps=PS_PER_MS)
-    tracker.record(link.id, 0, link.bandwidth_bps // 16_000)
-    domain = SyncDomain(loop, fab, cfg, RngRegistry(1), load=tracker)
+    load = TrackerLoad(PS_PER_MS, [(link.id, 0, link.bandwidth_bps // 16_000)])
+    domain = SyncDomain(fab, cfg, RngRegistry(1), load=load)
     assert domain.effective_jitter_sigma_ns(link, 0) == \
         pytest.approx(link.jitter_sigma_ns * 2.0)
-    unloaded = SyncDomain(EventLoop(), fab, TimesyncConfig(jitter_scale=1.0),
-                          RngRegistry(1))
+    unloaded = SyncDomain(fab, TimesyncConfig(jitter_scale=1.0), RngRegistry(1))
     assert unloaded.effective_jitter_sigma_ns(link, 0) == \
         pytest.approx(link.jitter_sigma_ns)
 
@@ -690,11 +682,46 @@ def test_report_csv_matches_csv_writer_byte_for_byte(series, finalize):
 
 # --- fusion oracle (R7) -----------------------------------------------------
 
-def hop_jitter(jitter, t, seq):
+class TrackerLoad:
+    """The load signature over fixed records (link id, instant, bytes), kept
+    as the reference: each reader series reads its own `LinkLoadTracker`,
+    fed in time order the records at or before each occurrence it reads.
+    A series must read its occurrences in ascending order."""
+
+    def __init__(self, window_ps, records):
+        self.window_ps = window_ps
+        self.records = {}
+        for link_id, t, nbytes in sorted(records, key=lambda r: r[1]):
+            self.records.setdefault(link_id, []).append((t, nbytes))
+        self.readers = {}
+
+    def __call__(self, link_id, start, period, first, n):
+        records = self.records.get(link_id, [])
+        tracker, fed = self.readers.get((link_id, start, period),
+                                        (LinkLoadTracker(self.window_ps), 0))
+        rates = []
+        for t in range(start + first * period, start + (first + n) * period, period):
+            while fed < len(records) and records[fed][0] <= t:
+                tracker.record(link_id, *records[fed])
+                fed += 1
+            w = tracker.windows.get(link_id)
+            rates.append(0.0 if w is None else w.bits_per_second(t, self.window_ps))
+        self.readers[link_id, start, period] = tracker, fed
+        return np.array(rates)
+
+
+def loaded_links(fab, records_per_link):
+    """Every link of `fab` loaded a four-hundredth of its rate every 10 ms,
+    over a 50 ms window."""
+    return TrackerLoad(from_seconds(0.05), [
+        (link.id, k * from_seconds(0.01), link.bandwidth_bps // 400)
+        for k in range(records_per_link) for link in fab.links.values()])
+
+
+def hop_jitter(jitter, sigma_ns, seq):
     """Exchange seq's jitter on the sync and the delay-request hop of one
-    link, drawn alone at the link's sigma at t: the draw each exchange made
-    at its egress before closes ran in batches, kept as the oracle."""
-    sigma_ns = jitter.sigma_ns(t)
+    link, drawn alone at the link's sigma: the draw each exchange made at
+    its egress before closes ran in batches, kept as the oracle."""
     if sigma_ns <= 0:
         return 0, 0
     scale = sigma_ns * 1000 / jitter.denom
@@ -704,19 +731,47 @@ def hop_jitter(jitter, t, seq):
 
 
 class StepwiseDomain(RecordingDomain):
-    """The exchange as ten events, each step reading its clock as it fires:
-    sync egress, relay ingress and egress, sync arrival, follow-up arrival,
-    delay-request egress, relay ingress and egress, delay-request arrival
-    and delay-response arrival.  It draws each hop's jitter alone at its
-    egress (`hop_jitter`), holds nothing for the batch and builds its own
-    records at the last step, so the recorded batched close must give the
-    same records."""
+    """The exchange as ten events on the domain's own loop, each step
+    reading its clock as it fires: sync egress, relay ingress and egress,
+    sync arrival, follow-up arrival, delay-request egress, relay ingress
+    and egress, delay-request arrival and delay-response arrival.  `start`
+    queues each port's egresses, and `finish` runs the loop to the end
+    before it samples the residuals; no exchange is left for it to close.
+    Each egress draws its hops' jitter alone (`hop_jitter`) at the sigma
+    the load gives that one epoch, and the last step builds the exchange's
+    record, so the recorded chunked close must give the same records."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.loop = EventLoop()
+        self.seqs = {}
+
+    def start(self, until_ps):
+        work = super().start(until_ps)
+        for node in sorted(self.ports):
+            port = self.ports[node]
+            self.loop.every(port.epoch_ps, self._interval_ps,
+                            port.epoch_ps + (port.exchanges - 1) * self._interval_ps,
+                            "timesync", node, "sync_egress", self._sync_egress, port)
+        return work
+
+    def finish(self):
+        self.loop.run_until(self._until)
+        return super().finish()
+
+    def _close_port(self, port):
+        """Each exchange closed in the loop, at its last step."""
 
     def _sync_egress(self, port):
         now = self.loop.now
-        seq = port.seq = port.seq + 1
-        up_sync, up_req = (0, 0) if port.up is None else hop_jitter(port.up, now, seq)
-        down_sync, down_req = hop_jitter(port.down, now, seq)
+        seq = self.seqs[port.node] = self.seqs.get(port.node, 0) + 1
+
+        def jitter(hop):
+            sigma = hop.sigma_ns(port.epoch_ps, self._interval_ps, seq - 1, 1)
+            return hop_jitter(hop, float(sigma[0]), seq)
+
+        up_sync, up_req = (0, 0) if port.up is None else jitter(port.up)
+        down_sync, down_req = jitter(port.down)
         st = {"seq": seq, "t1": port.master_clock.read(now), "t2": None,
               "followup": False, "down_req": down_req, "up_req": up_req}
         if port.relay_clock is not None:
@@ -730,10 +785,10 @@ class StepwiseDomain(RecordingDomain):
 
     def _step(self, t, port, action, fn, arg):
         if t <= self._until:
-            self.loop.schedule(t, self.MODULE, port.node, action, fn, arg)
+            self.loop.schedule(t, "timesync", port.node, action, fn, arg)
 
     def _live(self, port, st):
-        return st["seq"] == port.seq and (port.cut_ps is None
+        return st["seq"] == self.seqs[port.node] and (port.cut_ps is None
                                           or self.loop.now < port.cut_ps)
 
     def _relay_ingress(self, arg):
@@ -786,7 +841,7 @@ class StepwiseDomain(RecordingDomain):
 
     def _delay_req_arrival(self, arg):
         port, st, corr = arg
-        if st["seq"] == port.seq:
+        if st["seq"] == self.seqs[port.node]:
             st["t4"], st["rev"] = port.master_clock.read(self.loop.now), corr
             self._step(self.loop.now + port.resp_ps, port, "delay_resp_arrival",
                        self._delay_resp_arrival, (port, st))
@@ -812,12 +867,10 @@ def by_exchange(record):
     return record.node, record.seq
 
 
-def _run_domain(cls, fab, cfg, until, cuts, load):
-    loop = EventLoop()
-    domain = cls(loop, fab, cfg, RngRegistry(4), load=load, cuts=cuts)
+def _run_domain(cls, fab, cfg, until, cuts, load, seed=4):
+    domain = cls(fab, cfg, RngRegistry(seed), load=load, cuts=cuts)
     domain.start(until)
-    loop.run_until(until)
-    return domain, domain.finish(), loop
+    return domain, domain.finish()
 
 
 @pytest.mark.parametrize("boundary", [(), ("sw0",)])
@@ -837,19 +890,15 @@ def test_fused_close_equals_the_ten_event_exchange(boundary):
                          load_coupling=3.0, boundary_switches=boundary)
     until = from_seconds(4.0)
     first = fabric()
-    port_order = sorted(SyncDomain(EventLoop(), first, cfg, RngRegistry(4)).ports)
+    port_order = sorted(SyncDomain(first, cfg, RngRegistry(4)).ports)
     # t002's exchange 5 starts at its epoch; cut it 10 ms later
     epoch = (port_order.index("t002") * from_seconds(0.02) + 4 * from_seconds(0.3))
     cuts = {"t002": epoch + from_seconds(0.01)}
     runs = []
     for cls in (RecordingDomain, StepwiseDomain):
         fab = fabric()
-        load = LinkLoadTracker(window_ps=from_seconds(0.05))
-        for k in range(400):
-            for link in fab.links.values():
-                load.record(link.id, k * from_seconds(0.01), link.bandwidth_bps // 400)
-        runs.append(_run_domain(cls, fab, cfg, until, cuts, load))
-    (fused, fused_report, fused_loop), (stepwise, step_report, _) = runs
+        runs.append(_run_domain(cls, fab, cfg, until, cuts, loaded_links(fab, 400)))
+    (fused, fused_report), (stepwise, step_report) = runs
     # the batch closes port by port, the reference in time order
     assert sorted(fused.records, key=by_exchange) == \
         sorted(stepwise.records, key=by_exchange)
@@ -861,21 +910,23 @@ def test_fused_close_equals_the_ten_event_exchange(boundary):
     # the cut exchange never closed: t002 corrected four times
     assert fused.ports["t002"].corrections == 4
     if boundary:
-        sw_closes = [r.at_ps for r in fused.records if r.node == "sw0"]
-        served = [r for r in fused.records
-                  if fused.ports[r.node].master == "sw0"]
-        start = {n: i * from_seconds(0.02) for i, n in enumerate(port_order)}
-        inside = [r for r in served if any(
-            start[r.node] + (r.seq - 1) * from_seconds(0.3) < c < r.at_ps
-            for c in sw_closes)]
-        assert inside, "no boundary step fell inside a served exchange"
+        assert boundary_steps_inside(fused, "sw0")
+
+
+def boundary_steps_inside(domain, switch):
+    """The recorded exchanges of `switch`'s slaves that span one of the
+    switch's own servo steps."""
+    steps = [r.at_ps for r in domain.records if r.node == switch]
+    interval = domain._interval_ps
+    return [r for r in domain.records if domain.ports[r.node].master == switch
+            and any(domain.ports[r.node].epoch_ps + (r.seq - 1) * interval < c < r.at_ps
+                    for c in steps)]
 
 
 def block_filling_config(boundary):
-    # 400 exchanges a port in 20 s, so each egress that fills a block of
-    # 128 closes in the loop; 5 ms dwells and a 20 ms turnaround make an
-    # exchange about 40 ms of the 50 ms interval, with epochs of other
-    # ports inside it
+    # 400 exchanges a port in 20 s, closed in chunks of 128; 5 ms dwells
+    # and a 20 ms turnaround make an exchange about 40 ms of the 50 ms
+    # interval, with epochs of other ports inside it
     return TimesyncConfig(start_s=0.0, sync_interval_s=0.05, stagger_ms=7.0,
                           residence_us=5_000.0, turnaround_us=20_000.0,
                           load_coupling=3.0, boundary_switches=boundary)
@@ -884,37 +935,30 @@ def block_filling_config(boundary):
 @pytest.mark.parametrize("boundary", [(), ("sw0",)])
 @pytest.mark.parametrize("sigma_ns", [100.0, 2e7])
 def test_closes_in_the_loop_equal_the_ten_event_exchange(boundary, sigma_ns):
-    # at a 20 ms tile-link sigma and shape 2, a fifth or so of the tiles'
-    # exchanges outlast the interval and never close
+    # `finish` closes each port's exchanges in chunks; the ten-event
+    # reference closes each in its loop.  At a 20 ms tile-link sigma and
+    # shape 2, a fifth or so of the tiles' exchanges outlast the interval
+    # and never close
     fab = build_default_fabric(FabricConfig(
         counts={"wall_a": 3, "floor": 3}, switch_count=3,
         tile_jitter_sigma_ns=sigma_ns, jitter_shape=2.0))
     cfg = block_filling_config(boundary)
     until = from_seconds(20.0)
     cuts = {"t001": from_seconds(13.3337)}
-    runs = []
-    for cls in (RecordingDomain, StepwiseDomain):
-        load = LinkLoadTracker(window_ps=from_seconds(0.05))
-        for k in range(2000):
-            for link in fab.links.values():
-                load.record(link.id, k * from_seconds(0.01), link.bandwidth_bps // 400)
-        loop = EventLoop()
-        domain = cls(loop, fab, cfg, RngRegistry(6), load=load, cuts=cuts)
-        domain.start(until)
-        loop.run_until(until)
-        if cls is RecordingDomain:
-            # every port but the cut one filled a block three times, so
-            # most of its exchanges closed in the loop; less than a block
-            # is held
-            assert max(len(p.down.sigmas) for p in domain.ports.values()) < 128
-            closed = [p.corrections for n, p in domain.ports.items() if n != "t001"]
-            if sigma_ns < 1e3:
-                assert min(closed) == 3 * 127
-            else:
-                assert 200 < min(closed) < 3 * 127
-        runs.append((domain, domain.finish()))
-    (batched, report), (stepwise, step_report) = runs
+    (batched, report), (stepwise, step_report) = [
+        _run_domain(cls, fab, cfg, until, cuts, loaded_links(fab, 2000), seed=6)
+        for cls in (RecordingDomain, StepwiseDomain)]
+    # every port but the cut one closes four chunks, the last one short
+    ports = [p for n, p in batched.ports.items() if n != "t001"]
+    assert 3 * _CLOSE_BLOCK < min(p.exchanges for p in ports) < 4 * _CLOSE_BLOCK
+    if sigma_ns < 1e3:
+        # each closes, but for the last when the run ends inside it
+        assert all(p.exchanges - 1 <= p.corrections for p in ports)
+    else:
+        assert 200 < min(p.corrections for p in ports) < 3 * _CLOSE_BLOCK
     assert len(batched.records) > 1500
+    if boundary:
+        assert boundary_steps_inside(batched, "sw0")
     assert sorted(batched.records, key=by_exchange) == \
         sorted(stepwise.records, key=by_exchange)
     for node in report.nodes:
@@ -922,8 +966,8 @@ def test_closes_in_the_loop_equal_the_ten_event_exchange(boundary, sigma_ns):
 
 
 class PermutedDomain(SyncDomain):
-    """Closes its tile ports' held exchanges at `finish` in a drawn order,
-    after the boundary switches' as always."""
+    """Closes its tile ports' exchanges at `finish` in a drawn order, after
+    the boundary switches' as always."""
 
     def __init__(self, *args, order=None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -935,17 +979,18 @@ class PermutedDomain(SyncDomain):
         tiles = [p for p in ports if p.node not in self.fabric.switches]
         self.order.shuffle(tiles)
         for port in switches + tiles:
-            self._close_due(port, MAX_SIM_TIME + 1)    # past every instant
+            super()._close_port(port)
         return super().finish()
+
+    def _close_port(self, port):
+        """Closed in the drawn order, above."""
 
 
 @settings(max_examples=5, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from([(), ("sw0",), ("sw0", "sw2")]))
 def test_the_close_order_of_tile_ports_leaves_the_residuals_alone(order, boundary):
     def csv_bytes(domain):
-        loop = domain.loop
         domain.start(from_seconds(3.0))
-        loop.run_until(from_seconds(3.0))
         with tempfile.TemporaryDirectory() as d:
             domain.finish().to_csv(os.path.join(d, "r.csv"))
             with open(os.path.join(d, "r.csv"), "rb") as f:
@@ -955,8 +1000,8 @@ def test_the_close_order_of_tile_ports_leaves_the_residuals_alone(order, boundar
     fab = build_default_fabric(FabricConfig(counts={"wall_a": 3, "floor": 3},
                                             switch_count=3))
     cuts = {"t004": from_seconds(1.7)}
-    plain = csv_bytes(SyncDomain(EventLoop(), fab, cfg, RngRegistry(8), cuts=cuts))
-    permuted = csv_bytes(PermutedDomain(EventLoop(), fab, cfg, RngRegistry(8),
-                                        order=order, cuts=cuts))
+    plain = csv_bytes(SyncDomain(fab, cfg, RngRegistry(8), cuts=cuts))
+    permuted = csv_bytes(PermutedDomain(fab, cfg, RngRegistry(8), order=order,
+                                        cuts=cuts))
     assert permuted == plain
     assert plain.count(b"\n") > 6 * 25
