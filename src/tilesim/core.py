@@ -144,8 +144,12 @@ class EventLoop:
         pop = heapq.heappop
         by_module: dict[str, int] = {}
         count = by_module.get
-        while heap and heap[0][0] <= t_end:
-            fire_at, _, fn, arg, module, target, action = pop(heap)
+        while True:
+            if heap and heap[0][0] <= t_end:
+                event = pop(heap)
+            else:
+                break
+            fire_at, _, fn, arg, module, target, action = event
             self._now = fire_at
             if trace is not None:
                 trace.write('{"t":%d,"module":"%s","target":"%s","action":"%s"}\n'

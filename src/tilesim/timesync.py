@@ -25,7 +25,6 @@ import csv
 import io
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -84,7 +83,7 @@ class LocalClock:
 
     __slots__ = ("granularity_ps", "freq_adj_ppm", "walk_sigma", "_init", "_rng",
                  "_starts", "_rates", "_phases", "_t0", "_p0", "_next_ps",
-                 "_num", "_den", "_k", "_walk", "_y")
+                 "_num", "_den", "_k", "_walk", "_y", "_first", "_resume")
 
     def __init__(self, offset_ps: float = 0.0, freq_error_ppm: float = 0.0,
                  rw_sigma_ppm_per_sqrt_s: float = 0.0, granularity_ps: int = 1,
@@ -121,17 +120,16 @@ class LocalClock:
 
     def read_many(self, times) -> list[int]:
         """`read` at each of `times` (ascending true ps), in one exact pass
-        forward over the segments from the one holding the first."""
+        forward over the segments from where the last pass ended, or from
+        the first segment when `times` start before that."""
         if not times:
             return []
         if times[-1] >= self._next_ps:
             self._extend(times[-1])
         starts, rates = self._starts, self._rates
         last = len(starts) - 1
-        j = bisect_right(starts, times[0]) - 1
-        p = self._p0                  # the exact phase at starts[j]
-        for i in range(last - 1, j - 1, -1):
-            p -= _phase_step(rates[i], starts[i + 1] - starts[i])
+        # a segment's index and its exact start phase
+        j, p = self._resume if times[0] >= starts[self._resume[0]] else self._first
         g = self.granularity_ps
         t0, nxt = starts[j], starts[j + 1] if j < last else _NEVER
         n, d = rates[j].as_integer_ratio()
@@ -139,12 +137,13 @@ class LocalClock:
         out = []
         for t in times:
             while t >= nxt:
-                p += n * (nxt - t0) // d
+                p += _phase_step(rates[j], nxt - t0)
                 j += 1
                 t0, nxt = nxt, starts[j + 1] if j < last else _NEVER
                 n, d = rates[j].as_integer_ratio()
                 n, d = n << 32, d * 1_000_000
             out.append((t + ((p + n * (t - t0) // d) >> 32)) // g * g)
+        self._resume = j, p
         return out
 
     def offset_at(self, true_t: SimTime) -> float:
@@ -193,6 +192,7 @@ class LocalClock:
                 offset_ps, self._y = self._init(self)
                 self._p0, self._init = _phase_step(float(offset_ps), 10**6), None
             self._starts, self._rates, self._phases = array("Q"), array("d"), array("d")
+            self._resume = self._first = (0, self._p0)     # the segment at 0
         c = self.walk_sigma
         while self._next_ps <= t:
             at, k = self._next_ps, self._k + 1

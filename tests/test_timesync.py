@@ -965,6 +965,36 @@ def test_closes_in_the_loop_equal_the_ten_event_exchange(boundary, sigma_ns):
         assert report.series(node)[1].tobytes() == step_report.series(node)[1].tobytes()
 
 
+@pytest.mark.parametrize("boundary", [(), ("sw0",)])
+def test_the_close_steps_over_each_segment_of_a_clock_a_port_reads_once(
+        boundary, monkeypatch):
+    # two tiles behind one switch: once the first tile has closed, the
+    # switch's clock has its segments to the run's end, and the second
+    # tile reads it chunk after chunk from the start.  Its segments
+    # crossed, each one `_phase_step`, grow with the run, not its square
+    import tilesim.timesync as timesync
+    steps = 0
+
+    def counted(rate_ppm, dt):
+        nonlocal steps
+        steps += 1
+        return phase_step(rate_ppm, dt)
+
+    phase_step = timesync._phase_step
+    monkeypatch.setattr(timesync, "_phase_step", counted)
+    fab = build_default_fabric(FabricConfig(counts={"wall_a": 2}, switch_count=1))
+    cfg = TimesyncConfig(boundary_switches=boundary, sample_interval_s=10.0)
+    per_run = []
+    for duration_s in (1000, 4000):
+        steps = 0
+        run_sync(fab, cfg, duration_s)
+        per_run.append(steps)
+    # a segment a second of the switch's walk, and one a servo step of a
+    # boundary switch, crossed once by each tile's reads
+    assert per_run[0] > 2 * 1000
+    assert per_run[1] < 4.5 * per_run[0]
+
+
 class PermutedDomain(SyncDomain):
     """Closes its tile ports' exchanges at `finish` in a drawn order, after
     the boundary switches' as always."""
