@@ -16,8 +16,8 @@ from tilesim.coherent import evaluate_beamforming
 from tilesim.core import RngRegistry, RngStream, from_seconds
 from tilesim.dataplane import Broker
 from tilesim.fabric import FabricConfig, build_default_fabric
-from tilesim.timesync import (LocalClock, OscillatorConfig, SyncDomain,
-                              SyncReport, TimesyncConfig)
+from tilesim.timesync import (_CLOSE_BLOCK, LocalClock, OscillatorConfig,
+                              SyncDomain, SyncReport, TimesyncConfig)
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
@@ -102,7 +102,7 @@ def test_held_exchanges_do_not_grow_with_the_run(monkeypatch):
     # clocks that keep one segment (no walk, steps stubbed out) and no
     # residual tick inside the run, so what `finish` holds is the sync
     # plane's own: a chunk of exchanges a port at most, however many
-    # chunks of 128 the run has
+    # chunks of `_CLOSE_BLOCK` the run has
     monkeypatch.setattr(LocalClock, "steer", lambda self, t, ppm: None)
     fab = build_default_fabric(FabricConfig(counts={"wall_a": 2}, switch_count=2))
     still = OscillatorConfig(rw_sigma_ppm_per_sqrt_s=0.0)
@@ -111,11 +111,11 @@ def test_held_exchanges_do_not_grow_with_the_run(monkeypatch):
 
     def peak(chunks):
         domain = SyncDomain(fab, cfg, RngRegistry(3))
-        domain.start(from_seconds(chunks * 1.28))
+        domain.start(from_seconds(chunks * _CLOSE_BLOCK * cfg.sync_interval_s))
         return traced_peak(domain.finish)
 
     peak(1)   # warm-up, as above
     three, nine = peak(3), peak(9)
-    # closed at once, the 6 chunks between would hold 2 ports x 768
-    # exchanges of a few hundred bytes each
+    # closed at once, the 6 chunks between would hold 2 ports x 6 chunks
+    # of exchanges of a few hundred bytes each
     assert nine - three < 8 * 1024

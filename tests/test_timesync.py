@@ -5,7 +5,9 @@ import csv
 import math
 import os
 import tempfile
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -178,6 +180,107 @@ def test_read_many_equals_a_read_at_each_instant(instants, steps, kind, ahead):
     if ahead:
         got.read(7 * PS_PER_S)
     assert got.read_many(times) == want
+
+
+def walked_reads(clock, times):
+    """`clock.read_many(times)`, a RuntimeWarning raised as an error, and
+    the instants it read by the exact walk."""
+    walked, exact_reads = [], LocalClock._exact_reads
+
+    def spy(self, ts):
+        walked.extend(ts)
+        return exact_reads(self, ts)
+
+    with mock.patch.object(LocalClock, "_exact_reads", spy), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return clock.read_many(times), walked
+
+
+@settings(max_examples=200, deadline=None)
+@given(offset=st.one_of(st.integers(-2**40, 2**40), st.floats(-1e7, 1e7)),
+       rate=st.one_of(st.sampled_from([0.0, 1.0, -2.0, 0.25, 1e-9, -3e-8]),
+                      st.floats(-100.0, 100.0)),
+       steer=st.one_of(st.none(), st.tuples(st.integers(1, 10**13), st.one_of(
+           st.just("stop"), st.floats(-100.0, 100.0)))),
+       granularity=st.sampled_from([1, 8000]),
+       instants=st.lists(st.integers(0, 2 * 10**13), min_size=1, max_size=6),
+       far=st.lists(st.integers(2**62 - 2, 2**64 - 1), max_size=3))
+@example(offset=5000, rate=1.0, steer=None, granularity=8000,
+         instants=[3 * 10**6, 10**13], far=[])
+@example(offset=2**30, rate=0.0, steer=None, granularity=1, instants=[0, 10**9],
+         far=[2**62 - 1, 2**62])
+@example(offset=-7.25, rate=4.0, steer=(10**12, "stop"), granularity=1,
+         instants=[2 * 10**12], far=[2**64 - 1])
+def test_read_many_equals_ascending_reads_where_a_float_phase_falls_short(
+        offset, rate, steer, granularity, instants, far):
+    # a clock of one or two segments, the second maybe of rate 0, read at
+    # instants whose exact phase lies on or next to an integer, next to a
+    # tick and at or above 2**62.  An instant of an integer phase is walked
+    # unless its segment's rate is 0 and its phase under 2**53 in 2**-32 ps
+    def clock():
+        return LocalClock(offset_ps=float(offset), freq_error_ppm=rate,
+                          granularity_ps=granularity)
+
+    # each segment's start, exact start phase in 2**-32 ps and rate
+    segments = [(0, math.floor(Fraction(float(offset)) * 2**32), rate)]
+    if steer is not None:
+        at, adj = steer
+        adj = -rate if adj == "stop" else adj
+        segments.append((at, segments[0][1] + math.floor(
+            Fraction(rate) * at * 2**32 / 10**6), rate + adj))
+
+    def segment(t):
+        return [seg for seg in segments if seg[0] <= t][-1]
+
+    def phase(t) -> Fraction:
+        s, p, r = segment(t)
+        return Fraction(p, 2**32) + Fraction(r) * (t - s) / 10**6
+
+    times = set(instants) | set(far)
+    for t in instants[:3]:
+        s, p, r = segment(t)
+        x = phase(t)
+        if r:
+            for m in (math.floor(x), math.floor(x) + 1):
+                u = (m - Fraction(p, 2**32)) * 10**6 / Fraction(r)
+                times |= {s + math.floor(u), s + math.ceil(u)}
+        tick = t - (t + math.floor(x)) % granularity
+        times |= {tick - 1, tick, tick + 1}
+    times = sorted(t for t in times if 0 <= t <= MAX_SIM_TIME)
+
+    oracle, want, due = clock(), [], steer is not None
+    for t in times:
+        if due and at <= t:
+            oracle.steer(at, adj)
+            due = False
+        want.append(oracle.read(t))
+    got = clock()
+    if steer is not None:
+        got.steer(at, adj)
+    reads, walked = walked_reads(got, times)
+    assert reads == want
+    must_walk = {t for t in times if t >= 2**62 or (
+        phase(t).denominator == 1
+        and not (segment(t)[2] == 0 and abs(segment(t)[1]) < 2**53))}
+    assert must_walk <= set(walked)
+
+
+@pytest.mark.parametrize("osc", [{"init_offset_us": 1e300},
+                                 {"rw_sigma_ppm_per_sqrt_s": 1e300}])
+def test_read_many_walks_the_boundary_sweeps_wild_oscillators(osc):
+    # a switch clock as the sweep's 2 s probe makes it, its phase or drift
+    # past the float range of an exact read: every such read is walked,
+    # and no RuntimeWarning is raised on the way
+    def switch_clock():
+        cfg = TimesyncConfig(switch_osc=OscillatorConfig(**osc))
+        return SyncDomain(small_fabric(), cfg, RngRegistry(5)).clocks["sw0"]
+
+    times = sorted(np.random.default_rng(2).integers(0, 2 * PS_PER_S, 40).tolist())
+    oracle = switch_clock()
+    want = [oracle.read(t) for t in times]
+    reads, walked = walked_reads(switch_clock(), times)
+    assert reads == want
+    assert len(walked) > 30
 
 
 def test_walk_rate_is_the_exact_two_state_discretization():
@@ -924,9 +1027,8 @@ def boundary_steps_inside(domain, switch):
 
 
 def block_filling_config(boundary):
-    # 400 exchanges a port in 20 s, closed in chunks of 128; 5 ms dwells
-    # and a 20 ms turnaround make an exchange about 40 ms of the 50 ms
-    # interval, with epochs of other ports inside it
+    # 5 ms dwells and a 20 ms turnaround make an exchange about 40 ms of
+    # the 50 ms interval, with epochs of other ports inside it
     return TimesyncConfig(start_s=0.0, sync_interval_s=0.05, stagger_ms=7.0,
                           residence_us=5_000.0, turnaround_us=20_000.0,
                           load_coupling=3.0, boundary_switches=boundary)
@@ -943,8 +1045,9 @@ def test_closes_in_the_loop_equal_the_ten_event_exchange(boundary, sigma_ns):
         counts={"wall_a": 3, "floor": 3}, switch_count=3,
         tile_jitter_sigma_ns=sigma_ns, jitter_shape=2.0))
     cfg = block_filling_config(boundary)
-    until = from_seconds(20.0)
-    cuts = {"t001": from_seconds(13.3337)}
+    # 3.125 chunks of exchanges a port, and t001 cut inside its third
+    until = from_seconds(3.125 * _CLOSE_BLOCK * cfg.sync_interval_s)
+    cuts = {"t001": from_seconds((2 * _CLOSE_BLOCK + 10.674) * cfg.sync_interval_s)}
     (batched, report), (stepwise, step_report) = [
         _run_domain(cls, fab, cfg, until, cuts, loaded_links(fab, 2000), seed=6)
         for cls in (RecordingDomain, StepwiseDomain)]
@@ -955,8 +1058,8 @@ def test_closes_in_the_loop_equal_the_ten_event_exchange(boundary, sigma_ns):
         # each closes, but for the last when the run ends inside it
         assert all(p.exchanges - 1 <= p.corrections for p in ports)
     else:
-        assert 200 < min(p.corrections for p in ports) < 3 * _CLOSE_BLOCK
-    assert len(batched.records) > 1500
+        assert 1.5 * _CLOSE_BLOCK < min(p.corrections for p in ports) < 3 * _CLOSE_BLOCK
+    assert len(batched.records) > 11 * _CLOSE_BLOCK
     if boundary:
         assert boundary_steps_inside(batched, "sw0")
     assert sorted(batched.records, key=by_exchange) == \
@@ -968,30 +1071,40 @@ def test_closes_in_the_loop_equal_the_ten_event_exchange(boundary, sigma_ns):
 @pytest.mark.parametrize("boundary", [(), ("sw0",)])
 def test_the_close_steps_over_each_segment_of_a_clock_a_port_reads_once(
         boundary, monkeypatch):
-    # two tiles behind one switch: once the first tile has closed, the
-    # switch's clock has its segments to the run's end, and the second
-    # tile reads it chunk after chunk from the start.  Its segments
-    # crossed, each one `_phase_step`, grow with the run, not its square
+    # two tiles behind one switch whose phase is far past 2**52 ps, so that
+    # every read of its clock is walked exactly.  Once the first tile has
+    # closed, the switch's clock has its segments to the run's end, and the
+    # second tile reads it chunk after chunk from the start.  The work of
+    # the reads, each instant gathered and each segment crossed (one
+    # `_phase_step`), grows with the run, not its square
     import tilesim.timesync as timesync
-    steps = 0
+    gathered = steps = 0
 
-    def counted(rate_ppm, dt):
+    def counted_reads(clock, times):
+        nonlocal gathered
+        gathered += len(times)
+        return read_many(clock, times)
+
+    def counted_steps(rate_ppm, dt):
         nonlocal steps
         steps += 1
         return phase_step(rate_ppm, dt)
 
-    phase_step = timesync._phase_step
-    monkeypatch.setattr(timesync, "_phase_step", counted)
+    read_many, phase_step = LocalClock.read_many, timesync._phase_step
+    monkeypatch.setattr(LocalClock, "read_many", counted_reads)
+    monkeypatch.setattr(timesync, "_phase_step", counted_steps)
     fab = build_default_fabric(FabricConfig(counts={"wall_a": 2}, switch_count=1))
-    cfg = TimesyncConfig(boundary_switches=boundary, sample_interval_s=10.0)
+    cfg = TimesyncConfig(boundary_switches=boundary, sample_interval_s=10.0,
+                         switch_osc=OscillatorConfig(init_offset_us=1e12))
     per_run = []
     for duration_s in (1000, 4000):
-        steps = 0
-        run_sync(fab, cfg, duration_s)
-        per_run.append(steps)
-    # a segment a second of the switch's walk, and one a servo step of a
-    # boundary switch, crossed once by each tile's reads
-    assert per_run[0] > 2 * 1000
+        gathered = steps = 0
+        _, domain = run_sync(fab, cfg, duration_s)
+        assert abs(domain.clocks["sw0"].offset_at(0)) > 2**52
+        # a segment a second of the switch's walk, and one a servo step of
+        # a boundary switch, crossed once by each tile's walk
+        assert steps > 2 * duration_s
+        per_run.append(gathered + steps)
     assert per_run[1] < 4.5 * per_run[0]
 
 
