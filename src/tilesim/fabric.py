@@ -87,44 +87,40 @@ class Link:
 
 # --- surface packing -------------------------------------------------------
 
-def _grid_cells(ul: int, vl: int, cw: int, ch: int, v0: int = 0) -> list[tuple[int, int, int, int]]:
-    cols = ul // cw
-    rows = (vl - v0) // ch
-    cells = []
-    for r in range(rows):
-        for c in range(cols):
-            u0, vv0 = c * cw, v0 + r * ch
-            cells.append((u0, vv0, u0 + cw, vv0 + ch))
-    return cells
+def _packing(u_len_m: float, v_len_m: float, count: int):
+    """The `count` panel cells, made as they are iterated, of the first
+    arrangement that holds them: an upright grid (short edge along u), the
+    rotated grid, then each with its leftover strip filled by the other.
+    A grid holds columns times rows, so a count too large is refused at once."""
+    ul, vl = round(u_len_m * 1000), round(v_len_m * 1000)
+    upright, rotated = (TILE_SHORT_MM, TILE_LONG_MM, 0), (TILE_LONG_MM, TILE_SHORT_MM, 0)
+    capacities = []
+    for grids in ([upright], [rotated],
+                  [upright, (TILE_LONG_MM, TILE_SHORT_MM, vl // TILE_LONG_MM * TILE_LONG_MM)],
+                  [rotated, (TILE_SHORT_MM, TILE_LONG_MM, vl // TILE_SHORT_MM * TILE_SHORT_MM)]):
+        capacities.append(sum(ul // cw * ((vl - v0) // ch) for cw, ch, v0 in grids))
+        if capacities[-1] >= count:
+            return _cells(ul, vl, grids, count)
+    raise ConfigurationError(
+        f"cannot place {count} panels on a {u_len_m} x {v_len_m} m face without "
+        f"overlap (capacity {max(capacities)})")
+
+
+def _cells(ul: int, vl: int, grids: list, count: int):
+    """The first `count` cells of grids of (cell u, cell v, first v), row-major."""
+    for cw, ch, v0 in grids:
+        cols = ul // cw
+        n = min(count, cols * ((vl - v0) // ch))
+        for k in range(n):
+            r, c = divmod(k, cols)
+            yield c * cw, v0 + r * ch, (c + 1) * cw, v0 + (r + 1) * ch
+        count -= n
 
 
 def pack_surface(u_len_m: float, v_len_m: float, count: int) -> list[tuple[int, int, int, int]]:
-    """Non-overlapping panel rectangles on one face, row-major from the origin.
-
-    Tries an upright grid first (short edge along u), then the rotated grid,
-    then grids with the leftover strip filled by rotated rows.  Raises when
-    no arrangement holds the requested count.
-    """
-    ul = round(u_len_m * 1000)
-    vl = round(v_len_m * 1000)
-    if count == 0:
-        return []
-    arrangements = [
-        _grid_cells(ul, vl, TILE_SHORT_MM, TILE_LONG_MM),
-        _grid_cells(ul, vl, TILE_LONG_MM, TILE_SHORT_MM),
-    ]
-    # mixed: full upright rows, then rotated rows in the leftover strip (and vice versa)
-    strip = (vl // TILE_LONG_MM) * TILE_LONG_MM
-    arrangements.append(arrangements[0] + _grid_cells(ul, vl, TILE_LONG_MM, TILE_SHORT_MM, v0=strip))
-    strip = (vl // TILE_SHORT_MM) * TILE_SHORT_MM
-    arrangements.append(arrangements[1] + _grid_cells(ul, vl, TILE_SHORT_MM, TILE_LONG_MM, v0=strip))
-    for cells in arrangements:
-        if len(cells) >= count:
-            return cells[:count]
-    best = max(len(c) for c in arrangements)
-    raise ConfigurationError(
-        f"cannot place {count} panels on a {u_len_m} x {v_len_m} m face without "
-        f"overlap (capacity {best})")
+    """Non-overlapping panel rectangles on one face, row-major from the
+    origin: the `count` cells of `_packing`, and no others."""
+    return list(_packing(u_len_m, v_len_m, count))
 
 
 @dataclass(frozen=True)
@@ -326,32 +322,21 @@ def build_default_fabric(config: FabricConfig | None = None,
     ids assigned in placement order, and attached to switches round-robin by
     tile index.  Cable length defaults to the Manhattan run from tile centre
     to switch plus fixed slack; base delay is length times the propagation
-    constant, kept in integer picoseconds.
+    constant, kept in integer picoseconds.  Every limit is checked from the
+    config before a tile is made, so what it returns passes `Fabric.validate`.
     """
     cfg = config or FabricConfig()
     for k in cfg.counts:
         if k not in SURFACE_NAMES:
             raise ConfigurationError(f"unknown surface {k!r}")
-    dims = {**DEFAULT_FACE_DIMS, **cfg.face_dims}
-    faces = _faces(cfg.room, dims)
-
-    tiles: dict[str, TileNode] = {}
-    idx = 0
-    for surface in SURFACE_NAMES:
-        count = int(cfg.counts.get(surface, 0))
-        face = faces[surface]
+    faces = _faces(cfg.room, {**DEFAULT_FACE_DIMS, **cfg.face_dims})
+    packings = {}
+    for surface, face in faces.items():
         try:
-            rects = pack_surface(face.u_len_m, face.v_len_m, count)
+            packings[surface] = _packing(face.u_len_m, face.v_len_m,
+                                         int(cfg.counts.get(surface, 0)))
         except ConfigurationError as e:
             raise ConfigurationError(f"{surface}: {e}") from None
-        for rect in rects:
-            cu = (rect[0] + rect[2]) / 2000.0
-            cv = (rect[1] + rect[3]) / 2000.0
-            o, ua, va = face.origin, face.u_axis, face.v_axis
-            center = tuple(round(o[i] + ua[i] * cu + va[i] * cv, 6) for i in range(3))
-            tiles[f"t{idx:03d}"] = TileNode(f"t{idx:03d}", surface, center,
-                                            face.normal, rect)
-            idx += 1
 
     if cfg.switch_count < 1:
         raise ConfigurationError("at least one switch is required")
@@ -371,21 +356,35 @@ def build_default_fabric(config: FabricConfig | None = None,
             jitter_sigma_ns=cfg.trunk_jitter_sigma_ns,
             jitter_shape=cfg.jitter_shape, bandwidth_bps=cfg.bandwidth_bps)
 
-    sw_ids = list(switches)
-    for i, tile in enumerate(tiles.values()):
-        sw = switches[sw_ids[i % len(sw_ids)]]
-        if len(sw.attached) + 1 >= sw.port_count:
-            raise ConfigurationError(f"{sw.id}: out of ports for {tile.id}")
-        length = _cable_length_m(cfg, tile, sw, rng)
-        links[f"link_{tile.id}"] = Link(
-            f"link_{tile.id}", sw.id, tile.id, length,
-            _delay_ps(length, cfg.prop_ns_per_m),
-            jitter_sigma_ns=cfg.tile_jitter_sigma_ns,
-            jitter_shape=cfg.jitter_shape, bandwidth_bps=cfg.bandwidth_bps)
-        sw.attached.append(tile.id)
-
-    n_conn = sum(len(sw.attached) for sw in switches.values())
-    if n_conn > cfg.max_tile_connections:
+    # tile i takes port i // switch_count + 1 of its switch, after the
+    # uplink, so the first tile past a switch's ports is on sw0
+    n_tiles = sum(int(n) for n in cfg.counts.values())
+    first_full = max(0, cfg.switch_ports - 1) * cfg.switch_count
+    if n_tiles > first_full:
+        raise ConfigurationError(f"sw0: out of ports for t{first_full:03d}")
+    if cfg.switch_ports < 1:
+        raise ConfigurationError("a switch needs a port for its uplink")
+    if n_tiles > cfg.max_tile_connections:
         raise ConfigurationError(
-            f"{n_conn} tile connections exceed the limit {cfg.max_tile_connections}")
+            f"{n_tiles} tile connections exceed the limit {cfg.max_tile_connections}")
+
+    tiles: dict[str, TileNode] = {}
+    sw_list = list(switches.values())
+    for surface, cells in packings.items():
+        face = faces[surface]
+        o, ua, va = face.origin, face.u_axis, face.v_axis
+        for rect in cells:
+            cu = (rect[0] + rect[2]) / 2000.0
+            cv = (rect[1] + rect[3]) / 2000.0
+            center = tuple(round(o[i] + ua[i] * cu + va[i] * cv, 6) for i in range(3))
+            sw = sw_list[len(tiles) % len(sw_list)]
+            tile_id = f"t{len(tiles):03d}"
+            tile = tiles[tile_id] = TileNode(tile_id, surface, center, face.normal, rect)
+            length = _cable_length_m(cfg, tile, sw, rng)
+            links[f"link_{tile.id}"] = Link(
+                f"link_{tile.id}", sw.id, tile.id, length,
+                _delay_ps(length, cfg.prop_ns_per_m),
+                jitter_sigma_ns=cfg.tile_jitter_sigma_ns,
+                jitter_shape=cfg.jitter_shape, bandwidth_bps=cfg.bandwidth_bps)
+            sw.attached.append(tile.id)
     return Fabric(cfg, tiles, switches, links)

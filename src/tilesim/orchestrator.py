@@ -56,9 +56,9 @@ class RunResult:
 
 
 class _Power:
-    """PoE grants at time 0, and the run's cuts: a denied tile at 0, and an
-    overdraw cut due by the run's end at its instant.  The stage queues no
-    event; `finish` applies the cuts to the ledger."""
+    """PoE grants at time 0, and the run's cuts, each applied to the ledger
+    once at set-up by `PsePlane.monitor`: a denied tile at 0, an overdraw
+    cut due by the run's end at its instant.  `finish` writes the ledger."""
 
     def __init__(self, run: RunResult, p):
         pd_tiles = (t.id for t in run.fabric.tiles.values() if "pd" in t.roles)
@@ -67,12 +67,10 @@ class _Power:
             plane.allocate(tile_id, at=0)
         run.cuts = {tile_id: 0 for tile_id, pd in plane.devices.items() if not pd.online}
         # a cut after the run's end never happens, and may lie past the 64-bit range
-        run.cuts.update((ev.tile_id, ev.at_ps) for ev in plane.pending_disconnects()
-                        if ev.at_ps <= run.until)
+        run.cuts.update((ev.tile_id, ev.at_ps) for ev in plane.monitor(run.until))
         self.events = {}
 
     def finish(self, run: RunResult) -> dict:
-        run.power.monitor(run.until)
         run.power.write_ledger_csv(run.out_dir / "power_ledger.csv")
         return run.power.summary()
 
@@ -126,8 +124,6 @@ class _Dataplane:
         # the (m, i) positions handled, m * len(tiles) + i, and the instant
         # of the next; with no producer, no instant is due
         self.done, self.next_at = 0, 0 if self.tiles else MAX_SIM_TIME + 1
-        produced = sum(max(0, (until - i * spacing) // period + 1)
-                       for i in range(len(self.tiles)))
 
         self.groups: list[ConsumerGroup] = []
         self.delivered = {f"g{g}": 0 for g in range(cfg.consumer_groups)}
@@ -146,7 +142,7 @@ class _Dataplane:
                                      f"g{g}-c{c}", "poll", self._poll,
                                      (group, f"g{g}-c{c}", start))
                 k += 1
-        self.events = {"dataplane.produce_interval_ms": produced,
+        self.events = {"dataplane.produce_interval_ms": sum(self.counts.values()),
                        "dataplane.poll_interval_ms": polled}
 
     def catch_up(self, at: SimTime, start: SimTime | None = None,
@@ -347,9 +343,9 @@ STAGES = {"power": _Power, "dataplane": _Dataplane, "timesync": _Timesync,
           "coherent": _Coherent, "rover": _Rover}
 
 # the most periodic work one run may ask for, counted in events: sync
-# exchanges (two each, a tile's up to its cut), produced records, consumer
-# polls and mission ticks together, with the clocks' frequency-walk steps
-# counted too.  A record and an exchange fire no event; their work counts.
+# exchanges (two each) and produced records, a tile's up to its cut,
+# consumer polls and mission ticks together, with the clocks' frequency-walk
+# steps counted too.  A record and an exchange fire no event; their work counts.
 # Every event of a run is a consumer poll of such a series.
 MAX_PERIODIC_EVENTS = 10_000_000
 
@@ -379,7 +375,8 @@ def _section(name: str):
 
 def prepare_scenario(cfg: ScenarioConfig) -> RunResult:
     """Everything a run does before its first event, writing nothing.  The
-    stages' constructors check their own arguments, so this raises
+    fabric builder and the stages' constructors check their own arguments
+    (a built fabric passes `Fabric.validate`), so this raises
     ConfigurationError for exactly the scenarios `run_scenario` rejects."""
     problems = validate_scenario(cfg)
     if problems:
@@ -387,9 +384,6 @@ def prepare_scenario(cfg: ScenarioConfig) -> RunResult:
     rng = RngRegistry(cfg.seed)
     with _section("fabric"):
         fabric = build_default_fabric(cfg.fabric, rng.stream("fabric/cabling"))
-        fabric_problems = fabric.validate()
-        if fabric_problems:
-            raise ConfigurationError("; ".join(fabric_problems))
     run = RunResult(scenario_hash(cfg), rng, fabric, EventLoop(),
                     from_seconds(cfg.duration_s))
     events = {}

@@ -233,8 +233,8 @@ class PsePlane:
         return Grant(tile_id, cls, ms.id)
 
     def disconnect(self, tile_id: str, at: SimTime, reason: str = "overdraw") -> None:
-        """Drop an online device's grant and mark it offline.  A run's other
-        stages read each cut instant at set-up, from `pending_disconnects`."""
+        """Drop an online device's grant and mark it offline.  A run applies
+        each cut at set-up, by `monitor`, whose return its stages read."""
         pd = self.devices[tile_id]
         if not pd.online:
             return

@@ -262,13 +262,15 @@ class Count:
 # The accepted range of every numeric leaf of `ScenarioConfig`, by dotted
 # path; a new numeric field gets its rule here.  A rule binds only while its
 # section is enabled, and skips None.  tests/test_boundary.py predicts from
-# this table how each boundary value it tries ends.
+# this table how each boundary value it tries ends.  A count that sizes
+# what set-up builds is bounded so that set-up at the bound takes well under 1 s.
 RULES = {
     "seed": Count(0), "duration_s": Period(),
-    **{f"fabric.room.{key}": Scale(positive=True)
+    # tile centres are kept to the micrometre, which a side must reach
+    **{f"fabric.room.{key}": Scale(least=1e-6)
        for key in ("length_m", "width_m", "height_m")},
-    "fabric.switch_count": Count(1), "fabric.switch_ports": Count(1),
-    "fabric.max_tile_connections": Count(1), "fabric.bandwidth_bps": Count(1),
+    "fabric.switch_count": Count(1, 10_000), "fabric.switch_ports": Count(1),
+    "fabric.max_tile_connections": Count(1, 10_000), "fabric.bandwidth_bps": Count(1),
     "fabric.prop_ns_per_m": Scale(), "fabric.slack_m": Scale(),
     "fabric.cable_min_m": Scale(), "fabric.cable_max_m": Scale(),
     "fabric.cable_fixed_m": Scale(), "fabric.tile_jitter_sigma_ns": Scale(),
@@ -281,14 +283,15 @@ RULES = {
     "coherent.tx_power_dbm": Count(-math.inf, MAX_TX_POWER_DBM),
     "coherent.trials": Count(1), "coherent.tile_count": Count(1),
     "coherent.phase_noise_sigma_rad": Scale(),
-    "power.global_budget_w": Scale(positive=True), "power.midspan_count": Count(1),
+    "power.global_budget_w": Scale(positive=True), "power.midspan_count": Count(1, 10_000),
     "power.midspan_budget_w": Scale(positive=True),
     "power.requested_class": Count(min(POWER_CLASSES), max(POWER_CLASSES)),
     "power.base_mw": Count(0), "power.processing_mw": Count(0),
     "power.peripheral_mw": Count(0), "power.detection_window_ms": Count(0),
-    "dataplane.partitions": Count(1), "dataplane.retention_records": Count(1),
+    "dataplane.partitions": Count(1, 100_000), "dataplane.retention_records": Count(1),
     "dataplane.producer_tiles": Count(0), "dataplane.record_bytes": Count(0),
-    "dataplane.consumer_groups": Count(0), "dataplane.consumers_per_group": Count(1),
+    # a group keeps each join's assignment: its set-up grows with members squared
+    "dataplane.consumer_groups": Count(0, 5_000), "dataplane.consumers_per_group": Count(1, 500),
     "dataplane.max_poll_records": Count(1), "dataplane.produce_interval_ms": Period(),
     "dataplane.poll_interval_ms": Period(), "dataplane.load_window_ms": Period(),
     "rover.resolution_m": Scale(positive=True),

@@ -511,6 +511,7 @@ class PtpPort:
     corrections: int = 0
     closed_ps: int | None = None   # the instant of the first correction
     cut_ps: int | None = None      # the instant the tile's power is cut
+    last_ps: int = 0               # its last instant: the run's end, or before its cut
     epoch_ps: int = 0              # the first exchange's epoch
     clock: LocalClock | None = field(default=None, repr=False)
     master_clock: LocalClock | None = field(default=None, repr=False)
@@ -588,30 +589,32 @@ class SyncDomain:
     worked out at `finish`, which then builds the residual series.
 
     Port i of the sorted ports has its epochs at start_s + i * stagger, one
-    each sync interval, to the run's end and before its tile's cut (`cuts`,
-    tile to instant); `start` counts them.  `finish` closes each port's
-    series, `_CLOSE_BLOCK` exchanges at a time, each link's sigma at each
-    epoch taken from `load`: (link id, start, period, first, n) to the
-    link's load window at those epochs of a series, or None with no
-    dataplane.  It works out when each step happened from the hop delays
-    and jitters: the sync message crosses the relay, if any, to the slave
-    (t2); a follow-up with the precise t1 lands a fixed lag later; a
-    turnaround after both the delay request leaves (t3) and crosses back
-    to the master (t4), whose response returns with a fixed transit, the
-    close's instant.  The close counts if that instant is at or before
-    the run's end, before the tile's cut and before the port's next epoch.
-    It reads t1-t4 and the relay's residence on each leg at their
-    instants, then steps the servo at the close, the one thing that
-    changes a clock's future.  Reads are functions of time and earlier
-    servo steps, so each read gives what it would at its instant, as the
-    ports close in `ports` order: a boundary master before its slaves.
+    each sync interval, through its last instant `last_ps`: the run's end,
+    or the instant before its tile's cut (`cuts`, tile to instant) if that
+    is earlier, worked out once by `start`, which counts the epochs.  A
+    port whose last instant is before the run's end is offline.  `finish`
+    closes each port's series, `_CLOSE_BLOCK` exchanges at a time, each
+    link's sigma at each epoch taken from `load`: (link id, start, period,
+    first, n) to the link's load window at those epochs of a series, or
+    None with no dataplane.  It works out when each step happened from the
+    hop delays and jitters: the sync message crosses the relay, if any, to
+    the slave (t2); a follow-up with the precise t1 lands a fixed lag
+    later; a turnaround after both the delay request leaves (t3) and
+    crosses back to the master (t4), whose response returns with a fixed
+    transit, the close's instant.  The close counts if that instant is at
+    or before the port's last instant and before its next epoch.  It reads
+    t1-t4 and the relay's residence on each leg at their instants, then
+    steps the servo at the close, the one thing that changes a clock's
+    future.  Reads are functions of time and earlier servo steps, so each
+    read gives what it would at its instant, as the ports close in `ports`
+    order: a boundary master before its slaves.
 
     `finish` then evaluates each port's residual at every
     `sample_interval_s` tick from its clock's segments: from its first
     correction, a tick at that instant included (a free-running clock's
-    quiet streak would be "converged" by luck), until its tile is cut, a
-    tick at the cut excluded.  Nothing of an exchange is kept once it
-    closes beyond its port's `corrections` count.
+    quiet streak would be "converged" by luck), through its last instant.
+    Nothing of an exchange is kept once it closes beyond its port's
+    `corrections` count.
     """
 
     def __init__(self, fabric: Fabric, config: TimesyncConfig, rng: RngRegistry,
@@ -716,10 +719,10 @@ class SyncDomain:
         return float(_PortJitter(link, self.config, self._load).sigma_ns(t, 1, 0, 1)[0])
 
     def start(self, until_ps: SimTime) -> int:
-        """Set every port's epochs up to `until_ps`, and before its tile's
-        cut; returns the work their exchanges count for, in events.  An
-        interval no longer than an exchange is refused: the next epoch
-        would drop every exchange in flight."""
+        """Set every port's last instant and its epochs through it; returns
+        the work their exchanges count for, in events.  An interval no
+        longer than an exchange is refused: the next epoch would drop every
+        exchange in flight."""
         if self._interval_ps <= self._longest_exchange_ps:
             raise ConfigurationError(
                 f"timesync.sync_interval_s must be longer than one exchange, "
@@ -738,8 +741,8 @@ class SyncDomain:
         for i, node in enumerate(sorted(self.ports)):
             port = self.ports[node]
             port.epoch_ps = t0 + i * stagger
-            end = until_ps if port.cut_ps is None else min(until_ps, port.cut_ps - 1)
-            port.exchanges = max(0, (end - port.epoch_ps) // self._interval_ps + 1)
+            port.last_ps = until_ps if port.cut_ps is None else min(until_ps, port.cut_ps - 1)
+            port.exchanges = max(0, (port.last_ps - port.epoch_ps) // self._interval_ps + 1)
             epochs += port.exchanges
         return epochs * EXCHANGE_EVENTS
 
@@ -763,11 +766,11 @@ class SyncDomain:
             if port.closed_ps is None:
                 continue
             first = max(0, -(-port.closed_ps // tick) - 1)
-            end = len(ticks) if port.cut_ps is None else (port.cut_ps - 1) // tick
+            end = port.last_ps // tick
             if first < end:
                 times = range((first + 1) * tick, end * tick + 1, tick)
                 self.report.add_series(node, times, port.clock.offsets(ticks[first:end]))
-        self.report.finalize(n for n, p in self.ports.items() if p.cut_ps is not None)
+        self.report.finalize(n for n, p in self.ports.items() if p.last_ps < self._until)
         return self.report
 
     def _close_port(self, port: PtpPort) -> None:
@@ -775,8 +778,7 @@ class SyncDomain:
         work out each one's instants, read the master and the relay at all
         of a block's in one pass each, then close each that counts."""
         down, up = port.down, port.up
-        interval, turnaround = self._interval_ps, self._turnaround_ps
-        end = self._until if port.cut_ps is None else min(self._until, port.cut_ps - 1)
+        interval, turnaround, end = self._interval_ps, self._turnaround_ps, port.last_ps
         up_hop, residence, down_hop = port.up_hop_ps, port.residence_ps, port.down_hop_ps
         req_hop, up_req_hop = port.req_hop_ps, port.up_req_hop_ps
         followup, resp = port.followup_ps, port.resp_ps

@@ -4,7 +4,7 @@ ends as `scenario.RULES` predicts.
 
 The cases walk the real key tree of `ScenarioConfig`: each leaf key of an
 8-tile, 2-switch, 2 s probe scenario set in turn to each of a few boundary
-values.  A case the load type check or a rule refuses must be refused in
+values, and a few keys to a value of their shape, `SHAPED_CASES`.  A case the load type check or a rule refuses must be refused in
 one line naming its key; every other case must set up, unless
 `BEYOND_RULES` names it as refused by a check across fields, a stage or a
 work bound.  Tier-1 sets every case up in-process through
@@ -44,8 +44,10 @@ from tilesim.scenario import (OVERDRAW_RULES, RULES, ScenarioConfig,
 PROBE = {"name": "probe", "seed": 3, "duration_s": 2.0,
          "fabric": {"counts": {"wall_a": 2, "wall_b": 2, "floor": 2,
                                "ceiling": 2}, "switch_count": 2}}
-# 1e-200 squares to 0, as a jitter shape once did on its way to a traceback
-VALUES = [0, -1, 1e-200, 1e-13, 1e-9, float("nan"), float("inf"), 1e300, [1], "x"]
+# 1e-200 squares to 0, as a jitter shape once did on its way to a traceback;
+# 10**7 is the one integer above 0, which an integer key takes (1e300 is a
+# float, refused by its type), and sizes what set-up builds
+VALUES = [0, -1, 1e-200, 1e-13, 1e-9, float("nan"), float("inf"), 1e300, 10**7, [1], "x"]
 
 
 def leaf_keys(cls=ScenarioConfig, prefix=()) -> list[tuple[str, ...]]:
@@ -100,23 +102,31 @@ def alarm(seconds: int):
 SHAPED = {"fabric.counts", "fabric.face_dims", "coherent.target", "rover.area",
           "rover.obstacles", "timesync.boundary_switches"}
 
+# Cases past the walk, each of the shape its key takes.  A floor face of
+# 12.5 million panel cells, of which the probe places 2: set-up once made
+# every cell before it took the first two, and ran out of memory.
+SHAPED_CASES = [(("fabric", "face_dims"), {"floor": [3000, 3000]})]
+
 ROOM = ["fabric.room.length_m", "fabric.room.width_m", "fabric.room.height_m"]
 
 # The cases every rule passes that set-up refuses all the same, and why.
 BEYOND_RULES = [
-    (ROOM, (1e-200, 1e-13, 1e-9), "coherent.target and rover.area lie outside the room"),
     (ROOM + ["fabric.prop_ns_per_m", "fabric.slack_m"], (1e300,),
      "a cable's delay lies past the 64-bit time range"),
     (["timesync.followup_lag_us", "timesync.turnaround_us", "timesync.residence_us"],
-     (1e300,), "an exchange outlasts timesync.sync_interval_s"),
+     (1e300, 10**7), "an exchange outlasts timesync.sync_interval_s"),
     (["timesync.sync_interval_s"], (1e-9,), "the interval is shorter than one exchange"),
     (["timesync.sample_interval_s"], (1e-9,), "residual samples over their bound"),
     (["dataplane.produce_interval_ms", "dataplane.poll_interval_ms", "rover.tick_s"],
      (1e-9,), "periodic events over their bound"),
+    (["duration_s"], (10**7,), "residual samples over their bound"),
+    (["rover.max_duration_s"], (10**7,), "periodic events over their bound"),
+    (["coherent.trials"], (10**7,), "trial-element pairs over their bound"),
     (["rover.resolution_m", "rover.z_resolution_m"], (1e-200, 1e-13, 1e-9),
      "lift stops over their bound"),
-    (["rover.resolution_m"], (1e300,), "no reachable cell in the sampling area"),
-    (["rover.beacon_rate_hz"], (1e300,), "more than one beacon fix per rover.tick_s"),
+    (["rover.resolution_m"], (1e300, 10**7), "no reachable cell in the sampling area"),
+    (["rover.beacon_rate_hz", "rover.tick_s"], (1e300, 10**7),
+     "more than one beacon fix per rover.tick_s"),
     (["fabric.cable_model", "power.overdraw_tile"], ("x",),
      "no such cable model, no such powered tile"),
 ]
@@ -134,8 +144,10 @@ def predicted(path, value) -> str:
     except ConfigurationError:
         return "load"
     loaded = attrgetter(key)(cfg)
-    if key in SHAPED or (key in RULES and loaded is not None
-                         and RULES[key].problem(key, loaded)):
+    if key in SHAPED:
+        # no walk value has the key's shape; each of SHAPED_CASES has it
+        return "rules" if value in VALUES else "set up"
+    if key in RULES and loaded is not None and RULES[key].problem(key, loaded):
         return "rules"
     return "beyond" if (key, value) in _BEYOND else "set up"
 
@@ -185,9 +197,14 @@ def test_every_numeric_leaf_has_a_rule():
     assert SHAPED <= leaves - numeric
 
 
+def cases(path):
+    """The walk's values for the key at `path`, then its shaped cases."""
+    return VALUES + [value for key, value in SHAPED_CASES if key == path]
+
+
 @pytest.mark.parametrize("path", KEYS, ids=".".join)
 def test_each_boundary_value_sets_up_or_is_refused_in_one_line(path):
-    for value in VALUES:
+    for value in cases(path):
         try:
             prepare_scenario(scenario_from_dict(probe_with([(path, value)])))
         except ConfigurationError as e:
@@ -303,7 +320,7 @@ def sweep(seconds: int = 10) -> int:
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         for path in KEYS:
-            for value in VALUES:
+            for value in cases(path):
                 case = f"{'.'.join(path)}: {value!r}"
                 refusal = None
                 try:
@@ -327,7 +344,8 @@ def sweep(seconds: int = 10) -> int:
                 except AssertionError as e:
                     bad += 1
                     print(f"{case}: not as predicted: {e}")
-    print(f"{len(KEYS) * len(VALUES)} cases, {ran} ran to the end, {bad} failed, "
+    print(f"{len(KEYS) * len(VALUES) + len(SHAPED_CASES)} cases, {ran} ran to the end, "
+          f"{bad} failed, "
           f"{time.perf_counter() - t0:.0f} s")
     return bad
 

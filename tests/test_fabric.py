@@ -1,11 +1,15 @@
 """Room geometry, panel packing and cabling."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tilesim.core import RngStream
-from tilesim.fabric import (ConfigurationError, Fabric, FabricConfig, Link,
+from tilesim.fabric import (SURFACE_NAMES, TILE_LONG_MM, TILE_SHORT_MM,
+                            ConfigurationError, Fabric, FabricConfig, Link,
                             Room, TileNode, build_default_fabric, pack_surface)
 
 
@@ -109,6 +113,103 @@ def test_packed_cells_never_overlap():
             b = cells[j]
             assert not (a[0] < b[2] and b[0] < a[2]
                         and a[1] < b[3] and b[1] < a[3])
+
+
+def _grid_cells(ul, vl, cw, ch, v0=0):
+    cells = []
+    for r in range((vl - v0) // ch):
+        for c in range(ul // cw):
+            u0, vv0 = c * cw, v0 + r * ch
+            cells.append((u0, vv0, u0 + cw, vv0 + ch))
+    return cells
+
+
+def reference_pack_surface(u_len_m, v_len_m, count):
+    """Every cell of each arrangement made as a list, the first that holds
+    `count` cut to it: the packing as it was before its capacity was
+    worked out in closed form."""
+    ul = round(u_len_m * 1000)
+    vl = round(v_len_m * 1000)
+    if count == 0:
+        return []
+    arrangements = [
+        _grid_cells(ul, vl, TILE_SHORT_MM, TILE_LONG_MM),
+        _grid_cells(ul, vl, TILE_LONG_MM, TILE_SHORT_MM),
+    ]
+    strip = (vl // TILE_LONG_MM) * TILE_LONG_MM
+    arrangements.append(arrangements[0] + _grid_cells(ul, vl, TILE_LONG_MM, TILE_SHORT_MM, v0=strip))
+    strip = (vl // TILE_SHORT_MM) * TILE_SHORT_MM
+    arrangements.append(arrangements[1] + _grid_cells(ul, vl, TILE_SHORT_MM, TILE_LONG_MM, v0=strip))
+    for cells in arrangements:
+        if len(cells) >= count:
+            return cells[:count]
+    best = max(len(c) for c in arrangements)
+    raise ConfigurationError(
+        f"cannot place {count} panels on a {u_len_m} x {v_len_m} m face without "
+        f"overlap (capacity {best})")
+
+
+def packed(pack, *args):
+    try:
+        return pack(*args)
+    except ConfigurationError as e:
+        return str(e)
+
+
+# a face side in metres: any, or a whole number of cells, or half a
+# millimetre off one
+SIDE_M = st.one_of(st.floats(1e-4, 12.0), st.builds(
+    lambda k, off: k * 0.6 + off, st.integers(1, 20), st.sampled_from([-5e-4, 0, 5e-4])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SIDE_M, SIDE_M, st.integers(0, 150))
+@example(3.0, 1.8, 7)       # 5 upright cells, then 2 rotated in the strip
+@example(3.0, 1.8, 8)
+@example(8.4, 3.6, 43)
+@example(0.0004, 2.4, 0)
+def test_pack_surface_equals_the_list_building_reference(u_len_m, v_len_m, count):
+    assert packed(pack_surface, u_len_m, v_len_m, count) == packed(
+        reference_pack_surface, u_len_m, v_len_m, count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=st.dictionaries(st.sampled_from(SURFACE_NAMES), st.integers(0, 45)),
+       face_dims=st.dictionaries(st.sampled_from(SURFACE_NAMES),
+                                 st.tuples(SIDE_M, SIDE_M)),
+       room=st.tuples(*[st.floats(1e-6, 20.0)] * 3),
+       switch_count=st.integers(0, 6), switch_ports=st.integers(0, 40),
+       max_tile_connections=st.integers(0, 200))
+def test_a_built_fabric_passes_its_validation(counts, face_dims, room, switch_count,
+                                              switch_ports, max_tile_connections):
+    # the builder checks every limit before it makes a tile, so what it
+    # returns needs no validation pass; `prepare_scenario` runs none
+    cfg = FabricConfig(room=Room(*room), counts=counts, face_dims=face_dims,
+                       switch_count=switch_count, switch_ports=switch_ports,
+                       max_tile_connections=max_tile_connections)
+    try:
+        fabric = build_default_fabric(cfg)
+    except ConfigurationError:
+        return
+    assert fabric.validate() == []
+
+
+@pytest.mark.parametrize("fabric,message", [
+    # 12.5 million cells on the face, of which 10 million are asked for
+    ({"counts": {"floor": 10**7}, "face_dims": {"floor": (3000, 3000)},
+      "switch_ports": 10**7},
+     "10000000 tile connections exceed the limit 192"),
+    ({"counts": {"floor": 40}, "switch_count": 2, "switch_ports": 8},
+     "sw0: out of ports for t014"),
+    ({"counts": {"floor": 40}, "switch_ports": 1}, "sw0: out of ports for t000"),
+    ({"counts": {}, "switch_ports": 0}, "a switch needs a port for its uplink"),
+    ({"switch_count": 0}, "at least one switch is required"),
+])
+def test_limits_are_refused_before_a_tile_is_made(fabric, message):
+    with mock.patch("tilesim.fabric.TileNode", side_effect=AssertionError("a tile")), \
+            pytest.raises(ConfigurationError) as refusal:
+        build_default_fabric(FabricConfig(**fabric))
+    assert str(refusal.value) == message
 
 
 def test_validator_reports_overlap():

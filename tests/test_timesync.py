@@ -558,6 +558,36 @@ def test_tick_at_first_correction_is_sampled_and_tick_at_cut_is_not():
     assert report.summary()["offline_nodes"] == ["t001"]
 
 
+@pytest.mark.parametrize("boundary", [(), ("sw1",)])
+def test_a_cut_after_the_run_is_no_cut_and_one_at_its_end_drops_the_last_tick(
+        boundary, tmp_path):
+    # a port's spans end at its last instant, the run's end or the instant
+    # before its cut; a cut past the end once sampled the port to the cut,
+    # more sample times than residuals, and listed it offline
+    until = from_seconds(10.0)
+    cfg = TimesyncConfig(boundary_switches=boundary)
+
+    def run(cuts):
+        domain = SyncDomain(eight_tile_fabric(), cfg, RngRegistry(7), cuts=cuts)
+        domain.start(until)
+        report = domain.finish()
+        path = tmp_path / "sync_report.csv"
+        report.to_csv(path)
+        series = {n: (report.series(n)[0], report.series(n)[1].tolist())
+                  for n in report.nodes}
+        return report.summary(), series, path.read_bytes()
+
+    summary, series, text = run({})
+    assert series["t001"][0][-1] == until
+    for cut in (until + 1, until + from_seconds(5.0)):
+        assert run({"t001": cut}) == (summary, series, text)
+    cut_summary, cut_series, _ = run({"t001": until})
+    assert cut_summary["offline_nodes"] == ["t001"]
+    times, resid = series.pop("t001")
+    assert cut_series.pop("t001") == (times[:-1], resid[:-1])
+    assert cut_series == series
+
+
 def test_offline_tiles_do_not_exchange():
     report, domain = run_sync(
         small_fabric(), zero_noise_config(), 10.0, seed=3, cls=RecordingDomain,
