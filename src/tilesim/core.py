@@ -25,7 +25,6 @@ from numpy.random import Philox
 
 SimTime = int  # picoseconds
 
-PS_PER_NS = 1_000
 PS_PER_US = 1_000_000
 PS_PER_MS = 1_000_000_000
 PS_PER_S = 1_000_000_000_000

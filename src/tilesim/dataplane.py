@@ -3,10 +3,11 @@
 A run carries one stream of tile samples, so the broker is the topic.
 Records land on partitions by a stable 64-bit FNV-1a hash of the key, get
 dense per-partition offsets in broker arrival order, and age out of a fixed
-ring buffer.  Consumer groups track committed offsets per partition with
-at-least-once semantics: a member that vanishes before committing causes
-redelivery to whoever inherits its partitions.  `LinkLoadTracker` counts
-link bytes record by record, the reference for a run's closed-form load.
+ring buffer.  A group member's partitions follow from its rank; a group
+commits offsets per partition for at-least-once delivery: a member that
+vanishes before committing causes redelivery to whoever inherits its
+partitions.  `LinkLoadTracker` counts link bytes record by record, the
+reference for a run's closed-form load.
 
 The append path is built for saturated logs.  A partition keeps its
 retained records column by column (keys, sizes, produce times in an
@@ -23,6 +24,7 @@ so at no point does it hold the whole topic as text.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,11 +61,6 @@ class Record(NamedTuple):
     offset: int
 
 
-# tuple.__new__(Record, row) builds a record from a row tuple without the
-# Python-level call `Record._make` makes
-_new_tuple = tuple.__new__
-
-
 class _Partition:
     """Retained records of one partition, as four columns.
 
@@ -73,8 +70,8 @@ class _Partition:
     key (its slot becomes None) and advances `_head`; the emptied prefix of
     every column is dropped once it reaches a sixteenth of the retention,
     which keeps appends O(1) amortized.  A read builds only the records it
-    returns, in C: `tuple.__new__(Record, row)` mapped over the zip of the
-    column slices (`rows`).
+    returns, in C, not through `Record._make`: `tuple.__new__(Record, row)`
+    mapped over the zip of the column slices (`rows`).
     """
 
     def __init__(self, retention: int):
@@ -174,12 +171,13 @@ class PollResult:
 
     @cached_property
     def records(self) -> list[Record]:
-        return list(map(_new_tuple, repeat(Record), chain.from_iterable(self.rows)))
+        return list(map(tuple.__new__, repeat(Record), chain.from_iterable(self.rows)))
 
 
 class ConsumerGroup:
-    """Range partition assignment of the broker's partitions over sorted
-    member ids.
+    """Range partition assignment of the broker's partitions over the
+    sorted member ids, worked out from a member's rank alone, so the group
+    holds no assignment.  `rebalances` counts its membership changes.
 
     Poll positions are per-session: any membership change resets every
     member to the committed offsets, which is what produces the
@@ -189,52 +187,48 @@ class ConsumerGroup:
     def __init__(self, group_id: str, broker: Broker):
         self.group_id = group_id
         self.broker = broker
-        self.members: list[str] = []
+        self.members: list[str] = []   # sorted
         self.committed: dict[int, int] = {}
         self.last_delivered: dict[int, int] = {}
         self._positions: dict[str, dict[int, int]] = {}
-        self._assignment: dict[str, list[int]] = {}
-        self.rebalances: list[dict] = []
+        self.rebalances = 0
 
     def join(self, member_id: str) -> None:
-        if member_id in self.members:
+        if self._span(member_id) is not None:
             raise ConfigurationError(f"{member_id} already in group")
-        self.members.append(member_id)
-        self.members.sort()
-        self._rebalance("join", member_id)
+        insort(self.members, member_id)
+        self._positions = {}
+        self.rebalances += 1
 
     def leave(self, member_id: str) -> None:
         self.members.remove(member_id)
-        self._rebalance("leave", member_id)
-
-    def _rebalance(self, why: str, member_id: str) -> None:
-        """Reset every poll position and split the partitions into
-        contiguous ranges over the sorted members; the first (count mod
-        members) members absorb the remainder."""
         self._positions = {}
-        per, extra = divmod(len(self.broker.partitions),
-                            max(1, len(self.members)))
-        out = self._assignment = {}
-        i = 0
-        for k, m in enumerate(self.members):
-            n = per + (1 if k < extra else 0)
-            out[m] = list(range(i, i + n))
-            i += n
-        self.rebalances.append({"why": why, "member": member_id,
-                                "assignment": out})
+        self.rebalances += 1
+
+    def _span(self, member_id: str) -> range | None:
+        """The partitions of the member of rank k (None for a non-member):
+        with per, extra = divmod(partitions, members), per + (k < extra) of
+        them from k * per + min(k, extra), so the first `extra` take one more."""
+        k = bisect_left(self.members, member_id)
+        if k == len(self.members) or self.members[k] != member_id:
+            return None
+        per, extra = divmod(len(self.broker.partitions), len(self.members))
+        start = k * per + min(k, extra)
+        return range(start, start + per + (k < extra))
 
     def partitions_of(self, member_id: str) -> list[int]:
-        return self._assignment.get(member_id, [])
+        return list(self._span(member_id) or ())
 
     def poll(self, member_id: str, max_records: int = 500) -> PollResult:
-        if member_id not in self.members:
+        span = self._span(member_id)
+        if span is None:
             raise ConfigurationError(f"{member_id} is not a group member")
         pos = self._positions.setdefault(member_id, {})
         partitions = self.broker.partitions
         rows = []
         gap = False
         budget = max_records
-        for p in self.partitions_of(member_id):
+        for p in span:
             if budget <= 0:
                 break
             part = partitions[p]

@@ -297,12 +297,8 @@ def _cable_length_m(cfg: FabricConfig, tile: TileNode, sw: SwitchNode,
         d = sum(abs(tile.center[i] - sw.position[i]) for i in range(3))
         return round(d + cfg.slack_m, 4)
     if cfg.cable_model == "uniform":
-        if rng is None:
-            raise ConfigurationError("uniform cable model needs a random stream")
         return round(rng.uniform(cfg.cable_min_m, cfg.cable_max_m), 4)
-    if cfg.cable_model == "fixed":
-        return cfg.cable_fixed_m
-    raise ConfigurationError(f"unknown cable model {cfg.cable_model!r}")
+    return cfg.cable_fixed_m
 
 
 def _delay_ps(length_m: float, prop_ns_per_m: float) -> int:
@@ -329,6 +325,10 @@ def build_default_fabric(config: FabricConfig | None = None,
     for k in cfg.counts:
         if k not in SURFACE_NAMES:
             raise ConfigurationError(f"unknown surface {k!r}")
+    if cfg.cable_model not in ("manhattan", "uniform", "fixed"):
+        raise ConfigurationError(f"unknown cable model {cfg.cable_model!r}")
+    if cfg.cable_model == "uniform" and rng is None:
+        raise ConfigurationError("uniform cable model needs a random stream")
     faces = _faces(cfg.room, {**DEFAULT_FACE_DIMS, **cfg.face_dims})
     packings = {}
     for surface, face in faces.items():

@@ -130,20 +130,21 @@ class _Dataplane:
         polled = 0
         period = self.poll_period = from_seconds(cfg.poll_interval_ms / 1e3)
         spacing = period // max(1, cfg.consumer_groups * cfg.consumers_per_group)
-        k = 0
         for g in range(cfg.consumer_groups):
             group = ConsumerGroup(f"g{g}", self.broker)
-            for c in range(cfg.consumers_per_group):
-                group.join(f"g{g}-c{c}")
             self.groups.append(group)
             for c in range(cfg.consumers_per_group):
-                start = period + k * spacing
-                polled += loop.every(start, period, until, "dataplane",
-                                     f"g{g}-c{c}", "poll", self._poll,
-                                     (group, f"g{g}-c{c}", start))
-                k += 1
+                member = f"g{g}-c{c}"
+                group.join(member)
+                start = period + (g * cfg.consumers_per_group + c) * spacing
+                polled += loop.every(start, period, until, "dataplane", member,
+                                     "poll", self._poll, (group, member, start))
+        # a poll walks ceil(partitions / members) partitions at most, empty
+        # ones too: the first counts with the poll, the rest under partitions
         self.events = {"dataplane.produce_interval_ms": sum(self.counts.values()),
-                       "dataplane.poll_interval_ms": polled}
+                       "dataplane.poll_interval_ms": 2 * polled,
+                       "dataplane.partitions":
+                           (cfg.partitions - 1) // cfg.consumers_per_group * polled}
 
     def catch_up(self, at: SimTime, start: SimTime | None = None,
                  period: SimTime | None = None) -> None:
@@ -248,8 +249,7 @@ class _Dataplane:
         return {"topic": self.cfg.topic, "partitions": self.cfg.partitions,
                 "published": self.broker.published,
                 "delivered": dict(sorted(self.delivered.items())),
-                "rebalances": {g.group_id: len(g.rebalances)
-                               for g in self.groups}}
+                "rebalances": {g.group_id: g.rebalances for g in self.groups}}
 
 
 def _records_through(x, ok, offsets, counts, step):
@@ -343,9 +343,9 @@ STAGES = {"power": _Power, "dataplane": _Dataplane, "timesync": _Timesync,
           "coherent": _Coherent, "rover": _Rover}
 
 # the most periodic work one run may ask for, counted in events: sync
-# exchanges (two each) and produced records, a tile's up to its cut,
-# consumer polls and mission ticks together, with the clocks' frequency-walk
-# steps counted too.  A record and an exchange fire no event; their work counts.
+# exchanges (two each), produced records (a tile's up to its cut), consumer
+# polls and their partition visits, mission ticks and the clocks'
+# frequency-walk steps.  A record and an exchange fire no event; their work counts.
 # Every event of a run is a consumer poll of such a series.
 MAX_PERIODIC_EVENTS = 10_000_000
 

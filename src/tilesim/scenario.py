@@ -290,8 +290,8 @@ RULES = {
     "power.peripheral_mw": Count(0), "power.detection_window_ms": Count(0),
     "dataplane.partitions": Count(1, 100_000), "dataplane.retention_records": Count(1),
     "dataplane.producer_tiles": Count(0), "dataplane.record_bytes": Count(0),
-    # a group keeps each join's assignment: its set-up grows with members squared
-    "dataplane.consumer_groups": Count(0, 5_000), "dataplane.consumers_per_group": Count(1, 500),
+    # their product, the run's consumers, is held to MAX_CONSUMERS across fields
+    "dataplane.consumer_groups": Count(0), "dataplane.consumers_per_group": Count(1),
     "dataplane.max_poll_records": Count(1), "dataplane.produce_interval_ms": Period(),
     "dataplane.poll_interval_ms": Period(), "dataplane.load_window_ms": Period(),
     "rover.resolution_m": Scale(positive=True),
@@ -318,6 +318,8 @@ RULES = {
     "timesync.convergence_threshold_us": Scale(positive=True),
     "timesync.convergence_samples": Count(1),
 }
+
+MAX_CONSUMERS = 50_000   # groups times members, each a poll series; set-up well under 1 s
 
 # rules that bind only once power.overdraw_tile names a tile to overdraw
 OVERDRAW_RULES = {"power.overdraw_at_s": Delay(), "power.overdraw_w": Scale()}
@@ -360,6 +362,10 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     elif cfg.coherent.enabled and not all(0 <= v <= side for v, side in zip(
             cfg.coherent.target, (room.length_m, room.width_m, room.height_m))):
         problems.append("coherent.target lies outside the room")
+    d = cfg.dataplane
+    if d.enabled and (n := d.consumer_groups * d.consumers_per_group) > MAX_CONSUMERS:
+        problems.append(f"dataplane.consumer_groups times consumers_per_group is {n:,} "
+                        f"consumers; a run may have at most {MAX_CONSUMERS:,}")
     if cfg.power.enabled and cfg.power.overdraw_tile is not None:
         problems += _rule_problems(cfg, OVERDRAW_RULES)
     if cfg.rover.enabled:

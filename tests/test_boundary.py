@@ -10,7 +10,8 @@ one line naming its key; every other case must set up, unless
 work bound.  Tier-1 sets every case up in-process through
 `prepare_scenario` and runs a sample of scenarios with one to three keys
 changed through the command line.  The full sweep runs every single-key
-case that sets up to the end, in one process, with an alarm on each:
+case, and each two-key case of `TWO_KEY_CASES`, that sets up to the end, in
+one process, with an alarm on each:
 
     PYTHONPATH=src python tests/test_boundary.py
 """
@@ -27,6 +28,7 @@ import tempfile
 import time
 import traceback
 import typing
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -38,8 +40,8 @@ from hypothesis import strategies as st
 from tilesim.cli import main
 from tilesim.fabric import ConfigurationError
 from tilesim.orchestrator import prepare_scenario, run_scenario
-from tilesim.scenario import (OVERDRAW_RULES, RULES, ScenarioConfig,
-                              scenario_from_dict)
+from tilesim.scenario import (MAX_CONSUMERS, OVERDRAW_RULES, RULES,
+                              ScenarioConfig, load_scenario, scenario_from_dict)
 
 PROBE = {"name": "probe", "seed": 3, "duration_s": 2.0,
          "fabric": {"counts": {"wall_a": 2, "wall_b": 2, "floor": 2,
@@ -129,6 +131,8 @@ BEYOND_RULES = [
      "more than one beacon fix per rover.tick_s"),
     (["fabric.cable_model", "power.overdraw_tile"], ("x",),
      "no such cable model, no such powered tile"),
+    (["dataplane.consumer_groups", "dataplane.consumers_per_group"], (10**7,),
+     "consumers (groups times members) over their bound"),
 ]
 _BEYOND = {(key, value) for keys, values, _ in BEYOND_RULES
            for key in keys for value in values}
@@ -312,40 +316,118 @@ def test_the_work_bound_counts_exchanges_and_walk_steps(doc, key):
         prepare_scenario(cfg)
 
 
+# Two dataplane keys that each pass their rule.  A group once kept each
+# join's whole assignment, so 100,000 partitions over 500 consumers a group
+# ran out of a 3 GB address space after 5 s of set-up; the consumers,
+# groups times members, are now bounded as one product.  Each case names
+# the key its refusal starts with, or None where it sets up.
+TWO_KEY_CASES = [
+    ({"partitions": 100_000, "consumers_per_group": 500}, None),
+    ({"consumer_groups": MAX_CONSUMERS // 500, "consumers_per_group": 500}, None),
+    ({"consumer_groups": 1, "consumers_per_group": MAX_CONSUMERS + 1},
+     "dataplane.consumer_groups"),
+]
+
+
+def two_key_doc(keys) -> dict:
+    return probe_with([(("dataplane", key), value) for key, value in keys.items()])
+
+
+def check_two_key(keys, key, refusal: ConfigurationError | None) -> None:
+    """Assert that a two-key case set up or was refused, in one line
+    starting with `key`, as `TWO_KEY_CASES` says."""
+    if key is None:
+        assert refusal is None, (keys, str(refusal))
+        return
+    message = str(refusal)
+    assert "\n" not in message and message.startswith(f"{key} "), (keys, message)
+
+
+@pytest.mark.parametrize("keys,key", TWO_KEY_CASES, ids=str)
+def test_two_dataplane_keys_set_up_in_well_under_a_second(keys, key):
+    refusal = None
+    t0 = time.perf_counter()
+    try:
+        prepare_scenario(scenario_from_dict(two_key_doc(keys)))
+    except ConfigurationError as e:
+        refusal = e
+    # each took 0.4 s or less on a 2-core host; 3 s leaves room for a slower one
+    assert time.perf_counter() - t0 < 3.0
+    check_two_key(keys, key, refusal)
+
+
+def test_unknown_cable_model_with_no_tiles_exits_1_with_one_line(tmp_path):
+    # the model was checked only when the first tile was cabled, so a
+    # fabric with no tiles took any model
+    doc = probe_with([(("fabric", "counts"), {}), (("fabric", "cable_model"), "x")])
+    path = tmp_path / "probe.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    runs = tmp_path / "runs"
+    for args in (["validate", str(path)], ["run", str(path), "--out", str(runs)]):
+        out, err = io.StringIO(), io.StringIO()
+        with alarm(60), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(args)
+        said = out if args[0] == "validate" else err
+        (line,) = said.getvalue().splitlines()
+        assert code == 1 and line.endswith("fabric: unknown cable model 'x'"), line
+    assert not runs.exists()
+
+
+def test_a_polls_partition_visits_count_in_the_work_bound(tmp_path):
+    # a poll walks each of its member's partitions, empty ones too: the
+    # default run's 11,993 polls of 8 partitions over 4 members a group add
+    # 2 visits each, the first counted with the poll.  100,000 partitions
+    # for 300 s are 300 million visits, which the bound once let run
+    cfg = load_scenario(Path(__file__).resolve().parents[1] / "scenarios/default.yaml")
+    events = prepare_scenario(cfg).stages["dataplane"].events
+    assert events["dataplane.poll_interval_ms"] == 2 * 11_993
+    assert events["dataplane.partitions"] == 11_993
+    path = tmp_path / "partitions.yaml"
+    path.write_text(yaml.safe_dump({"dataplane": {"partitions": 100_000}}))
+    out = io.StringIO()
+    with alarm(60), contextlib.redirect_stdout(out):
+        assert main(["validate", str(path)]) == 1
+    (line,) = out.getvalue().splitlines()
+    assert line.startswith("problem: dataplane.partitions asks for "), line
+
+
 def sweep(seconds: int = 10) -> int:
-    """Run every single-key case through `run_scenario`, each under an
-    alarm; print each one that ends in a traceback, a timeout or otherwise
-    than predicted, and return how many did."""
+    """Run every single-key case and each of `TWO_KEY_CASES` through
+    `run_scenario`, each under an alarm; print each one that ends in a
+    traceback, a timeout or otherwise than predicted, and return how many
+    did."""
+    checks = [(f"{'.'.join(path)}: {value!r}", probe_with([(path, value)]),
+               partial(check_outcome, path, value))
+              for path in KEYS for value in cases(path)]
+    checks += [(str(keys), two_key_doc(keys), partial(check_two_key, keys, key))
+               for keys, key in TWO_KEY_CASES]
     bad = ran = 0
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        for path in KEYS:
-            for value in cases(path):
-                case = f"{'.'.join(path)}: {value!r}"
-                refusal = None
-                try:
-                    with alarm(seconds):
-                        run_scenario(scenario_from_dict(probe_with([(path, value)])),
-                                     tmp)
-                    ran += 1
-                except ConfigurationError as e:
-                    refusal = e
-                except _Alarm:
-                    bad += 1
-                    print(f"{case}: no end after {seconds} s")
-                    continue
-                except Exception:
-                    bad += 1
-                    print(f"{case}: traceback")
-                    traceback.print_exc(file=sys.stdout)
-                    continue
-                try:
-                    check_outcome(path, value, refusal)
-                except AssertionError as e:
-                    bad += 1
-                    print(f"{case}: not as predicted: {e}")
-    print(f"{len(KEYS) * len(VALUES) + len(SHAPED_CASES)} cases, {ran} ran to the end, "
-          f"{bad} failed, "
+        for case, doc, check in checks:
+            refusal = None
+            try:
+                with alarm(seconds):
+                    run_scenario(scenario_from_dict(doc), tmp)
+                ran += 1
+            except ConfigurationError as e:
+                refusal = e
+            except _Alarm:
+                bad += 1
+                print(f"{case}: no end after {seconds} s")
+                continue
+            except Exception:
+                bad += 1
+                print(f"{case}: traceback")
+                traceback.print_exc(file=sys.stdout)
+                continue
+            try:
+                check(refusal)
+            except AssertionError as e:
+                bad += 1
+                print(f"{case}: not as predicted: {e}")
+    print(f"{len(checks)} cases, {ran} ran to the end, {bad} failed, "
           f"{time.perf_counter() - t0:.0f} s")
     return bad
 

@@ -372,8 +372,7 @@ def test_rebalance_redelivers_uncommitted():
     g.join("c1")                        # membership change resets positions
     again = g.poll("c0", 100).records + g.poll("c1", 100).records
     assert [r.offset for r in again] == [3, 4, 5]
-    assert len(g.rebalances) == 2
-    assert g.rebalances[-1]["why"] == "join"
+    assert g.rebalances == 2            # two joins
 
 
 def test_leave_triggers_rebalance():
@@ -384,7 +383,7 @@ def test_leave_triggers_rebalance():
     g.leave("c1")
     assert g.members == ["c0"] and g.partitions_of("c0") == [0, 1]
     assert g.partitions_of("c1") == []
-    assert [r["why"] for r in g.rebalances] == ["join", "join", "leave"]
+    assert g.rebalances == 3            # two joins and a leave
 
 
 def test_cached_assignment_follows_each_join_and_leave():
@@ -400,6 +399,79 @@ def test_cached_assignment_follows_each_join_and_leave():
     assert g.partitions_of("c0") == []
     g.leave("c1")
     assert g.members == [] and g.partitions_of("c1") == []
+
+
+class ParentAssignment:
+    """The membership of `ConsumerGroup` when each join and leave rebuilt
+    every member's partition list and kept it, with why and who, in
+    `rebalances`; `join`, `leave`, `_rebalance` and `partitions_of` are
+    copied verbatim."""
+
+    def __init__(self, broker):
+        self.broker = broker
+        self.members = []
+        self._positions = {}
+        self._assignment = {}
+        self.rebalances = []
+
+    def join(self, member_id: str) -> None:
+        if member_id in self.members:
+            raise ConfigurationError(f"{member_id} already in group")
+        self.members.append(member_id)
+        self.members.sort()
+        self._rebalance("join", member_id)
+
+    def leave(self, member_id: str) -> None:
+        self.members.remove(member_id)
+        self._rebalance("leave", member_id)
+
+    def _rebalance(self, why: str, member_id: str) -> None:
+        """Reset every poll position and split the partitions into
+        contiguous ranges over the sorted members; the first (count mod
+        members) members absorb the remainder."""
+        self._positions = {}
+        per, extra = divmod(len(self.broker.partitions),
+                            max(1, len(self.members)))
+        out = self._assignment = {}
+        i = 0
+        for k, m in enumerate(self.members):
+            n = per + (1 if k < extra else 0)
+            out[m] = list(range(i, i + n))
+            i += n
+        self.rebalances.append({"why": why, "member": member_id,
+                                "assignment": out})
+
+    def partitions_of(self, member_id: str) -> list[int]:
+        return self._assignment.get(member_id, [])
+
+
+@settings(max_examples=200, deadline=None)
+@example(partitions=3, toggles=list(range(40)))
+@example(partitions=600, toggles=list(range(40)) + list(range(0, 40, 3)))
+@given(partitions=st.one_of(st.integers(1, 40), st.integers(1, 600)),
+       toggles=st.lists(st.integers(0, 39), max_size=120))
+def test_each_members_range_from_its_rank_equals_the_rebuilt_assignment(
+        partitions, toggles):
+    # each toggle joins a member, or has it leave if it is one: 0 to 40
+    # members over 1 to 600 partitions, more members than partitions too
+    b = broker_with(partitions=partitions)
+    g, ref = ConsumerGroup("g", b), ParentAssignment(b)
+    for i in toggles:
+        m = f"c{i}"
+        for group in (g, ref):
+            (group.leave if m in group.members else group.join)(m)
+        assert g.members == ref.members
+        for m in g.members + ["ghost"]:
+            assert g.partitions_of(m) == ref.partitions_of(m), m
+    assert g.rebalances == len(ref.rebalances) == len(toggles)
+
+
+def test_leave_requires_membership():
+    g = ConsumerGroup("g", broker_with())
+    g.join("c")
+    with pytest.raises(ValueError):
+        g.leave("ghost")
+    assert g.members == ["c"] and g.rebalances == 1
 
 
 def test_commit_past_frontier_rejected():
@@ -723,7 +795,7 @@ class EagerDataplane:
         return {"topic": self.cfg.topic, "partitions": self.cfg.partitions,
                 "published": self.broker.published,
                 "delivered": dict(sorted(self.delivered.items())),
-                "rebalances": {g.group_id: len(g.rebalances)
+                "rebalances": {g.group_id: g.rebalances
                                for g in self.groups}}
 
 
