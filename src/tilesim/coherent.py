@@ -7,18 +7,24 @@ values, so with perfect timing the cancellation is exact and the array gain
 is exactly N squared.  Timing errors are drawn per trial from the empirical
 post-convergence residual pool of each tile's disciplined clock.
 
+The phases live in pool space: each tile's pool entry, truncated to the
+shortest pool, has its phase worked out once, into an (n, min_pool) table
+that holds the phasors themselves when there is no phase noise.  A trial
+gathers its row of n entries from the table and sums it, so with no
+phase noise the exponentials a run takes follow the pools, not the trials.
+
 Trials are evaluated in blocks of about `_BLOCK_ELEMENTS` trial-element
 pairs, so an array of n tiles takes `max(1, _BLOCK_ELEMENTS // n)` trials
 a block and the pass's temporaries stay one size however large the array
 is.  Each trial reads the words of the stream it owns, so its gain does
 not depend on the block it lands in, a block costs one read of words, and
-its gains come out of one (trials, n) array pass, bit for bit equal to
-summing each trial's phasors alone.
+its gains come out of one (trials, n) gather and sum, bit for bit equal
+to summing each trial's phasors alone: every table entry is the same
+elementwise expression of the same inputs.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -33,6 +39,7 @@ CARRIER_MAX_HZ = 6e9
 MAX_TX_POWER_DBM = 20.0
 _BLOCK_ELEMENTS = 16384   # trial-element pairs per array pass: its element budget
 MAX_TRIAL_ELEMENTS = 10_000_000   # trial-element pairs per run, refused past it
+_CSV_BLOCK = 4096   # gains.csv rows per write
 
 
 class CoherentError(RuntimeError):
@@ -75,12 +82,6 @@ def coherent_gain(phases) -> float:
     return float(s.real * s.real + s.imag * s.imag)
 
 
-def coherent_gain_batch(phases: np.ndarray) -> np.ndarray:
-    """Row-wise gain for a (trials, n) phase matrix."""
-    s = np.exp(1j * phases).sum(axis=1)
-    return (s.real * s.real + s.imag * s.imag)
-
-
 def expected_gain(n: int, sigma_rad: float) -> float:
     """Mean gain for independent zero-mean gaussian phase errors."""
     return n + n * (n - 1) * math.exp(-sigma_rad * sigma_rad)
@@ -105,11 +106,14 @@ class GainResult:
                 "efficiency": self.efficiency}
 
     def write_csv(self, path) -> None:
+        """One row per trial, laid out exactly as `csv.writer` would write
+        it, `_CSV_BLOCK` rows a write, so its memory does not grow with the
+        trials."""
         with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["trial", "gain"])
-            for i, g in enumerate(self.gains):
-                w.writerow([i, repr(float(g))])
+            f.write("trial,gain\r\n")
+            for start in range(0, len(self.gains), _CSV_BLOCK):
+                f.write("".join([f"{i},{g!r}\r\n" for i, g in enumerate(
+                    self.gains[start:start + _CSV_BLOCK].tolist(), start)]))
 
 
 def evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
@@ -138,8 +142,7 @@ def evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
         raise CoherentError("no transmitting tiles")
     nodes = [SdrNode(t, carrier_hz, tx_power_dbm) for t in tiles]
 
-    pools = [np.asarray(sync_report.post_convergence(t)) * 1e-12   # ps -> s
-             for t in tiles]
+    pools = [np.asarray(sync_report.post_convergence(t)) for t in tiles]   # ps
     missing = [t for t, pool in zip(tiles, pools) if len(pool) == 0]
     if missing:
         raise CoherentError(f"no converged sync data for: {missing}")
@@ -148,8 +151,15 @@ def evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
                     for t in tiles])
     weights = geo   # conjugate weighting: identical stored values cancel exactly
 
+    # each pool entry's phase made once, tile by tile, into an (n, min_pool)
+    # table, and with no phase noise its phasor: a trial gathers its row
+    noisy = bool(phase_noise_sigma_rad)
     min_pool = min(len(p) for p in pools)
-    pool_mat = np.stack([p[:min_pool] for p in pools])
+    table = np.empty((n, min_pool), float if noisy else complex)
+    for j, p in enumerate(pools):
+        dt = p[:min_pool] * 1e-12   # ps -> s
+        phase = geo[j] - weights[j] + wrap_phase(2 * np.pi * carrier_hz * dt)
+        table[j] = phase if noisy else np.exp(1j * phase)
 
     gains = np.empty(trials)
     columns = np.arange(n)
@@ -158,11 +168,11 @@ def evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         w = rng.words(start * stride, (stop - start) * stride).reshape(-1, stride)
-        dt = pool_mat[columns, as_indices(w[:, :n], min_pool)]
-        phi = geo - weights + wrap_phase(2 * np.pi * carrier_hz * dt)
-        if phase_noise_sigma_rad:
-            phi = phi + as_normals(w[:, n:])[:, :n] * phase_noise_sigma_rad
-        gains[start:stop] = coherent_gain_batch(phi)
+        row = table[columns, as_indices(w[:, :n], min_pool)]
+        if noisy:
+            row = np.exp(1j * (row + as_normals(w[:, n:])[:, :n] * phase_noise_sigma_rad))
+        s = row.sum(axis=1)
+        gains[start:stop] = s.real * s.real + s.imag * s.imag
 
     mean = float(gains.mean())
     return GainResult(n, carrier_hz, trials, mean, float(gains.var()),

@@ -163,11 +163,13 @@ class Broker:
 
 @dataclass
 class PollResult:
-    """A poll's record count, whether eviction skipped a read position, and
-    its `records`, built on first read from the column slices it took."""
+    """A poll's record count, whether eviction skipped a read position, the
+    member's `partitions`, and its `records`, built on first read from the
+    column slices it took."""
     count: int
     gap: bool
     rows: list
+    partitions: range
 
     @cached_property
     def records(self) -> list[Record]:
@@ -243,7 +245,7 @@ class ConsumerGroup:
                 pos[p] = start + n
                 self.last_delivered[p] = max(self.last_delivered.get(p, -1),
                                              start + n - 1)
-        return PollResult(max_records - budget, gap, rows)
+        return PollResult(max_records - budget, gap, rows, span)
 
     def commit(self, partition: int, offset: int) -> None:
         if offset < 0:

@@ -230,8 +230,9 @@ class _Dataplane:
     def _poll(self, arg) -> None:
         group, member, start = arg
         self.catch_up(self.loop.now, start, self.poll_period)
-        self.delivered[group.group_id] += group.poll(member, self.cfg.max_poll_records).count
-        for p in group.partitions_of(member):
+        polled = group.poll(member, self.cfg.max_poll_records)
+        self.delivered[group.group_id] += polled.count
+        for p in polled.partitions:
             last = group.last_delivered.get(p)
             if last is not None:
                 group.commit(p, last + 1)

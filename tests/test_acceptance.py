@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from tilesim.coherent import coherent_gain_batch, evaluate_beamforming, expected_gain
+from tilesim.coherent import evaluate_beamforming, expected_gain
 from tilesim.core import RngStream, from_seconds
 from tilesim.dataplane import Broker, ConsumerGroup, fnv1a64
 from tilesim.fabric import FabricConfig, Room, build_default_fabric
@@ -24,6 +24,7 @@ from tilesim.scenario import scenario_from_dict
 from tilesim.timesync import OscillatorConfig, TimesyncConfig
 
 from sync_recorder import RecordingDomain, run_sync
+from test_coherent import coherent_gain_batch
 
 
 def quiet_osc(offset_us=0.0, granularity_ps=1):

@@ -1,13 +1,21 @@
 """Phase arithmetic and Monte Carlo array-gain evaluation."""
 
+import csv
 import math
+import os
+import tempfile
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tilesim import coherent
 from tilesim.coherent import (_BLOCK_ELEMENTS, CARRIER_MAX_HZ, CARRIER_MIN_HZ,
                               CoherentError, SPEED_OF_LIGHT_M_S, GainResult, SdrNode,
-                              coherent_gain, coherent_gain_batch,
+                              coherent_gain,
                               evaluate_beamforming, expected_gain,
                               steering_phase, wrap_phase)
 from tilesim.core import RngStream, as_normals
@@ -167,6 +175,12 @@ def test_evaluation_is_seed_deterministic():
     assert np.array_equal(a.gains, b.gains)
 
 
+def coherent_gain_batch(phases: np.ndarray) -> np.ndarray:
+    """Row-wise gain for a (trials, n) phase matrix."""
+    s = np.exp(1j * phases).sum(axis=1)
+    return (s.real * s.real + s.imag * s.imag)
+
+
 def per_trial_evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
                                    target, trials: int, rng: RngStream,
                                    tiles: list[str],
@@ -197,21 +211,45 @@ def per_trial_evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: floa
                       mean / (n * n), gains)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 16, 33, 140])
+@lru_cache(maxsize=1)
+def full_fabric() -> Fabric:
+    return build_default_fabric(FabricConfig())
+
+
+# The six cases of each noise level draw n from consecutive bands, (0, 1]
+# up to (33, 140], so together they draw every array size from 1 to 140.
+N_BANDS = {1: 0, 2: 1, 7: 2, 16: 7, 33: 16, 140: 33}
+
+
+@pytest.mark.parametrize("n_max", list(N_BANDS))
 @pytest.mark.parametrize("noise", [0.0, 0.2])
-def test_batched_trials_equal_the_per_trial_loop(n, noise):
-    # the oracle reads each trial's own words one trial at a time; one
-    # block and a partial one cross a block edge at every n, and pools of
-    # unequal length exercise the truncation to the shortest
-    fab = build_default_fabric(FabricConfig())
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_batched_trials_equal_the_per_trial_loop(n_max, noise, data):
+    # the oracle reads each trial's own words one trial at a time; pools of
+    # unequal length, the shortest down to one entry, exercise the
+    # truncation, and trial counts from just short of the first block's
+    # edge to just past it the last, partial block
+    n = data.draw(st.integers(N_BANDS[n_max] + 1, n_max), label="n")
+    min_pool = data.draw(st.integers(1, 40), label="min_pool")
+    extra = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n),
+                      label="extra")
+    block = max(1, _BLOCK_ELEMENTS // n)
+    trials = max(1, block + data.draw(st.integers(-3, 3), label="past_edge"))
+    carrier = data.draw(st.sampled_from([CARRIER_MIN_HZ, CARRIER_MAX_HZ]),
+                        label="carrier_hz")
+
+    fab = full_fabric()
     tiles = sorted(fab.tiles)[:n]
     report = SyncReport(threshold_ps=10**9, consecutive=1)
     draws = RngStream(8, "residuals")
-    for k, node in enumerate(tiles):
-        for i in range(40 + k % 5):
-            report.add_sample(node, i, draws.normal(scale=120.0))
+    lengths = [min_pool + e for e in extra]
+    lengths[data.draw(st.integers(0, n - 1), label="shortest")] = min_pool
+    for node, length in zip(tiles, lengths):
+        report.add_series(node, range(length),
+                          [draws.normal(scale=120.0) for _ in range(length)])
     report.finalize()
-    args = (fab, report, 2.45e9, (4, 2, 1), max(1, _BLOCK_ELEMENTS // n) + 6)
+    args = (fab, report, carrier, (4, 2, 1), trials)
     new = evaluate_beamforming(*args, RngStream(5, "bf"), tiles=tiles,
                                phase_noise_sigma_rad=noise)
     old = per_trial_evaluate_beamforming(*args, RngStream(5, "bf"), tiles=tiles,
@@ -236,6 +274,31 @@ def test_target_outside_room_rejected():
     with pytest.raises(ConfigurationError, match="outside"):
         evaluate_beamforming(fab, report, 2.45e9, (99, 0, 0), 10,
                              RngStream(5, "bf"))
+
+
+def csv_writer_write_csv(result: GainResult, path) -> None:
+    # GainResult.write_csv as it stood when it wrote one csv.writer row per
+    # trial; kept verbatim as the oracle for the block writer
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["trial", "gain"])
+        for i, g in enumerate(result.gains):
+            w.writerow([i, repr(float(g))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(gains=st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-300, 1e300])),
+                      min_size=1, max_size=12))
+def test_gains_csv_matches_csv_writer_byte_for_byte(gains):
+    # three rows a write, so a dozen rows cross several block edges
+    res = GainResult(1, 1e9, len(gains), 0.0, 0.0, 0.0, np.array(gains))
+    with tempfile.TemporaryDirectory() as d, \
+            mock.patch.object(coherent, "_CSV_BLOCK", 3):
+        got, want = os.path.join(d, "got.csv"), os.path.join(d, "want.csv")
+        res.write_csv(got)
+        csv_writer_write_csv(res, want)
+        with open(got, "rb") as g, open(want, "rb") as w:
+            assert g.read() == w.read()
 
 
 def test_gain_result_summary_and_csv(tmp_path):

@@ -298,6 +298,7 @@ def test_poll_counts_and_records_equal_the_building_poll(partitions, retention,
             res = new.poll(m, n)
             recs, gap = parent_poll(old, m, n)
             assert (res.count, res.gap) == (len(recs), gap)
+            assert list(res.partitions) == old.partitions_of(m)
             unread.append((res, recs))
         else:
             for p in new.partitions_of(m):

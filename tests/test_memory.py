@@ -10,9 +10,10 @@ allocations made while it traces, from zero at `start`.
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from tilesim import dataplane
-from tilesim.coherent import evaluate_beamforming
+from tilesim import coherent, dataplane
+from tilesim.coherent import GainResult, evaluate_beamforming
 from tilesim.core import RngRegistry, RngStream, from_seconds
 from tilesim.dataplane import Broker
 from tilesim.fabric import FabricConfig, build_default_fabric
@@ -96,6 +97,45 @@ def test_beamforming_peak_does_not_grow_with_the_trials():
     one, eight = peak(128), peak(8 * 128)
     # only the gains array itself, 8 bytes a trial, may grow
     assert eight - one < 7 * 128 * 8 + 64 * 1024
+
+
+def test_gains_csv_peak_does_not_grow_with_the_trials(tmp_path):
+    path = tmp_path / "gains.csv"
+
+    def peak(trials):
+        gains = np.random.default_rng(5).normal(100.0, 30.0, trials)
+        res = GainResult(140, 2.45e9, trials, 0.0, 0.0, 0.0, gains)
+        return traced_peak(res.write_csv, path)
+
+    block = coherent._CSV_BLOCK
+    small = peak(2 * block)
+    large = peak(8 * block)
+    block_bytes = path.stat().st_size // 8   # one block's rows as text
+    assert large - small < block_bytes
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.2])
+def test_beamforming_peak_is_its_table_and_one_block(noise):
+    # the phase table (phasors, 16 bytes an entry, with no phase noise;
+    # phases, 8, with it) is the stage's one copy of its pools, which it
+    # reads in place, and a block's words, indices and phasors take under
+    # 128 bytes a trial-element pair
+    fab = build_default_fabric(FabricConfig())
+    tiles = sorted(fab.tiles)[:140]
+    report = SyncReport(threshold_ps=10**9, consecutive=1)
+    draws = np.random.default_rng(4)
+    for node in tiles:
+        report.add_series(node, range(20_000), draws.normal(0, 120, 20_000))
+    report.finalize()
+    table = 140 * 20_000 * (8 if noise else 16)
+    block = 128 * coherent._BLOCK_ELEMENTS
+    trials = 8 * (coherent._BLOCK_ELEMENTS // 140)
+    evaluate_beamforming(fab, report, 2.45e9, (4, 2, 1), 1, RngStream(5, "bf"),
+                         tiles=tiles, phase_noise_sigma_rad=noise)   # warm-up
+    peak = traced_peak(evaluate_beamforming, fab, report, 2.45e9, (4, 2, 1),
+                       trials, RngStream(5, "bf"), tiles=tiles,
+                       phase_noise_sigma_rad=noise)
+    assert peak < table + block
 
 
 def test_held_exchanges_do_not_grow_with_the_run(monkeypatch):
