@@ -377,15 +377,15 @@ class SyncReport:
         for node, r in self._resid.items():
             arr = np.asarray(r)
             self._resid[node] = arr
-            # the in-band runs as [start, stop) pairs, from where the band
-            # flag, out of band on either side, changes: the first run long
-            # enough starts convergence
-            ok = np.zeros(len(arr) + 2, bool)
-            np.less(np.abs(arr), self.threshold_ps, out=ok[1:-1])
-            edges = np.flatnonzero(ok[1:] != ok[:-1])
-            starts = edges[::2]
-            long = np.flatnonzero(edges[1::2] - starts >= self.consecutive)
-            self._conv_idx[node] = int(starts[long[0]]) if len(long) else None
+            ok = np.abs(arr) < self.threshold_ps
+            idx = None
+            run = 0
+            for i, good in enumerate(ok):
+                run = run + 1 if good else 0
+                if run == self.consecutive:
+                    idx = i - self.consecutive + 1
+                    break
+            self._conv_idx[node] = idx
 
     @property
     def nodes(self) -> list[str]:

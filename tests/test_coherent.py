@@ -216,6 +216,35 @@ def full_fabric() -> Fabric:
     return build_default_fabric(FabricConfig())
 
 
+def assert_batched_equals_per_trial(lengths: list[int], carrier_hz: float,
+                                    trials: int, noise: float) -> None:
+    # the oracle reads each trial's own words one trial at a time; pools of
+    # unequal length exercise the truncation to the shortest
+    fab = full_fabric()
+    tiles = sorted(fab.tiles)[:len(lengths)]
+    report = SyncReport(threshold_ps=10**9, consecutive=1)
+    draws = RngStream(8, "residuals")
+    for node, length in zip(tiles, lengths):
+        report.add_series(node, range(length),
+                          [draws.normal(scale=120.0) for _ in range(length)])
+    report.finalize()
+    args = (fab, report, carrier_hz, (4, 2, 1), trials)
+    new = evaluate_beamforming(*args, RngStream(5, "bf"), tiles=tiles,
+                               phase_noise_sigma_rad=noise)
+    old = per_trial_evaluate_beamforming(*args, RngStream(5, "bf"), tiles=tiles,
+                                         phase_noise_sigma_rad=noise)
+    assert new.gains.tobytes() == old.gains.tobytes()
+    assert new.summary() == old.summary()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 33, 140])
+@pytest.mark.parametrize("noise", [0.0, 0.2])
+def test_batched_trials_equal_the_per_trial_loop(n, noise):
+    # one block and a partial one cross a block edge at every n
+    assert_batched_equals_per_trial([40 + k % 5 for k in range(n)], 2.45e9,
+                                    max(1, _BLOCK_ELEMENTS // n) + 6, noise)
+
+
 # The six cases of each noise level draw n from consecutive bands, (0, 1]
 # up to (33, 140], so together they draw every array size from 1 to 140.
 N_BANDS = {1: 0, 2: 1, 7: 2, 16: 7, 33: 16, 140: 33}
@@ -225,37 +254,20 @@ N_BANDS = {1: 0, 2: 1, 7: 2, 16: 7, 33: 16, 140: 33}
 @pytest.mark.parametrize("noise", [0.0, 0.2])
 @settings(derandomize=True, deadline=None)
 @given(data=st.data())
-def test_batched_trials_equal_the_per_trial_loop(n_max, noise, data):
-    # the oracle reads each trial's own words one trial at a time; pools of
-    # unequal length, the shortest down to one entry, exercise the
-    # truncation, and trial counts from just short of the first block's
-    # edge to just past it the last, partial block
+def test_batched_trials_equal_the_per_trial_loop_on_drawn_arrays(n_max, noise, data):
+    # pools of unequal length, the shortest down to one entry, and trial
+    # counts from just short of the first block's edge to just past it
     n = data.draw(st.integers(N_BANDS[n_max] + 1, n_max), label="n")
     min_pool = data.draw(st.integers(1, 40), label="min_pool")
     extra = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n),
                       label="extra")
+    lengths = [min_pool + e for e in extra]
+    lengths[data.draw(st.integers(0, n - 1), label="shortest")] = min_pool
     block = max(1, _BLOCK_ELEMENTS // n)
     trials = max(1, block + data.draw(st.integers(-3, 3), label="past_edge"))
     carrier = data.draw(st.sampled_from([CARRIER_MIN_HZ, CARRIER_MAX_HZ]),
                         label="carrier_hz")
-
-    fab = full_fabric()
-    tiles = sorted(fab.tiles)[:n]
-    report = SyncReport(threshold_ps=10**9, consecutive=1)
-    draws = RngStream(8, "residuals")
-    lengths = [min_pool + e for e in extra]
-    lengths[data.draw(st.integers(0, n - 1), label="shortest")] = min_pool
-    for node, length in zip(tiles, lengths):
-        report.add_series(node, range(length),
-                          [draws.normal(scale=120.0) for _ in range(length)])
-    report.finalize()
-    args = (fab, report, carrier, (4, 2, 1), trials)
-    new = evaluate_beamforming(*args, RngStream(5, "bf"), tiles=tiles,
-                               phase_noise_sigma_rad=noise)
-    old = per_trial_evaluate_beamforming(*args, RngStream(5, "bf"), tiles=tiles,
-                                         phase_noise_sigma_rad=noise)
-    assert new.gains.tobytes() == old.gains.tobytes()
-    assert new.summary() == old.summary()
+    assert_batched_equals_per_trial(lengths, carrier, trials, noise)
 
 
 def test_unconverged_tile_is_an_error():

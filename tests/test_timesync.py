@@ -687,44 +687,6 @@ def test_report_pools_percentiles_after_convergence():
     assert p["p99"] <= 50.0
 
 
-def _loop_convergence_index(residuals, threshold_ps, consecutive):
-    # SyncReport.finalize's search as it stood when it scanned each node's
-    # samples in a Python loop; kept verbatim as the oracle
-    ok = np.abs(np.asarray(residuals)) < threshold_ps
-    idx = None
-    run = 0
-    for i, good in enumerate(ok):
-        run = run + 1 if good else 0
-        if run == consecutive:
-            idx = i - consecutive + 1
-            break
-    return idx
-
-
-# in the band of 100 ps, on its edge (out) and far out of it
-_BAND = [0.0, -0.0, 99.5, -99.5, 100.0, -100.0, 1e9, math.nan]
-
-
-@settings(max_examples=300, deadline=None)
-@given(series=st.lists(st.lists(st.sampled_from(_BAND), max_size=40),
-                       min_size=1, max_size=4),
-       consecutive=st.integers(1, 42))
-@example(series=[[1e9, 100.0, -100.0, math.nan]], consecutive=1)   # never
-@example(series=[[1e9, 0.0, 1e9, 0.0, 99.5, -0.0]], consecutive=3)  # at the last window
-@example(series=[[1e9, 99.5, 1e9]], consecutive=1)
-@example(series=[[0.0, -99.5, 99.5], [0.0, 1e9, 0.0]], consecutive=3)   # the series' length
-@example(series=[[], [0.0]], consecutive=1)
-def test_convergence_index_equals_the_per_sample_loop(series, consecutive):
-    r = SyncReport(threshold_ps=100, consecutive=consecutive)
-    for k, residuals in enumerate(series):
-        r.add_series(f"n{k}", range(0, 10 * len(residuals), 10), residuals)
-    r.finalize()
-    for k, residuals in enumerate(series):
-        idx = _loop_convergence_index(residuals, 100, consecutive)
-        assert r.convergence_time_ps(f"n{k}") == (None if idx is None else 10 * idx)
-        assert len(r.post_convergence(f"n{k}")) == (0 if idx is None else len(residuals) - idx)
-
-
 def _three_call_percentiles(self) -> dict:
     # SyncReport.percentiles as it stood when it took an abs copy and made
     # one np.percentile call per level; kept verbatim as the oracle
