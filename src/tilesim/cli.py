@@ -5,9 +5,10 @@
     tilesim report   <run_dir|report.json> [--metric dotted.path]
 
 Exit codes: 0 success, 1 the scenario failed set-up (the checks, the fabric
-or a stage's own arguments), 2 usage errors (missing files, malformed YAML,
-unknown metric).  `validate` runs the same set-up as `run` and stops before
-the first event; a run rejected there writes nothing.
+or a stage's own arguments), 2 usage errors (missing or unreadable files,
+malformed YAML or reports, an output root that is no directory, unknown
+metric), each stated in one line.  `validate` runs the same set-up as `run`
+and stops before the first event; a run rejected there writes nothing.
 The output root defaults to $TILESIM_OUT, then ./runs.
 """
 
@@ -33,9 +34,12 @@ def _load(path: str):
         raise SystemExit(2)
     try:
         return load_scenario(path)
+    except OSError as e:
+        print(f"error: cannot read {path}: {e.strerror}", file=sys.stderr)
     except (ConfigurationError, yaml.YAMLError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(2)
+        # a YAML error marks its place on lines of its own
+        print(f"error: {' '.join(str(e).split())}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _cmd_validate(args) -> int:
@@ -62,6 +66,10 @@ def _cmd_run(args) -> int:
     except ConfigurationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except (FileExistsError, NotADirectoryError) as e:
+        print(f"error: cannot make the run directory {e.filename}: {e.strerror}",
+              file=sys.stderr)
+        return 2
     wall = time.perf_counter() - t0
     print(f"run complete in {wall:.1f} s")
     print(f"artifacts: {result.out_dir}")
@@ -94,8 +102,15 @@ def _cmd_report(args) -> int:
     if not path.exists():
         print(f"error: no report at {path}", file=sys.stderr)
         return 2
-    with open(path) as f:
-        report = json.load(f)
+    try:
+        with open(path) as f:
+            report = json.load(f)
+    except (OSError, ValueError) as e:
+        print(f"error: cannot read the report {path}: {e}", file=sys.stderr)
+        return 2
+    if not isinstance(report, dict):
+        print(f"error: {path} is not a report (not a JSON object)", file=sys.stderr)
+        return 2
     if args.metric is None:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0

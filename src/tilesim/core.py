@@ -207,12 +207,11 @@ class RngStream:
     (seed, name, lane, i) alone.  The blocks come from `random_raw`, whose
     words numpy keeps stable, and a run draws only transforms of words, so
     no numpy distribution method enters it.  A consumer that owns an index
-    reads lane 0 there: a coherent trial or a hop's jitter its words, a
-    clock's walk step its normals (`normal_at`).  `uniform` and `normal` are
+    reads lane 0 there through `words`: a coherent trial or a hop's jitter
+    its words, a clock's walk step its pair.  `uniform` and `normal` are
     cursors over lanes 1 and 2, so neither kind shifts the other.  They
     serve blocks of `_BLOCK` values, packed in an `array("d")` and read
-    through an iterator, whose items come out as Python floats;
-    `normal_at` keeps the lane-0 block it last read the same way.
+    through an iterator, whose items come out as Python floats.
     """
 
     # values per refill, 2 KiB a block when packed; a full room keeps the
@@ -224,8 +223,6 @@ class RngStream:
     _zbuf = _ubuf = iter(())
     _znext = _unext = 0
     _key = None
-    _nblock = array("d")
-    _nstart = 0
 
     def __init__(self, seed: int, name: str):
         self.seed = seed
@@ -250,17 +247,6 @@ class RngStream:
         """An iterator over a block of `lane`, and the next block's start."""
         block = transform(self.words(start, self._BLOCK, lane))
         return iter(array("d", block.tobytes())), start + self._BLOCK
-
-    def normal_at(self, i: int) -> float:
-        """Normal i of lane 0: `as_normals` of the word pair that holds word
-        i, so it depends on (seed, name, i) alone, whatever else was read."""
-        k = i - self._nstart
-        if not 0 <= k < len(self._nblock):
-            self._nstart = i - i % self._BLOCK
-            self._nblock = array("d", as_normals(
-                self.words(self._nstart, self._BLOCK)).tobytes())
-            k = i - self._nstart
-        return self._nblock[k]
 
     def normal(self, scale: float = 1.0, loc: float = 0.0) -> float:
         try:

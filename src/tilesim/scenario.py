@@ -167,7 +167,9 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path) as f:
+    # bytes: the parser decodes them as YAML says, UTF-8 unless a BOM says
+    # otherwise, and refuses a file that is not
+    with open(path, "rb") as f:
         data = yaml.load(f, Loader=_YAML_LOADER)
     if data is None:
         data = {}
@@ -283,8 +285,10 @@ RULES = {
     "coherent.tx_power_dbm": Count(-math.inf, MAX_TX_POWER_DBM),
     "coherent.trials": Count(1), "coherent.tile_count": Count(1),
     "coherent.phase_noise_sigma_rad": Scale(),
-    "power.global_budget_w": Scale(positive=True), "power.midspan_count": Count(1, 10_000),
-    "power.midspan_budget_w": Scale(positive=True),
+    # kept in integer mW: a budget times 1,000 must be a float
+    "power.global_budget_w": Scale(positive=True, below=1e300),
+    "power.midspan_count": Count(1, 10_000),
+    "power.midspan_budget_w": Scale(positive=True, below=1e300),
     "power.requested_class": Count(min(POWER_CLASSES), max(POWER_CLASSES)),
     "power.base_mw": Count(0), "power.processing_mw": Count(0),
     "power.peripheral_mw": Count(0), "power.detection_window_ms": Count(0),
@@ -307,15 +311,25 @@ RULES = {
     "timesync.start_s": Delay(), "timesync.sync_interval_s": Period(),
     "timesync.stagger_ms": Delay(), "timesync.followup_lag_us": Delay(),
     "timesync.turnaround_us": Delay(), "timesync.residence_us": Delay(),
+    # A clock's phase over the longest run, 2**64 ps, is its initial offset
+    # plus 1.8e13 ps for each ppm of its rate: the frequency error, the
+    # steering, at most the clamp, and the walk, which after 1.8e7
+    # one-second steps of |z| <= 8.6 runs at most 1.6e8 rw_sigma.  The
+    # offset is at most 1e6 init_offset_us ps.  These bounds hold each part
+    # under 1e300 ps, so that a phase, and an exchange's difference of two,
+    # is a float.
     **{f"timesync.{osc}.{key}": rule for osc in ("tile_osc", "switch_osc", "gm_osc")
-       for key, rule in (("init_offset_us", Scale()), ("rw_sigma_ppm_per_sqrt_s", Scale()),
+       for key, rule in (("init_offset_us", Scale(below=1e294)),
+                         ("rw_sigma_ppm_per_sqrt_s", Scale(below=1e278)),
                          # at 1e6 ppm a clock would stand still or run backwards
                          ("freq_error_ppm", Scale(below=1e6)),
                          ("granularity_ps", Count(1)))},
     "timesync.servo_kp": Scale(), "timesync.servo_ki": Scale(),
-    "timesync.servo_clamp_ppm": Scale(positive=True), "timesync.jitter_scale": Scale(),
+    "timesync.servo_clamp_ppm": Scale(positive=True, below=1e286),
+    "timesync.jitter_scale": Scale(),
     "timesync.load_coupling": Scale(), "timesync.sample_interval_s": Period(),
-    "timesync.convergence_threshold_us": Scale(positive=True),
+    # kept in integer ps: the threshold times 1e6 must be a float
+    "timesync.convergence_threshold_us": Scale(positive=True, below=1e300),
     "timesync.convergence_samples": Count(1),
 }
 

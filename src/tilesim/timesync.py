@@ -51,6 +51,7 @@ _CLOSE_BLOCK = 512
 # the frequency walk's lattice step: a constant, so neither a configured
 # interval nor the run's length moves a draw
 WALK_STEP_PS = PS_PER_S
+_WALK_BLOCK = 128         # the walk steps made from one read of the walk stream
 _NEVER = 1 << 64          # past every instant: the next step of no walk
 _HALF_INV_SQRT3 = 0.5 / math.sqrt(3.0)
 # the largest |z| `as_normals` makes: r at the largest uniform, 1 - 2**-53
@@ -71,32 +72,32 @@ class LocalClock:
     at each lattice point of the frequency walk and at each servo step
     (`steer`).  The walk is the two-state clock model discretized exactly
     (C. Zucca and P. Tavella, IEEE Trans. UFFC 52(2), 2005): with c =
-    rw_sigma sqrt(step) and z1, z2 normals 2k and 2k + 1 of the walk
-    stream, step k runs at y_k + c (z1 / 2 + z2 / (2 sqrt 3)), the
-    frequency's mean over it, and y_(k+1) = y_k + c z1; the steering adds
-    to that.  The phase is an exact integer in 2**-32 ps, `_phase_step`
-    per segment, so `read(t)` depends only on the clock, t and the servo
-    steps before t, in any order of reads.  `offset_at` and `offsets` take
-    the float start phase of the last segment that starts before the
-    instant.  `read_many` takes it too where a bound on its float error
-    shows the read exact, and walks the exact phase elsewhere, so its
-    reads are `read`'s.  `init`, when given, is called with the clock on
-    its first use for (offset_ps, freq_error_ppm): making a clock draws
-    and allocates nothing more.
+    rw_sigma sqrt(step) and z1, z2 `as_normals` of words 2k and 2k + 1 of
+    the walk stream, step k runs at y_k + c (z1 / 2 + z2 / (2 sqrt 3)),
+    the frequency's mean over it, and y_(k+1) = y_k + c z1; the steering
+    adds to that.  The walk's rates are made `_WALK_BLOCK` steps at a
+    time, y by a cumulative sum, which numpy adds in order, so each is the
+    step-by-step value.  The phase is an exact integer in 2**-32 ps,
+    `_phase_step` per segment, so `read(t)` depends only on the clock, t
+    and the servo steps before t, in any order of reads.  `offset_at` and
+    `offsets` take the float start phase of the last segment that starts
+    before the instant.  `read_many` takes it too where a bound on its
+    float error shows the read exact, and walks the exact phase
+    elsewhere, so its reads are `read`'s.  The segment arrays are made on
+    the first read.
     """
 
-    __slots__ = ("granularity_ps", "freq_adj_ppm", "walk_sigma", "_init", "_rng",
+    __slots__ = ("granularity_ps", "freq_adj_ppm", "walk_sigma", "_rng",
                  "_starts", "_rates", "_phases", "_t0", "_p0", "_next_ps",
-                 "_num", "_den", "_k", "_walk", "_y", "_first", "_resume")
+                 "_num", "_den", "_k", "_walk", "_walks", "_y", "_first", "_resume")
 
     def __init__(self, offset_ps: float = 0.0, freq_error_ppm: float = 0.0,
                  rw_sigma_ppm_per_sqrt_s: float = 0.0, granularity_ps: int = 1,
-                 rng: RngStream | None = None, init=None):
+                 rng: RngStream | None = None):
         if granularity_ps < 1:
             raise ConfigurationError("granularity must be at least 1 ps")
         self.granularity_ps = int(granularity_ps)
         self.freq_adj_ppm = 0.0        # the steering in force, set by `steer`
-        self._init = init
         self._rng = rng
         self.walk_sigma = 0.0 if rng is None else float(rw_sigma_ppm_per_sqrt_s) \
             * math.sqrt(WALK_STEP_PS / PS_PER_S)
@@ -229,18 +230,20 @@ class LocalClock:
     def _extend(self, t: SimTime) -> None:
         """Make every segment that starts at or before t."""
         if self._k < 0:
-            if self._init is not None:
-                offset_ps, self._y = self._init(self)
-                self._p0, self._init = _phase_step(float(offset_ps), 10**6), None
             self._starts, self._rates, self._phases = array("Q"), array("d"), array("d")
             self._resume = self._first = (0, self._p0)     # the segment at 0
         c = self.walk_sigma
         while self._next_ps <= t:
             at, k = self._next_ps, self._k + 1
             if c:
-                z1, z2 = self._rng.normal_at(2 * k), self._rng.normal_at(2 * k + 1)
-                self._walk = self._y + c * (0.5 * z1 + _HALF_INV_SQRT3 * z2)
-                self._y += c * z1
+                if k % _WALK_BLOCK == 0:
+                    # y here is y_k, and the block's last sum is y_(k + _WALK_BLOCK)
+                    z = as_normals(self._rng.words(2 * k, 2 * _WALK_BLOCK))
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        y = np.cumsum(np.concatenate(([self._y], c * z[0::2])))
+                        walks = y[:-1] + c * (0.5 * z[0::2] + _HALF_INV_SQRT3 * z[1::2])
+                    self._walks, self._y = array("d", walks.tobytes()), float(y[-1])
+                self._walk = self._walks[k % _WALK_BLOCK]
                 self._next_ps = (k + 1) * WALK_STEP_PS
             else:
                 self._walk, self._next_ps = self._y, _NEVER
@@ -633,21 +636,25 @@ class SyncDomain:
         self._turnaround_ps = from_seconds(config.turnaround_us / 1e6)
         self._tick_ps = from_seconds(config.sample_interval_s)
         self._longest_exchange_ps = 0
-        self._init_stream = rng.stream(f"{config.stream_label}/init")
-        self._oscs: dict[LocalClock, OscillatorConfig] = {}
-        self._initials: dict[LocalClock, tuple[int, float]] | None = None
-        self._initial = self._first_use     # one method object for every clock
 
         boundary = set(config.boundary_switches)
         unknown = boundary - set(fabric.switches)
         if unknown:
             raise ConfigurationError(f"boundary switches not in fabric: {sorted(unknown)}")
-        self._add_clock(config.gm_osc, fabric.central_id)
-        for sw_id in fabric.switches:
-            self._add_clock(config.switch_osc, sw_id)
         clock_tiles = [t for t in fabric.tiles.values() if "clock" in t.roles]
-        for t in clock_tiles:
-            self._add_clock(config.tile_osc, t.id)
+        oscs = [(fabric.central_id, config.gm_osc)]
+        oscs += [(sw_id, config.switch_osc) for sw_id in fabric.switches]
+        oscs += [(t.id, config.tile_osc) for t in clock_tiles]
+        # clock i's initial offset and frequency error: uniform in its
+        # oscillator's bands from words 2i and 2i + 1 of the init stream
+        label = config.stream_label
+        u = as_uniforms(rng.stream(f"{label}/init").words(0, 2 * len(oscs))).tolist()
+        for i, (node_id, osc) in enumerate(oscs):
+            a, f = osc.init_offset_us, osc.freq_error_ppm
+            self.clocks[node_id] = LocalClock(
+                round((-a + 2 * a * u[2 * i]) * PS_PER_US), -f + 2 * f * u[2 * i + 1],
+                osc.rw_sigma_ppm_per_sqrt_s, osc.granularity_ps,
+                rng.stream(f"{label}/oscillator/{node_id}"))
         for sw_id in sorted(boundary):
             self._add_port(sw_id, fabric.central_id, fabric.trunk_link(sw_id))
         for t in clock_tiles:
@@ -660,27 +667,6 @@ class SyncDomain:
         for tile_id, at in (cuts or {}).items():
             if tile_id in self.ports:
                 self.ports[tile_id].cut_ps = at
-
-    def _add_clock(self, osc: OscillatorConfig, node_id: str) -> None:
-        walk = self.rng.stream(f"{self.config.stream_label}/oscillator/{node_id}")
-        clock = self.clocks[node_id] = LocalClock(
-            rw_sigma_ppm_per_sqrt_s=osc.rw_sigma_ppm_per_sqrt_s,
-            granularity_ps=osc.granularity_ps, rng=walk, init=self._initial)
-        self._oscs[clock] = osc
-
-    def _first_use(self, clock: LocalClock) -> tuple[int, float]:
-        """A clock's initial offset (ps) and frequency error (ppm): uniform
-        in its oscillator's bands from words 2i and 2i + 1 of the init
-        stream, i its place in `clocks`.  The first use of any clock draws
-        them for all."""
-        if self._initials is None:
-            u = as_uniforms(self._init_stream.words(0, 2 * len(self.clocks))).tolist()
-            self._initials = {}
-            for i, (c, osc) in enumerate(self._oscs.items()):
-                a, f = osc.init_offset_us, osc.freq_error_ppm
-                self._initials[c] = (round((-a + 2 * a * u[2 * i]) * PS_PER_US),
-                                     -f + 2 * f * u[2 * i + 1])
-        return self._initials[clock]
 
     def _add_port(self, node: str, master: str, down: Link,
                   up: Link | None = None, relay: str | None = None) -> None:

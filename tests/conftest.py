@@ -5,9 +5,9 @@ import pytest
 from hypothesis import settings
 
 # Every other property test sets its own example count; the metamorphic
-# relations, a few whole runs each, and the batched-against-per-trial
-# coherent property take theirs from the profile: a few in Tier-1, a larger
-# sweep under `--hypothesis-profile=sweep`.
+# relations, a few whole runs each, the batched-against-per-trial coherent
+# property and the block-against-stepwise clock walk take theirs from the
+# profile: a few in Tier-1, a larger sweep under `--hypothesis-profile=sweep`.
 settings.register_profile("default", max_examples=5)
 settings.register_profile("sweep", max_examples=100)
 

@@ -10,8 +10,8 @@ one line naming its key; every other case must set up, unless
 work bound.  Tier-1 sets every case up in-process through
 `prepare_scenario` and runs a sample of scenarios with one to three keys
 changed through the command line.  The full sweep runs every single-key
-case, and each two-key case of `TWO_KEY_CASES`, that sets up to the end, in
-one process, with an alarm on each:
+case, and each case of `TWO_KEY_CASES` and `SERVO_CASES`, that sets up to
+the end, in one process, with an alarm on each:
 
     PYTHONPATH=src python tests/test_boundary.py
 """
@@ -47,9 +47,11 @@ PROBE = {"name": "probe", "seed": 3, "duration_s": 2.0,
          "fabric": {"counts": {"wall_a": 2, "wall_b": 2, "floor": 2,
                                "ceiling": 2}, "switch_count": 2}}
 # 1e-200 squares to 0, as a jitter shape once did on its way to a traceback;
+# 1.7e308, near the largest float, overflows whatever multiplies it;
 # 10**7 is the one integer above 0, which an integer key takes (1e300 is a
 # float, refused by its type), and sizes what set-up builds
-VALUES = [0, -1, 1e-200, 1e-13, 1e-9, float("nan"), float("inf"), 1e300, 10**7, [1], "x"]
+VALUES = [0, -1, 1e-200, 1e-13, 1e-9, float("nan"), float("inf"), 1e300, 1.7e308, 10**7,
+          [1], "x"]
 
 
 def leaf_keys(cls=ScenarioConfig, prefix=()) -> list[tuple[str, ...]]:
@@ -113,8 +115,11 @@ ROOM = ["fabric.room.length_m", "fabric.room.width_m", "fabric.room.height_m"]
 
 # The cases every rule passes that set-up refuses all the same, and why.
 BEYOND_RULES = [
-    (ROOM + ["fabric.prop_ns_per_m", "fabric.slack_m"], (1e300,),
+    (ROOM + ["fabric.prop_ns_per_m", "fabric.slack_m"], (1e300, 1.7e308),
      "a cable's delay lies past the 64-bit time range"),
+    (["fabric.tile_jitter_sigma_ns", "fabric.trunk_jitter_sigma_ns",
+      "timesync.jitter_scale", "timesync.load_coupling"], (1.7e308,),
+     "the largest jitter a draw can make is past the float range"),
     (["timesync.followup_lag_us", "timesync.turnaround_us", "timesync.residence_us"],
      (1e300, 10**7), "an exchange outlasts timesync.sync_interval_s"),
     (["timesync.sync_interval_s"], (1e-9,), "the interval is shorter than one exchange"),
@@ -126,8 +131,9 @@ BEYOND_RULES = [
     (["coherent.trials"], (10**7,), "trial-element pairs over their bound"),
     (["rover.resolution_m", "rover.z_resolution_m"], (1e-200, 1e-13, 1e-9),
      "lift stops over their bound"),
-    (["rover.resolution_m"], (1e300, 10**7), "no reachable cell in the sampling area"),
-    (["rover.beacon_rate_hz", "rover.tick_s"], (1e300, 10**7),
+    (["rover.resolution_m"], (1e300, 1.7e308, 10**7),
+     "no reachable cell in the sampling area"),
+    (["rover.beacon_rate_hz", "rover.tick_s"], (1e300, 1.7e308, 10**7),
      "more than one beacon fix per rover.tick_s"),
     (["fabric.cable_model", "power.overdraw_tile"], ("x",),
      "no such cable model, no such powered tile"),
@@ -329,13 +335,28 @@ TWO_KEY_CASES = [
 ]
 
 
-def two_key_doc(keys) -> dict:
-    return probe_with([(("dataplane", key), value) for key, value in keys.items()])
+# Timesync keys that each pass their rule.  Gains of 1e300 drive the
+# steering to the clamp: at 1.7e308 ppm it put a clock's phase past the
+# float range, and the run ended in a traceback.  Just under every bound of
+# RULES' phase budget, the clamp's and each oscillator's, a run ends.
+_UNDER_THE_PHASE_BOUNDS = {"init_offset_us": 9.9e293, "rw_sigma_ppm_per_sqrt_s": 9.9e277,
+                           "freq_error_ppm": 9.9e5}
+SERVO_CASES = [
+    ({"servo_clamp_ppm": 1.7e308, "servo_kp": 1e300, "servo_ki": 1e300},
+     "timesync.servo_clamp_ppm"),
+    ({"servo_clamp_ppm": 9.9e285, "servo_kp": 1e300, "servo_ki": 1e300,
+      **{osc: _UNDER_THE_PHASE_BOUNDS for osc in ("tile_osc", "switch_osc", "gm_osc")}},
+     None),
+]
+
+
+def two_key_doc(keys, section="dataplane") -> dict:
+    return probe_with([((section, key), value) for key, value in keys.items()])
 
 
 def check_two_key(keys, key, refusal: ConfigurationError | None) -> None:
-    """Assert that a two-key case set up or was refused, in one line
-    starting with `key`, as `TWO_KEY_CASES` says."""
+    """Assert that a case of a few keys set up or was refused, in one line
+    starting with `key`, as `TWO_KEY_CASES` or `SERVO_CASES` says."""
     if key is None:
         assert refusal is None, (keys, str(refusal))
         return
@@ -353,6 +374,17 @@ def test_two_dataplane_keys_set_up_in_well_under_a_second(keys, key):
         refusal = e
     # each took 0.4 s or less on a 2-core host; 3 s leaves room for a slower one
     assert time.perf_counter() - t0 < 3.0
+    check_two_key(keys, key, refusal)
+
+
+@pytest.mark.parametrize("keys,key", SERVO_CASES, ids=str)
+def test_servo_gains_of_1e300_run_or_are_refused_in_one_line(keys, key, tmp_path):
+    refusal = None
+    try:
+        with alarm(60):
+            run_scenario(scenario_from_dict(two_key_doc(keys, "timesync")), tmp_path)
+    except ConfigurationError as e:
+        refusal = e
     check_two_key(keys, key, refusal)
 
 
@@ -393,15 +425,17 @@ def test_a_polls_partition_visits_count_in_the_work_bound(tmp_path):
 
 
 def sweep(seconds: int = 10) -> int:
-    """Run every single-key case and each of `TWO_KEY_CASES` through
-    `run_scenario`, each under an alarm; print each one that ends in a
-    traceback, a timeout or otherwise than predicted, and return how many
-    did."""
+    """Run every single-key case and each of `TWO_KEY_CASES` and
+    `SERVO_CASES` through `run_scenario`, each under an alarm; print each
+    one that ends in a traceback, a timeout or otherwise than predicted,
+    and return how many did."""
     checks = [(f"{'.'.join(path)}: {value!r}", probe_with([(path, value)]),
                partial(check_outcome, path, value))
               for path in KEYS for value in cases(path)]
     checks += [(str(keys), two_key_doc(keys), partial(check_two_key, keys, key))
                for keys, key in TWO_KEY_CASES]
+    checks += [(str(keys), two_key_doc(keys, "timesync"), partial(check_two_key, keys, key))
+               for keys, key in SERVO_CASES]
     bad = ran = 0
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:

@@ -728,13 +728,53 @@ def test_cli_missing_file_exits_2(tmp_path, capsys):
     assert "no such file" in capsys.readouterr().err
 
 
+def usage_error_line(args, capsys) -> str:
+    """The one stderr line of a command that exits 2, and nothing on stdout."""
+    try:
+        code = main(args)
+    except SystemExit as e:
+        code = e.code
+    std = capsys.readouterr()
+    (line,) = std.err.splitlines()
+    assert code == 2 and std.out == "", line
+    assert line.startswith("error: "), line
+    return line
+
+
+def test_cli_unreadable_scenarios_exit_2_with_one_line(tmp_path, capsys):
+    # a directory ended in IsADirectoryError, a file that is not UTF-8 in
+    # UnicodeDecodeError
+    latin = tmp_path / "latin.yaml"
+    latin.write_bytes("name: café\n".encode("latin-1"))
+    for path in (tmp_path, latin):
+        assert str(path) in usage_error_line(["validate", str(path)], capsys)
+        usage_error_line(["run", str(path), "--out", str(tmp_path / "runs")], capsys)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_malformed_reports_exit_2_with_one_line(tmp_path, capsys):
+    # a report that is no JSON ended in JSONDecodeError; one holding a list,
+    # asked for a metric, in AttributeError
+    run = tmp_path / "run"
+    run.mkdir()
+    for text, args in (("{", []), ("[1, 2]", ["--metric", "a"]), ("[1, 2]", [])):
+        (run / "report.json").write_text(text)
+        usage_error_line(["report", str(run), *args], capsys)
+
+
+def test_cli_run_into_a_file_exits_2_with_one_line(tiny_yaml, tmp_path, capsys):
+    # an output root that is a file ended in NotADirectoryError
+    out = tmp_path / "runs"
+    out.write_text("not a directory\n")
+    for root in (out, out / "below"):
+        assert str(out) in usage_error_line(["run", tiny_yaml, "--out", str(root)], capsys)
+    assert out.read_text() == "not a directory\n"
+
+
 def test_cli_malformed_yaml_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("a: [1,\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", str(path)])
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    assert "line 2, column 1" in usage_error_line(["validate", str(path)], capsys)
 
 
 def test_cli_run_then_report(tiny_yaml, tmp_path, capsys):

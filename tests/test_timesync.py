@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import warnings
+from array import array
 from fractions import Fraction
 from unittest import mock
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from tilesim.core import (EventLoop, MAX_SIM_TIME, PS_PER_MS, PS_PER_S,
                           PS_PER_US, RngRegistry, RngStream, SimulationError,
-                          as_normals, from_seconds)
+                          as_normals, as_uniforms, from_seconds)
 from tilesim.dataplane import LinkLoadTracker
 from tilesim.fabric import ConfigurationError, FabricConfig, build_default_fabric
 from tilesim.timesync import (_CLOSE_BLOCK, LocalClock, OscillatorConfig,
@@ -285,18 +286,69 @@ def test_read_many_walks_the_boundary_sweeps_wild_oscillators(osc):
 
 def test_walk_rate_is_the_exact_two_state_discretization():
     # step k's rate is y_k + c (z1 / 2 + z2 / (2 sqrt 3)), and
-    # y_(k+1) = y_k + c z1, with z1, z2 normals 2k and 2k + 1 of the stream
+    # y_(k+1) = y_k + c z1, with z1, z2 the normals of words 2k and 2k + 1
     sigma, fe = 0.3, 2.0
     stream = RngStream(4, "walk")
     c = LocalClock(freq_error_ppm=fe, rw_sigma_ppm_per_sqrt_s=sigma, rng=stream)
     c.offset_at(3 * PS_PER_S)
     y, rates = fe, []
     for k in range(4):
-        z1, z2 = stream.normal_at(2 * k), stream.normal_at(2 * k + 1)
+        z1, z2 = as_normals(stream.words(2 * k, 2)).tolist()
         rates.append(y + sigma * (0.5 * z1 + 0.5 / math.sqrt(3.0) * z2))
         y = y + sigma * z1
     assert c._rates.tolist() == rates
     assert c._starts.tolist() == [k * PS_PER_S for k in range(4)]
+
+
+class StepwiseClock(LocalClock):
+    """The reference walk: each step's two normals read on their own, and
+    y summed one step at a time."""
+
+    def _extend(self, t):
+        if self._k < 0:
+            self._starts, self._rates, self._phases = array("Q"), array("d"), array("d")
+            self._resume = self._first = (0, self._p0)
+        c = self.walk_sigma
+        while self._next_ps <= t:
+            at, k = self._next_ps, self._k + 1
+            z1, z2 = as_normals(self._rng.words(2 * k, 2)).tolist()
+            self._walk = self._y + c * (0.5 * z1 + 0.5 / math.sqrt(3.0) * z2)
+            self._y += c * z1
+            self._next_ps, self._k = (k + 1) * PS_PER_S, k
+            self._segment(at, self._walk + self.freq_adj_ppm)
+
+
+# steps 127, 128 and 256 start the second and third block of the walk
+_BLOCK_EDGES = [127 * PS_PER_S, 128 * PS_PER_S, 128 * PS_PER_S + 1, 256 * PS_PER_S]
+
+
+@settings(deadline=None)
+@given(sigma=st.floats(1e-6, 10.0), fe=st.floats(-100.0, 100.0),
+       steers=st.lists(st.tuples(st.one_of(
+           st.integers(0, 400).map(lambda k: k * PS_PER_S),
+           st.integers(0, 400 * PS_PER_S)), st.floats(-50.0, 50.0)), max_size=8),
+       instants=st.lists(st.integers(0, 400 * PS_PER_S), max_size=12),
+       end=st.integers(257 * PS_PER_S, 400 * PS_PER_S))
+@example(sigma=0.05, fe=10.0, steers=[(t, 1.5) for t in _BLOCK_EDGES],
+         instants=[t + d for t in _BLOCK_EDGES for d in (-1, 0, 1)], end=257 * PS_PER_S)
+def test_block_walk_equals_the_stepwise_walk(sigma, fe, steers, instants, end):
+    # a walking clock, steered on lattice points and between them, over at
+    # least three blocks of its walk: its segments, reads and offsets are
+    # the stepwise reference's
+    def clock(cls):
+        return cls(offset_ps=-4321.5, freq_error_ppm=fe, rw_sigma_ppm_per_sqrt_s=sigma,
+                   granularity_ps=8, rng=RngStream(6, "walk"))
+
+    got, want = clock(LocalClock), clock(StepwiseClock)
+    for at, adj in sorted(steers):
+        got.steer(at, adj)
+        want.steer(at, adj)
+    times = sorted(instants + [end])
+    assert got.read_many(times) == [want.read(t) for t in times]
+    assert [got.read(t) for t in times] == [want.read(t) for t in times]
+    assert got._starts == want._starts and got._rates == want._rates
+    ticks = np.array(times, dtype=np.uint64)
+    assert got.offsets(ticks).tolist() == want.offsets(ticks).tolist()
 
 
 def test_granularity_must_be_positive():
@@ -632,6 +684,26 @@ def test_interval_no_longer_than_an_exchange_is_refused():
         domain.start(PS_PER_S)
     cfg.sync_interval_s = 0.0007
     SyncDomain(small_fabric(), cfg, RngRegistry(1)).start(PS_PER_S)
+
+
+def test_clock_i_takes_words_2i_and_2i_plus_1_of_the_init_stream():
+    # clocks in the order gm, switches, clock tiles; each oscillator's
+    # bands differ, its walk is off and its ticks are 1 ps, so a read at 0
+    # is the initial offset and the one segment's rate the frequency error
+    fabric = small_fabric()
+    bands = {"gm_osc": (3.0, 1.0), "switch_osc": (50.0, 20.0), "tile_osc": (7.5, 4.0)}
+    cfg = TimesyncConfig(stream_label="ts", **{
+        key: OscillatorConfig(a, f, 0.0, 1) for key, (a, f) in bands.items()})
+    domain = SyncDomain(fabric, cfg, RngRegistry(8))
+    order = [(fabric.central_id, "gm_osc")] + [(sw, "switch_osc") for sw in fabric.switches]
+    order += [(t.id, "tile_osc") for t in fabric.tiles.values() if "clock" in t.roles]
+    assert list(domain.clocks) == [node for node, _ in order]
+    u = as_uniforms(RngStream(8, "ts/init").words(0, 2 * len(order))).tolist()
+    for i, (node, osc) in enumerate(order):
+        a, f = bands[osc]
+        clock = domain.clocks[node]
+        assert clock.read(0) == round((-a + 2 * a * u[2 * i]) * PS_PER_US)
+        assert clock._rates.tolist() == [-f + 2 * f * u[2 * i + 1]]
 
 
 def test_unknown_boundary_switch_rejected():
