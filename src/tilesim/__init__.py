@@ -11,7 +11,7 @@ from .timesync import (LocalClock, OscillatorConfig, SyncDomain, SyncReport,
 from .powerplane import PdDevice, PsePlane, classify
 from .dataplane import Broker, CommitError, ConsumerGroup
 from .coherent import (coherent_gain, evaluate_beamforming, expected_gain,
-                       steering_phase, wrap_phase)
+                       wrap_phase)
 from .rover import (Battery, BeaconSet, KalmanState, MissionConfig,
                     MissionRunner, SamplePlan, kalman_step, plan_sampling,
                     trilaterate)
@@ -30,6 +30,6 @@ __all__ = [
     "TimesyncConfig", "build_default_fabric", "classify", "coherent_gain",
     "evaluate_beamforming", "expected_gain", "from_seconds", "kalman_step",
     "load_scenario", "plan_sampling", "run_scenario", "scenario_hash",
-    "steering_phase", "to_seconds", "trilaterate", "two_step_offset",
+    "to_seconds", "trilaterate", "two_step_offset",
     "wrap_phase",
 ]

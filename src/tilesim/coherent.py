@@ -1,11 +1,13 @@
 """Coherent multi-tile transmission scored in the phase domain.
 
-Each transmitting tile contributes a unit phasor whose phase is the carrier
-geometry term plus the phase its residual timing error produces; conjugate
-weighting is applied as a phase subtraction of the same stored geometry
-values, so with perfect timing the cancellation is exact and the array gain
-is exactly N squared.  Timing errors are drawn per trial from the empirical
-post-convergence residual pool of each tile's disciplined clock.
+Each transmitting tile contributes a unit phasor whose phase is the one its
+residual timing error produces at the carrier.  The conjugate weights
+steering the array toward a target remove each tile's path phase exactly,
+for any target, so the geometry never enters the sum: a scenario's
+`coherent.target` and `coherent.tx_power_dbm` are checked when it is
+validated, and with perfect timing the array gain is exactly N squared.
+Timing errors are drawn per trial from the empirical post-convergence
+residual pool of each tile's disciplined clock.
 
 The phases live in pool space: each tile's pool entry, truncated to the
 shortest pool, has its phase worked out once, into an (n, min_pool) table
@@ -31,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngStream, as_indices, as_normals
-from .fabric import ConfigurationError, Fabric
+from .fabric import ConfigurationError
 
-SPEED_OF_LIGHT_M_S = 299_792_458.0
 CARRIER_MIN_HZ = 70e6
 CARRIER_MAX_HZ = 6e9
 MAX_TX_POWER_DBM = 20.0
@@ -46,31 +47,9 @@ class CoherentError(RuntimeError):
     """Evaluation cannot proceed (missing sync data, empty array, ...)."""
 
 
-@dataclass(frozen=True)
-class SdrNode:
-    tile_id: str
-    carrier_hz: float
-    tx_power_dbm: float = 10.0
-
-    def __post_init__(self):
-        if not CARRIER_MIN_HZ <= self.carrier_hz <= CARRIER_MAX_HZ:
-            raise ConfigurationError(
-                f"carrier {self.carrier_hz:g} Hz outside the radio's "
-                f"{CARRIER_MIN_HZ:g}-{CARRIER_MAX_HZ:g} Hz range")
-        if self.tx_power_dbm > MAX_TX_POWER_DBM:
-            raise ConfigurationError(
-                f"tx power {self.tx_power_dbm} dBm above the {MAX_TX_POWER_DBM} dBm cap")
-
-
 def wrap_phase(phi):
     """Wrap to (-pi, pi]; works on scalars and arrays."""
     return np.pi - np.mod(np.pi - np.asarray(phi), 2 * np.pi)
-
-
-def steering_phase(tile_center, target, carrier_hz: float) -> float:
-    """Carrier phase accumulated over the straight path tile -> target."""
-    d = math.dist(tile_center, target)
-    return float(wrap_phase(2 * np.pi * d * carrier_hz / SPEED_OF_LIGHT_M_S))
 
 
 def coherent_gain(phases) -> float:
@@ -116,40 +95,32 @@ class GainResult:
                     self.gains[start:start + _CSV_BLOCK].tolist(), start)]))
 
 
-def evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
-                         target, trials: int, rng: RngStream,
-                         tiles: list[str] | None = None,
-                         phase_noise_sigma_rad: float = 0.0,
-                         tx_power_dbm: float = 10.0) -> GainResult:
-    """Monte Carlo gain of the tile array toward a target point.
-
-    Geometry enters through the steering phase of each tile and is removed
-    by its own conjugate weight, so only timing and phase noise remain.
+def evaluate_beamforming(sync_report, tiles: list[str], carrier_hz: float,
+                         trials: int, rng: RngStream,
+                         phase_noise_sigma_rad: float = 0.0) -> GainResult:
+    """Monte Carlo gain of the array of `tiles`.  Each tile's conjugate
+    weight cancels its path phase to any target exactly, so only timing
+    and phase noise remain; the carrier, checked against the radio's
+    range, turns each timing error into a phase.
     Trial i owns the 2n + n % 2 words `w` of its stream from index
     i * (2n + n % 2) on, making every trial reproducible in isolation: its
     pool indices are `as_indices(w[:n], pool)` and its phase noise, drawn
     or not, `as_normals(w[n:])[:n] * sigma`.
     """
-    room = fabric.room
-    x, y, z = target
-    if not (0 <= x <= room.length_m and 0 <= y <= room.width_m and 0 <= z <= room.height_m):
-        raise ConfigurationError(f"target {target} is outside the room")
+    if not CARRIER_MIN_HZ <= carrier_hz <= CARRIER_MAX_HZ:
+        raise ConfigurationError(
+            f"carrier {carrier_hz:g} Hz outside the radio's "
+            f"{CARRIER_MIN_HZ:g}-{CARRIER_MAX_HZ:g} Hz range")
     if trials < 1:
         raise ConfigurationError("at least one trial required")
-    if tiles is None:
-        tiles = [t.id for t in fabric.tiles.values() if "sdr" in t.roles]
     if not tiles:
         raise CoherentError("no transmitting tiles")
-    nodes = [SdrNode(t, carrier_hz, tx_power_dbm) for t in tiles]
 
     pools = [np.asarray(sync_report.post_convergence(t)) for t in tiles]   # ps
     missing = [t for t, pool in zip(tiles, pools) if len(pool) == 0]
     if missing:
         raise CoherentError(f"no converged sync data for: {missing}")
     n = len(tiles)
-    geo = np.array([steering_phase(fabric.tiles[t].center, target, carrier_hz)
-                    for t in tiles])
-    weights = geo   # conjugate weighting: identical stored values cancel exactly
 
     # each pool entry's phase made once, tile by tile, into an (n, min_pool)
     # table, and with no phase noise its phasor: a trial gathers its row
@@ -158,7 +129,7 @@ def evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
     table = np.empty((n, min_pool), float if noisy else complex)
     for j, p in enumerate(pools):
         dt = p[:min_pool] * 1e-12   # ps -> s
-        phase = geo[j] - weights[j] + wrap_phase(2 * np.pi * carrier_hz * dt)
+        phase = wrap_phase(2 * np.pi * carrier_hz * dt)
         table[j] = phase if noisy else np.exp(1j * phase)
 
     gains = np.empty(trials)

@@ -281,7 +281,8 @@ class _Timesync:
 
 class _Coherent:
     """Array gain of the energized SDR tiles at the sync residuals; set-up
-    bounds the trials over every SDR tile, up to `tile_count`."""
+    bounds the trials over every SDR tile, up to `tile_count`.  The target
+    and tx power are only checked: the weights cancel any target's geometry."""
 
     def __init__(self, run: RunResult, cfg):
         self.sdr = sorted(t.id for t in run.fabric.tiles.values() if "sdr" in t.roles)
@@ -300,10 +301,9 @@ class _Coherent:
         sdr = [t for t in self.sdr if t not in run.cuts][:c.tile_count]
         try:
             gain = evaluate_beamforming(
-                run.fabric, run.sync_report, c.carrier_hz, tuple(c.target),
-                c.trials, run.rng.stream(c.stream_label), tiles=sdr,
-                phase_noise_sigma_rad=c.phase_noise_sigma_rad,
-                tx_power_dbm=c.tx_power_dbm)
+                run.sync_report, sdr, c.carrier_hz, c.trials,
+                run.rng.stream(c.stream_label),
+                phase_noise_sigma_rad=c.phase_noise_sigma_rad)
         except CoherentError as e:
             return {"error": str(e)}
         gain.write_csv(run.out_dir / "gains.csv")

@@ -1,19 +1,20 @@
 """Power-over-Ethernet budgeting for the tile fleet.
 
 All power figures are integer milliwatts so budget arithmetic is exact.
-Each tile is a powered device with a piecewise-constant draw profile split
-into a fixed controller floor, a processing component and a peripheral
-component.  Source-side allocations are charged against per-midspan budgets
-and a global budget; sustained draw above the granted class power
-disconnects the device after a detection window, and a disconnected tile
-stops producing anything until it is re-admitted.
+Each tile is a powered device that draws one level from time 0 and takes
+at most one step, up or down, to another: the section's steady draw (its
+controller floor, processing and peripheral parts summed) and, for the
+overdraw tile, the step its fault injects.  Source-side allocations are
+charged against per-midspan budgets and a global budget; sustained draw
+above the granted class power disconnects the device after a detection
+window, and a disconnected tile stops producing anything until it is
+re-admitted.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .core import PS_PER_MS, PS_PER_S, SimTime, from_seconds
@@ -66,37 +67,17 @@ POWER_CLASSES: dict[int, PowerClass] = {
 _AUTOCLASS_ORDER = sorted((c for c in POWER_CLASSES.values() if c.class_id != 0),
                           key=lambda c: (c.pd_mw, c.class_id))
 
-class StepSeries:
-    """Right-continuous step function of sim time with integer values."""
-
-    def __init__(self, initial: int = 0):
-        self._times: list[SimTime] = [0]
-        self._values: list[int] = [initial]
-
-    def set_from(self, t: SimTime, value: int) -> None:
-        if t < self._times[-1]:
-            raise ConfigurationError("profile steps must be time-ordered")
-        if t == self._times[-1]:
-            self._values[-1] = value
-        else:
-            self._times.append(t)
-            self._values.append(value)
-
-    def value_at(self, t: SimTime) -> int:
-        return self._values[bisect.bisect_right(self._times, t) - 1]
-
-    @property
-    def breakpoints(self) -> list[SimTime]:
-        return list(self._times)
-
 
 @dataclass
 class PdDevice:
+    """A powered device: it draws `draw_mw` from time 0 and, once `step` is
+    set to (step_at, step_mw), `step_mw` from step_at on.  The defaults are
+    a default power section's device."""
     tile_id: str
     requested_class: int | None = PowerConfig.requested_class
-    base_mw: int = PowerConfig.base_mw
-    processing: StepSeries = field(default_factory=StepSeries)
-    peripheral: StepSeries = field(default_factory=StepSeries)
+    draw_mw: int = (PowerConfig.base_mw + PowerConfig.processing_mw
+                    + PowerConfig.peripheral_mw)
+    step: tuple[SimTime, int] | None = None
     granted: PowerClass | None = None
     granted_at: SimTime = 0
     online: bool = False
@@ -106,12 +87,9 @@ class PdDevice:
         return self._draw_if_powered(t) if self.online else 0
 
     def _draw_if_powered(self, t: SimTime) -> int:
-        return (self.base_mw + self.processing.value_at(t)
-                + self.peripheral.value_at(t))
-
-    def breakpoints(self) -> list[SimTime]:
-        return sorted(set(self.processing.breakpoints)
-                      | set(self.peripheral.breakpoints))
+        if self.step is None or t < self.step[0]:
+            return self.draw_mw
+        return self.step[1]
 
 
 def classify(pd: PdDevice, at: SimTime = 0,
@@ -119,7 +97,8 @@ def classify(pd: PdDevice, at: SimTime = 0,
     """Pick the device's power class before it is energized.
 
     A fixed request maps straight through the table; measurement-based
-    classification takes the peak draw over the startup window and picks the
+    classification takes the peak draw over the startup window, which for
+    a draw of one step lies at one of the window's two ends, and picks the
     smallest negotiated class that covers it.
     """
     if pd.online:
@@ -130,9 +109,7 @@ def classify(pd: PdDevice, at: SimTime = 0,
         except KeyError:
             raise ConfigurationError(
                 f"{pd.tile_id}: no power class {pd.requested_class}") from None
-    end = at + startup_window_ps
-    probe = [at, end] + [t for t in pd.breakpoints() if at < t <= end]
-    peak = max(pd._draw_if_powered(t) for t in probe)
+    peak = max(pd._draw_if_powered(at), pd._draw_if_powered(at + startup_window_ps))
     for cls in _AUTOCLASS_ORDER:
         if cls.pd_mw >= peak:
             return cls
@@ -174,8 +151,9 @@ class Midspan:
 class PsePlane:
     """Sourcing side: midspans, budgets, the allocation ledger and the
     consumption monitor, built from a power section.  Each of `tile_ids`
-    gets a powered device drawing the section's steady profile, registered
-    in that order, and the section's overdraw tile its step."""
+    gets a powered device drawing the section's steady sum, registered in
+    that order, and the section's overdraw tile its step: processing at
+    `overdraw_w` from `overdraw_at_s` on."""
 
     def __init__(self, config: PowerConfig, tile_ids: Iterable[str] = ()):
         if config.midspan_count < 1:
@@ -188,18 +166,16 @@ class PsePlane:
         self.devices: dict[str, PdDevice] = {}
         self._midspan_of: dict[str, Midspan] = {}
         self.ledger: list[tuple] = []   # (t, tile, class_id, consumption_mw, event)
+        others = config.base_mw + config.peripheral_mw   # the draw besides processing
         for tile_id in tile_ids:
-            pd = PdDevice(tile_id, requested_class=config.requested_class,
-                          base_mw=config.base_mw)
-            pd.processing.set_from(0, config.processing_mw)
-            pd.peripheral.set_from(0, config.peripheral_mw)
-            self.register(pd)
+            self.register(PdDevice(tile_id, config.requested_class,
+                                   others + config.processing_mw))
         if config.overdraw_tile is not None:
             if config.overdraw_tile not in self.devices:
                 raise ConfigurationError(
                     f"power.overdraw_tile {config.overdraw_tile!r} is not a powered tile")
-            self.devices[config.overdraw_tile].processing.set_from(
-                from_seconds(config.overdraw_at_s), _mw(config.overdraw_w))
+            self.devices[config.overdraw_tile].step = (
+                from_seconds(config.overdraw_at_s), others + _mw(config.overdraw_w))
 
     # -- registration / allocation --
 
@@ -250,26 +226,22 @@ class PsePlane:
 
     def find_disconnect_time(self, pd: PdDevice) -> DisconnectEvent | None:
         """Earliest instant the device has been over its grant for a full
-        detection window, computed exactly from the profile breakpoints."""
+        detection window: from the grant instant, or from a later step up,
+        unless a step down comes first.  Draw before the grant instant
+        cannot count against this grant."""
         if pd.granted is None:
             return None
-        limit = pd.granted.pd_mw
-        # draw before the grant instant cannot count against this grant
-        pts = [pd.granted_at] + [t for t in pd.breakpoints() if t > pd.granted_at]
-        run_start = None
-        for i, t in enumerate(pts):
-            draw = pd._draw_if_powered(t)
-            if draw > limit:
-                if run_start is None:
-                    run_start = t
-                nxt = pts[i + 1] if i + 1 < len(pts) else None
-                if nxt is None or nxt - run_start >= self.detection_window_ps:
-                    at = run_start + self.detection_window_ps
-                    return DisconnectEvent(pd.tile_id, at,
-                                           pd._draw_if_powered(run_start), limit)
-            else:
-                run_start = None
-        return None
+        limit, start = pd.granted.pd_mw, pd.granted_at
+        later = pd.step is not None and pd.step[0] > start
+        if pd._draw_if_powered(start) <= limit:
+            if not later or pd.step[1] <= limit:
+                return None
+            start = pd.step[0]
+        elif later and pd.step[0] - start < self.detection_window_ps \
+                and pd.step[1] <= limit:
+            return None
+        return DisconnectEvent(pd.tile_id, start + self.detection_window_ps,
+                               pd._draw_if_powered(start), limit)
 
     def monitor(self, true_time: SimTime) -> list[DisconnectEvent]:
         """Apply every disconnect that has come due by true_time, in

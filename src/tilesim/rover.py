@@ -23,6 +23,9 @@ from .fabric import ConfigurationError, Room
 LIFT_MIN_M = 0.55
 LIFT_MAX_M = 1.85
 MAX_PLAN_STOPS = 1_000_000   # the shipped scenario plans 48, rover_survey 141
+# each cell's centre is tested against each obstacle in Python, about 0.1 us
+# a test: set-up at the bound took 0.2-0.3 s with Python 3.11 on a 2-core Xeon
+MAX_OBSTACLE_TESTS = 2_000_000   # rover_survey makes 150
 
 
 class RoverError(RuntimeError):
@@ -362,6 +365,11 @@ def plan_sampling(room: Room, resolution_m: float, obstacles=(),
         z += zres
     cols = int((ax1 - ax0) / resolution_m + 1e-9)
     rows = int((ay1 - ay0) / resolution_m + 1e-9)
+    if cols * rows * len(obstacles) > MAX_OBSTACLE_TESTS:
+        raise ConfigurationError(
+            f"the sampling plan would test {cols * rows:,} cells against "
+            f"{len(obstacles):,} obstacles, over {MAX_OBSTACLE_TESTS:,} tests; "
+            "use fewer rover.obstacles or coarsen resolution_m")
     cells = []
     for i in range(cols):
         for j in range(rows):

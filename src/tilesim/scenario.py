@@ -84,10 +84,38 @@ class ScenarioConfig:
     rover: RoverConfig = field(default_factory=RoverConfig)
 
 
-def _coerce_lists(value):
-    if isinstance(value, list):
-        return tuple(_coerce_lists(v) for v in value)
-    return value
+# A scenario's structure is bounded before anything is built from it.  Its
+# deepest legitimate key, rover.obstacles, nests 4 collections: the
+# document, the rover section, the list and one rectangle.  MAX_NESTING is
+# eight times that, far inside both the composer's C stack (a file 50,000
+# levels deep overflows it) and Python's recursion limit.  MAX_NODES counts
+# every mapping, list and scalar, each alias as the size of its anchor; the
+# shipped scenario has 64.  A file at the bound, one list of 49,990 floats
+# under a disabled section, where no check of its shape applies, took
+# 0.29-0.33 s to validate with Python 3.11 on a 2-core Xeon.
+MAX_NESTING = 32
+MAX_NODES = 50_000
+
+
+def _coerce_lists(value, where: str):
+    """`value` with each list in it, at any depth, made a tuple.  Data
+    built in Python, not read from a file, is held here to the bounds
+    `_check_structure` holds a file to, a list that occurs more than once
+    counted each time; a tuple is taken as it is."""
+    nodes = 0
+
+    def coerce(v, depth):
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_NODES:
+            raise ConfigurationError(f"{where}: more than {MAX_NODES:,} values")
+        if not isinstance(v, list):
+            return v
+        if depth == MAX_NESTING:
+            raise ConfigurationError(f"{where}: nested deeper than {MAX_NESTING} lists")
+        return tuple([coerce(x, depth + 1) for x in v])
+
+    return coerce(value, 0)
 
 
 def _coerce_float(value, where: str):
@@ -112,7 +140,7 @@ def _check_scalar(hint, value, where: str):
     args = typing.get_args(hint)
     kinds = [a for a in args or (hint,) if a is not type(None)]
     if len(kinds) != 1 or kinds[0] not in _SCALAR_NAMES:
-        return _coerce_lists(value)
+        return _coerce_lists(value, where)
     kind = kinds[0]
     if value is None and type(None) in args:
         return value
@@ -166,10 +194,45 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+def _check_structure(path, stream) -> None:
+    """Refuse a document nested deeper than MAX_NESTING collections or of
+    more than MAX_NODES nodes, each alias counted as the size of its
+    anchor, from its events alone: the parser keeps its own stack, where
+    composing the document would recurse."""
+    sizes = {}    # anchor -> the nodes of its node, once it is closed
+    open_ = []    # (anchor, nodes before it) of each open collection
+    nodes = 0
+    for event in yaml.parse(stream, Loader=_YAML_LOADER):
+        if isinstance(event, yaml.AliasEvent):
+            if any(anchor == event.anchor for anchor, _ in open_):
+                raise ConfigurationError(f"{path}: alias *{event.anchor} lies inside "
+                                         f"its own anchor")
+            nodes += sizes.get(event.anchor, 1)
+        elif isinstance(event, yaml.CollectionStartEvent):
+            open_.append((event.anchor, nodes))
+            nodes += 1
+            if len(open_) > MAX_NESTING:
+                raise ConfigurationError(
+                    f"{path}: nested deeper than {MAX_NESTING} collections")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            anchor, before = open_.pop()
+            if anchor is not None:
+                sizes[anchor] = nodes - before
+        elif isinstance(event, yaml.ScalarEvent):
+            nodes += 1
+            if event.anchor is not None:
+                sizes[event.anchor] = 1
+        if nodes > MAX_NODES:
+            raise ConfigurationError(f"{path}: more than {MAX_NODES:,} nodes, "
+                                     f"each alias counted as its anchor")
+
+
 def load_scenario(path) -> ScenarioConfig:
     # bytes: the parser decodes them as YAML says, UTF-8 unless a BOM says
     # otherwise, and refuses a file that is not
     with open(path, "rb") as f:
+        _check_structure(path, f)
+        f.seek(0)
         data = yaml.load(f, Loader=_YAML_LOADER)
     if data is None:
         data = {}
@@ -335,8 +398,10 @@ RULES = {
 
 MAX_CONSUMERS = 50_000   # groups times members, each a poll series; set-up well under 1 s
 
-# rules that bind only once power.overdraw_tile names a tile to overdraw
-OVERDRAW_RULES = {"power.overdraw_at_s": Delay(), "power.overdraw_w": Scale()}
+# rules that bind only once power.overdraw_tile names a tile to overdraw;
+# the step is kept in integer mW, like the budgets
+OVERDRAW_RULES = {"power.overdraw_at_s": Delay(),
+                  "power.overdraw_w": Scale(below=1e300)}
 
 
 def _rule_problems(cfg: ScenarioConfig, rules: dict) -> list[str]:

@@ -195,8 +195,8 @@ def test_criterion_08_array_gain_statistics(verdict):
     fab = build_default_fabric(FabricConfig(counts={"wall_a": 8},
                                             switch_count=2))
     report, _ = run_sync(fab, open_loop_config(offset_us=0.0), 8.0, seed=88)
-    gain = evaluate_beamforming(fab, report, 2.45e9, (4.0, 2.0, 1.2), 200,
-                                RngStream(88, "beam"))
+    sdr = [t.id for t in fab.tiles.values() if "sdr" in t.roles]
+    gain = evaluate_beamforming(report, sdr, 2.45e9, 200, RngStream(88, "beam"))
     perfect = bool(np.all(gain.gains == 64.0))
 
     incoherent = coherent_gain_batch(

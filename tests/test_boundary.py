@@ -22,6 +22,7 @@ import contextlib
 import copy
 import dataclasses
 import io
+import reprlib
 import signal
 import sys
 import tempfile
@@ -106,10 +107,38 @@ def alarm(seconds: int):
 SHAPED = {"fabric.counts", "fabric.face_dims", "coherent.target", "rover.area",
           "rover.obstacles", "timesync.boundary_switches"}
 
+def nested(depth: int) -> list:
+    """One number inside `depth` lists, built without recursion."""
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def shared(levels: int) -> list:
+    """`levels` lists, each of ten references to the one below, around ten
+    numbers: 10 ** levels numbers, as a file's aliases compose."""
+    value = [1] * 10
+    for _ in range(levels - 1):
+        value = [value] * 10
+    return value
+
+
+# 125,001 rectangles, as tuples, which the load takes as they are: against
+# the probe's 16 cells, just past the rover's bound on obstacle tests
+MANY_OBSTACLES = ((0.1, 0.1, 0.2, 0.2),) * 125_001
+
 # Cases past the walk, each of the shape its key takes.  A floor face of
 # 12.5 million panel cells, of which the probe places 2: set-up once made
-# every cell before it took the first two, and ran out of memory.
-SHAPED_CASES = [(("fabric", "face_dims"), {"floor": [3000, 3000]})]
+# every cell before it took the first two, and ran out of memory.  Then
+# lists the load refuses, naming the key, as past the bounds on a file's
+# structure: 500 and 50,000 deep, which recursed past Python's limit
+# where they became tuples, and 6 and 8 levels of ten shared lists, which
+# expanded to 10**6 and 10**8 numbers there.
+SHAPED_CASES = [(("fabric", "face_dims"), {"floor": [3000, 3000]}),
+                (("rover", "obstacles"), MANY_OBSTACLES),
+                *((("coherent", "target"), nested(depth)) for depth in (500, 50_000)),
+                *((("coherent", "target"), shared(levels)) for levels in (6, 8))]
 
 ROOM = ["fabric.room.length_m", "fabric.room.width_m", "fabric.room.height_m"]
 
@@ -139,9 +168,11 @@ BEYOND_RULES = [
      "no such cable model, no such powered tile"),
     (["dataplane.consumer_groups", "dataplane.consumers_per_group"], (10**7,),
      "consumers (groups times members) over their bound"),
+    (["rover.obstacles"], (MANY_OBSTACLES,), "cell-obstacle tests over their bound"),
 ]
-_BEYOND = {(key, value) for keys, values, _ in BEYOND_RULES
-           for key in keys for value in values}
+# compared by ==, since a shaped value may not hash
+_BEYOND = [(key, value) for keys, values, _ in BEYOND_RULES
+           for key in keys for value in values]
 
 
 def predicted(path, value) -> str:
@@ -154,9 +185,10 @@ def predicted(path, value) -> str:
     except ConfigurationError:
         return "load"
     loaded = attrgetter(key)(cfg)
-    if key in SHAPED:
-        # no walk value has the key's shape; each of SHAPED_CASES has it
-        return "rules" if value in VALUES else "set up"
+    if key in SHAPED and value in VALUES:
+        # no walk value has the key's shape; each of SHAPED_CASES the load
+        # takes has it
+        return "rules"
     if key in RULES and loaded is not None and RULES[key].problem(key, loaded):
         return "rules"
     return "beyond" if (key, value) in _BEYOND else "set up"
@@ -166,6 +198,7 @@ def check_outcome(path, value, refusal: ConfigurationError | None) -> None:
     """Assert that a case set up (`refusal` None) or was refused as
     predicted, in one line."""
     key, expected = ".".join(path), predicted(path, value)
+    value = reprlib.repr(value)   # a shaped case may be long or deep
     if refusal is None:
         assert expected == "set up", (value, expected)
         return
@@ -429,7 +462,7 @@ def sweep(seconds: int = 10) -> int:
     `SERVO_CASES` through `run_scenario`, each under an alarm; print each
     one that ends in a traceback, a timeout or otherwise than predicted,
     and return how many did."""
-    checks = [(f"{'.'.join(path)}: {value!r}", probe_with([(path, value)]),
+    checks = [(f"{'.'.join(path)}: {reprlib.repr(value)}", probe_with([(path, value)]),
                partial(check_outcome, path, value))
               for path in KEYS for value in cases(path)]
     checks += [(str(keys), two_key_doc(keys), partial(check_two_key, keys, key))

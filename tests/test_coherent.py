@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 
 from tilesim import coherent
 from tilesim.coherent import (_BLOCK_ELEMENTS, CARRIER_MAX_HZ, CARRIER_MIN_HZ,
-                              CoherentError, SPEED_OF_LIGHT_M_S, GainResult, SdrNode,
-                              coherent_gain,
-                              evaluate_beamforming, expected_gain,
-                              steering_phase, wrap_phase)
+                              CoherentError, GainResult, coherent_gain,
+                              evaluate_beamforming, expected_gain, wrap_phase)
 from tilesim.core import RngStream, as_normals
 from tilesim.fabric import (ConfigurationError, Fabric, FabricConfig,
                             build_default_fabric)
+from tilesim.scenario import ScenarioConfig, validate_scenario
 from tilesim.timesync import SyncReport
+
+SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 
 def report_with_residuals(nodes, sigma_ps, n_samples=500, seed=0):
@@ -51,24 +52,6 @@ def test_wrap_phase_range_and_edges():
 def test_wrap_phase_preserves_phasor():
     for phi in np.linspace(-15, 15, 301):
         assert np.exp(1j * wrap_phase(phi)) == pytest.approx(np.exp(1j * phi))
-
-
-def test_steering_phase_geometry():
-    # one wavelength of range at 1 GHz is exactly one turn
-    lam = SPEED_OF_LIGHT_M_S / 1e9
-    assert steering_phase((0, 0, 0), (lam, 0, 0), 1e9) == pytest.approx(0.0, abs=1e-9)
-    assert steering_phase((0, 0, 0), (lam / 2, 0, 0), 1e9) == pytest.approx(math.pi)
-    # frozen spot value: 5 m at 1 GHz
-    assert steering_phase((0, 0, 0), (5, 0, 0), 1e9) == \
-        pytest.approx(-2.021899124468885, abs=1e-12)
-
-
-def test_sdr_node_validation():
-    SdrNode("t0", 2.45e9, 10.0)
-    with pytest.raises(ConfigurationError, match="carrier"):
-        SdrNode("t0", 1e5, 10.0)
-    with pytest.raises(ConfigurationError, match="power"):
-        SdrNode("t0", 2.45e9, 30.0)
 
 
 # --- gain -------------------------------------------------------------------
@@ -142,8 +125,8 @@ def test_perfect_sync_gains_exactly_n_squared():
     fab = small_fabric()
     tiles = sorted(fab.tiles)
     report = report_with_residuals(tiles, sigma_ps=0.0)
-    res = evaluate_beamforming(fab, report, 2.45e9, (4, 2, 1), trials=50,
-                               rng=RngStream(1, "bf"), tiles=tiles)
+    res = evaluate_beamforming(report, tiles, 2.45e9, trials=50,
+                               rng=RngStream(1, "bf"))
     n = len(tiles)
     assert np.all(res.gains == n * n)
     assert res.efficiency == 1.0
@@ -157,8 +140,8 @@ def test_timing_residuals_degrade_gain():
     # 6.5 ps residual sigma -> 0.1 rad of carrier phase
     sigma_ps = 0.1 / (2 * math.pi * carrier) * 1e12
     report = report_with_residuals(tiles, sigma_ps, n_samples=2000)
-    res = evaluate_beamforming(fab, report, carrier, (4, 2, 1), trials=4000,
-                               rng=RngStream(2, "bf"), tiles=tiles)
+    res = evaluate_beamforming(report, tiles, carrier, trials=4000,
+                               rng=RngStream(2, "bf"))
     n = len(tiles)
     assert res.mean_gain == pytest.approx(expected_gain(n, 0.1), rel=0.03)
     assert res.mean_gain < n * n
@@ -168,10 +151,8 @@ def test_evaluation_is_seed_deterministic():
     fab = small_fabric()
     tiles = sorted(fab.tiles)
     report = report_with_residuals(tiles, sigma_ps=50.0)
-    a = evaluate_beamforming(fab, report, 2.45e9, (4, 2, 1), 100,
-                             RngStream(3, "bf"), tiles=tiles)
-    b = evaluate_beamforming(fab, report, 2.45e9, (4, 2, 1), 100,
-                             RngStream(3, "bf"), tiles=tiles)
+    a = evaluate_beamforming(report, tiles, 2.45e9, 100, RngStream(3, "bf"))
+    b = evaluate_beamforming(report, tiles, 2.45e9, 100, RngStream(3, "bf"))
     assert np.array_equal(a.gains, b.gains)
 
 
@@ -181,13 +162,22 @@ def coherent_gain_batch(phases: np.ndarray) -> np.ndarray:
     return (s.real * s.real + s.imag * s.imag)
 
 
+def steering_phase(tile_center, target, carrier_hz: float) -> float:
+    """Carrier phase accumulated over the straight path tile -> target."""
+    d = math.dist(tile_center, target)
+    return float(wrap_phase(2 * np.pi * d * carrier_hz / SPEED_OF_LIGHT_M_S))
+
+
 def per_trial_evaluate_beamforming(fabric: Fabric, sync_report, carrier_hz: float,
                                    target, trials: int, rng: RngStream,
                                    tiles: list[str],
                                    phase_noise_sigma_rad: float = 0.0) -> GainResult:
     """The evaluation one trial at a time: trial i reads the 2n + n % 2
     words from index i * (2n + n % 2) on, its pool indices from the first n
-    and its phase noise from Box-Muller pairs of the rest."""
+    and its phase noise from Box-Muller pairs of the rest.  Each tile's
+    phase still carries its path phase toward `target` and subtracts the
+    same value as its conjugate weight, so matching it also shows that the
+    evaluation, which leaves the geometry out, loses nothing by it."""
     pools = [np.asarray(sync_report.post_convergence(t)) * 1e-12 for t in tiles]
     n = len(tiles)
     geo = np.array([steering_phase(fabric.tiles[t].center, target, carrier_hz)
@@ -217,7 +207,8 @@ def full_fabric() -> Fabric:
 
 
 def assert_batched_equals_per_trial(lengths: list[int], carrier_hz: float,
-                                    trials: int, noise: float) -> None:
+                                    trials: int, noise: float,
+                                    target=(4, 2, 1)) -> None:
     # the oracle reads each trial's own words one trial at a time; pools of
     # unequal length exercise the truncation to the shortest
     fab = full_fabric()
@@ -228,10 +219,10 @@ def assert_batched_equals_per_trial(lengths: list[int], carrier_hz: float,
         report.add_series(node, range(length),
                           [draws.normal(scale=120.0) for _ in range(length)])
     report.finalize()
-    args = (fab, report, carrier_hz, (4, 2, 1), trials)
-    new = evaluate_beamforming(*args, RngStream(5, "bf"), tiles=tiles,
+    new = evaluate_beamforming(report, tiles, carrier_hz, trials, RngStream(5, "bf"),
                                phase_noise_sigma_rad=noise)
-    old = per_trial_evaluate_beamforming(*args, RngStream(5, "bf"), tiles=tiles,
+    old = per_trial_evaluate_beamforming(fab, report, carrier_hz, target, trials,
+                                         RngStream(5, "bf"), tiles=tiles,
                                          phase_noise_sigma_rad=noise)
     assert new.gains.tobytes() == old.gains.tobytes()
     assert new.summary() == old.summary()
@@ -255,8 +246,9 @@ N_BANDS = {1: 0, 2: 1, 7: 2, 16: 7, 33: 16, 140: 33}
 @settings(derandomize=True, deadline=None)
 @given(data=st.data())
 def test_batched_trials_equal_the_per_trial_loop_on_drawn_arrays(n_max, noise, data):
-    # pools of unequal length, the shortest down to one entry, and trial
-    # counts from just short of the first block's edge to just past it
+    # pools of unequal length, the shortest down to one entry, trial counts
+    # from just short of the first block's edge to just past it, and a
+    # target anywhere in the room, whose geometry only the oracle computes
     n = data.draw(st.integers(N_BANDS[n_max] + 1, n_max), label="n")
     min_pool = data.draw(st.integers(1, 40), label="min_pool")
     extra = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n),
@@ -267,7 +259,10 @@ def test_batched_trials_equal_the_per_trial_loop_on_drawn_arrays(n_max, noise, d
     trials = max(1, block + data.draw(st.integers(-3, 3), label="past_edge"))
     carrier = data.draw(st.sampled_from([CARRIER_MIN_HZ, CARRIER_MAX_HZ]),
                         label="carrier_hz")
-    assert_batched_equals_per_trial(lengths, carrier, trials, noise)
+    room = full_fabric().room
+    target = tuple(data.draw(st.floats(0, side), label=axis) for axis, side in
+                   zip("xyz", (room.length_m, room.width_m, room.height_m)))
+    assert_batched_equals_per_trial(lengths, carrier, trials, noise, target)
 
 
 def test_unconverged_tile_is_an_error():
@@ -276,16 +271,27 @@ def test_unconverged_tile_is_an_error():
     report = report_with_residuals(tiles[:-1], sigma_ps=10.0)
     report.add_sample(tiles[-1], 0, 1.0)   # never converges: no samples pooled
     with pytest.raises(CoherentError, match="converged"):
-        evaluate_beamforming(fab, report, 2.45e9, (4, 2, 1), 10,
-                             RngStream(4, "bf"), tiles=tiles)
+        evaluate_beamforming(report, tiles, 2.45e9, 10, RngStream(4, "bf"))
 
 
 def test_target_outside_room_rejected():
-    fab = small_fabric()
-    report = report_with_residuals(sorted(fab.tiles), sigma_ps=1.0)
-    with pytest.raises(ConfigurationError, match="outside"):
-        evaluate_beamforming(fab, report, 2.45e9, (99, 0, 0), 10,
-                             RngStream(5, "bf"))
+    # the evaluation never reads the target; the scenario check refuses it
+    cfg = ScenarioConfig()
+    cfg.coherent.target = (99, 0, 0)
+    assert validate_scenario(cfg) == ["coherent.target lies outside the room"]
+    cfg.coherent.enabled = False
+    assert validate_scenario(cfg) == []
+
+
+@pytest.mark.parametrize("carrier_hz", [CARRIER_MIN_HZ * (1 - 1e-12), 1e5,
+                                        CARRIER_MAX_HZ * (1 + 1e-12), math.nan])
+def test_carrier_outside_the_radio_range_rejected(carrier_hz):
+    tiles = sorted(small_fabric().tiles)
+    report = report_with_residuals(tiles, sigma_ps=1.0)
+    with pytest.raises(ConfigurationError, match="^carrier .* outside the radio's"):
+        evaluate_beamforming(report, tiles, carrier_hz, 10, RngStream(5, "bf"))
+    for edge in (CARRIER_MIN_HZ, CARRIER_MAX_HZ):
+        evaluate_beamforming(report, tiles, edge, 10, RngStream(5, "bf"))
 
 
 def csv_writer_write_csv(result: GainResult, path) -> None:
@@ -317,8 +323,7 @@ def test_gain_result_summary_and_csv(tmp_path):
     fab = small_fabric()
     tiles = sorted(fab.tiles)
     report = report_with_residuals(tiles, sigma_ps=0.0)
-    res = evaluate_beamforming(fab, report, 2.45e9, (4, 2, 1), 3,
-                               RngStream(6, "bf"), tiles=tiles)
+    res = evaluate_beamforming(report, tiles, 2.45e9, 3, RngStream(6, "bf"))
     s = res.summary()
     assert s["trials"] == 3 and s["n_transmitters"] == len(tiles)
     out = tmp_path / "gains.csv"

@@ -89,9 +89,8 @@ def test_beamforming_peak_does_not_grow_with_the_trials():
     report.finalize()
 
     def peak(trials):
-        return traced_peak(evaluate_beamforming, fab, report, 2.45e9, (4, 2, 1),
-                           trials, RngStream(5, "bf"), tiles=tiles,
-                           phase_noise_sigma_rad=0.2)
+        return traced_peak(evaluate_beamforming, report, tiles, 2.45e9, trials,
+                           RngStream(5, "bf"), phase_noise_sigma_rad=0.2)
 
     peak(1)   # warm-up, as above
     one, eight = peak(128), peak(8 * 128)
@@ -130,11 +129,10 @@ def test_beamforming_peak_is_its_table_and_one_block(noise):
     table = 140 * 20_000 * (8 if noise else 16)
     block = 128 * coherent._BLOCK_ELEMENTS
     trials = 8 * (coherent._BLOCK_ELEMENTS // 140)
-    evaluate_beamforming(fab, report, 2.45e9, (4, 2, 1), 1, RngStream(5, "bf"),
-                         tiles=tiles, phase_noise_sigma_rad=noise)   # warm-up
-    peak = traced_peak(evaluate_beamforming, fab, report, 2.45e9, (4, 2, 1),
-                       trials, RngStream(5, "bf"), tiles=tiles,
-                       phase_noise_sigma_rad=noise)
+    evaluate_beamforming(report, tiles, 2.45e9, 1, RngStream(5, "bf"),
+                         phase_noise_sigma_rad=noise)   # warm-up
+    peak = traced_peak(evaluate_beamforming, report, tiles, 2.45e9, trials,
+                       RngStream(5, "bf"), phase_noise_sigma_rad=noise)
     assert peak < table + block
 
 

@@ -1,21 +1,19 @@
 """PoE sourcing: classification, budget ledger, and overdraw detection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilesim.core import PS_PER_MS, PS_PER_S
 from tilesim.fabric import ConfigurationError
 from tilesim.powerplane import (Denial, Grant, PdDevice, PowerClass,
-                                POWER_CLASSES, PowerConfig, PsePlane,
-                                StepSeries, classify)
+                                POWER_CLASSES, PowerConfig, PsePlane, classify)
 
 WINDOW_PS = PowerConfig.detection_window_ms * PS_PER_MS
 
 
-def make_pd(tile_id="t000", cls=3, base=500, processing=2500, peripheral=500):
-    pd = PdDevice(tile_id, requested_class=cls, base_mw=base)
-    pd.processing.set_from(0, processing)
-    pd.peripheral.set_from(0, peripheral)
-    return pd
+def make_pd(tile_id="t000", cls=3, draw=3500, step=None):
+    return PdDevice(tile_id, requested_class=cls, draw_mw=draw, step=step)
 
 
 def plane_with(pds, **kw):
@@ -44,31 +42,33 @@ def test_unknown_class_rejected():
 
 
 def test_autoclass_picks_smallest_covering_class():
-    # 0.5 W base + 10.5 W processing peak = 11 W -> class 3 (13 W ceiling)
-    pd = make_pd(cls=None, processing=10_500, peripheral=0)
+    # 11 W peak -> class 3 (13 W ceiling)
+    pd = make_pd(cls=None, draw=11_000)
     assert classify(pd).class_id == 3
-    tiny = make_pd(cls=None, processing=1000, peripheral=0)
+    tiny = make_pd(cls=None, draw=1500)
     assert classify(tiny).class_id == 1
 
 
 def test_autoclass_never_picks_class_zero():
     # class 0 shares the 13 W ceiling with class 3; measurement must pick 3
-    pd = make_pd(cls=None, processing=12_000, peripheral=0)
+    pd = make_pd(cls=None, draw=12_500)
     assert classify(pd).class_id == 3
 
 
 def test_autoclass_uses_startup_window_peak():
-    pd = make_pd(cls=None, processing=1000, peripheral=0)
-    pd.processing.set_from(PS_PER_MS * 500, 30_000)    # spike inside window
-    pd.processing.set_from(PS_PER_MS * 900, 1000)
+    # a step up inside the window counts, and so does a level it steps down from
+    pd = make_pd(cls=None, draw=1500, step=(PS_PER_MS * 500, 30_500))
     assert classify(pd).class_id == 5
-    late = make_pd(cls=None, processing=1000, peripheral=0)
-    late.processing.set_from(2 * PS_PER_S, 30_000)     # after the window
+    down = make_pd(cls=None, draw=30_500, step=(PS_PER_MS * 500, 1500))
+    assert classify(down).class_id == 5
+    late = make_pd(cls=None, draw=1500, step=(2 * PS_PER_S, 30_500))   # after the window
     assert classify(late).class_id == 1
+    # classified later, a device is measured from that instant on
+    assert classify(down, at=PS_PER_S).class_id == 1
 
 
 def test_autoclass_overload_rejected():
-    pd = make_pd(cls=None, processing=72_000, peripheral=0)
+    pd = make_pd(cls=None, draw=72_500)
     with pytest.raises(ConfigurationError, match="exceeds"):
         classify(pd)
 
@@ -78,32 +78,6 @@ def test_classify_while_powered_rejected():
     pd.online = True
     with pytest.raises(ConfigurationError, match="powered"):
         classify(pd)
-
-
-# --- step series ------------------------------------------------------------
-
-def test_step_series_bisection():
-    s = StepSeries(100)
-    s.set_from(10, 200)
-    s.set_from(20, 300)
-    assert s.value_at(0) == 100
-    assert s.value_at(9) == 100
-    assert s.value_at(10) == 200
-    assert s.value_at(25) == 300
-
-
-def test_step_series_same_time_overwrites():
-    s = StepSeries()
-    s.set_from(10, 5)
-    s.set_from(10, 7)
-    assert s.value_at(10) == 7
-
-
-def test_step_series_rejects_time_reversal():
-    s = StepSeries()
-    s.set_from(10, 5)
-    with pytest.raises(ConfigurationError):
-        s.set_from(9, 1)
 
 
 # --- allocation -------------------------------------------------------------
@@ -180,7 +154,10 @@ def test_plane_is_built_from_its_section():
         pd = plane.devices[tile]
         assert (pd.requested_class, pd.granted.class_id) == (None, 1)
         assert pd.consumption_mw(0) == 2200
-    assert plane.devices["a"].breakpoints() == [0]
+    # the overdraw tile's processing steps to 30 W; the others never step
+    assert [plane.devices[t].step for t in "ac"] == [None, None]
+    assert plane.devices["b"].step == (int(1.5 * PS_PER_S), 31_000)
+    assert plane.devices["b"].consumption_mw(int(1.5 * PS_PER_S) - 1) == 2200
     assert plane.devices["b"].consumption_mw(int(1.5 * PS_PER_S)) == 31_000
 
 
@@ -192,14 +169,17 @@ def test_overdraw_tile_must_be_a_powered_tile():
 
 def test_device_defaults_are_the_sections():
     pd = PdDevice("a")
-    assert (pd.requested_class, pd.base_mw) == (PowerConfig.requested_class,
-                                                PowerConfig.base_mw)
+    assert pd == PsePlane(PowerConfig(), ["a"]).devices["a"]
+    assert (pd.requested_class, pd.draw_mw, pd.step) == (
+        PowerConfig.requested_class,
+        PowerConfig.base_mw + PowerConfig.processing_mw + PowerConfig.peripheral_mw,
+        None)
 
 
 # --- consumption and overdraw -----------------------------------------------
 
 def test_idle_floor_consumption():
-    pd = PdDevice("a", requested_class=3)   # no load profiles
+    pd = PdDevice("a", requested_class=3, draw_mw=500)   # no step
     plane = plane_with([pd])
     plane.allocate("a")
     assert pd.consumption_mw(0) == 500
@@ -216,7 +196,7 @@ def test_overdraw_disconnect_at_exact_window_edge():
     plane = plane_with([pd])
     plane.allocate("a", at=0)
     step_at = 2 * PS_PER_S
-    pd.processing.set_from(step_at, 20_000)   # 20.5 W total vs 13 W ceiling
+    pd.step = (step_at, 21_000)   # 21 W vs the 13 W ceiling
     ev = plane.find_disconnect_time(pd)
     assert ev is not None
     assert ev.at_ps == step_at + WINDOW_PS
@@ -232,33 +212,41 @@ def test_overdraw_disconnect_at_exact_window_edge():
 
 
 def test_short_spike_inside_window_survives():
-    pd = make_pd("a")
+    # over the ceiling from the grant, back under 50 ms later
+    pd = make_pd("a", draw=21_000)
     plane = plane_with([pd])
-    plane.allocate("a", at=0)
-    spike = PS_PER_S
-    pd.processing.set_from(spike, 20_000)
-    pd.processing.set_from(spike + 50 * PS_PER_MS, 2500)  # back under in 50 ms
+    plane.allocate("a", at=PS_PER_S)
+    pd.step = (PS_PER_S + 50 * PS_PER_MS, 3500)
     assert plane.find_disconnect_time(pd) is None
     assert plane.monitor(10 * PS_PER_S) == []
     assert pd.online
 
 
+def test_a_step_down_to_the_ceiling_must_come_before_the_window_ends():
+    # over from the grant; down to exactly the 13 W ceiling, which is not over
+    for back, cut in ((WINDOW_PS - 1, None), (WINDOW_PS, WINDOW_PS)):
+        pd = make_pd("a", draw=13_001, step=(PS_PER_S + back, 13_000))
+        plane = plane_with([pd])
+        plane.allocate("a", at=PS_PER_S)
+        ev = plane.find_disconnect_time(pd)
+        assert (ev and ev.at_ps - PS_PER_S) == cut
+
+
 def test_pre_grant_history_does_not_count():
-    pd = make_pd("a")
-    pd.processing.set_from(0, 20_000)          # over the ceiling from t=0
-    pd.processing.set_from(PS_PER_S, 2500)     # tame by the grant instant
+    # over the ceiling from t=0, tame by the grant instant
+    pd = make_pd("a", draw=21_000, step=(PS_PER_S, 3500))
     plane = plane_with([pd])
     plane.allocate("a", at=2 * PS_PER_S)
     assert plane.find_disconnect_time(pd) is None
 
 
 def test_regrant_after_disconnect():
-    pd = make_pd("a")
+    pd = make_pd("a", draw=21_000)
     plane = plane_with([pd])
     plane.allocate("a", at=0)
-    pd.processing.set_from(PS_PER_S, 20_000)
     (ev,) = plane.monitor(10 * PS_PER_S)
-    pd.processing.set_from(12 * PS_PER_S, 2500)
+    assert ev.at_ps == WINDOW_PS
+    pd.step = (12 * PS_PER_S, 3500)
     g = plane.allocate("a", at=13 * PS_PER_S)
     assert isinstance(g, Grant)
     assert pd.online
@@ -273,8 +261,8 @@ def test_one_monitor_applies_disconnects_in_time_order():
     plane = plane_with([pd_a, pd_b])
     plane.allocate("a", at=0)
     plane.allocate("b", at=0)
-    pd_a.processing.set_from(2 * PS_PER_S, 50_000)
-    pd_b.processing.set_from(PS_PER_S, 50_000)
+    pd_a.step = (2 * PS_PER_S, 51_000)
+    pd_b.step = (PS_PER_S, 51_000)
     fired = plane.monitor(10 * PS_PER_S)
     assert [(ev.tile_id, ev.at_ps) for ev in fired] == \
         [("b", PS_PER_S + WINDOW_PS), ("a", 2 * PS_PER_S + WINDOW_PS)]
@@ -286,10 +274,76 @@ def test_pending_disconnects_preview():
     plane = plane_with([pd_a, pd_b])
     plane.allocate("a")
     plane.allocate("b")
-    pd_b.processing.set_from(PS_PER_S, 99_000)
+    pd_b.step = (PS_PER_S, 100_000)
     pending = plane.pending_disconnects()
     assert [e.tile_id for e in pending] == ["b"]
     assert pd_b.online  # preview does not apply anything
+
+
+# --- a one-step draw against a scan of every millisecond ---------------------
+
+MS = PS_PER_MS
+
+
+def scanned_class(level, at):
+    """The smallest negotiated class covering the largest draw at any
+    millisecond of the startup window [at, at + 1 s], or None."""
+    peak = max(level(t) for t in range(at, at + PS_PER_S + 1, MS))
+    return min((c for c in POWER_CLASSES.values() if c.class_id and c.pd_mw >= peak),
+               key=lambda c: (c.pd_mw, c.class_id), default=None)
+
+
+def scanned_disconnect(level, granted_at, limit, window, last):
+    """(instant, draw) of the first run over `limit`, from the grant on,
+    that lasts a full window, or None.  The draw is constant between
+    milliseconds and after `last`, so the scan ends at `last` + window."""
+    run = None
+    for t in range(granted_at, last + window + MS, MS):
+        if level(t) <= limit:
+            run = None
+            continue
+        if run is None:
+            run = t
+        if t + MS - run >= window:
+            return run + window, level(run)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(cls=st.sampled_from(sorted(POWER_CLASSES)), data=st.data())
+def test_one_step_device_matches_a_scan_of_every_millisecond(cls, data):
+    # each level anywhere, or on the class's ceiling or a milliwatt either
+    # side; the step up or down, anywhere, or a millisecond from the grant
+    # instant or from the end of a window after it
+    limit = POWER_CLASSES[cls].pd_mw
+    levels = st.integers(0, 80_000) | st.sampled_from([limit - 1, limit, limit + 1])
+    instants = st.integers(0, 3000).map(MS.__mul__)
+    granted_at = data.draw(instants, label="granted_at")
+    window = data.draw(st.integers(0, 1500).map(MS.__mul__), label="window")
+    near = [max(0, t + d) for t in (granted_at, granted_at + window) for d in (-MS, 0, MS)]
+    draw = data.draw(levels, label="draw_mw")
+    step = data.draw(st.none() | st.tuples(instants | st.sampled_from(near), levels),
+                     label="step")
+
+    def level(t):
+        return draw if step is None or t < step[0] else step[1]
+
+    measured = PdDevice("a", requested_class=None, draw_mw=draw, step=step)
+    want = scanned_class(level, granted_at)
+    if want is None:
+        with pytest.raises(ConfigurationError, match="exceeds every class"):
+            classify(measured, granted_at)
+    else:
+        assert classify(measured, granted_at) == want
+
+    pd = PdDevice("a", requested_class=cls, draw_mw=draw, step=step)
+    plane = plane_with([pd], detection_window_ms=window // MS)
+    assert isinstance(plane.allocate("a", at=granted_at), Grant)
+    last = granted_at if step is None else max(granted_at, step[0])
+    ev = plane.find_disconnect_time(pd)
+    assert (None if ev is None else (ev.at_ps, ev.over_mw)) == \
+        scanned_disconnect(level, granted_at, limit, window, last)
+    assert ev is None or (ev.tile_id, ev.limit_mw) == ("a", limit)
 
 
 # --- reporting --------------------------------------------------------------
@@ -310,7 +364,7 @@ def test_summary_counts():
     plane = plane_with(pds, midspan_count=1, global_budget_w=180.0)
     for pd in pds:
         plane.allocate(pd.tile_id)
-    pds[0].processing.set_from(PS_PER_S, 99_000)
+    pds[0].step = (PS_PER_S, 100_000)
     plane.monitor(10 * PS_PER_S)
     s = plane.summary()
     assert s["grants"] == 2

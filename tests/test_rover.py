@@ -523,6 +523,26 @@ def test_plan_size_bound_counts_cells_times_lift_stops():
         plan_sampling(ROOM, 5e-324)
 
 
+def test_obstacle_bound_counts_cells_times_obstacles(monkeypatch):
+    # the whole 8 m x 4 m room at 0.05 m is 160 x 80 cells: 156 rectangles
+    # are 1,996,800 tests, under the bound, and 157 are over it.  At 10,000
+    # rectangles, set-up once took 8.6 s.
+    far = (7.0, 3.0, 7.1, 3.1)
+    p = plan_sampling(ROOM, 0.05, [far] * 156, z_resolution_m=2.0)
+    assert len(p.waypoints) == 12_800 - 12 * 12   # inflated, it blocks 0.6 m x 0.6 m
+    for count in (157, 10_000):
+        with pytest.raises(ConfigurationError) as e:
+            plan_sampling(ROOM, 0.05, [far] * count, z_resolution_m=2.0)
+        assert str(e.value) == (
+            f"the sampling plan would test 12,800 cells against {count:,} obstacles, "
+            "over 2,000,000 tests; use fewer rover.obstacles or coarsen resolution_m")
+    # the bound is on the product: a coarser grid takes more rectangles
+    monkeypatch.setattr(rover, "MAX_OBSTACLE_TESTS", 32 * 10)
+    plan_sampling(ROOM, 1.0, [far] * 10)
+    with pytest.raises(ConfigurationError, match="test 32 cells against 11 obstacles"):
+        plan_sampling(ROOM, 1.0, [far] * 11)
+
+
 # --- battery ----------------------------------------------------------------
 
 def test_endurance_arithmetic_is_exact():

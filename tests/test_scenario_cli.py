@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -19,9 +20,9 @@ from tilesim.cli import main
 from tilesim.fabric import ConfigurationError
 from tilesim.coherent import MAX_TRIAL_ELEMENTS
 from tilesim.orchestrator import STAGES, prepare_scenario, run_scenario
-from tilesim.scenario import (_YAML_LOADER, ScenarioConfig, load_scenario,
-                              resolved_dict, resolved_json, scenario_from_dict,
-                              scenario_hash, validate_scenario)
+from tilesim.scenario import (_YAML_LOADER, MAX_NESTING, MAX_NODES, ScenarioConfig,
+                              load_scenario, resolved_dict, resolved_json,
+                              scenario_from_dict, scenario_hash, validate_scenario)
 
 # 8 s: at 6 s, most seeds leave an SDR tile unconverged (22 of seeds 1-30),
 # and a run whose array has no converged tile writes no gains.csv
@@ -645,7 +646,10 @@ def test_optional_scalars_take_none_or_their_type(values):
      "coherent.phase_noise_sigma_rad"),
     *[({"fabric": {key: float("nan")}}, f"fabric.{key}")
       for key in ("cable_min_m", "cable_max_m", "cable_fixed_m")],
-    ({"coherent": {"tx_power_dbm": float("nan")}}, "coherent.tx_power_dbm")])
+    ({"coherent": {"tx_power_dbm": float("nan")}}, "coherent.tx_power_dbm"),
+    # a step past 1e300 W overflowed its integer milliwatts in a traceback
+    ({"power": {"overdraw_tile": "t000", "overdraw_w": 1.7e308}},
+     "power.overdraw_w")])
 def test_validate_names_the_malformed_field(sections, field):
     problems = validate_scenario(tiny_cfg(**sections))
     assert [p.split()[0] for p in problems] == [field]
@@ -775,6 +779,111 @@ def test_cli_malformed_yaml_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("a: [1,\n")
     assert "line 2, column 1" in usage_error_line(["validate", str(path)], capsys)
+
+
+# --- hostile YAML structure --------------------------------------------------
+# A file nested too deep, or a few hundred bytes whose aliases expand past
+# the node bound, ends in one line before it is composed: composing 50,000
+# levels overflowed the C stack, and under a disabled section, where no
+# shape check applies, 6 levels of ten aliases took 5 s and 216 MB.
+
+
+def nested_yaml(depth: int) -> str:
+    """coherent.target as `depth` nested flow lists around one number."""
+    return f"coherent:\n  target: {'[' * depth}1{']' * depth}\n"
+
+
+def alias_yaml(levels: int) -> str:
+    """A disabled coherent.target of `levels` anchored lists, each of ten
+    aliases of the one before: 10 ** levels numbers in all."""
+    lines = ["coherent:", "  enabled: false", "  target:",
+             "    - &a0 [1, 1, 1, 1, 1, 1, 1, 1, 1, 1]"]
+    lines += [f"    - &a{k} [{', '.join([f'*a{k - 1}'] * 10)}]" for k in range(1, levels)]
+    return "\n".join(lines) + "\n"
+
+
+HOSTILE_YAML = {
+    "nested_500": (nested_yaml(500), f"nested deeper than {MAX_NESTING} collections"),
+    **{f"aliases_{n}": (alias_yaml(n), f"more than {MAX_NODES:,} nodes, each alias "
+                                       "counted as its anchor") for n in (6, 8)},
+    "alias_in_its_anchor": ("coherent:\n  enabled: false\n  target: &a [*a]\n",
+                            "alias *a lies inside its own anchor"),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_YAML)
+def test_hostile_yaml_structure_exits_2_with_one_line(name, tmp_path, capsys):
+    text, reason = HOSTILE_YAML[name]
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(text)
+    with alarm(10):
+        assert usage_error_line(["validate", str(path)], capsys) == f"error: {path}: {reason}"
+
+
+def test_yaml_nested_50000_deep_exits_2_in_a_child(tmp_path):
+    # in a child, so that a composer overflowing its C stack fails this test
+    # and not the session; under a 4 GB address space, as CI runs it
+    path = tmp_path / "deep.yaml"
+    path.write_text(nested_yaml(50_000))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(tilesim.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-m", "tilesim.cli", "validate", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4_000_000_000,) * 2))
+    assert (child.returncode, child.stdout) == (2, ""), child.stderr
+    (line,) = child.stderr.splitlines()
+    assert line == f"error: {path}: nested deeper than {MAX_NESTING} collections"
+
+
+def test_yaml_under_the_structure_bounds_loads(tmp_path):
+    # anchors reused under the node bound expand as written out in full
+    path = tmp_path / "anchors.yaml"
+    path.write_text("rover:\n  obstacles:\n    - &r [1.0, 1.0, 1.5, 1.5]\n"
+                    "    - *r\n    - *r\ncoherent:\n  target: &t [4.0, 2.0, 1.0]\n"
+                    "  enabled: true\n")
+    cfg = load_scenario(path)
+    assert cfg.rover.obstacles == ((1.0, 1.0, 1.5, 1.5),) * 3
+    assert scenario_hash(cfg) == scenario_hash(scenario_from_dict(
+        {"rover": {"obstacles": [[1.0, 1.0, 1.5, 1.5]] * 3},
+         "coherent": {"target": [4.0, 2.0, 1.0]}}))
+    # the document, coherent and the target's lists: MAX_NESTING collections
+    # load (the shape check refuses them later), and one more does not
+    path.write_text(nested_yaml(MAX_NESTING - 2))
+    target = load_scenario(path).coherent.target
+    for _ in range(MAX_NESTING - 2):
+        (target,) = target
+    assert target == 1
+    path.write_text(nested_yaml(MAX_NESTING - 1))
+    with pytest.raises(ConfigurationError, match=f"nested deeper than {MAX_NESTING} "):
+        load_scenario(path)
+    # 7 nodes besides the list's numbers: the document, coherent, its
+    # enabled and target keys, false, and the list
+    for extra, refused in ((0, False), (1, True)):
+        path.write_text("coherent: {enabled: false, target: [%s]}\n"
+                        % ", ".join(["1"] * (MAX_NODES - 7 + extra)))
+        if refused:
+            with pytest.raises(ConfigurationError, match=f"more than {MAX_NODES:,} nodes"):
+                load_scenario(path)
+        else:
+            assert len(load_scenario(path).coherent.target) == MAX_NODES - 7
+
+
+def test_python_data_is_held_to_the_structure_bounds():
+    # a list built in Python, 50,000 deep or of shared lists expanding to
+    # 10**8 numbers, is refused where lists become tuples, naming its key
+    deep = 1
+    for _ in range(50_000):
+        deep = [deep]
+    shared = [1] * 10
+    for _ in range(7):
+        shared = [shared] * 10
+    for value, reason in ((deep, f"nested deeper than {MAX_NESTING} lists"),
+                          (shared, f"more than {MAX_NODES:,} values")):
+        with pytest.raises(ConfigurationError) as e:
+            scenario_from_dict({"coherent": {"enabled": False, "target": value}})
+        assert str(e.value) == f"scenario.coherent.target: {reason}"
 
 
 def test_cli_run_then_report(tiny_yaml, tmp_path, capsys):
