@@ -3,9 +3,9 @@
 Each transmitting tile contributes a unit phasor whose phase is the one its
 residual timing error produces at the carrier.  The conjugate weights
 steering the array toward a target remove each tile's path phase exactly,
-for any target, so the geometry never enters the sum: a scenario's
-`coherent.target` and `coherent.tx_power_dbm` are checked when it is
-validated, and with perfect timing the array gain is exactly N squared.
+for any target, so neither the geometry nor the transmit power enters the
+sum and a scenario names neither; with perfect timing the array gain is
+exactly N squared.
 Timing errors are drawn per trial from the empirical post-convergence
 residual pool of each tile's disciplined clock.
 
@@ -37,7 +37,6 @@ from .fabric import ConfigurationError
 
 CARRIER_MIN_HZ = 70e6
 CARRIER_MAX_HZ = 6e9
-MAX_TX_POWER_DBM = 20.0
 _BLOCK_ELEMENTS = 16384   # trial-element pairs per array pass: its element budget
 MAX_TRIAL_ELEMENTS = 10_000_000   # trial-element pairs per run, refused past it
 _CSV_BLOCK = 4096   # gains.csv rows per write

@@ -22,9 +22,10 @@ SURFACE_NAMES = ("wall_a", "wall_b", "floor", "ceiling")
 TILE_LONG_MM = 1200
 TILE_SHORT_MM = 600
 
-FABRIC_SCHEMA_VERSION = 1
+FABRIC_SCHEMA_VERSION = 2
 
-DEFAULT_ROLES = frozenset({"clock", "pd", "sdr", "producer"})
+# the time root every switch's trunk runs from: the a-side of each trunk link
+CENTRAL_ID = "central"
 
 
 class ConfigurationError(ValueError):
@@ -54,7 +55,6 @@ class TileNode:
     center: tuple[float, float, float]   # metres, room frame
     normal: tuple[float, float, float]   # unit, points into the room
     rect_mm: tuple[int, int, int, int]   # (u0, v0, u1, v1) on the owning face
-    roles: frozenset[str] = DEFAULT_ROLES
 
 
 @dataclass
@@ -62,7 +62,6 @@ class SwitchNode:
     id: str
     port_count: int = 48
     position: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    transparent_clock: bool = True
     attached: list[str] = field(default_factory=list)
 
 
@@ -189,14 +188,12 @@ class FabricConfig:
 
 class Fabric:
     def __init__(self, config: FabricConfig, tiles: dict[str, TileNode],
-                 switches: dict[str, SwitchNode], links: dict[str, Link],
-                 central_id: str = "central"):
+                 switches: dict[str, SwitchNode], links: dict[str, Link]):
         self.config = config
         self.room = config.room
         self.tiles = tiles
         self.switches = switches
         self.links = links
-        self.central_id = central_id
         self._tile_switch = {t: sw.id for sw in switches.values() for t in sw.attached}
         self._tile_link = {lk.b: lk.id for lk in links.values() if lk.b in tiles}
         self._trunk = {lk.b: lk.id for lk in links.values() if lk.b in switches}
@@ -217,7 +214,7 @@ class Fabric:
             if link_id not in links:
                 raise ConfigurationError(f"unknown link {link_id!r}")
             links[link_id] = replace(links[link_id], **fields)
-        return Fabric(self.config, self.tiles, self.switches, links, self.central_id)
+        return Fabric(self.config, self.tiles, self.switches, links)
 
     # -- validation --
 
@@ -269,13 +266,12 @@ class Fabric:
             "schema_version": FABRIC_SCHEMA_VERSION,
             "room": {"length_m": self.room.length_m, "width_m": self.room.width_m,
                      "height_m": self.room.height_m},
-            "central_id": self.central_id,
+            "central_id": CENTRAL_ID,
             "tiles": [{"id": t.id, "surface": t.surface, "center": list(t.center),
-                       "normal": list(t.normal), "rect_mm": list(t.rect_mm),
-                       "roles": sorted(t.roles)} for t in self.tiles.values()],
+                       "normal": list(t.normal), "rect_mm": list(t.rect_mm)}
+                      for t in self.tiles.values()],
             "switches": [{"id": s.id, "port_count": s.port_count,
                           "position": list(s.position),
-                          "transparent_clock": s.transparent_clock,
                           "attached": list(s.attached)} for s in self.switches.values()],
             "links": [{"id": l.id, "a": l.a, "b": l.b, "length_m": l.length_m,
                        "base_delay_ps": l.base_delay_ps,
@@ -351,7 +347,7 @@ def build_default_fabric(config: FabricConfig | None = None,
         d = sum(abs(central_pos[i] - sw.position[i]) for i in range(3))
         length = round(d + cfg.slack_m, 4)
         links[f"trunk_sw{k}"] = Link(
-            f"trunk_sw{k}", "central", sw.id, length,
+            f"trunk_sw{k}", CENTRAL_ID, sw.id, length,
             _delay_ps(length, cfg.prop_ns_per_m),
             jitter_sigma_ns=cfg.trunk_jitter_sigma_ns,
             jitter_shape=cfg.jitter_shape, bandwidth_bps=cfg.bandwidth_bps)

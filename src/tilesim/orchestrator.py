@@ -61,8 +61,7 @@ class _Power:
     cut due by the run's end at its instant.  `finish` writes the ledger."""
 
     def __init__(self, run: RunResult, p):
-        pd_tiles = (t.id for t in run.fabric.tiles.values() if "pd" in t.roles)
-        plane = run.power = PsePlane(p, pd_tiles)
+        plane = run.power = PsePlane(p, run.fabric.tiles)
         for tile_id in sorted(plane.devices):
             plane.allocate(tile_id, at=0)
         run.cuts = {tile_id: 0 for tile_id, pd in plane.devices.items() if not pd.online}
@@ -95,8 +94,7 @@ class _Dataplane:
         self.broker = run.broker = Broker(cfg.topic, cfg.partitions,
                                           cfg.retention_records)
         self.window_ps = from_seconds(cfg.load_window_ms / 1e3)
-        self.tiles = sorted(t.id for t in fabric.tiles.values()
-                            if "producer" in t.roles)[:cfg.producer_tiles]
+        self.tiles = sorted(fabric.tiles)[:cfg.producer_tiles]
         period = self.period = from_seconds(cfg.produce_interval_ms / 1e3)
         spacing = self.spacing = period // max(1, len(self.tiles))
         # per tile, how many records it publishes in the whole run; per
@@ -280,13 +278,13 @@ class _Timesync:
 
 
 class _Coherent:
-    """Array gain of the energized SDR tiles at the sync residuals; set-up
-    bounds the trials over every SDR tile, up to `tile_count`.  The target
-    and tx power are only checked: the weights cancel any target's geometry."""
+    """Array gain of the energized tiles at the sync residuals; set-up
+    bounds the trials over every tile, up to `tile_count`.  The weights
+    cancel any target's geometry, so no target enters."""
 
     def __init__(self, run: RunResult, cfg):
-        self.sdr = sorted(t.id for t in run.fabric.tiles.values() if "sdr" in t.roles)
-        n = len(self.sdr[:cfg.tile_count])
+        self.tiles = sorted(run.fabric.tiles)
+        n = len(self.tiles[:cfg.tile_count])
         if cfg.trials * n > MAX_TRIAL_ELEMENTS:
             raise ConfigurationError(
                 f"coherent.trials {cfg.trials:,} over {n} transmitters is {cfg.trials * n:,} "
@@ -298,10 +296,10 @@ class _Coherent:
         if run.sync_report is None:
             return None
         c = self.cfg
-        sdr = [t for t in self.sdr if t not in run.cuts][:c.tile_count]
+        tiles = [t for t in self.tiles if t not in run.cuts][:c.tile_count]
         try:
             gain = evaluate_beamforming(
-                run.sync_report, sdr, c.carrier_hz, c.trials,
+                run.sync_report, tiles, c.carrier_hz, c.trials,
                 run.rng.stream(c.stream_label),
                 phase_noise_sigma_rad=c.phase_noise_sigma_rad)
         except CoherentError as e:

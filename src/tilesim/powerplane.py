@@ -21,6 +21,7 @@ from .core import PS_PER_MS, PS_PER_S, SimTime, from_seconds
 from .fabric import ConfigurationError
 
 MW_PER_W = 1000
+STARTUP_WINDOW_PS = PS_PER_S   # classification by measurement takes its peak
 
 
 @dataclass
@@ -92,8 +93,7 @@ class PdDevice:
         return self.step[1]
 
 
-def classify(pd: PdDevice, at: SimTime = 0,
-             startup_window_ps: SimTime = PS_PER_S) -> PowerClass:
+def classify(pd: PdDevice, at: SimTime = 0) -> PowerClass:
     """Pick the device's power class before it is energized.
 
     A fixed request maps straight through the table; measurement-based
@@ -109,7 +109,7 @@ def classify(pd: PdDevice, at: SimTime = 0,
         except KeyError:
             raise ConfigurationError(
                 f"{pd.tile_id}: no power class {pd.requested_class}") from None
-    peak = max(pd._draw_if_powered(at), pd._draw_if_powered(at + startup_window_ps))
+    peak = max(pd._draw_if_powered(at), pd._draw_if_powered(at + STARTUP_WINDOW_PS))
     for cls in _AUTOCLASS_ORDER:
         if cls.pd_mw >= peak:
             return cls
@@ -208,7 +208,7 @@ class PsePlane:
         self.ledger.append((at, tile_id, cls.class_id, pd.consumption_mw(at), "grant"))
         return Grant(tile_id, cls, ms.id)
 
-    def disconnect(self, tile_id: str, at: SimTime, reason: str = "overdraw") -> None:
+    def disconnect(self, tile_id: str, at: SimTime) -> None:
         """Drop an online device's grant and mark it offline.  A run applies
         each cut at set-up, by `monitor`, whose return its stages read."""
         pd = self.devices[tile_id]
@@ -217,7 +217,7 @@ class PsePlane:
         ms = self._midspan_of[tile_id]
         ms.used_mw -= pd.granted.pse_mw
         self.ledger.append((at, tile_id, pd.granted.class_id,
-                            pd.consumption_mw(at), f"disconnect:{reason}"))
+                            pd.consumption_mw(at), "disconnect:overdraw"))
         pd.granted = None
         pd.online = False
         pd.disconnected_at = at

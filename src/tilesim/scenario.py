@@ -16,7 +16,7 @@ from operator import attrgetter
 
 import yaml
 
-from .coherent import CARRIER_MAX_HZ, CARRIER_MIN_HZ, MAX_TX_POWER_DBM
+from .coherent import CARRIER_MAX_HZ, CARRIER_MIN_HZ
 from .core import MAX_SIM_TIME, PS_PER_S, from_seconds
 from .fabric import SURFACE_NAMES, ConfigurationError, FabricConfig
 from .powerplane import POWER_CLASSES, PowerConfig
@@ -30,7 +30,7 @@ class DataplaneConfig:
     topic: str = "samples"
     partitions: int = 8
     retention_records: int = 65536
-    producer_tiles: int = 16                # first N producer-role tiles publish
+    producer_tiles: int = 16                # the first N tiles publish
     produce_interval_ms: float = 100.0
     record_bytes: int = 8192
     consumer_groups: int = 2
@@ -44,10 +44,8 @@ class DataplaneConfig:
 class CoherentConfig:
     enabled: bool = True
     carrier_hz: float = 4.0e8
-    tx_power_dbm: float = 10.0
-    target: tuple = (4.0, 2.0, 1.0)
     trials: int = 200
-    tile_count: int | None = 16             # subset of radio tiles; None → all
+    tile_count: int | None = 16             # the first N tiles transmit; None → all
     phase_noise_sigma_rad: float = 0.0
     stream_label: str = "coherent"
 
@@ -90,7 +88,7 @@ class ScenarioConfig:
 # eight times that, far inside both the composer's C stack (a file 50,000
 # levels deep overflows it) and Python's recursion limit.  MAX_NODES counts
 # every mapping, list and scalar, each alias as the size of its anchor; the
-# shipped scenario has 64.  A file at the bound, one list of 49,990 floats
+# shipped scenario has 59.  A file at the bound, one list of 49,990 floats
 # under a disabled section, where no check of its shape applies, took
 # 0.29-0.33 s to validate with Python 3.11 on a 2-core Xeon.
 MAX_NESTING = 32
@@ -233,7 +231,12 @@ def load_scenario(path) -> ScenarioConfig:
     with open(path, "rb") as f:
         _check_structure(path, f)
         f.seek(0)
-        data = yaml.load(f, Loader=_YAML_LOADER)
+        # a scalar the constructor cannot make: an integer past Python's
+        # digit limit on converting strings to ints, or a date that is none
+        try:
+            data = yaml.load(f, Loader=_YAML_LOADER)
+        except ValueError as e:
+            raise ConfigurationError(f"{path}: {e}") from None
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -335,7 +338,8 @@ RULES = {
     **{f"fabric.room.{key}": Scale(least=1e-6)
        for key in ("length_m", "width_m", "height_m")},
     "fabric.switch_count": Count(1, 10_000), "fabric.switch_ports": Count(1),
-    "fabric.max_tile_connections": Count(1, 10_000), "fabric.bandwidth_bps": Count(1),
+    # the load coupling divides a link's load by the bandwidth as a float
+    "fabric.max_tile_connections": Count(1, 10_000), "fabric.bandwidth_bps": Count(1, 1e300),
     "fabric.prop_ns_per_m": Scale(), "fabric.slack_m": Scale(),
     "fabric.cable_min_m": Scale(), "fabric.cable_max_m": Scale(),
     "fabric.cable_fixed_m": Scale(), "fabric.tile_jitter_sigma_ns": Scale(),
@@ -345,7 +349,6 @@ RULES = {
     # or the normalization loses its digits and then underflows to 0
     "fabric.jitter_shape": Scale(below=20.0, least=math.sqrt(sys.float_info.min)),
     "coherent.carrier_hz": Count(CARRIER_MIN_HZ, CARRIER_MAX_HZ),
-    "coherent.tx_power_dbm": Count(-math.inf, MAX_TX_POWER_DBM),
     "coherent.trials": Count(1), "coherent.tile_count": Count(1),
     "coherent.phase_noise_sigma_rad": Scale(),
     # kept in integer mW: a budget times 1,000 must be a float
@@ -353,10 +356,14 @@ RULES = {
     "power.midspan_count": Count(1, 10_000),
     "power.midspan_budget_w": Scale(positive=True, below=1e300),
     "power.requested_class": Count(min(POWER_CLASSES), max(POWER_CLASSES)),
-    "power.base_mw": Count(0), "power.processing_mw": Count(0),
-    "power.peripheral_mw": Count(0), "power.detection_window_ms": Count(0),
+    # a device draws their sum, or two and the overdraw step, under 1e304 mW,
+    # which the ledger divides by 1,000 into a float of watts
+    "power.base_mw": Count(0, 1e300), "power.processing_mw": Count(0, 1e300),
+    "power.peripheral_mw": Count(0, 1e300), "power.detection_window_ms": Count(0),
     "dataplane.partitions": Count(1, 100_000), "dataplane.retention_records": Count(1),
-    "dataplane.producer_tiles": Count(0), "dataplane.record_bytes": Count(0),
+    # a link's load, a float of bits/s: its records in the window (at most
+    # the work bound's 10**7) times 8e12 times this, over the window in ps
+    "dataplane.producer_tiles": Count(0), "dataplane.record_bytes": Count(0, 1e280),
     # their product, the run's consumers, is held to MAX_CONSUMERS across fields
     "dataplane.consumer_groups": Count(0), "dataplane.consumers_per_group": Count(1),
     "dataplane.max_poll_records": Count(1), "dataplane.produce_interval_ms": Period(),
@@ -429,18 +436,13 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             isinstance(n, int) and not isinstance(n, bool) and n >= 0
             for n in counts.values())):
         problems.append("fabric.counts must map surfaces to non-negative integers")
+    # a face is packed in integer mm: a side times 1,000 must round from a float
     dims = cfg.fabric.face_dims
     if not (isinstance(dims, dict) and all(
             k in SURFACE_NAMES and _numbers(v, 2) and all(
-                0 < x < math.inf for x in v) for k, v in dims.items())):
+                0 < x < 1e300 for x in v) for k, v in dims.items())):
         problems.append("fabric.face_dims must map surfaces to 2 positive "
-                        "numbers (u, v)")
-    room = cfg.fabric.room
-    if cfg.coherent.enabled and not _numbers(cfg.coherent.target, 3):
-        problems.append("coherent.target must hold 3 numbers (x, y, z)")
-    elif cfg.coherent.enabled and not all(0 <= v <= side for v, side in zip(
-            cfg.coherent.target, (room.length_m, room.width_m, room.height_m))):
-        problems.append("coherent.target lies outside the room")
+                        "numbers (u, v) below 1e+300")
     d = cfg.dataplane
     if d.enabled and (n := d.consumer_groups * d.consumers_per_group) > MAX_CONSUMERS:
         problems.append(f"dataplane.consumer_groups times consumers_per_group is {n:,} "
@@ -448,7 +450,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     if cfg.power.enabled and cfg.power.overdraw_tile is not None:
         problems += _rule_problems(cfg, OVERDRAW_RULES)
     if cfg.rover.enabled:
-        r = cfg.rover
+        r, room = cfg.rover, cfg.fabric.room
         if r.area is not None and not _numbers(r.area, 4):
             problems.append("rover.area must hold 4 numbers (x0, y0, x1, y1)")
         elif r.area is not None:

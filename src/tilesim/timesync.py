@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import (PS_PER_S, PS_PER_US, RngRegistry, RngStream, SimTime,
                    SimulationError, as_normals, as_uniforms, from_seconds)
-from .fabric import ConfigurationError, Fabric, Link
+from .fabric import CENTRAL_ID, ConfigurationError, Fabric, Link
 
 
 # the most residual samples (ports times sampler ticks) one run may ask for
@@ -504,9 +504,9 @@ def _csv_field(text: str) -> str:
 @dataclass(eq=False, slots=True)
 class PtpPort:
     """Slave-side exchange state toward one upstream master, with its route
-    resolved once: the clocks the exchange reads, whether the relay corrects
-    for residence, each hop's constant delay (the upstream ones and the
-    residence 0 on a direct route) and the port's jitter on each link."""
+    resolved once: the clocks the exchange reads, the relay's among them
+    on a relayed route, each hop's constant delay (the upstream ones and
+    the residence 0 on a direct route) and the port's jitter on each link."""
     node: str
     master: str
     servo: ServoState
@@ -519,7 +519,6 @@ class PtpPort:
     clock: LocalClock | None = field(default=None, repr=False)
     master_clock: LocalClock | None = field(default=None, repr=False)
     relay_clock: LocalClock | None = field(default=None, repr=False)
-    transparent: bool = False
     up: _PortJitter | None = field(default=None, repr=False)
     down: _PortJitter | None = field(default=None, repr=False)
     up_hop_ps: int = 0       # master to relay, sync leg
@@ -588,7 +587,7 @@ class _PortJitter:
 
 
 class SyncDomain:
-    """Periodic exchanges for every clock-role tile (and boundary switch),
+    """Periodic exchanges for every tile (and boundary switch),
     worked out at `finish`, which then builds the residual series.
 
     Port i of the sorted ports has its epochs at start_s + i * stagger, one
@@ -641,10 +640,9 @@ class SyncDomain:
         unknown = boundary - set(fabric.switches)
         if unknown:
             raise ConfigurationError(f"boundary switches not in fabric: {sorted(unknown)}")
-        clock_tiles = [t for t in fabric.tiles.values() if "clock" in t.roles]
-        oscs = [(fabric.central_id, config.gm_osc)]
+        oscs = [(CENTRAL_ID, config.gm_osc)]
         oscs += [(sw_id, config.switch_osc) for sw_id in fabric.switches]
-        oscs += [(t.id, config.tile_osc) for t in clock_tiles]
+        oscs += [(tile_id, config.tile_osc) for tile_id in fabric.tiles]
         # clock i's initial offset and frequency error: uniform in its
         # oscillator's bands from words 2i and 2i + 1 of the init stream
         label = config.stream_label
@@ -656,13 +654,13 @@ class SyncDomain:
                 osc.rw_sigma_ppm_per_sqrt_s, osc.granularity_ps,
                 rng.stream(f"{label}/oscillator/{node_id}"))
         for sw_id in sorted(boundary):
-            self._add_port(sw_id, fabric.central_id, fabric.trunk_link(sw_id))
-        for t in clock_tiles:
-            sw_id = fabric.switch_for_tile(t.id)
+            self._add_port(sw_id, CENTRAL_ID, fabric.trunk_link(sw_id))
+        for tile_id in fabric.tiles:
+            sw_id = fabric.switch_for_tile(tile_id)
             if sw_id in boundary:
-                self._add_port(t.id, sw_id, fabric.tile_link(t.id))
+                self._add_port(tile_id, sw_id, fabric.tile_link(tile_id))
             else:
-                self._add_port(t.id, fabric.central_id, fabric.tile_link(t.id),
+                self._add_port(tile_id, CENTRAL_ID, fabric.tile_link(tile_id),
                                fabric.trunk_link(sw_id), sw_id)
         for tile_id, at in (cuts or {}).items():
             if tile_id in self.ports:
@@ -686,7 +684,6 @@ class SyncDomain:
         port.resp_ps = down.base_delay_ps
         if up is not None:
             port.relay_clock = self.clocks[relay]
-            port.transparent = self.fabric.switches[relay].transparent_clock
             port.up = _PortJitter(up, c, self._load, self.rng, label + f"{up.id}/{node}")
             port.up_hop_ps = up.delay_ps(from_a=True)
             port.up_req_hop_ps = up.delay_ps(from_a=False)
@@ -792,7 +789,7 @@ class SyncDomain:
                     relay_at += (sync_in, sync_out, req_in, req_out)
                 epoch = nxt
             master = port.master_clock.read_many(master_at)
-            relay = port.relay_clock.read_many(relay_at) if port.transparent else None
+            relay = None if port.relay_clock is None else port.relay_clock.read_many(relay_at)
             fwd = rev = 0
             for i, (seq, close, t2_at, t3_at) in enumerate(closing):
                 if relay is not None:

@@ -49,10 +49,11 @@ PROBE = {"name": "probe", "seed": 3, "duration_s": 2.0,
                                "ceiling": 2}, "switch_count": 2}}
 # 1e-200 squares to 0, as a jitter shape once did on its way to a traceback;
 # 1.7e308, near the largest float, overflows whatever multiplies it;
-# 10**7 is the one integer above 0, which an integer key takes (1e300 is a
-# float, refused by its type), and sizes what set-up builds
+# 10**7 and 2**1024 are the integers above 0, which an integer key takes
+# (1e300 is a float, refused by its type): the first sizes what set-up
+# builds, the second is past the float range, which a float key refuses
 VALUES = [0, -1, 1e-200, 1e-13, 1e-9, float("nan"), float("inf"), 1e300, 1.7e308, 10**7,
-          [1], "x"]
+          2**1024, [1], "x"]
 
 
 def leaf_keys(cls=ScenarioConfig, prefix=()) -> list[tuple[str, ...]]:
@@ -104,7 +105,7 @@ def alarm(seconds: int):
 
 # keys that take a mapping or a list of a given shape, which no value of
 # the walk has: validation refuses each of them, naming the key
-SHAPED = {"fabric.counts", "fabric.face_dims", "coherent.target", "rover.area",
+SHAPED = {"fabric.counts", "fabric.face_dims", "rover.area",
           "rover.obstacles", "timesync.boundary_switches"}
 
 def nested(depth: int) -> list:
@@ -130,15 +131,18 @@ MANY_OBSTACLES = ((0.1, 0.1, 0.2, 0.2),) * 125_001
 
 # Cases past the walk, each of the shape its key takes.  A floor face of
 # 12.5 million panel cells, of which the probe places 2: set-up once made
-# every cell before it took the first two, and ran out of memory.  Then
-# lists the load refuses, naming the key, as past the bounds on a file's
-# structure: 500 and 50,000 deep, which recursed past Python's limit
-# where they became tuples, and 6 and 8 levels of ten shared lists, which
-# expanded to 10**6 and 10**8 numbers there.
+# every cell before it took the first two, and ran out of memory.  A wall
+# 1e308 m long, which overflowed where the face is packed in millimetres.
+# Then lists the load refuses, naming the key, as past the bounds on a
+# file's structure: 500 and 50,000 deep, which recursed past Python's
+# limit where they became tuples, and 6 and 8 levels of ten shared lists,
+# which expanded to 10**6 and 10**8 numbers there.
+HUGE_WALL = {"wall_a": [1.0e308, 2.4]}
 SHAPED_CASES = [(("fabric", "face_dims"), {"floor": [3000, 3000]}),
+                (("fabric", "face_dims"), HUGE_WALL),
                 (("rover", "obstacles"), MANY_OBSTACLES),
-                *((("coherent", "target"), nested(depth)) for depth in (500, 50_000)),
-                *((("coherent", "target"), shared(levels)) for levels in (6, 8))]
+                *((("rover", "area"), nested(depth)) for depth in (500, 50_000)),
+                *((("rover", "area"), shared(levels)) for levels in (6, 8))]
 
 ROOM = ["fabric.room.length_m", "fabric.room.width_m", "fabric.room.height_m"]
 
@@ -157,7 +161,7 @@ BEYOND_RULES = [
      (1e-9,), "periodic events over their bound"),
     (["duration_s"], (10**7,), "residual samples over their bound"),
     (["rover.max_duration_s"], (10**7,), "periodic events over their bound"),
-    (["coherent.trials"], (10**7,), "trial-element pairs over their bound"),
+    (["coherent.trials"], (10**7, 2**1024), "trial-element pairs over their bound"),
     (["rover.resolution_m", "rover.z_resolution_m"], (1e-200, 1e-13, 1e-9),
      "lift stops over their bound"),
     (["rover.resolution_m"], (1e300, 1.7e308, 10**7),
@@ -166,9 +170,10 @@ BEYOND_RULES = [
      "more than one beacon fix per rover.tick_s"),
     (["fabric.cable_model", "power.overdraw_tile"], ("x",),
      "no such cable model, no such powered tile"),
-    (["dataplane.consumer_groups", "dataplane.consumers_per_group"], (10**7,),
+    (["dataplane.consumer_groups", "dataplane.consumers_per_group"], (10**7, 2**1024),
      "consumers (groups times members) over their bound"),
     (["rover.obstacles"], (MANY_OBSTACLES,), "cell-obstacle tests over their bound"),
+    (["fabric.face_dims"], (HUGE_WALL,), "a face side past the millimetre grid's range"),
 ]
 # compared by ==, since a shaped value may not hash
 _BEYOND = [(key, value) for keys, values, _ in BEYOND_RULES

@@ -19,7 +19,6 @@ from tilesim.coherent import (_BLOCK_ELEMENTS, CARRIER_MAX_HZ, CARRIER_MIN_HZ,
 from tilesim.core import RngStream, as_normals
 from tilesim.fabric import (ConfigurationError, Fabric, FabricConfig,
                             build_default_fabric)
-from tilesim.scenario import ScenarioConfig, validate_scenario
 from tilesim.timesync import SyncReport
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -272,15 +271,6 @@ def test_unconverged_tile_is_an_error():
     report.add_sample(tiles[-1], 0, 1.0)   # never converges: no samples pooled
     with pytest.raises(CoherentError, match="converged"):
         evaluate_beamforming(report, tiles, 2.45e9, 10, RngStream(4, "bf"))
-
-
-def test_target_outside_room_rejected():
-    # the evaluation never reads the target; the scenario check refuses it
-    cfg = ScenarioConfig()
-    cfg.coherent.target = (99, 0, 0)
-    assert validate_scenario(cfg) == ["coherent.target lies outside the room"]
-    cfg.coherent.enabled = False
-    assert validate_scenario(cfg) == []
 
 
 @pytest.mark.parametrize("carrier_hz", [CARRIER_MIN_HZ * (1 - 1e-12), 1e5,

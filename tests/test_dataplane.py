@@ -713,8 +713,7 @@ class EagerDataplane:
         self.window_ps = from_seconds(cfg.load_window_ms / 1e3)
         self.sent = {}        # per link, (instant, offset, tile order, bytes)
         self.cuts = run.cuts
-        self.tiles = sorted(t.id for t in fabric.tiles.values()
-                            if "producer" in t.roles)[:cfg.producer_tiles]
+        self.tiles = sorted(fabric.tiles)[:cfg.producer_tiles]
         self.counts = dict.fromkeys(self.tiles, 0)
         self.stems = dict.fromkeys(self.tiles, 0)
         produced = 0

@@ -28,6 +28,12 @@ def test_default_fleet_size(fabric):
 
 def test_default_build_is_valid(fabric):
     assert fabric.validate() == []
+    # every tile is a full edge node and every relay corrects for its
+    # residence, so the export names neither roles nor relay kinds
+    doc = fabric.to_json_dict()
+    assert doc["schema_version"] == 2
+    assert not any("roles" in t for t in doc["tiles"])
+    assert not any("transparent_clock" in sw for sw in doc["switches"])
 
 
 def test_surface_populations(fabric):

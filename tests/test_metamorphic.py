@@ -20,9 +20,6 @@ A Review of Challenges and Opportunities", ACM Computing Surveys 51(1),
   artifacts, and those of the stages that read it: timesync's moves
   `sync_report.csv` and `gains.csv`, coherent's `gains.csv` and the
   rover's `mission_log.csv`.
-- R7: moving `coherent.target` anywhere in the room and setting
-  `coherent.tx_power_dbm` anywhere under its cap moves no artifact: the
-  array's conjugate weights cancel the geometry for any target.
 
 `report.json` and `resolved.json` carry the configuration and its hash, so
 a relation compares `report.json` without `config_hash` and without the
@@ -47,7 +44,6 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilesim.coherent import MAX_TX_POWER_DBM
 from tilesim.orchestrator import run_scenario
 from tilesim.scenario import RULES, scenario_from_dict, validate_scenario
 
@@ -108,7 +104,7 @@ SMALL = {
 BASE = {
     "name": "metamorphic",
     "fabric": {"counts": {"wall_a": 4, "wall_b": 4, "floor": 4, "ceiling": 4}},
-    "coherent": {"target": [1.0, 1.0, 1.0], "tile_count": None},
+    "coherent": {"tile_count": None},
     "rover": {"area": [0.6, 0.6, 1.8, 1.8], "resolution_m": 0.6,
               "z_resolution_m": 0.6, "beacon_rate_hz": 5.0},
 }
@@ -258,15 +254,3 @@ def test_r6_a_renamed_stream_moves_only_its_stage(doc):
     for stage, (files, sections) in LABELLED.items():
         renamed = artifacts(variant(doc, **{f"{stage}__stream_label": f"{stage}-renamed"}))
         assert_same_but(base, renamed, files=files, sections=sections)
-
-
-@RELATION
-@given(scenarios(), st.data())
-def test_r7_the_target_and_tx_power_move_no_artifact(doc, data):
-    room = doc["fabric"]["room"]
-    target = [data.draw(st.floats(0.0, room[side]), label=side)
-              for side in ("length_m", "width_m", "height_m")]
-    power = data.draw(st.floats(-40.0, MAX_TX_POWER_DBM), label="tx_power_dbm")
-    moved = artifacts(variant(doc, coherent__target=target,
-                              coherent__tx_power_dbm=power))
-    assert_same_but(artifacts(doc), moved)

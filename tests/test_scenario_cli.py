@@ -24,8 +24,8 @@ from tilesim.scenario import (_YAML_LOADER, MAX_NESTING, MAX_NODES, ScenarioConf
                               load_scenario, resolved_dict, resolved_json,
                               scenario_from_dict, scenario_hash, validate_scenario)
 
-# 8 s: at 6 s, most seeds leave an SDR tile unconverged (22 of seeds 1-30),
-# and a run whose array has no converged tile writes no gains.csv
+# 8 s: at 6 s, most seeds leave a transmitting tile unconverged (22 of
+# seeds 1-30), and a run whose array has no converged tile writes no gains.csv
 TINY = {
     "name": "tiny",
     "seed": 11,
@@ -97,12 +97,20 @@ def test_unknown_top_level_key_lists_valid_ones():
     assert "seed" in msg and "duration_s" in msg
 
 
-def test_unknown_nested_key_reports_dotted_path():
+def test_unknown_nested_key_reports_dotted_path(tmp_path, capsys):
     with pytest.raises(ConfigurationError) as exc:
         scenario_from_dict({"power": {"basemw": 1}})
     msg = str(exc.value)
     assert "scenario.power" in msg
     assert "base_mw" in msg
+    # the array's weights cancel any target, so a file that still names
+    # a target or a transmit power is refused, with the keys there are
+    for key in ("target", "tx_power_dbm"):
+        path = tmp_path / f"{key}.yaml"
+        path.write_text(f"coherent:\n  {key}: 1.0\n")
+        assert usage_error_line(["validate", str(path)], capsys) == (
+            f"error: {path}.coherent: unknown key {key!r} (valid: carrier_hz, "
+            f"enabled, phase_noise_sigma_rad, stream_label, tile_count, trials)")
 
 
 def test_section_must_be_mapping():
@@ -205,13 +213,11 @@ def test_validate_clean_scenario():
 
 
 def test_validate_reports_each_problem():
-    cfg = tiny_cfg(duration_s=-1.0,
-                   coherent={"carrier_hz": 1e3, "target": [50.0, 0.0, 0.0]},
+    cfg = tiny_cfg(duration_s=-1.0, coherent={"carrier_hz": 1e3},
                    rover={"area": [0.0, 0.0, 99.0, 1.0]})
     problems = "; ".join(validate_scenario(cfg))
     assert "duration_s" in problems
     assert "carrier_hz" in problems
-    assert "target" in problems
     assert "rover.area" in problems
 
 
@@ -330,8 +336,10 @@ def test_malformed_time_exits_1_with_one_line(section, key, value, tmp_path):
 
 # Each of these ended in a traceback, except that `duration_s: true` ran as
 # 1 s, `trials: 1.5` exited 0 and 2e7 s, past the 64-bit picosecond range,
-# ran on with no end in sight.  A value of the wrong type fails to load
-# (exit 2); a malformed one fails validation (exit 1).
+# ran on with no end in sight.  A bandwidth past the float range ended in
+# an OverflowError where the load coupling divided by it.  A value of the
+# wrong type fails to load (exit 2); a malformed one fails validation
+# (exit 1).
 BAD_VALUES = [(None, "seed", "abc", 2), ("coherent", "trials", 1.5, 2),
               ("dataplane", "partitions", 2.5, 2),
               ("power", "midspan_count", 1.5, 2), (None, "duration_s", True, 2),
@@ -340,7 +348,8 @@ BAD_VALUES = [(None, "seed", "abc", 2), ("coherent", "trials", 1.5, 2),
               (None, "duration_s", float("nan"), 1),
               (None, "duration_s", float("inf"), 1),
               (None, "duration_s", 2.0e7, 1),
-              ("coherent", "target", [1.0, 2.0], 1),
+              pytest.param("fabric", "bandwidth_bps", 2**1024, 1,
+                           id="fabric-bandwidth_bps-2**1024"),
               ("rover", "area", [0.6, 0.6, 3.0], 1),
               ("fabric", "counts", {"wall_a": "many"}, 1)]
 
@@ -442,8 +451,8 @@ def test_oversized_coherent_trials_exit_1_and_write_nothing(tmp_path, capsys):
 
 def test_coherent_work_bound_counts_the_sdr_tiles_up_to_tile_count(tmp_path):
     cfg = load_scenario(probe_scenario(None, "seed", 3, tmp_path))
-    sdr = sum("sdr" in t.roles for t in prepare_scenario(cfg).fabric.tiles.values())
-    for tile_count, n in [(None, sdr), (1, 1), (sdr + 5, sdr)]:
+    tiles = len(prepare_scenario(cfg).fabric.tiles)
+    for tile_count, n in [(None, tiles), (1, 1), (tiles + 5, tiles)]:
         for trials, refused in [(MAX_TRIAL_ELEMENTS // n, False),
                                 (MAX_TRIAL_ELEMENTS // n + 1, True)]:
             case = dataclasses.replace(cfg, coherent=dataclasses.replace(
@@ -593,8 +602,9 @@ def test_optional_scalars_take_none_or_their_type(values):
 
 
 @pytest.mark.parametrize("sections,field", [
-    ({"coherent": {"target": ["a", 1.0, 1.0]}}, "coherent.target"),
-    ({"coherent": {"target": [1.0, 1.0, 1.0, 1.0]}}, "coherent.target"),
+    # a face is packed in integer millimetres: 1e308 m overflowed there
+    ({"fabric": {"face_dims": {"wall_a": [1.0e308, 2.4]}}}, "fabric.face_dims"),
+    ({"dataplane": {"record_bytes": 10**281}}, "dataplane.record_bytes"),
     ({"rover": {"area": [0.6, 0.6, 1.8, True]}}, "rover.area"),
     ({"fabric": {"counts": {"wall_a": 2.5}}}, "fabric.counts"),
     ({"fabric": {"counts": {"wall_a": True}}}, "fabric.counts"),
@@ -646,7 +656,7 @@ def test_optional_scalars_take_none_or_their_type(values):
      "coherent.phase_noise_sigma_rad"),
     *[({"fabric": {key: float("nan")}}, f"fabric.{key}")
       for key in ("cable_min_m", "cable_max_m", "cable_fixed_m")],
-    ({"coherent": {"tx_power_dbm": float("nan")}}, "coherent.tx_power_dbm"),
+    ({"power": {"peripheral_mw": 2**1024}}, "power.peripheral_mw"),
     # a step past 1e300 W overflowed its integer milliwatts in a traceback
     ({"power": {"overdraw_tile": "t000", "overdraw_w": 1.7e308}},
      "power.overdraw_w")])
@@ -661,8 +671,7 @@ def test_duration_range_and_disabled_sections_validate():
     for rate, tick in [(10.0, 0.1), (4.0, 0.25), (0.0, 0.1)]:
         assert validate_scenario(tiny_cfg(rover={"beacon_rate_hz": rate,
                                                  "tick_s": tick})) == []
-    assert validate_scenario(tiny_cfg(coherent={"enabled": False, "target": [1]},
-                                      rover={"enabled": False, "area": [1]})) == []
+    assert validate_scenario(tiny_cfg(rover={"enabled": False, "area": [1]})) == []
 
 
 @pytest.mark.parametrize("seconds,ok", [(0.0, True), (0.5, True), (-1e-9, False),
@@ -720,7 +729,7 @@ def test_cli_validate_ok(tiny_yaml, capsys):
 
 def test_cli_validate_reports_problems(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
-    path.write_text("coherent:\n  target: [99.0, 0.0, 0.0]\n")
+    path.write_text("rover:\n  area: [0.0, 0.0, 99.0, 1.0]\n")
     assert main(["validate", str(path)]) == 1
     assert "problem:" in capsys.readouterr().out
 
@@ -789,25 +798,37 @@ def test_cli_malformed_yaml_exits_2(tmp_path, capsys):
 
 
 def nested_yaml(depth: int) -> str:
-    """coherent.target as `depth` nested flow lists around one number."""
-    return f"coherent:\n  target: {'[' * depth}1{']' * depth}\n"
+    """rover.area as `depth` nested flow lists around one number."""
+    return f"rover:\n  area: {'[' * depth}1{']' * depth}\n"
 
 
 def alias_yaml(levels: int) -> str:
-    """A disabled coherent.target of `levels` anchored lists, each of ten
+    """A disabled rover.area of `levels` anchored lists, each of ten
     aliases of the one before: 10 ** levels numbers in all."""
-    lines = ["coherent:", "  enabled: false", "  target:",
+    lines = ["rover:", "  enabled: false", "  area:",
              "    - &a0 [1, 1, 1, 1, 1, 1, 1, 1, 1, 1]"]
     lines += [f"    - &a{k} [{', '.join([f'*a{k - 1}'] * 10)}]" for k in range(1, levels)]
     return "\n".join(lines) + "\n"
+
+
+def int_limit_error(digits: int) -> str:
+    """What Python says of an integer literal of `digits` digits, past its
+    limit on converting strings to ints."""
+    with pytest.raises(ValueError) as e:
+        int("9" * digits)
+    return str(e.value)
 
 
 HOSTILE_YAML = {
     "nested_500": (nested_yaml(500), f"nested deeper than {MAX_NESTING} collections"),
     **{f"aliases_{n}": (alias_yaml(n), f"more than {MAX_NODES:,} nodes, each alias "
                                        "counted as its anchor") for n in (6, 8)},
-    "alias_in_its_anchor": ("coherent:\n  enabled: false\n  target: &a [*a]\n",
+    "alias_in_its_anchor": ("rover:\n  enabled: false\n  area: &a [*a]\n",
                             "alias *a lies inside its own anchor"),
+    # past Python's limit on converting strings to ints, which every
+    # integer key meets in the parser
+    "integer_5000_digits": (f"seed: {'9' * 5000}\n", int_limit_error(5000)),
+    "date_in_month_13": ("name: 2001-13-14\n", "month must be in 1..12"),
 }
 
 
@@ -841,33 +862,33 @@ def test_yaml_under_the_structure_bounds_loads(tmp_path):
     # anchors reused under the node bound expand as written out in full
     path = tmp_path / "anchors.yaml"
     path.write_text("rover:\n  obstacles:\n    - &r [1.0, 1.0, 1.5, 1.5]\n"
-                    "    - *r\n    - *r\ncoherent:\n  target: &t [4.0, 2.0, 1.0]\n"
+                    "    - *r\n    - *r\n  area: &t [0.6, 0.6, 3.0, 3.0]\n"
                     "  enabled: true\n")
     cfg = load_scenario(path)
     assert cfg.rover.obstacles == ((1.0, 1.0, 1.5, 1.5),) * 3
     assert scenario_hash(cfg) == scenario_hash(scenario_from_dict(
-        {"rover": {"obstacles": [[1.0, 1.0, 1.5, 1.5]] * 3},
-         "coherent": {"target": [4.0, 2.0, 1.0]}}))
-    # the document, coherent and the target's lists: MAX_NESTING collections
+        {"rover": {"obstacles": [[1.0, 1.0, 1.5, 1.5]] * 3,
+                   "area": [0.6, 0.6, 3.0, 3.0]}}))
+    # the document, rover and the area's lists: MAX_NESTING collections
     # load (the shape check refuses them later), and one more does not
     path.write_text(nested_yaml(MAX_NESTING - 2))
-    target = load_scenario(path).coherent.target
+    area = load_scenario(path).rover.area
     for _ in range(MAX_NESTING - 2):
-        (target,) = target
-    assert target == 1
+        (area,) = area
+    assert area == 1
     path.write_text(nested_yaml(MAX_NESTING - 1))
     with pytest.raises(ConfigurationError, match=f"nested deeper than {MAX_NESTING} "):
         load_scenario(path)
-    # 7 nodes besides the list's numbers: the document, coherent, its
-    # enabled and target keys, false, and the list
+    # 7 nodes besides the list's numbers: the document, rover, its
+    # enabled and area keys, false, and the list
     for extra, refused in ((0, False), (1, True)):
-        path.write_text("coherent: {enabled: false, target: [%s]}\n"
+        path.write_text("rover: {enabled: false, area: [%s]}\n"
                         % ", ".join(["1"] * (MAX_NODES - 7 + extra)))
         if refused:
             with pytest.raises(ConfigurationError, match=f"more than {MAX_NODES:,} nodes"):
                 load_scenario(path)
         else:
-            assert len(load_scenario(path).coherent.target) == MAX_NODES - 7
+            assert len(load_scenario(path).rover.area) == MAX_NODES - 7
 
 
 def test_python_data_is_held_to_the_structure_bounds():
@@ -882,8 +903,8 @@ def test_python_data_is_held_to_the_structure_bounds():
     for value, reason in ((deep, f"nested deeper than {MAX_NESTING} lists"),
                           (shared, f"more than {MAX_NODES:,} values")):
         with pytest.raises(ConfigurationError) as e:
-            scenario_from_dict({"coherent": {"enabled": False, "target": value}})
-        assert str(e.value) == f"scenario.coherent.target: {reason}"
+            scenario_from_dict({"rover": {"enabled": False, "area": value}})
+        assert str(e.value) == f"scenario.rover.area: {reason}"
 
 
 def test_cli_run_then_report(tiny_yaml, tmp_path, capsys):

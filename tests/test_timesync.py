@@ -19,7 +19,8 @@ from tilesim.core import (EventLoop, MAX_SIM_TIME, PS_PER_MS, PS_PER_S,
                           PS_PER_US, RngRegistry, RngStream, SimulationError,
                           as_normals, as_uniforms, from_seconds)
 from tilesim.dataplane import LinkLoadTracker
-from tilesim.fabric import ConfigurationError, FabricConfig, build_default_fabric
+from tilesim.fabric import (CENTRAL_ID, ConfigurationError, FabricConfig,
+                            build_default_fabric)
 from tilesim.timesync import (_CLOSE_BLOCK, LocalClock, OscillatorConfig,
                               ServoState, SyncDomain, SyncReport, TimesyncConfig,
                               servo_update, two_step_offset)
@@ -695,8 +696,8 @@ def test_clock_i_takes_words_2i_and_2i_plus_1_of_the_init_stream():
     cfg = TimesyncConfig(stream_label="ts", **{
         key: OscillatorConfig(a, f, 0.0, 1) for key, (a, f) in bands.items()})
     domain = SyncDomain(fabric, cfg, RngRegistry(8))
-    order = [(fabric.central_id, "gm_osc")] + [(sw, "switch_osc") for sw in fabric.switches]
-    order += [(t.id, "tile_osc") for t in fabric.tiles.values() if "clock" in t.roles]
+    order = [(CENTRAL_ID, "gm_osc")] + [(sw, "switch_osc") for sw in fabric.switches]
+    order += [(tile_id, "tile_osc") for tile_id in fabric.tiles]
     assert list(domain.clocks) == [node for node, _ in order]
     u = as_uniforms(RngStream(8, "ts/init").words(0, 2 * len(order))).tolist()
     for i, (node, osc) in enumerate(order):
@@ -1005,7 +1006,7 @@ class StepwiseDomain(RecordingDomain):
     def _relay_egress(self, arg):
         port, st, leg, jitter, t_in = arg
         now = self.loop.now
-        corr = port.relay_clock.read(now) - t_in if port.transparent else 0
+        corr = port.relay_clock.read(now) - t_in
         if leg == "sync":
             self._step(now + port.down_hop_ps + jitter, port, "sync_arrival",
                        self._sync_arrival, (port, st, corr))
@@ -1080,15 +1081,13 @@ def _run_domain(cls, fab, cfg, until, cuts, load, seed=4):
 
 @pytest.mark.parametrize("boundary", [(), ("sw0",)])
 def test_fused_close_equals_the_ten_event_exchange(boundary):
-    # sw0 a boundary switch or a transparent relay, sw1 a transparent
-    # relay, sw2 a relay that does not correct; noisy clocks and loaded
-    # links.  Long dwells and turnarounds put a boundary master's steps
-    # inside its slaves' exchanges, and t002 is cut inside one.
+    # sw0 a boundary switch or a transparent relay, sw1 and sw2 transparent
+    # relays; noisy clocks and loaded links.  Long dwells and turnarounds
+    # put a boundary master's steps inside its slaves' exchanges, and t002
+    # is cut inside one.
     def fabric():
-        fab = build_default_fabric(FabricConfig(
+        return build_default_fabric(FabricConfig(
             counts={"wall_a": 3, "floor": 3, "ceiling": 3}, switch_count=3))
-        fab.switches["sw2"].transparent_clock = False
-        return fab
 
     cfg = TimesyncConfig(start_s=0.0, sync_interval_s=0.3, stagger_ms=20.0,
                          residence_us=20_000.0, turnaround_us=30_000.0,
@@ -1108,7 +1107,6 @@ def test_fused_close_equals_the_ten_event_exchange(boundary):
     assert sorted(fused.records, key=by_exchange) == \
         sorted(stepwise.records, key=by_exchange)
     assert len(fused.records) > 100
-    assert {sw.transparent_clock for sw in first.switches.values()} == {True, False}
     for node in fused_report.nodes:
         assert fused_report.series(node)[1].tobytes() == \
             step_report.series(node)[1].tobytes()
